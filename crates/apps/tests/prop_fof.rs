@@ -125,3 +125,36 @@ proptest! {
         }
     }
 }
+
+/// Out-of-grid stragglers: an open grid clamps particles outside it into
+/// the nearest box, so two neighbours far outside can land in different
+/// boxes. Ghost routing must follow where the particles are, not the
+/// boxes' nominal bounds — each case is `(grid, the pair)`, with one
+/// in-grid bystander.
+#[test]
+fn straggler_pairs_across_seams_match_brute_force() {
+    let cases = [
+        // Straddling x = 1 at y = 1.8: clamped into boxes 0 and 1.
+        ([2, 1, 1], Vec3::new(0.98, 1.8, 0.5), Vec3::new(1.02, 1.8, 0.5)),
+        // Straddling the (1, 1) corner at z = -0.7: clamped into the two
+        // diagonal boxes of the 2×2 layer.
+        ([2, 2, 1], Vec3::new(0.98, 0.98, -0.7), Vec3::new(1.02, 1.02, -0.7)),
+    ];
+    for (dims, a, b) in cases {
+        let ps = vec![
+            Particle::point_mass(0, 1.0, a),
+            Particle::point_mass(1, 1.0, b),
+            Particle::point_mass(2, 1.0, Vec3::new(0.5, 0.5, 0.5)),
+        ];
+        let spec = DomainSpec::tiled(dims, 1.0, false);
+        let params = FofParams { link: 0.1, min_members: 2 };
+        let cat = forest_fof(ps.clone(), &spec, &params);
+        let truth = brute_force_fof(&ps, &spec.period(), &params);
+        assert_eq!(truth.n_links, 1, "the pair is within the linking length");
+        assert_eq!(cat.n_links, truth.n_links, "{dims:?}: forest missed the straggler link");
+        assert_eq!(cat.halos.len(), truth.halos.len(), "{dims:?}");
+        for (h, t) in cat.halos.iter().zip(&truth.halos) {
+            assert_eq!(h.members, t.members, "{dims:?}");
+        }
+    }
+}

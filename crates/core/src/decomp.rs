@@ -78,6 +78,13 @@ pub enum Partitioner {
     },
 }
 
+/// The one-Partition partitioner (no splitters: everything is Partition 0).
+impl Default for Partitioner {
+    fn default() -> Partitioner {
+        Partitioner::KeyRanges { splitters: Vec::new() }
+    }
+}
+
 impl Partitioner {
     /// The Partition owning particle `p` (whose `key` must be assigned).
     pub fn assign(&self, p: &Particle) -> u32 {

@@ -45,16 +45,16 @@
 //! particles to their pre-iteration values before re-running.
 
 use crate::config::{Configuration, TraversalKind};
-use crate::decomp::{decompose, Partitioner};
-use crate::maintain::{MaintainRound, TreeMaintainer};
+use crate::maintain::TreeMaintainer;
+use crate::pipeline::{self, BucketMeta, Iteration};
 use crate::traversal::{
     process_item, process_item_dry, seed_items, traverse_local, CacheModel, PendingFetch,
     WorkCounts, WorkItem,
 };
 use crate::visitor::{TargetBucket, Visitor};
 use paratreet_cache::stats::CacheStatsSnapshot;
-use paratreet_cache::{CacheError, CacheTree, NodeHandle, RequestOutcome, SubtreeSummary};
-use paratreet_geometry::{BoundingBox, NodeKey};
+use paratreet_cache::{CacheError, CacheTree, NodeHandle, RequestOutcome};
+use paratreet_geometry::NodeKey;
 use paratreet_particles::io::PARTICLE_WIRE_BYTES;
 use paratreet_particles::Particle;
 use paratreet_runtime::sim::CommStats;
@@ -63,7 +63,7 @@ use paratreet_runtime::{
     Ledger, MachineSpec, Phase, Sim,
 };
 use paratreet_telemetry::{FlightRecorder, MetricSource, MetricsRegistry, Telemetry, Track};
-use paratreet_tree::{BuiltTree, TreeBuilder};
+use paratreet_tree::BuiltTree;
 use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 
@@ -410,8 +410,9 @@ struct PartState<V: Visitor> {
     rank: u32,
     cache_idx: u32,
     buckets: Vec<TargetBucket<V::State>>,
-    /// Master indices per bucket (for write-back).
-    bucket_indices: Vec<Vec<u32>>,
+    /// Global bucket ids (for write-back and crash reset), aligned with
+    /// `buckets`.
+    bucket_ids: Vec<usize>,
     stack: Vec<WorkItem<V::Data>>,
     paused: HashMap<NodeKey, Vec<WorkItem<V::Data>>>,
     outstanding: usize,
@@ -436,6 +437,7 @@ fn reset_part<V: Visitor>(
     pe: &mut u32,
     parts_done: &mut usize,
     master: &[Particle],
+    metas: &[BucketMeta],
 ) {
     *pe += 1;
     ps.stack.clear();
@@ -449,9 +451,9 @@ fn reset_part<V: Visitor>(
         ps.finished = false;
         *parts_done -= 1;
     }
-    for (indices, b) in ps.bucket_indices.iter().zip(&mut ps.buckets) {
+    for (&bi, b) in ps.bucket_ids.iter().zip(&mut ps.buckets) {
         b.state = V::State::default();
-        for (slot, &mi) in indices.iter().enumerate() {
+        for (slot, &mi) in metas[bi].indices.iter().enumerate() {
             b.particles[slot] = master[mi as usize];
         }
     }
@@ -652,7 +654,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         &self,
         particles: Vec<Particle>,
         assignment: Option<&[u32]>,
-        mut maintained: Option<&mut Option<TreeMaintainer<V::Data>>>,
+        maintained: Option<&mut Option<TreeMaintainer<V::Data>>>,
     ) -> (IterationReport, Vec<(NodeKey, V::State)>) {
         let n_total = particles.len().max(2);
         let log_n = (n_total as f64).log2();
@@ -684,58 +686,22 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
 
         // ---- Decomposition or incremental update (centrally executed,
         // per-rank charged) ----
-        // Both paths end in the same shape: built Subtrees plus the
-        // partitioner that assigns particles to Partitions. `round` is
-        // `Some` only on an incremental advance (not the seed), and
-        // drives the Phase::TreeUpdate cost accounting below.
-        let (flat, partitioner, eff_n_partitions, round): (
-            Vec<BuiltTree<V::Data>>,
-            Partitioner,
-            usize,
-            Option<MaintainRound>,
-        ) = match maintained.as_deref_mut() {
-            None => {
-                let decomp = decompose(particles, &config);
-                let flat: Vec<BuiltTree<V::Data>> = decomp
-                    .subtrees
-                    .into_iter()
-                    .map(|piece| {
-                        let builder = TreeBuilder {
-                            root_key: piece.key,
-                            root_depth: piece.depth,
-                            parallel: false,
-                            ..TreeBuilder::new(config.tree_type)
-                        }
-                        .bucket_size(config.bucket_size);
-                        builder.build::<V::Data>(piece.particles, piece.bbox)
-                    })
-                    .collect();
-                (flat, decomp.partitioner, decomp.n_partitions, None)
-            }
-            Some(slot) => {
-                let (flat, round) = match slot.as_mut() {
-                    None => {
-                        let (m, flat) = TreeMaintainer::seed(&config, particles, false);
-                        *slot = Some(m);
-                        (flat, None)
-                    }
-                    Some(m) => {
-                        let (flat, r) = m.advance(particles);
-                        (flat, Some(r))
-                    }
-                };
-                let m = slot.as_ref().expect("seeded above");
-                (flat, m.partitioner().clone(), m.n_partitions(), round)
-            }
-        };
-        let n_subtrees = flat.len();
+        // `round` is `Some` only on an incremental advance (not the
+        // seed), and drives the Phase::TreeUpdate cost accounting below.
+        // The front-end runs untraced: this engine's spans are stamped
+        // in virtual time, and wall-clock ones would break the
+        // byte-identical trace a seed guarantees.
+        let untraced = Telemetry::disabled();
+        let mut front =
+            Iteration::<V::Data>::obtain(&config, &untraced, particles, maintained, false);
+        let n_subtrees = front.n_subtrees;
 
         // Subtrees to ranks: contiguous blocks in piece (SFC) order.
         let subtree_rank =
             |si: usize| -> u32 { (si as u64 * ranks as u64 / n_subtrees as u64) as u32 };
         // Partitions to ranks: contiguous id blocks by default (the SFC
         // placement), or the caller's measured-load assignment.
-        let n_partitions = eff_n_partitions.max(1);
+        let n_partitions = front.n_partitions.max(1);
         if let Some(a) = assignment {
             assert_eq!(a.len(), n_partitions, "assignment must cover every partition");
         }
@@ -746,35 +712,27 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
             }
         };
 
-        let trees: Vec<(u32, BuiltTree<V::Data>)> =
-            flat.into_iter().enumerate().map(|(si, t)| (subtree_rank(si), t)).collect();
-
         // Checkpoint: clone the built trees — the engine's stable
         // storage. Recovery restores a dead rank's subtrees from exactly
         // these bytes; builds are deterministic, so this is
         // bit-identical to rebuilding from the decomposition pieces, and
         // in maintained mode it captures the incrementally patched tree
         // so restart replays the update sequence deterministically.
-        let checkpoint: Option<Vec<BuiltTree<V::Data>>> = if crash.is_some() {
-            Some(trees.iter().map(|(_, t)| t.clone()).collect())
-        } else {
-            None
-        };
-
-        let summaries: Vec<SubtreeSummary<V::Data>> = trees
-            .iter()
-            .map(|(rank, t)| SubtreeSummary {
-                key: t.root().key,
-                bbox: t.root().bbox,
-                n_particles: t.root().n_particles,
-                data: t.root().data.clone(),
-                home_rank: *rank,
-            })
-            .collect();
+        let checkpoint: Option<Vec<BuiltTree<V::Data>>> =
+            crash.is_some().then(|| front.trees.clone());
 
         // The live owner table: starts at the SFC placement and is
         // rewritten when a crash re-shards the dead rank's subtrees.
         let mut owner: Vec<u32> = (0..n_subtrees).map(subtree_rank).collect();
+
+        // ---- Master array + leaf sharing, cache instances ----
+        // WaitFree/XWrite: one cache per rank. PerThread: one per
+        // worker; a partition binds to cache (rank, local_part % workers).
+        let bits = config.tree_type.bits_per_level();
+        let caches_per_rank: u32 =
+            if self.cache_model == CacheModel::PerThread { workers } else { 1 };
+        front.prepare(&owner, ranks as usize, caches_per_rank as usize, &config, &untraced);
+        let (summaries, caches, metas) = (&front.summaries, &front.caches, &front.buckets);
         let subtree_index: HashMap<NodeKey, usize> =
             summaries.iter().enumerate().map(|(si, s)| (s.key, si)).collect();
 
@@ -784,101 +742,22 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
             checkpoint.as_ref().expect("checkpoint exists when a crash is configured")[si].clone()
         };
 
-        // ---- Master array + leaf sharing (bucket construction) ----
-        let mut master: Vec<Particle> = Vec::new();
-        struct BucketSeed {
-            leaf_key: NodeKey,
-            partition: u32,
-            subtree: u32,
-            indices: Vec<u32>,
-        }
-        let mut bucket_seeds: Vec<BucketSeed> = Vec::new();
-        for (si, (_rank, tree)) in trees.iter().enumerate() {
-            let offset = master.len() as u32;
-            for li in tree.leaf_indices() {
-                let node = tree.node(li);
-                let range = node.bucket_range().expect("leaf");
-                let mut per_part: Vec<(u32, Vec<u32>)> = Vec::new();
-                for i in range {
-                    let part = partitioner.assign(&tree.particles[i]);
-                    match per_part.iter_mut().find(|(p, _)| *p == part) {
-                        Some((_, v)) => v.push(offset + i as u32),
-                        None => per_part.push((part, vec![offset + i as u32])),
-                    }
-                }
-                for (partition, indices) in per_part {
-                    bucket_seeds.push(BucketSeed {
-                        leaf_key: node.key,
-                        partition,
-                        subtree: si as u32,
-                        indices,
-                    });
-                }
-            }
-            master.extend_from_slice(&tree.particles);
-        }
-
-        // ---- Cache instances ----
-        // WaitFree/XWrite: one per rank. PerThread: one per worker; a
-        // partition binds to cache (rank, local_part % workers).
-        let bits = config.tree_type.bits_per_level();
-        let caches_per_rank: u32 =
-            if self.cache_model == CacheModel::PerThread { workers } else { 1 };
-        let n_caches = ranks * caches_per_rank;
-        let caches: Vec<CacheTree<V::Data>> =
-            (0..n_caches).map(|ci| CacheTree::new(ci / caches_per_rank, bits)).collect();
-        // Graft local trees into every cache instance of their home rank.
-        let mut per_rank_trees: Vec<Vec<BuiltTree<V::Data>>> =
-            (0..ranks).map(|_| Vec::new()).collect();
-        for (rank, tree) in trees {
-            per_rank_trees[rank as usize].push(tree);
-        }
-        for ci in 0..n_caches {
-            let rank = (ci / caches_per_rank) as usize;
-            // Each cache instance needs its own grafted copy.
-            let local: Vec<_> = if ci % caches_per_rank == caches_per_rank - 1 {
-                std::mem::take(&mut per_rank_trees[rank])
-            } else {
-                per_rank_trees[rank].clone()
-            };
-            caches[ci as usize].init(&summaries, local);
-        }
-
-        // Debug builds sweep every cache's structural invariants at
-        // phase boundaries; release builds skip the O(cache) walk. In
-        // maintained mode the extended audit also validates what a
-        // fresh build would guarantee by construction (bucket bounds,
-        // summary sums, orphan placeholders).
-        #[cfg(debug_assertions)]
-        let is_maintained = maintained.is_some();
-        #[cfg(debug_assertions)]
-        let audit_all = |caches: &[CacheTree<V::Data>], when: &str| {
-            for (ci, c) in caches.iter().enumerate() {
-                let res =
-                    if is_maintained { c.audit_patched(config.bucket_size) } else { c.audit() };
-                if let Err(e) = res {
-                    panic!("cache {ci} audit failed {when}: {e}");
-                }
-            }
-        };
-        #[cfg(debug_assertions)]
-        audit_all(&caches, "after init");
-
         // XWrite lock resource ids (one per rank), partition resources.
         const LOCK_BASE: u64 = 1 << 48;
         let part_resource = |p: u32| -> u64 { p as u64 + 1 };
 
         // ---- Partition states ----
-        let mut parts: Vec<PartState<V>> = (0..n_partitions as u32)
-            .map(|p| {
-                let rank = partition_rank(p as usize);
-                let local_idx = p as u64 % caches_per_rank as u64;
-                let cache_idx = rank * caches_per_rank + local_idx as u32;
+        let mut parts: Vec<PartState<V>> = front
+            .partitions::<V::State>()
+            .into_iter()
+            .enumerate()
+            .map(|(p, part)| {
+                let rank = partition_rank(p);
                 PartState {
                     rank,
-                    cache_idx,
-                    buckets: Vec::new(),
-                    bucket_indices: Vec::new(),
+                    cache_idx: rank * caches_per_rank + p as u32 % caches_per_rank,
+                    buckets: part.buckets,
+                    bucket_ids: part.ids,
                     stack: Vec::new(),
                     paused: HashMap::new(),
                     outstanding: 0,
@@ -891,30 +770,18 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                 }
             })
             .collect();
-        let mut n_shared_buckets = 0usize;
         // Every (subtree, partition) leaf-share pair with its wire size;
         // sender and receiver are resolved at send time from the live
         // owner table and partition placement, so recovery can replay
         // exactly the messages a re-shard redirects.
-        let mut leaf_pairs: Vec<(u32, u32, u64)> = Vec::new();
-        for seed in &bucket_seeds {
-            let part = &mut parts[seed.partition as usize];
-            let particles: Vec<Particle> =
-                seed.indices.iter().map(|&i| master[i as usize]).collect();
-            let bbox = BoundingBox::around(particles.iter().map(|p| p.pos));
-            let bytes = (particles.len() * PARTICLE_WIRE_BYTES) as u64;
-            if owner[seed.subtree as usize] != part.rank {
-                n_shared_buckets += 1;
-            }
-            leaf_pairs.push((seed.subtree, seed.partition, bytes));
-            part.buckets.push(TargetBucket {
-                leaf_key: seed.leaf_key,
-                particles,
-                bbox,
-                state: V::State::default(),
-            });
-            part.bucket_indices.push(seed.indices.clone());
-        }
+        let leaf_pairs: Vec<(u32, u32, u64)> = metas
+            .iter()
+            .map(|m| (m.subtree, m.partition, (m.indices.len() * PARTICLE_WIRE_BYTES) as u64))
+            .collect();
+        let n_shared_buckets = metas
+            .iter()
+            .filter(|m| owner[m.subtree as usize] != parts[m.partition as usize].rank)
+            .count();
 
         // Checkpoint sizes: per-subtree particle payloads plus a small
         // header, and one partition-assignment record per partition.
@@ -975,8 +842,8 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         // message per (source rank, destination rank) pair — all
         // escapees travelling that edge share a single batch envelope —
         // rather than one per subtree migration edge.
-        let incremental_update = round.as_ref().is_some_and(|r| !r.full_rebuild);
-        if let Some(r) = round.as_ref().filter(|r| !r.full_rebuild) {
+        let incremental_update = front.round.as_ref().is_some_and(|r| !r.full_rebuild);
+        if let Some(r) = front.round.as_ref().filter(|r| !r.full_rebuild) {
             let mut rank_batches: BTreeMap<(u32, u32), u64> = BTreeMap::new();
             for &(from_si, to_si, n) in &r.migrations {
                 let from = owner[from_si as usize];
@@ -1086,7 +953,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         // rather than b·log n, plus a linear term for the dirty-path
         // summary re-accumulation.
         let subtree_task: Vec<(Phase, f64)> = (0..n_subtrees)
-            .map(|si| match round.as_ref() {
+            .map(|si| match front.round.as_ref() {
                 Some(r) if !r.full_rebuild && !r.rebuilt_subtrees.contains(&(si as u32)) => {
                     let n_i = summaries[si].n_particles.max(1) as f64;
                     let touched = r.per_subtree_work.get(si).copied().unwrap_or(0) as f64;
@@ -1145,7 +1012,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                         tree,
                         owner[si as usize],
                         caches_per_rank,
-                        &caches,
+                        caches,
                         &parts,
                         &part_epoch,
                         costs.resume,
@@ -1247,7 +1114,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                 leaf_share_left -= 1;
                 if leaf_share_left == 0 {
                     #[cfg(debug_assertions)]
-                    audit_all(&caches, "at traversal start");
+                    front.audit(&config, "at traversal start");
                     traversal_start = sim.now();
                     traversal_begun = true;
                     if flight.is_enabled() {
@@ -1304,7 +1171,8 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                             &mut parts[p],
                             &mut part_epoch[p],
                             &mut parts_done,
-                            &master,
+                            &front.master,
+                            metas,
                         );
                     }
                 }
@@ -1594,7 +1462,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                                         })
                                         .collect()
                                 };
-                                caches[ci].reinit(&summaries, local);
+                                caches[ci].reinit(summaries, local);
                             }
                             down[cr] = false;
                             for p in 0..parts.len() {
@@ -1646,7 +1514,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                         tree,
                         owner[s],
                         caches_per_rank,
-                        &caches,
+                        caches,
                         &parts,
                         &part_epoch,
                         costs.resume,
@@ -2036,7 +1904,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
 
         assert_eq!(parts_done, parts.len(), "all partitions must finish");
         #[cfg(debug_assertions)]
-        audit_all(&caches, "after traversal");
+        front.audit(&config, "after traversal");
 
         // ---- Canonical visitor application (dry traversals) ----
         // The simulation established timing, communication, and a fully
@@ -2063,18 +1931,14 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
 
         // ---- Write-back and reporting ----
         for ps in &parts {
-            for (indices, bucket) in ps.bucket_indices.iter().zip(&ps.buckets) {
-                for (&mi, p) in indices.iter().zip(&bucket.particles) {
-                    master[mi as usize] = *p;
-                }
-            }
+            front.write_back(&ps.bucket_ids, &ps.buckets);
         }
         let states: Vec<(NodeKey, V::State)> = parts
             .iter()
             .flat_map(|ps| ps.buckets.iter().map(|b| (b.leaf_key, b.state.clone())))
             .collect();
         let mut cache_stats = CacheStatsSnapshot::default();
-        for c in &caches {
+        for c in &front.caches {
             cache_stats.merge(&c.stats.snapshot());
         }
         let partition_costs: Vec<f64> = parts.iter().map(|p| p.cost).collect();
@@ -2096,7 +1960,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                     sim.comm.messages as f64,
                     sim.comm.bytes as f64,
                     fetch_retries as f64,
-                    round.as_ref().map_or(0, |r| r.n_migrated) as f64,
+                    front.round_migrated() as f64,
                 ],
             );
         }
@@ -2122,11 +1986,10 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         metrics.set_u64("des.fill_errors", fill_errors);
         metrics.set_u64("des.n_shared_buckets", n_shared_buckets as u64);
         metrics.set_u64("des.n_partitions", partition_costs.len() as u64);
-        if let Some(m) = maintained.as_deref().and_then(|slot| slot.as_ref()) {
-            metrics.absorb("tree.update", m.totals());
-            metrics
-                .set_u64("tree.update.round_migrated", round.as_ref().map_or(0, |r| r.n_migrated));
-            metrics.set_u64("tree.update.round_batches", round.as_ref().map_or(0, |r| r.n_batches));
+        metrics.set_u64("decomp.n_split_leaves", front.n_split_leaves as u64);
+        if let Some(totals) = &front.update {
+            let (batches, migrated) = (front.round_batches(), front.round_migrated());
+            pipeline::record_update(&mut metrics, totals, batches, migrated, None);
         }
         if let Some(c) = crash {
             metrics.absorb("recovery", &rec);
@@ -2147,7 +2010,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
             ledger: sim.ledger.clone(),
             n_shared_buckets,
             partition_costs,
-            particles: master,
+            particles: front.master,
             faults: fault_stats,
             fetch_retries: metrics.get_u64("des.fetch_retries"),
             fill_errors: metrics.get_u64("des.fill_errors"),

@@ -40,11 +40,12 @@ use paratreet_particles::Particle;
 use paratreet_runtime::{CommStats, MachineSpec, Phase, Sim};
 use paratreet_telemetry::{MetricSource, MetricsRegistry, Telemetry};
 use paratreet_tree::node::NO_NODE;
-use paratreet_tree::{BuildNode, BuiltTree, Data, NodeIdx, NodeShape, TreeBuilder, TreeType};
+use paratreet_tree::{BuildNode, BuiltTree, Data, NodeIdx, NodeShape, TreeType};
 
 use crate::config::Configuration;
 use crate::decomp::{decompose_within, universe_for, Decomposition, Partitioner};
 use crate::maintain::{MaintainRound, TreeMaintainer, UpdateTotals};
+use crate::pipeline::build_piece;
 
 // ---------------------------------------------------------------------
 // Domain specification.
@@ -268,15 +269,8 @@ impl Forest {
             .map(|d| {
                 d.subtrees
                     .iter()
-                    .map(|piece| {
-                        let builder = TreeBuilder {
-                            tree_type: config.tree_type,
-                            bucket_size: config.bucket_size,
-                            parallel,
-                            root_key: piece.key,
-                            root_depth: piece.depth,
-                        };
-                        builder.build::<D>(piece.particles.clone(), piece.bbox)
+                    .map(|p| {
+                        build_piece(p.key, p.depth, p.bbox, p.particles.clone(), config, parallel)
                     })
                     .collect()
             })
@@ -358,7 +352,7 @@ pub fn decompose_forest(
             decomps.push(Decomposition {
                 universe: *bbox,
                 subtrees: Vec::new(),
-                partitioner: Partitioner::KeyRanges { splitters: Vec::new() },
+                partitioner: Partitioner::default(),
                 n_partitions: cfg.n_partitions,
             });
         } else {
@@ -730,7 +724,8 @@ impl GhostLayer {
 }
 
 /// Materializes the ghost layer: for every route, the source box's leaf
-/// buckets within `radius` of the (shifted) destination box contribute
+/// buckets within `radius` of the (shifted) destination box — grown over
+/// its clamped-in population — contribute
 /// shifted copies of their particles that actually fall within the
 /// radius. This is the shared-memory exchange — a deterministic
 /// sequential walk, wrapped in a `"ghost exchange"` telemetry span; the
@@ -743,10 +738,29 @@ pub fn exchange_ghosts<D: Data>(
 ) -> GhostLayer {
     telemetry.wall_span(0, "ghost exchange", None, || {
         let r2 = radius * radius;
+        // Where each box's particles actually are: the nominal box grown
+        // over stragglers clamped in from outside an open grid (the
+        // un-cubed `box_universe`). Routing by nominal bounds would never
+        // exchange two out-of-grid neighbours clamped into adjacent
+        // boxes. Only a tree whose root region sticks out of the box can
+        // hold such particles, so periodic domains — which wrap
+        // everything inside — pay no particle pass and keep their reach.
+        let reach: Vec<BoundingBox> = forest
+            .boxes
+            .iter()
+            .zip(trees)
+            .map(|(b, box_trees)| {
+                let mut grown = *b;
+                for t in box_trees.iter().filter(|t| !b.contains_box(&t.root().bbox)) {
+                    t.particles.iter().for_each(|p| grown.grow(p.pos));
+                }
+                grown
+            })
+            .collect();
         let mut layer = GhostLayer::default();
         layer.stats.routes = forest.routes.len() as u64;
         for route in &forest.routes {
-            let dst_box = &forest.boxes[route.dst];
+            let dst_box = &reach[route.dst];
             let mut zone = GhostZone {
                 src: route.src,
                 dst: route.dst,

@@ -13,29 +13,18 @@
 //! traversal — the paper's race-freedom-by-construction.
 
 use crate::config::{Configuration, TraversalKind};
-use crate::decomp::{decompose, Partitioner};
 use crate::maintain::{TreeMaintainer, UpdateTotals};
+use crate::pipeline::{self, Iteration};
 use crate::traversal::{traverse_local, TraversalStats, WorkCounts};
-use crate::visitor::{TargetBucket, Visitor};
-use paratreet_cache::{CacheTree, NodeKind, SubtreeSummary};
-use paratreet_geometry::{BoundingBox, NodeKey};
+use crate::visitor::Visitor;
+use paratreet_cache::{CacheTree, NodeKind};
+use paratreet_geometry::BoundingBox;
 use paratreet_particles::Particle;
 use paratreet_telemetry::{FlightRecorder, MetricsRegistry, Telemetry};
-use paratreet_tree::{BuiltTree, Data, TreeBuilder};
+use paratreet_tree::{BuiltTree, Data};
 use rayon::prelude::*;
 
-/// A partition's share of target buckets: the global bucket indices and
-/// the owned copies the traversal mutates.
-type PartitionSlot<S> = (Vec<usize>, Vec<TargetBucket<S>>);
-
-/// Where one target bucket's particles live in the master array.
-#[derive(Clone, Debug)]
-struct BucketMeta {
-    leaf_key: NodeKey,
-    partition: u32,
-    /// Master-array indices of this bucket's particles.
-    indices: Vec<u32>,
-}
+pub use crate::pipeline::FLIGHT_SERIES;
 
 /// Measurements for one step.
 #[derive(Clone, Debug, Default)]
@@ -89,10 +78,13 @@ impl StepReport {
         m.set_f64("time.share_s", self.seconds_share);
         m.set_f64("time.traverse_s", self.seconds_traverse);
         if let Some(update) = &self.update {
-            m.set_f64("time.update_s", self.seconds_update);
-            m.absorb("tree.update", update);
-            m.set_u64("tree.update.round_batches", self.round_batches);
-            m.set_u64("tree.update.round_migrated", self.round_migrated);
+            pipeline::record_update(
+                &mut m,
+                update,
+                self.round_batches,
+                self.round_migrated,
+                Some(self.seconds_update),
+            );
         }
         m
     }
@@ -106,8 +98,8 @@ pub struct Step<D: Data> {
     pub universe: BoundingBox,
     /// Step measurements, updated by each traversal.
     pub report: StepReport,
-    master: Vec<Particle>,
-    buckets: Vec<BucketMeta>,
+    /// The iteration state behind the step: master array and buckets.
+    front: Iteration<D>,
 }
 
 /// Observer for every step's freshly built forest, called as
@@ -118,131 +110,27 @@ pub struct Step<D: Data> {
 pub type SnapshotHook<D> = Box<dyn FnMut(u64, &[BuiltTree<D>], BoundingBox) + Send>;
 
 impl<D: Data> Step<D> {
-    fn build(
-        config: &Configuration,
-        telemetry: &Telemetry,
-        particles: Vec<Particle>,
-        epoch: u64,
-        hook: &mut Option<SnapshotHook<D>>,
-    ) -> Step<D> {
-        let t0 = std::time::Instant::now();
-        let decomp = telemetry.wall_span(0, "decomposition", None, || decompose(particles, config));
-        let seconds_decompose = t0.elapsed().as_secs_f64();
-        let crate::decomp::Decomposition { universe, subtrees, partitioner, n_partitions } = decomp;
-
-        // Parallel Subtree build: pieces are independent (the paper's
-        // synchronization-free tree build).
-        let t0 = std::time::Instant::now();
-        let trees: Vec<_> = telemetry.wall_span(0, "tree build", None, || {
-            subtrees
-                .into_par_iter()
-                .map(|piece| {
-                    let builder = TreeBuilder {
-                        root_key: piece.key,
-                        root_depth: piece.depth,
-                        ..TreeBuilder::new(config.tree_type)
-                    }
-                    .bucket_size(config.bucket_size);
-                    builder.build::<D>(piece.particles, piece.bbox)
-                })
-                .collect()
-        });
-        let seconds_build = t0.elapsed().as_secs_f64();
-
-        if let Some(h) = hook.as_mut() {
-            h(epoch, &trees, universe);
-        }
-        let report = StepReport { seconds_decompose, seconds_build, ..Default::default() };
-        Step::from_trees(config, telemetry, trees, &partitioner, n_partitions, universe, report)
-    }
-
-    /// Finishes a step from already-built Subtrees: leaf sharing against
-    /// `partitioner`, then cache init. This is the common tail of the
-    /// full-rebuild path ([`Step::build`]) and the incremental path,
-    /// where the trees come from a [`TreeMaintainer`] instead of a fresh
-    /// decomposition — guaranteeing both pipelines share semantics.
-    fn from_trees(
-        config: &Configuration,
-        telemetry: &Telemetry,
-        trees: Vec<BuiltTree<D>>,
-        partitioner: &Partitioner,
-        n_partitions: usize,
-        universe: BoundingBox,
-        mut report: StepReport,
-    ) -> Step<D> {
-        // Master array: subtree particle arrays concatenated in piece
-        // order; leaf buckets are contiguous master ranges.
-        let t0 = std::time::Instant::now();
-        let total: usize = trees.iter().map(|t| t.particles.len()).sum();
-        let mut master = Vec::with_capacity(total);
-        let mut buckets: Vec<BucketMeta> = Vec::new();
-        let mut n_split_leaves = 0usize;
-        let share_span = telemetry.clone();
-        share_span.wall_span(0, "leaf sharing", None, || {
-            // Grouping scratch, reused across leaves (inner index vectors
-            // move into BucketMeta; only the spine's capacity persists).
-            let mut per_part: Vec<(u32, Vec<u32>)> = Vec::new();
-            for tree in &trees {
-                let offset = master.len() as u32;
-                // The arena is pre-order, so a linear node scan visits
-                // leaves in DFS order without a traversal stack.
-                for node in &tree.nodes {
-                    let Some(range) = node.bucket_range() else { continue };
-                    // Group the leaf's particles by Partition assignment —
-                    // the leaf-sharing step, with bucket splitting (Fig. 5).
-                    // Assignments run in SFC-contiguous streaks, so memoize
-                    // the previous particle's slot.
-                    let mut last_part = u32::MAX;
-                    let mut last_slot = usize::MAX;
-                    for i in range {
-                        let part = partitioner.assign(&tree.particles[i]);
-                        if part != last_part {
-                            last_slot = match per_part.iter().position(|(p, _)| *p == part) {
-                                Some(s) => s,
-                                None => {
-                                    per_part.push((part, Vec::new()));
-                                    per_part.len() - 1
-                                }
-                            };
-                            last_part = part;
-                        }
-                        per_part[last_slot].1.push(offset + i as u32);
-                    }
-                    if per_part.len() > 1 {
-                        n_split_leaves += 1;
-                    }
-                    for (partition, indices) in per_part.drain(..) {
-                        buckets.push(BucketMeta { leaf_key: node.key, partition, indices });
-                    }
-                }
-                master.extend_from_slice(&tree.particles);
-            }
-        });
-        let seconds_share = t0.elapsed().as_secs_f64();
-
-        // Cache init: summaries of every piece, then graft (single rank:
-        // everything is local).
-        let summaries: Vec<SubtreeSummary<D>> = trees
-            .iter()
-            .map(|t| SubtreeSummary {
-                key: t.root().key,
-                bbox: t.root().bbox,
-                n_particles: t.root().n_particles,
-                data: t.root().data.clone(),
-                home_rank: 0,
-            })
-            .collect();
-        let n_subtrees = trees.len();
-        let mut cache: CacheTree<D> = CacheTree::new(0, config.tree_type.bits_per_level());
-        cache.telemetry = telemetry.clone();
-        cache.init(&summaries, trees);
-
-        report.n_subtrees = n_subtrees;
-        report.n_partitions = n_partitions;
-        report.n_buckets = buckets.len();
-        report.n_split_leaves = n_split_leaves;
-        report.seconds_share = seconds_share;
-        Step { cache, universe, report, master, buckets }
+    /// Finishes a step from this iteration's Subtrees — fresh or
+    /// maintained alike: leaf sharing against the partitioner, then
+    /// cache init (single rank: everything is local).
+    fn prepare(config: &Configuration, telemetry: &Telemetry, mut front: Iteration<D>) -> Step<D> {
+        front.prepare(&vec![0; front.n_subtrees], 1, 1, config, telemetry);
+        let report = StepReport {
+            n_subtrees: front.n_subtrees,
+            n_partitions: front.n_partitions,
+            n_buckets: front.buckets.len(),
+            n_split_leaves: front.n_split_leaves,
+            seconds_decompose: front.seconds_decompose,
+            seconds_build: front.seconds_build,
+            seconds_share: front.seconds_share,
+            seconds_update: front.seconds_update,
+            update: front.update,
+            round_batches: front.round_batches(),
+            round_migrated: front.round_migrated(),
+            ..Default::default()
+        };
+        let cache = front.caches.pop().expect("one rank, one cache");
+        Step { cache, universe: front.universe, report, front }
     }
 
     /// Runs one traversal of `kind` with `visitor` over every Partition
@@ -255,25 +143,7 @@ impl<D: Data> Step<D> {
         kind: TraversalKind,
     ) -> (Vec<V::State>, TraversalStats) {
         let t0 = std::time::Instant::now();
-        let n_partitions =
-            self.buckets.iter().map(|b| b.partition).max().map_or(0, |m| m as usize + 1);
-
-        // Assemble per-partition target buckets (owned particle copies).
-        let mut per_partition: Vec<PartitionSlot<V::State>> =
-            (0..n_partitions).map(|_| (Vec::new(), Vec::new())).collect();
-        for (bi, meta) in self.buckets.iter().enumerate() {
-            let particles: Vec<Particle> =
-                meta.indices.iter().map(|&i| self.master[i as usize]).collect();
-            let bbox = BoundingBox::around(particles.iter().map(|p| p.pos));
-            let slot = &mut per_partition[meta.partition as usize];
-            slot.0.push(bi);
-            slot.1.push(TargetBucket {
-                leaf_key: meta.leaf_key,
-                particles,
-                bbox,
-                state: V::State::default(),
-            });
-        }
+        let mut per_partition = self.front.partitions::<V::State>();
 
         // Parallel traversal: partitions are independent, the cache is
         // read-only (all local).
@@ -282,21 +152,19 @@ impl<D: Data> Step<D> {
             cache.telemetry.clone().wall_span(0, "local traversal", None, || {
                 per_partition
                     .par_iter_mut()
-                    .map(|(_, buckets)| traverse_local(cache, visitor, kind, buckets))
+                    .map(|part| traverse_local(cache, visitor, kind, &mut part.buckets))
                     .reduce(WorkCounts::default, |mut a, b| {
                         a += b;
                         a
                     })
             });
 
-        // Write-back: bucket particle copies return to the master array;
-        // states are collected in bucket order.
-        let mut states: Vec<Option<V::State>> = (0..self.buckets.len()).map(|_| None).collect();
-        for (bucket_ids, buckets) in per_partition {
-            for (bi, bucket) in bucket_ids.into_iter().zip(buckets) {
-                for (&mi, p) in self.buckets[bi].indices.iter().zip(&bucket.particles) {
-                    self.master[mi as usize] = *p;
-                }
+        // Write-back; states are collected in bucket order.
+        let mut states: Vec<Option<V::State>> =
+            (0..self.front.buckets.len()).map(|_| None).collect();
+        for part in per_partition {
+            self.front.write_back(&part.ids, &part.buckets);
+            for (bi, bucket) in part.ids.into_iter().zip(part.buckets) {
                 states[bi] = Some(bucket.state);
             }
         }
@@ -312,16 +180,18 @@ impl<D: Data> Step<D> {
     /// Read access to the step's current particle state (sources remain
     /// the start-of-step snapshot; this reflects traversal write-backs).
     pub fn particles(&self) -> &[Particle] {
-        &self.master
+        &self.front.master
     }
 
     /// The particle ids of each bucket, aligned with the state vector
     /// [`Step::traverse`] returns — for applications whose states refer
     /// to bucket-local particle positions.
     pub fn bucket_particle_ids(&self) -> Vec<Vec<u64>> {
-        self.buckets
+        let front = &self.front;
+        front
+            .buckets
             .iter()
-            .map(|m| m.indices.iter().map(|&i| self.master[i as usize].id).collect())
+            .map(|m| m.indices.iter().map(|&i| front.master[i as usize].id).collect())
             .collect()
     }
 
@@ -343,13 +213,6 @@ impl<D: Data> Step<D> {
 
 /// The shared-memory ParaTreeT engine: owns the particle set and the
 /// configuration, and runs steps.
-/// Columns the shared-memory engine's flight recorder samples at each
-/// phase boundary (one row after setup, one after traversal, per step).
-/// `stage` is 0 for setup (decompose + build or incremental update) and
-/// 1 for leaf sharing + traversal.
-pub const FLIGHT_SERIES: &[&str] =
-    &["epoch", "stage", "seconds", "n_subtrees", "n_buckets", "update_migrated"];
-
 pub struct Framework<D: Data> {
     /// Run configuration.
     pub config: Configuration,
@@ -425,89 +288,19 @@ impl<D: Data> Framework<D> {
     pub fn step<R>(&mut self, f: impl FnOnce(&mut Step<D>) -> R) -> (R, StepReport) {
         let particles = std::mem::take(&mut self.master);
         let epoch = self.steps_run;
-        let mut step = if self.config.incremental.enabled {
-            self.step_incremental(particles, epoch)
-        } else {
-            Step::build(&self.config, &self.telemetry, particles, epoch, &mut self.snapshot_hook)
-        };
-        self.steps_run += 1;
-        if self.flight.is_enabled() {
-            let rep = &step.report;
-            self.flight.sample(&[
-                epoch as f64,
-                0.0,
-                rep.seconds_decompose + rep.seconds_build + rep.seconds_update,
-                rep.n_subtrees as f64,
-                rep.n_buckets as f64,
-                rep.round_migrated as f64,
-            ]);
-        }
-        let r = f(&mut step);
-        if self.flight.is_enabled() {
-            let rep = &step.report;
-            self.flight.sample(&[
-                epoch as f64,
-                1.0,
-                rep.seconds_share + rep.seconds_traverse,
-                rep.n_subtrees as f64,
-                rep.n_buckets as f64,
-                rep.round_migrated as f64,
-            ]);
-        }
-        self.master = step.master;
-        (r, step.report)
-    }
-
-    /// The incremental pipeline: seed a [`TreeMaintainer`] on the first
-    /// step (a normal decomposition + build), then patch the maintained
-    /// tree in place on every later step under the "incremental update"
-    /// phase. Both paths feed the shared [`Step::from_trees`] tail, so
-    /// traversal semantics are identical to a full rebuild.
-    fn step_incremental(&mut self, particles: Vec<Particle>, epoch: u64) -> Step<D> {
-        let mut report = StepReport::default();
-        let trees = match self.maintainer.as_mut() {
-            None => {
-                // Seed = decompose + build once; charge it to build time
-                // like the full pipeline's dominant stage.
-                let t0 = std::time::Instant::now();
-                let (maintainer, trees) = self.telemetry.wall_span(0, "tree build", None, || {
-                    TreeMaintainer::seed(&self.config, particles, true)
-                });
-                report.seconds_build = t0.elapsed().as_secs_f64();
-                self.maintainer = Some(maintainer);
-                trees
-            }
-            Some(maintainer) => {
-                let t0 = std::time::Instant::now();
-                let (trees, round) =
-                    self.telemetry
-                        .wall_span(0, "incremental update", None, || maintainer.advance(particles));
-                report.seconds_update = t0.elapsed().as_secs_f64();
-                report.round_batches = round.n_batches;
-                report.round_migrated = round.n_migrated;
-                trees
-            }
-        };
-        let maintainer = self.maintainer.as_ref().expect("seeded above");
+        let maintained =
+            if self.config.incremental.enabled { Some(&mut self.maintainer) } else { None };
+        let front = Iteration::obtain(&self.config, &self.telemetry, particles, maintained, true);
         if let Some(h) = self.snapshot_hook.as_mut() {
-            h(epoch, &trees, maintainer.universe());
+            h(epoch, &front.trees, front.universe);
         }
-        report.update = Some(*maintainer.totals());
-        let step = Step::from_trees(
-            &self.config,
-            &self.telemetry,
-            trees,
-            maintainer.partitioner(),
-            maintainer.n_partitions(),
-            maintainer.universe(),
-            report,
-        );
-        // Patched trees must still satisfy every structural invariant a
-        // fresh build does — checked at the phase boundary in debug runs.
-        #[cfg(debug_assertions)]
-        step.cache
-            .audit_patched(self.config.bucket_size)
-            .expect("incremental maintenance broke a cache-tree invariant");
-        step
+        let mut step = Step::prepare(&self.config, &self.telemetry, front);
+        self.steps_run += 1;
+        step.front.sample_flight(&self.flight, epoch, 0, step.front.seconds_setup());
+        let r = f(&mut step);
+        let rep = &step.report;
+        step.front.sample_flight(&self.flight, epoch, 1, rep.seconds_share + rep.seconds_traverse);
+        self.master = step.front.master;
+        (r, step.report)
     }
 }

@@ -6,7 +6,9 @@
 //! decomposition, tree build, caching of remote data, traversal
 //! scheduling, and write-back.
 //!
-//! Three execution engines share all of that logic:
+//! Three execution engines share all of that logic — everything before
+//! and after the traversal is one front-end (`pipeline`), and an engine
+//! is only its placement policy and its executor:
 //!
 //! * [`Framework`] — the shared-memory engine: one process, rayon
 //!   workers, everything local (used by the examples, the unit tests,
@@ -33,6 +35,7 @@ pub mod des_engine;
 pub mod forest;
 pub mod framework;
 pub mod maintain;
+mod pipeline;
 pub mod threaded;
 pub mod traversal;
 pub mod visitor;

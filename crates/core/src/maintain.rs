@@ -41,12 +41,12 @@
 //! reproduces the same structure.
 
 use crate::config::{Configuration, DecompType, SfcCurve};
-use crate::decomp::{decompose_within, universe_for, Partitioner, SubtreePiece};
+use crate::decomp::{decompose_within, universe_for, Partitioner};
+use crate::pipeline::{build_piece, build_pieces};
 use paratreet_geometry::{BoundingBox, NodeKey, Vec3};
 use paratreet_particles::Particle;
 use paratreet_telemetry::metrics::{MetricSource, MetricsRegistry};
-use paratreet_tree::{BuiltTree, Data, TreeBuilder, UpdatableTree, UpdateError, UpdateStats};
-use rayon::prelude::*;
+use paratreet_tree::{BuiltTree, Data, UpdatableTree, UpdateError, UpdateStats};
 use std::collections::BTreeMap;
 
 /// Cumulative `tree.update.*` counters over the life of a maintainer.
@@ -238,7 +238,7 @@ impl<D: Data> TreeMaintainer<D> {
             universe: BoundingBox::empty(),
             pieces: Vec::new(),
             trees: Vec::new(),
-            partitioner: Partitioner::KeyRanges { splitters: Vec::new() },
+            partitioner: Partitioner::default(),
             n_partitions: config.n_partitions,
             totals: UpdateTotals::default(),
             parallel,
@@ -286,25 +286,8 @@ impl<D: Data> TreeMaintainer<D> {
             .iter()
             .map(|p| PieceMeta { key: p.key, bbox: p.bbox, depth: p.depth })
             .collect();
-        let tree_type = cfg.tree_type;
-        let bucket_size = cfg.bucket_size;
-        let parallel = self.parallel;
-        let build_one = |piece: SubtreePiece| {
-            let builder = TreeBuilder {
-                tree_type,
-                bucket_size,
-                parallel,
-                root_key: piece.key,
-                root_depth: piece.depth,
-            };
-            let bbox = piece.bbox;
-            builder.build::<D>(piece.particles, bbox)
-        };
-        let built: Vec<BuiltTree<D>> = if parallel {
-            decomp.subtrees.into_par_iter().map(build_one).collect()
-        } else {
-            decomp.subtrees.into_iter().map(build_one).collect()
-        };
+        let (tree_type, bucket_size) = (cfg.tree_type, cfg.bucket_size);
+        let built: Vec<BuiltTree<D>> = build_pieces(decomp.subtrees, cfg, self.parallel);
         self.trees = built
             .iter()
             .zip(&self.pieces)
@@ -606,14 +589,8 @@ impl<D: Data> TreeMaintainer<D> {
         let piece = self.pieces[si];
         let mut particles = self.trees[si].all_particles()?;
         particles.extend(outsiders);
-        let builder = TreeBuilder {
-            tree_type: self.config.tree_type,
-            bucket_size: self.config.bucket_size,
-            parallel: self.parallel,
-            root_key: piece.key,
-            root_depth: piece.depth,
-        };
-        let built = builder.build::<D>(particles, piece.bbox);
+        let built: BuiltTree<D> =
+            build_piece(piece.key, piece.depth, piece.bbox, particles, &self.config, self.parallel);
         self.trees[si] = UpdatableTree::from_built(
             &built,
             self.config.tree_type,

@@ -27,17 +27,16 @@
 //!   in the rank's shared table until a fill re-enqueues it.
 
 use crate::config::{Configuration, TraversalKind};
-use crate::decomp::{decompose, Partitioner};
 use crate::maintain::TreeMaintainer;
+use crate::pipeline::{self, Iteration};
 use crate::traversal::{process_item, seed_items, PendingFetch, WorkCounts, WorkItem};
 use crate::visitor::{TargetBucket, Visitor};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use paratreet_cache::stats::CacheStatsSnapshot;
-use paratreet_cache::{CacheTree, NodeHandle, RequestOutcome, SubtreeSummary};
-use paratreet_geometry::{BoundingBox, NodeKey};
+use paratreet_cache::{CacheTree, NodeHandle, RequestOutcome};
+use paratreet_geometry::NodeKey;
 use paratreet_particles::Particle;
 use paratreet_telemetry::{FlightRecorder, MetricsRegistry, Telemetry};
-use paratreet_tree::TreeBuilder;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,7 +63,8 @@ enum Task<V: Visitor> {
 struct PartState<V: Visitor> {
     id: u32,
     buckets: Vec<TargetBucket<V::State>>,
-    bucket_indices: Vec<Vec<u32>>,
+    /// Global bucket ids (for write-back), aligned with `buckets`.
+    bucket_ids: Vec<usize>,
     stack: Vec<WorkItem<V::Data>>,
     counts: WorkCounts,
     outstanding: usize,
@@ -176,48 +176,7 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
     /// with fetches and fills crossing real channels between real
     /// threads. `kind` must not be [`TraversalKind::DualTree`].
     pub fn run_iteration(&self, particles: Vec<Particle>, kind: TraversalKind) -> ThreadedReport {
-        let started = std::time::Instant::now();
-        let ranks = self.n_ranks;
-        let mut config = self.config.clone();
-        config.n_subtrees = config.n_subtrees.max(ranks * 4);
-        config.n_partitions = config.n_partitions.max(ranks * self.workers_per_rank * 2);
-
-        // ---- Decompose and build (centrally; the builds themselves are
-        // rayon-parallel inside TreeBuilder) ----
-        let decomp =
-            self.telemetry.wall_span(0, "decomposition", None, || decompose(particles, &config));
-        let n_subtrees = decomp.subtrees.len();
-        let subtree_rank = |si: usize| -> u32 { (si * ranks / n_subtrees) as u32 };
-
-        let trees: Vec<(u32, paratreet_tree::BuiltTree<V::Data>)> =
-            self.telemetry.wall_span(0, "tree build", None, || {
-                decomp
-                    .subtrees
-                    .into_iter()
-                    .enumerate()
-                    .map(|(si, piece)| {
-                        let builder = TreeBuilder {
-                            root_key: piece.key,
-                            root_depth: piece.depth,
-                            ..TreeBuilder::new(config.tree_type)
-                        }
-                        .bucket_size(config.bucket_size);
-                        (subtree_rank(si), builder.build::<V::Data>(piece.particles, piece.bbox))
-                    })
-                    .collect()
-            });
-        if self.flight.is_enabled() {
-            let epoch = self.iterations.load(Ordering::Relaxed);
-            self.flight.sample(&[
-                epoch as f64,
-                0.0,
-                started.elapsed().as_secs_f64(),
-                trees.len() as f64,
-                0.0,
-                0.0,
-            ]);
-        }
-        self.run_prepared(&config, trees, &decomp.partitioner, decomp.n_partitions, kind, started)
+        self.run(particles, kind, None)
     }
 
     /// Runs one iteration against a tree maintained across calls: the
@@ -234,150 +193,54 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
         particles: Vec<Particle>,
         kind: TraversalKind,
     ) -> ThreadedReport {
+        self.run(particles, kind, Some(slot))
+    }
+
+    fn run(
+        &self,
+        particles: Vec<Particle>,
+        kind: TraversalKind,
+        maintained: Option<&mut Option<TreeMaintainer<V::Data>>>,
+    ) -> ThreadedReport {
         let started = std::time::Instant::now();
         let ranks = self.n_ranks;
+        // Over-decomposition floors: several Subtrees per rank, and
+        // enough Partitions to keep every worker busy across stalls.
         let mut config = self.config.clone();
         config.n_subtrees = config.n_subtrees.max(ranks * 4);
         config.n_partitions = config.n_partitions.max(ranks * self.workers_per_rank * 2);
-        config.incremental.enabled = true;
-
-        let mut seconds_update = 0.0;
-        let mut round_batches = 0u64;
-        let mut round_migrated = 0u64;
-        let flat = match slot.as_mut() {
-            None => {
-                let (maintainer, flat) = self.telemetry.wall_span(0, "tree build", None, || {
-                    TreeMaintainer::seed(&config, particles, true)
-                });
-                *slot = Some(maintainer);
-                flat
-            }
-            Some(maintainer) => {
-                let t0 = std::time::Instant::now();
-                let (flat, round) = self
-                    .telemetry
-                    .wall_span(0, "incremental update", None, || maintainer.advance(particles));
-                seconds_update = t0.elapsed().as_secs_f64();
-                round_batches = round.n_batches;
-                round_migrated = round.n_migrated;
-                flat
-            }
-        };
-        let maintainer = slot.as_ref().expect("seeded above");
-        let n_subtrees = flat.len();
-        if self.flight.is_enabled() {
-            let epoch = self.iterations.load(Ordering::Relaxed);
-            self.flight.sample(&[
-                epoch as f64,
-                0.0,
-                started.elapsed().as_secs_f64(),
-                n_subtrees as f64,
-                0.0,
-                round_migrated as f64,
-            ]);
-        }
-        let trees: Vec<(u32, paratreet_tree::BuiltTree<V::Data>)> = flat
-            .into_iter()
-            .enumerate()
-            .map(|(si, t)| ((si * ranks / n_subtrees) as u32, t))
-            .collect();
-        let mut report = self.run_prepared(
-            &config,
-            trees,
-            maintainer.partitioner(),
-            maintainer.n_partitions(),
-            kind,
-            started,
-        );
-        report.metrics.set_f64("time.update_s", seconds_update);
-        report.metrics.absorb("tree.update", maintainer.totals());
-        report.metrics.set_u64("tree.update.round_batches", round_batches);
-        report.metrics.set_u64("tree.update.round_migrated", round_migrated);
-        report
+        // Built centrally; the builds themselves are rayon-parallel.
+        let front = Iteration::obtain(&config, &self.telemetry, particles, maintained, true);
+        self.run_obtained(&config, front, kind, started)
     }
 
-    /// The engine tail shared by the full-rebuild and maintained paths:
-    /// leaf sharing against `partitioner`, per-rank cache init, and the
-    /// real-threads traversal, starting from already-built Subtrees
-    /// tagged with their home ranks.
-    fn run_prepared(
+    /// The engine proper: places this iteration's Subtrees and
+    /// Partitions on ranks in contiguous (SFC) blocks, prepares the
+    /// shared front-end state, and runs the real-threads traversal.
+    fn run_obtained(
         &self,
         config: &Configuration,
-        trees: Vec<(u32, paratreet_tree::BuiltTree<V::Data>)>,
-        partitioner: &Partitioner,
-        n_partitions: usize,
+        mut front: Iteration<V::Data>,
         kind: TraversalKind,
         started: std::time::Instant,
     ) -> ThreadedReport {
         let ranks = self.n_ranks;
-        let n_partitions = n_partitions.max(1);
-        let n_subtrees = trees.len();
-        let partition_rank = |pi: usize| -> u32 { (pi * ranks / n_partitions) as u32 };
-        let summaries: Vec<SubtreeSummary<V::Data>> = trees
-            .iter()
-            .map(|(rank, t)| SubtreeSummary {
-                key: t.root().key,
-                bbox: t.root().bbox,
-                n_particles: t.root().n_particles,
-                data: t.root().data.clone(),
-                home_rank: *rank,
-            })
-            .collect();
-
-        // ---- Master array + leaf sharing ----
-        let mut master: Vec<Particle> = Vec::new();
-        struct Seed {
-            leaf_key: NodeKey,
-            partition: u32,
-            indices: Vec<u32>,
-        }
-        let mut seeds: Vec<Seed> = Vec::new();
-        for (_, tree) in &trees {
-            let offset = master.len() as u32;
-            for li in tree.leaf_indices() {
-                let node = tree.node(li);
-                let range = node.bucket_range().expect("leaf");
-                let mut per_part: Vec<(u32, Vec<u32>)> = Vec::new();
-                for i in range {
-                    let part = partitioner.assign(&tree.particles[i]);
-                    match per_part.iter_mut().find(|(p, _)| *p == part) {
-                        Some((_, v)) => v.push(offset + i as u32),
-                        None => per_part.push((part, vec![offset + i as u32])),
-                    }
-                }
-                for (partition, indices) in per_part {
-                    seeds.push(Seed { leaf_key: node.key, partition, indices });
-                }
-            }
-            master.extend_from_slice(&tree.particles);
-        }
-        let n_buckets = seeds.len();
-
-        // ---- Per-rank caches ----
-        let bits = config.tree_type.bits_per_level();
-        let mut per_rank_trees: Vec<Vec<paratreet_tree::BuiltTree<V::Data>>> =
-            (0..ranks).map(|_| Vec::new()).collect();
-        for (rank, tree) in trees {
-            per_rank_trees[rank as usize].push(tree);
-        }
-        let caches: Vec<CacheTree<V::Data>> = per_rank_trees
-            .into_iter()
-            .enumerate()
-            .map(|(r, local)| {
-                let mut cache = CacheTree::new(r as u32, bits);
-                cache.telemetry = self.telemetry.clone();
-                cache.init(&summaries, local);
-                cache
-            })
-            .collect();
+        let n_subtrees = front.n_subtrees;
+        let home: Vec<u32> = (0..n_subtrees).map(|si| (si * ranks / n_subtrees) as u32).collect();
+        front.prepare(&home, ranks, 1, config, &self.telemetry);
+        let epoch = self.iterations.fetch_add(1, Ordering::Relaxed);
+        front.sample_flight(&self.flight, epoch, 0, front.seconds_setup());
 
         // ---- Partition states ----
-        let mut part_states: Vec<Option<Box<PartState<V>>>> = (0..n_partitions)
-            .map(|p| {
+        let mut part_states: Vec<Option<Box<PartState<V>>>> = front
+            .partitions::<V::State>()
+            .into_iter()
+            .enumerate()
+            .map(|(p, part)| {
                 Some(Box::new(PartState {
                     id: p as u32,
-                    buckets: Vec::new(),
-                    bucket_indices: Vec::new(),
+                    buckets: part.buckets,
+                    bucket_ids: part.ids,
                     stack: Vec::new(),
                     counts: WorkCounts::default(),
                     outstanding: 0,
@@ -385,19 +248,8 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
                 }))
             })
             .collect();
-        for seed in &seeds {
-            let ps = part_states[seed.partition as usize].as_mut().expect("unclaimed");
-            let bucket_particles: Vec<Particle> =
-                seed.indices.iter().map(|&i| master[i as usize]).collect();
-            let bbox = BoundingBox::around(bucket_particles.iter().map(|p| p.pos));
-            ps.buckets.push(TargetBucket {
-                leaf_key: seed.leaf_key,
-                particles: bucket_particles,
-                bbox,
-                state: V::State::default(),
-            });
-            ps.bucket_indices.push(seed.indices.clone());
-        }
+        let n_partitions = part_states.len();
+        let partition_rank = |pi: usize| -> u32 { (pi * ranks / n_partitions) as u32 };
 
         // ---- Channels ----
         let mut net_senders: Vec<Sender<Msg>> = Vec::with_capacity(ranks);
@@ -417,7 +269,7 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
 
         let remaining = Arc::new(AtomicUsize::new(n_partitions));
         let remote_fills = Arc::new(AtomicUsize::new(0));
-        let shared: Vec<Arc<RankShared<V>>> = caches
+        let shared: Vec<Arc<RankShared<V>>> = std::mem::take(&mut front.caches)
             .into_iter()
             .enumerate()
             .map(|(r, cache)| {
@@ -519,7 +371,13 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
             }
 
             // Wait for global completion, then shut everything down.
-            while remaining.load(Ordering::Acquire) > 0 {
+            // Workers and pumps only return once told to, so a finished
+            // handle while partitions remain is a thread that died —
+            // and took its partition with it: `remaining` would never
+            // reach zero. Stop waiting; the joins below surface it.
+            while remaining.load(Ordering::Acquire) > 0
+                && !worker_handles.iter().chain(&pump_handles).any(|h| h.is_finished())
+            {
                 std::thread::yield_now();
             }
             for tx in &net_senders {
@@ -530,11 +388,24 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
                     let _ = tx.send(Task::Stop);
                 }
             }
-            for h in worker_handles {
-                h.join().expect("worker panicked");
+            let mut died: Option<String> = None;
+            for h in worker_handles.into_iter().chain(pump_handles) {
+                if let Err(payload) = h.join() {
+                    let msg = payload
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| payload.downcast_ref::<&str>().copied())
+                        .unwrap_or("non-string panic payload");
+                    died.get_or_insert_with(|| msg.to_owned());
+                }
             }
-            for h in pump_handles {
-                h.join().expect("pump panicked");
+            if let Some(msg) = died {
+                panic!(
+                    "threaded engine thread panicked with {} of {n_partitions} partitions \
+                     unfinished: {msg}\n{}",
+                    remaining.load(Ordering::Acquire),
+                    dump_parked(&shared),
+                );
             }
         });
 
@@ -549,30 +420,28 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
         }
         for ps in collected.into_inner() {
             counts += ps.counts;
-            for (indices, bucket) in ps.bucket_indices.iter().zip(&ps.buckets) {
-                for (&mi, p) in indices.iter().zip(&bucket.particles) {
-                    master[mi as usize] = *p;
-                }
-            }
+            front.write_back(&ps.bucket_ids, &ps.buckets);
         }
         let remote_fills = remote_fills.load(Ordering::Relaxed) as u64;
         let mut metrics = MetricsRegistry::new();
         metrics.absorb("cache", &cache_stats);
         metrics.absorb("counts", &counts);
         metrics.set_u64("net.remote_fills", remote_fills);
+        metrics.set_u64("decomp.n_split_leaves", front.n_split_leaves as u64);
         metrics.set_f64("time.iteration_s", started.elapsed().as_secs_f64());
-        let epoch = self.iterations.fetch_add(1, Ordering::Relaxed);
-        if self.flight.is_enabled() {
-            self.flight.sample(&[
-                epoch as f64,
-                1.0,
-                started.elapsed().as_secs_f64(),
-                n_subtrees as f64,
-                n_buckets as f64,
-                0.0,
-            ]);
+        if let Some(totals) = &front.update {
+            let (batches, migrated) = (front.round_batches(), front.round_migrated());
+            let seconds = Some(front.seconds_update);
+            pipeline::record_update(&mut metrics, totals, batches, migrated, seconds);
         }
-        ThreadedReport { particles: master, counts, cache: cache_stats, remote_fills, metrics }
+        front.sample_flight(&self.flight, epoch, 1, started.elapsed().as_secs_f64());
+        ThreadedReport {
+            particles: front.master,
+            counts,
+            cache: cache_stats,
+            remote_fills,
+            metrics,
+        }
     }
 }
 
@@ -624,6 +493,93 @@ fn drain_ready<V: Visitor>(
     }
 }
 
+/// Registers `f`'s bucket set as a waiter on its key. This happens
+/// *before* the request is issued (and before the partition is
+/// released), so a racing fill always finds either the waiting entry or
+/// the parked state.
+fn register_wait<V: Visitor>(
+    shared: &RankShared<V>,
+    ps: &mut PartState<V>,
+    f: &PendingFetch<V::Data>,
+) {
+    let mut parked = shared.parked.lock();
+    let entry = parked.entry(ps.id).or_default();
+    entry.waiting.entry(f.key).or_default().push(f.buckets.clone());
+    ps.outstanding += 1;
+}
+
+/// Issues the cache request for a fetch [`register_wait`] registered.
+fn issue_request<V: Visitor>(
+    shared: &RankShared<V>,
+    ps: &mut PartState<V>,
+    f: PendingFetch<V::Data>,
+) {
+    let node = f.node.get(&shared.cache);
+    match shared.cache.request(node, ps.id as u64) {
+        RequestOutcome::Ready(n) => {
+            // Fill won the race: reclaim the waiting entry — if it is
+            // still there. When the partition already waited on this key
+            // from an earlier item, the fill's `handle_fill` may have
+            // moved *every* set on the key, this one included, to
+            // `ready` between the registration and the request; then
+            // `drain_ready` resumes it, and releasing it here as well
+            // would resume it twice and drive `outstanding` negative.
+            let mut parked = shared.parked.lock();
+            let entry = parked.entry(ps.id).or_default();
+            if let Some(mut sets) = entry.waiting.remove(&f.key) {
+                sets.pop();
+                if !sets.is_empty() {
+                    entry.waiting.insert(f.key, sets);
+                }
+                ps.outstanding -= 1;
+                ps.stack.push(WorkItem { node: NodeHandle::new(n), buckets: f.buckets });
+            }
+        }
+        RequestOutcome::SendFetch { home_rank } => {
+            if shared.net[home_rank as usize]
+                .send(Msg::Request { key: f.key, reply_to: shared.rank })
+                .is_err()
+            {
+                debug_assert!(false, "home rank {home_rank} hung up early");
+            }
+        }
+        RequestOutcome::InFlight => {}
+    }
+}
+
+/// What every rank's partition table holds — the explanation attached
+/// to a dead thread's panic: which partitions sit parked or waiting, on
+/// which keys, with how many fetches outstanding.
+fn dump_parked<V: Visitor>(shared: &[Arc<RankShared<V>>]) -> String {
+    let mut out = String::new();
+    for s in shared {
+        let parked = s.parked.lock();
+        let mut ids: Vec<&u32> = parked.keys().collect();
+        ids.sort();
+        for id in ids {
+            let e = &parked[id];
+            if e.state.is_none() && e.waiting.is_empty() {
+                continue;
+            }
+            let mut keys: Vec<String> = e.waiting.keys().map(|k| k.to_string()).collect();
+            keys.sort();
+            let outstanding = match &e.state {
+                Some(state) => state.outstanding.to_string(),
+                None => "? (running or lost)".to_owned(),
+            };
+            out.push_str(&format!(
+                "  rank {} partition {id}: outstanding {outstanding}, waiting on [{}]\n",
+                s.rank,
+                keys.join(", ")
+            ));
+        }
+    }
+    if out.is_empty() {
+        out.push_str("  no partition parked or waiting\n");
+    }
+    out
+}
+
 /// Runs a partition until it finishes (returned) or parks (None).
 fn run_partition<V: Visitor>(
     shared: &RankShared<V>,
@@ -654,40 +610,9 @@ fn run_partition<V: Visitor>(
             }
         }
 
-        // Register fetches *before* releasing the partition, so a racing
-        // fill always finds either the waiting entry or the parked state.
         for f in fetches {
-            let node = f.node.get(&shared.cache);
-            {
-                let mut parked = shared.parked.lock();
-                let entry = parked.entry(ps.id).or_default();
-                entry.waiting.entry(f.key).or_default().push(f.buckets.clone());
-            }
-            ps.outstanding += 1;
-            match shared.cache.request(node, ps.id as u64) {
-                RequestOutcome::Ready(n) => {
-                    // Fill won the race: reclaim the waiting entry.
-                    let mut parked = shared.parked.lock();
-                    let entry = parked.entry(ps.id).or_default();
-                    if let Some(mut sets) = entry.waiting.remove(&f.key) {
-                        sets.pop();
-                        if !sets.is_empty() {
-                            entry.waiting.insert(f.key, sets);
-                        }
-                    }
-                    ps.outstanding -= 1;
-                    ps.stack.push(WorkItem { node: NodeHandle::new(n), buckets: f.buckets });
-                }
-                RequestOutcome::SendFetch { home_rank } => {
-                    if shared.net[home_rank as usize]
-                        .send(Msg::Request { key: f.key, reply_to: shared.rank })
-                        .is_err()
-                    {
-                        debug_assert!(false, "home rank {home_rank} hung up early");
-                    }
-                }
-                RequestOutcome::InFlight => {}
-            }
+            register_wait(shared, &mut ps, &f);
+            issue_request(shared, &mut ps, f);
         }
 
         // Collect anything fills released while we were working.
@@ -712,5 +637,110 @@ fn run_partition<V: Visitor>(
         }
         drain_ready(shared, &mut ps, entry);
         drop(parked);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::visitor::SpatialNodeView;
+    use paratreet_particles::gen;
+    use paratreet_tree::CountData;
+
+    /// Opens everything, computes nothing.
+    struct OpenAll;
+
+    impl Visitor for OpenAll {
+        type Data = CountData;
+        type State = ();
+        fn open(&self, _: &SpatialNodeView<'_, CountData>, _: &TargetBucket<()>) -> bool {
+            true
+        }
+        fn node(&self, _: &SpatialNodeView<'_, CountData>, _: &mut TargetBucket<()>) {}
+        fn leaf(&self, _: &SpatialNodeView<'_, CountData>, _: &mut TargetBucket<()>) {}
+    }
+
+    fn config() -> Configuration {
+        Configuration { bucket_size: 8, n_subtrees: 8, n_partitions: 4, ..Default::default() }
+    }
+
+    /// The threaded kNN livelock, replayed deterministically: a partition
+    /// already waits on a key from an earlier item, registers a second
+    /// item on it, and the fill lands *between* that registration and the
+    /// request. `handle_fill` moves both sets to `ready`; the request then
+    /// answers `Ready`, and must not release the second item again.
+    #[test]
+    fn fill_between_registration_and_request_releases_each_item_once() {
+        let quiet = Telemetry::disabled();
+        let particles = gen::uniform_cube(400, 5, 1.0, 1.0);
+        let mut front = Iteration::<CountData>::obtain(&config(), &quiet, particles, None, false);
+        let n = front.n_subtrees;
+        let home: Vec<u32> = (0..n).map(|si| (si * 2 / n) as u32).collect();
+        front.prepare(&home, 2, 1, &config(), &quiet);
+        let remote =
+            front.summaries.iter().find(|s| s.home_rank == 1).expect("rank 1 owns some").key;
+        let owner = front.caches.pop().expect("rank 1");
+        let (tasks, _task_rx) = unbounded();
+        let (net, _net_rx) = unbounded();
+        let shared = RankShared::<OpenAll> {
+            rank: 0,
+            cache: front.caches.pop().expect("rank 0"),
+            tasks,
+            net: vec![net.clone(), net],
+            parked: Mutex::new(HashMap::new()),
+            remaining: Arc::new(AtomicUsize::new(1)),
+            fetch_depth: config().fetch_depth,
+            counts: Mutex::new(WorkCounts::default()),
+        };
+        let mut ps = PartState::<OpenAll> {
+            id: 0,
+            buckets: Vec::new(),
+            bucket_ids: Vec::new(),
+            stack: Vec::new(),
+            counts: WorkCounts::default(),
+            outstanding: 0,
+            seeded: true,
+        };
+        let placeholder = shared.cache.find(remote).expect("skeleton holds every subtree root");
+        assert!(placeholder.is_placeholder());
+        let fetch = |bucket: u32| PendingFetch {
+            key: remote,
+            node: NodeHandle::new(placeholder),
+            buckets: vec![bucket],
+        };
+
+        register_wait(&shared, &mut ps, &fetch(0));
+        issue_request(&shared, &mut ps, fetch(0)); // goes out; the partition now waits on the key
+        register_wait(&shared, &mut ps, &fetch(1));
+        let fill = owner.serialize_fragment(remote, shared.fetch_depth).expect("owner serves it");
+        handle_fill(&shared, &fill); // both sets move to `ready`
+        issue_request(&shared, &mut ps, fetch(1)); // answers Ready
+
+        let mut parked = shared.parked.lock();
+        drain_ready(&shared, &mut ps, parked.get_mut(&0).expect("the partition registered"));
+        assert_eq!(ps.outstanding, 0, "every registered wait is released exactly once");
+        assert_eq!(ps.stack.len(), 2, "and each item resumes exactly once");
+    }
+
+    /// Patched trees must satisfy every invariant a fresh build does, and
+    /// this engine checks it like the other two: a maintained arena with
+    /// a particle outside its leaf's region trips the debug audit before
+    /// any thread starts.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside its region box")]
+    fn maintained_run_audits_the_patched_arena() {
+        let mut slot = None;
+        let particles = gen::uniform_cube(300, 9, 1.0, 1.0);
+        let quiet = Telemetry::disabled();
+        let mut front =
+            Iteration::<CountData>::obtain(&config(), &quiet, particles, Some(&mut slot), true);
+        front.trees[0].particles[0].pos = paratreet_geometry::Vec3::splat(1e3);
+        ThreadedEngine::new(config(), 2, 1, &OpenAll).run_obtained(
+            &config(),
+            front,
+            TraversalKind::TopDown,
+            std::time::Instant::now(),
+        );
     }
 }

@@ -12,14 +12,30 @@ cargo fmt --check
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test --workspace -q =="
+cargo test --workspace -q
+
+echo "== threaded_engine x200 (bounded schedule fuzz, 60 s cap per run) =="
+# The OS picks a different interleaving every run; a lost or doubled
+# release in the waiting/ready hand-off shows as a hang or a panic here.
+threaded_bin=$(cargo test --test threaded_engine --no-run --message-format=json 2>/dev/null |
+    sed -n 's/.*"executable":"\([^"]*threaded_engine-[^"]*\)".*/\1/p' | tail -n 1)
+[ -x "$threaded_bin" ] || { echo "threaded loop: test binary not found"; exit 1; }
+for i in $(seq 1 200); do
+    timeout 60 "$threaded_bin" -q > /dev/null 2>&1 ||
+        { echo "threaded loop: run $i failed or hung (exit $?)"; exit 1; }
+done
 
 echo "== cargo build --workspace --no-default-features (telemetry off) =="
 cargo build --workspace --no-default-features
 
-echo "== cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== benchmark package builds against the pinned public surface =="
+# benchmark/ is a package of its own; a changed signature it relies on
+# must fail here, not in the benchmark run.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== fig9 smoke (--json) =="
 cargo run --release -q -p paratreet-bench --bin fig9_time_profile -- \
@@ -28,7 +44,7 @@ cargo run --release -q -p paratreet-bench --bin fig9_time_profile -- \
 echo "== chaos smoke (rank crash mid-traversal recovers) =="
 chaos_metrics=$(mktemp /tmp/paratreet-chaos-XXXXXX.json)
 trap 'rm -f "$chaos_metrics"' EXIT
-cargo run --release -q -- gravity --particles 3000 --engine machine --ranks 4 \
+cargo run --release -q --bin paratreet -- gravity --particles 3000 --engine machine --ranks 4 \
     --crash-rank 1 --crash-phase traversal --crash-restart true \
     --metrics-out "$chaos_metrics" > /dev/null
 grep -q '"recovery.count":1' "$chaos_metrics" ||
@@ -41,7 +57,7 @@ grep -q '"recovery.restored_bytes":[1-9]' "$chaos_metrics" ||
 echo "== incremental smoke (multi-iteration maintained tree) =="
 inc_metrics=$(mktemp /tmp/paratreet-inc-XXXXXX.json)
 trap 'rm -f "$chaos_metrics" "$inc_metrics"' EXIT
-cargo run --release -q -- gravity --particles 3000 --engine machine --ranks 4 \
+cargo run --release -q --bin paratreet -- gravity --particles 3000 --engine machine --ranks 4 \
     --iterations 3 --incremental true \
     --metrics-out "$inc_metrics" > /dev/null
 grep -q '"tree.update.steps":[1-9]' "$inc_metrics" ||
@@ -54,7 +70,7 @@ grep -q '"tree.update.moved":[1-9]' "$inc_metrics" ||
 echo "== incremental disk smoke (batched escapees, no drift rebuilds) =="
 disk_metrics=$(mktemp /tmp/paratreet-disk-XXXXXX.json)
 trap 'rm -f "$chaos_metrics" "$inc_metrics" "$disk_metrics"' EXIT
-cargo run --release -q -- gravity --particles 3000 --engine machine --ranks 4 \
+cargo run --release -q --bin paratreet -- gravity --particles 3000 --engine machine --ranks 4 \
     --iterations 4 --incremental true --dist disk \
     --metrics-out "$disk_metrics" > /dev/null
 grep -q '"tree.update.batches":[1-9]' "$disk_metrics" ||
@@ -72,7 +88,7 @@ grep -q '"tree.update.update_errors":0' "$disk_metrics" ||
 echo "== serve smoke (live writer + reader pool, latency histograms) =="
 serve_metrics=$(mktemp /tmp/paratreet-serve-XXXXXX.json)
 trap 'rm -f "$chaos_metrics" "$inc_metrics" "$disk_metrics" "$serve_metrics"' EXIT
-cargo run --release -q -- serve-bench --particles 3000 --clients 40 \
+cargo run --release -q --bin paratreet -- serve-bench --particles 3000 --clients 40 \
     --queries 25 --serve-workers 2 --threads 2 \
     --metrics-out "$serve_metrics" > /dev/null
 grep -q '"serve.queries.completed":1000' "$serve_metrics" ||
@@ -88,7 +104,7 @@ trap 'rm -f "$chaos_metrics" "$inc_metrics" "$disk_metrics" "$serve_metrics" "$o
 # One worker (deterministic batch numbering for the fail point), a tiny
 # queue, 1ms deadlines, and a panic injected at the 3rd batch: the run
 # must still exit 0 — overload and faults are answered, never fatal.
-cargo run --release -q -- serve-bench --particles 3000 --clients 40 \
+cargo run --release -q --bin paratreet -- serve-bench --particles 3000 --clients 40 \
     --queries 25 --serve-workers 1 --threads 2 --queue 8 --batch 32 \
     --admission shed --deadline-ms 1 --inject-worker-panic 3 \
     --metrics-out "$overload_metrics" > /dev/null
@@ -105,7 +121,7 @@ trap 'rm -f "$chaos_metrics" "$inc_metrics" "$disk_metrics" "$serve_metrics" "$o
 # Four periodic boxes on two DES ranks: the halo catalog must be
 # non-empty and the ghost layer must actually cross the seams — both
 # as materialized particles and as priced bytes on the DES NIC.
-cargo run --release -q -- fof --particles 6000 --tiles 2x2x1 \
+cargo run --release -q --bin paratreet -- fof --particles 6000 --tiles 2x2x1 \
     --engine machine --ranks 2 \
     --metrics-out "$forest_metrics" > /dev/null
 grep -q '"fof.halos":[1-9]' "$forest_metrics" ||
@@ -120,7 +136,7 @@ grep -q '"ghost.des.comm.bytes":[1-9]' "$forest_metrics" ||
 echo "== analyze smoke (traced serve run -> paratreet-analyze --check) =="
 obs_dir=$(mktemp -d /tmp/paratreet-obs-XXXXXX)
 trap 'rm -f "$chaos_metrics" "$inc_metrics" "$disk_metrics" "$serve_metrics" "$overload_metrics" "$forest_metrics"; rm -rf "$obs_dir"' EXIT
-cargo run --release -q -- serve-bench --particles 3000 --clients 40 \
+cargo run --release -q --bin paratreet -- serve-bench --particles 3000 --clients 40 \
     --queries 25 --serve-workers 2 --threads 2 \
     --trace-out "$obs_dir/trace.json" --metrics-out "$obs_dir/metrics.json" \
     --timeseries-out "$obs_dir/flight.json" > /dev/null

@@ -5,8 +5,14 @@
 
 use paratreet_apps::gravity::{CentroidData, GravityVisitor};
 use paratreet_apps::knn::{KnnData, KnnVisitor};
-use paratreet_core::{Configuration, Framework, ThreadedEngine, TraversalKind};
+use paratreet_core::framework::FLIGHT_SERIES;
+use paratreet_core::{
+    CacheModel, Configuration, DistributedEngine, Framework, SpatialNodeView, TargetBucket,
+    ThreadedEngine, TraversalKind, Visitor,
+};
 use paratreet_particles::gen;
+use paratreet_runtime::MachineSpec;
+use paratreet_telemetry::FlightRecorder;
 
 fn config() -> Configuration {
     Configuration { bucket_size: 8, n_subtrees: 16, n_partitions: 32, ..Default::default() }
@@ -131,4 +137,82 @@ fn threaded_handles_tiny_inputs() {
         let rep = engine.run_iteration(ps, TraversalKind::TopDown);
         assert_eq!(rep.particles.len(), n);
     }
+}
+
+#[test]
+fn front_end_reports_agree_across_engines() {
+    // One front-end feeds all three engines, so with the decomposition
+    // pinned (counts above every engine's floor) they report the same
+    // bucket splitting, and the threaded stage-0 flight row carries the
+    // real bucket count instead of a placeholder zero.
+    let ps = gen::clustered(900, 3, 11, 1.0, 1.0);
+    let visitor = GravityVisitor::default();
+    let mut fw: Framework<CentroidData> = Framework::new(config(), ps.clone());
+    let (_, shared) = fw.step(|s| {
+        s.traverse(&visitor, TraversalKind::TopDown);
+    });
+    assert!(shared.n_split_leaves > 0, "the workload must actually split buckets");
+
+    let flight = FlightRecorder::wall(FLIGHT_SERIES, 16);
+    let threaded =
+        ThreadedEngine::new(config(), 2, 2, &visitor).with_flight_recorder(flight.clone());
+    let rep = threaded.run_iteration(ps.clone(), TraversalKind::TopDown);
+    assert_eq!(rep.metrics.get_u64("decomp.n_split_leaves"), shared.n_split_leaves as u64);
+    let rows = flight.snapshot().rows;
+    let n_buckets = FLIGHT_SERIES.iter().position(|n| *n == "n_buckets").expect("column");
+    assert_eq!(rows.len(), 2, "one setup row, one traversal row");
+    for (stage, (_, row)) in rows.iter().enumerate() {
+        assert_eq!(row[1], stage as f64);
+        assert_eq!(row[n_buckets], shared.n_buckets as f64, "stage {stage}");
+    }
+
+    let des = DistributedEngine::new(
+        MachineSpec::test(2, 2),
+        config(),
+        CacheModel::WaitFree,
+        TraversalKind::TopDown,
+        &visitor,
+    );
+    let rep = des.run_iteration(ps);
+    assert_eq!(rep.metrics.get_u64("decomp.n_split_leaves"), shared.n_split_leaves as u64);
+}
+
+/// Gravity whose exact kernel dies: a worker thread panics mid-partition.
+struct Dying(GravityVisitor);
+
+impl Visitor for Dying {
+    type Data = CentroidData;
+    type State = <GravityVisitor as Visitor>::State;
+    fn open(&self, s: &SpatialNodeView<'_, CentroidData>, t: &TargetBucket<Self::State>) -> bool {
+        self.0.open(s, t)
+    }
+    fn node(&self, s: &SpatialNodeView<'_, CentroidData>, t: &mut TargetBucket<Self::State>) {
+        self.0.node(s, t)
+    }
+    fn leaf(&self, _: &SpatialNodeView<'_, CentroidData>, _: &mut TargetBucket<Self::State>) {
+        panic!("injected kernel fault");
+    }
+}
+
+#[test]
+fn dead_worker_fails_the_run_instead_of_hanging_it() {
+    // A worker that panics takes its partition with it, so the count of
+    // unfinished partitions never reaches zero. The coordinator must
+    // notice the dead thread and re-raise its panic with the partition
+    // table attached — not spin on the count forever.
+    let ps = gen::clustered(500, 2, 13, 1.0, 1.0);
+    let visitor = Dying(GravityVisitor::default());
+    let engine = ThreadedEngine::new(config(), 2, 2, &visitor);
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        engine.run_iteration(ps, TraversalKind::TopDown)
+    }))
+    .err()
+    .expect("the run must fail");
+    let msg = err.downcast_ref::<String>().expect("formatted panic message");
+    assert!(msg.contains("injected kernel fault"), "original panic is re-raised: {msg}");
+    assert!(msg.contains("partitions unfinished"), "{msg}");
+    assert!(
+        msg.contains("outstanding") || msg.contains("no partition parked or waiting"),
+        "the partition table is attached: {msg}"
+    );
 }
