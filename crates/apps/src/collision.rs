@@ -12,11 +12,11 @@
 //! resonances (3:1, 2:1, 5:3) marked; [`resonance_radius`] computes
 //! those locations and [`CollisionProfile`] accumulates the histogram.
 
-use crate::gravity::{grav_approx, grav_exact, CentroidData};
+use crate::gravity::{apply_leaf, apply_node, CentroidData, NodeMoments};
 use paratreet_core::{
     Configuration, Framework, SpatialNodeView, TargetBucket, TraversalKind, Visitor,
 };
-use paratreet_geometry::{BoundingBox, Sphere, Vec3};
+use paratreet_geometry::{BoundingBox, Vec3};
 use paratreet_particles::gen::G;
 use paratreet_particles::Particle;
 use paratreet_tree::data::wire;
@@ -63,8 +63,9 @@ impl Data for DiskData {
     }
 }
 
-/// Barnes-Hut gravity over [`DiskData`] (delegates to the gravity
-/// kernels; the disk's own visitor because the `Data` type differs).
+/// Barnes-Hut gravity over [`DiskData`] (the gravity application's
+/// opening test and bucket kernels; the disk's own visitor because the
+/// `Data` type differs).
 pub struct DiskGravityVisitor {
     /// Opening angle.
     pub theta: f64,
@@ -73,38 +74,37 @@ pub struct DiskGravityVisitor {
 impl Visitor for DiskGravityVisitor {
     type Data = DiskData;
     type State = ();
+    type Prepared = NodeMoments;
 
-    fn open(&self, source: &SpatialNodeView<'_, DiskData>, target: &TargetBucket<()>) -> bool {
-        let c = &source.data.centroid;
-        if c.sum_mass == 0.0 {
-            return false;
-        }
-        let sphere = Sphere::new(c.centroid(), c.opening_radius(self.theta));
-        target.bbox.intersects_sphere(&sphere)
+    fn prepare(&self, source: &SpatialNodeView<'_, DiskData>) -> NodeMoments {
+        NodeMoments::of(&source.data.centroid, self.theta)
     }
 
-    fn node(&self, source: &SpatialNodeView<'_, DiskData>, target: &mut TargetBucket<()>) {
-        let c = &source.data.centroid;
-        let centroid = c.centroid();
-        let quad = c.quad_about_centroid();
-        for p in &mut target.particles {
-            let (acc, pot) = grav_approx(p.pos, centroid, c.sum_mass, &quad);
-            p.acc += acc * G;
-            p.potential += pot * G * p.mass;
-        }
+    fn open(
+        &self,
+        _source: &SpatialNodeView<'_, DiskData>,
+        node: &NodeMoments,
+        target: &TargetBucket<()>,
+    ) -> bool {
+        node.opens(&target.bbox)
     }
 
-    fn leaf(&self, source: &SpatialNodeView<'_, DiskData>, target: &mut TargetBucket<()>) {
-        for p in &mut target.particles {
-            for s in source.particles {
-                if s.id == p.id {
-                    continue;
-                }
-                let (acc, pot) = grav_exact(p.pos, s.pos, s.mass, p.softening.max(s.softening));
-                p.acc += acc * G;
-                p.potential += pot * G * p.mass;
-            }
-        }
+    fn node(
+        &self,
+        _source: &SpatialNodeView<'_, DiskData>,
+        node: &NodeMoments,
+        target: &mut TargetBucket<()>,
+    ) {
+        apply_node(node, &mut target.particles, G)
+    }
+
+    fn leaf(
+        &self,
+        source: &SpatialNodeView<'_, DiskData>,
+        _node: &NodeMoments,
+        target: &mut TargetBucket<()>,
+    ) {
+        apply_leaf(source.particles, &mut target.particles, G)
     }
 }
 
@@ -164,10 +164,14 @@ impl CollisionVisitor {
 impl Visitor for CollisionVisitor {
     type Data = DiskData;
     type State = Vec<CollisionEvent>;
+    type Prepared = ();
+
+    fn prepare(&self, _source: &SpatialNodeView<'_, DiskData>) {}
 
     fn open(
         &self,
         source: &SpatialNodeView<'_, DiskData>,
+        _: &(),
         target: &TargetBucket<Vec<CollisionEvent>>,
     ) -> bool {
         if source.data.centroid.sum_mass == 0.0 {
@@ -182,13 +186,19 @@ impl Visitor for CollisionVisitor {
         src.intersects(&Self::swept_box(target, self.dt))
     }
 
-    fn node(&self, _s: &SpatialNodeView<'_, DiskData>, _t: &mut TargetBucket<Vec<CollisionEvent>>) {
+    fn node(
+        &self,
+        _s: &SpatialNodeView<'_, DiskData>,
+        _: &(),
+        _t: &mut TargetBucket<Vec<CollisionEvent>>,
+    ) {
         // A pruned subtree cannot collide with this bucket.
     }
 
     fn leaf(
         &self,
         source: &SpatialNodeView<'_, DiskData>,
+        _: &(),
         target: &mut TargetBucket<Vec<CollisionEvent>>,
     ) {
         for tp in &target.particles {

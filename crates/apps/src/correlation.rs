@@ -167,10 +167,14 @@ impl PairCountVisitor {
 impl Visitor for PairCountVisitor {
     type Data = PairData;
     type State = PairCounts;
+    type Prepared = ();
+
+    fn prepare(&self, _source: &SpatialNodeView<'_, PairData>) {}
 
     fn open(
         &self,
         source: &SpatialNodeView<'_, PairData>,
+        _: &(),
         target: &TargetBucket<PairCounts>,
     ) -> bool {
         if source.data.count == 0 {
@@ -184,7 +188,12 @@ impl Visitor for PairCountVisitor {
         self.bins.single_bin(lo, hi).is_none()
     }
 
-    fn node(&self, source: &SpatialNodeView<'_, PairData>, target: &mut TargetBucket<PairCounts>) {
+    fn node(
+        &self,
+        source: &SpatialNodeView<'_, PairData>,
+        _: &(),
+        target: &mut TargetBucket<PairCounts>,
+    ) {
         self.ensure(target);
         let (lo, hi) = Self::range(&source.data.tight_box, &target.bbox);
         if let Some(bin) = self.bins.single_bin(lo, hi) {
@@ -193,7 +202,12 @@ impl Visitor for PairCountVisitor {
         // Out-of-range prunes contribute nothing (hi < r_min or lo >= r_max).
     }
 
-    fn leaf(&self, source: &SpatialNodeView<'_, PairData>, target: &mut TargetBucket<PairCounts>) {
+    fn leaf(
+        &self,
+        source: &SpatialNodeView<'_, PairData>,
+        _: &(),
+        target: &mut TargetBucket<PairCounts>,
+    ) {
         self.ensure(target);
         for tp in &target.particles {
             for sp in source.particles {

@@ -7,6 +7,7 @@
 //! `gravApprox`/`gravExact` kernels (Fig. 7). A complete N-body step is
 //! ~100 lines of user code — that is the productivity claim of Table III.
 
+use crate::lanes::X1;
 use paratreet_core::{SpatialNodeView, TargetBucket, Visitor};
 use paratreet_geometry::{BoundingBox, Sphere, Vec3};
 use paratreet_particles::Particle;
@@ -118,18 +119,46 @@ impl Data for CentroidData {
     }
 }
 
+/// What the gravity callbacks derive from a source node alone: the
+/// traversal computes it once per work item ([`Visitor::prepare`]) and
+/// every bucket that meets the node reads it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct NodeMoments {
+    /// The opening sphere: centred on the centroid, reaching
+    /// [`CentroidData::opening_radius`].
+    pub opening: Sphere,
+    /// Σ m.
+    pub mass: f64,
+    /// Quadrupole tensor about the centroid, packed `[xx,xy,xz,yy,yz,zz]`.
+    pub quad: [f64; 6],
+}
+
+impl NodeMoments {
+    /// The moments of `data` as a traversal with opening angle `theta`
+    /// uses them.
+    pub fn of(data: &CentroidData, theta: f64) -> NodeMoments {
+        NodeMoments {
+            opening: Sphere::new(data.centroid(), data.opening_radius(theta)),
+            mass: data.sum_mass,
+            quad: data.quad_about_centroid(),
+        }
+    }
+
+    /// The Barnes-Hut opening criterion: a target whose box reaches into
+    /// the opening sphere must descend below the node.
+    pub fn opens(&self, target: &BoundingBox) -> bool {
+        self.mass != 0.0 && target.intersects_sphere(&self.opening)
+    }
+}
+
 /// Exact Newtonian attraction of a source point on a target position,
 /// Plummer-softened: returns (acceleration, potential) per unit G.
 #[inline]
 pub fn grav_exact(target: Vec3, src_pos: Vec3, src_mass: f64, softening: f64) -> (Vec3, f64) {
-    let dr = src_pos - target;
-    let r2 = dr.norm_sq() + softening * softening;
-    if r2 == 0.0 {
-        return (Vec3::ZERO, 0.0);
-    }
-    let r = r2.sqrt();
-    let inv_r3 = 1.0 / (r2 * r);
-    (dr * (src_mass * inv_r3), -src_mass / r)
+    let target = [target.x, target.y, target.z].map(X1::splat);
+    let (acc, pot) = x1::exact(target, src_pos, src_mass, X1::splat(softening));
+    let ([[x], [y], [z]], [pot]) = (acc.map(X1::to_array), pot.to_array());
+    (Vec3::new(x, y, z), pot)
 }
 
 /// Monopole + quadrupole approximation of a node's attraction on a
@@ -137,38 +166,207 @@ pub fn grav_exact(target: Vec3, src_pos: Vec3, src_mass: f64, softening: f64) ->
 /// `quad` is the tensor about `centroid`, packed `[xx,xy,xz,yy,yz,zz]`.
 #[inline]
 pub fn grav_approx(target: Vec3, centroid: Vec3, mass: f64, quad: &[f64; 6]) -> (Vec3, f64) {
-    let dr = target - centroid;
-    let r2 = dr.norm_sq();
-    if r2 == 0.0 {
-        return (Vec3::ZERO, 0.0);
+    let target = [target.x, target.y, target.z].map(X1::splat);
+    let (acc, pot) = x1::approx(target, centroid, mass, quad);
+    let ([[x], [y], [z]], [pot]) = (acc.map(X1::to_array), pot.to_array());
+    (Vec3::new(x, y, z), pot)
+}
+
+/// Adds a pruned node's attraction to every particle of a target
+/// bucket: `acc += a·g`, `potential += φ·g·m` with `(a, φ)` from
+/// [`grav_approx`], four targets at a time where the CPU has AVX2.
+pub fn apply_node(node: &NodeMoments, targets: &mut [Particle], g: f64) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU was just found to support AVX2.
+        return unsafe { x4::node_bucket(node, targets, g) };
     }
-    let r = r2.sqrt();
-    let inv_r = 1.0 / r;
-    let inv_r2 = inv_r * inv_r;
-    let inv_r3 = inv_r2 * inv_r;
-    let inv_r5 = inv_r3 * inv_r2;
-    let inv_r7 = inv_r5 * inv_r2;
+    x1::node_bucket(node, targets, g)
+}
 
-    // Monopole.
-    let mut acc = -dr * (mass * inv_r3);
-    let mut pot = -mass * inv_r;
+/// Adds the exact attraction of every source particle to every particle
+/// of a target bucket, skipping a particle's attraction on itself:
+/// `acc += a·g`, `potential += φ·g·m` with `(a, φ)` from [`grav_exact`]
+/// under the larger of the pair's softenings. Each target sees the
+/// sources in slice order; four targets at a time where the CPU has
+/// AVX2.
+pub fn apply_leaf(sources: &[Particle], targets: &mut [Particle], g: f64) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the running CPU was just found to support AVX2.
+        return unsafe { x4::leaf_bucket(sources, targets, g) };
+    }
+    x1::leaf_bucket(sources, targets, g)
+}
 
-    // Quadrupole (Hernquist 1987 form with the raw second-moment tensor
-    // Q about the centroid): φ₂ = −[3 rᵀQr − r² trQ] / (2 r⁵).
-    let tr = quad[0] + quad[3] + quad[5];
-    let qr = Vec3::new(
-        quad[0] * dr.x + quad[1] * dr.y + quad[2] * dr.z,
-        quad[1] * dr.x + quad[3] * dr.y + quad[4] * dr.z,
-        quad[2] * dr.x + quad[4] * dr.y + quad[5] * dr.z,
-    );
-    let rqr = dr.dot(qr);
-    pot -= (3.0 * rqr - r2 * tr) * 0.5 * inv_r5;
-    // a = −∇φ₂ = 3Qr/r⁵ − 7.5 (rᵀQr) r/r⁷ + 1.5 trQ r/r⁵.
-    acc += qr * (3.0 * inv_r5);
-    acc -= dr * (7.5 * rqr * inv_r7);
-    acc += dr * (1.5 * tr * inv_r5);
+/// The particle in lane `l` of a group of targets: the lanes past the
+/// end of a short last group replay its last particle, and are never
+/// written back.
+#[inline(always)]
+fn lane(group: &[Particle], l: usize) -> &Particle {
+    &group[l.min(group.len() - 1)]
+}
 
-    (acc, pot)
+/// The gravity kernels, written once over a lane type of
+/// [`crate::lanes`] and instantiated per type below. The lanes are
+/// target particles. Every operation is spelled as a lane method, in
+/// the order the per-pair kernels always evaluated them, so each lane
+/// of each instantiation carries the same bits (the contract in
+/// `lanes`); `r² = 0` and "source is the target" are blends, with a
+/// shortcut to the same zeros when `r² = 0` in every lane.
+macro_rules! bucket_kernels {
+    ($X:ident, $Ids:ident $(, #[$attr:meta])?) => {
+        use super::{lane, NodeMoments};
+        use crate::lanes::{$Ids, $X};
+        use paratreet_geometry::Vec3;
+        use paratreet_particles::Particle;
+
+        /// `grav_exact` per lane.
+        #[inline]
+        $(#[$attr])?
+        pub(super) fn exact(
+            target: [$X; 3],
+            src_pos: Vec3,
+            src_mass: f64,
+            softening: $X,
+        ) -> ([$X; 3], $X) {
+            let mass = $X::splat(src_mass);
+            let dx = $X::splat(src_pos.x).sub(target[0]);
+            let dy = $X::splat(src_pos.y).sub(target[1]);
+            let dz = $X::splat(src_pos.z).sub(target[2]);
+            let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz)).add(softening.mul(softening));
+            if r2.all_zero() {
+                return ([$X::splat(0.0); 3], $X::splat(0.0));
+            }
+            let r = r2.sqrt();
+            let inv_r3 = $X::splat(1.0).div(r2.mul(r));
+            let s = mass.mul(inv_r3);
+            let acc = [dx.mul(s), dy.mul(s), dz.mul(s)];
+            let pot = mass.neg().div(r);
+            (acc.map(|a| a.zero_where_zero(r2)), pot.zero_where_zero(r2))
+        }
+
+        /// `grav_approx` per lane.
+        #[inline]
+        $(#[$attr])?
+        pub(super) fn approx(
+            target: [$X; 3],
+            centroid: Vec3,
+            mass: f64,
+            quad: &[f64; 6],
+        ) -> ([$X; 3], $X) {
+            let mass = $X::splat(mass);
+            let q = quad.map(|q| $X::splat(q));
+            let dx = target[0].sub($X::splat(centroid.x));
+            let dy = target[1].sub($X::splat(centroid.y));
+            let dz = target[2].sub($X::splat(centroid.z));
+            let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz));
+            if r2.all_zero() {
+                return ([$X::splat(0.0); 3], $X::splat(0.0));
+            }
+            let r = r2.sqrt();
+            let inv_r = $X::splat(1.0).div(r);
+            let inv_r2 = inv_r.mul(inv_r);
+            let inv_r3 = inv_r2.mul(inv_r);
+            let inv_r5 = inv_r3.mul(inv_r2);
+            let inv_r7 = inv_r5.mul(inv_r2);
+
+            // Monopole.
+            let s = mass.mul(inv_r3);
+            let mono = [dx.neg().mul(s), dy.neg().mul(s), dz.neg().mul(s)];
+            let mut pot = mass.neg().mul(inv_r);
+
+            // Quadrupole (Hernquist 1987 form with the raw second-moment
+            // tensor Q about the centroid): φ₂ = −[3 rᵀQr − r² trQ] / (2 r⁵).
+            let tr = q[0].add(q[3]).add(q[5]);
+            let qx = q[0].mul(dx).add(q[1].mul(dy)).add(q[2].mul(dz));
+            let qy = q[1].mul(dx).add(q[3].mul(dy)).add(q[4].mul(dz));
+            let qz = q[2].mul(dx).add(q[4].mul(dy)).add(q[5].mul(dz));
+            let rqr = dx.mul(qx).add(dy.mul(qy)).add(dz.mul(qz));
+            let half = $X::splat(0.5);
+            pot = pot.sub($X::splat(3.0).mul(rqr).sub(r2.mul(tr)).mul(half).mul(inv_r5));
+            // a = −∇φ₂ = 3Qr/r⁵ − 7.5 (rᵀQr) r/r⁷ + 1.5 trQ r/r⁵.
+            let a = $X::splat(3.0).mul(inv_r5);
+            let b = $X::splat(7.5).mul(rqr).mul(inv_r7);
+            let c = $X::splat(1.5).mul(tr).mul(inv_r5);
+            let acc = [
+                mono[0].add(qx.mul(a)).sub(dx.mul(b)).add(dx.mul(c)),
+                mono[1].add(qy.mul(a)).sub(dy.mul(b)).add(dy.mul(c)),
+                mono[2].add(qz.mul(a)).sub(dz.mul(b)).add(dz.mul(c)),
+            ];
+            (acc.map(|a| a.zero_where_zero(r2)), pot.zero_where_zero(r2))
+        }
+
+        /// The positions of a group of targets, one particle per lane.
+        #[inline]
+        $(#[$attr])?
+        fn positions(group: &[Particle]) -> [$X; 3] {
+            [
+                $X::gather(|l| lane(group, l).pos.x),
+                $X::gather(|l| lane(group, l).pos.y),
+                $X::gather(|l| lane(group, l).pos.z),
+            ]
+        }
+
+        /// [`super::apply_node`] on this lane type.
+        $(#[$attr])?
+        pub(super) fn node_bucket(node: &NodeMoments, targets: &mut [Particle], g: f64) {
+            let g = $X::splat(g);
+            for group in targets.chunks_mut($X::LANES) {
+                let (acc, pot) =
+                    approx(positions(group), node.opening.center, node.mass, &node.quad);
+                let [ax, ay, az] = acc.map(|a| a.mul(g).to_array());
+                let pot = pot.mul(g).mul($X::gather(|l| lane(group, l).mass)).to_array();
+                for (l, p) in group.iter_mut().enumerate() {
+                    p.acc.x += ax[l];
+                    p.acc.y += ay[l];
+                    p.acc.z += az[l];
+                    p.potential += pot[l];
+                }
+            }
+        }
+
+        /// [`super::apply_leaf`] on this lane type: the accumulators of
+        /// a group of targets stay in lanes while the sources stream by
+        /// in order.
+        $(#[$attr])?
+        pub(super) fn leaf_bucket(sources: &[Particle], targets: &mut [Particle], g: f64) {
+            let g = $X::splat(g);
+            for group in targets.chunks_mut($X::LANES) {
+                let pos = positions(group);
+                let softening = $X::gather(|l| lane(group, l).softening);
+                let mass = $X::gather(|l| lane(group, l).mass);
+                let ids = $Ids::gather(|l| lane(group, l).id);
+                let mut ax = $X::gather(|l| lane(group, l).acc.x);
+                let mut ay = $X::gather(|l| lane(group, l).acc.y);
+                let mut az = $X::gather(|l| lane(group, l).acc.z);
+                let mut pot = $X::gather(|l| lane(group, l).potential);
+                for s in sources {
+                    let softening = softening.max($X::splat(s.softening));
+                    let ([sx, sy, sz], sp) = exact(pos, s.pos, s.mass, softening);
+                    // No self-interaction: a target's own lane keeps its sums.
+                    ax = ids.select_eq(s.id, ax, ax.add(sx.mul(g)));
+                    ay = ids.select_eq(s.id, ay, ay.add(sy.mul(g)));
+                    az = ids.select_eq(s.id, az, az.add(sz.mul(g)));
+                    pot = ids.select_eq(s.id, pot, pot.add(sp.mul(g).mul(mass)));
+                }
+                let (ax, ay, az, pot) = (ax.to_array(), ay.to_array(), az.to_array(), pot.to_array());
+                for (l, p) in group.iter_mut().enumerate() {
+                    p.acc = Vec3::new(ax[l], ay[l], az[l]);
+                    p.potential = pot[l];
+                }
+            }
+        }
+    };
+}
+
+mod x1 {
+    bucket_kernels!(X1, Ids1);
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x4 {
+    bucket_kernels!(X4, Ids4, #[target_feature(enable = "avx2")]);
 }
 
 /// The Barnes-Hut visitor (paper Fig. 7): sphere–box opening criterion,
@@ -189,37 +387,37 @@ impl Default for GravityVisitor {
 impl Visitor for GravityVisitor {
     type Data = CentroidData;
     type State = ();
+    type Prepared = NodeMoments;
 
-    fn open(&self, source: &SpatialNodeView<'_, CentroidData>, target: &TargetBucket<()>) -> bool {
-        if source.data.sum_mass == 0.0 {
-            return false;
-        }
-        let sphere = Sphere::new(source.data.centroid(), source.data.opening_radius(self.theta));
-        target.bbox.intersects_sphere(&sphere)
+    fn prepare(&self, source: &SpatialNodeView<'_, CentroidData>) -> NodeMoments {
+        NodeMoments::of(source.data, self.theta)
     }
 
-    fn node(&self, source: &SpatialNodeView<'_, CentroidData>, target: &mut TargetBucket<()>) {
-        let centroid = source.data.centroid();
-        let mass = source.data.sum_mass;
-        let quad = source.data.quad_about_centroid();
-        for p in &mut target.particles {
-            let (acc, pot) = grav_approx(p.pos, centroid, mass, &quad);
-            p.acc += acc * self.g;
-            p.potential += pot * self.g * p.mass;
-        }
+    fn open(
+        &self,
+        _source: &SpatialNodeView<'_, CentroidData>,
+        node: &NodeMoments,
+        target: &TargetBucket<()>,
+    ) -> bool {
+        node.opens(&target.bbox)
     }
 
-    fn leaf(&self, source: &SpatialNodeView<'_, CentroidData>, target: &mut TargetBucket<()>) {
-        for p in &mut target.particles {
-            for s in source.particles {
-                if s.id == p.id {
-                    continue; // no self-interaction
-                }
-                let (acc, pot) = grav_exact(p.pos, s.pos, s.mass, p.softening.max(s.softening));
-                p.acc += acc * self.g;
-                p.potential += pot * self.g * p.mass;
-            }
-        }
+    fn node(
+        &self,
+        _source: &SpatialNodeView<'_, CentroidData>,
+        node: &NodeMoments,
+        target: &mut TargetBucket<()>,
+    ) {
+        apply_node(node, &mut target.particles, self.g)
+    }
+
+    fn leaf(
+        &self,
+        source: &SpatialNodeView<'_, CentroidData>,
+        _node: &NodeMoments,
+        target: &mut TargetBucket<()>,
+    ) {
+        apply_leaf(source.particles, &mut target.particles, self.g)
     }
 
     fn cell(
@@ -373,8 +571,9 @@ mod tests {
             bbox: BoundingBox::cube(Vec3::splat(50.0), 0.05),
             state: (),
         };
-        assert!(v.open(&view, &near));
-        assert!(!v.open(&view, &far));
+        let node = v.prepare(&view);
+        assert!(v.open(&view, &node, &near));
+        assert!(!v.open(&view, &node, &far));
     }
 
     #[test]
@@ -396,8 +595,98 @@ mod tests {
             bbox: BoundingBox::cube(Vec3::splat(0.5), 0.01),
             state: (),
         };
-        v.leaf(&view, &mut bucket);
+        v.leaf(&view, &v.prepare(&view), &mut bucket);
         assert_eq!(bucket.particles[0].acc, Vec3::ZERO);
+    }
+
+    /// Deterministic coordinates in (-1, 1) with full mantissas.
+    fn coord(i: u64) -> f64 {
+        let bits = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+        bits as f64 / (1u64 << 52) as f64 - 1.0
+    }
+
+    /// `n` targets with ids `0..n`, mixed softenings and accumulators
+    /// that already hold something.
+    fn lane_targets(n: u64) -> Vec<Particle> {
+        (0..n)
+            .map(|i| {
+                let mut p = particle(
+                    i,
+                    0.5 + coord(7 * i).abs(),
+                    Vec3::new(coord(3 * i), coord(3 * i + 1), coord(3 * i + 2)),
+                );
+                p.softening = [0.0, 0.01, 0.25][i as usize % 3];
+                p.acc = Vec3::new(coord(90 + i), -0.0, coord(190 + i));
+                p.potential = coord(290 + i);
+                p
+            })
+            .collect()
+    }
+
+    fn bits(ps: &[Particle]) -> Vec<[u64; 4]> {
+        ps.iter().map(|p| [p.acc.x, p.acc.y, p.acc.z, p.potential].map(f64::to_bits)).collect()
+    }
+
+    /// The lane kernels are the per-pair loops, bit for bit, on every
+    /// lane of every group and tail: the one-lane instantiation (called
+    /// by name, so it runs on AVX2 hosts too), whatever `apply_node` /
+    /// `apply_leaf` dispatch to here, and a plain loop over the public
+    /// per-pair kernels all agree — with a target on the node's centroid
+    /// (r² = 0), a source coincident with an unsoftened target, and
+    /// sources that are themselves targets.
+    #[test]
+    fn lane_kernels_keep_every_bit_of_the_per_pair_loops() {
+        let g = 6.5;
+        let quad = [0.011, 0.002, -0.001, 0.023, 0.003, 0.017];
+        for n in 1..=19u64 {
+            let mut targets = lane_targets(n);
+            let centre = targets[(n / 2) as usize].pos;
+            let node = NodeMoments { opening: Sphere::new(centre, 0.3), mass: 2.75, quad };
+
+            let mut looped = targets.clone();
+            for p in &mut looped {
+                let (acc, pot) = grav_approx(p.pos, centre, node.mass, &node.quad);
+                p.acc += acc * g;
+                p.potential += pot * g * p.mass;
+            }
+            let mut one = targets.clone();
+            x1::node_bucket(&node, &mut one, g);
+            apply_node(&node, &mut targets, g);
+            assert_eq!(bits(&one), bits(&looped), "node kernel, one lane, {n} targets");
+            assert_eq!(bits(&targets), bits(&looped), "node kernel, dispatched, {n} targets");
+            assert_eq!(targets[(n / 2) as usize].acc.y.to_bits(), 0.0f64.to_bits(), "-0 + 0·g");
+
+            // Sources: the first targets themselves (same ids), a twin
+            // of target 0 under another id (r² = 0 at zero softening),
+            // and strangers with softenings of their own.
+            let mut sources: Vec<Particle> = targets.iter().take(5).copied().collect();
+            sources.push(Particle { id: 1000, ..targets[0] });
+            sources.extend((0..6).map(|i| {
+                let mut s = particle(
+                    2000 + i,
+                    0.1 + coord(400 + i).abs(),
+                    Vec3::new(coord(500 + i), coord(600 + i), coord(700 + i)),
+                );
+                s.softening = [0.0, 0.05][i as usize % 2];
+                s
+            }));
+            let mut looped = targets.clone();
+            for p in &mut looped {
+                for s in &sources {
+                    if s.id == p.id {
+                        continue;
+                    }
+                    let (acc, pot) = grav_exact(p.pos, s.pos, s.mass, p.softening.max(s.softening));
+                    p.acc += acc * g;
+                    p.potential += pot * g * p.mass;
+                }
+            }
+            let mut one = targets.clone();
+            x1::leaf_bucket(&sources, &mut one, g);
+            apply_leaf(&sources, &mut targets, g);
+            assert_eq!(bits(&one), bits(&looped), "leaf kernel, one lane, {n} targets");
+            assert_eq!(bits(&targets), bits(&looped), "leaf kernel, dispatched, {n} targets");
+        }
     }
 
     #[test]

@@ -91,8 +91,16 @@ impl KnnVisitor {
 impl Visitor for KnnVisitor {
     type Data = KnnData;
     type State = KnnState;
+    type Prepared = ();
 
-    fn open(&self, source: &SpatialNodeView<'_, KnnData>, target: &TargetBucket<KnnState>) -> bool {
+    fn prepare(&self, _source: &SpatialNodeView<'_, KnnData>) {}
+
+    fn open(
+        &self,
+        source: &SpatialNodeView<'_, KnnData>,
+        _: &(),
+        target: &TargetBucket<KnnState>,
+    ) -> bool {
         if source.data.count == 0 {
             return false;
         }
@@ -103,11 +111,21 @@ impl Visitor for KnnVisitor {
         source.data.tight_box.dist_sq_to_box(&target.bbox) < Self::bucket_bound(target)
     }
 
-    fn node(&self, _source: &SpatialNodeView<'_, KnnData>, _target: &mut TargetBucket<KnnState>) {
+    fn node(
+        &self,
+        _source: &SpatialNodeView<'_, KnnData>,
+        _: &(),
+        _target: &mut TargetBucket<KnnState>,
+    ) {
         // Pruned subtrees contribute no candidates.
     }
 
-    fn leaf(&self, source: &SpatialNodeView<'_, KnnData>, target: &mut TargetBucket<KnnState>) {
+    fn leaf(
+        &self,
+        source: &SpatialNodeView<'_, KnnData>,
+        _: &(),
+        target: &mut TargetBucket<KnnState>,
+    ) {
         self.ensure_state(target);
         let state = &mut target.state;
         for (ti, tp) in target.particles.iter().enumerate() {

@@ -21,4 +21,5 @@ pub mod correlation;
 pub mod fof;
 pub mod gravity;
 pub mod knn;
+mod lanes;
 pub mod sph;

@@ -34,10 +34,14 @@ pub struct BallState {
 impl Visitor for BallSearchVisitor {
     type Data = KnnData;
     type State = BallState;
+    type Prepared = ();
+
+    fn prepare(&self, _source: &SpatialNodeView<'_, KnnData>) {}
 
     fn open(
         &self,
         source: &SpatialNodeView<'_, KnnData>,
+        _: &(),
         target: &TargetBucket<BallState>,
     ) -> bool {
         if source.data.count == 0 {
@@ -46,9 +50,14 @@ impl Visitor for BallSearchVisitor {
         source.data.tight_box.dist_sq_to_box(&target.bbox) <= self.radius * self.radius
     }
 
-    fn node(&self, _s: &SpatialNodeView<'_, KnnData>, _t: &mut TargetBucket<BallState>) {}
+    fn node(&self, _s: &SpatialNodeView<'_, KnnData>, _: &(), _t: &mut TargetBucket<BallState>) {}
 
-    fn leaf(&self, source: &SpatialNodeView<'_, KnnData>, target: &mut TargetBucket<BallState>) {
+    fn leaf(
+        &self,
+        source: &SpatialNodeView<'_, KnnData>,
+        _: &(),
+        target: &mut TargetBucket<BallState>,
+    ) {
         if target.state.lists.len() != target.particles.len() {
             target.state.lists = vec![Vec::new(); target.particles.len()];
         }

@@ -1,8 +1,19 @@
 //! Criterion microbenchmarks: the numeric kernels at the bottom of every
 //! traversal (gravity exact/approx, SPH kernel evaluations).
+//!
+//! The per-pair gravity rows stream 1 024 targets through one call
+//! site; a traversal never does — it applies a node or a leaf to one
+//! target bucket of 1–16 particles (mean 5.2 on the benchmark's
+//! clustered set) and moves on. The `grav_node_bucket_*` and
+//! `grav_leaf_bucket_*` rows time the bucket kernels at those shapes,
+//! gather and write-back included: one iteration is 61 440
+//! particle–node interactions (node rows) or 983 040 particle–particle
+//! interactions (leaf rows).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use paratreet_apps::gravity::{grav_approx, grav_exact, CentroidData};
+use paratreet_apps::gravity::{
+    apply_leaf, apply_node, grav_approx, grav_exact, CentroidData, NodeMoments,
+};
 use paratreet_apps::sph::{kernel_dw_dr, kernel_w};
 use paratreet_geometry::{BoundingBox, Vec3};
 use paratreet_particles::gen;
@@ -36,6 +47,42 @@ fn bench_gravity_kernels(c: &mut Criterion) {
             black_box(acc)
         })
     });
+    // 960 target particles (a multiple of every bucket length below),
+    // far enough from the node that nothing degenerates.
+    let mut bucketed = gen::uniform_cube(960, 5, 4.0, 1.0);
+    for p in &mut bucketed {
+        p.softening = 0.01;
+    }
+    let moments = NodeMoments::of(&data, 0.7);
+    const PASSES: usize = 64;
+    group.throughput(criterion::Throughput::Elements((PASSES * bucketed.len()) as u64));
+    for len in [1, 5, 16] {
+        group.bench_function(format!("grav_node_bucket_{len}"), |b| {
+            b.iter(|| {
+                for _ in 0..PASSES {
+                    for bucket in bucketed.chunks_mut(len) {
+                        apply_node(black_box(&moments), bucket, 1.0);
+                    }
+                }
+            })
+        });
+    }
+    let sources = &ps[..16];
+    let pairs = PASSES * sources.len() * bucketed.len();
+    group.throughput(criterion::Throughput::Elements(pairs as u64));
+    for len in [5, 16] {
+        group.bench_function(format!("grav_leaf_bucket_16x{len}"), |b| {
+            b.iter(|| {
+                for _ in 0..PASSES {
+                    for bucket in bucketed.chunks_mut(len) {
+                        apply_leaf(black_box(sources), bucket, 1.0);
+                    }
+                }
+            })
+        });
+    }
+
+    group.throughput(criterion::Throughput::Elements(targets.len() as u64));
     group.bench_function("sph_kernel_1k", |b| {
         b.iter(|| {
             let mut sum = 0.0;

@@ -70,13 +70,20 @@ fn main() {
     let visitor_lines = count_lines(&section(
         &gravity,
         &[
+            "struct NodeMoments",
+            "impl NodeMoments",
             "struct GravityVisitor",
             "impl Default for GravityVisitor",
             "impl Visitor for GravityVisitor",
         ],
     ));
-    let kernel_lines =
-        count_lines(&section(&gravity, &["pub fn grav_exact", "pub fn grav_approx"]));
+    // The per-pair math lives in the lane-generic `exact` / `approx`
+    // (the public `grav_*` are their one-lane instantiation); the bucket
+    // loops and lane types around them are framework-side machinery.
+    let kernel_lines = count_lines(&section(
+        &gravity,
+        &["pub fn grav_exact", "pub fn grav_approx", "fn exact(", "fn approx("],
+    ));
 
     println!("TABLE III: line counts of user code in the gravity application\n");
     println!("{:<34} {:>10}  Paper equivalent", "Role (this repo)", "Lines");

@@ -15,8 +15,7 @@
 //! * bucket metadata — per-bucket bounding boxes read by `open()`.
 
 use crate::hierarchy::{CacheHierarchy, HierarchyConfig, LevelStats};
-use paratreet_apps::gravity::CentroidData;
-use paratreet_geometry::Sphere;
+use paratreet_apps::gravity::{CentroidData, NodeMoments};
 use paratreet_particles::{Particle, ParticleVec};
 use paratreet_tree::{BuiltTree, NodeIdx, TreeBuilder, TreeType};
 
@@ -156,20 +155,6 @@ struct CpuState {
     queue: Vec<Vec<u32>>,
 }
 
-fn opens(
-    tree: &BuiltTree<CentroidData>,
-    node: NodeIdx,
-    bucket_box: &paratreet_geometry::BoundingBox,
-    theta: f64,
-) -> bool {
-    let d = &tree.node(node).data;
-    if d.sum_mass == 0.0 {
-        return false;
-    }
-    let sphere = Sphere::new(d.centroid(), d.opening_radius(theta));
-    bucket_box.intersects_sphere(&sphere)
-}
-
 /// Replays the traversal and returns the Table II row.
 pub fn simulate_gravity(particles: Vec<Particle>, cfg: TraceConfig) -> TraceResult {
     let bbox = particles.bounding_box().padded(1e-9).bounding_cube();
@@ -260,11 +245,12 @@ pub fn simulate_gravity(particles: Vec<Particle>, cfg: TraceConfig) -> TraceResu
             hier.cycles[cpu] += cfg.compute_visit;
             visits += 1;
             let node = tree.node(node_idx);
+            let moments = NodeMoments::of(&node.data, cfg.theta);
             let mut opened: Vec<u32> = Vec::new();
             for &b in &interested {
                 // open(): read the bucket metadata.
                 hier.access(cpu, META_BASE + b as u64 * 64, META_READ, false);
-                let o = opens(&tree, node_idx, &bucket_boxes[b as usize], cfg.theta);
+                let o = moments.opens(&bucket_boxes[b as usize]);
                 hier.cycles[cpu] += cfg.compute_open;
                 let bucket = &buckets[b as usize];
                 if node.is_leaf() {

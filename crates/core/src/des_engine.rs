@@ -49,7 +49,7 @@ use crate::maintain::TreeMaintainer;
 use crate::pipeline::{self, BucketMeta, Iteration};
 use crate::traversal::{
     process_item, process_item_dry, seed_items, traverse_local, CacheModel, PendingFetch,
-    WorkCounts, WorkItem,
+    WorkCounts, WorkStack,
 };
 use crate::visitor::{TargetBucket, Visitor};
 use paratreet_cache::stats::CacheStatsSnapshot;
@@ -413,8 +413,10 @@ struct PartState<V: Visitor> {
     /// Global bucket ids (for write-back and crash reset), aligned with
     /// `buckets`.
     bucket_ids: Vec<usize>,
-    stack: Vec<WorkItem<V::Data>>,
-    paused: HashMap<NodeKey, Vec<WorkItem<V::Data>>>,
+    stack: WorkStack<V::Data>,
+    /// Bucket sets of the items parked on a fetch, by awaited key. A
+    /// parked item owns its copy; resumption re-finds the node.
+    paused: HashMap<NodeKey, Vec<Vec<u32>>>,
     outstanding: usize,
     /// Work batches spawned whose `PartWorkDone` has not fired yet.
     in_flight: usize,
@@ -440,7 +442,7 @@ fn reset_part<V: Visitor>(
     metas: &[BucketMeta],
 ) {
     *pe += 1;
-    ps.stack.clear();
+    ps.stack = WorkStack::new();
     ps.paused.clear();
     ps.outstanding = 0;
     ps.in_flight = 0;
@@ -758,7 +760,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                     cache_idx: rank * caches_per_rank + p as u32 % caches_per_rank,
                     buckets: part.buckets,
                     bucket_ids: part.ids,
-                    stack: Vec::new(),
+                    stack: WorkStack::new(),
                     paused: HashMap::new(),
                     outstanding: 0,
                     in_flight: 0,
@@ -1560,6 +1562,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                 let ordered = kind == TraversalKind::UpAndDown;
                 let mut batch = WorkCounts::default();
                 let mut fetches: Vec<PendingFetch<V::Data>> = Vec::new();
+                let mut fetch_list: Vec<(NodeKey, Vec<u32>)> = Vec::new();
                 while let Some(item) = ps.stack.pop() {
                     if dry {
                         process_item_dry(
@@ -1582,15 +1585,18 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                             &mut batch,
                         );
                     }
-                    if ordered && !fetches.is_empty() {
+                    // A surrendered range is reclaimed by the next pop:
+                    // the event that parks the fetch carries its copy.
+                    for f in fetches.drain(..) {
+                        fetch_list.push((f.key, ps.stack.buckets(f.buckets).to_vec()));
+                    }
+                    if ordered && !fetch_list.is_empty() {
                         break;
                     }
                 }
                 ps.counts += batch;
                 let phase =
                     if ps.resumed_once { Phase::RemoteTraversal } else { Phase::LocalTraversal };
-                let fetch_list: Vec<(NodeKey, Vec<u32>)> =
-                    fetches.into_iter().map(|f| (f.key, f.buckets)).collect();
                 ps.in_flight += 1;
                 let batch_cost = costs.work(&batch).max(1e-9);
                 ps.cost += batch_cost;
@@ -1623,13 +1629,13 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                     };
                     if !node.is_placeholder() {
                         // Fill landed while we were busy: traverse on.
-                        ps.stack.push(WorkItem { node: NodeHandle::new(node), buckets });
+                        ps.stack.push(NodeHandle::new(node), &buckets);
                         rerun = true;
                         continue;
                     }
                     match cache.request(node, part as u64) {
                         RequestOutcome::Ready(n) => {
-                            ps.stack.push(WorkItem { node: NodeHandle::new(n), buckets });
+                            ps.stack.push(NodeHandle::new(n), &buckets);
                             rerun = true;
                         }
                         RequestOutcome::SendFetch { home_rank } => {
@@ -1640,10 +1646,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                             } else {
                                 home_rank
                             };
-                            ps.paused
-                                .entry(key)
-                                .or_default()
-                                .push(WorkItem { node: NodeHandle::new(node), buckets });
+                            ps.paused.entry(key).or_default().push(buckets);
                             ps.outstanding += 1;
                             // Small CPU cost to issue the request.
                             sim.ledger.record(sim.now(), sim.now(), Phase::CacheRequest);
@@ -1683,10 +1686,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                             }
                         }
                         RequestOutcome::InFlight => {
-                            ps.paused
-                                .entry(key)
-                                .or_default()
-                                .push(WorkItem { node: NodeHandle::new(node), buckets });
+                            ps.paused.entry(key).or_default().push(buckets);
                             ps.outstanding += 1;
                         }
                     }
@@ -1838,10 +1838,9 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                         ps.paused.insert(key, items);
                         return;
                     };
-                    for item in items {
+                    for buckets in items {
                         ps.outstanding -= 1;
-                        ps.stack
-                            .push(WorkItem { node: NodeHandle::new(node), buckets: item.buckets });
+                        ps.stack.push(NodeHandle::new(node), &buckets);
                     }
                     ps.resumed_once = true;
                     sim.post(Ev::PartRun { part, pe });

@@ -29,7 +29,7 @@
 use crate::config::{Configuration, TraversalKind};
 use crate::maintain::TreeMaintainer;
 use crate::pipeline::{self, Iteration};
-use crate::traversal::{process_item, seed_items, PendingFetch, WorkCounts, WorkItem};
+use crate::traversal::{process_item, seed_items, PendingFetch, WorkCounts, WorkStack};
 use crate::visitor::{TargetBucket, Visitor};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use paratreet_cache::stats::CacheStatsSnapshot;
@@ -65,7 +65,7 @@ struct PartState<V: Visitor> {
     buckets: Vec<TargetBucket<V::State>>,
     /// Global bucket ids (for write-back), aligned with `buckets`.
     bucket_ids: Vec<usize>,
-    stack: Vec<WorkItem<V::Data>>,
+    stack: WorkStack<V::Data>,
     counts: WorkCounts,
     outstanding: usize,
     seeded: bool,
@@ -241,7 +241,7 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
                     id: p as u32,
                     buckets: part.buckets,
                     bucket_ids: part.ids,
-                    stack: Vec::new(),
+                    stack: WorkStack::new(),
                     counts: WorkCounts::default(),
                     outstanding: 0,
                     seeded: false,
@@ -489,22 +489,23 @@ fn drain_ready<V: Visitor>(
             continue;
         };
         state.outstanding -= 1;
-        state.stack.push(WorkItem { node: NodeHandle::new(node), buckets });
+        state.stack.push(NodeHandle::new(node), &buckets);
     }
 }
 
-/// Registers `f`'s bucket set as a waiter on its key. This happens
-/// *before* the request is issued (and before the partition is
-/// released), so a racing fill always finds either the waiting entry or
-/// the parked state.
+/// Registers a surrendered fetch's bucket set — the copy the parked
+/// item owns — as a waiter on `key`. This happens *before* the request
+/// is issued (and before the partition is released), so a racing fill
+/// always finds either the waiting entry or the parked state.
 fn register_wait<V: Visitor>(
     shared: &RankShared<V>,
     ps: &mut PartState<V>,
-    f: &PendingFetch<V::Data>,
+    key: NodeKey,
+    buckets: Vec<u32>,
 ) {
     let mut parked = shared.parked.lock();
     let entry = parked.entry(ps.id).or_default();
-    entry.waiting.entry(f.key).or_default().push(f.buckets.clone());
+    entry.waiting.entry(key).or_default().push(buckets);
     ps.outstanding += 1;
 }
 
@@ -512,9 +513,10 @@ fn register_wait<V: Visitor>(
 fn issue_request<V: Visitor>(
     shared: &RankShared<V>,
     ps: &mut PartState<V>,
-    f: PendingFetch<V::Data>,
+    key: NodeKey,
+    placeholder: NodeHandle<V::Data>,
 ) {
-    let node = f.node.get(&shared.cache);
+    let node = placeholder.get(&shared.cache);
     match shared.cache.request(node, ps.id as u64) {
         RequestOutcome::Ready(n) => {
             // Fill won the race: reclaim the waiting entry — if it is
@@ -526,18 +528,18 @@ fn issue_request<V: Visitor>(
             // would resume it twice and drive `outstanding` negative.
             let mut parked = shared.parked.lock();
             let entry = parked.entry(ps.id).or_default();
-            if let Some(mut sets) = entry.waiting.remove(&f.key) {
-                sets.pop();
+            if let Some(mut sets) = entry.waiting.remove(&key) {
+                let buckets = sets.pop().expect("a waiting entry holds at least one set");
                 if !sets.is_empty() {
-                    entry.waiting.insert(f.key, sets);
+                    entry.waiting.insert(key, sets);
                 }
                 ps.outstanding -= 1;
-                ps.stack.push(WorkItem { node: NodeHandle::new(n), buckets: f.buckets });
+                ps.stack.push(NodeHandle::new(n), &buckets);
             }
         }
         RequestOutcome::SendFetch { home_rank } => {
             if shared.net[home_rank as usize]
-                .send(Msg::Request { key: f.key, reply_to: shared.rank })
+                .send(Msg::Request { key, reply_to: shared.rank })
                 .is_err()
             {
                 debug_assert!(false, "home rank {home_rank} hung up early");
@@ -592,8 +594,11 @@ fn run_partition<V: Visitor>(
         ps.stack = seed_items::<V>(&shared.cache, kind, &ps.buckets);
     }
     loop {
-        // Drain local work, surrendering placeholder hits.
+        // Drain local work, surrendering placeholder hits. A fetch's
+        // bucket range is reclaimed by the next pop, so its copy parks
+        // at once; the requests go out when the stack has run dry.
         let mut fetches: Vec<PendingFetch<V::Data>> = Vec::new();
+        let mut registered = 0;
         let ordered = kind == TraversalKind::UpAndDown;
         while let Some(item) = ps.stack.pop() {
             process_item(
@@ -605,14 +610,18 @@ fn run_partition<V: Visitor>(
                 &mut fetches,
                 &mut ps.counts,
             );
+            for f in &fetches[registered..] {
+                let buckets = ps.stack.buckets(f.buckets).to_vec();
+                register_wait(shared, &mut ps, f.key, buckets);
+            }
+            registered = fetches.len();
             if ordered && !fetches.is_empty() {
                 break;
             }
         }
 
         for f in fetches {
-            register_wait(shared, &mut ps, &f);
-            issue_request(shared, &mut ps, f);
+            issue_request(shared, &mut ps, f.key, f.node);
         }
 
         // Collect anything fills released while we were working.
@@ -653,11 +662,13 @@ mod tests {
     impl Visitor for OpenAll {
         type Data = CountData;
         type State = ();
-        fn open(&self, _: &SpatialNodeView<'_, CountData>, _: &TargetBucket<()>) -> bool {
+        type Prepared = ();
+        fn prepare(&self, _: &SpatialNodeView<'_, CountData>) {}
+        fn open(&self, _: &SpatialNodeView<'_, CountData>, _: &(), _: &TargetBucket<()>) -> bool {
             true
         }
-        fn node(&self, _: &SpatialNodeView<'_, CountData>, _: &mut TargetBucket<()>) {}
-        fn leaf(&self, _: &SpatialNodeView<'_, CountData>, _: &mut TargetBucket<()>) {}
+        fn node(&self, _: &SpatialNodeView<'_, CountData>, _: &(), _: &mut TargetBucket<()>) {}
+        fn leaf(&self, _: &SpatialNodeView<'_, CountData>, _: &(), _: &mut TargetBucket<()>) {}
     }
 
     fn config() -> Configuration {
@@ -696,25 +707,21 @@ mod tests {
             id: 0,
             buckets: Vec::new(),
             bucket_ids: Vec::new(),
-            stack: Vec::new(),
+            stack: WorkStack::new(),
             counts: WorkCounts::default(),
             outstanding: 0,
             seeded: true,
         };
         let placeholder = shared.cache.find(remote).expect("skeleton holds every subtree root");
         assert!(placeholder.is_placeholder());
-        let fetch = |bucket: u32| PendingFetch {
-            key: remote,
-            node: NodeHandle::new(placeholder),
-            buckets: vec![bucket],
-        };
+        let node = NodeHandle::new(placeholder);
 
-        register_wait(&shared, &mut ps, &fetch(0));
-        issue_request(&shared, &mut ps, fetch(0)); // goes out; the partition now waits on the key
-        register_wait(&shared, &mut ps, &fetch(1));
+        register_wait(&shared, &mut ps, remote, vec![0]);
+        issue_request(&shared, &mut ps, remote, node); // goes out; the partition now waits on the key
+        register_wait(&shared, &mut ps, remote, vec![1]);
         let fill = owner.serialize_fragment(remote, shared.fetch_depth).expect("owner serves it");
         handle_fill(&shared, &fill); // both sets move to `ready`
-        issue_request(&shared, &mut ps, fetch(1)); // answers Ready
+        issue_request(&shared, &mut ps, remote, node); // answers Ready
 
         let mut parked = shared.parked.lock();
         drain_ready(&shared, &mut ps, parked.get_mut(&0).expect("the partition registered"));

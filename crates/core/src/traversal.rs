@@ -10,6 +10,12 @@
 //! classic walk ("BasicTrav" in Fig. 10) is the same machine seeded with
 //! one single-bucket item per target bucket.
 //!
+//! Bucket lists are not owned by their items: an item holds a
+//! [`BucketRange`] into its partition's [`WorkStack`] scratch, the
+//! children of a node all share the one range their parent's `open`s
+//! wrote, and the scratch is itself a stack that shrinks as items pop —
+//! processing an item allocates nothing.
+//!
 //! When an item reaches a [`NodeKind::Placeholder`], the interested
 //! buckets cannot proceed; the item is surrendered as a
 //! [`PendingFetch`] and the executor decides what to do — the
@@ -18,7 +24,7 @@
 
 use crate::config::TraversalKind;
 use crate::visitor::{SpatialNodeView, TargetBucket, Visitor};
-use paratreet_cache::{CacheTree, NodeHandle, NodeKind};
+use paratreet_cache::{CacheNode, CacheTree, NodeHandle, NodeKind};
 use paratreet_geometry::NodeKey;
 use paratreet_telemetry::{MetricSource, MetricsRegistry};
 use serde::Serialize;
@@ -102,41 +108,127 @@ impl MetricSource for TraversalStats {
     }
 }
 
+/// A run of bucket indices in a [`WorkStack`]'s scratch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BucketRange {
+    start: u32,
+    len: u32,
+}
+
+impl BucketRange {
+    fn new(start: usize, len: usize) -> BucketRange {
+        let fits = |x: usize| u32::try_from(x).expect("scratch offsets fit in u32");
+        BucketRange { start: fits(start), len: fits(len) }
+    }
+
+    fn span(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
 /// A tree node plus the target buckets still interested in it.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct WorkItem<D> {
     /// The node to evaluate.
     pub node: NodeHandle<D>,
-    /// Indices into the partition's bucket array.
-    pub buckets: Vec<u32>,
+    /// Indices into the partition's bucket array, held in the scratch of
+    /// the [`WorkStack`] the item was popped from.
+    pub buckets: BucketRange,
 }
 
 /// A work item that hit a placeholder: the executor must fetch `key`
 /// and re-enqueue the buckets when the fill lands.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct PendingFetch<D> {
     /// Key of the remote node.
     pub key: NodeKey,
     /// The placeholder node (carries `home_rank` and the request flag).
     pub node: NodeHandle<D>,
-    /// Buckets that opened the placeholder.
-    pub buckets: Vec<u32>,
+    /// Buckets that opened the placeholder. The range is readable only
+    /// until the stack's next [`WorkStack::pop`] reclaims it: an
+    /// executor that parks the fetch copies it out first
+    /// ([`WorkStack::buckets`]) and [`WorkStack::push`]es the copy back
+    /// on resume.
+    pub buckets: BucketRange,
+}
+
+/// One partition's LIFO work list and the scratch its items' bucket
+/// ranges live in.
+///
+/// Invariant: from the bottom of the stack to the top, range ends never
+/// decrease, and no range reaches past the end of the scratch. Children
+/// are pushed with a range written above their parent's, resumed items
+/// with a fresh range at the very top, so popping an item may cut the
+/// scratch back to that item's range end: whatever lies above belonged
+/// to descendants of siblings popped earlier, all of them finished.
+#[derive(Debug)]
+pub struct WorkStack<D> {
+    items: Vec<WorkItem<D>>,
+    scratch: Vec<u32>,
+}
+
+impl<D> Default for WorkStack<D> {
+    fn default() -> Self {
+        WorkStack { items: Vec::new(), scratch: Vec::new() }
+    }
+}
+
+impl<D> WorkStack<D> {
+    /// An empty stack.
+    pub fn new() -> WorkStack<D> {
+        WorkStack::default()
+    }
+
+    /// Pushes an item that owns a fresh copy of `buckets` (a resumed
+    /// fetch: its old range is long reclaimed).
+    pub fn push(&mut self, node: NodeHandle<D>, buckets: &[u32]) {
+        let range = BucketRange::new(self.scratch.len(), buckets.len());
+        self.scratch.extend_from_slice(buckets);
+        self.items.push(WorkItem { node, buckets: range });
+    }
+
+    /// Pops the top item and reclaims the scratch above its range.
+    pub fn pop(&mut self) -> Option<WorkItem<D>> {
+        let item = self.items.pop()?;
+        self.scratch.truncate(item.buckets.span().end);
+        Some(item)
+    }
+
+    /// The bucket indices of `range`.
+    pub fn buckets(&self, range: BucketRange) -> &[u32] {
+        &self.scratch[range.span()]
+    }
+
+    /// True when no item is left.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Items waiting on the stack.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// Bucket indices currently held in the scratch.
+    pub fn scratch_len(&self) -> usize {
+        self.scratch.len()
+    }
 }
 
 /// Evaluates one work item: `open`/`node`/`leaf` per interested bucket,
-/// pushing child items onto `out` (in reverse slot order, so a LIFO
+/// pushing child items onto `stack` (in reverse slot order, so the LIFO
 /// stack pops slot 0 first) and surrendering placeholder hits to
-/// `fetches`.
+/// `fetches`. `item` must be the item just popped from `stack`.
 pub fn process_item<V: Visitor>(
     cache: &CacheTree<V::Data>,
     visitor: &V,
     buckets: &mut [TargetBucket<V::State>],
     item: WorkItem<V::Data>,
-    out: &mut Vec<WorkItem<V::Data>>,
+    stack: &mut WorkStack<V::Data>,
     fetches: &mut Vec<PendingFetch<V::Data>>,
     counts: &mut WorkCounts,
 ) {
-    process_item_inner(cache, visitor, buckets, item, out, fetches, counts, true)
+    process_item_inner(cache, visitor, buckets, item, stack, fetches, counts, true)
 }
 
 /// [`process_item`] without the visitor side effects: identical `open`
@@ -153,11 +245,11 @@ pub fn process_item_dry<V: Visitor>(
     visitor: &V,
     buckets: &mut [TargetBucket<V::State>],
     item: WorkItem<V::Data>,
-    out: &mut Vec<WorkItem<V::Data>>,
+    stack: &mut WorkStack<V::Data>,
     fetches: &mut Vec<PendingFetch<V::Data>>,
     counts: &mut WorkCounts,
 ) {
-    process_item_inner(cache, visitor, buckets, item, out, fetches, counts, false)
+    process_item_inner(cache, visitor, buckets, item, stack, fetches, counts, false)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -166,99 +258,102 @@ fn process_item_inner<V: Visitor>(
     visitor: &V,
     buckets: &mut [TargetBucket<V::State>],
     item: WorkItem<V::Data>,
-    out: &mut Vec<WorkItem<V::Data>>,
+    stack: &mut WorkStack<V::Data>,
     fetches: &mut Vec<PendingFetch<V::Data>>,
     counts: &mut WorkCounts,
     apply: bool,
 ) {
     let node = item.node.get(cache);
     counts.nodes_visited += 1;
+    if node.kind == NodeKind::Empty {
+        return;
+    }
     let view = SpatialNodeView::of(node);
-    match node.kind {
-        NodeKind::Empty => {}
-        NodeKind::Leaf => {
-            for &b in &item.buckets {
-                counts.opens += 1;
-                let bucket = &mut buckets[b as usize];
-                if visitor.open(&view, bucket) {
-                    counts.leaf_interactions += (node.particles.len() * bucket.len()) as u64;
-                    if apply {
-                        visitor.leaf(&view, bucket);
-                    }
-                } else {
-                    counts.node_interactions += bucket.len() as u64;
-                    if apply {
-                        visitor.node(&view, bucket);
-                    }
+    let prepared = visitor.prepare(&view);
+    if node.kind == NodeKind::Leaf {
+        for &b in stack.buckets(item.buckets) {
+            counts.opens += 1;
+            let bucket = &mut buckets[b as usize];
+            if visitor.open(&view, &prepared, bucket) {
+                counts.leaf_interactions += (node.particles.len() * bucket.len()) as u64;
+                if apply {
+                    visitor.leaf(&view, &prepared, bucket);
+                }
+            } else {
+                counts.node_interactions += bucket.len() as u64;
+                if apply {
+                    visitor.node(&view, &prepared, bucket);
                 }
             }
         }
-        NodeKind::Internal | NodeKind::Placeholder => {
-            let mut opened = Vec::new();
-            for &b in &item.buckets {
-                counts.opens += 1;
-                let bucket = &mut buckets[b as usize];
-                if visitor.open(&view, bucket) {
-                    opened.push(b);
-                } else {
-                    counts.node_interactions += bucket.len() as u64;
-                    if apply {
-                        visitor.node(&view, bucket);
-                    }
-                }
+        return;
+    }
+    // Internal or placeholder: the buckets that open the node are
+    // written above the item's own range, once, for all its children.
+    let opened_start = stack.scratch.len();
+    for i in item.buckets.span() {
+        let b = stack.scratch[i];
+        counts.opens += 1;
+        let bucket = &mut buckets[b as usize];
+        if visitor.open(&view, &prepared, bucket) {
+            stack.scratch.push(b);
+        } else {
+            counts.node_interactions += bucket.len() as u64;
+            if apply {
+                visitor.node(&view, &prepared, bucket);
             }
-            if opened.is_empty() {
-                return;
-            }
-            if node.kind == NodeKind::Placeholder {
-                fetches.push(PendingFetch { key: node.key, node: item.node, buckets: opened });
-            } else {
-                // Reverse slot order: a LIFO stack then visits children
-                // in ascending slot (depth-first, SFC) order.
-                for i in (0..8).rev() {
-                    if let Some(c) = node.child(i) {
-                        out.push(WorkItem { node: NodeHandle::new(c), buckets: opened.clone() });
-                    }
-                }
+        }
+    }
+    let opened = BucketRange::new(opened_start, stack.scratch.len() - opened_start);
+    if opened.len == 0 {
+        return;
+    }
+    if node.kind == NodeKind::Placeholder {
+        fetches.push(PendingFetch { key: node.key, node: item.node, buckets: opened });
+    } else {
+        // Reverse slot order: a LIFO stack then visits children
+        // in ascending slot (depth-first, SFC) order.
+        for i in (0..8).rev() {
+            if let Some(c) = node.child(i) {
+                stack.items.push(WorkItem { node: NodeHandle::new(c), buckets: opened });
             }
         }
     }
 }
 
-/// Builds the initial work list for one partition's buckets.
+/// Builds the initial work list for one partition's buckets. The
+/// scratch starts as the identity `0..buckets.len()`: the top-down seed
+/// spans all of it, every single-bucket seed is a one-entry range of it.
 pub fn seed_items<V: Visitor>(
     cache: &CacheTree<V::Data>,
     kind: TraversalKind,
     buckets: &[TargetBucket<V::State>],
-) -> Vec<WorkItem<V::Data>> {
-    let root = match cache.root() {
-        Some(r) => r,
-        None => return Vec::new(),
-    };
+) -> WorkStack<V::Data> {
+    let mut stack = WorkStack::new();
+    let Some(root) = cache.root() else { return stack };
+    if buckets.is_empty() {
+        return stack;
+    }
+    stack.scratch.extend(0..buckets.len() as u32);
     match kind {
-        TraversalKind::TopDown => {
-            if buckets.is_empty() {
-                return Vec::new();
-            }
-            vec![WorkItem {
-                node: NodeHandle::new(root),
-                buckets: (0..buckets.len() as u32).collect(),
-            }]
-        }
-        TraversalKind::BasicDfs => (0..buckets.len() as u32)
-            .map(|b| WorkItem { node: NodeHandle::new(root), buckets: vec![b] })
-            .collect(),
+        TraversalKind::TopDown => stack.items.push(WorkItem {
+            node: NodeHandle::new(root),
+            buckets: BucketRange::new(0, buckets.len()),
+        }),
+        TraversalKind::BasicDfs => stack.items.extend(
+            (0..buckets.len())
+                .map(|b| WorkItem { node: NodeHandle::new(root), buckets: BucketRange::new(b, 1) }),
+        ),
         TraversalKind::UpAndDown => {
-            let mut items = Vec::new();
             for (bi, bucket) in buckets.iter().enumerate() {
-                seed_up_and_down::<V>(cache, bucket.leaf_key, bi as u32, &mut items);
+                seed_up_and_down(root, cache.bits, bucket.leaf_key, bi, &mut stack.items);
             }
-            items
         }
         TraversalKind::DualTree => {
             panic!("dual-tree traversal runs on the shared-memory engine only (traverse_local)")
         }
     }
+    stack
 }
 
 /// Runs a dual-tree traversal (Gray & Moore) over one partition's
@@ -319,6 +414,7 @@ pub fn traverse_dual<V: Visitor>(
         }
         counts.nodes_visited += 1;
         let src_view = SpatialNodeView::of(src);
+        let prepared = visitor.prepare(&src_view);
 
         if tgt.kind == NodeKind::Leaf {
             // Single-tree semantics against the bucket(s) of this leaf.
@@ -326,12 +422,12 @@ pub fn traverse_dual<V: Visitor>(
             for b in members {
                 let bucket = &mut buckets[b as usize];
                 counts.opens += 1;
-                if !visitor.open(&src_view, bucket) {
+                if !visitor.open(&src_view, &prepared, bucket) {
                     counts.node_interactions += bucket.len() as u64;
-                    visitor.node(&src_view, bucket);
+                    visitor.node(&src_view, &prepared, bucket);
                 } else if src.kind == NodeKind::Leaf {
                     counts.leaf_interactions += (src.particles.len() * bucket.len()) as u64;
-                    visitor.leaf(&src_view, bucket);
+                    visitor.leaf(&src_view, &prepared, bucket);
                 } else {
                     assert!(
                         src.kind == NodeKind::Internal || src.kind == NodeKind::Empty,
@@ -360,12 +456,12 @@ pub fn traverse_dual<V: Visitor>(
             state: V::State::default(),
         };
         counts.opens += 1;
-        if !visitor.open(&src_view, &pseudo) {
+        if !visitor.open(&src_view, &prepared, &pseudo) {
             // The source's summary covers every bucket below the target.
             for b in members {
                 let bucket = &mut buckets[b as usize];
                 counts.node_interactions += bucket.len() as u64;
-                visitor.node(&src_view, bucket);
+                visitor.node(&src_view, &prepared, bucket);
             }
             continue;
         }
@@ -408,17 +504,14 @@ pub fn traverse_dual<V: Visitor>(
 /// then progressively farther subtrees. If the walk hits a placeholder
 /// (the leaf lives under unfetched remote data), the placeholder itself
 /// is emitted as the final, nearest item.
-fn seed_up_and_down<V: Visitor>(
-    cache: &CacheTree<V::Data>,
+fn seed_up_and_down<D: paratreet_tree::Data>(
+    root: &CacheNode<D>,
+    bits: u32,
     leaf_key: NodeKey,
-    bucket: u32,
-    items: &mut Vec<WorkItem<V::Data>>,
+    bucket: usize,
+    items: &mut Vec<WorkItem<D>>,
 ) {
-    let root = match cache.root() {
-        Some(r) => r,
-        None => return,
-    };
-    let bits = cache.bits;
+    let buckets = BucketRange::new(bucket, 1);
     let leaf_level = leaf_key.level(bits);
     let mut node = root;
     let mut level = node.key.level(bits);
@@ -426,7 +519,7 @@ fn seed_up_and_down<V: Visitor>(
         if node.key == leaf_key || node.kind != NodeKind::Internal {
             // Reached the leaf (or a placeholder / oversized leaf that
             // covers it): nearest item, emitted last → popped first.
-            items.push(WorkItem { node: NodeHandle::new(node), buckets: vec![bucket] });
+            items.push(WorkItem { node: NodeHandle::new(node), buckets });
             return;
         }
         level += 1;
@@ -437,7 +530,7 @@ fn seed_up_and_down<V: Visitor>(
                 continue;
             }
             if let Some(c) = node.child(i) {
-                items.push(WorkItem { node: NodeHandle::new(c), buckets: vec![bucket] });
+                items.push(WorkItem { node: NodeHandle::new(c), buckets });
             }
         }
         match node.child(path_slot) {

@@ -9,6 +9,12 @@
 //! in node() without restriction from the control flow in leaf()" —
 //! in Rust terms: both are static calls on a monomorphised visitor type,
 //! no virtual dispatch on the hot path.
+//!
+//! The traversal is transposed — one source node meets many target
+//! buckets — so whatever the callbacks derive from the source node alone
+//! is computed once per node by [`Visitor::prepare`] and handed to every
+//! `open`/`node`/`leaf` call of that node (the `Score`/`BaseCase` split
+//! of Curtin et al., *Tree-Independent Dual-Tree Algorithms*).
 
 use paratreet_cache::{CacheNode, NodeKind};
 use paratreet_geometry::{BoundingBox, NodeKey};
@@ -85,11 +91,20 @@ pub trait Visitor: Send + Sync {
     type Data: Data;
     /// Per-target-bucket scratch state.
     type State: Default + Clone + Send + Sync + 'static;
+    /// What the callbacks derive from a source node alone (`()` when
+    /// there is nothing worth hoisting).
+    type Prepared;
+
+    /// Derives the per-node values. Must be a pure function of `source`
+    /// (and `self`): the traversal calls it once per work item and
+    /// passes the result to every `open`/`node`/`leaf` of that item.
+    fn prepare(&self, source: &SpatialNodeView<'_, Self::Data>) -> Self::Prepared;
 
     /// Should the traversal descend below `source` for this target?
     fn open(
         &self,
         source: &SpatialNodeView<'_, Self::Data>,
+        prepared: &Self::Prepared,
         target: &TargetBucket<Self::State>,
     ) -> bool;
 
@@ -97,6 +112,7 @@ pub trait Visitor: Send + Sync {
     fn node(
         &self,
         source: &SpatialNodeView<'_, Self::Data>,
+        prepared: &Self::Prepared,
         target: &mut TargetBucket<Self::State>,
     );
 
@@ -104,6 +120,7 @@ pub trait Visitor: Send + Sync {
     fn leaf(
         &self,
         source: &SpatialNodeView<'_, Self::Data>,
+        prepared: &Self::Prepared,
         target: &mut TargetBucket<Self::State>,
     );
 
@@ -138,13 +155,22 @@ mod tests {
     impl Visitor for CountingVisitor {
         type Data = CountData;
         type State = Calls;
-        fn open(&self, source: &SpatialNodeView<'_, CountData>, _t: &TargetBucket<Calls>) -> bool {
+        type Prepared = bool;
+        fn prepare(&self, source: &SpatialNodeView<'_, CountData>) -> bool {
             source.n_particles > 1
         }
-        fn node(&self, _s: &SpatialNodeView<'_, CountData>, t: &mut TargetBucket<Calls>) {
+        fn open(
+            &self,
+            _s: &SpatialNodeView<'_, CountData>,
+            crowded: &bool,
+            _t: &TargetBucket<Calls>,
+        ) -> bool {
+            *crowded
+        }
+        fn node(&self, _s: &SpatialNodeView<'_, CountData>, _: &bool, t: &mut TargetBucket<Calls>) {
             t.state.nodes += 1;
         }
-        fn leaf(&self, _s: &SpatialNodeView<'_, CountData>, t: &mut TargetBucket<Calls>) {
+        fn leaf(&self, _s: &SpatialNodeView<'_, CountData>, _: &bool, t: &mut TargetBucket<Calls>) {
             t.state.leaves += 1;
         }
     }
@@ -173,9 +199,10 @@ mod tests {
             state: Calls::default(),
         };
         let view = SpatialNodeView::of(&node);
-        assert!(v.open(&view, &bucket));
-        v.node(&view, &mut bucket);
-        v.leaf(&view, &mut bucket);
+        let prepared = v.prepare(&view);
+        assert!(v.open(&view, &prepared, &bucket));
+        v.node(&view, &prepared, &mut bucket);
+        v.leaf(&view, &prepared, &mut bucket);
         assert_eq!(bucket.state.nodes, 1);
         assert_eq!(bucket.state.leaves, 1);
         assert_eq!(bucket.len(), 1);

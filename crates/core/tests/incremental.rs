@@ -89,8 +89,15 @@ struct MonoGravity {
 impl Visitor for MonoGravity {
     type Data = MonoData;
     type State = ();
+    type Prepared = ();
+    fn prepare(&self, _: &SpatialNodeView<'_, MonoData>) {}
 
-    fn open(&self, source: &SpatialNodeView<'_, MonoData>, target: &TargetBucket<()>) -> bool {
+    fn open(
+        &self,
+        source: &SpatialNodeView<'_, MonoData>,
+        _: &(),
+        target: &TargetBucket<()>,
+    ) -> bool {
         if source.data.sum_mass == 0.0 {
             return false;
         }
@@ -103,7 +110,7 @@ impl Visitor for MonoGravity {
         target.bbox.intersects_sphere(&Sphere::new(c, radius))
     }
 
-    fn node(&self, source: &SpatialNodeView<'_, MonoData>, target: &mut TargetBucket<()>) {
+    fn node(&self, source: &SpatialNodeView<'_, MonoData>, _: &(), target: &mut TargetBucket<()>) {
         let c = source.data.centroid();
         let m = source.data.sum_mass;
         for p in &mut target.particles {
@@ -116,7 +123,7 @@ impl Visitor for MonoGravity {
         }
     }
 
-    fn leaf(&self, source: &SpatialNodeView<'_, MonoData>, target: &mut TargetBucket<()>) {
+    fn leaf(&self, source: &SpatialNodeView<'_, MonoData>, _: &(), target: &mut TargetBucket<()>) {
         for p in &mut target.particles {
             for s in source.particles {
                 if s.id == p.id {
@@ -147,8 +154,15 @@ struct RadiusCount {
 impl Visitor for RadiusCount {
     type Data = MonoData;
     type State = u64;
+    type Prepared = ();
+    fn prepare(&self, _: &SpatialNodeView<'_, MonoData>) {}
 
-    fn open(&self, source: &SpatialNodeView<'_, MonoData>, target: &TargetBucket<u64>) -> bool {
+    fn open(
+        &self,
+        source: &SpatialNodeView<'_, MonoData>,
+        _: &(),
+        target: &TargetBucket<u64>,
+    ) -> bool {
         if source.particles.is_empty() {
             // Internal node: always descend (counting is leaf-only).
             return true;
@@ -159,9 +173,15 @@ impl Visitor for RadiusCount {
         source.particles.iter().any(|p| reach.contains(p.pos))
     }
 
-    fn node(&self, _source: &SpatialNodeView<'_, MonoData>, _target: &mut TargetBucket<u64>) {}
+    fn node(
+        &self,
+        _source: &SpatialNodeView<'_, MonoData>,
+        _: &(),
+        _target: &mut TargetBucket<u64>,
+    ) {
+    }
 
-    fn leaf(&self, source: &SpatialNodeView<'_, MonoData>, target: &mut TargetBucket<u64>) {
+    fn leaf(&self, source: &SpatialNodeView<'_, MonoData>, _: &(), target: &mut TargetBucket<u64>) {
         let r2 = self.radius * self.radius;
         for s in source.particles {
             for p in &target.particles {

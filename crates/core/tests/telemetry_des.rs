@@ -23,13 +23,15 @@ struct CountVisitor;
 impl Visitor for CountVisitor {
     type Data = CountData;
     type State = u64;
-    fn open(&self, s: &SpatialNodeView<'_, CountData>, _t: &TargetBucket<u64>) -> bool {
+    type Prepared = ();
+    fn prepare(&self, _: &SpatialNodeView<'_, CountData>) {}
+    fn open(&self, s: &SpatialNodeView<'_, CountData>, _: &(), _t: &TargetBucket<u64>) -> bool {
         s.n_particles > 8
     }
-    fn node(&self, s: &SpatialNodeView<'_, CountData>, t: &mut TargetBucket<u64>) {
+    fn node(&self, s: &SpatialNodeView<'_, CountData>, _: &(), t: &mut TargetBucket<u64>) {
         t.state += s.data.count;
     }
-    fn leaf(&self, s: &SpatialNodeView<'_, CountData>, t: &mut TargetBucket<u64>) {
+    fn leaf(&self, s: &SpatialNodeView<'_, CountData>, _: &(), t: &mut TargetBucket<u64>) {
         t.state += s.particles.len() as u64 * s.data.count;
     }
 }

@@ -15,6 +15,15 @@ cargo build --release
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
+echo "== kernel identity + allocation tests, optimised (the build the benchmark runs) =="
+cargo test --release -q -p paratreet-apps --lib lane_kernels
+cargo test --release -q --test gravity_accuracy bucket_kernels
+cargo test --release -q --test traversal_scratch
+
+echo "== every unsafe under crates/apps/src sits under a // SAFETY: comment =="
+awk 'FNR == 1 { prev = "" } /unsafe/ && !/^[[:space:]]*\/\// && prev !~ /\/\/ SAFETY:/ { print FILENAME ":" FNR ": " $0; bad = 1 } { prev = $0 } END { exit bad }' \
+    $(find crates/apps/src -name '*.rs') || { echo "unsafe without a // SAFETY: comment on the line above"; exit 1; }
+
 echo "== threaded_engine x200 (bounded schedule fuzz, 60 s cap per run) =="
 # The OS picks a different interleaving every run; a lost or doubled
 # release in the waiting/ready hand-off shows as a hang or a panic here.

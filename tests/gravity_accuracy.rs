@@ -5,10 +5,26 @@
 
 use paratreet_apps::gravity::{CentroidData, GravityVisitor};
 use paratreet_baselines::direct::{direct_gravity, rms_acc_error};
-use paratreet_core::{Configuration, DecompType, Framework, TraversalKind};
+use paratreet_core::{
+    Configuration, DecompType, Framework, SpatialNodeView, TargetBucket, TraversalKind, Visitor,
+};
+use paratreet_geometry::{Sphere, Vec3};
 use paratreet_particles::gen;
 use paratreet_particles::Particle;
 use paratreet_tree::TreeType;
+
+fn traverse_with<V: Visitor<Data = CentroidData>>(
+    visitor: &V,
+    particles: Vec<Particle>,
+    config: Configuration,
+    kind: TraversalKind,
+) -> Vec<Particle> {
+    let mut fw: Framework<CentroidData> = Framework::new(config, particles);
+    fw.step(|step| {
+        step.traverse(visitor, kind);
+    });
+    fw.particles().to_vec()
+}
 
 fn tree_gravity(
     particles: Vec<Particle>,
@@ -16,12 +32,7 @@ fn tree_gravity(
     theta: f64,
     kind: TraversalKind,
 ) -> Vec<Particle> {
-    let mut fw: Framework<CentroidData> = Framework::new(config, particles);
-    let visitor = GravityVisitor { theta, g: 1.0 };
-    fw.step(|step| {
-        step.traverse(&visitor, kind);
-    });
-    fw.particles().to_vec()
+    traverse_with(&GravityVisitor { theta, g: 1.0 }, particles, config, kind)
 }
 
 fn check_accuracy(config: Configuration, theta: f64, kind: TraversalKind, tol: f64) {
@@ -166,4 +177,119 @@ fn partitions_subtrees_split_buckets_do_not_change_forces() {
     // beyond the θ error bound.
     let err = rms_acc_error(&a, &b);
     assert!(err < 2e-2, "decomposition changed forces beyond BH noise: {err}");
+}
+
+/// Gravity as it stood before the bucket kernels, kept as their
+/// reference: the opening sphere rebuilt for every bucket, and plain
+/// per-particle loops over the original per-pair kernels.
+struct PerPairGravity {
+    theta: f64,
+    g: f64,
+}
+
+impl PerPairGravity {
+    fn exact(target: Vec3, src_pos: Vec3, src_mass: f64, softening: f64) -> (Vec3, f64) {
+        let dr = src_pos - target;
+        let r2 = dr.norm_sq() + softening * softening;
+        if r2 == 0.0 {
+            return (Vec3::ZERO, 0.0);
+        }
+        let r = r2.sqrt();
+        let inv_r3 = 1.0 / (r2 * r);
+        (dr * (src_mass * inv_r3), -src_mass / r)
+    }
+
+    fn approx(target: Vec3, centroid: Vec3, mass: f64, quad: &[f64; 6]) -> (Vec3, f64) {
+        let dr = target - centroid;
+        let r2 = dr.norm_sq();
+        if r2 == 0.0 {
+            return (Vec3::ZERO, 0.0);
+        }
+        let r = r2.sqrt();
+        let inv_r = 1.0 / r;
+        let inv_r2 = inv_r * inv_r;
+        let inv_r3 = inv_r2 * inv_r;
+        let inv_r5 = inv_r3 * inv_r2;
+        let inv_r7 = inv_r5 * inv_r2;
+        let mut acc = -dr * (mass * inv_r3);
+        let mut pot = -mass * inv_r;
+        let tr = quad[0] + quad[3] + quad[5];
+        let qr = Vec3::new(
+            quad[0] * dr.x + quad[1] * dr.y + quad[2] * dr.z,
+            quad[1] * dr.x + quad[3] * dr.y + quad[4] * dr.z,
+            quad[2] * dr.x + quad[4] * dr.y + quad[5] * dr.z,
+        );
+        let rqr = dr.dot(qr);
+        pot -= (3.0 * rqr - r2 * tr) * 0.5 * inv_r5;
+        acc += qr * (3.0 * inv_r5);
+        acc -= dr * (7.5 * rqr * inv_r7);
+        acc += dr * (1.5 * tr * inv_r5);
+        (acc, pot)
+    }
+}
+
+impl Visitor for PerPairGravity {
+    type Data = CentroidData;
+    type State = ();
+    type Prepared = ();
+
+    fn prepare(&self, _: &SpatialNodeView<'_, CentroidData>) {}
+
+    fn open(&self, s: &SpatialNodeView<'_, CentroidData>, _: &(), t: &TargetBucket<()>) -> bool {
+        if s.data.sum_mass == 0.0 {
+            return false;
+        }
+        let sphere = Sphere::new(s.data.centroid(), s.data.opening_radius(self.theta));
+        t.bbox.intersects_sphere(&sphere)
+    }
+
+    fn node(&self, s: &SpatialNodeView<'_, CentroidData>, _: &(), t: &mut TargetBucket<()>) {
+        let centroid = s.data.centroid();
+        let mass = s.data.sum_mass;
+        let quad = s.data.quad_about_centroid();
+        for p in &mut t.particles {
+            let (acc, pot) = Self::approx(p.pos, centroid, mass, &quad);
+            p.acc += acc * self.g;
+            p.potential += pot * self.g * p.mass;
+        }
+    }
+
+    fn leaf(&self, s: &SpatialNodeView<'_, CentroidData>, _: &(), t: &mut TargetBucket<()>) {
+        for p in &mut t.particles {
+            for src in s.particles {
+                if src.id == p.id {
+                    continue;
+                }
+                let (acc, pot) =
+                    Self::exact(p.pos, src.pos, src.mass, p.softening.max(src.softening));
+                p.acc += acc * self.g;
+                p.potential += pot * self.g * p.mass;
+            }
+        }
+    }
+}
+
+#[test]
+fn bucket_kernels_keep_every_bit_of_the_per_pair_step() {
+    // Hoisting the per-node moments and applying them four targets at a
+    // time reorders nothing a particle can see: a whole framework step
+    // leaves the bits the per-pair loops leave, in both schedules.
+    let mut ps = gen::clustered(3000, 4, 29, 1.0, 1.0);
+    for (i, p) in ps.iter_mut().enumerate() {
+        p.softening = [0.0, 0.01, 0.05][i % 3];
+    }
+    ps[7].pos = ps[8].pos; // an unsoftened coincident pair: r² = 0 in a leaf
+    let config = Configuration { bucket_size: 12, ..Default::default() };
+    for kind in [TraversalKind::TopDown, TraversalKind::BasicDfs] {
+        let kernels =
+            traverse_with(&GravityVisitor { theta: 0.6, g: 2.5 }, ps.clone(), config.clone(), kind);
+        let per_pair =
+            traverse_with(&PerPairGravity { theta: 0.6, g: 2.5 }, ps.clone(), config.clone(), kind);
+        assert_eq!(kernels.len(), per_pair.len());
+        for (a, b) in kernels.iter().zip(&per_pair) {
+            assert_eq!(a.id, b.id);
+            let bits = |p: &Particle| [p.acc.x, p.acc.y, p.acc.z, p.potential].map(f64::to_bits);
+            assert_eq!(bits(a), bits(b), "particle {} under {kind:?}", a.id);
+        }
+    }
 }

@@ -92,6 +92,36 @@ fn threaded_matches_shared_memory_multi_rank() {
 }
 
 #[test]
+fn parked_items_resume_with_their_own_bucket_sets() {
+    // Work items index one scratch stack per partition, so an item that
+    // parks on a fetch must take a copy of its bucket set with it and
+    // come back with exactly that set. The two schedules that stress
+    // this: BasicDfs parks many single-bucket items on one key within
+    // one run, and UpAndDown stops at its first fetch with live items
+    // still stacked, so resumed sets land above ranges in use. Gravity's
+    // `open` ignores bucket state: interaction totals are exact in both.
+    let ps = gen::clustered(900, 3, 11, 1.0, 1.0);
+    let visitor = GravityVisitor::default();
+    for kind in [TraversalKind::BasicDfs, TraversalKind::UpAndDown] {
+        let mut fw: Framework<CentroidData> = Framework::new(config(), ps.clone());
+        let (_, shared) = fw.step(|s| {
+            s.traverse(&visitor, kind);
+        });
+        let mut want = fw.particles().to_vec();
+        want.sort_by_key(|p| p.id);
+
+        let rep = ThreadedEngine::new(config(), 3, 2, &visitor).run_iteration(ps.clone(), kind);
+        assert!(rep.cache.waiters_parked > 0, "{kind:?}: some item must park");
+        assert_eq!(rep.cache.waiters_parked, rep.cache.waiters_resumed, "{kind:?}");
+        assert_eq!(rep.counts.leaf_interactions, shared.counts.leaf_interactions, "{kind:?}");
+        assert_eq!(rep.counts.node_interactions, shared.counts.node_interactions, "{kind:?}");
+        let mut got = rep.particles;
+        got.sort_by_key(|p| p.id);
+        assert_forces_match(&got, &want);
+    }
+}
+
+#[test]
 fn threaded_is_repeatable_up_to_fp_order() {
     // Thread scheduling varies between runs, but the result set must not.
     let ps = gen::clustered(500, 2, 13, 1.0, 1.0);
@@ -183,13 +213,32 @@ struct Dying(GravityVisitor);
 impl Visitor for Dying {
     type Data = CentroidData;
     type State = <GravityVisitor as Visitor>::State;
-    fn open(&self, s: &SpatialNodeView<'_, CentroidData>, t: &TargetBucket<Self::State>) -> bool {
-        self.0.open(s, t)
+    type Prepared = <GravityVisitor as Visitor>::Prepared;
+    fn prepare(&self, s: &SpatialNodeView<'_, CentroidData>) -> Self::Prepared {
+        self.0.prepare(s)
     }
-    fn node(&self, s: &SpatialNodeView<'_, CentroidData>, t: &mut TargetBucket<Self::State>) {
-        self.0.node(s, t)
+    fn open(
+        &self,
+        s: &SpatialNodeView<'_, CentroidData>,
+        m: &Self::Prepared,
+        t: &TargetBucket<Self::State>,
+    ) -> bool {
+        self.0.open(s, m, t)
     }
-    fn leaf(&self, _: &SpatialNodeView<'_, CentroidData>, _: &mut TargetBucket<Self::State>) {
+    fn node(
+        &self,
+        s: &SpatialNodeView<'_, CentroidData>,
+        m: &Self::Prepared,
+        t: &mut TargetBucket<Self::State>,
+    ) {
+        self.0.node(s, m, t)
+    }
+    fn leaf(
+        &self,
+        _: &SpatialNodeView<'_, CentroidData>,
+        _: &Self::Prepared,
+        _: &mut TargetBucket<Self::State>,
+    ) {
         panic!("injected kernel fault");
     }
 }

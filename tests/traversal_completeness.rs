@@ -52,8 +52,15 @@ impl Data for MassData {
 impl Visitor for MassAuditVisitor {
     type Data = MassData;
     type State = ();
+    type Prepared = ();
+    fn prepare(&self, _: &SpatialNodeView<'_, MassData>) {}
 
-    fn open(&self, source: &SpatialNodeView<'_, MassData>, target: &TargetBucket<()>) -> bool {
+    fn open(
+        &self,
+        source: &SpatialNodeView<'_, MassData>,
+        _: &(),
+        target: &TargetBucket<()>,
+    ) -> bool {
         // Arbitrary deterministic pruning: hash the (node, bucket) pair.
         let h = source
             .key
@@ -64,13 +71,13 @@ impl Visitor for MassAuditVisitor {
         (h >> 32) & 3 != 0 // open ~75% of the time
     }
 
-    fn node(&self, source: &SpatialNodeView<'_, MassData>, target: &mut TargetBucket<()>) {
+    fn node(&self, source: &SpatialNodeView<'_, MassData>, _: &(), target: &mut TargetBucket<()>) {
         for p in &mut target.particles {
             p.density += source.data.mass;
         }
     }
 
-    fn leaf(&self, source: &SpatialNodeView<'_, MassData>, target: &mut TargetBucket<()>) {
+    fn leaf(&self, source: &SpatialNodeView<'_, MassData>, _: &(), target: &mut TargetBucket<()>) {
         for p in &mut target.particles {
             for s in source.particles {
                 p.density += s.mass;
@@ -178,13 +185,15 @@ fn open_everything_gives_exact_n_squared() {
     impl Visitor for OpenAll {
         type Data = CountData;
         type State = ();
-        fn open(&self, _s: &SpatialNodeView<'_, CountData>, _t: &TargetBucket<()>) -> bool {
+        type Prepared = ();
+        fn prepare(&self, _: &SpatialNodeView<'_, CountData>) {}
+        fn open(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &TargetBucket<()>) -> bool {
             true
         }
-        fn node(&self, _s: &SpatialNodeView<'_, CountData>, _t: &mut TargetBucket<()>) {
+        fn node(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &mut TargetBucket<()>) {
             panic!("node() must never fire when everything opens");
         }
-        fn leaf(&self, _s: &SpatialNodeView<'_, CountData>, _t: &mut TargetBucket<()>) {}
+        fn leaf(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &mut TargetBucket<()>) {}
     }
     let n = 300usize;
     let particles = gen::uniform_cube(n, 3, 1.0, 1.0);
@@ -203,11 +212,13 @@ fn open_nothing_prunes_at_the_root() {
     impl Visitor for OpenNone {
         type Data = CountData;
         type State = ();
-        fn open(&self, _s: &SpatialNodeView<'_, CountData>, _t: &TargetBucket<()>) -> bool {
+        type Prepared = ();
+        fn prepare(&self, _: &SpatialNodeView<'_, CountData>) {}
+        fn open(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &TargetBucket<()>) -> bool {
             false
         }
-        fn node(&self, _s: &SpatialNodeView<'_, CountData>, _t: &mut TargetBucket<()>) {}
-        fn leaf(&self, _s: &SpatialNodeView<'_, CountData>, _t: &mut TargetBucket<()>) {
+        fn node(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &mut TargetBucket<()>) {}
+        fn leaf(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &mut TargetBucket<()>) {
             panic!("leaf() must never fire when nothing opens");
         }
     }
