@@ -12,10 +12,10 @@ use paratreet_particles::Particle;
 use paratreet_tree::data::wire;
 use paratreet_tree::Data;
 
-// The candidate types and the bounded heap moved to the shared
-// `tree::query` kernel module (the serving layer uses them too);
-// re-exported here so application code keeps its import paths.
-pub use paratreet_tree::query::{KnnHeap, Neighbor};
+// The candidate set is `tree::query`'s (the serving layer's kNN uses
+// the same one); re-exported here so application code keeps its import
+// paths.
+pub use paratreet_tree::query::{Candidate, KnnHeap, Neighbor};
 
 /// Tree `Data` for kNN: the tight box of the subtree (for distance
 /// pruning) and the particle count.
@@ -57,11 +57,31 @@ impl Data for KnnData {
 }
 
 /// Per-bucket kNN state: one heap per bucket particle (lazily sized on
-/// first use, since `Default` cannot know the bucket length or k).
-#[derive(Clone, Debug, Default)]
+/// first use, since `Default` cannot know the bucket length or k), and
+/// the bucket's pruning bound, kept rather than recomputed: heaps change
+/// only in `leaf()`, which leaves `bound` equal to the largest of their
+/// bounds.
+#[derive(Clone, Debug)]
 pub struct KnnState {
     /// One candidate heap per target particle, in bucket order.
     pub heaps: Vec<KnnHeap>,
+    bound: f64,
+}
+
+impl Default for KnnState {
+    /// No candidates yet, so nothing may be pruned: the bound is ∞ (a
+    /// derived `0.0` would prune every bucket before its first leaf).
+    fn default() -> KnnState {
+        KnnState { heaps: Vec::new(), bound: f64::INFINITY }
+    }
+}
+
+impl KnnState {
+    /// The bucket-level pruning radius, squared: the largest k-th
+    /// distance over the bucket's particles (∞ until every heap is full).
+    pub fn bound(&self) -> f64 {
+        self.bound
+    }
 }
 
 /// The kNN visitor: exact candidates at leaves, pruning by the bucket's
@@ -69,23 +89,6 @@ pub struct KnnState {
 pub struct KnnVisitor {
     /// Number of neighbours to find per particle.
     pub k: usize,
-}
-
-impl KnnVisitor {
-    fn ensure_state(&self, target: &mut TargetBucket<KnnState>) {
-        if target.state.heaps.len() != target.particles.len() {
-            target.state.heaps = vec![KnnHeap::new(self.k); target.particles.len()];
-        }
-    }
-
-    /// The bucket-level pruning radius: the largest k-th-distance bound
-    /// over the bucket's particles (infinite until every heap is full).
-    fn bucket_bound(target: &TargetBucket<KnnState>) -> f64 {
-        if target.state.heaps.is_empty() {
-            return f64::INFINITY;
-        }
-        target.state.heaps.iter().map(|h| h.bound()).fold(0.0, f64::max)
-    }
 }
 
 impl Visitor for KnnVisitor {
@@ -101,14 +104,14 @@ impl Visitor for KnnVisitor {
         _: &(),
         target: &TargetBucket<KnnState>,
     ) -> bool {
-        if source.data.count == 0 {
+        if source.data.count == 0 || self.k == 0 {
             return false;
         }
         // Open when the source could contain a particle nearer than the
         // bucket's current worst k-th distance. Distances are measured
         // from the bucket's own box, which lower-bounds every particle's
         // distance to the source region.
-        source.data.tight_box.dist_sq_to_box(&target.bbox) < Self::bucket_bound(target)
+        source.data.tight_box.dist_sq_to_box(&target.bbox) < target.state.bound
     }
 
     fn node(
@@ -126,26 +129,25 @@ impl Visitor for KnnVisitor {
         _: &(),
         target: &mut TargetBucket<KnnState>,
     ) {
-        self.ensure_state(target);
         let state = &mut target.state;
-        for (ti, tp) in target.particles.iter().enumerate() {
-            let heap = &mut state.heaps[ti];
+        if state.heaps.len() != target.particles.len() {
+            // Built one by one: cloning an empty heap drops its capacity.
+            state.heaps = (0..target.particles.len()).map(|_| KnnHeap::new(self.k)).collect();
+        }
+        let mut worst = 0.0f64;
+        for (tp, heap) in target.particles.iter().zip(&mut state.heaps) {
             for sp in source.particles {
                 if sp.id == tp.id {
                     continue;
                 }
                 let d2 = sp.pos.dist_sq(tp.pos);
                 if d2 < heap.bound() {
-                    heap.offer(Neighbor {
-                        dist_sq: d2,
-                        id: sp.id,
-                        pos: sp.pos,
-                        mass: sp.mass,
-                        vel: sp.vel,
-                    });
+                    heap.offer(d2, sp.id, ());
                 }
             }
+            worst = worst.max(heap.bound());
         }
+        state.bound = worst;
     }
 }
 
@@ -157,7 +159,7 @@ pub fn knn_search(
     k: usize,
     config: paratreet_core::Configuration,
     kind: paratreet_core::TraversalKind,
-) -> std::collections::HashMap<u64, Vec<Neighbor>> {
+) -> std::collections::HashMap<u64, Vec<Candidate>> {
     let mut fw: paratreet_core::Framework<KnnData> =
         paratreet_core::Framework::new(config, particles);
     let visitor = KnnVisitor { k };
@@ -184,15 +186,9 @@ mod tests {
 
     #[test]
     fn heap_keeps_k_nearest() {
-        let mut h = KnnHeap::new(3);
+        let mut h: KnnHeap = KnnHeap::new(3);
         for (i, d) in [5.0, 1.0, 4.0, 2.0, 3.0, 0.5].iter().enumerate() {
-            h.offer(Neighbor {
-                dist_sq: *d,
-                id: i as u64,
-                pos: Vec3::ZERO,
-                mass: 1.0,
-                vel: Vec3::ZERO,
-            });
+            h.offer(*d, i as u64, ());
         }
         assert_eq!(h.len(), 3);
         let sorted = h.into_sorted();
@@ -202,11 +198,11 @@ mod tests {
 
     #[test]
     fn heap_bound_is_infinite_until_full() {
-        let mut h = KnnHeap::new(2);
+        let mut h: KnnHeap = KnnHeap::new(2);
         assert_eq!(h.bound(), f64::INFINITY);
-        h.offer(Neighbor { dist_sq: 1.0, id: 0, pos: Vec3::ZERO, mass: 1.0, vel: Vec3::ZERO });
+        h.offer(1.0, 0, ());
         assert_eq!(h.bound(), f64::INFINITY);
-        h.offer(Neighbor { dist_sq: 2.0, id: 1, pos: Vec3::ZERO, mass: 1.0, vel: Vec3::ZERO });
+        h.offer(2.0, 1, ());
         assert_eq!(h.bound(), 2.0);
         assert!(!h.is_empty());
     }
@@ -259,6 +255,99 @@ mod tests {
     #[test]
     fn knn_basic_dfs_matches_brute_force() {
         check_knn_matches_brute(TraversalKind::BasicDfs, TreeType::Octree);
+    }
+
+    fn framework(n: usize, seed: u64) -> paratreet_core::Framework<KnnData> {
+        let config =
+            Configuration { bucket_size: 8, n_subtrees: 6, n_partitions: 5, ..Default::default() };
+        paratreet_core::Framework::new(config, gen::clustered(n, 3, seed, 1.0, 1.0))
+    }
+
+    #[test]
+    fn kept_bound_is_the_largest_heap_bound() {
+        assert_eq!(KnnState::default().bound(), f64::INFINITY);
+        for kind in [TraversalKind::TopDown, TraversalKind::BasicDfs, TraversalKind::UpAndDown] {
+            let (states, _) =
+                framework(600, 7).step(|step| step.traverse(&KnnVisitor { k: 8 }, kind).0);
+            assert!(!states.is_empty());
+            for state in &states {
+                assert!(!state.heaps.is_empty(), "{kind:?}: every bucket met its own leaf");
+                let largest = state.heaps.iter().map(|h| h.bound()).fold(0.0, f64::max);
+                assert_eq!(state.bound().to_bits(), largest.to_bits(), "{kind:?}");
+            }
+        }
+    }
+
+    /// Opens nothing: a traversal with it visits exactly what it seeds.
+    struct RefuseAll;
+
+    impl Visitor for RefuseAll {
+        type Data = KnnData;
+        type State = ();
+        type Prepared = ();
+        fn prepare(&self, _: &SpatialNodeView<'_, KnnData>) {}
+        fn open(&self, _: &SpatialNodeView<'_, KnnData>, _: &(), _: &TargetBucket<()>) -> bool {
+            false
+        }
+        fn node(&self, _: &SpatialNodeView<'_, KnnData>, _: &(), _: &mut TargetBucket<()>) {}
+        fn leaf(&self, _: &SpatialNodeView<'_, KnnData>, _: &(), _: &mut TargetBucket<()>) {}
+    }
+
+    #[test]
+    fn k_zero_visits_only_its_seeds() {
+        for kind in [TraversalKind::UpAndDown, TraversalKind::TopDown] {
+            let (seeded, _) = framework(500, 3).step(|step| step.traverse(&RefuseAll, kind).1);
+            let ((states, stats), _) =
+                framework(500, 3).step(|step| step.traverse(&KnnVisitor { k: 0 }, kind));
+            assert!(stats.counts.nodes_visited <= seeded.counts.nodes_visited, "{kind:?}");
+            assert_eq!(stats.counts.leaf_interactions, 0, "{kind:?}: leaf() was called");
+            assert_eq!(states.iter().flat_map(|s| &s.heaps).map(|h| h.len()).sum::<usize>(), 0);
+            let sph = crate::sph::SphSimulation { k: 0, kind, ..Default::default() };
+            assert_eq!(sph.step(&mut framework(500, 3)).neighbor_entries, 0);
+        }
+    }
+
+    #[test]
+    fn query_neighbors_carry_their_particles_payload() {
+        use paratreet_core::{IncrementalConfig, TreeMaintainer};
+        use paratreet_tree::query::knn_query;
+        let config = Configuration {
+            bucket_size: 8,
+            n_subtrees: 6,
+            n_partitions: 4,
+            incremental: IncrementalConfig { enabled: true, ..Default::default() },
+            ..Default::default()
+        };
+        let mut ps = gen::clustered(900, 3, 29, 1.0, 1.0);
+        for p in &mut ps {
+            // Distinct payloads, so a handle one slot off is caught.
+            p.mass = 1.0 + p.id as f64;
+            p.vel = Vec3::new(p.id as f64, -(p.id as f64), 0.5);
+        }
+        let check = |trees: &[paratreet_tree::BuiltTree<KnnData>]| {
+            assert!(trees.iter().filter(|t| !t.particles.is_empty()).count() >= 2);
+            let forest: std::collections::HashMap<u64, &Particle> =
+                trees.iter().flat_map(|t| &t.particles).map(|p| (p.id, p)).collect();
+            for q in forest.values().step_by(17) {
+                let found = knn_query(trees, q.pos + Vec3::splat(1e-3), 12);
+                assert_eq!(found.len(), 12);
+                for n in found {
+                    let p = forest[&n.id];
+                    assert_eq!((n.pos, n.mass, n.vel), (p.pos, p.mass, p.vel), "id {}", n.id);
+                }
+            }
+        };
+        let (mut maintainer, seeded) = TreeMaintainer::<KnnData>::seed(&config, ps, false);
+        check(&seeded);
+        // Drift far enough that buckets are patched and particles migrate.
+        let mut master: Vec<Particle> =
+            seeded.iter().flat_map(|t| t.particles.iter().copied()).collect();
+        for p in &mut master {
+            p.pos += Vec3::new(0.05, -0.03, 0.02) * (1.0 + (p.id % 5) as f64);
+        }
+        let (patched, round) = maintainer.advance(master);
+        assert!(round.stats.n_moved > 0);
+        check(&patched);
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! searches to converge a smoothing length (the baseline in
 //! `paratreet-baselines` implements that slower scheme for Fig. 11).
 
-use crate::knn::{KnnData, KnnVisitor, Neighbor};
+use crate::knn::{KnnData, KnnState, KnnVisitor, Neighbor};
 use paratreet_core::{Configuration, Framework, StepReport, TraversalKind};
 use paratreet_geometry::Vec3;
 use paratreet_particles::Particle;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Cubic-spline (M4) kernel value `W(r, h)` with compact support `2h`
 /// (Monaghan & Lattanzio 1985). Normalised so ∫W dV = 1.
@@ -76,16 +77,103 @@ pub fn density_from_neighbors(
     neighbors: &[Neighbor],
     h_override: Option<f64>,
 ) -> (f64, f64) {
-    let h = h_override
-        .unwrap_or_else(|| neighbors.last().map(|n| n.dist_sq.sqrt() * 0.5).unwrap_or(0.0));
+    let h = h_override.unwrap_or_else(|| smoothing_from(neighbors.last().map(|n| n.dist_sq)));
+    density_sum(mass, h, neighbors.iter().map(|n| (n.mass, n.dist_sq)))
+}
+
+/// `h = r_k / 2` from the farthest neighbour's squared distance.
+fn smoothing_from(farthest_dist_sq: Option<f64>) -> f64 {
+    farthest_dist_sq.map(|d2| d2.sqrt() * 0.5).unwrap_or(0.0)
+}
+
+/// `(h, ρ)` over `(mass, dist_sq)` neighbours in list order.
+fn density_sum(mass: f64, h: f64, neighbors: impl Iterator<Item = (f64, f64)>) -> (f64, f64) {
     if h <= 0.0 {
         return (0.0, 0.0);
     }
     let mut rho = mass * kernel_w(0.0, h);
-    for n in neighbors {
-        rho += n.mass * kernel_w(n.dist_sq.sqrt(), h);
+    for (m, dist_sq) in neighbors {
+        rho += m * kernel_w(dist_sq.sqrt(), h);
     }
     (h, rho)
+}
+
+/// Hashes a particle id with one multiply (Fibonacci hashing). The keys
+/// are the simulation's own particle ids, not input an adversary
+/// shapes; the rotation moves the product's well-mixed high half to the
+/// low bits the table indexes by, so strided ids spread too.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = (self.0 ^ id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+}
+
+/// Every particle's neighbour list in one allocation: a neighbour is
+/// `(dist_sq, j)` with `j` its index in the particle array the table was
+/// gathered against, so mass, position, density and pressure are read
+/// through `j` when a pass needs them.
+#[derive(Clone, Debug, Default)]
+pub struct NeighborTable {
+    /// The lists end to end in bucket order — particle-array order but
+    /// for split leaves — each ascending by `(dist_sq, id)`.
+    entries: Vec<(f64, u32)>,
+    /// `(start, len)` of each particle's list, by particle-array index.
+    runs: Vec<(usize, usize)>,
+}
+
+impl NeighborTable {
+    /// Gathers a kNN traversal's per-bucket states (with the bucket ids
+    /// `Step::bucket_particle_ids` aligned to them) against `particles`.
+    pub fn gather(
+        states: Vec<KnnState>,
+        bucket_ids: Vec<Vec<u64>>,
+        particles: &[Particle],
+    ) -> NeighborTable {
+        assert!(u32::try_from(particles.len()).is_ok(), "neighbour indices are u32");
+        let index_of: HashMap<u64, u32, BuildHasherDefault<IdHasher>> =
+            particles.iter().enumerate().map(|(i, p)| (p.id, i as u32)).collect();
+        let held = states.iter().flat_map(|s| &s.heaps).map(|h| h.len()).sum();
+        let mut entries = Vec::with_capacity(held);
+        let mut runs = vec![(0, 0); particles.len()];
+        for (state, ids) in states.into_iter().zip(bucket_ids) {
+            for (heap, id) in state.heaps.into_iter().zip(ids) {
+                let start = entries.len();
+                entries.extend(heap.into_sorted().iter().map(|c| (c.dist_sq, index_of[&c.id])));
+                runs[index_of[&id] as usize] = (start, entries.len() - start);
+            }
+        }
+        NeighborTable { entries, runs }
+    }
+
+    /// Total neighbour entries held.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when no particle has a neighbour.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Particle `i`'s neighbours as `(dist_sq, particle index)`, nearest
+    /// first.
+    pub fn of(&self, i: usize) -> &[(f64, u32)] {
+        let (start, len) = self.runs[i];
+        &self.entries[start..start + len]
+    }
 }
 
 /// The SPH application driver: kNN density pass plus a pressure-force
@@ -120,53 +208,55 @@ impl SphSimulation {
     /// Runs one density + pressure-force step, writing `smoothing`,
     /// `density`, `pressure`, and hydrodynamic `acc` into the particles.
     pub fn step(&self, fw: &mut Framework<KnnData>) -> SphStepStats {
+        let (table, report) = self.neighbor_table(fw);
+        let particles = fw.particles_mut();
+        self.density_pass(&table, particles);
+        let mean_density = self.pressure_pass(&table, particles);
+        SphStepStats { step: report, neighbor_entries: table.len() as u64, mean_density }
+    }
+
+    /// The kNN traversal of a step, gathered against the framework's
+    /// particles as the step leaves them.
+    pub fn neighbor_table(&self, fw: &mut Framework<KnnData>) -> (NeighborTable, StepReport) {
         let visitor = KnnVisitor { k: self.k };
         let kind = self.kind;
         let ((states, ids), report) = fw.step(|step| {
             let (states, _) = step.traverse(&visitor, kind);
             (states, step.bucket_particle_ids())
         });
+        (NeighborTable::gather(states, ids, fw.particles()), report)
+    }
 
-        // Gather neighbour lists per particle id.
-        let mut lists: HashMap<u64, Vec<Neighbor>> = HashMap::new();
-        let mut neighbor_entries = 0u64;
-        for (state, bucket_ids) in states.into_iter().zip(ids) {
-            for (heap, id) in state.heaps.into_iter().zip(bucket_ids) {
-                let sorted = heap.into_sorted();
-                neighbor_entries += sorted.len() as u64;
-                lists.insert(id, sorted);
-            }
-        }
-
-        // Pass 1: density and pressure per particle.
-        let particles = fw.particles_mut();
-        let mut rho_of: HashMap<u64, (f64, f64)> = HashMap::new(); // id -> (rho, P)
-        for p in particles.iter_mut() {
-            let empty = Vec::new();
-            let nbrs = lists.get(&p.id).unwrap_or(&empty);
-            let (h, rho) = density_from_neighbors(p.mass, nbrs, None);
+    /// Pass 1: smoothing length, density and pressure per particle.
+    pub fn density_pass(&self, table: &NeighborTable, particles: &mut [Particle]) {
+        for i in 0..particles.len() {
+            let nbrs = table.of(i);
+            let h = smoothing_from(nbrs.last().map(|&(dist_sq, _)| dist_sq));
+            let with_mass = nbrs.iter().map(|&(dist_sq, j)| (particles[j as usize].mass, dist_sq));
+            let (h, rho) = density_sum(particles[i].mass, h, with_mass);
+            let p = &mut particles[i];
             p.smoothing = h;
             p.density = rho;
             p.pressure = (self.gamma - 1.0) * rho * p.internal_energy;
-            rho_of.insert(p.id, (rho, p.pressure));
         }
+    }
 
-        // Pass 2: pressure force from the stored neighbour lists
-        // (gather formulation with the target's own h):
-        // aᵢ = −Σⱼ mⱼ (Pᵢ/ρᵢ² + Pⱼ/ρⱼ²) ∇W(rᵢⱼ, hᵢ).
+    /// Pass 2: pressure force from the stored neighbour lists (gather
+    /// formulation with the target's own h):
+    /// aᵢ = −Σⱼ mⱼ (Pᵢ/ρᵢ² + Pⱼ/ρⱼ²) ∇W(rᵢⱼ, hᵢ). Returns the mean density.
+    fn pressure_pass(&self, table: &NeighborTable, particles: &mut [Particle]) -> f64 {
         let mut mean_density = 0.0;
-        for p in particles.iter_mut() {
+        for i in 0..particles.len() {
+            let p = particles[i];
             mean_density += p.density;
-            let empty = Vec::new();
-            let nbrs = lists.get(&p.id).unwrap_or(&empty);
             if p.density <= 0.0 {
                 continue;
             }
             let pi_term = p.pressure / (p.density * p.density);
             let mut acc = Vec3::ZERO;
-            for n in nbrs {
-                let (rho_j, p_j) = match rho_of.get(&n.id) {
-                    Some(&v) if v.0 > 0.0 => v,
+            for &(_, j) in table.of(i) {
+                let n = match &particles[j as usize] {
+                    n if n.density > 0.0 => n,
                     _ => continue,
                 };
                 let dr = p.pos - n.pos;
@@ -175,13 +265,12 @@ impl SphSimulation {
                     continue;
                 }
                 let dw = kernel_dw_dr(r, p.smoothing);
-                let pj_term = p_j / (rho_j * rho_j);
+                let pj_term = n.pressure / (n.density * n.density);
                 acc -= dr * (n.mass * (pi_term + pj_term) * dw / r);
             }
-            p.acc += acc;
+            particles[i].acc += acc;
         }
-        let n = fw.particles().len().max(1);
-        SphStepStats { step: report, neighbor_entries, mean_density: mean_density / n as f64 }
+        mean_density / particles.len().max(1) as f64
     }
 }
 
@@ -292,6 +381,118 @@ mod tests {
         let radial: f64 =
             mid.iter().map(|p| p.acc.dot(p.pos.normalized())).sum::<f64>() / mid.len() as f64;
         assert!(radial > 0.0, "mean radial acceleration {radial} should point outward");
+    }
+
+    /// One SPH step as it ran while every neighbour was a 72-byte
+    /// record: per-id `Vec<Neighbor>` lists and `(ρ, P)` in default
+    /// `HashMap`s. Kept verbatim as the reference `step` must match bit
+    /// for bit; only the records' payloads are now read from the
+    /// particles here, since the heaps no longer carry them.
+    fn reference_step(sim: &SphSimulation, fw: &mut Framework<KnnData>) {
+        let visitor = KnnVisitor { k: sim.k };
+        let kind = sim.kind;
+        let ((states, ids), _) = fw.step(|step| {
+            let (states, _) = step.traverse(&visitor, kind);
+            (states, step.bucket_particle_ids())
+        });
+        let by_id: HashMap<u64, Particle> = fw.particles().iter().map(|p| (p.id, *p)).collect();
+
+        let mut lists: HashMap<u64, Vec<Neighbor>> = HashMap::new();
+        for (state, bucket_ids) in states.into_iter().zip(ids) {
+            for (heap, id) in state.heaps.into_iter().zip(bucket_ids) {
+                let sorted = heap
+                    .into_sorted()
+                    .iter()
+                    .map(|c| {
+                        let p = &by_id[&c.id];
+                        Neighbor {
+                            dist_sq: c.dist_sq,
+                            id: c.id,
+                            pos: p.pos,
+                            mass: p.mass,
+                            vel: p.vel,
+                        }
+                    })
+                    .collect();
+                lists.insert(id, sorted);
+            }
+        }
+
+        let particles = fw.particles_mut();
+        let mut rho_of: HashMap<u64, (f64, f64)> = HashMap::new(); // id -> (rho, P)
+        for p in particles.iter_mut() {
+            let empty = Vec::new();
+            let nbrs = lists.get(&p.id).unwrap_or(&empty);
+            let (h, rho) = density_from_neighbors(p.mass, nbrs, None);
+            p.smoothing = h;
+            p.density = rho;
+            p.pressure = (sim.gamma - 1.0) * rho * p.internal_energy;
+            rho_of.insert(p.id, (rho, p.pressure));
+        }
+
+        for p in particles.iter_mut() {
+            let empty = Vec::new();
+            let nbrs = lists.get(&p.id).unwrap_or(&empty);
+            if p.density <= 0.0 {
+                continue;
+            }
+            let pi_term = p.pressure / (p.density * p.density);
+            let mut acc = Vec3::ZERO;
+            for n in nbrs {
+                let (rho_j, p_j) = match rho_of.get(&n.id) {
+                    Some(&v) if v.0 > 0.0 => v,
+                    _ => continue,
+                };
+                let dr = p.pos - n.pos;
+                let r = dr.norm();
+                if r == 0.0 {
+                    continue;
+                }
+                let dw = kernel_dw_dr(r, p.smoothing);
+                let pj_term = p_j / (rho_j * rho_j);
+                acc -= dr * (n.mass * (pi_term + pj_term) * dw / r);
+            }
+            p.acc += acc;
+        }
+    }
+
+    #[test]
+    fn step_matches_the_record_list_reference_bit_for_bit() {
+        let mut coincident = gen::clustered(300, 3, 41, 1.0, 1.0);
+        coincident[1].pos = coincident[0].pos;
+        let cases = [
+            ("clustered", gen::clustered(2000, 3, 17, 1.0, 1.0), 32),
+            ("exact lattice, tied distances", gen::perturbed_lattice(729, 7, 0.5, 0.0), 32),
+            ("fewer particles than k", gen::uniform_cube(20, 5, 1.0, 1.0), 32),
+            ("two coincident particles", coincident, 16),
+        ];
+        for (name, mut particles, k) in cases {
+            for (i, p) in particles.iter_mut().enumerate() {
+                p.internal_energy = 1.0 + (i % 3) as f64;
+            }
+            let config = Configuration {
+                bucket_size: 12,
+                n_subtrees: 4,
+                n_partitions: 3,
+                ..Default::default()
+            };
+            let sim = SphSimulation { k, ..Default::default() };
+            let mut fw = sph_framework(config.clone(), particles.clone());
+            let mut reference = sph_framework(config, particles);
+            let stats = sim.step(&mut fw);
+            reference_step(&sim, &mut reference);
+            let n = fw.particles().len();
+            assert_eq!(stats.neighbor_entries, (n * k.min(n - 1)) as u64, "{name}");
+            for (got, want) in fw.particles().iter().zip(reference.particles()) {
+                assert_eq!(got.id, want.id, "{name}");
+                let bits = |p: &Particle| {
+                    [p.smoothing, p.density, p.pressure, p.acc.x, p.acc.y, p.acc.z]
+                        .map(f64::to_bits)
+                };
+                assert_eq!(bits(got), bits(want), "{name}: particle {}", got.id);
+            }
+            assert!(fw.particles().iter().any(|p| p.acc != Vec3::ZERO), "{name}: forces acted");
+        }
     }
 
     #[test]

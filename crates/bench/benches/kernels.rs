@@ -9,15 +9,25 @@
 //! gather and write-back included: one iteration is 61 440
 //! particle–node interactions (node rows) or 983 040 particle–particle
 //! interactions (leaf rows).
+//!
+//! The kNN rows time the candidate set alone on what a k = 32 search
+//! accepts: in situ (`sph_knn`) a particle's heap takes 84 offers that
+//! pass `d² < bound` — 32 fill it, 52 replace its top. `knn_offer_k32_fill`
+//! is the 32, `knn_offer_k32_steady` all 84, over 1 024 heaps;
+//! `sph_density_pass_k32` is SPH's density pass over a gathered
+//! neighbour table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paratreet_apps::gravity::{
     apply_leaf, apply_node, grav_approx, grav_exact, CentroidData, NodeMoments,
 };
-use paratreet_apps::sph::{kernel_dw_dr, kernel_w};
+use paratreet_apps::knn::KnnHeap;
+use paratreet_apps::sph::{kernel_dw_dr, kernel_w, sph_framework, SphSimulation};
+use paratreet_core::Configuration;
 use paratreet_geometry::{BoundingBox, Vec3};
 use paratreet_particles::gen;
 use paratreet_tree::Data;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::hint::black_box;
 
 fn bench_gravity_kernels(c: &mut Criterion) {
@@ -117,5 +127,60 @@ fn bench_data_accumulation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_gravity_kernels, bench_data_accumulation);
+/// The first `accepts` offers a k-heap accepts out of a stream of
+/// uniformly random squared distances.
+fn accepted_offers(rng: &mut StdRng, k: usize, accepts: usize) -> Vec<(f64, u64)> {
+    let mut heap: KnnHeap = KnnHeap::new(k);
+    let mut out = Vec::with_capacity(accepts);
+    let mut id = 0;
+    while out.len() < accepts {
+        let dist_sq = rng.random_range(0.0..1.0);
+        if dist_sq < heap.bound() {
+            heap.offer(dist_sq, id, ());
+            out.push((dist_sq, id));
+        }
+        id += 1;
+    }
+    out
+}
+
+fn bench_knn_kernels(c: &mut Criterion) {
+    const K: usize = 32;
+    const ACCEPTS: usize = 84;
+    let mut group = c.benchmark_group("kernels");
+    let mut rng = StdRng::seed_from_u64(11);
+    let streams: Vec<Vec<(f64, u64)>> =
+        (0..1024).map(|_| accepted_offers(&mut rng, K, ACCEPTS)).collect();
+    for (name, offers) in [("knn_offer_k32_fill", K), ("knn_offer_k32_steady", ACCEPTS)] {
+        group.throughput(criterion::Throughput::Elements((streams.len() * offers) as u64));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut bounds = 0.0;
+                for stream in &streams {
+                    let mut heap: KnnHeap = KnnHeap::new(K);
+                    for &(dist_sq, id) in &stream[..offers] {
+                        heap.offer(dist_sq, id, ());
+                    }
+                    bounds += heap.bound();
+                }
+                black_box(bounds)
+            })
+        });
+    }
+
+    let sim = SphSimulation { k: K, ..Default::default() };
+    let mut particles = gen::clustered(8192, 4, 17, 1.0, 1.0);
+    for p in &mut particles {
+        p.internal_energy = 1.0;
+    }
+    let mut fw = sph_framework(Configuration::default(), particles);
+    let (table, _) = sim.neighbor_table(&mut fw);
+    group.throughput(criterion::Throughput::Elements(table.len() as u64));
+    group.bench_function("sph_density_pass_k32", |b| {
+        b.iter(|| sim.density_pass(black_box(&table), fw.particles_mut()))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_gravity_kernels, bench_knn_kernels, bench_data_accumulation);
 criterion_main!(benches);

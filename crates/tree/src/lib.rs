@@ -29,6 +29,6 @@ pub mod update;
 pub use build::TreeBuilder;
 pub use data::{CountData, Data};
 pub use node::{BuildNode, BuiltTree, NodeIdx, NodeShape};
-pub use query::{KnnHeap, Neighbor, QueryScratch, RayHit};
+pub use query::{Candidate, KnnHeap, Neighbor, QueryScratch, RayHit};
 pub use types::TreeType;
 pub use update::{Classified, RepairReport, UpdatableTree, UpdateError, UpdateStats};

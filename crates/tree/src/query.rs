@@ -17,9 +17,12 @@
 use crate::node::{BuiltTree, NodeIdx};
 use crate::Data;
 use paratreet_geometry::{BoundingBox, Vec3};
+use paratreet_particles::Particle;
 use std::collections::BinaryHeap;
 
-/// One neighbour candidate.
+/// One neighbour of a query point, as the kernels *return* it: the
+/// payload fields are read from the particle once per result, never
+/// while a search is still sorting candidates.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Neighbor {
     /// Squared distance to the query point.
@@ -34,61 +37,97 @@ pub struct Neighbor {
     pub vel: Vec3,
 }
 
-/// Max-heap entry ordered by distance.
-#[derive(Clone, Copy, Debug)]
-struct HeapEntry(Neighbor);
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, o: &Self) -> bool {
-        self.0.dist_sq == o.0.dist_sq && self.0.id == o.0.id
+impl Neighbor {
+    fn of(p: &Particle, dist_sq: f64) -> Neighbor {
+        Neighbor { dist_sq, id: p.id, pos: p.pos, mass: p.mass, vel: p.vel }
     }
 }
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
+
+/// One kNN candidate: the key a search orders by, plus an opaque handle
+/// the caller resolves to the particle's payload after the search
+/// (`()` when the id is all it needs).
+///
+/// Candidates compare as the integer pair `(dist_sq.to_bits(), id)`,
+/// packed into one `u128`; the handle takes no part. For a squared
+/// distance — a sum of squares, never negative, never `-0.0`, never NaN
+/// — the bit pattern orders as the number does, so this is "nearer
+/// first, ties by id" at the cost of one branch-free integer compare
+/// where `total_cmp(..).then(id.cmp(..))` puts two branches in the sift.
+#[derive(Clone, Copy, Debug)]
+pub struct Candidate<H = ()> {
+    /// Squared distance to the query point (`>= +0.0`).
+    pub dist_sq: f64,
+    /// Candidate's particle id.
+    pub id: u64,
+    /// Whatever finds the particle again.
+    pub handle: H,
+}
+
+impl<H> Candidate<H> {
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.dist_sq.to_bits()) << 64) | u128::from(self.id)
+    }
+}
+
+impl<H> PartialEq for Candidate<H> {
+    fn eq(&self, o: &Self) -> bool {
+        self.key() == o.key()
+    }
+}
+impl<H> Eq for Candidate<H> {}
+impl<H> PartialOrd for Candidate<H> {
     fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(o))
     }
 }
-impl Ord for HeapEntry {
+impl<H> Ord for Candidate<H> {
+    #[inline]
     fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-        self.0.dist_sq.total_cmp(&o.0.dist_sq).then(self.0.id.cmp(&o.0.id))
+        self.key().cmp(&o.key())
     }
 }
 
 /// A bounded max-heap holding the k best candidates seen so far.
 #[derive(Clone, Debug, Default)]
-pub struct KnnHeap {
+pub struct KnnHeap<H = ()> {
     k: usize,
-    heap: BinaryHeap<HeapEntry>,
+    heap: BinaryHeap<Candidate<H>>,
 }
 
-impl KnnHeap {
+impl<H> KnnHeap<H> {
     /// An empty heap with capacity `k`.
-    pub fn new(k: usize) -> KnnHeap {
-        KnnHeap { k, heap: BinaryHeap::with_capacity(k + 1) }
+    pub fn new(k: usize) -> KnnHeap<H> {
+        KnnHeap { k, heap: BinaryHeap::with_capacity(k) }
     }
 
-    /// Offers a candidate; keeps only the k nearest.
+    /// Offers a candidate; keeps only the k nearest. One nearer than
+    /// the current k-th replaces it in place (one sift).
     #[inline]
-    pub fn offer(&mut self, n: Neighbor) {
+    pub fn offer(&mut self, dist_sq: f64, id: u64, handle: H) {
+        debug_assert!(
+            dist_sq >= 0.0 && dist_sq.is_sign_positive(),
+            "candidate keys order by bit pattern: {dist_sq} is not a squared distance"
+        );
+        let candidate = Candidate { dist_sq, id, handle };
         if self.heap.len() < self.k {
-            self.heap.push(HeapEntry(n));
-        } else if let Some(top) = self.heap.peek() {
-            if n.dist_sq < top.0.dist_sq {
-                self.heap.pop();
-                self.heap.push(HeapEntry(n));
+            self.heap.push(candidate);
+        } else if let Some(mut top) = self.heap.peek_mut() {
+            if dist_sq < top.dist_sq {
+                *top = candidate;
             }
         }
     }
 
     /// The current pruning bound: the k-th best squared distance, or
-    /// infinity while fewer than k candidates are known.
+    /// infinity while fewer than k candidates are known. A zero-capacity
+    /// heap reads 0 — nothing can be nearer than that.
     #[inline]
     pub fn bound(&self) -> f64 {
         if self.heap.len() < self.k {
             f64::INFINITY
         } else {
-            self.heap.peek().map_or(f64::INFINITY, |e| e.0.dist_sq)
+            self.heap.peek().map_or(0.0, |c| c.dist_sq)
         }
     }
 
@@ -103,10 +142,10 @@ impl KnnHeap {
     }
 
     /// Drains into ascending-distance order (ties broken by id).
-    pub fn into_sorted(self) -> Vec<Neighbor> {
-        let mut v: Vec<Neighbor> = self.heap.into_iter().map(|e| e.0).collect();
-        v.sort_by(|a, b| a.dist_sq.total_cmp(&b.dist_sq).then(a.id.cmp(&b.id)));
-        v
+    pub fn into_sorted(self) -> Vec<Candidate<H>> {
+        let mut sorted = self.heap.into_vec();
+        sorted.sort_unstable();
+        sorted
     }
 }
 
@@ -123,11 +162,19 @@ pub struct RayHit {
     pub pos: Vec3,
 }
 
+/// Where `knn_query_with` finds a candidate's particle again:
+/// `(tree index, index into that tree's particle arena)`.
+type ArenaSlot = (u32, u32);
+
 /// Reusable traversal scratch: workers answering query streams keep one
-/// per thread so batched queries share the descent stack allocation.
+/// per thread, so a stream of queries allocates only its results.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     stack: Vec<NodeIdx>,
+    /// kNN: non-empty subtrees as `(root-region distance, index)`.
+    order: Vec<(f64, usize)>,
+    /// kNN: the candidate heap's buffer between queries.
+    candidates: Vec<Candidate<ArenaSlot>>,
 }
 
 /// The subtree whose root region a point falls in (nearest root region
@@ -154,19 +201,6 @@ pub fn entry_subtree<D: Data>(trees: &[BuiltTree<D>], pos: Vec3) -> usize {
     best
 }
 
-/// Subtree visit order for a point query: the entry subtree first, then
-/// the rest by ascending root-region distance (ties by index).
-fn subtree_order<D: Data>(trees: &[BuiltTree<D>], pos: Vec3) -> Vec<usize> {
-    let mut order: Vec<(f64, usize)> = trees
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !t.nodes.is_empty() && t.root().n_particles > 0)
-        .map(|(i, t)| (t.root().bbox.dist_sq_to(pos), i))
-        .collect();
-    order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    order.into_iter().map(|(_, i)| i).collect()
-}
-
 /// The k nearest particles to `pos` across the forest, ascending by
 /// distance (ties by id). Unlike the simulation-internal kNN visitor,
 /// the query point is external: no particle is excluded.
@@ -181,16 +215,29 @@ pub fn knn_query_with<D: Data>(
     k: usize,
     scratch: &mut QueryScratch,
 ) -> Vec<Neighbor> {
-    let mut heap = KnnHeap::new(k);
-    if k == 0 {
-        return Vec::new();
+    // Subtree visit order: ascending root-region distance (ties by
+    // index), which puts the entry subtree first.
+    let QueryScratch { stack, order, candidates } = scratch;
+    order.clear();
+    let mut population = 0usize;
+    for (ti, tree) in trees.iter().enumerate() {
+        if !tree.nodes.is_empty() && tree.root().n_particles > 0 {
+            order.push((tree.root().bbox.dist_sq_to(pos), ti));
+            population += tree.root().n_particles as usize;
+        }
     }
-    for ti in subtree_order(trees, pos) {
-        let tree = &trees[ti];
-        if tree.root().bbox.dist_sq_to(pos) >= heap.bound() {
+    order.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+    let mut buffer = std::mem::take(candidates);
+    buffer.clear();
+    // A caller's k is not a size to trust: no answer is longer than the forest.
+    buffer.reserve(k.min(population));
+    let mut heap = KnnHeap { k, heap: BinaryHeap::from(buffer) };
+    for &(root_dist_sq, ti) in order.iter() {
+        if root_dist_sq >= heap.bound() {
             continue;
         }
-        let stack = &mut scratch.stack;
+        let tree = &trees[ti];
         stack.clear();
         stack.push(0);
         while let Some(i) = stack.pop() {
@@ -198,17 +245,11 @@ pub fn knn_query_with<D: Data>(
             if node.n_particles == 0 || node.bbox.dist_sq_to(pos) >= heap.bound() {
                 continue;
             }
-            if node.is_leaf() {
-                for p in tree.bucket(i) {
+            if let Some(range) = node.bucket_range() {
+                for (pi, p) in range.clone().zip(&tree.particles[range]) {
                     let d2 = p.pos.dist_sq(pos);
                     if d2 < heap.bound() {
-                        heap.offer(Neighbor {
-                            dist_sq: d2,
-                            id: p.id,
-                            pos: p.pos,
-                            mass: p.mass,
-                            vel: p.vel,
-                        });
+                        heap.offer(d2, p.id, (ti as u32, pi as u32));
                     }
                 }
                 continue;
@@ -230,7 +271,16 @@ pub fn knn_query_with<D: Data>(
             }
         }
     }
-    heap.into_sorted()
+    // Payloads are read once per result, from the arenas the handles name.
+    let sorted = heap.into_sorted();
+    let found = sorted
+        .iter()
+        .map(|c| {
+            Neighbor::of(&trees[c.handle.0 as usize].particles[c.handle.1 as usize], c.dist_sq)
+        })
+        .collect();
+    *candidates = sorted;
+    found
 }
 
 /// Every particle within `radius` of `center`, ascending by distance
@@ -264,13 +314,7 @@ pub fn ball_query_with<D: Data>(
                 for p in tree.bucket(i) {
                     let d2 = p.pos.dist_sq(center);
                     if d2 <= r2 {
-                        out.push(Neighbor {
-                            dist_sq: d2,
-                            id: p.id,
-                            pos: p.pos,
-                            mass: p.mass,
-                            vel: p.vel,
-                        });
+                        out.push(Neighbor::of(p, d2));
                     }
                 }
             } else {
@@ -469,6 +513,107 @@ mod tests {
             let got_ids: Vec<u64> = got.iter().map(|n| n.id).collect();
             assert_eq!(got_ids, want, "query {qi}");
             assert!(got.windows(2).all(|w| w[0].dist_sq <= w[1].dist_sq));
+        }
+    }
+
+    /// The candidate set as it was while candidates were records: full
+    /// entries ordered by `total_cmp` then id, `pop` + `push` to replace.
+    struct ModelEntry(Neighbor);
+    impl PartialEq for ModelEntry {
+        fn eq(&self, o: &Self) -> bool {
+            self.cmp(o).is_eq()
+        }
+    }
+    impl Eq for ModelEntry {}
+    impl PartialOrd for ModelEntry {
+        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(o))
+        }
+    }
+    impl Ord for ModelEntry {
+        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
+            self.0.dist_sq.total_cmp(&o.0.dist_sq).then(self.0.id.cmp(&o.0.id))
+        }
+    }
+    struct ModelHeap {
+        k: usize,
+        heap: BinaryHeap<ModelEntry>,
+    }
+    impl ModelHeap {
+        fn offer(&mut self, n: Neighbor) {
+            if self.heap.len() < self.k {
+                self.heap.push(ModelEntry(n));
+            } else if let Some(top) = self.heap.peek() {
+                if n.dist_sq < top.0.dist_sq {
+                    self.heap.pop();
+                    self.heap.push(ModelEntry(n));
+                }
+            }
+        }
+        /// As the record heap answered, but for k = 0, where nothing
+        /// can be nearer than "no neighbours": 0, not ∞.
+        fn bound(&self) -> f64 {
+            if self.k == 0 {
+                0.0
+            } else if self.heap.len() < self.k {
+                f64::INFINITY
+            } else {
+                self.heap.peek().map_or(f64::INFINITY, |e| e.0.dist_sq)
+            }
+        }
+        fn into_sorted(self) -> Vec<Neighbor> {
+            let mut v: Vec<Neighbor> = self.heap.into_iter().map(|e| e.0).collect();
+            v.sort_by(|a, b| a.dist_sq.total_cmp(&b.dist_sq).then(a.id.cmp(&b.id)));
+            v
+        }
+    }
+
+    #[test]
+    fn key_heap_matches_record_heap_model() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(2022);
+        for k in [0usize, 1, 2, 8, 32] {
+            // Streams shorter than k, about k, and several times k.
+            for len in [0, k / 2, k, k + 1, 3 * k + 5, 200] {
+                for ids_ascending in [true, false] {
+                    let mut heap: KnnHeap = KnnHeap::new(k);
+                    let mut model = ModelHeap { k, heap: BinaryHeap::new() };
+                    for i in 0..len as u64 {
+                        // A dozen distinct distances (0 among them), so
+                        // ties meet ids in both orders.
+                        let dist_sq = rng.random_range(0u32..12) as f64 * 0.25;
+                        let id = if ids_ascending { i } else { len as u64 - i };
+                        heap.offer(dist_sq, id, ());
+                        model.offer(Neighbor {
+                            dist_sq,
+                            id,
+                            pos: Vec3::ZERO,
+                            mass: 1.0,
+                            vel: Vec3::ZERO,
+                        });
+                        assert_eq!(heap.bound().to_bits(), model.bound().to_bits(), "k {k} #{i}");
+                        assert_eq!(heap.len(), model.heap.len());
+                    }
+                    let got: Vec<(u64, u64)> =
+                        heap.into_sorted().iter().map(|c| (c.dist_sq.to_bits(), c.id)).collect();
+                    let want: Vec<(u64, u64)> =
+                        model.into_sorted().iter().map(|n| (n.dist_sq.to_bits(), n.id)).collect();
+                    assert_eq!(got, want, "k {k}, {len} offers, ascending ids {ids_ascending}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn knn_with_reused_scratch_matches_fresh_queries() {
+        let (trees, ps) = forest(400, 23);
+        let mut scratch = QueryScratch::default();
+        // k = 0, k beyond the forest and an absurd k all share the scratch.
+        for (qi, k) in [6usize, 0, 40, 3, 1000, usize::MAX, 1].into_iter().enumerate() {
+            let pos = ps[qi * 31].pos + Vec3::splat(1e-3);
+            let got = knn_query_with(&trees, pos, k, &mut scratch);
+            assert_eq!(got, knn_query(&trees, pos, k), "k {k}");
+            assert_eq!(got.len(), k.min(ps.len()));
         }
     }
 

@@ -19,6 +19,11 @@ echo "== kernel identity + allocation tests, optimised (the build the benchmark 
 cargo test --release -q -p paratreet-apps --lib lane_kernels
 cargo test --release -q --test gravity_accuracy bucket_kernels
 cargo test --release -q --test traversal_scratch
+# kNN/SPH data path: key heap == record-heap model, SPH step == the
+# record-list reference bit for bit, query payloads read through handles.
+cargo test --release -q -p paratreet-tree --lib key_heap_matches_record_heap_model
+cargo test --release -q -p paratreet-apps --lib -- \
+    step_matches_the_record_list_reference query_neighbors_carry_their_particles_payload
 
 echo "== every unsafe under crates/apps/src sits under a // SAFETY: comment =="
 awk 'FNR == 1 { prev = "" } /unsafe/ && !/^[[:space:]]*\/\// && prev !~ /\/\/ SAFETY:/ { print FILENAME ":" FNR ": " $0; bad = 1 } { prev = $0 } END { exit bad }' \
