@@ -15,6 +15,7 @@ use crate::knn::{KnnData, KnnState, KnnVisitor, Neighbor};
 use paratreet_core::{Configuration, Framework, StepReport, TraversalKind};
 use paratreet_geometry::Vec3;
 use paratreet_particles::Particle;
+use rayon::prelude::*;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -145,16 +146,41 @@ impl NeighborTable {
         assert!(u32::try_from(particles.len()).is_ok(), "neighbour indices are u32");
         let index_of: HashMap<u64, u32, BuildHasherDefault<IdHasher>> =
             particles.iter().enumerate().map(|(i, p)| (p.id, i as u32)).collect();
+        // The lists lie end to end in bucket order, so every run and the
+        // stretch of `entries` each bucket fills are known up front.
         let held = states.iter().flat_map(|s| &s.heaps).map(|h| h.len()).sum();
-        let mut entries = Vec::with_capacity(held);
+        let mut entries = vec![(0.0, 0u32); held];
         let mut runs = vec![(0, 0); particles.len()];
-        for (state, ids) in states.into_iter().zip(bucket_ids) {
-            for (heap, id) in state.heaps.into_iter().zip(ids) {
-                let start = entries.len();
-                entries.extend(heap.into_sorted().iter().map(|c| (c.dist_sq, index_of[&c.id])));
-                runs[index_of[&id] as usize] = (start, entries.len() - start);
+        let mut stretches: Vec<(&KnnState, &mut [(f64, u32)])> = Vec::with_capacity(states.len());
+        let mut unfilled = entries.as_mut_slice();
+        let mut start = 0;
+        for (state, ids) in states.iter().zip(&bucket_ids) {
+            let bucket_start = start;
+            for (heap, id) in state.heaps.iter().zip(ids) {
+                runs[index_of[id] as usize] = (start, heap.len());
+                start += heap.len();
             }
+            let (stretch, rest) = std::mem::take(&mut unfilled).split_at_mut(start - bucket_start);
+            unfilled = rest;
+            stretches.push((state, stretch));
         }
+        // Buckets sort and resolve their lists in parallel, each into its
+        // own stretch. The heaps are read, not consumed: two threads
+        // freeing 50 000 of them at once spend longer in the allocator
+        // than sorting, so they are dropped afterwards, by the caller.
+        stretches.into_par_iter().for_each(|(state, stretch)| {
+            let mut sorted = Vec::new();
+            let mut filled = 0;
+            for heap in &state.heaps {
+                sorted.clear();
+                sorted.extend_from_slice(heap.candidates());
+                sorted.sort_unstable();
+                for (slot, c) in stretch[filled..].iter_mut().zip(&sorted) {
+                    *slot = (c.dist_sq, index_of[&c.id]);
+                }
+                filled += sorted.len();
+            }
+        });
         NeighborTable { entries, runs }
     }
 
@@ -227,14 +253,21 @@ impl SphSimulation {
         (NeighborTable::gather(states, ids, fw.particles()), report)
     }
 
-    /// Pass 1: smoothing length, density and pressure per particle.
+    /// Pass 1: smoothing length, density and pressure per particle —
+    /// computed in parallel from the masses, applied in index order.
     pub fn density_pass(&self, table: &NeighborTable, particles: &mut [Particle]) {
-        for i in 0..particles.len() {
-            let nbrs = table.of(i);
-            let h = smoothing_from(nbrs.last().map(|&(dist_sq, _)| dist_sq));
-            let with_mass = nbrs.iter().map(|&(dist_sq, j)| (particles[j as usize].mass, dist_sq));
-            let (h, rho) = density_sum(particles[i].mass, h, with_mass);
-            let p = &mut particles[i];
+        let read: &[Particle] = particles;
+        let computed: Vec<(f64, f64)> = read
+            .par_iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let nbrs = table.of(i);
+                let h = smoothing_from(nbrs.last().map(|&(dist_sq, _)| dist_sq));
+                let with_mass = nbrs.iter().map(|&(dist_sq, j)| (read[j as usize].mass, dist_sq));
+                density_sum(p.mass, h, with_mass)
+            })
+            .collect();
+        for (p, (h, rho)) in particles.iter_mut().zip(computed) {
             p.smoothing = h;
             p.density = rho;
             p.pressure = (self.gamma - 1.0) * rho * p.internal_energy;
@@ -243,32 +276,43 @@ impl SphSimulation {
 
     /// Pass 2: pressure force from the stored neighbour lists (gather
     /// formulation with the target's own h):
-    /// aᵢ = −Σⱼ mⱼ (Pᵢ/ρᵢ² + Pⱼ/ρⱼ²) ∇W(rᵢⱼ, hᵢ). Returns the mean density.
+    /// aᵢ = −Σⱼ mⱼ (Pᵢ/ρᵢ² + Pⱼ/ρⱼ²) ∇W(rᵢⱼ, hᵢ), computed in parallel
+    /// and added in index order. Returns the mean density.
     fn pressure_pass(&self, table: &NeighborTable, particles: &mut [Particle]) -> f64 {
-        let mut mean_density = 0.0;
-        for i in 0..particles.len() {
-            let p = particles[i];
-            mean_density += p.density;
-            if p.density <= 0.0 {
-                continue;
-            }
-            let pi_term = p.pressure / (p.density * p.density);
-            let mut acc = Vec3::ZERO;
-            for &(_, j) in table.of(i) {
-                let n = match &particles[j as usize] {
-                    n if n.density > 0.0 => n,
-                    _ => continue,
-                };
-                let dr = p.pos - n.pos;
-                let r = dr.norm();
-                if r == 0.0 {
-                    continue;
+        let read: &[Particle] = particles;
+        // `None` for a particle without density: its `acc` is not touched.
+        let computed: Vec<Option<Vec3>> = read
+            .par_iter()
+            .enumerate()
+            .map(|(i, p)| {
+                if p.density <= 0.0 {
+                    return None;
                 }
-                let dw = kernel_dw_dr(r, p.smoothing);
-                let pj_term = n.pressure / (n.density * n.density);
-                acc -= dr * (n.mass * (pi_term + pj_term) * dw / r);
+                let pi_term = p.pressure / (p.density * p.density);
+                let mut acc = Vec3::ZERO;
+                for &(_, j) in table.of(i) {
+                    let n = match &read[j as usize] {
+                        n if n.density > 0.0 => n,
+                        _ => continue,
+                    };
+                    let dr = p.pos - n.pos;
+                    let r = dr.norm();
+                    if r == 0.0 {
+                        continue;
+                    }
+                    let dw = kernel_dw_dr(r, p.smoothing);
+                    let pj_term = n.pressure / (n.density * n.density);
+                    acc -= dr * (n.mass * (pi_term + pj_term) * dw / r);
+                }
+                Some(acc)
+            })
+            .collect();
+        let mut mean_density = 0.0;
+        for (p, acc) in particles.iter_mut().zip(computed) {
+            mean_density += p.density;
+            if let Some(acc) = acc {
+                p.acc += acc;
             }
-            particles[i].acc += acc;
         }
         mean_density / particles.len().max(1) as f64
     }

@@ -868,8 +868,9 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
             }
         }
 
-        // Phase 1: decomposition tasks — the per-rank sort parallelises
-        // over the rank's workers (rayon in the real engine). On an
+        // Phase 1: decomposition tasks — the model spreads the per-rank
+        // sort over the rank's workers (the real engines' decomposition
+        // sort is one serial `sort_by_sfc_key`, not a region). On an
         // incremental advance the sort is replaced by the maintainer's
         // classify/resync sweep: linear in the rank's particles, charged
         // to the incremental-update phase.

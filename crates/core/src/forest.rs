@@ -43,9 +43,10 @@ use paratreet_tree::node::NO_NODE;
 use paratreet_tree::{BuildNode, BuiltTree, Data, NodeIdx, NodeShape, TreeType};
 
 use crate::config::Configuration;
-use crate::decomp::{decompose_within, universe_for, Decomposition, Partitioner};
+use crate::decomp::{decompose_within, universe_for, Decomposition, Partitioner, SubtreePiece};
 use crate::maintain::{MaintainRound, TreeMaintainer, UpdateTotals};
-use crate::pipeline::build_piece;
+use crate::pipeline::build_pieces;
+use rayon::prelude::*;
 
 // ---------------------------------------------------------------------
 // Domain specification.
@@ -264,17 +265,11 @@ impl Forest {
         config: &Configuration,
         parallel: bool,
     ) -> Vec<Vec<BuiltTree<D>>> {
-        self.decomps
-            .iter()
-            .map(|d| {
-                d.subtrees
-                    .iter()
-                    .map(|p| {
-                        build_piece(p.key, p.depth, p.bbox, p.particles.clone(), config, parallel)
-                    })
-                    .collect()
-            })
-            .collect()
+        // One region over every (box, piece) pair, regrouped by box.
+        let pieces: Vec<SubtreePiece> =
+            self.decomps.iter().flat_map(|d| d.subtrees.iter().cloned()).collect();
+        let mut built = build_pieces(pieces, config, parallel).into_iter();
+        self.decomps.iter().map(|d| built.by_ref().take(d.subtrees.len()).collect()).collect()
     }
 }
 
@@ -344,22 +339,25 @@ pub fn decompose_forest(
 ) -> Forest {
     let (boxes, period, buckets) = assign_to_boxes(particles, config, spec);
     let cfg = per_box_config(config, boxes.len());
-    let mut n_owned = Vec::with_capacity(boxes.len());
-    let mut decomps = Vec::with_capacity(boxes.len());
-    for (bbox, bucket) in boxes.iter().zip(buckets) {
-        n_owned.push(bucket.len());
-        if bucket.is_empty() {
-            decomps.push(Decomposition {
-                universe: *bbox,
-                subtrees: Vec::new(),
-                partitioner: Partitioner::default(),
-                n_partitions: cfg.n_partitions,
-            });
-        } else {
-            let universe = box_universe(*bbox, &bucket, config);
-            decomps.push(decompose_within(bucket, &cfg, universe));
-        }
-    }
+    let n_owned: Vec<usize> = buckets.iter().map(Vec::len).collect();
+    // Boxes are independent; results come back in box order.
+    let per_box: Vec<(BoundingBox, Vec<Particle>)> = boxes.iter().copied().zip(buckets).collect();
+    let decomps: Vec<Decomposition> = per_box
+        .into_par_iter()
+        .map(|(bbox, bucket)| {
+            if bucket.is_empty() {
+                Decomposition {
+                    universe: bbox,
+                    subtrees: Vec::new(),
+                    partitioner: Partitioner::default(),
+                    n_partitions: cfg.n_partitions,
+                }
+            } else {
+                let universe = box_universe(bbox, &bucket, config);
+                decompose_within(bucket, &cfg, universe)
+            }
+        })
+        .collect();
     let routes = compute_routes(&boxes, &period);
     Forest { spec: spec.clone(), boxes, period, decomps, n_owned, routes }
 }

@@ -47,6 +47,7 @@ use paratreet_geometry::{BoundingBox, NodeKey, Vec3};
 use paratreet_particles::Particle;
 use paratreet_telemetry::metrics::{MetricSource, MetricsRegistry};
 use paratreet_tree::{BuiltTree, Data, UpdatableTree, UpdateError, UpdateStats};
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 /// Cumulative `tree.update.*` counters over the life of a maintainer.
@@ -147,16 +148,15 @@ pub(crate) fn partition_imbalance(loads: &[u64]) -> f64 {
     *loads.iter().max().expect("non-empty loads") as f64 / mean
 }
 
-/// Runs `f(index, item, arg)` over the zipped items on up to `threads`
-/// scoped OS threads (the workspace `rayon` is a sequential shim, so
-/// real parallelism comes from `std::thread`). Items are chunked
-/// contiguously and results are returned in index order, so the output
-/// — and everything downstream — is independent of thread count.
+/// Runs `f(item, arg)` over the zipped items as one parallel region
+/// pinned to `threads` threads (0 = the host's parallelism). Results
+/// come back in item order, so the output — and everything downstream —
+/// is independent of thread count.
 fn par_map_mut<T, U, R>(
     threads: usize,
     items: &mut [T],
     args: Vec<U>,
-    f: impl Fn(usize, &mut T, U) -> R + Sync,
+    f: impl Fn(&mut T, U) -> R + Sync + Send,
 ) -> Vec<R>
 where
     T: Send,
@@ -164,35 +164,12 @@ where
     R: Send,
 {
     debug_assert_eq!(items.len(), args.len());
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter_mut().zip(args).enumerate().map(|(i, (t, a))| f(i, t, a)).collect();
-    }
-    let chunk = items.len().div_ceil(threads.min(items.len()));
-    let mut arg_chunks: Vec<Vec<U>> = Vec::new();
-    let mut rest = args;
-    while rest.len() > chunk {
-        let tail = rest.split_off(chunk);
-        arg_chunks.push(std::mem::replace(&mut rest, tail));
-    }
-    arg_chunks.push(rest);
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        let mut base = 0usize;
-        for (items_chunk, args_chunk) in items.chunks_mut(chunk).zip(arg_chunks) {
-            let f = &f;
-            let start = base;
-            base += items_chunk.len();
-            handles.push(s.spawn(move || {
-                items_chunk
-                    .iter_mut()
-                    .zip(args_chunk)
-                    .enumerate()
-                    .map(|(k, (t, a))| f(start + k, t, a))
-                    .collect::<Vec<R>>()
-            }));
-        }
-        handles.into_iter().flat_map(|h| h.join().expect("maintenance worker panicked")).collect()
-    })
+    let pairs: Vec<(&mut T, U)> = items.iter_mut().zip(args).collect();
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("the thread pool builds")
+        .install(|| pairs.into_par_iter().map(|(item, arg)| f(item, arg)).collect())
 }
 
 /// Maintains the global tree across iterations for one engine. Seeded
@@ -206,9 +183,10 @@ pub struct TreeMaintainer<D: Data> {
     partitioner: Partitioner,
     n_partitions: usize,
     totals: UpdateTotals,
-    /// Rayon-style parallelism for the seed/rebuild builder paths.
+    /// Parallel regions for the seed/rebuild builder paths.
     parallel: bool,
-    /// Scoped-thread count for the batch classify/apply/flatten phases.
+    /// Thread count pinned for the batch classify/apply/flatten phases
+    /// (0 = the host's parallelism).
     threads: usize,
 }
 
@@ -225,14 +203,7 @@ impl<D: Data> TreeMaintainer<D> {
         particles: Vec<Particle>,
         parallel: bool,
     ) -> (TreeMaintainer<D>, Vec<BuiltTree<D>>) {
-        let threads = if parallel {
-            match config.incremental.batch_threads {
-                0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-                t => t,
-            }
-        } else {
-            1
-        };
+        let threads = if parallel { config.incremental.batch_threads } else { 1 };
         let mut m = TreeMaintainer {
             config: config.clone(),
             universe: BoundingBox::empty(),
@@ -391,8 +362,7 @@ impl<D: Data> TreeMaintainer<D> {
             off += c;
         }
         debug_assert_eq!(off, master.len());
-        let classified =
-            par_map_mut(self.threads, &mut self.trees, slices, |_, t, s| t.classify(s));
+        let classified = par_map_mut(self.threads, &mut self.trees, slices, |t, s| t.classify(s));
         let mut escapees_per_tree = Vec::with_capacity(n_trees);
         for (si, c) in classified.into_iter().enumerate() {
             let c = c?;
@@ -443,7 +413,7 @@ impl<D: Data> TreeMaintainer<D> {
         // Phase 3 — apply: sieve each destination's batch down in one
         // group pass, then repair, in parallel over disjoint Subtrees.
         let alpha = inc.balance_alpha;
-        let applied = par_map_mut(self.threads, &mut self.trees, batches, |_, t, b| {
+        let applied = par_map_mut(self.threads, &mut self.trees, batches, |t, b| {
             t.insert_batch(b)?;
             t.repair(alpha)
         });
@@ -487,7 +457,7 @@ impl<D: Data> TreeMaintainer<D> {
         // still warm in cache).
         let partitioner = &self.partitioner;
         let n_partitions = self.n_partitions;
-        let flats = par_map_mut(self.threads, &mut self.trees, vec![(); n_trees], |_, t, ()| {
+        let flats = par_map_mut(self.threads, &mut self.trees, vec![(); n_trees], |t, ()| {
             let flat = t.flatten()?;
             let mut loads = vec![0u64; n_partitions];
             for p in &flat.particles {

@@ -457,4 +457,35 @@ mod tests {
             }
         }
     }
+
+    /// `build_pieces`' promise: piece order, whatever `parallel` says
+    /// and however many threads the region gets. 40 k particles over 4
+    /// pieces, so the builder's own node splits are above its parallel
+    /// threshold as well.
+    #[test]
+    fn build_pieces_ignores_parallel_and_thread_count() {
+        let config = Configuration { bucket_size: 8, n_subtrees: 4, ..Default::default() };
+        let pieces = crate::decomp::decompose(gen::clustered(40_000, 4, 7, 1.0, 1.0), &config);
+        let build = |parallel: bool, threads: usize| -> Vec<BuiltTree<CountData>> {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+                .install(|| build_pieces(pieces.subtrees.clone(), &config, parallel))
+        };
+        let sequential = build(false, 1);
+        assert!(sequential.iter().any(|t| t.particles.len() >= 4096), "a piece splits in parallel");
+        for threads in [1, 2, 8] {
+            let parallel = build(true, threads);
+            assert_eq!(parallel.len(), sequential.len());
+            for (a, b) in sequential.iter().zip(&parallel) {
+                assert_eq!(a.particles, b.particles, "{threads} threads");
+                assert_eq!(a.nodes.len(), b.nodes.len());
+                for (na, nb) in a.nodes.iter().zip(&b.nodes) {
+                    assert_eq!((na.key, &na.shape, &na.data), (nb.key, &nb.shape, &nb.data));
+                    assert_eq!(na.children, nb.children);
+                }
+            }
+        }
+    }
 }

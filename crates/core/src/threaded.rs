@@ -209,7 +209,7 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
         let mut config = self.config.clone();
         config.n_subtrees = config.n_subtrees.max(ranks * 4);
         config.n_partitions = config.n_partitions.max(ranks * self.workers_per_rank * 2);
-        // Built centrally; the builds themselves are rayon-parallel.
+        // Built centrally; the per-Subtree builds run as one parallel region.
         let front = Iteration::obtain(&config, &self.telemetry, particles, maintained, true);
         self.run_obtained(&config, front, kind, started)
     }
@@ -298,13 +298,19 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
         let visitor = self.visitor;
         let workers = self.workers_per_rank;
         let collected: Mutex<Vec<Box<PartState<V>>>> = Mutex::new(Vec::new());
+        // What the coordinator sleeps on: the worker that finishes the
+        // last partition sends once, and so does every worker or pump
+        // on its way out, however it leaves.
+        let (wake_tx, wake_rx) = unbounded::<()>();
         std::thread::scope(|scope| {
             // Message pumps.
             let mut pump_handles = Vec::new();
             for (r, rx) in net_receivers.into_iter().enumerate() {
                 let shared = shared[r].clone();
                 let remote_fills = remote_fills.clone();
+                let leaving = WakeOnExit(wake_tx.clone());
                 pump_handles.push(scope.spawn(move || {
+                    let _leaving = leaving;
                     while let Ok(msg) = rx.recv() {
                         match msg {
                             Msg::Request { key, reply_to } => {
@@ -346,6 +352,7 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
                     let shared = shared[r].clone();
                     let rx = task_receivers[r].clone();
                     let collected = &collected;
+                    let leaving = WakeOnExit(wake_tx.clone());
                     worker_handles.push(scope.spawn(move || {
                         while let Ok(task) = rx.recv() {
                             match task {
@@ -361,7 +368,9 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
                                     );
                                     if let Some(done) = done {
                                         collected.lock().push(done);
-                                        shared.remaining.fetch_sub(1, Ordering::AcqRel);
+                                        if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                                            leaving.wake();
+                                        }
                                     }
                                 }
                             }
@@ -370,15 +379,13 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
                 }
             }
 
-            // Wait for global completion, then shut everything down.
-            // Workers and pumps only return once told to, so a finished
-            // handle while partitions remain is a thread that died —
+            // Sleep until global completion, then shut everything
+            // down. Workers and pumps only return once told to, so a
+            // wake-up while partitions remain is a thread that died —
             // and took its partition with it: `remaining` would never
             // reach zero. Stop waiting; the joins below surface it.
-            while remaining.load(Ordering::Acquire) > 0
-                && !worker_handles.iter().chain(&pump_handles).any(|h| h.is_finished())
-            {
-                std::thread::yield_now();
+            if remaining.load(Ordering::Acquire) > 0 {
+                let _ = wake_rx.recv();
             }
             for tx in &net_senders {
                 let _ = tx.send(Msg::Shutdown);
@@ -442,6 +449,23 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
             remote_fills,
             metrics,
         }
+    }
+}
+
+/// Wakes the coordinator when the thread holding it ends — by return
+/// or by panic — so a dead thread cannot leave it asleep.
+struct WakeOnExit(Sender<()>);
+
+impl WakeOnExit {
+    fn wake(&self) {
+        // The coordinator may already be past its wait; nothing to do.
+        let _ = self.0.send(());
+    }
+}
+
+impl Drop for WakeOnExit {
+    fn drop(&mut self) {
+        self.wake();
     }
 }
 

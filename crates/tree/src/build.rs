@@ -351,16 +351,22 @@ mod tests {
         let bbox = ps.bounding_box().padded(1e-9).bounding_cube();
         let seq: BuiltTree<CountData> =
             TreeBuilder::new(TreeType::Octree).parallel(false).build(ps.clone(), bbox);
-        let par: BuiltTree<CountData> =
-            TreeBuilder::new(TreeType::Octree).parallel(true).build(ps, bbox);
-        assert_eq!(seq.nodes.len(), par.nodes.len());
-        assert_eq!(seq.root().data.count, par.root().data.count);
-        for (a, b) in seq.nodes.iter().zip(&par.nodes) {
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.shape, b.shape);
-            assert_eq!(a.n_particles, b.n_particles);
+        // The root is above the parallel threshold, so its children
+        // build as one region: the same arena at any thread count.
+        for threads in [1, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            let par: BuiltTree<CountData> = pool.install(|| {
+                TreeBuilder::new(TreeType::Octree).parallel(true).build(ps.clone(), bbox)
+            });
+            assert_eq!(seq.nodes.len(), par.nodes.len());
+            for (a, b) in seq.nodes.iter().zip(&par.nodes) {
+                assert_eq!(a.key, b.key);
+                assert_eq!(a.shape, b.shape);
+                assert_eq!(a.children, b.children);
+                assert_eq!(a.data, b.data);
+            }
+            assert_eq!(seq.particles, par.particles, "{threads} threads");
         }
-        assert_eq!(seq.particles, par.particles);
     }
 
     #[test]

@@ -141,6 +141,11 @@ impl<H> KnnHeap<H> {
         self.heap.is_empty()
     }
 
+    /// The candidates held, in no particular order.
+    pub fn candidates(&self) -> &[Candidate<H>] {
+        self.heap.as_slice()
+    }
+
     /// Drains into ascending-distance order (ties broken by id).
     pub fn into_sorted(self) -> Vec<Candidate<H>> {
         let mut sorted = self.heap.into_vec();

@@ -25,6 +25,28 @@ cargo test --release -q -p paratreet-tree --lib key_heap_matches_record_heap_mod
 cargo test --release -q -p paratreet-apps --lib -- \
     step_matches_the_record_list_reference query_neighbors_carry_their_particles_payload
 
+echo "== fork-join executor + thread-count identity, optimised (the build the benchmark runs) =="
+cargo test --release -q -p rayon
+cargo test --release -q --test thread_count_identity
+cargo test --release -q -p paratreet-tree --lib parallel_and_sequential_builds_agree
+cargo test --release -q -p paratreet-core --lib -- \
+    build_pieces_ignores_parallel_and_thread_count thread_count_does_not_change_output
+cargo test --release -q -p paratreet-core --test incremental thread_sweep_is_bit_identical
+
+echo "== executor panic + nesting tests x50 (a helper left behind shows as a hang or a failure) =="
+rayon_bin=$(cargo test -p rayon --lib --no-run --message-format=json 2>/dev/null |
+    sed -n 's/.*"executable":"\([^"]*rayon-[^"]*\)".*/\1/p' | tail -n 1)
+[ -x "$rayon_bin" ] || { echo "executor loop: test binary not found"; exit 1; }
+for i in $(seq 1 50); do
+    timeout 60 "$rayon_bin" -q panicking nested > /dev/null 2>&1 ||
+        { echo "executor loop: run $i failed or hung (exit $?)"; exit 1; }
+done
+
+echo "== the executor is safe Rust: no 'unsafe' anywhere under shims/rayon =="
+if grep -rn "unsafe" shims/rayon; then
+    echo "shims/rayon must stay free of unsafe (ROADMAP aim 3)"; exit 1
+fi
+
 echo "== every unsafe under crates/apps/src sits under a // SAFETY: comment =="
 awk 'FNR == 1 { prev = "" } /unsafe/ && !/^[[:space:]]*\/\// && prev !~ /\/\/ SAFETY:/ { print FILENAME ":" FNR ": " $0; bad = 1 } { prev = $0 } END { exit bad }' \
     $(find crates/apps/src -name '*.rs') || { echo "unsafe without a // SAFETY: comment on the line above"; exit 1; }
@@ -49,7 +71,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== benchmark package builds against the pinned public surface =="
 # benchmark/ is a package of its own; a changed signature it relies on
 # must fail here, not in the benchmark run.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# Its Cargo.lock is pinned with the package and cargo rewrites it when a
+# crate it depends on gains a dependency, so the pinned copy is put back.
+bench_lock=$(mktemp /tmp/paratreet-benchlock-XXXXXX)
+cp benchmark/Cargo.lock "$bench_lock"
+bench_status=0
+cargo build --release --offline --manifest-path benchmark/Cargo.toml || bench_status=$?
+cp "$bench_lock" benchmark/Cargo.lock && rm -f "$bench_lock"
+[ "$bench_status" -eq 0 ] || exit "$bench_status"
 
 echo "== fig9 smoke (--json) =="
 cargo run --release -q -p paratreet-bench --bin fig9_time_profile -- \
