@@ -16,13 +16,18 @@
 //!    guarantees every cross-seam friendship is locally visible: if
 //!    `q`'s (image) distance to `p`'s box is ≤ `b`, `q`'s shifted copy
 //!    is materialized in `p`'s ghost layer,
-//! 4. a **dual-tree linking pass** per box (local×local over subtree
-//!    pairs, plus local×ghost against a tree built over the box's ghost
-//!    layer), pruning node pairs farther apart than `b`,
-//! 5. a global **union-find merge**: every link lands in one
-//!    order-independent structure whose representative is the minimum
-//!    member id, so the catalog is bit-identical across thread counts
-//!    and across how the boxes happened to find the links.
+//! 4. a **dual-tree linking pass**, one parallel region over every
+//!    Subtree of every box (local×local over subtree pairs, plus
+//!    local×ghost against a tree built over the box's ghost layer),
+//!    pruning node pairs farther apart than `b`,
+//! 5. a **union-find over dense particle indices**: each Subtree links
+//!    into its own disjoint stretch of one parent array inside the
+//!    region, links that leave a Subtree are applied afterwards in a
+//!    fixed order, and the halo id — the minimum member id — is computed
+//!    when the catalog is assembled. A graph's components do not depend
+//!    on the order its edges arrive in, so the catalog is bit-identical
+//!    across thread counts and across how the boxes happened to find
+//!    the links.
 //!
 //! Distances in the linking pass are plain Euclidean: periodic images
 //! are handled *geometrically* (ghost copies arrive pre-shifted into
@@ -31,13 +36,12 @@
 //! ([`brute_force_fof`]) instead uses minimum-image distances directly
 //! and is what the property tests compare against.
 
-use std::collections::HashMap;
-
 use paratreet_core::{Forest, GhostLayer};
 use paratreet_geometry::{BoundingBox, PeriodicBox, Vec3, ROOT_KEY};
 use paratreet_particles::Particle;
 use paratreet_telemetry::{MetricSource, MetricsRegistry};
 use paratreet_tree::{BuiltTree, CountData, Data, NodeIdx, NodeShape, TreeBuilder, TreeType};
+use rayon::prelude::*;
 
 /// Friends-of-friends parameters.
 #[derive(Clone, Copy, Debug)]
@@ -89,52 +93,43 @@ impl MetricSource for FofCatalog {
 }
 
 // ---------------------------------------------------------------------
-// Union-find keyed by particle id.
+// Union-find over dense particle indices.
 // ---------------------------------------------------------------------
 
-/// Union-find over a fixed id universe. Roots are always the minimum id
-/// of their component (unions attach the larger root under the
-/// smaller), so the final forest — and everything derived from it — is
-/// independent of the order links were discovered in.
-struct UnionFind {
-    /// Sorted ascending, so dense index order is id order.
-    ids: Vec<u64>,
-    index: HashMap<u64, u32>,
-    parent: Vec<u32>,
+/// Union-find over the dense indices `base .. base + parent.len()`. The
+/// slice holds those indices' parents, themselves dense indices, so a
+/// stretch of a larger array is a union-find of its own for as long as
+/// it is only asked about its own indices. A union hangs the larger
+/// root under the smaller, so `parent[i] <= i` throughout. Only the
+/// *partition* is read downstream, and the components of a graph do not
+/// depend on the order its edges arrive in.
+struct UnionFind<'a> {
+    base: u32,
+    parent: &'a mut [u32],
+    /// Unions that joined two components.
     n_links: u64,
 }
 
-impl UnionFind {
-    fn new(mut ids: Vec<u64>) -> UnionFind {
-        ids.sort_unstable();
-        ids.dedup();
-        let index = ids.iter().enumerate().map(|(i, &id)| (id, i as u32)).collect();
-        let parent = (0..ids.len() as u32).collect();
-        UnionFind { ids, index, parent, n_links: 0 }
-    }
-
+impl UnionFind<'_> {
     fn find(&mut self, mut i: u32) -> u32 {
-        while self.parent[i as usize] != i {
-            let gp = self.parent[self.parent[i as usize] as usize];
-            self.parent[i as usize] = gp;
+        loop {
+            let p = self.parent[(i - self.base) as usize];
+            if p == i {
+                return i;
+            }
+            let gp = self.parent[(p - self.base) as usize];
+            self.parent[(i - self.base) as usize] = gp;
             i = gp;
         }
-        i
     }
 
-    /// Links two particle ids (ids not in the universe are ignored —
-    /// defensive, ghosts always identify owned originals).
-    fn union_ids(&mut self, a: u64, b: u64) {
-        let (Some(&ia), Some(&ib)) = (self.index.get(&a), self.index.get(&b)) else {
-            return;
-        };
-        let (ra, rb) = (self.find(ia), self.find(ib));
+    fn union(&mut self, a: u32, b: u32) {
+        let (ra, rb) = (self.find(a), self.find(b));
         if ra == rb {
             return;
         }
-        // Smaller index = smaller id stays the root.
         let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-        self.parent[hi as usize] = lo;
+        self.parent[(hi - self.base) as usize] = lo;
         self.n_links += 1;
     }
 }
@@ -143,19 +138,21 @@ impl UnionFind {
 // Dual-tree linking.
 // ---------------------------------------------------------------------
 
-/// Recursive dual-tree pass: applies every friendship between tree `a`
-/// and tree `b` to the union-find, pruning node pairs separated by more
-/// than the linking length. With `same_tree`, node pairs below the
+/// Recursive dual-tree pass: reports every friendship between tree `a`
+/// and tree `b` to `sink` as `(position in a.particles, position in
+/// b.particles)`, pruning node pairs separated by more than the linking
+/// length. The trees may carry different `Data` (a box's own trees
+/// against its ghost tree). With `same_tree`, node pairs below the
 /// diagonal are skipped and leaf self-pairs iterate `i < j`.
 #[allow(clippy::too_many_arguments)]
-fn dual_link<D: Data>(
-    a: &BuiltTree<D>,
+fn dual_link<A: Data, B: Data, S: FnMut(u32, u32)>(
+    a: &BuiltTree<A>,
     ai: NodeIdx,
-    b: &BuiltTree<D>,
+    b: &BuiltTree<B>,
     bi: NodeIdx,
     same_tree: bool,
     r2: f64,
-    uf: &mut UnionFind,
+    sink: &mut S,
 ) {
     let na = &a.nodes[ai as usize];
     let nb = &b.nodes[bi as usize];
@@ -168,10 +165,10 @@ fn dual_link<D: Data>(
     if same_tree && ai == bi {
         if let NodeShape::Leaf { start, end } = na.shape {
             let bucket = &a.particles[start as usize..end as usize];
-            for (i, p) in bucket.iter().enumerate() {
-                for q in &bucket[i + 1..] {
+            for (i, p) in (start..).zip(bucket) {
+                for (j, q) in (i + 1..).zip(&bucket[(i + 1 - start) as usize..]) {
                     if p.pos.dist_sq(q.pos) <= r2 {
-                        uf.union_ids(p.id, q.id);
+                        sink(i, j);
                     }
                 }
             }
@@ -182,40 +179,40 @@ fn dual_link<D: Data>(
         let kids: Vec<NodeIdx> = na.child_indices().collect();
         for (i, &ca) in kids.iter().enumerate() {
             for &cb in &kids[i..] {
-                dual_link(a, ca, b, cb, same_tree, r2, uf);
+                dual_link(a, ca, b, cb, same_tree, r2, sink);
             }
         }
         return;
     }
     match (na.shape, nb.shape) {
         (NodeShape::Leaf { start: sa, end: ea }, NodeShape::Leaf { start: sb, end: eb }) => {
-            for p in &a.particles[sa as usize..ea as usize] {
-                for q in &b.particles[sb as usize..eb as usize] {
-                    if p.id != q.id && p.pos.dist_sq(q.pos) <= r2 {
-                        uf.union_ids(p.id, q.id);
+            for (i, p) in (sa..).zip(&a.particles[sa as usize..ea as usize]) {
+                for (j, q) in (sb..).zip(&b.particles[sb as usize..eb as usize]) {
+                    if p.pos.dist_sq(q.pos) <= r2 {
+                        sink(i, j);
                     }
                 }
             }
         }
         (NodeShape::Internal, NodeShape::Leaf { .. }) => {
             for ca in na.child_indices() {
-                dual_link(a, ca, b, bi, same_tree, r2, uf);
+                dual_link(a, ca, b, bi, same_tree, r2, sink);
             }
         }
         (NodeShape::Leaf { .. }, NodeShape::Internal) => {
             for cb in nb.child_indices() {
-                dual_link(a, ai, b, cb, same_tree, r2, uf);
+                dual_link(a, ai, b, cb, same_tree, r2, sink);
             }
         }
         (NodeShape::Internal, NodeShape::Internal) => {
             // Open the fatter node: fewer pair visits for skewed depths.
             if na.bbox.size().max_component() >= nb.bbox.size().max_component() {
                 for ca in na.child_indices() {
-                    dual_link(a, ca, b, bi, same_tree, r2, uf);
+                    dual_link(a, ca, b, bi, same_tree, r2, sink);
                 }
             } else {
                 for cb in nb.child_indices() {
-                    dual_link(a, ai, b, cb, same_tree, r2, uf);
+                    dual_link(a, ai, b, cb, same_tree, r2, sink);
                 }
             }
         }
@@ -227,11 +224,11 @@ fn dual_link<D: Data>(
 /// local×ghost pass can prune spatially. Ghosts sit in the receiving
 /// box's frame (possibly in the radius ring outside it), so the root
 /// box is derived from the ghosts themselves.
-fn ghost_tree<D: Data>(
+fn ghost_tree(
     ghosts: Vec<Particle>,
     tree_type: TreeType,
     bucket_size: usize,
-) -> BuiltTree<D> {
+) -> BuiltTree<CountData> {
     let tight = BoundingBox::around(ghosts.iter().map(|p| p.pos)).padded(1e-9);
     let root = match tree_type {
         TreeType::Octree | TreeType::BinaryOct => tight.bounding_cube(),
@@ -239,14 +236,23 @@ fn ghost_tree<D: Data>(
     };
     let builder =
         TreeBuilder { tree_type, bucket_size, parallel: false, root_key: ROOT_KEY, root_depth: 0 };
-    builder.build::<D>(ghosts, root)
+    builder.build(ghosts, root)
 }
 
-/// The dual-tree linking pass over a whole forest: per box, every
-/// subtree pair (local×local) plus every subtree against the box's
-/// ghost tree (local×ghost). Sequential and box-ordered, so the set of
-/// links — and through the order-independent union-find, the catalog —
-/// is a pure function of the particle state.
+/// The dual-tree linking pass over a whole forest. A particle *is* its
+/// dense index — its place when the boxes' trees are laid end to end,
+/// box by box and Subtree by Subtree — so nothing is looked up by id.
+///
+/// One region runs every Subtree at once. A Subtree links its own
+/// particles straight into its own stretch of the parent array, which no
+/// other Subtree touches; friendships that leave the Subtree — to a
+/// later Subtree of the same box, or to a ghost, whose
+/// [`GhostZone::origins`](paratreet_core::GhostZone) name the original —
+/// come back as index pairs and are applied afterwards in (box, Subtree)
+/// order. The components of a graph do not depend on the order its
+/// edges arrive in, and neither does the number of unions that joined
+/// two of them, so the catalog is a pure function of the particle state
+/// at any thread count and under any tiling.
 pub fn link_forest<D: Data>(
     forest: &Forest,
     trees: &[Vec<BuiltTree<D>>],
@@ -256,134 +262,149 @@ pub fn link_forest<D: Data>(
     bucket_size: usize,
 ) -> FofCatalog {
     let r2 = params.link * params.link;
-    let owned: Vec<Particle> =
-        trees.iter().flat_map(|ts| ts.iter().flat_map(|t| t.particles.iter().copied())).collect();
-    let mut uf = UnionFind::new(owned.iter().map(|p| p.id).collect());
-    for (bi, box_trees) in trees.iter().enumerate() {
-        for (ti, ta) in box_trees.iter().enumerate() {
-            // Within and across the box's own subtrees.
-            dual_link(ta, 0, ta, 0, true, r2, &mut uf);
-            for tb in &box_trees[ti + 1..] {
-                dual_link(ta, 0, tb, 0, false, r2, &mut uf);
-            }
-        }
-        // Against the ghost layer (cross-box / cross-image friendships).
-        let ghosts = layer.ghosts_for(bi);
-        if !ghosts.is_empty() {
-            let gt = ghost_tree::<CountData>(ghosts, tree_type, bucket_size);
-            for ta in box_trees {
-                dual_link_mixed(ta, 0, &gt, 0, r2, &mut uf);
-            }
-        }
-    }
-    let _ = forest;
-    catalog_from(&owned, uf, params, &forest.period)
-}
+    // Dense index of each Subtree's first particle, and of each box's.
+    let mut n = 0usize;
+    let tree_base: Vec<Vec<u32>> = trees
+        .iter()
+        .map(|box_trees| {
+            let bases = box_trees.iter().map(|t| {
+                let base = n as u32;
+                n += t.particles.len();
+                base
+            });
+            bases.collect()
+        })
+        .collect();
+    assert!(n <= u32::MAX as usize, "dense particle indices are 32-bit");
+    let box_base = |b: usize| tree_base[b].first().copied().unwrap_or(0);
 
-/// `dual_link` across two differently-typed trees (local `D` vs the
-/// `CountData` ghost tree).
-fn dual_link_mixed<D: Data>(
-    a: &BuiltTree<D>,
-    ai: NodeIdx,
-    b: &BuiltTree<CountData>,
-    bi: NodeIdx,
-    r2: f64,
-    uf: &mut UnionFind,
-) {
-    let na = &a.nodes[ai as usize];
-    let nb = &b.nodes[bi as usize];
-    if na.n_particles == 0 || nb.n_particles == 0 {
-        return;
+    // A box's ghosts under one throwaway tree, each relabelled with its
+    // original's dense index (a ghost tree is never looked at by id).
+    let ghost_trees: Vec<Option<BuiltTree<CountData>>> = (0..trees.len())
+        .map(|b| {
+            let mut ghosts = Vec::new();
+            for zone in layer.zones_for(b) {
+                let base = box_base(zone.src);
+                ghosts.extend(
+                    zone.particles
+                        .iter()
+                        .zip(&zone.origins)
+                        .map(|(g, &origin)| Particle { id: (base + origin) as u64, ..*g }),
+                );
+            }
+            (!ghosts.is_empty()).then(|| ghost_tree(ghosts, tree_type, bucket_size))
+        })
+        .collect();
+
+    let mut parent: Vec<u32> = (0..n as u32).collect();
+    // One work item per Subtree, holding its own stretch of `parent`.
+    let mut stretches = Vec::new();
+    let mut rest = parent.as_mut_slice();
+    for (b, box_trees) in trees.iter().enumerate() {
+        for (t, tree) in box_trees.iter().enumerate() {
+            let (own, tail) = rest.split_at_mut(tree.particles.len());
+            rest = tail;
+            stretches.push((b, t, own));
+        }
     }
-    if na.bbox.dist_sq_to_box(&nb.bbox) > r2 {
-        return;
-    }
-    match (na.shape, nb.shape) {
-        (NodeShape::Leaf { start: sa, end: ea }, NodeShape::Leaf { start: sb, end: eb }) => {
-            for p in &a.particles[sa as usize..ea as usize] {
-                for q in &b.particles[sb as usize..eb as usize] {
+    let linked: Vec<(u64, Vec<(u32, u32)>)> = stretches
+        .into_par_iter()
+        .map(|(b, t, own)| {
+            let (ta, base) = (&trees[b][t], tree_base[b][t]);
+            let mut uf = UnionFind { base, parent: own, n_links: 0 };
+            dual_link(ta, 0, ta, 0, true, r2, &mut |i, j| uf.union(base + i, base + j));
+            let mut leaving = Vec::new();
+            for (u, tb) in trees[b].iter().enumerate().skip(t + 1) {
+                let other = tree_base[b][u];
+                dual_link(ta, 0, tb, 0, false, r2, &mut |i, j| leaving.push((base + i, other + j)));
+            }
+            if let Some(gt) = &ghost_trees[b] {
+                dual_link(ta, 0, gt, 0, false, r2, &mut |i, j| {
                     // A ghost can be an image of the particle itself
                     // (periodic self-route); that is not a friendship.
-                    if p.id != q.id && p.pos.dist_sq(q.pos) <= r2 {
-                        uf.union_ids(p.id, q.id);
+                    let origin = gt.particles[j as usize].id as u32;
+                    if origin != base + i {
+                        leaving.push((base + i, origin));
                     }
-                }
+                });
             }
+            (uf.n_links, leaving)
+        })
+        .collect();
+    let mut uf = UnionFind { base: 0, parent: &mut parent, n_links: 0 };
+    for (n_links, leaving) in linked {
+        uf.n_links += n_links;
+        for (a, b) in leaving {
+            uf.union(a, b);
         }
-        (NodeShape::Internal, NodeShape::Leaf { .. }) => {
-            for ca in na.child_indices() {
-                dual_link_mixed(a, ca, b, bi, r2, uf);
-            }
-        }
-        (NodeShape::Leaf { .. }, NodeShape::Internal) => {
-            for cb in nb.child_indices() {
-                dual_link_mixed(a, ai, b, cb, r2, uf);
-            }
-        }
-        (NodeShape::Internal, NodeShape::Internal) => {
-            if na.bbox.size().max_component() >= nb.bbox.size().max_component() {
-                for ca in na.child_indices() {
-                    dual_link_mixed(a, ca, b, bi, r2, uf);
-                }
-            } else {
-                for cb in nb.child_indices() {
-                    dual_link_mixed(a, ai, b, cb, r2, uf);
-                }
-            }
-        }
-        _ => {}
     }
+    let n_links = uf.n_links;
+    let particles = trees.iter().flatten().flat_map(|t| &t.particles);
+    assemble_catalog(parent, particles, n_links, params, &forest.period)
 }
 
 // ---------------------------------------------------------------------
 // Catalog assembly and the brute-force reference.
 // ---------------------------------------------------------------------
 
-/// Materializes the catalog from a finished union-find: components of
-/// size ≥ `min_members` become halos, members ascending, halos sorted
-/// by (size descending, id ascending). Centers accumulate by minimum
-/// image around the first (minimum-id) member, then wrap — correct for
-/// halos hugging a periodic seam.
-fn catalog_from(
-    particles: &[Particle],
-    mut uf: UnionFind,
+/// Materializes the catalog from a finished union-find over the dense
+/// indices of `particles` (`parent[i] <= i`, as [`UnionFind`] keeps it):
+/// components are sized by counting, those of size ≥ `min_members`
+/// become halos — id = the minimum member id, members ascending, halos
+/// sorted by (size descending, id ascending). Centers accumulate by
+/// minimum image around the first (minimum-id) member in member order,
+/// then wrap — correct for halos hugging a periodic seam.
+fn assemble_catalog<'a>(
+    mut parent: Vec<u32>,
+    particles: impl Iterator<Item = &'a Particle> + Clone,
+    n_links: u64,
     params: &FofParams,
     period: &PeriodicBox,
 ) -> FofCatalog {
-    let mut by_id: HashMap<u64, &Particle> = HashMap::with_capacity(particles.len());
-    for p in particles {
-        by_id.insert(p.id, p);
+    debug_assert!(
+        {
+            let mut ids: Vec<u64> = particles.clone().map(|p| p.id).collect();
+            ids.sort_unstable();
+            ids.windows(2).all(|w| w[0] != w[1])
+        },
+        "particle ids must be unique within a snapshot"
+    );
+    // Parents point downwards, so one ascending pass leaves every entry
+    // at its root.
+    let mut size = vec![0u32; parent.len()];
+    for i in 0..parent.len() {
+        parent[i] = parent[parent[i] as usize];
+        size[parent[i] as usize] += 1;
     }
-    // Component members, grouped by root id (BTreeMap for stable order).
-    let mut groups: std::collections::BTreeMap<u64, Vec<u64>> = std::collections::BTreeMap::new();
-    let n = uf.ids.len();
-    for i in 0..n as u32 {
-        let root = uf.find(i);
-        let root_id = uf.ids[root as usize];
-        groups.entry(root_id).or_default().push(uf.ids[i as usize]);
-    }
-    let mut n_grouped = 0u64;
-    let mut halos = Vec::new();
-    for (root_id, mut members) in groups {
-        if members.len() < params.min_members.max(1) || members.len() < 2 {
-            continue;
-        }
-        members.sort_unstable();
-        n_grouped += members.len() as u64;
-        let anchor = by_id[&members[0]].pos;
-        let mut mass = 0.0;
-        let mut weighted = Vec3::ZERO;
-        for id in &members {
-            let p = by_id[id];
-            weighted += period.min_image(anchor, p.pos) * p.mass;
-            mass += p.mass;
-        }
-        let center =
-            if mass > 0.0 { period.wrap(anchor + weighted / mass, Vec3::ZERO) } else { anchor };
-        halos.push(Halo { id: root_id, members, center, mass });
-    }
+    let min_members = params.min_members.max(2) as u32;
+    // (root, id, position, mass) of everything in a halo, read off the
+    // particles in storage order; sorted, a halo is one run with its
+    // members ascending.
+    let mut grouped: Vec<(u32, u64, Vec3, f64)> = parent
+        .iter()
+        .zip(particles)
+        .filter(|(&root, _)| size[root as usize] >= min_members)
+        .map(|(&root, p)| (root, p.id, p.pos, p.mass))
+        .collect();
+    grouped.sort_unstable_by_key(|&(root, id, ..)| (root, id));
+    let mut halos: Vec<Halo> = grouped
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|component| {
+            let anchor = component[0].2;
+            let mut mass = 0.0;
+            let mut weighted = Vec3::ZERO;
+            for &(_, _, pos, m) in component {
+                weighted += period.min_image(anchor, pos) * m;
+                mass += m;
+            }
+            let center =
+                if mass > 0.0 { period.wrap(anchor + weighted / mass, Vec3::ZERO) } else { anchor };
+            let members: Vec<u64> = component.iter().map(|&(_, id, ..)| id).collect();
+            Halo { id: members[0], members, center, mass }
+        })
+        .collect();
     halos.sort_by(|a, b| b.members.len().cmp(&a.members.len()).then(a.id.cmp(&b.id)));
-    FofCatalog { halos, n_particles: n as u64, n_grouped, n_links: uf.n_links }
+    FofCatalog { halos, n_particles: parent.len() as u64, n_grouped: grouped.len() as u64, n_links }
 }
 
 /// The O(n²) reference: every pair, minimum-image distances, same
@@ -393,16 +414,19 @@ pub fn brute_force_fof(
     period: &PeriodicBox,
     params: &FofParams,
 ) -> FofCatalog {
+    assert!(particles.len() <= u32::MAX as usize, "dense particle indices are 32-bit");
     let r2 = params.link * params.link;
-    let mut uf = UnionFind::new(particles.iter().map(|p| p.id).collect());
+    let mut parent: Vec<u32> = (0..particles.len() as u32).collect();
+    let mut uf = UnionFind { base: 0, parent: &mut parent, n_links: 0 };
     for (i, p) in particles.iter().enumerate() {
-        for q in &particles[i + 1..] {
+        for (j, q) in particles.iter().enumerate().skip(i + 1) {
             if period.dist_sq(p.pos, q.pos) <= r2 {
-                uf.union_ids(p.id, q.id);
+                uf.union(i as u32, j as u32);
             }
         }
     }
-    catalog_from(particles, uf, params, period)
+    let n_links = uf.n_links;
+    assemble_catalog(parent, particles.iter(), n_links, params, period)
 }
 
 #[cfg(test)]
@@ -454,6 +478,287 @@ mod tests {
             Particle { id, mass: 1.0, pos: c + off, ..Particle::default() }
         })
         .collect()
+    }
+
+    /// The finder as it ran before particles became dense indices: a
+    /// union-find keyed by particle id through a `HashMap`, links applied
+    /// one box after another as the walk finds them, the catalog grouped
+    /// through a `HashMap` and a `BTreeMap` over a clone of the owned
+    /// particles. Kept as the reference the dense version must reproduce.
+    mod id_keyed {
+        use super::super::*;
+        use std::collections::HashMap;
+
+        /// Union-find over a fixed id universe. Roots are always the minimum id
+        /// of their component (unions attach the larger root under the
+        /// smaller), so the final forest — and everything derived from it — is
+        /// independent of the order links were discovered in.
+        struct UnionFind {
+            /// Sorted ascending, so dense index order is id order.
+            ids: Vec<u64>,
+            index: HashMap<u64, u32>,
+            parent: Vec<u32>,
+            n_links: u64,
+        }
+
+        impl UnionFind {
+            fn new(mut ids: Vec<u64>) -> UnionFind {
+                ids.sort_unstable();
+                ids.dedup();
+                let index = ids.iter().enumerate().map(|(i, &id)| (id, i as u32)).collect();
+                let parent = (0..ids.len() as u32).collect();
+                UnionFind { ids, index, parent, n_links: 0 }
+            }
+
+            fn find(&mut self, mut i: u32) -> u32 {
+                while self.parent[i as usize] != i {
+                    let gp = self.parent[self.parent[i as usize] as usize];
+                    self.parent[i as usize] = gp;
+                    i = gp;
+                }
+                i
+            }
+
+            /// Links two particle ids (ids not in the universe are ignored —
+            /// defensive, ghosts always identify owned originals).
+            fn union_ids(&mut self, a: u64, b: u64) {
+                let (Some(&ia), Some(&ib)) = (self.index.get(&a), self.index.get(&b)) else {
+                    return;
+                };
+                let (ra, rb) = (self.find(ia), self.find(ib));
+                if ra == rb {
+                    return;
+                }
+                // Smaller index = smaller id stays the root.
+                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+                self.parent[hi as usize] = lo;
+                self.n_links += 1;
+            }
+        }
+
+        /// Recursive dual-tree pass: applies every friendship between tree `a`
+        /// and tree `b` to the union-find, pruning node pairs separated by more
+        /// than the linking length. With `same_tree`, node pairs below the
+        /// diagonal are skipped and leaf self-pairs iterate `i < j`.
+        #[allow(clippy::too_many_arguments)]
+        fn dual_link<D: Data>(
+            a: &BuiltTree<D>,
+            ai: NodeIdx,
+            b: &BuiltTree<D>,
+            bi: NodeIdx,
+            same_tree: bool,
+            r2: f64,
+            uf: &mut UnionFind,
+        ) {
+            let na = &a.nodes[ai as usize];
+            let nb = &b.nodes[bi as usize];
+            if na.n_particles == 0 || nb.n_particles == 0 {
+                return;
+            }
+            if na.bbox.dist_sq_to_box(&nb.bbox) > r2 {
+                return;
+            }
+            if same_tree && ai == bi {
+                if let NodeShape::Leaf { start, end } = na.shape {
+                    let bucket = &a.particles[start as usize..end as usize];
+                    for (i, p) in bucket.iter().enumerate() {
+                        for q in &bucket[i + 1..] {
+                            if p.pos.dist_sq(q.pos) <= r2 {
+                                uf.union_ids(p.id, q.id);
+                            }
+                        }
+                    }
+                    return;
+                }
+                // Expand both sides together, keeping child pairs ordered so
+                // each off-diagonal pair is visited exactly once.
+                let kids: Vec<NodeIdx> = na.child_indices().collect();
+                for (i, &ca) in kids.iter().enumerate() {
+                    for &cb in &kids[i..] {
+                        dual_link(a, ca, b, cb, same_tree, r2, uf);
+                    }
+                }
+                return;
+            }
+            match (na.shape, nb.shape) {
+                (
+                    NodeShape::Leaf { start: sa, end: ea },
+                    NodeShape::Leaf { start: sb, end: eb },
+                ) => {
+                    for p in &a.particles[sa as usize..ea as usize] {
+                        for q in &b.particles[sb as usize..eb as usize] {
+                            if p.id != q.id && p.pos.dist_sq(q.pos) <= r2 {
+                                uf.union_ids(p.id, q.id);
+                            }
+                        }
+                    }
+                }
+                (NodeShape::Internal, NodeShape::Leaf { .. }) => {
+                    for ca in na.child_indices() {
+                        dual_link(a, ca, b, bi, same_tree, r2, uf);
+                    }
+                }
+                (NodeShape::Leaf { .. }, NodeShape::Internal) => {
+                    for cb in nb.child_indices() {
+                        dual_link(a, ai, b, cb, same_tree, r2, uf);
+                    }
+                }
+                (NodeShape::Internal, NodeShape::Internal) => {
+                    // Open the fatter node: fewer pair visits for skewed depths.
+                    if na.bbox.size().max_component() >= nb.bbox.size().max_component() {
+                        for ca in na.child_indices() {
+                            dual_link(a, ca, b, bi, same_tree, r2, uf);
+                        }
+                    } else {
+                        for cb in nb.child_indices() {
+                            dual_link(a, ai, b, cb, same_tree, r2, uf);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        /// Materializes the catalog from a finished union-find: components of
+        /// size ≥ `min_members` become halos, members ascending, halos sorted
+        /// by (size descending, id ascending). Centers accumulate by minimum
+        /// image around the first (minimum-id) member, then wrap — correct for
+        /// halos hugging a periodic seam.
+        fn catalog_from(
+            particles: &[Particle],
+            mut uf: UnionFind,
+            params: &FofParams,
+            period: &PeriodicBox,
+        ) -> FofCatalog {
+            let mut by_id: HashMap<u64, &Particle> = HashMap::with_capacity(particles.len());
+            for p in particles {
+                by_id.insert(p.id, p);
+            }
+            // Component members, grouped by root id (BTreeMap for stable order).
+            let mut groups: std::collections::BTreeMap<u64, Vec<u64>> =
+                std::collections::BTreeMap::new();
+            let n = uf.ids.len();
+            for i in 0..n as u32 {
+                let root = uf.find(i);
+                let root_id = uf.ids[root as usize];
+                groups.entry(root_id).or_default().push(uf.ids[i as usize]);
+            }
+            let mut n_grouped = 0u64;
+            let mut halos = Vec::new();
+            for (root_id, mut members) in groups {
+                if members.len() < params.min_members.max(1) || members.len() < 2 {
+                    continue;
+                }
+                members.sort_unstable();
+                n_grouped += members.len() as u64;
+                let anchor = by_id[&members[0]].pos;
+                let mut mass = 0.0;
+                let mut weighted = Vec3::ZERO;
+                for id in &members {
+                    let p = by_id[id];
+                    weighted += period.min_image(anchor, p.pos) * p.mass;
+                    mass += p.mass;
+                }
+                let center = if mass > 0.0 {
+                    period.wrap(anchor + weighted / mass, Vec3::ZERO)
+                } else {
+                    anchor
+                };
+                halos.push(Halo { id: root_id, members, center, mass });
+            }
+            halos.sort_by(|a, b| b.members.len().cmp(&a.members.len()).then(a.id.cmp(&b.id)));
+            FofCatalog { halos, n_particles: n as u64, n_grouped, n_links: uf.n_links }
+        }
+
+        pub fn link_forest(
+            forest: &Forest,
+            trees: &[Vec<BuiltTree<CountData>>],
+            layer: &GhostLayer,
+            params: &FofParams,
+            tree_type: TreeType,
+            bucket_size: usize,
+        ) -> FofCatalog {
+            let r2 = params.link * params.link;
+            let owned: Vec<Particle> = trees
+                .iter()
+                .flat_map(|ts| ts.iter().flat_map(|t| t.particles.iter().copied()))
+                .collect();
+            let mut uf = UnionFind::new(owned.iter().map(|p| p.id).collect());
+            for (bi, box_trees) in trees.iter().enumerate() {
+                for (ti, ta) in box_trees.iter().enumerate() {
+                    dual_link(ta, 0, ta, 0, true, r2, &mut uf);
+                    for tb in &box_trees[ti + 1..] {
+                        dual_link(ta, 0, tb, 0, false, r2, &mut uf);
+                    }
+                }
+                let ghosts: Vec<Particle> =
+                    layer.zones_for(bi).flat_map(|z| z.particles.iter().copied()).collect();
+                if !ghosts.is_empty() {
+                    let gt = ghost_tree(ghosts, tree_type, bucket_size);
+                    for ta in box_trees {
+                        dual_link(ta, 0, &gt, 0, false, r2, &mut uf);
+                    }
+                }
+            }
+            catalog_from(&owned, uf, params, &forest.period)
+        }
+    }
+
+    /// Dense `link_forest` ≡ the id-keyed finder ≡ `brute_force_fof` on
+    /// `particles` cut by `spec` (whole catalogs: ids, members, centre and
+    /// mass bits, link counts).
+    fn assert_matches_references(particles: Vec<Particle>, spec: &DomainSpec, what: &str) {
+        let cfg = config();
+        let params = FofParams { link: 0.06, min_members: 3 };
+        let forest = decompose_forest(particles.clone(), &cfg, spec);
+        let mut trees = forest.build_trees::<CountData>(&cfg, true);
+        enforce_seam_balance(
+            &mut trees,
+            &forest.boxes,
+            &forest.routes,
+            cfg.tree_type,
+            cfg.bucket_size,
+        );
+        let layer = exchange_ghosts(&forest, &trees, params.link, &Telemetry::disabled());
+        let dense = link_forest(&forest, &trees, &layer, &params, cfg.tree_type, cfg.bucket_size);
+        let keyed =
+            id_keyed::link_forest(&forest, &trees, &layer, &params, cfg.tree_type, cfg.bucket_size);
+        assert_eq!(dense, keyed, "{what}: dense vs id-keyed");
+        // The brute force sees the particles as the forest owns them
+        // (wrapped, in tree order), so the centre sums run alike.
+        let owned: Vec<Particle> =
+            trees.iter().flatten().flat_map(|t| t.particles.iter().copied()).collect();
+        assert_eq!(owned.len(), particles.len(), "{what}");
+        let truth = brute_force_fof(&owned, &forest.period, &params);
+        assert_eq!(dense, truth, "{what}: dense vs brute force");
+    }
+
+    #[test]
+    fn dense_linking_matches_the_id_keyed_and_brute_force_finders() {
+        let field = gen::tiled_plummer(900, [2, 2, 1], 23, 1.0, 1.0);
+        for (dims, tile, periodic) in [
+            ([2, 2, 1], 1.0, true),
+            ([2, 2, 1], 1.0, false),
+            ([4, 2, 1], 0.5, true),
+            // One periodic box: every ghost is an image of a particle of
+            // the box itself, some of them of the very particle tested.
+            ([1, 1, 1], 2.0, true),
+        ] {
+            let spec = DomainSpec::tiled(dims, tile, periodic);
+            assert_matches_references(field.clone(), &spec, &format!("{dims:?} {periodic}"));
+        }
+        // A tight blob astride a periodic face meets its own images.
+        let blob = blob(0..60, Vec3::new(0.01, 0.5, 0.99), 0.05);
+        let spec = DomainSpec::tiled([1, 1, 1], 1.0, true);
+        assert_matches_references(blob.clone(), &spec, "self images");
+        // A box narrower than the linking length: a particle is within
+        // reach of its own image.
+        let spec = DomainSpec::tiled([1, 1, 1], 0.05, true);
+        assert_matches_references(blob.clone(), &spec, "narrow box");
+        // A forest with empty boxes, and one with no particles at all.
+        let spec = DomainSpec::tiled([3, 1, 1], 1.0, true);
+        assert_matches_references(blob, &spec, "empty boxes");
+        assert_matches_references(Vec::new(), &spec, "no particles");
     }
 
     #[test]

@@ -20,11 +20,21 @@
 //! in several Partitions; the *leaf sharing* step (in the engines) splits
 //! exactly those buckets — never interior tree paths — which is the
 //! model's communication saving.
+//!
+//! The work is kept in proportion to what it touches: the records are
+//! sorted once (by 24-byte key entries, see
+//! [`ParticleVec::sort_by_sfc_key`]); a piece is a *range* of that one
+//! array until the carving is over, split in place and regrouped only
+//! where the SFC order has not already grouped it; each piece is then
+//! copied out once, into a vector of exactly its length; and the
+//! partitioners, which read nothing but positions, carve a position
+//! list instead of a clone of the records.
 
 use crate::config::{Configuration, DecompType, SfcCurve};
 use paratreet_geometry::{Axis, BoundingBox, MortonKey, NodeKey, Vec3, ROOT_KEY};
 use paratreet_particles::{Particle, ParticleVec};
 use paratreet_tree::TreeType;
+use rayon::prelude::*;
 
 /// One Subtree piece: a node of the global tree plus its particles.
 #[derive(Clone, Debug)]
@@ -37,6 +47,12 @@ pub struct SubtreePiece {
     pub depth: u32,
     /// The particles this Subtree owns.
     pub particles: Vec<Particle>,
+}
+
+impl From<&SubtreePiece> for SubtreePiece {
+    fn from(piece: &SubtreePiece) -> SubtreePiece {
+        piece.clone()
+    }
 }
 
 /// Binary decision node of a plane-based partitioner. Children encode
@@ -123,58 +139,71 @@ pub struct Decomposition {
     pub n_partitions: usize,
 }
 
-/// Splits `piece` by `tree_type`'s rule, returning the child pieces
-/// (empty octants are skipped). The piece's particles are consumed.
-fn split_piece(mut piece: SubtreePiece, tree_type: TreeType) -> Vec<SubtreePiece> {
+/// A piece while it is still a stretch of the one SFC-sorted array:
+/// splitting regroups the stretch in place and hands its children
+/// sub-ranges, so nothing is copied until the pieces are final.
+struct PieceRange {
+    key: NodeKey,
+    bbox: BoundingBox,
+    depth: u32,
+    range: std::ops::Range<usize>,
+}
+
+/// Orders two items along `axis` (incomparable coordinates tie).
+fn along<T>(axis: Axis, pos: impl Fn(&T) -> Vec3) -> impl Fn(&T, &T) -> std::cmp::Ordering {
+    move |a, b| {
+        pos(a)
+            .component(axis.index())
+            .partial_cmp(&pos(b).component(axis.index()))
+            .unwrap_or(std::cmp::Ordering::Equal)
+    }
+}
+
+/// Splits `piece` by `tree_type`'s rule: `items` — the piece's own
+/// stretch of the array — is regrouped in place and the children come
+/// back in slot order with their sub-ranges (empty octants are skipped).
+fn split_range<T>(
+    items: &mut [T],
+    pos: impl Fn(&T) -> Vec3 + Copy,
+    piece: PieceRange,
+    tree_type: TreeType,
+) -> Vec<PieceRange> {
     let bits = tree_type.bits_per_level();
+    let depth = piece.depth + 1;
+    let mut start = piece.range.start;
+    let mut child = |slot: usize, len: usize, bbox: BoundingBox| {
+        let range = start..start + len;
+        start = range.end;
+        PieceRange { key: piece.key.child(slot, bits), bbox, depth, range }
+    };
     match tree_type {
         TreeType::Octree => {
             let bbox = piece.bbox;
-            piece.particles.sort_unstable_by_key(|p| bbox.octant_of(p.pos));
-            let mut out = Vec::new();
-            let mut rest = piece.particles;
-            while !rest.is_empty() {
-                let oct = bbox.octant_of(rest[0].pos);
-                let split_at = rest.iter().take_while(|p| bbox.octant_of(p.pos) == oct).count();
-                let tail = rest.split_off(split_at);
-                out.push(SubtreePiece {
-                    key: piece.key.child(oct, bits),
-                    bbox: bbox.octant(oct),
-                    depth: piece.depth + 1,
-                    particles: rest,
-                });
-                rest = tail;
+            let octant = |t: &T| bbox.octant_of(pos(t));
+            // A Morton-sorted stretch already has its octants in order.
+            if !items.is_sorted_by_key(octant) {
+                items.sort_unstable_by_key(octant);
             }
-            out
+            items
+                .chunk_by(|a, b| octant(a) == octant(b))
+                .map(|run| {
+                    let oct = octant(&run[0]);
+                    child(oct, run.len(), bbox.octant(oct))
+                })
+                .collect()
         }
         TreeType::BinaryOct => {
             let axis = tree_type.cycling_axis(piece.depth).expect("binary oct cycles axes");
             let plane = piece.bbox.center().component(axis.index());
-            piece.particles.sort_unstable_by(|a, b| {
-                a.pos
-                    .component(axis.index())
-                    .partial_cmp(&b.pos.component(axis.index()))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let mid = piece.particles.partition_point(|p| p.pos.component(axis.index()) < plane);
-            let hi_particles = piece.particles.split_off(mid);
+            items.sort_unstable_by(along(axis, pos));
+            let mid = items.partition_point(|t| pos(t).component(axis.index()) < plane);
             let (lo_box, hi_box) = piece.bbox.split_at(axis, plane);
             let mut out = Vec::new();
-            if !piece.particles.is_empty() {
-                out.push(SubtreePiece {
-                    key: piece.key.child(0, bits),
-                    bbox: lo_box,
-                    depth: piece.depth + 1,
-                    particles: piece.particles,
-                });
+            if mid > 0 {
+                out.push(child(0, mid, lo_box));
             }
-            if !hi_particles.is_empty() {
-                out.push(SubtreePiece {
-                    key: piece.key.child(1, bits),
-                    bbox: hi_box,
-                    depth: piece.depth + 1,
-                    particles: hi_particles,
-                });
+            if mid < items.len() {
+                out.push(child(1, items.len() - mid, hi_box));
             }
             out
         }
@@ -183,63 +212,71 @@ fn split_piece(mut piece: SubtreePiece, tree_type: TreeType) -> Vec<SubtreePiece
                 Some(a) => a,
                 None => piece.bbox.longest_axis(),
             };
-            let mid = piece.particles.len() / 2;
-            piece.particles.select_nth_unstable_by(mid, |a, b| {
-                a.pos
-                    .component(axis.index())
-                    .partial_cmp(&b.pos.component(axis.index()))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            let plane = piece.particles[mid].pos.component(axis.index());
-            let hi_particles = piece.particles.split_off(mid);
+            let mid = items.len() / 2;
+            items.select_nth_unstable_by(mid, along(axis, pos));
+            let plane = pos(&items[mid]).component(axis.index());
             let (lo_box, hi_box) = piece.bbox.split_at(axis, plane);
-            vec![
-                SubtreePiece {
-                    key: piece.key.child(0, bits),
-                    bbox: lo_box,
-                    depth: piece.depth + 1,
-                    particles: piece.particles,
-                },
-                SubtreePiece {
-                    key: piece.key.child(1, bits),
-                    bbox: hi_box,
-                    depth: piece.depth + 1,
-                    particles: hi_particles,
-                },
-            ]
+            vec![child(0, mid, lo_box), child(1, items.len() - mid, hi_box)]
         }
     }
 }
 
-/// Splits the particle set into at least `min_pieces` Subtree pieces by
-/// repeatedly splitting the most populated piece with the tree rule.
-fn find_subtree_pieces(
-    particles: Vec<Particle>,
+/// Carves `items` into at least `min_pieces` pieces by repeatedly
+/// splitting the most populated one with the tree rule. Only `pos` of an
+/// item is read, so the same carving serves the particle records and a
+/// bare position list.
+fn find_piece_ranges<T>(
+    items: &mut [T],
+    pos: impl Fn(&T) -> Vec3 + Copy,
     universe: BoundingBox,
     tree_type: TreeType,
     min_pieces: usize,
     bucket_size: usize,
-) -> Vec<SubtreePiece> {
-    let mut pieces = vec![SubtreePiece { key: ROOT_KEY, bbox: universe, depth: 0, particles }];
+) -> Vec<PieceRange> {
+    let mut pieces =
+        vec![PieceRange { key: ROOT_KEY, bbox: universe, depth: 0, range: 0..items.len() }];
     while pieces.len() < min_pieces {
         // Split the most populated piece; stop if nothing is splittable.
-        let (idx, _) = match pieces
+        let Some((idx, _)) = pieces
             .iter()
             .enumerate()
-            .filter(|(_, p)| p.particles.len() > bucket_size.max(1))
-            .max_by_key(|(_, p)| p.particles.len())
-        {
-            Some((i, p)) => (i, p.particles.len()),
-            None => break,
+            .filter(|(_, p)| p.range.len() > bucket_size.max(1))
+            .max_by_key(|(_, p)| p.range.len())
+        else {
+            break;
         };
         let piece = pieces.swap_remove(idx);
-        let kids = split_piece(piece, tree_type);
-        pieces.extend(kids);
+        let stretch = &mut items[piece.range.clone()];
+        pieces.extend(split_range(stretch, pos, piece, tree_type));
     }
     // Deterministic order: by key (pieces form an antichain, so Morton
     // floors are disjoint and ordered).
     pieces.sort_by_key(|p| (p.depth, p.key.raw()));
     pieces
+}
+
+/// Splits the SFC-sorted particle set into at least `min_pieces` Subtree
+/// pieces. Every piece is copied out of the one array once, into a
+/// vector of exactly its own length.
+fn find_subtree_pieces(
+    mut particles: Vec<Particle>,
+    universe: BoundingBox,
+    tree_type: TreeType,
+    min_pieces: usize,
+    bucket_size: usize,
+) -> Vec<SubtreePiece> {
+    let ranges =
+        find_piece_ranges(&mut particles, |p| p.pos, universe, tree_type, min_pieces, bucket_size);
+    let particles = &particles;
+    ranges
+        .into_par_iter()
+        .map(|r| SubtreePiece {
+            key: r.key,
+            bbox: r.bbox,
+            depth: r.depth,
+            particles: particles[r.range].to_vec(),
+        })
+        .collect()
 }
 
 /// Builds the SFC partitioner: slice the Morton-sorted order into
@@ -267,8 +304,16 @@ fn oct_partitioner(
     n_partitions: usize,
     bucket_size: usize,
 ) -> (Partitioner, usize) {
-    let pieces =
-        find_subtree_pieces(sorted.to_vec(), universe, TreeType::Octree, n_partitions, bucket_size);
+    // The carving reads positions only: 24 bytes a particle of scratch.
+    let mut positions: Vec<Vec3> = sorted.iter().map(|p| p.pos).collect();
+    let pieces = find_piece_ranges(
+        &mut positions,
+        |p| *p,
+        universe,
+        TreeType::Octree,
+        n_partitions,
+        bucket_size,
+    );
     let mut floors: Vec<MortonKey> = pieces.iter().map(|p| p.key.morton_range(21).0).collect();
     floors.sort_unstable();
     let count = floors.len();
@@ -278,9 +323,10 @@ fn oct_partitioner(
 
 /// Recursively builds a plane-based partitioner over `parts` partitions,
 /// splitting particle counts proportionally. Returns the child handle
-/// for this range and appends plane nodes to `nodes`.
+/// for this range and appends plane nodes to `nodes`. `particles` is a
+/// scratch list of positions, reordered freely.
 fn build_planes(
-    particles: &mut [Particle],
+    particles: &mut [Vec3],
     bbox: BoundingBox,
     depth: u32,
     parts: u32,
@@ -305,13 +351,8 @@ fn build_planes(
         bbox.center().component(axis.index())
     } else {
         let sel = mid.min(particles.len() - 1);
-        particles.select_nth_unstable_by(sel, |a, b| {
-            a.pos
-                .component(axis.index())
-                .partial_cmp(&b.pos.component(axis.index()))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        particles[sel].pos.component(axis.index())
+        particles.select_nth_unstable_by(sel, along(axis, |p: &Vec3| *p));
+        particles[sel].component(axis.index())
     };
     let (lo_box, hi_box) = bbox.split_at(axis, plane);
     let my_index = nodes.len() as u32;
@@ -394,7 +435,7 @@ pub fn decompose_within(
             };
             let mut nodes = Vec::new();
             let mut next = 0u32;
-            let mut scratch = particles.clone();
+            let mut scratch: Vec<Vec3> = particles.iter().map(|p| p.pos).collect();
             build_planes(
                 &mut scratch,
                 universe,
@@ -565,6 +606,334 @@ mod tests {
             }
         } else {
             panic!("longest-dim uses planes");
+        }
+    }
+
+    /// The decomposition as this module ran it before pieces became
+    /// ranges — a stable sort of the records, pieces carved by a
+    /// `split_off` chain, partitioners over a clone of the array — kept
+    /// as the reference the range version must reproduce exactly.
+    mod reference {
+        use super::super::*;
+
+        /// Splits `piece` by `tree_type`'s rule, returning the child pieces
+        /// (empty octants are skipped). The piece's particles are consumed.
+        fn split_piece(mut piece: SubtreePiece, tree_type: TreeType) -> Vec<SubtreePiece> {
+            let bits = tree_type.bits_per_level();
+            match tree_type {
+                TreeType::Octree => {
+                    let bbox = piece.bbox;
+                    piece.particles.sort_unstable_by_key(|p| bbox.octant_of(p.pos));
+                    let mut out = Vec::new();
+                    let mut rest = piece.particles;
+                    while !rest.is_empty() {
+                        let oct = bbox.octant_of(rest[0].pos);
+                        let split_at =
+                            rest.iter().take_while(|p| bbox.octant_of(p.pos) == oct).count();
+                        let tail = rest.split_off(split_at);
+                        out.push(SubtreePiece {
+                            key: piece.key.child(oct, bits),
+                            bbox: bbox.octant(oct),
+                            depth: piece.depth + 1,
+                            particles: rest,
+                        });
+                        rest = tail;
+                    }
+                    out
+                }
+                TreeType::BinaryOct => {
+                    let axis = tree_type.cycling_axis(piece.depth).expect("binary oct cycles axes");
+                    let plane = piece.bbox.center().component(axis.index());
+                    piece.particles.sort_unstable_by(|a, b| {
+                        a.pos
+                            .component(axis.index())
+                            .partial_cmp(&b.pos.component(axis.index()))
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    });
+                    let mid =
+                        piece.particles.partition_point(|p| p.pos.component(axis.index()) < plane);
+                    let hi_particles = piece.particles.split_off(mid);
+                    let (lo_box, hi_box) = piece.bbox.split_at(axis, plane);
+                    let mut out = Vec::new();
+                    if !piece.particles.is_empty() {
+                        out.push(SubtreePiece {
+                            key: piece.key.child(0, bits),
+                            bbox: lo_box,
+                            depth: piece.depth + 1,
+                            particles: piece.particles,
+                        });
+                    }
+                    if !hi_particles.is_empty() {
+                        out.push(SubtreePiece {
+                            key: piece.key.child(1, bits),
+                            bbox: hi_box,
+                            depth: piece.depth + 1,
+                            particles: hi_particles,
+                        });
+                    }
+                    out
+                }
+                TreeType::KdTree | TreeType::LongestDim => {
+                    let axis = match tree_type.cycling_axis(piece.depth) {
+                        Some(a) => a,
+                        None => piece.bbox.longest_axis(),
+                    };
+                    let mid = piece.particles.len() / 2;
+                    piece.particles.select_nth_unstable_by(mid, |a, b| {
+                        a.pos
+                            .component(axis.index())
+                            .partial_cmp(&b.pos.component(axis.index()))
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                    });
+                    let plane = piece.particles[mid].pos.component(axis.index());
+                    let hi_particles = piece.particles.split_off(mid);
+                    let (lo_box, hi_box) = piece.bbox.split_at(axis, plane);
+                    vec![
+                        SubtreePiece {
+                            key: piece.key.child(0, bits),
+                            bbox: lo_box,
+                            depth: piece.depth + 1,
+                            particles: piece.particles,
+                        },
+                        SubtreePiece {
+                            key: piece.key.child(1, bits),
+                            bbox: hi_box,
+                            depth: piece.depth + 1,
+                            particles: hi_particles,
+                        },
+                    ]
+                }
+            }
+        }
+
+        /// Splits the particle set into at least `min_pieces` Subtree pieces by
+        /// repeatedly splitting the most populated piece with the tree rule.
+        fn find_subtree_pieces(
+            particles: Vec<Particle>,
+            universe: BoundingBox,
+            tree_type: TreeType,
+            min_pieces: usize,
+            bucket_size: usize,
+        ) -> Vec<SubtreePiece> {
+            let mut pieces =
+                vec![SubtreePiece { key: ROOT_KEY, bbox: universe, depth: 0, particles }];
+            while pieces.len() < min_pieces {
+                // Split the most populated piece; stop if nothing is splittable.
+                let (idx, _) = match pieces
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| p.particles.len() > bucket_size.max(1))
+                    .max_by_key(|(_, p)| p.particles.len())
+                {
+                    Some((i, p)) => (i, p.particles.len()),
+                    None => break,
+                };
+                let piece = pieces.swap_remove(idx);
+                let kids = split_piece(piece, tree_type);
+                pieces.extend(kids);
+            }
+            // Deterministic order: by key (pieces form an antichain, so Morton
+            // floors are disjoint and ordered).
+            pieces.sort_by_key(|p| (p.depth, p.key.raw()));
+            pieces
+        }
+
+        fn oct_partitioner(
+            sorted: &[Particle],
+            universe: BoundingBox,
+            n_partitions: usize,
+            bucket_size: usize,
+        ) -> (Partitioner, usize) {
+            let pieces = find_subtree_pieces(
+                sorted.to_vec(),
+                universe,
+                TreeType::Octree,
+                n_partitions,
+                bucket_size,
+            );
+            let mut floors: Vec<MortonKey> =
+                pieces.iter().map(|p| p.key.morton_range(21).0).collect();
+            floors.sort_unstable();
+            let count = floors.len();
+            let splitters = floors.split_off(1);
+            (Partitioner::KeyRanges { splitters }, count)
+        }
+
+        /// Recursively builds a plane-based partitioner over `parts` partitions,
+        /// splitting particle counts proportionally. Returns the child handle
+        /// for this range and appends plane nodes to `nodes`.
+        fn build_planes(
+            particles: &mut [Particle],
+            bbox: BoundingBox,
+            depth: u32,
+            parts: u32,
+            next_part: &mut u32,
+            nodes: &mut Vec<PlaneNode>,
+            tree_type: TreeType,
+        ) -> PlaneChild {
+            if parts <= 1 {
+                let id = *next_part;
+                *next_part += 1;
+                return PlaneChild::Part(id);
+            }
+            let axis = match tree_type.cycling_axis(depth) {
+                Some(a) => a,
+                None => bbox.longest_axis(),
+            };
+            let lo_parts = parts / 2;
+            let mid = particles.len() * lo_parts as usize / parts as usize;
+            let plane = if particles.is_empty() {
+                // Degenerate range: split space at the box centre so the plane
+                // tree stays well-formed and partition ids stay dense.
+                bbox.center().component(axis.index())
+            } else {
+                let sel = mid.min(particles.len() - 1);
+                particles.select_nth_unstable_by(sel, |a, b| {
+                    a.pos
+                        .component(axis.index())
+                        .partial_cmp(&b.pos.component(axis.index()))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                particles[sel].pos.component(axis.index())
+            };
+            let (lo_box, hi_box) = bbox.split_at(axis, plane);
+            let my_index = nodes.len() as u32;
+            nodes.push(PlaneNode {
+                axis,
+                plane,
+                lo: PlaneChild::Part(u32::MAX),
+                hi: PlaneChild::Part(u32::MAX),
+            });
+            let (lo_slice, hi_slice) = particles.split_at_mut(mid);
+            let lo =
+                build_planes(lo_slice, lo_box, depth + 1, lo_parts, next_part, nodes, tree_type);
+            let hi = build_planes(
+                hi_slice,
+                hi_box,
+                depth + 1,
+                parts - lo_parts,
+                next_part,
+                nodes,
+                tree_type,
+            );
+            nodes[my_index as usize].lo = lo;
+            nodes[my_index as usize].hi = hi;
+            PlaneChild::Node(my_index)
+        }
+
+        pub fn decompose_within(
+            mut particles: Vec<Particle>,
+            config: &Configuration,
+            universe: BoundingBox,
+        ) -> Decomposition {
+            let hilbert = config.sfc == SfcCurve::Hilbert && config.decomp_type == DecompType::Sfc;
+            if hilbert {
+                for p in particles.iter_mut() {
+                    p.key = paratreet_geometry::hilbert_key(p.pos, &universe);
+                }
+            } else {
+                particles.assign_keys(&universe);
+            }
+            particles.sort_by(|a, b| a.key.cmp(&b.key).then(a.id.cmp(&b.id)));
+            let (partitioner, n_partitions) = match config.decomp_type {
+                DecompType::Sfc => {
+                    (sfc_partitioner(&particles, config.n_partitions), config.n_partitions)
+                }
+                DecompType::Oct => {
+                    oct_partitioner(&particles, universe, config.n_partitions, config.bucket_size)
+                }
+                DecompType::Kd | DecompType::LongestDim => {
+                    let rule = if config.decomp_type == DecompType::Kd {
+                        TreeType::KdTree
+                    } else {
+                        TreeType::LongestDim
+                    };
+                    let mut nodes = Vec::new();
+                    let mut next = 0u32;
+                    let mut scratch = particles.clone();
+                    let parts = config.n_partitions as u32;
+                    build_planes(&mut scratch, universe, 0, parts, &mut next, &mut nodes, rule);
+                    (Partitioner::Planes { nodes }, next as usize)
+                }
+            };
+            let mut subtrees = find_subtree_pieces(
+                particles,
+                universe,
+                config.tree_type,
+                config.n_subtrees,
+                config.bucket_size,
+            );
+            if hilbert {
+                subtrees
+                    .sort_by_key(|p| paratreet_geometry::hilbert_key(p.bbox.center(), &universe));
+            }
+            Decomposition { universe, subtrees, partitioner, n_partitions }
+        }
+    }
+
+    #[test]
+    fn range_pieces_match_the_split_off_reference() {
+        // Sixteen sites, twenty particles on each, ids against the grain:
+        // every key ties twenty ways and only the id orders a site.
+        let coincident: Vec<Particle> = (0..320u64)
+            .map(|i| {
+                let site = gen::uniform_cube(16, 5, 1.0, 1.0)[(i % 16) as usize].pos;
+                Particle::point_mass(319 - i, 1.0, site)
+            })
+            .collect();
+        let unsorted = gen::clustered(3000, 4, 23, 1.0, 1.0);
+        let sorted = |config: &Configuration| {
+            let mut ps = unsorted.clone();
+            let universe = universe_for(&ps, config, 0.0);
+            ps.assign_keys(&universe);
+            ps.sort_by_sfc_key();
+            ps
+        };
+        for tree_type in
+            [TreeType::Octree, TreeType::KdTree, TreeType::LongestDim, TreeType::BinaryOct]
+        {
+            for decomp_type in
+                [DecompType::Sfc, DecompType::Oct, DecompType::Kd, DecompType::LongestDim]
+            {
+                let config = config(decomp_type, tree_type);
+                // What a step after the first feeds in: last step's order,
+                // a few particles moved since.
+                let mut nearly = sorted(&config);
+                for p in nearly.iter_mut().step_by(97) {
+                    p.pos *= 0.93;
+                }
+                let inputs = [
+                    ("unsorted", unsorted.clone()),
+                    ("sorted", sorted(&config)),
+                    ("nearly sorted", nearly),
+                    ("coincident", coincident.clone()),
+                    ("one bucket", unsorted[..config.bucket_size].to_vec()),
+                    ("empty", Vec::new()),
+                ];
+                for (name, input) in inputs {
+                    let what = format!("{tree_type:?} x {decomp_type:?}, {name}");
+                    let universe = universe_for(&input, &config, 0.0);
+                    let want = reference::decompose_within(input.clone(), &config, universe);
+                    let have = decompose_within(input, &config, universe);
+                    assert_eq!(have.n_partitions, want.n_partitions, "{what}");
+                    assert_eq!(
+                        format!("{:?}", have.partitioner),
+                        format!("{:?}", want.partitioner),
+                        "{what}"
+                    );
+                    assert_eq!(have.subtrees.len(), want.subtrees.len(), "{what}");
+                    for (a, b) in have.subtrees.iter().zip(&want.subtrees) {
+                        assert_eq!((a.key, a.depth), (b.key, b.depth), "{what}");
+                        // Bits: the empty set's universe is NaN on both sides.
+                        let bits = |b: &BoundingBox| {
+                            [b.lo.x, b.lo.y, b.lo.z, b.hi.x, b.hi.y, b.hi.z].map(f64::to_bits)
+                        };
+                        assert_eq!(bits(&a.bbox), bits(&b.bbox), "{what}");
+                        assert_eq!(a.particles, b.particles, "{what}");
+                        assert_eq!(a.particles.capacity(), a.particles.len(), "{what}");
+                    }
+                }
+            }
         }
     }
 }

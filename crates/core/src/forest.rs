@@ -18,6 +18,16 @@
 //!   friends-of-friends finder, SPH at seams) see their full
 //!   neighborhoods without global communication.
 //!
+//! Seam balance and the exchange both *descend* each tree from its root
+//! and drop a node — with everything beneath it — as soon as its
+//! (shifted) box is farther from the other side than the tolerance or
+//! the ghost radius, so a route costs what its seam holds, not what its
+//! box holds; [`GhostStats::nodes_visited`] counts the box tests. Box
+//! assignment, the per-box decompositions, the piece copies of
+//! [`Forest::build_trees`] and the routes of an exchange each run as one
+//! parallel region whose results come back in box / route order, so
+//! every output is the same at any thread count.
+//!
 //! In the shared-memory engines the exchange is a plain copy; the DES
 //! path ([`des_ghost_exchange`]) prices the same zones through the
 //! machine model — pack tasks on the source rank, NIC injection +
@@ -265,9 +275,9 @@ impl Forest {
         config: &Configuration,
         parallel: bool,
     ) -> Vec<Vec<BuiltTree<D>>> {
-        // One region over every (box, piece) pair, regrouped by box.
-        let pieces: Vec<SubtreePiece> =
-            self.decomps.iter().flat_map(|d| d.subtrees.iter().cloned()).collect();
+        // One region over every (box, piece) pair, regrouped by box. The
+        // forest keeps its pieces, so each build copies its own.
+        let pieces: Vec<&SubtreePiece> = self.decomps.iter().flat_map(|d| &d.subtrees).collect();
         let mut built = build_pieces(pieces, config, parallel).into_iter();
         self.decomps.iter().map(|d| built.by_ref().take(d.subtrees.len()).collect()).collect()
     }
@@ -283,31 +293,79 @@ pub fn per_box_config(config: &Configuration, n_boxes: usize) -> Configuration {
     cfg
 }
 
+/// Which box owns which particle: the realized boxes, the wrapping, the
+/// particles (wrapped into the primary cell when the domain is periodic)
+/// and, box after box, the input indices each box owns in input order.
+struct BoxRouting {
+    boxes: Vec<BoundingBox>,
+    period: PeriodicBox,
+    particles: Vec<Particle>,
+    /// Particle indices grouped by owning box.
+    order: Vec<u32>,
+    /// Box `b` owns `order[starts[b]..starts[b + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl BoxRouting {
+    /// Wraps and assigns every particle in one region, then groups the
+    /// indices by owner with a counting sort.
+    fn new(mut particles: Vec<Particle>, config: &Configuration, spec: &DomainSpec) -> BoxRouting {
+        assert!(particles.len() <= u32::MAX as usize, "particle indices are 32-bit");
+        let period = spec.period();
+        let origin = match spec {
+            DomainSpec::TiledGrid { origin, .. } => *origin,
+            _ => Vec3::ZERO,
+        };
+        // Only a `SingleCube` derives its box from the particles, and it
+        // never wraps, so the boxes can be fixed before the wrap.
+        let boxes = spec.boxes(&particles, config);
+        let wraps = period.is_periodic();
+        let owner: Vec<u32> = particles
+            .par_iter_mut()
+            .map(|p| {
+                if wraps {
+                    p.pos = period.wrap(p.pos, origin);
+                }
+                spec.assign(p.pos, &boxes) as u32
+            })
+            .collect();
+        let mut starts = vec![0usize; boxes.len() + 1];
+        for &b in &owner {
+            starts[b as usize + 1] += 1;
+        }
+        for b in 0..boxes.len() {
+            starts[b + 1] += starts[b];
+        }
+        let mut next = starts.clone();
+        let mut order = vec![0u32; particles.len()];
+        for (i, &b) in owner.iter().enumerate() {
+            order[next[b as usize]] = i as u32;
+            next[b as usize] += 1;
+        }
+        BoxRouting { boxes, period, particles, order, starts }
+    }
+
+    /// Box `b`'s particles, input order preserved, in a vector of exactly
+    /// their number.
+    fn gather(&self, b: usize) -> Vec<Particle> {
+        let owned = &self.order[self.starts[b]..self.starts[b + 1]];
+        owned.iter().map(|&i| self.particles[i as usize]).collect()
+    }
+}
+
 /// Buckets particles into their owning boxes (wrapping positions into
 /// the primary cell first when the domain is periodic). Returns the
 /// realized boxes, the wrapping, and one particle list per box with
 /// input order preserved within each box.
 pub fn assign_to_boxes(
-    mut particles: Vec<Particle>,
+    particles: Vec<Particle>,
     config: &Configuration,
     spec: &DomainSpec,
 ) -> (Vec<BoundingBox>, PeriodicBox, Vec<Vec<Particle>>) {
-    let period = spec.period();
-    let origin = match spec {
-        DomainSpec::TiledGrid { origin, .. } => *origin,
-        _ => Vec3::ZERO,
-    };
-    if period.is_periodic() {
-        for p in particles.iter_mut() {
-            p.pos = period.wrap(p.pos, origin);
-        }
-    }
-    let boxes = spec.boxes(&particles, config);
-    let mut buckets: Vec<Vec<Particle>> = vec![Vec::new(); boxes.len()];
-    for p in particles {
-        buckets[spec.assign(p.pos, &boxes)].push(p);
-    }
-    (boxes, period, buckets)
+    let routing = BoxRouting::new(particles, config, spec);
+    // Every box gathers its own particles.
+    let buckets = routing.boxes.par_iter().enumerate().map(|(b, _)| routing.gather(b)).collect();
+    (routing.boxes, routing.period, buckets)
 }
 
 /// The universe a box's own decomposition runs in: the domain box grown
@@ -337,14 +395,16 @@ pub fn decompose_forest(
     config: &Configuration,
     spec: &DomainSpec,
 ) -> Forest {
-    let (boxes, period, buckets) = assign_to_boxes(particles, config, spec);
-    let cfg = per_box_config(config, boxes.len());
-    let n_owned: Vec<usize> = buckets.iter().map(Vec::len).collect();
-    // Boxes are independent; results come back in box order.
-    let per_box: Vec<(BoundingBox, Vec<Particle>)> = boxes.iter().copied().zip(buckets).collect();
-    let decomps: Vec<Decomposition> = per_box
-        .into_par_iter()
-        .map(|(bbox, bucket)| {
+    let routing = BoxRouting::new(particles, config, spec);
+    let cfg = per_box_config(config, routing.boxes.len());
+    // Boxes are independent: each gathers its own particles and
+    // decomposes them; results come back in box order.
+    let decomps: Vec<Decomposition> = routing
+        .boxes
+        .par_iter()
+        .enumerate()
+        .map(|(b, &bbox)| {
+            let bucket = routing.gather(b);
             if bucket.is_empty() {
                 Decomposition {
                     universe: bbox,
@@ -358,6 +418,8 @@ pub fn decompose_forest(
             }
         })
         .collect();
+    let n_owned = routing.starts.windows(2).map(|w| w[1] - w[0]).collect();
+    let BoxRouting { boxes, period, .. } = routing;
     let routes = compute_routes(&boxes, &period);
     Forest { spec: spec.clone(), boxes, period, decomps, n_owned, routes }
 }
@@ -479,6 +541,38 @@ pub fn enforce_seam_balance<D: Data>(
     total_splits
 }
 
+/// Visits the leaves of `tree` whose box, translated by `shift`, lies
+/// within `sqrt(r2)` of `target` — in DFS order, as
+/// `visit(node index, node, shifted box)` — and returns how many nodes it
+/// box-tested. The walk descends from the root and drops a node with
+/// everything beneath it when the node fails the test: a child's box
+/// lies inside its parent's, and translation and the box distance are
+/// monotone in floating point too, so no leaf beneath it could pass.
+fn leaves_near<D: Data>(
+    tree: &BuiltTree<D>,
+    shift: Vec3,
+    target: &BoundingBox,
+    r2: f64,
+    mut visit: impl FnMut(NodeIdx, &BuildNode<D>, BoundingBox),
+) -> u64 {
+    let mut tested = 0u64;
+    let mut stack = vec![0 as NodeIdx];
+    while let Some(ni) = stack.pop() {
+        let n = &tree.nodes[ni as usize];
+        tested += 1;
+        let sb = shifted_box(&n.bbox, shift);
+        if sb.dist_sq_to_box(target) > r2 {
+            continue;
+        }
+        if n.is_leaf() {
+            visit(ni, n, sb);
+        }
+        // Reversed, so children pop in slot order.
+        stack.extend(n.children.iter().rev().filter(|&&c| c != NO_NODE));
+    }
+    tested
+}
+
 /// Leaves of a box's trees whose (shifted) region touches `target`:
 /// `(subtree, node, shifted bbox, edge length)` in deterministic order.
 fn seam_leaves<D: Data>(
@@ -487,20 +581,11 @@ fn seam_leaves<D: Data>(
     target: &BoundingBox,
     eps: f64,
 ) -> Vec<(usize, NodeIdx, BoundingBox, f64)> {
-    let eps2 = eps * eps;
     let mut out = Vec::new();
     for (ti, tree) in trees.iter().enumerate() {
-        for ni in tree.leaf_indices() {
-            let n = &tree.nodes[ni as usize];
-            if !matches!(n.shape, NodeShape::Leaf { .. }) {
-                continue;
-            }
-            let sb = shifted_box(&n.bbox, shift);
-            if sb.dist_sq_to_box(target) <= eps2 {
-                let edge = n.bbox.size().max_component();
-                out.push((ti, ni, sb, edge));
-            }
-        }
+        leaves_near(tree, shift, target, eps * eps, |ni, n, sb| {
+            out.push((ti, ni, sb, n.bbox.size().max_component()));
+        });
     }
     out
 }
@@ -529,7 +614,6 @@ fn split_marked<D: Data>(
     copy_split(tree, 0, marks, bits, &mut nodes, &mut particles);
     let out = BuiltTree { nodes, particles, bits_per_level: tree.bits_per_level };
     debug_assert!(out.validate(bucket_size).is_ok(), "seam split broke tree invariants");
-    let _ = bucket_size;
     out
 }
 
@@ -652,7 +736,7 @@ fn copy_split<D: Data>(
 
 /// Ghost particles one route materialized: copies of `src` boundary
 /// particles, positions already translated into `dst`'s frame.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GhostZone {
     /// Source box.
     pub src: usize,
@@ -663,19 +747,24 @@ pub struct GhostZone {
     /// The shifted particle copies (ids preserved from the originals —
     /// a ghost is identified, never owned).
     pub particles: Vec<Particle>,
+    /// Where each copy came from: the original's position in the source
+    /// box's particles, counted through that box's trees in Subtree
+    /// order. Aligned with `particles`; with it a consumer finds the
+    /// original without looking an id up.
+    pub origins: Vec<u32>,
     /// Source leaf buckets that contributed at least one particle.
     pub n_buckets: u64,
 }
 
 impl GhostZone {
-    /// Wire size of this zone's payload.
+    /// Wire size of this zone's payload (the particle records).
     pub fn bytes(&self) -> u64 {
         (self.particles.len() * size_of::<Particle>()) as u64
     }
 }
 
 /// `ghost.*` counters for one exchange.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GhostStats {
     /// Routes considered.
     pub routes: u64,
@@ -687,6 +776,9 @@ pub struct GhostStats {
     pub buckets: u64,
     /// Total payload bytes.
     pub bytes: u64,
+    /// Tree nodes the exchange walk box-tested, over all routes — the
+    /// work the exchange did, to set against the forest's node count.
+    pub nodes_visited: u64,
 }
 
 impl MetricSource for GhostStats {
@@ -696,6 +788,7 @@ impl MetricSource for GhostStats {
         registry.set_u64(format!("{prefix}.particles"), self.particles);
         registry.set_u64(format!("{prefix}.buckets"), self.buckets);
         registry.set_u64(format!("{prefix}.bytes"), self.bytes);
+        registry.set_u64(format!("{prefix}.nodes_visited"), self.nodes_visited);
     }
 }
 
@@ -709,25 +802,43 @@ pub struct GhostLayer {
 }
 
 impl GhostLayer {
-    /// All ghost particles destined for one box, in zone order.
-    pub fn ghosts_for(&self, dst: usize) -> Vec<Particle> {
-        let mut out = Vec::new();
-        for z in &self.zones {
-            if z.dst == dst {
-                out.extend_from_slice(&z.particles);
-            }
-        }
-        out
+    /// The zones destined for one box, in route order.
+    pub fn zones_for(&self, dst: usize) -> impl Iterator<Item = &GhostZone> {
+        self.zones.iter().filter(move |z| z.dst == dst)
     }
+}
+
+/// Where each box's particles actually are: the nominal box grown over
+/// stragglers clamped in from outside an open grid (the un-cubed
+/// `box_universe`). Routing by nominal bounds would never exchange two
+/// out-of-grid neighbours clamped into adjacent boxes. Only a tree whose
+/// root region sticks out of the box can hold such particles, so periodic
+/// domains — which wrap everything inside — pay no particle pass and
+/// keep their reach.
+fn reach_boxes<D: Data>(forest: &Forest, trees: &[Vec<BuiltTree<D>>]) -> Vec<BoundingBox> {
+    forest
+        .boxes
+        .iter()
+        .zip(trees)
+        .map(|(b, box_trees)| {
+            let mut grown = *b;
+            for t in box_trees.iter().filter(|t| !b.contains_box(&t.root().bbox)) {
+                t.particles.iter().for_each(|p| grown.grow(p.pos));
+            }
+            grown
+        })
+        .collect()
 }
 
 /// Materializes the ghost layer: for every route, the source box's leaf
 /// buckets within `radius` of the (shifted) destination box — grown over
 /// its clamped-in population — contribute
 /// shifted copies of their particles that actually fall within the
-/// radius. This is the shared-memory exchange — a deterministic
-/// sequential walk, wrapped in a `"ghost exchange"` telemetry span; the
-/// DES engine prices the same zones with [`des_ghost_exchange`].
+/// radius. This is the shared-memory exchange — one region over the
+/// routes, each a pruned descent of the source box's trees
+/// ([`GhostStats::nodes_visited`]), zones kept in route order — wrapped
+/// in a `"ghost exchange"` telemetry span; the DES engine prices the
+/// same zones with [`des_ghost_exchange`].
 pub fn exchange_ghosts<D: Data>(
     forest: &Forest,
     trees: &[Vec<BuiltTree<D>>],
@@ -736,58 +847,48 @@ pub fn exchange_ghosts<D: Data>(
 ) -> GhostLayer {
     telemetry.wall_span(0, "ghost exchange", None, || {
         let r2 = radius * radius;
-        // Where each box's particles actually are: the nominal box grown
-        // over stragglers clamped in from outside an open grid (the
-        // un-cubed `box_universe`). Routing by nominal bounds would never
-        // exchange two out-of-grid neighbours clamped into adjacent
-        // boxes. Only a tree whose root region sticks out of the box can
-        // hold such particles, so periodic domains — which wrap
-        // everything inside — pay no particle pass and keep their reach.
-        let reach: Vec<BoundingBox> = forest
-            .boxes
-            .iter()
-            .zip(trees)
-            .map(|(b, box_trees)| {
-                let mut grown = *b;
-                for t in box_trees.iter().filter(|t| !b.contains_box(&t.root().bbox)) {
-                    t.particles.iter().for_each(|p| grown.grow(p.pos));
+        let reach = reach_boxes(forest, trees);
+        let walked: Vec<(GhostZone, u64)> = forest
+            .routes
+            .par_iter()
+            .map(|route| {
+                let dst_box = &reach[route.dst];
+                let mut zone = GhostZone {
+                    src: route.src,
+                    dst: route.dst,
+                    shift: route.shift,
+                    particles: Vec::new(),
+                    origins: Vec::new(),
+                    n_buckets: 0,
+                };
+                let mut nodes_visited = 0u64;
+                let mut tree_base = 0usize;
+                for tree in &trees[route.src] {
+                    let tree_end = tree_base + tree.particles.len();
+                    assert!(tree_end <= u32::MAX as usize, "origins are 32-bit");
+                    nodes_visited += leaves_near(tree, route.shift, dst_box, r2, |_, n, _| {
+                        let before = zone.particles.len();
+                        for i in n.bucket_range().expect("a leaf") {
+                            let p = &tree.particles[i];
+                            let pos = p.pos + route.shift;
+                            if dst_box.dist_sq_to(pos) <= r2 {
+                                zone.particles.push(Particle { pos, ..*p });
+                                zone.origins.push((tree_base + i) as u32);
+                            }
+                        }
+                        if zone.particles.len() > before {
+                            zone.n_buckets += 1;
+                        }
+                    });
+                    tree_base = tree_end;
                 }
-                grown
+                (zone, nodes_visited)
             })
             .collect();
         let mut layer = GhostLayer::default();
         layer.stats.routes = forest.routes.len() as u64;
-        for route in &forest.routes {
-            let dst_box = &reach[route.dst];
-            let mut zone = GhostZone {
-                src: route.src,
-                dst: route.dst,
-                shift: route.shift,
-                particles: Vec::new(),
-                n_buckets: 0,
-            };
-            for tree in &trees[route.src] {
-                for ni in tree.leaf_indices() {
-                    let n = &tree.nodes[ni as usize];
-                    let (start, end) = match n.shape {
-                        NodeShape::Leaf { start, end } => (start, end),
-                        _ => continue,
-                    };
-                    if shifted_box(&n.bbox, route.shift).dist_sq_to_box(dst_box) > r2 {
-                        continue;
-                    }
-                    let before = zone.particles.len();
-                    for p in &tree.particles[start as usize..end as usize] {
-                        let pos = p.pos + route.shift;
-                        if dst_box.dist_sq_to(pos) <= r2 {
-                            zone.particles.push(Particle { pos, ..*p });
-                        }
-                    }
-                    if zone.particles.len() > before {
-                        zone.n_buckets += 1;
-                    }
-                }
-            }
+        for (zone, nodes_visited) in walked {
+            layer.stats.nodes_visited += nodes_visited;
             if !zone.particles.is_empty() {
                 layer.stats.zones += 1;
                 layer.stats.particles += zone.particles.len() as u64;
@@ -1129,9 +1230,9 @@ mod tests {
         // copy of a particle owned by box 0 (open domain: zero shift).
         let owned0: std::collections::HashSet<u64> =
             f.decomps[0].subtrees.iter().flat_map(|s| s.particles.iter().map(|p| p.id)).collect();
-        let ghosts1 = layer.ghosts_for(1);
+        let ghosts1: Vec<&Particle> = layer.zones_for(1).flat_map(|z| &z.particles).collect();
         assert!(!ghosts1.is_empty());
-        for g in &ghosts1 {
+        for g in ghosts1 {
             assert!(f.boxes[1].dist_sq_to(g.pos) <= radius * radius + 1e-12);
             assert!(owned0.contains(&g.id), "ghost ids identify owned originals");
         }
@@ -1211,6 +1312,196 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Every leaf of a tree in DFS order, the way the scans below used to
+    /// enumerate them (a fresh build's arena is pre-order, so arena order
+    /// is DFS order; seam splits re-emit in pre-order too).
+    fn all_leaves<D: Data>(
+        tree: &BuiltTree<D>,
+    ) -> impl Iterator<Item = (NodeIdx, &BuildNode<D>)> + '_ {
+        tree.nodes.iter().enumerate().filter(|(_, n)| n.is_leaf()).map(|(i, n)| (i as NodeIdx, n))
+    }
+
+    /// `seam_leaves` as it ran before it descended: box-test every leaf.
+    fn full_scan_seam_leaves<D: Data>(
+        trees: &[BuiltTree<D>],
+        shift: Vec3,
+        target: &BoundingBox,
+        eps: f64,
+    ) -> Vec<(usize, NodeIdx, BoundingBox, f64)> {
+        let mut out = Vec::new();
+        for (ti, tree) in trees.iter().enumerate() {
+            for (ni, n) in all_leaves(tree) {
+                let sb = shifted_box(&n.bbox, shift);
+                if sb.dist_sq_to_box(target) <= eps * eps {
+                    out.push((ti, ni, sb, n.bbox.size().max_component()));
+                }
+            }
+        }
+        out
+    }
+
+    /// `exchange_ghosts` as it ran before it descended: per route, every
+    /// leaf of every source tree. Zones as `(src, dst, shift, particles,
+    /// buckets)` plus the stats the scan kept.
+    #[allow(clippy::type_complexity)]
+    fn full_scan_exchange<D: Data>(
+        forest: &Forest,
+        trees: &[Vec<BuiltTree<D>>],
+        radius: f64,
+    ) -> (Vec<(usize, usize, Vec3, Vec<Particle>, u64)>, GhostStats) {
+        let r2 = radius * radius;
+        let reach = reach_boxes(forest, trees);
+        let mut zones = Vec::new();
+        let mut stats = GhostStats { routes: forest.routes.len() as u64, ..Default::default() };
+        for route in &forest.routes {
+            let dst_box = &reach[route.dst];
+            let mut particles = Vec::new();
+            let mut n_buckets = 0u64;
+            for tree in &trees[route.src] {
+                for (_, n) in all_leaves(tree) {
+                    if shifted_box(&n.bbox, route.shift).dist_sq_to_box(dst_box) > r2 {
+                        continue;
+                    }
+                    let before = particles.len();
+                    for p in &tree.particles[n.bucket_range().unwrap()] {
+                        let pos = p.pos + route.shift;
+                        if dst_box.dist_sq_to(pos) <= r2 {
+                            particles.push(Particle { pos, ..*p });
+                        }
+                    }
+                    if particles.len() > before {
+                        n_buckets += 1;
+                    }
+                }
+            }
+            if !particles.is_empty() {
+                stats.zones += 1;
+                stats.particles += particles.len() as u64;
+                stats.buckets += n_buckets;
+                stats.bytes += (particles.len() * size_of::<Particle>()) as u64;
+                zones.push((route.src, route.dst, route.shift, particles, n_buckets));
+            }
+        }
+        (zones, stats)
+    }
+
+    /// Seam leaves on both sides of every route, and the whole exchange,
+    /// against the full scans.
+    fn assert_walks_match_full_scans(
+        forest: &Forest,
+        trees: &[Vec<BuiltTree<CountData>>],
+        radius: f64,
+        what: &str,
+    ) {
+        let eps = touch_eps(&forest.boxes);
+        for route in &forest.routes {
+            let toward_src = shifted_box(&forest.boxes[route.src], route.shift);
+            for (side, shift, target) in [
+                (route.src, route.shift, &forest.boxes[route.dst]),
+                (route.dst, Vec3::ZERO, &toward_src),
+            ] {
+                assert_eq!(
+                    seam_leaves(&trees[side], shift, target, eps),
+                    full_scan_seam_leaves(&trees[side], shift, target, eps),
+                    "{what}: seam leaves of {route:?}"
+                );
+            }
+        }
+        let layer = exchange_ghosts(forest, trees, radius, &Telemetry::disabled());
+        let (zones, stats) = full_scan_exchange(forest, trees, radius);
+        assert_eq!(layer.zones.len(), zones.len(), "{what}");
+        for (z, (src, dst, shift, particles, n_buckets)) in layer.zones.iter().zip(&zones) {
+            assert_eq!((z.src, z.dst, z.shift, z.n_buckets), (*src, *dst, *shift, *n_buckets));
+            assert_eq!(&z.particles, particles, "{what}: zone {src} -> {dst}");
+            // An origin is the original's place in the source box.
+            let originals: Vec<&Particle> =
+                trees[z.src].iter().flat_map(|t| &t.particles).collect();
+            assert_eq!(z.origins.len(), z.particles.len());
+            for (g, &o) in z.particles.iter().zip(&z.origins) {
+                let original = originals[o as usize];
+                assert_eq!((g.id, g.pos), (original.id, original.pos + z.shift), "{what}");
+            }
+        }
+        let kept = |s: &GhostStats| (s.routes, s.zones, s.particles, s.buckets, s.bytes);
+        assert_eq!(kept(&layer.stats), kept(&stats), "{what}");
+        assert!(layer.stats.nodes_visited >= layer.stats.routes, "every route tests a root");
+    }
+
+    #[test]
+    fn pruned_walks_match_the_full_leaf_scans() {
+        let cfg = config(TreeType::Octree);
+        // Periodic 2³ and 3³ tilings, before and after seam balance, at
+        // a thin radius and at one wider than a box.
+        for tiles in [2usize, 3] {
+            let tile = 2.0 / tiles as f64;
+            let ps = gen::tiled_plummer(4000, [2, 2, 2], 31, 1.0, 1.0);
+            let spec = DomainSpec::tiled([tiles; 3], tile, true);
+            let f = decompose_forest(ps, &cfg, &spec);
+            let mut trees = f.build_trees::<CountData>(&cfg, false);
+            assert_walks_match_full_scans(&f, &trees, 0.03, &format!("{tiles}^3 unbalanced"));
+            let splits = enforce_seam_balance(
+                &mut trees,
+                &f.boxes,
+                &f.routes,
+                cfg.tree_type,
+                cfg.bucket_size,
+            );
+            // Spheres centred in 2³ tiles meet their seams evenly; the 3³
+            // cut runs through them and has to refine.
+            assert!(tiles == 2 || splits > 0, "the 3^3 tiling must exercise seam splits");
+            assert_walks_match_full_scans(&f, &trees, 0.03, &format!("{tiles}^3 balanced"));
+            assert_walks_match_full_scans(&f, &trees, 1.3 * tile, &format!("{tiles}^3 wide"));
+        }
+        // An open grid with stragglers outside it, clamped into the edge
+        // boxes: the exchange targets the grown `reach` box.
+        for tree_type in [TreeType::Octree, TreeType::KdTree] {
+            let cfg = config(tree_type);
+            let mut ps = gen::tiled_plummer(1500, [2, 1, 1], 9, 1.0, 1.0);
+            let base = ps.len() as u64;
+            for (i, x) in [-0.4, -0.07, 2.05, 2.6].into_iter().enumerate() {
+                let pos = Vec3::new(x, 0.45 + 0.02 * i as f64, 0.5);
+                ps.push(Particle::point_mass(base + i as u64, 1.0, pos));
+            }
+            let f = decompose_forest(ps, &cfg, &DomainSpec::tiled([2, 1, 1], 1.0, false));
+            let mut trees = f.build_trees::<CountData>(&cfg, false);
+            enforce_seam_balance(&mut trees, &f.boxes, &f.routes, cfg.tree_type, cfg.bucket_size);
+            assert!(trees.iter().flatten().any(|t| !f.boxes[0].contains_box(&t.root().bbox)));
+            assert_walks_match_full_scans(&f, &trees, 0.1, &format!("{tree_type:?} stragglers"));
+            assert_walks_match_full_scans(&f, &trees, 1.5, &format!("{tree_type:?} wide"));
+        }
+    }
+
+    #[test]
+    fn exchange_work_follows_the_seam_not_the_forest() {
+        // The benchmark's shape: a periodic 2³ forest over one Plummer
+        // sphere per tile, ghost radius = a linking length.
+        let cfg = Configuration { bucket_size: 16, n_subtrees: 16, ..config(TreeType::Octree) };
+        let n = 40_000;
+        let ps = gen::tiled_plummer(n, [2, 2, 2], 17, 1.0, 1.0);
+        let f = decompose_forest(ps, &cfg, &DomainSpec::tiled([2; 3], 1.0, true));
+        let mut trees = f.build_trees::<CountData>(&cfg, true);
+        enforce_seam_balance(&mut trees, &f.boxes, &f.routes, cfg.tree_type, cfg.bucket_size);
+        let radius = 0.2 * (8.0 / n as f64).cbrt();
+        let exchange = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+            pool.install(|| exchange_ghosts(&f, &trees, radius, &Telemetry::disabled())).stats
+        };
+        let stats = exchange(1);
+        assert!(stats.particles > 0);
+        let forest_nodes: usize = trees.iter().flatten().map(|t| t.nodes.len()).sum();
+        let per_route = stats.nodes_visited as f64 / stats.routes as f64;
+        assert!(
+            per_route < 0.10 * forest_nodes as f64 / f.boxes.len() as f64,
+            "{per_route:.0} nodes per route of {forest_nodes} in {} boxes",
+            f.boxes.len()
+        );
+        for threads in [2, 8] {
+            let again = exchange(threads);
+            assert_eq!(again.nodes_visited, stats.nodes_visited, "{threads} threads");
+            assert_eq!((again.particles, again.buckets), (stats.particles, stats.buckets));
         }
     }
 

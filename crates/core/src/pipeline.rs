@@ -67,13 +67,17 @@ pub(crate) fn build_piece<D: Data>(
 
 /// Builds every piece. Pieces are independent (the paper's
 /// synchronization-free tree build); results come back in piece order,
-/// so the output does not depend on `parallel`.
-pub(crate) fn build_pieces<D: Data>(
-    pieces: Vec<SubtreePiece>,
+/// so the output does not depend on `parallel`. A borrowed piece is
+/// copied by the build that consumes it, inside the region.
+pub(crate) fn build_pieces<D: Data, P: Into<SubtreePiece> + Send>(
+    pieces: Vec<P>,
     config: &Configuration,
     parallel: bool,
 ) -> Vec<BuiltTree<D>> {
-    let one = |p: SubtreePiece| build_piece(p.key, p.depth, p.bbox, p.particles, config, parallel);
+    let one = |p: P| {
+        let p: SubtreePiece = p.into();
+        build_piece(p.key, p.depth, p.bbox, p.particles, config, parallel)
+    };
     if parallel {
         pieces.into_par_iter().map(one).collect()
     } else {

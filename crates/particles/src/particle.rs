@@ -80,7 +80,8 @@ pub trait ParticleVec {
     fn center_of_mass(&self) -> Vec3;
     /// Assigns Morton keys in `universe` to every particle.
     fn assign_keys(&mut self, universe: &BoundingBox);
-    /// Sorts by Morton key (the SFC order decomposition relies on).
+    /// Sorts by Morton key, ties by id, ties of both in input order (the
+    /// SFC order decomposition relies on).
     fn sort_by_sfc_key(&mut self);
     /// Sum of kinetic energies.
     fn kinetic_energy(&self) -> f64;
@@ -111,7 +112,40 @@ impl ParticleVec for [Particle] {
     }
 
     fn sort_by_sfc_key(&mut self) {
-        self.sort_by(|a, b| a.key.cmp(&b.key).then(a.id.cmp(&b.id)));
+        assert!(self.len() <= u32::MAX as usize, "particle indices are 32-bit");
+        let sfc = |p: &Particle| (p.key, p.id);
+        if self.is_sorted_by_key(sfc) {
+            return;
+        }
+        // Order 24-byte `(key, id, index)` entries, not 152-byte
+        // records. The index keeps equal `(key, id)` pairs in input
+        // order — the stable order — and makes every entry distinct, so
+        // the faster unstable sort has no ties to scramble.
+        let mut entries: Vec<(MortonKey, u64, u32)> =
+            self.iter().enumerate().map(|(i, p)| (p.key, p.id, i as u32)).collect();
+        entries.sort_unstable();
+        // Gather in place along the permutation's cycles: every
+        // displaced record moves once, records already in place — most
+        // of them, on the nearly sorted order a step after the first
+        // arrives in — not at all, and no second array is allocated.
+        let mut source: Vec<u32> = entries.into_iter().map(|e| e.2).collect();
+        for first in 0..source.len() {
+            if source[first] as usize == first {
+                continue;
+            }
+            let lifted = self[first];
+            let mut slot = first;
+            loop {
+                let from = source[slot] as usize;
+                source[slot] = slot as u32;
+                if from == first {
+                    self[slot] = lifted;
+                    break;
+                }
+                self[slot] = self[from];
+                slot = from;
+            }
+        }
     }
 
     fn kinetic_energy(&self) -> f64 {
@@ -185,6 +219,47 @@ mod tests {
         ps.sort_by_sfc_key();
         for w in ps.windows(2) {
             assert!(w[0].key <= w[1].key);
+        }
+    }
+
+    /// The sort this module used to run on the records themselves.
+    fn stable_record_sort(ps: &mut [Particle]) {
+        ps.sort_by(|a, b| a.key.cmp(&b.key).then(a.id.cmp(&b.id)));
+    }
+
+    #[test]
+    fn sfc_sort_matches_the_stable_record_sort() {
+        // `mass` tells apart records that tie on (key, id).
+        let make = |n: usize, keys: u64, ids: u64| -> Vec<Particle> {
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            (0..n)
+                .map(|i| {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let mut p = Particle::point_mass((state >> 20) % ids, i as f64, Vec3::ZERO);
+                    p.key = (state >> 40) % keys;
+                    p
+                })
+                .collect()
+        };
+        let mut cases = vec![
+            make(0, 1, 1),
+            make(1, 1, 1),
+            make(500, u64::MAX, u64::MAX), // all distinct
+            make(500, 7, u64::MAX),        // equal keys, tie broken by id
+            make(500, 7, 3),               // equal (key, id): input order decides
+        ];
+        let mut sorted = make(400, 1000, u64::MAX);
+        stable_record_sort(&mut sorted);
+        cases.push(sorted.clone());
+        sorted.swap(10, 300);
+        sorted[200].key = 0;
+        cases.push(sorted); // nearly sorted
+        for mut ps in cases {
+            let mut want = ps.clone();
+            stable_record_sort(&mut want);
+            ps.sort_by_sfc_key();
+            assert_eq!(ps, want);
         }
     }
 

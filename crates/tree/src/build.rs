@@ -118,8 +118,7 @@ impl TreeBuilder {
             // `local_depth == max_local_depth` forces a (possibly oversize)
             // leaf when key bits run out — only reachable with many
             // coincident particles.
-            let tight = BoundingBox::around(particles.iter().map(|p| p.pos));
-            let _ = tight; // leaf keeps the region box; Data sees the bucket
+            // The leaf keeps the region box; `Data` sees the bucket.
             return vec![BuildNode {
                 key,
                 bbox,

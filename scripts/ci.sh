@@ -33,6 +33,23 @@ cargo test --release -q -p paratreet-core --lib -- \
     build_pieces_ignores_parallel_and_thread_count thread_count_does_not_change_output
 cargo test --release -q -p paratreet-core --test incremental thread_sweep_is_bit_identical
 
+echo "== front-end reference equivalences, optimised: ranges == split_off, pruned == full scan, dense == id-keyed =="
+cargo test --release -q -p paratreet-particles --lib sfc_sort_matches_the_stable_record_sort
+cargo test --release -q -p paratreet-core --lib -- \
+    range_pieces_match_the_split_off_reference pruned_walks_match_the_full_leaf_scans \
+    exchange_work_follows_the_seam_not_the_forest
+cargo test --release -q -p paratreet-apps --lib \
+    dense_linking_matches_the_id_keyed_and_brute_force_finders
+
+echo "== forest identity x20 (a catalog or ghost layer that depends on the schedule shows as a flake) =="
+identity_bin=$(cargo test --release --test thread_count_identity --no-run --message-format=json 2>/dev/null |
+    sed -n 's/.*"executable":"\([^"]*thread_count_identity-[^"]*\)".*/\1/p' | tail -n 1)
+[ -x "$identity_bin" ] || { echo "forest identity loop: test binary not found"; exit 1; }
+for i in $(seq 1 20); do
+    timeout 300 "$identity_bin" -q forest_catalog > /dev/null 2>&1 ||
+        { echo "forest identity loop: run $i failed or hung (exit $?)"; exit 1; }
+done
+
 echo "== executor panic + nesting tests x50 (a helper left behind shows as a hang or a failure) =="
 rayon_bin=$(cargo test -p rayon --lib --no-run --message-format=json 2>/dev/null |
     sed -n 's/.*"executable":"\([^"]*rayon-[^"]*\)".*/\1/p' | tail -n 1)
