@@ -121,8 +121,7 @@ fn bench_insert_models(c: &mut Criterion) {
 }
 
 /// Recorder overhead on the hot cache-insertion path: the same fill
-/// workload with a disabled handle (the `--no-default-features`
-/// fast path compiles to the same no-op), with an enabled wall-clock
+/// workload with a disabled handle, with an enabled wall-clock
 /// recorder, and the recorder's raw span cost in isolation.
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_overhead");

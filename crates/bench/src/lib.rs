@@ -3,8 +3,7 @@
 //! Every binary in `src/bin/` regenerates one table or figure of the
 //! paper (see DESIGN.md §4 for the index). They share a tiny argument
 //! parser — `--particles N`, `--seed S`, and harness-specific flags —
-//! and column-aligned text output so results read like the paper's
-//! tables.
+//! and the seconds / bytes / bar formatting their tables use.
 
 use paratreet_telemetry::{export, MetricsRegistry, Telemetry};
 use std::collections::HashMap;
@@ -42,11 +41,6 @@ impl Args {
     /// An `f64` option with a default.
     pub fn get_f64(&self, key: &str, default: f64) -> f64 {
         self.opts.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
-    }
-
-    /// A string option with a default.
-    pub fn get_str(&self, key: &str, default: &str) -> String {
-        self.opts.get(key).cloned().unwrap_or_else(|| default.to_string())
     }
 
     /// A boolean option with a default; accepts `true`/`false`/`1`/`0`.
@@ -95,20 +89,6 @@ pub fn write_telemetry_outputs(
         export::write_metrics(path, metrics).expect("write metrics");
         eprintln!("wrote metrics to {path}");
     }
-}
-
-/// Prints a header row followed by a separator, with every column padded
-/// to `width`.
-pub fn print_header(columns: &[&str], width: usize) {
-    let row: Vec<String> = columns.iter().map(|c| format!("{c:>width$}")).collect();
-    println!("{}", row.join(" "));
-    println!("{}", "-".repeat((width + 1) * columns.len()));
-}
-
-/// Formats one row of already-stringified cells at `width`.
-pub fn print_row(cells: &[String], width: usize) {
-    let row: Vec<String> = cells.iter().map(|c| format!("{c:>width$}")).collect();
-    println!("{}", row.join(" "));
 }
 
 /// Human-readable seconds (µs/ms/s autoscale).

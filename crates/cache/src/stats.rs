@@ -6,7 +6,6 @@
 //! many requests they send and how insertions serialise.
 
 use paratreet_telemetry::{MetricSource, MetricsRegistry};
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic counters describing one cache's traffic. All methods are
@@ -71,7 +70,7 @@ impl CacheStats {
 }
 
 /// Plain-value copy of [`CacheStats`] at one instant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStatsSnapshot {
     /// See [`CacheStats::requests_sent`].
     pub requests_sent: u64,

@@ -33,8 +33,9 @@
 
 use crate::error::CacheError;
 use crate::node::{CacheNode, NodeKind};
-use paratreet_geometry::{BoundingBox, NodeKey, Vec3};
+use paratreet_geometry::{BoundingBox, NodeKey};
 use paratreet_particles::io::{get_particle, put_particle};
+use paratreet_tree::data::wire::{get_vec3, put_vec3};
 use paratreet_tree::Data;
 use std::sync::atomic::Ordering;
 
@@ -70,10 +71,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn get_u8(input: &[u8], off: &mut usize) -> Option<u8> {
     let v = *input.get(*off)?;
     *off += 1;
@@ -90,12 +87,6 @@ fn get_u64(input: &[u8], off: &mut usize) -> Option<u64> {
     let bytes: [u8; 8] = input.get(*off..*off + 8)?.try_into().ok()?;
     *off += 8;
     Some(u64::from_le_bytes(bytes))
-}
-
-fn get_f64(input: &[u8], off: &mut usize) -> Option<f64> {
-    let bytes: [u8; 8] = input.get(*off..*off + 8)?.try_into().ok()?;
-    *off += 8;
-    Some(f64::from_le_bytes(bytes))
 }
 
 fn kind_to_u8(k: NodeKind) -> u8 {
@@ -136,12 +127,8 @@ fn encode_node<D: Data>(node: &CacheNode<D>, levels_left: u32, out: &mut Vec<u8>
     put_u64(out, node.key.raw());
     out.push(kind_to_u8(kind));
     put_u32(out, node.home_rank);
-    put_f64(out, node.bbox.lo.x);
-    put_f64(out, node.bbox.lo.y);
-    put_f64(out, node.bbox.lo.z);
-    put_f64(out, node.bbox.hi.x);
-    put_f64(out, node.bbox.hi.y);
-    put_f64(out, node.bbox.hi.z);
+    put_vec3(out, node.bbox.lo);
+    put_vec3(out, node.bbox.hi);
     put_u32(out, node.n_particles);
     node.data.encode(out);
     match kind {
@@ -214,8 +201,8 @@ fn decode_node<D: Data>(
     let key = NodeKey(get_u64(input, off)?);
     let kind = kind_from_u8(get_u8(input, off)?)?;
     let home_rank = get_u32(input, off)?;
-    let lo = Vec3::new(get_f64(input, off)?, get_f64(input, off)?, get_f64(input, off)?);
-    let hi = Vec3::new(get_f64(input, off)?, get_f64(input, off)?, get_f64(input, off)?);
+    let lo = get_vec3(input, off)?;
+    let hi = get_vec3(input, off)?;
     let count = get_u32(input, off)?;
     let (data, used) = D::decode(&input[*off..])?;
     *off += used;
@@ -254,7 +241,7 @@ fn decode_node<D: Data>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paratreet_geometry::ROOT_KEY;
+    use paratreet_geometry::{Vec3, ROOT_KEY};
     use paratreet_particles::Particle;
     use paratreet_tree::CountData;
 

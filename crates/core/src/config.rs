@@ -116,10 +116,6 @@ pub struct IncrementalConfig {
     /// zero-motion identity), at the cost of more full-rebuild
     /// fallbacks for expanding systems.
     pub universe_pad: f64,
-    /// Threads used for the batch classify/apply/flatten phases over
-    /// disjoint Subtrees (0 = one per available core, capped at the
-    /// Subtree count). The deterministic DES engine always runs with 1.
-    pub batch_threads: usize,
 }
 
 impl Default for IncrementalConfig {
@@ -130,7 +126,6 @@ impl Default for IncrementalConfig {
             balance_depth_slack: 2,
             imbalance_rebuild: 2.5,
             universe_pad: 0.05,
-            batch_threads: 0,
         }
     }
 }
@@ -153,8 +148,6 @@ pub struct Configuration {
     pub fetch_depth: u32,
     /// Number of simulation iterations to run.
     pub iterations: usize,
-    /// RNG seed threaded through anything stochastic.
-    pub seed: u64,
     /// Space-filling curve used by SFC decomposition.
     pub sfc: SfcCurve,
     /// Incremental tree maintenance (off by default: full rebuild per
@@ -172,7 +165,6 @@ impl Default for Configuration {
             n_partitions: 8,
             fetch_depth: 3,
             iterations: 1,
-            seed: 1,
             sfc: SfcCurve::Morton,
             incremental: IncrementalConfig::default(),
         }

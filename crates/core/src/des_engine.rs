@@ -64,7 +64,6 @@ use paratreet_runtime::{
 };
 use paratreet_telemetry::{FlightRecorder, MetricSource, MetricsRegistry, Telemetry, Track};
 use paratreet_tree::BuiltTree;
-use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
 
 pub use paratreet_cache::stats::CacheStatsSnapshot as CacheSnapshot;
@@ -139,7 +138,7 @@ impl CostModel {
 /// time when the recovery protocol finished re-injecting every piece of
 /// owed work; re-executed tasks themselves are charged to
 /// [`Phase::Recovery`]/[`Phase::TreeBuild`] in the ledger.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RecoveryStats {
     /// Crashes that fired (0 or 1).
     pub count: u64,
@@ -196,7 +195,7 @@ impl MetricSource for RecoveryStats {
 /// direct access; they are assembled from [`IterationReport::metrics`],
 /// which carries every statistic under a stable dotted name (e.g.
 /// `cache.requests_sent`, `phase_busy_s.local_traversal`).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct IterationReport {
     /// Virtual end-to-end time of the iteration (seconds).
     pub makespan: f64,
@@ -640,16 +639,6 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         particles: Vec<Particle>,
     ) -> IterationReport {
         self.run_inner(particles, None, Some(slot)).0
-    }
-
-    /// [`DistributedEngine::run_maintained`] plus every bucket's final
-    /// visitor state, for validation against the full-rebuild engines.
-    pub fn run_maintained_states(
-        &self,
-        slot: &mut Option<TreeMaintainer<V::Data>>,
-        particles: Vec<Particle>,
-    ) -> (IterationReport, Vec<(NodeKey, V::State)>) {
-        self.run_inner(particles, None, Some(slot))
     }
 
     fn run_inner(

@@ -148,12 +148,12 @@ pub(crate) fn partition_imbalance(loads: &[u64]) -> f64 {
     *loads.iter().max().expect("non-empty loads") as f64 / mean
 }
 
-/// Runs `f(item, arg)` over the zipped items as one parallel region
-/// pinned to `threads` threads (0 = the host's parallelism). Results
-/// come back in item order, so the output — and everything downstream —
-/// is independent of thread count.
+/// Runs `f(item, arg)` over the zipped items: one parallel region on
+/// the ambient pool when `parallel`, a plain loop when not (the DES).
+/// Results come back in item order, so the output — and everything
+/// downstream — is independent of thread count.
 fn par_map_mut<T, U, R>(
-    threads: usize,
+    parallel: bool,
     items: &mut [T],
     args: Vec<U>,
     f: impl Fn(&mut T, U) -> R + Sync + Send,
@@ -164,12 +164,12 @@ where
     R: Send,
 {
     debug_assert_eq!(items.len(), args.len());
-    let pairs: Vec<(&mut T, U)> = items.iter_mut().zip(args).collect();
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("the thread pool builds")
-        .install(|| pairs.into_par_iter().map(|(item, arg)| f(item, arg)).collect())
+    let pairs = items.iter_mut().zip(args);
+    if parallel {
+        pairs.collect::<Vec<_>>().into_par_iter().map(|(item, arg)| f(item, arg)).collect()
+    } else {
+        pairs.map(|(item, arg)| f(item, arg)).collect()
+    }
 }
 
 /// Maintains the global tree across iterations for one engine. Seeded
@@ -183,11 +183,9 @@ pub struct TreeMaintainer<D: Data> {
     partitioner: Partitioner,
     n_partitions: usize,
     totals: UpdateTotals,
-    /// Parallel regions for the seed/rebuild builder paths.
+    /// Parallel regions for the seed/rebuild builder paths and the
+    /// batch classify/apply/flatten phases.
     parallel: bool,
-    /// Thread count pinned for the batch classify/apply/flatten phases
-    /// (0 = the host's parallelism).
-    threads: usize,
 }
 
 impl<D: Data> TreeMaintainer<D> {
@@ -196,14 +194,13 @@ impl<D: Data> TreeMaintainer<D> {
     /// `n_subtrees` / `n_partitions` minimums. With
     /// `incremental.universe_pad == 0` the returned trees are
     /// bit-identical to a fresh [`crate::decompose`] + build pass.
-    /// `parallel = false` (the deterministic DES engine) also pins the
-    /// batch phases to one thread.
+    /// `parallel = false` (the deterministic DES engine) also runs the
+    /// batch phases as plain loops.
     pub fn seed(
         config: &Configuration,
         particles: Vec<Particle>,
         parallel: bool,
     ) -> (TreeMaintainer<D>, Vec<BuiltTree<D>>) {
-        let threads = if parallel { config.incremental.batch_threads } else { 1 };
         let mut m = TreeMaintainer {
             config: config.clone(),
             universe: BoundingBox::empty(),
@@ -213,7 +210,6 @@ impl<D: Data> TreeMaintainer<D> {
             n_partitions: config.n_partitions,
             totals: UpdateTotals::default(),
             parallel,
-            threads,
         };
         let built = m.reseed(particles);
         (m, built)
@@ -362,7 +358,7 @@ impl<D: Data> TreeMaintainer<D> {
             off += c;
         }
         debug_assert_eq!(off, master.len());
-        let classified = par_map_mut(self.threads, &mut self.trees, slices, |t, s| t.classify(s));
+        let classified = par_map_mut(self.parallel, &mut self.trees, slices, |t, s| t.classify(s));
         let mut escapees_per_tree = Vec::with_capacity(n_trees);
         for (si, c) in classified.into_iter().enumerate() {
             let c = c?;
@@ -413,7 +409,7 @@ impl<D: Data> TreeMaintainer<D> {
         // Phase 3 — apply: sieve each destination's batch down in one
         // group pass, then repair, in parallel over disjoint Subtrees.
         let alpha = inc.balance_alpha;
-        let applied = par_map_mut(self.threads, &mut self.trees, batches, |t, b| {
+        let applied = par_map_mut(self.parallel, &mut self.trees, batches, |t, b| {
             t.insert_batch(b)?;
             t.repair(alpha)
         });
@@ -457,7 +453,7 @@ impl<D: Data> TreeMaintainer<D> {
         // still warm in cache).
         let partitioner = &self.partitioner;
         let n_partitions = self.n_partitions;
-        let flats = par_map_mut(self.threads, &mut self.trees, vec![(); n_trees], |t, ()| {
+        let flats = par_map_mut(self.parallel, &mut self.trees, vec![(); n_trees], |t, ()| {
             let flat = t.flatten()?;
             let mut loads = vec![0u64; n_partitions];
             for p in &flat.particles {
@@ -820,9 +816,8 @@ mod tests {
                 p.pos.z = p.pos.z.clamp(uni.lo.z, uni.hi.z);
             }
         };
-        let run = |threads: usize| {
-            let mut cfg = config();
-            cfg.incremental.batch_threads = threads;
+        let run_steps = || {
+            let cfg = config();
             let ps = gen::uniform_cube(1000, 29, 1.0, 1.0);
             let (mut m, seeded) = TreeMaintainer::<CountData>::seed(&cfg, ps, true);
             let mut master = masters(&seeded);
@@ -834,6 +829,13 @@ mod tests {
                 master = masters(&out.last().unwrap().0);
             }
             out
+        };
+        let run = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+                .install(run_steps)
         };
         let a = run(1);
         let b = run(2);

@@ -27,7 +27,6 @@ use crate::visitor::{SpatialNodeView, TargetBucket, Visitor};
 use paratreet_cache::{CacheNode, CacheTree, NodeHandle, NodeKind};
 use paratreet_geometry::NodeKey;
 use paratreet_telemetry::{MetricSource, MetricsRegistry};
-use serde::Serialize;
 use std::ops::AddAssign;
 
 /// A (source, target) node pair on the dual-tree work stack.
@@ -62,7 +61,7 @@ impl CacheModel {
 /// Interaction counters for one traversal. These are exact algorithmic
 /// quantities (identical across executors), and double as the cost basis
 /// for the virtual-time machine model.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounts {
     /// Tree nodes visited (work items processed).
     pub nodes_visited: u64,
@@ -84,7 +83,7 @@ impl AddAssign for WorkCounts {
 }
 
 /// Per-traversal statistics.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TraversalStats {
     /// Interaction counters.
     pub counts: WorkCounts,

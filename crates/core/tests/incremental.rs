@@ -423,9 +423,8 @@ proptest! {
         drift in 0.0f64..0.2,
         steps in 1usize..4,
     ) {
-        let run = |threads: usize| {
-            let mut cfg = config(true, 0.05);
-            cfg.incremental.batch_threads = threads;
+        let run_steps = || {
+            let cfg = config(true, 0.05);
             let ps = gen::uniform_cube(n, seed, 1.0, 1.0);
             let (mut m, seeded) = TreeMaintainer::<MonoData>::seed(&cfg, ps, true);
             let mut master: Vec<Particle> =
@@ -448,6 +447,13 @@ proptest! {
                 out.push((trees, round.n_batches, round.stats));
             }
             out
+        };
+        let run = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+                .install(run_steps)
         };
         let a = run(1);
         let b = run(2);

@@ -3,8 +3,6 @@
 //! byte-identical Chrome trace — and that trace must validate against
 //! the trace-event schema with one track per simulated worker.
 
-#![cfg(feature = "telemetry")]
-
 use paratreet_core::{
     CacheModel, Configuration, DistributedEngine, IterationReport, SpatialNodeView, TargetBucket,
     TraversalKind, Visitor, DES_FLIGHT_SERIES,

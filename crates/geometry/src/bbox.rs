@@ -5,10 +5,9 @@
 //! `grow` works without a separate "initialised" flag.
 
 use crate::{Axis, Sphere, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned bounding box, possibly empty.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BoundingBox {
     /// Minimum corner.
     pub lo: Vec3,

@@ -11,14 +11,12 @@
 //! `NodeKey`, remote requests carry a `NodeKey`, and ancestor/descendant
 //! checks are bit operations.
 
-use serde::{Deserialize, Serialize};
-
 /// The key of the global root node (just the sentinel bit).
 pub const ROOT_KEY: NodeKey = NodeKey(1);
 
 /// A node's path-prefix key. Wraps a `u64`: sentinel `1` bit followed by
 /// `level` digits of `bits_per_level` bits each.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeKey(pub u64);
 
 impl NodeKey {

@@ -5,10 +5,9 @@
 //! `GravityVisitor::open`). The sphere type here is that object.
 
 use crate::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A sphere given by centre and radius.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Sphere {
     /// Centre of the sphere.
     pub center: Vec3,

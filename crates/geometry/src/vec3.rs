@@ -4,12 +4,11 @@
 //! `#[repr(C)]` triple of `f64` keeps particle arrays dense and lets the
 //! compiler vectorise the inner interaction loops.
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Index, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A 3-component `f64` vector.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 #[repr(C)]
 pub struct Vec3 {
     /// x component.

@@ -7,10 +7,9 @@
 //! straight memcpy and traversal kernels stream it efficiently.
 
 use paratreet_geometry::{BoundingBox, MortonKey, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// One simulation particle.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 #[repr(C)]
 pub struct Particle {
     /// Stable identifier, unique within a snapshot.

@@ -6,10 +6,8 @@
 //! costs were calibrated on), and a communication model (per-message
 //! latency, per-byte time, sender injection serialisation).
 
-use serde::{Deserialize, Serialize};
-
 /// A distributed machine configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MachineSpec {
     /// Human-readable name ("Summit", "Stampede2", "Bridges2", ...).
     pub name: String,

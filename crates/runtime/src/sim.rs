@@ -23,7 +23,6 @@ use crate::ledger::Ledger;
 use crate::machine::MachineSpec;
 use crate::phase::Phase;
 use paratreet_telemetry::{MetricSource, MetricsRegistry, Telemetry, Track};
-use serde::Serialize;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -56,7 +55,7 @@ impl<P> Ord for Scheduled<P> {
 }
 
 /// Communication counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CommStats {
     /// Messages sent.
     pub messages: u64,
@@ -453,7 +452,7 @@ pub enum FaultAction {
 }
 
 /// Counts of injected faults, for reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultStats {
     /// Messages dropped.
     pub dropped: u64,

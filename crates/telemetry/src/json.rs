@@ -1,11 +1,11 @@
 //! A tiny self-contained JSON value: builder, writer, and parser.
 //!
-//! The workspace's `serde` is an offline marker shim (see
-//! `shims/serde`), so anything that needs real JSON — the metrics dump,
-//! the Chrome trace exporter, and the trace-schema validator — goes
-//! through this module instead. Output is deterministic: object keys
-//! keep insertion order, and floats use Rust's shortest round-trip
-//! formatting, so identical values always produce identical bytes.
+//! The workspace has no serialisation framework, so anything that needs
+//! JSON — the metrics dump, the Chrome trace exporter, and the
+//! trace-schema validator — goes through this module. Output is
+//! deterministic: object keys keep insertion order, and floats use
+//! Rust's shortest round-trip formatting, so identical values always
+//! produce identical bytes.
 
 use std::fmt;
 

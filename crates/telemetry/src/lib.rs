@@ -9,8 +9,7 @@
 //!   it records spans and counts into a [`recorder::ShardedRecorder`]
 //!   (one buffer per worker, atomic-swap drain — the same wait-free
 //!   discipline as the software cache). Disabled, every call is an
-//!   inlined branch on a `None`; with the `recorder` cargo feature off,
-//!   the handle is a zero-sized struct and calls compile to nothing.
+//!   inlined branch on a `None`.
 //! * [`MetricsRegistry`] — named counters/gauges that absorb the
 //!   workspace's stats structs ([`MetricSource`]), so reports are
 //!   queried by metric name instead of hand-plumbed fields.
@@ -27,7 +26,6 @@ pub mod export;
 pub mod hist;
 pub mod json;
 pub mod metrics;
-#[cfg(feature = "recorder")]
 pub mod recorder;
 pub mod span;
 pub mod timeseries;
@@ -39,17 +37,14 @@ pub use metrics::{MetricSource, MetricValue, MetricsRegistry};
 pub use span::{ClockDomain, Span, SpanLink, Trace, Track};
 pub use timeseries::{FlightRecorder, TimeSeries};
 
-#[cfg(feature = "recorder")]
 use recorder::{Recorder, ShardedRecorder};
-#[cfg(feature = "recorder")]
 use std::sync::Arc;
 
 /// The handle instrumented code holds. Cloning is cheap (an `Arc` when
-/// enabled, nothing otherwise); the disabled handle makes every method
-/// a no-op.
+/// enabled, a null pointer otherwise); the disabled handle makes every
+/// method a no-op.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
-    #[cfg(feature = "recorder")]
     inner: Option<Arc<ShardedRecorder>>,
 }
 
@@ -61,44 +56,21 @@ impl Telemetry {
 
     /// An enabled handle stamping virtual-time spans (the DES engine).
     /// Callers supply explicit timestamps through [`Telemetry::span_at`].
-    #[cfg(feature = "recorder")]
     pub fn virtual_time(n_shards: usize) -> Telemetry {
         Telemetry { inner: Some(Arc::new(ShardedRecorder::new(n_shards, ClockDomain::Virtual))) }
-    }
-
-    /// See the enabled variant; without the `recorder` feature this
-    /// returns a disabled handle.
-    #[cfg(not(feature = "recorder"))]
-    pub fn virtual_time(_n_shards: usize) -> Telemetry {
-        Telemetry::default()
     }
 
     /// An enabled handle stamping wall-clock spans (threaded executor,
     /// shared-memory framework). `n_shards` should be sized to the
     /// expected thread count; undersizing is safe, just more contended.
-    #[cfg(feature = "recorder")]
     pub fn wall(n_shards: usize) -> Telemetry {
         Telemetry { inner: Some(Arc::new(ShardedRecorder::new(n_shards, ClockDomain::Wall))) }
-    }
-
-    /// See the enabled variant; without the `recorder` feature this
-    /// returns a disabled handle.
-    #[cfg(not(feature = "recorder"))]
-    pub fn wall(_n_shards: usize) -> Telemetry {
-        Telemetry::default()
     }
 
     /// Whether spans are actually being recorded.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "recorder")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "recorder"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Records a completed span with explicit timestamps (microseconds
@@ -113,13 +85,8 @@ impl Telemetry {
         dur_us: f64,
         key: Option<u64>,
     ) {
-        #[cfg(feature = "recorder")]
         if let Some(r) = &self.inner {
             r.record_span(Span { track, name, start_us, dur_us, key, link: SpanLink::NONE });
-        }
-        #[cfg(not(feature = "recorder"))]
-        {
-            let _ = (track, name, start_us, dur_us, key);
         }
     }
 
@@ -137,13 +104,8 @@ impl Telemetry {
         key: Option<u64>,
         link: SpanLink,
     ) {
-        #[cfg(feature = "recorder")]
         if let Some(r) = &self.inner {
             r.record_span(Span { track, name, start_us, dur_us, key, link });
-        }
-        #[cfg(not(feature = "recorder"))]
-        {
-            let _ = (track, name, start_us, dur_us, key, link);
         }
     }
 
@@ -152,7 +114,6 @@ impl Telemetry {
     /// should gate tracing on [`Telemetry::is_enabled`] anyway.
     #[inline]
     pub fn next_span_id(&self) -> u64 {
-        #[cfg(feature = "recorder")]
         if let Some(r) = &self.inner {
             return r.next_span_id();
         }
@@ -163,7 +124,6 @@ impl Telemetry {
     /// Returns 0.0 on a disabled handle.
     #[inline]
     pub fn now_us(&self) -> f64 {
-        #[cfg(feature = "recorder")]
         if let Some(r) = &self.inner {
             return r.now_us();
         }
@@ -176,11 +136,9 @@ impl Telemetry {
     /// recorder epoch. Returns 0.0 on a disabled handle.
     #[inline]
     pub fn us_of(&self, t: std::time::Instant) -> f64 {
-        #[cfg(feature = "recorder")]
         if let Some(r) = &self.inner {
             return t.saturating_duration_since(r.epoch()).as_secs_f64() * 1e6;
         }
-        let _ = t;
         0.0
     }
 
@@ -188,7 +146,6 @@ impl Telemetry {
     /// disabled handle). Used as the `worker` half of a [`Track`].
     #[inline]
     pub fn thread_slot(&self) -> u32 {
-        #[cfg(feature = "recorder")]
         if let Some(r) = &self.inner {
             return r.thread_slot() as u32;
         }
@@ -207,7 +164,6 @@ impl Telemetry {
         key: Option<u64>,
         f: impl FnOnce() -> R,
     ) -> R {
-        #[cfg(feature = "recorder")]
         if let Some(r) = &self.inner {
             let start_us = r.now_us();
             let out = f();
@@ -216,30 +172,20 @@ impl Telemetry {
             r.record_span(Span { track, name, start_us, dur_us, key, link: SpanLink::NONE });
             return out;
         }
-        #[cfg(not(feature = "recorder"))]
-        {
-            let _ = (rank, name, key);
-        }
         f()
     }
 
     /// Adds `delta` to a named counter (merged across shards at drain).
     #[inline]
     pub fn count(&self, name: &'static str, delta: u64) {
-        #[cfg(feature = "recorder")]
         if let Some(r) = &self.inner {
             r.add_count(name, delta);
-        }
-        #[cfg(not(feature = "recorder"))]
-        {
-            let _ = (name, delta);
         }
     }
 
     /// Takes everything recorded so far. Returns an empty trace on a
     /// disabled handle.
     pub fn drain(&self) -> Trace {
-        #[cfg(feature = "recorder")]
         if let Some(r) = &self.inner {
             return r.drain();
         }
@@ -254,6 +200,7 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
+        assert_eq!(std::mem::size_of::<Telemetry>(), std::mem::size_of::<usize>());
         assert!(!t.is_enabled());
         t.span_at(Track { rank: 0, worker: 0 }, "x", 0.0, 1.0, None);
         t.count("c", 5);
@@ -263,7 +210,6 @@ mod tests {
         assert!(trace.spans.is_empty() && trace.counters.is_empty());
     }
 
-    #[cfg(feature = "recorder")]
     #[test]
     fn enabled_handle_records() {
         let t = Telemetry::virtual_time(2);
@@ -277,7 +223,6 @@ mod tests {
         assert_eq!(trace.counters["fills"], 2);
     }
 
-    #[cfg(feature = "recorder")]
     #[test]
     fn wall_span_measures_and_returns() {
         let t = Telemetry::wall(1);

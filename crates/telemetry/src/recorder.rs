@@ -8,10 +8,6 @@
 //! writer holds the shard's buffer) is resolved by moving the displaced
 //! buffer to a mutex-protected overflow list, touched only on that
 //! race.
-//!
-//! This module only exists with the `recorder` feature (the default).
-//! Without it, [`crate::Telemetry`] is a zero-sized no-op handle and
-//! none of this code is compiled.
 
 use crate::span::{ClockDomain, Span, Trace};
 use std::collections::BTreeMap;

@@ -15,16 +15,13 @@
 //! producers lapping each other onto the same slot mid-write) is simply
 //! skipped. With capacity ≥ rows written, sampling is loss-free.
 //!
-//! Like [`crate::Telemetry`], the handle is cheap to clone and is a
-//! zero-sized no-op without the `recorder` cargo feature.
+//! Like [`crate::Telemetry`], the handle is cheap to clone and a
+//! disabled one is a null pointer whose every call is a no-op.
 
 use crate::json::Json;
 use crate::span::ClockDomain;
-#[cfg(feature = "recorder")]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "recorder")]
 use std::sync::Arc;
-#[cfg(feature = "recorder")]
 use std::time::Instant;
 
 /// One drained window of samples: the series names plus `(t_us, values)`
@@ -85,14 +82,12 @@ impl TimeSeries {
 /// One ring slot: a seqlock-style tag (`0` empty, odd = being written,
 /// even = complete, `tag / 2 - 1` = claim number) plus the row stored as
 /// per-word atomics (`words[0]` = `t_us` bits, the rest = value bits).
-#[cfg(feature = "recorder")]
 #[derive(Debug)]
 struct Slot {
     tag: AtomicU64,
     words: Box<[AtomicU64]>,
 }
 
-#[cfg(feature = "recorder")]
 #[derive(Debug)]
 struct RingSampler {
     names: Vec<&'static str>,
@@ -104,7 +99,6 @@ struct RingSampler {
     slots: Vec<Slot>,
 }
 
-#[cfg(feature = "recorder")]
 impl RingSampler {
     fn new(names: &[&'static str], capacity: usize, clock: ClockDomain) -> RingSampler {
         let width = names.len() + 1;
@@ -158,12 +152,10 @@ impl RingSampler {
     }
 }
 
-/// The cloneable sampler handle engines carry. Disabled (or with the
-/// `recorder` feature off), every call is a no-op and
-/// [`FlightRecorder::snapshot`] returns an empty series.
+/// The cloneable sampler handle engines carry. Disabled, every call is
+/// a no-op and [`FlightRecorder::snapshot`] returns an empty series.
 #[derive(Clone, Debug, Default)]
 pub struct FlightRecorder {
-    #[cfg(feature = "recorder")]
     inner: Option<Arc<RingSampler>>,
 }
 
@@ -175,61 +167,33 @@ impl FlightRecorder {
 
     /// An enabled recorder whose producers stamp wall-clock time via
     /// [`FlightRecorder::sample`].
-    #[cfg(feature = "recorder")]
     pub fn wall(names: &[&'static str], capacity: usize) -> FlightRecorder {
         FlightRecorder {
             inner: Some(Arc::new(RingSampler::new(names, capacity, ClockDomain::Wall))),
         }
     }
 
-    /// See the enabled variant; without the `recorder` feature this
-    /// returns a disabled handle.
-    #[cfg(not(feature = "recorder"))]
-    pub fn wall(_names: &[&'static str], _capacity: usize) -> FlightRecorder {
-        FlightRecorder::default()
-    }
-
     /// An enabled recorder whose producers stamp virtual time via
     /// [`FlightRecorder::sample_at`] — the DES path; same seed produces
     /// a byte-identical series.
-    #[cfg(feature = "recorder")]
     pub fn virtual_time(names: &[&'static str], capacity: usize) -> FlightRecorder {
         FlightRecorder {
             inner: Some(Arc::new(RingSampler::new(names, capacity, ClockDomain::Virtual))),
         }
     }
 
-    /// See the enabled variant; without the `recorder` feature this
-    /// returns a disabled handle.
-    #[cfg(not(feature = "recorder"))]
-    pub fn virtual_time(_names: &[&'static str], _capacity: usize) -> FlightRecorder {
-        FlightRecorder::default()
-    }
-
     /// Whether samples are actually being kept.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "recorder")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "recorder"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// Records one row at an explicit timestamp (microseconds in the
     /// recorder's clock domain — the DES passes virtual time).
     #[inline]
     pub fn sample_at(&self, t_us: f64, values: &[f64]) {
-        #[cfg(feature = "recorder")]
         if let Some(r) = &self.inner {
             r.push(t_us, values);
-        }
-        #[cfg(not(feature = "recorder"))]
-        {
-            let _ = (t_us, values);
         }
     }
 
@@ -237,20 +201,14 @@ impl FlightRecorder {
     /// recorder was created.
     #[inline]
     pub fn sample(&self, values: &[f64]) {
-        #[cfg(feature = "recorder")]
         if let Some(r) = &self.inner {
             r.push(r.epoch.elapsed().as_secs_f64() * 1e6, values);
-        }
-        #[cfg(not(feature = "recorder"))]
-        {
-            let _ = values;
         }
     }
 
     /// The retained window, oldest retained row first. Empty on a
     /// disabled handle. Non-destructive: sampling may continue.
     pub fn snapshot(&self) -> TimeSeries {
-        #[cfg(feature = "recorder")]
         if let Some(r) = &self.inner {
             return r.snapshot();
         }
@@ -265,13 +223,13 @@ mod tests {
     #[test]
     fn disabled_recorder_is_inert() {
         let fr = FlightRecorder::disabled();
+        assert_eq!(std::mem::size_of::<FlightRecorder>(), std::mem::size_of::<usize>());
         assert!(!fr.is_enabled());
         fr.sample(&[1.0]);
         fr.sample_at(5.0, &[2.0]);
         assert_eq!(fr.snapshot(), TimeSeries::default());
     }
 
-    #[cfg(feature = "recorder")]
     #[test]
     fn records_rows_in_order() {
         let fr = FlightRecorder::virtual_time(&["depth", "qps"], 16);
@@ -290,7 +248,6 @@ mod tests {
         assert_eq!(ts.rows[3], (4.0, vec![1.0, 2.0]));
     }
 
-    #[cfg(feature = "recorder")]
     #[test]
     fn wraparound_keeps_newest_window() {
         let fr = FlightRecorder::virtual_time(&["v"], 8);
@@ -306,7 +263,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "recorder")]
     #[test]
     fn concurrent_sampling_is_loss_free() {
         let threads = 8usize;
@@ -336,7 +292,6 @@ mod tests {
         assert!(seen.iter().all(|&c| c == 1));
     }
 
-    #[cfg(feature = "recorder")]
     #[test]
     fn export_is_deterministic() {
         let fr = FlightRecorder::virtual_time(&["a", "b"], 4);

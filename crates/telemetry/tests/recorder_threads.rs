@@ -1,8 +1,6 @@
 //! Concurrency tests for the sharded recorder: 8 real threads recording
 //! spans and counters, with and without concurrent drains.
 
-#![cfg(feature = "recorder")]
-
 use paratreet_telemetry::{Span, Telemetry, Track};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;

@@ -24,6 +24,8 @@ cargo test --release -q --test traversal_scratch
 cargo test --release -q -p paratreet-tree --lib key_heap_matches_record_heap_model
 cargo test --release -q -p paratreet-apps --lib -- \
     step_matches_the_record_list_reference query_neighbors_carry_their_particles_payload
+# The CLI rejects what it does not read, on the binary users run.
+cargo test --release -q --test cli
 
 echo "== fork-join executor + thread-count identity, optimised (the build the benchmark runs) =="
 cargo test --release -q -p rayon
@@ -79,8 +81,12 @@ for i in $(seq 1 200); do
         { echo "threaded loop: run $i failed or hung (exit $?)"; exit 1; }
 done
 
-echo "== cargo build --workspace --no-default-features (telemetry off) =="
-cargo build --workspace --no-default-features
+echo "== one configuration: no cargo feature, no cfg(feature) twin, no serde/bytes stand-in =="
+# (`! grep` would not stop a `set -e` script; these do.)
+if grep -rn 'cfg(feature' crates src shims; then echo "a compile-time twin is back"; exit 1; fi
+if grep -nE '^\[features\]|^(serde|bytes)\b' Cargo.toml crates/*/Cargo.toml; then
+    echo "a feature table or a retired stand-in is back"; exit 1
+fi
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -101,9 +107,12 @@ echo "== fig9 smoke (--json) =="
 cargo run --release -q -p paratreet-bench --bin fig9_time_profile -- \
     --particles 2000 --procs 2 --bins 8 --json true > /dev/null
 
+# Everything the smokes below write lands in one directory.
+smoke_dir=$(mktemp -d /tmp/paratreet-ci-XXXXXX)
+trap 'rm -rf "$smoke_dir"' EXIT
+
 echo "== chaos smoke (rank crash mid-traversal recovers) =="
-chaos_metrics=$(mktemp /tmp/paratreet-chaos-XXXXXX.json)
-trap 'rm -f "$chaos_metrics"' EXIT
+chaos_metrics="$smoke_dir/chaos.json"
 cargo run --release -q --bin paratreet -- gravity --particles 3000 --engine machine --ranks 4 \
     --crash-rank 1 --crash-phase traversal --crash-restart true \
     --metrics-out "$chaos_metrics" > /dev/null
@@ -115,8 +124,7 @@ grep -q '"recovery.restored_bytes":[1-9]' "$chaos_metrics" ||
     { echo "chaos smoke: checkpoint restore read zero bytes"; exit 1; }
 
 echo "== incremental smoke (multi-iteration maintained tree) =="
-inc_metrics=$(mktemp /tmp/paratreet-inc-XXXXXX.json)
-trap 'rm -f "$chaos_metrics" "$inc_metrics"' EXIT
+inc_metrics="$smoke_dir/inc.json"
 cargo run --release -q --bin paratreet -- gravity --particles 3000 --engine machine --ranks 4 \
     --iterations 3 --incremental true \
     --metrics-out "$inc_metrics" > /dev/null
@@ -128,8 +136,7 @@ grep -q '"tree.update.moved":[1-9]' "$inc_metrics" ||
     { echo "incremental smoke: drift moved no particles in $inc_metrics"; exit 1; }
 
 echo "== incremental disk smoke (batched escapees, no drift rebuilds) =="
-disk_metrics=$(mktemp /tmp/paratreet-disk-XXXXXX.json)
-trap 'rm -f "$chaos_metrics" "$inc_metrics" "$disk_metrics"' EXIT
+disk_metrics="$smoke_dir/disk.json"
 cargo run --release -q --bin paratreet -- gravity --particles 3000 --engine machine --ranks 4 \
     --iterations 4 --incremental true --dist disk \
     --metrics-out "$disk_metrics" > /dev/null
@@ -146,8 +153,7 @@ grep -q '"tree.update.update_errors":0' "$disk_metrics" ||
     { echo "disk smoke: structured update errors recorded in $disk_metrics"; exit 1; }
 
 echo "== serve smoke (live writer + reader pool, latency histograms) =="
-serve_metrics=$(mktemp /tmp/paratreet-serve-XXXXXX.json)
-trap 'rm -f "$chaos_metrics" "$inc_metrics" "$disk_metrics" "$serve_metrics"' EXIT
+serve_metrics="$smoke_dir/serve.json"
 cargo run --release -q --bin paratreet -- serve-bench --particles 3000 --clients 40 \
     --queries 25 --serve-workers 2 --threads 2 \
     --metrics-out "$serve_metrics" > /dev/null
@@ -159,8 +165,7 @@ grep -q '"serve.snapshots.published":[1-9]' "$serve_metrics" ||
     { echo "serve smoke: writer published no snapshots in $serve_metrics"; exit 1; }
 
 echo "== overload smoke (tiny capacity, tight deadlines, injected worker panic) =="
-overload_metrics=$(mktemp /tmp/paratreet-overload-XXXXXX.json)
-trap 'rm -f "$chaos_metrics" "$inc_metrics" "$disk_metrics" "$serve_metrics" "$overload_metrics"' EXIT
+overload_metrics="$smoke_dir/overload.json"
 # One worker (deterministic batch numbering for the fail point), a tiny
 # queue, 1ms deadlines, and a panic injected at the 3rd batch: the run
 # must still exit 0 — overload and faults are answered, never fatal.
@@ -176,8 +181,7 @@ grep -q '"serve.worker.respawns":[1-9]' "$overload_metrics" ||
     { echo "overload smoke: supervisor respawned no worker in $overload_metrics"; exit 1; }
 
 echo "== forest smoke (tiled FoF over DES ghost exchange) =="
-forest_metrics=$(mktemp /tmp/paratreet-forest-XXXXXX.json)
-trap 'rm -f "$chaos_metrics" "$inc_metrics" "$disk_metrics" "$serve_metrics" "$overload_metrics" "$forest_metrics"' EXIT
+forest_metrics="$smoke_dir/forest.json"
 # Four periodic boxes on two DES ranks: the halo catalog must be
 # non-empty and the ghost layer must actually cross the seams — both
 # as materialized particles and as priced bytes on the DES NIC.
@@ -194,8 +198,8 @@ grep -q '"ghost.des.comm.bytes":[1-9]' "$forest_metrics" ||
     { echo "forest smoke: DES exchange priced zero comm bytes"; exit 1; }
 
 echo "== analyze smoke (traced serve run -> paratreet-analyze --check) =="
-obs_dir=$(mktemp -d /tmp/paratreet-obs-XXXXXX)
-trap 'rm -f "$chaos_metrics" "$inc_metrics" "$disk_metrics" "$serve_metrics" "$overload_metrics" "$forest_metrics"; rm -rf "$obs_dir"' EXIT
+obs_dir="$smoke_dir/obs"
+mkdir "$obs_dir"
 cargo run --release -q --bin paratreet -- serve-bench --particles 3000 --clients 40 \
     --queries 25 --serve-workers 2 --threads 2 \
     --trace-out "$obs_dir/trace.json" --metrics-out "$obs_dir/metrics.json" \

@@ -51,6 +51,7 @@ WORKLOAD (default: generator):
                        | tiled (one Plummer blob per grid tile)
   --seed S             generator seed                      [1]
   --input FILE         read a .ptrt snapshot instead of generating
+  --radius-scale F     body-radius multiplier (dist disk)  [3e4]
 
 FOREST / FOF (fof only):
   --tiles AxBxC        domain grid, tiles per axis         [2x2x1]
@@ -89,8 +90,6 @@ INCREMENTAL TREE MAINTENANCE (all engines):
                        a whole-tree rebuild + re-decomposition [2.5]
   --inc-universe-pad F universe padding fraction kept as drift
                        headroom (0 disables padding)       [0.05]
-  --inc-threads N      threads for the batch update phases
-                       (0 = one per core)                  [0]
 
 QUERY SERVING (serve-bench only):
   --clients N          simulated clients                   [200]
@@ -156,6 +155,25 @@ OUTPUT:
   --sample-ms T        serve-bench flight sampling interval, ms [5]
 ";
 
+/// Every option the binary reads, grouped as `USAGE`'s sections.
+/// `parse_args` rejects any other name; a test below holds this list and
+/// `USAGE` to each other.
+#[rustfmt::skip]
+const OPTIONS: &[&str] = &[
+    "particles", "dist", "seed", "input", "radius-scale",
+    "tiles", "tile", "periodic", "link", "min-members",
+    "tree", "decomp", "traversal", "bucket", "subtrees", "partitions", "iterations", "theta", "k",
+    "dt",
+    "engine", "ranks", "workers",
+    "incremental", "inc-alpha", "inc-depth-slack", "inc-imbalance", "inc-universe-pad",
+    "clients", "queries", "serve-workers", "threads", "batch", "queue", "ring", "admission",
+    "writer-pace-ms", "deadline-ms", "max-backlog-ms", "retries", "pace-us", "degrade",
+    "respawn-limit", "inject-worker-panic", "inject-writer-panic",
+    "fault-drop", "fault-dup", "fault-delay", "fault-delay-s", "fault-seed", "fault-timeout",
+    "crash-rank", "crash-phase", "crash-time", "crash-restart", "crash-restart-delay",
+    "output", "csv", "trace-out", "metrics-out", "timeseries-out", "sample-ms",
+];
+
 fn parse_args() -> (String, HashMap<String, String>) {
     let mut args = std::env::args().skip(1);
     let app = match args.next() {
@@ -168,6 +186,10 @@ fn parse_args() -> (String, HashMap<String, String>) {
     let mut opts = HashMap::new();
     while let Some(k) = args.next() {
         if let Some(name) = k.strip_prefix("--") {
+            if !OPTIONS.contains(&name) {
+                eprintln!("unknown option --{name}\n{USAGE}");
+                exit(2);
+            }
             match args.next() {
                 Some(v) => {
                     opts.insert(name.to_string(), v);
@@ -315,7 +337,6 @@ fn configuration(opts: &HashMap<String, String>) -> Configuration {
         n_subtrees: get(opts, "subtrees", 8usize),
         n_partitions: get(opts, "partitions", 16usize),
         iterations: get(opts, "iterations", 1usize),
-        seed: get(opts, "seed", 1u64),
         ..Default::default()
     };
     let inc = &mut config.incremental;
@@ -324,7 +345,6 @@ fn configuration(opts: &HashMap<String, String>) -> Configuration {
     inc.balance_depth_slack = get(opts, "inc-depth-slack", inc.balance_depth_slack);
     inc.imbalance_rebuild = get(opts, "inc-imbalance", inc.imbalance_rebuild);
     inc.universe_pad = get(opts, "inc-universe-pad", inc.universe_pad);
-    inc.batch_threads = get(opts, "inc-threads", inc.batch_threads);
     config
 }
 
@@ -393,14 +413,11 @@ fn telemetry_for(opts: &HashMap<String, String>, virtual_clock: bool, shards: us
     if !opts.contains_key("trace-out") {
         return Telemetry::disabled();
     }
-    let t = if virtual_clock { Telemetry::virtual_time(shards) } else { Telemetry::wall(shards) };
-    if !t.is_enabled() {
-        eprintln!(
-            "warning: --trace-out given but the telemetry feature is compiled out; \
-             the trace will be empty (rebuild without --no-default-features)"
-        );
+    if virtual_clock {
+        Telemetry::virtual_time(shards)
+    } else {
+        Telemetry::wall(shards)
     }
-    t
 }
 
 /// Drains `telemetry` into `--trace-out` and dumps `metrics` to
@@ -451,18 +468,11 @@ fn flight_for(
     if !opts.contains_key("timeseries-out") {
         return FlightRecorder::disabled();
     }
-    let f = if virtual_clock {
+    if virtual_clock {
         FlightRecorder::virtual_time(series, capacity)
     } else {
         FlightRecorder::wall(series, capacity)
-    };
-    if !f.is_enabled() {
-        eprintln!(
-            "warning: --timeseries-out given but the telemetry feature is compiled out; \
-             the series will be empty (rebuild without --no-default-features)"
-        );
     }
-    f
 }
 
 /// Writes the flight-recorder window to `--timeseries-out`, when given.
@@ -1038,5 +1048,26 @@ fn main() {
             eprintln!("unknown app {other}\n{USAGE}");
             exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    /// The list `parse_args` checks against is the list of option lines
+    /// a user reads; `tests/cli.rs` feeds every `--name` the text
+    /// mentions, prose included, through the parser.
+    #[test]
+    fn options_and_usage_name_the_same_flags() {
+        let listed: BTreeSet<&str> = OPTIONS.iter().copied().collect();
+        assert_eq!(listed.len(), OPTIONS.len(), "duplicate entry in OPTIONS");
+        let documented: BTreeSet<&str> = USAGE
+            .lines()
+            .filter_map(|l| l.strip_prefix("  --"))
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        assert_eq!(documented, listed);
     }
 }

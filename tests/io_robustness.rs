@@ -35,13 +35,13 @@ proptest! {
     #[test]
     fn snapshot_roundtrip_is_exact(ps in prop::collection::vec(arb_particle(), 0..64)) {
         let bytes = io::to_bytes(&ps);
-        let back = io::from_bytes(bytes).unwrap();
+        let back = io::from_bytes(&bytes).unwrap();
         prop_assert_eq!(ps, back);
     }
 
     #[test]
     fn arbitrary_bytes_never_panic(data in prop::collection::vec(any::<u8>(), 0..2048)) {
-        let _ = io::from_bytes(bytes::Bytes::from(data)); // Err or Ok, never panic
+        let _ = io::from_bytes(&data); // Err or Ok, never panic
     }
 
     #[test]
