@@ -6,8 +6,8 @@
 
 use paratreet_analyze::{analyze, critical_path, parse_trace, utilization};
 use paratreet_core::{
-    CacheModel, Configuration, DistributedEngine, SpatialNodeView, TargetBucket, TraversalKind,
-    Visitor, DES_FLIGHT_SERIES,
+    CacheModel, Configuration, DistributedEngine, SpatialNodeView, TargetBucket, TargetSpan,
+    TraversalKind, Visitor, DES_FLIGHT_SERIES,
 };
 use paratreet_particles::gen;
 use paratreet_runtime::MachineSpec;
@@ -20,15 +20,16 @@ impl Visitor for CountVisitor {
     type Data = CountData;
     type State = u64;
     type Prepared = ();
+    type PerTarget = ();
     fn prepare(&self, _: &SpatialNodeView<'_, CountData>) {}
     fn open(&self, s: &SpatialNodeView<'_, CountData>, _: &(), _t: &TargetBucket<u64>) -> bool {
         s.n_particles > 8
     }
-    fn node(&self, s: &SpatialNodeView<'_, CountData>, _: &(), t: &mut TargetBucket<u64>) {
-        t.state += s.data.count;
+    fn node(&self, s: &SpatialNodeView<'_, CountData>, _: &(), t: &mut TargetSpan<'_, u64>) {
+        t.buckets().for_each(|(_, t)| t.state += s.data.count);
     }
-    fn leaf(&self, s: &SpatialNodeView<'_, CountData>, _: &(), t: &mut TargetBucket<u64>) {
-        t.state += s.particles.len() as u64 * s.data.count;
+    fn leaf(&self, s: &SpatialNodeView<'_, CountData>, _: &(), t: &mut TargetSpan<'_, u64>) {
+        t.buckets().for_each(|(_, t)| t.state += s.particles.len() as u64 * s.data.count);
     }
 }
 

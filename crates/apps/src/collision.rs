@@ -12,9 +12,10 @@
 //! resonances (3:1, 2:1, 5:3) marked; [`resonance_radius`] computes
 //! those locations and [`CollisionProfile`] accumulates the histogram.
 
-use crate::gravity::{apply_leaf, apply_node, CentroidData, NodeMoments};
+use crate::gravity::{self, apply_leaf, apply_node, CentroidData, NodeMoments};
 use paratreet_core::{
-    Configuration, Framework, SpatialNodeView, TargetBucket, TraversalKind, Visitor,
+    Configuration, Framework, SpatialNodeView, TargetBucket, TargetLanes, TargetSpan,
+    TraversalKind, Visitor,
 };
 use paratreet_geometry::{BoundingBox, Vec3};
 use paratreet_particles::gen::G;
@@ -75,6 +76,8 @@ impl Visitor for DiskGravityVisitor {
     type Data = DiskData;
     type State = ();
     type Prepared = NodeMoments;
+    type PerTarget = ();
+    const LANES: TargetLanes = gravity::LANES;
 
     fn prepare(&self, source: &SpatialNodeView<'_, DiskData>) -> NodeMoments {
         NodeMoments::of(&source.data.centroid, self.theta)
@@ -93,18 +96,18 @@ impl Visitor for DiskGravityVisitor {
         &self,
         _source: &SpatialNodeView<'_, DiskData>,
         node: &NodeMoments,
-        target: &mut TargetBucket<()>,
+        targets: &mut TargetSpan<'_, ()>,
     ) {
-        apply_node(node, &mut target.particles, G)
+        apply_node(node, targets, G)
     }
 
     fn leaf(
         &self,
         source: &SpatialNodeView<'_, DiskData>,
         _node: &NodeMoments,
-        target: &mut TargetBucket<()>,
+        targets: &mut TargetSpan<'_, ()>,
     ) {
-        apply_leaf(source.particles, &mut target.particles, G)
+        apply_leaf(source.particles, targets, G)
     }
 }
 
@@ -149,9 +152,9 @@ impl CollisionVisitor {
     }
 
     /// A bucket's swept, radius-inflated bounding box.
-    fn swept_box(target: &TargetBucket<Vec<CollisionEvent>>, dt: f64) -> BoundingBox {
+    fn swept_box(particles: &[Particle], dt: f64) -> BoundingBox {
         let mut b = BoundingBox::empty();
-        for p in &target.particles {
+        for p in particles {
             let margin = Vec3::splat(p.radius);
             b.merge(&BoundingBox::new(p.pos - margin, p.pos + margin));
             let moved = p.pos + p.vel * dt;
@@ -165,14 +168,20 @@ impl Visitor for CollisionVisitor {
     type Data = DiskData;
     type State = Vec<CollisionEvent>;
     type Prepared = ();
+    /// The bucket's swept box: every `open` of the bucket tests it.
+    type PerTarget = BoundingBox;
 
     fn prepare(&self, _source: &SpatialNodeView<'_, DiskData>) {}
+
+    fn prepare_target(&self, particles: &[Particle]) -> BoundingBox {
+        Self::swept_box(particles, self.dt)
+    }
 
     fn open(
         &self,
         source: &SpatialNodeView<'_, DiskData>,
         _: &(),
-        target: &TargetBucket<Vec<CollisionEvent>>,
+        target: &TargetBucket<Vec<CollisionEvent>, BoundingBox>,
     ) -> bool {
         if source.data.centroid.sum_mass == 0.0 {
             return false;
@@ -183,32 +192,34 @@ impl Visitor for CollisionVisitor {
         let mut src = source.data.centroid.tight_box;
         src.lo -= Vec3::splat(margin);
         src.hi += Vec3::splat(margin);
-        src.intersects(&Self::swept_box(target, self.dt))
+        src.intersects(&target.prepared)
     }
 
     fn node(
         &self,
         _s: &SpatialNodeView<'_, DiskData>,
         _: &(),
-        _t: &mut TargetBucket<Vec<CollisionEvent>>,
+        _t: &mut TargetSpan<'_, Vec<CollisionEvent>, BoundingBox>,
     ) {
-        // A pruned subtree cannot collide with this bucket.
+        // A pruned subtree cannot collide with these buckets.
     }
 
     fn leaf(
         &self,
         source: &SpatialNodeView<'_, DiskData>,
         _: &(),
-        target: &mut TargetBucket<Vec<CollisionEvent>>,
+        targets: &mut TargetSpan<'_, Vec<CollisionEvent>, BoundingBox>,
     ) {
-        for tp in &target.particles {
-            for sp in source.particles {
-                // Each unordered pair is reported once (by its lower id).
-                if sp.id <= tp.id {
-                    continue;
-                }
-                if let Some((t, radius)) = Self::pair_collides(tp, sp, self.dt) {
-                    target.state.push(CollisionEvent { a: tp.id, b: sp.id, t, radius });
+        for (particles, target) in targets.buckets() {
+            for tp in particles {
+                for sp in source.particles {
+                    // Each unordered pair is reported once (by its lower id).
+                    if sp.id <= tp.id {
+                        continue;
+                    }
+                    if let Some((t, radius)) = Self::pair_collides(tp, sp, self.dt) {
+                        target.state.push(CollisionEvent { a: tp.id, b: sp.id, t, radius });
+                    }
                 }
             }
         }

@@ -18,7 +18,7 @@
 //! dual-tree schedule additionally credits whole buckets below a target
 //! node at once through `node()`.
 
-use paratreet_core::{SpatialNodeView, TargetBucket, Visitor};
+use paratreet_core::{SpatialNodeView, TargetBucket, TargetSpan, Visitor};
 use paratreet_geometry::BoundingBox;
 use paratreet_particles::Particle;
 use paratreet_tree::data::wire;
@@ -168,6 +168,7 @@ impl Visitor for PairCountVisitor {
     type Data = PairData;
     type State = PairCounts;
     type Prepared = ();
+    type PerTarget = ();
 
     fn prepare(&self, _source: &SpatialNodeView<'_, PairData>) {}
 
@@ -192,30 +193,34 @@ impl Visitor for PairCountVisitor {
         &self,
         source: &SpatialNodeView<'_, PairData>,
         _: &(),
-        target: &mut TargetBucket<PairCounts>,
+        targets: &mut TargetSpan<'_, PairCounts>,
     ) {
-        self.ensure(target);
-        let (lo, hi) = Self::range(&source.data.tight_box, &target.bbox);
-        if let Some(bin) = self.bins.single_bin(lo, hi) {
-            target.state.bins[bin] += source.data.count * target.particles.len() as u64;
+        for (_, target) in targets.buckets() {
+            self.ensure(target);
+            let (lo, hi) = Self::range(&source.data.tight_box, &target.bbox);
+            if let Some(bin) = self.bins.single_bin(lo, hi) {
+                target.state.bins[bin] += source.data.count * target.len() as u64;
+            }
+            // Out-of-range prunes contribute nothing (hi < r_min or lo >= r_max).
         }
-        // Out-of-range prunes contribute nothing (hi < r_min or lo >= r_max).
     }
 
     fn leaf(
         &self,
         source: &SpatialNodeView<'_, PairData>,
         _: &(),
-        target: &mut TargetBucket<PairCounts>,
+        targets: &mut TargetSpan<'_, PairCounts>,
     ) {
-        self.ensure(target);
-        for tp in &target.particles {
-            for sp in source.particles {
-                if sp.id == tp.id {
-                    continue;
-                }
-                if let Some(bin) = self.bins.bin_of(sp.pos.dist(tp.pos)) {
-                    target.state.bins[bin] += 1;
+        for (particles, target) in targets.buckets() {
+            self.ensure(target);
+            for tp in particles {
+                for sp in source.particles {
+                    if sp.id == tp.id {
+                        continue;
+                    }
+                    if let Some(bin) = self.bins.bin_of(sp.pos.dist(tp.pos)) {
+                        target.state.bins[bin] += 1;
+                    }
                 }
             }
         }

@@ -8,7 +8,7 @@
 //! ~100 lines of user code — that is the productivity claim of Table III.
 
 use crate::lanes::X1;
-use paratreet_core::{SpatialNodeView, TargetBucket, Visitor};
+use paratreet_core::{Lane, SpatialNodeView, TargetBucket, TargetLanes, TargetSpan, Visitor};
 use paratreet_geometry::{BoundingBox, Sphere, Vec3};
 use paratreet_particles::Particle;
 use paratreet_tree::data::wire;
@@ -172,51 +172,90 @@ pub fn grav_approx(target: Vec3, centroid: Vec3, mass: f64, quad: &[f64; 6]) -> 
     (Vec3::new(x, y, z), pot)
 }
 
-/// Adds a pruned node's attraction to every particle of a target
-/// bucket: `acc += a·g`, `potential += φ·g·m` with `(a, φ)` from
-/// [`grav_approx`], four targets at a time where the CPU has AVX2.
-pub fn apply_node(node: &NodeMoments, targets: &mut [Particle], g: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: the running CPU was just found to support AVX2.
-        return unsafe { x4::node_bucket(node, targets, g) };
+/// The target lanes the gravity kernels read and accumulate into:
+/// [`Visitor::LANES`] of a visitor that calls [`apply_node`] /
+/// [`apply_leaf`].
+pub const LANES: TargetLanes = TargetLanes {
+    reads: &[Lane::PosX, Lane::PosY, Lane::PosZ, Lane::Mass, Lane::Softening, Lane::Id],
+    writes: &[Lane::AccX, Lane::AccY, Lane::AccZ, Lane::Potential],
+};
+
+/// A span's stretch of the gravity lanes, each slice reaching to a whole
+/// group past the `live` targets.
+struct SpanLanes<'a> {
+    x: &'a [f64],
+    y: &'a [f64],
+    z: &'a [f64],
+    mass: &'a [f64],
+    softening: &'a [f64],
+    id: &'a [f64],
+    ax: &'a mut [f64],
+    ay: &'a mut [f64],
+    az: &'a mut [f64],
+    pot: &'a mut [f64],
+    live: usize,
+}
+
+impl<'a> SpanLanes<'a> {
+    fn of<S, T>(targets: &'a mut TargetSpan<'_, S, T>) -> SpanLanes<'a> {
+        let ([x, y, z, mass, softening, id], [ax, ay, az, pot], live) = targets.lanes();
+        SpanLanes { x, y, z, mass, softening, id, ax, ay, az, pot, live }
     }
-    x1::node_bucket(node, targets, g)
+}
+
+/// The one run-time choice of instantiation: four lanes where the CPU
+/// has AVX2, one elsewhere.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn four_lanes() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
+/// Adds a pruned node's attraction to every particle of a span of
+/// targets: `acc += a·g`, `potential += φ·g·m` with `(a, φ)` from
+/// [`grav_approx`], four targets at a time where the CPU has AVX2.
+pub fn apply_node<S, T>(node: &NodeMoments, targets: &mut TargetSpan<'_, S, T>, g: f64) {
+    let lanes = SpanLanes::of(targets);
+    #[cfg(target_arch = "x86_64")]
+    if four_lanes() {
+        // SAFETY: the running CPU was just found to support AVX2.
+        return unsafe { x4::node_span(node, lanes, g) };
+    }
+    x1::node_span(node, lanes, g)
 }
 
 /// Adds the exact attraction of every source particle to every particle
-/// of a target bucket, skipping a particle's attraction on itself:
+/// of a span of targets, skipping a particle's attraction on itself:
 /// `acc += a·g`, `potential += φ·g·m` with `(a, φ)` from [`grav_exact`]
 /// under the larger of the pair's softenings. Each target sees the
 /// sources in slice order; four targets at a time where the CPU has
 /// AVX2.
-pub fn apply_leaf(sources: &[Particle], targets: &mut [Particle], g: f64) {
+pub fn apply_leaf<S, T>(sources: &[Particle], targets: &mut TargetSpan<'_, S, T>, g: f64) {
+    let lanes = SpanLanes::of(targets);
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if four_lanes() {
         // SAFETY: the running CPU was just found to support AVX2.
-        return unsafe { x4::leaf_bucket(sources, targets, g) };
+        return unsafe { x4::leaf_span(sources, lanes, g) };
     }
-    x1::leaf_bucket(sources, targets, g)
-}
-
-/// The particle in lane `l` of a group of targets: the lanes past the
-/// end of a short last group replay its last particle, and are never
-/// written back.
-#[inline(always)]
-fn lane(group: &[Particle], l: usize) -> &Particle {
-    &group[l.min(group.len() - 1)]
+    x1::leaf_span(sources, lanes, g)
 }
 
 /// The gravity kernels, written once over a lane type of
 /// [`crate::lanes`] and instantiated per type below. The lanes are
-/// target particles. Every operation is spelled as a lane method, in
-/// the order the per-pair kernels always evaluated them, so each lane
-/// of each instantiation carries the same bits (the contract in
-/// `lanes`); `r² = 0` and "source is the target" are blends, with a
-/// shortcut to the same zeros when `r² = 0` in every lane.
+/// target particles: consecutive values of a span's columns, group by
+/// group, whichever bucket they belong to. Every operation is spelled as
+/// a lane method, in the order the per-pair kernels always evaluated
+/// them, so each lane of each instantiation carries the same bits (the
+/// contract in `lanes`); `r² = 0` and "source is the target" are blends,
+/// with a shortcut to the same zeros when `r² = 0` in every lane. A
+/// short last group is computed full-width — its dead lanes hold
+/// whatever follows the span — and stored back in its live lanes only.
 macro_rules! bucket_kernels {
     ($X:ident, $Ids:ident $(, #[$attr:meta])?) => {
-        use super::{lane, NodeMoments};
+        use super::{NodeMoments, SpanLanes};
+
+        // A group of lanes must fit the padding a span's slices carry.
+        const _: () = assert!($X::LANES <= paratreet_core::LANE_GROUP);
         use crate::lanes::{$Ids, $X};
         use paratreet_geometry::Vec3;
         use paratreet_particles::Particle;
@@ -297,32 +336,19 @@ macro_rules! bucket_kernels {
             (acc.map(|a| a.zero_where_zero(r2)), pot.zero_where_zero(r2))
         }
 
-        /// The positions of a group of targets, one particle per lane.
-        #[inline]
-        $(#[$attr])?
-        fn positions(group: &[Particle]) -> [$X; 3] {
-            [
-                $X::gather(|l| lane(group, l).pos.x),
-                $X::gather(|l| lane(group, l).pos.y),
-                $X::gather(|l| lane(group, l).pos.z),
-            ]
-        }
-
         /// [`super::apply_node`] on this lane type.
         $(#[$attr])?
-        pub(super) fn node_bucket(node: &NodeMoments, targets: &mut [Particle], g: f64) {
+        pub(super) fn node_span(node: &NodeMoments, t: SpanLanes<'_>, g: f64) {
             let g = $X::splat(g);
-            for group in targets.chunks_mut($X::LANES) {
-                let (acc, pot) =
-                    approx(positions(group), node.opening.center, node.mass, &node.quad);
-                let [ax, ay, az] = acc.map(|a| a.mul(g).to_array());
-                let pot = pot.mul(g).mul($X::gather(|l| lane(group, l).mass)).to_array();
-                for (l, p) in group.iter_mut().enumerate() {
-                    p.acc.x += ax[l];
-                    p.acc.y += ay[l];
-                    p.acc.z += az[l];
-                    p.potential += pot[l];
-                }
+            for i in (0..t.live).step_by($X::LANES) {
+                let live = (t.live - i).min($X::LANES);
+                let pos = [$X::load(&t.x[i..]), $X::load(&t.y[i..]), $X::load(&t.z[i..])];
+                let ([ax, ay, az], pot) = approx(pos, node.opening.center, node.mass, &node.quad);
+                let pot = pot.mul(g).mul($X::load(&t.mass[i..]));
+                $X::load(&t.ax[i..]).add(ax.mul(g)).store(&mut t.ax[i..], live);
+                $X::load(&t.ay[i..]).add(ay.mul(g)).store(&mut t.ay[i..], live);
+                $X::load(&t.az[i..]).add(az.mul(g)).store(&mut t.az[i..], live);
+                $X::load(&t.pot[i..]).add(pot).store(&mut t.pot[i..], live);
             }
         }
 
@@ -330,17 +356,18 @@ macro_rules! bucket_kernels {
         /// a group of targets stay in lanes while the sources stream by
         /// in order.
         $(#[$attr])?
-        pub(super) fn leaf_bucket(sources: &[Particle], targets: &mut [Particle], g: f64) {
+        pub(super) fn leaf_span(sources: &[Particle], t: SpanLanes<'_>, g: f64) {
             let g = $X::splat(g);
-            for group in targets.chunks_mut($X::LANES) {
-                let pos = positions(group);
-                let softening = $X::gather(|l| lane(group, l).softening);
-                let mass = $X::gather(|l| lane(group, l).mass);
-                let ids = $Ids::gather(|l| lane(group, l).id);
-                let mut ax = $X::gather(|l| lane(group, l).acc.x);
-                let mut ay = $X::gather(|l| lane(group, l).acc.y);
-                let mut az = $X::gather(|l| lane(group, l).acc.z);
-                let mut pot = $X::gather(|l| lane(group, l).potential);
+            for i in (0..t.live).step_by($X::LANES) {
+                let live = (t.live - i).min($X::LANES);
+                let pos = [$X::load(&t.x[i..]), $X::load(&t.y[i..]), $X::load(&t.z[i..])];
+                let softening = $X::load(&t.softening[i..]);
+                let mass = $X::load(&t.mass[i..]);
+                let ids = $Ids::load(&t.id[i..]);
+                let mut ax = $X::load(&t.ax[i..]);
+                let mut ay = $X::load(&t.ay[i..]);
+                let mut az = $X::load(&t.az[i..]);
+                let mut pot = $X::load(&t.pot[i..]);
                 for s in sources {
                     let softening = softening.max($X::splat(s.softening));
                     let ([sx, sy, sz], sp) = exact(pos, s.pos, s.mass, softening);
@@ -350,11 +377,10 @@ macro_rules! bucket_kernels {
                     az = ids.select_eq(s.id, az, az.add(sz.mul(g)));
                     pot = ids.select_eq(s.id, pot, pot.add(sp.mul(g).mul(mass)));
                 }
-                let (ax, ay, az, pot) = (ax.to_array(), ay.to_array(), az.to_array(), pot.to_array());
-                for (l, p) in group.iter_mut().enumerate() {
-                    p.acc = Vec3::new(ax[l], ay[l], az[l]);
-                    p.potential = pot[l];
-                }
+                ax.store(&mut t.ax[i..], live);
+                ay.store(&mut t.ay[i..], live);
+                az.store(&mut t.az[i..], live);
+                pot.store(&mut t.pot[i..], live);
             }
         }
     };
@@ -388,6 +414,8 @@ impl Visitor for GravityVisitor {
     type Data = CentroidData;
     type State = ();
     type Prepared = NodeMoments;
+    type PerTarget = ();
+    const LANES: TargetLanes = LANES;
 
     fn prepare(&self, source: &SpatialNodeView<'_, CentroidData>) -> NodeMoments {
         NodeMoments::of(source.data, self.theta)
@@ -406,18 +434,18 @@ impl Visitor for GravityVisitor {
         &self,
         _source: &SpatialNodeView<'_, CentroidData>,
         node: &NodeMoments,
-        target: &mut TargetBucket<()>,
+        targets: &mut TargetSpan<'_, ()>,
     ) {
-        apply_node(node, &mut target.particles, self.g)
+        apply_node(node, targets, self.g)
     }
 
     fn leaf(
         &self,
         source: &SpatialNodeView<'_, CentroidData>,
         _node: &NodeMoments,
-        target: &mut TargetBucket<()>,
+        targets: &mut TargetSpan<'_, ()>,
     ) {
-        apply_leaf(source.particles, &mut target.particles, self.g)
+        apply_leaf(source.particles, targets, self.g)
     }
 
     fn cell(
@@ -453,6 +481,7 @@ pub fn leapfrog_kick(particles: &mut [Particle], dt: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paratreet_core::Targets;
     use paratreet_geometry::ROOT_KEY;
 
     fn particle(id: u64, mass: f64, pos: Vec3) -> Particle {
@@ -559,18 +588,14 @@ mod tests {
             particles: &srcs,
         };
         let v = GravityVisitor { theta: 0.5, g: 1.0 };
-        let near = TargetBucket {
+        let bucket_at = |centre: f64| TargetBucket {
             leaf_key: ROOT_KEY,
-            particles: vec![particle(2, 1.0, Vec3::splat(0.9))],
-            bbox: BoundingBox::cube(Vec3::splat(0.9), 0.05),
+            bbox: BoundingBox::cube(Vec3::splat(centre), 0.05),
+            range: 0..1,
             state: (),
+            prepared: (),
         };
-        let far = TargetBucket {
-            leaf_key: ROOT_KEY,
-            particles: vec![particle(3, 1.0, Vec3::splat(50.0))],
-            bbox: BoundingBox::cube(Vec3::splat(50.0), 0.05),
-            state: (),
-        };
+        let (near, far) = (bucket_at(0.9), bucket_at(50.0));
         let node = v.prepare(&view);
         assert!(v.open(&view, &node, &near));
         assert!(!v.open(&view, &node, &far));
@@ -589,14 +614,10 @@ mod tests {
             particles: std::slice::from_ref(&p),
         };
         let v = GravityVisitor::default();
-        let mut bucket = TargetBucket {
-            leaf_key: ROOT_KEY,
-            particles: vec![p],
-            bbox: BoundingBox::cube(Vec3::splat(0.5), 0.01),
-            state: (),
-        };
-        v.leaf(&view, &v.prepare(&view), &mut bucket);
-        assert_eq!(bucket.particles[0].acc, Vec3::ZERO);
+        let after = through(&[p], &[1], |targets| {
+            v.leaf(&view, &v.prepare(&view), &mut targets.span(0..1));
+        });
+        assert_eq!(after[0].acc, Vec3::ZERO);
     }
 
     /// Deterministic coordinates in (-1, 1) with full mantissas.
@@ -627,39 +648,81 @@ mod tests {
         ps.iter().map(|p| [p.acc.x, p.acc.y, p.acc.z, p.potential].map(f64::to_bits)).collect()
     }
 
+    /// `particles` as one Partition's targets in buckets of `sizes`, after
+    /// `kernel` and write-back.
+    fn through(
+        particles: &[Particle],
+        sizes: &[usize],
+        kernel: impl FnOnce(&mut Targets<()>),
+    ) -> Vec<Particle> {
+        let mut rest = particles;
+        let buckets = sizes.iter().map(|&n| {
+            let (own, tail) = rest.split_at(n);
+            rest = tail;
+            (ROOT_KEY, own.to_vec())
+        });
+        let mut targets = Targets::assemble(&GravityVisitor::default(), buckets);
+        kernel(&mut targets);
+        let mut out = particles.to_vec();
+        targets.write_back(&mut out, 0..particles.len());
+        out
+    }
+
     /// The lane kernels are the per-pair loops, bit for bit, on every
-    /// lane of every group and tail: the one-lane instantiation (called
-    /// by name, so it runs on AVX2 hosts too), whatever `apply_node` /
-    /// `apply_leaf` dispatch to here, and a plain loop over the public
+    /// lane of every group and tail, however the targets are cut into
+    /// buckets and spans: the one-lane instantiation (called by name, so
+    /// it runs on AVX2 hosts too) over a whole span, whatever
+    /// `apply_node` / `apply_leaf` dispatch to here over the whole span
+    /// and over its buckets one by one, and a plain loop over the public
     /// per-pair kernels all agree — with a target on the node's centroid
     /// (r² = 0), a source coincident with an unsoftened target, and
-    /// sources that are themselves targets.
+    /// sources that are themselves targets. A span is 1–4 buckets, the
+    /// first of 1–19 targets (every tail length; most runs end
+    /// mid-group), and is followed by a bucket the kernels are not given:
+    /// its accumulators, which a full-width tail group reads, hold
+    /// sentinels that must come back untouched.
     #[test]
     fn lane_kernels_keep_every_bit_of_the_per_pair_loops() {
         let g = 6.5;
         let quad = [0.011, 0.002, -0.001, 0.023, 0.003, 0.017];
-        for n in 1..=19u64 {
-            let mut targets = lane_targets(n);
-            let centre = targets[(n / 2) as usize].pos;
+        let sentinel = f64::from_bits(0x7ff8_5e17_15e1_0001);
+        for (n, run) in (1..=19usize).flat_map(|n| (1..=4usize).map(move |run| (n, run))) {
+            let mut sizes: Vec<usize> =
+                (0..run).map(|b| if b == 0 { n } else { (n + 2 * b) % 7 + 1 }).collect();
+            let live: usize = sizes.iter().sum();
+            sizes.push(3);
+            let mut targets = lane_targets(live as u64 + 3);
+            for p in &mut targets[live..] {
+                (p.acc, p.potential) = (Vec3::splat(sentinel), sentinel);
+            }
+            let guard = bits(&targets[live..]);
+            let what = format!("{n} targets first of {sizes:?}");
+            let centre = targets[n / 2].pos;
             let node = NodeMoments { opening: Sphere::new(centre, 0.3), mass: 2.75, quad };
 
             let mut looped = targets.clone();
-            for p in &mut looped {
+            for p in &mut looped[..live] {
                 let (acc, pot) = grav_approx(p.pos, centre, node.mass, &node.quad);
                 p.acc += acc * g;
                 p.potential += pot * g * p.mass;
             }
-            let mut one = targets.clone();
-            x1::node_bucket(&node, &mut one, g);
-            apply_node(&node, &mut targets, g);
-            assert_eq!(bits(&one), bits(&looped), "node kernel, one lane, {n} targets");
-            assert_eq!(bits(&targets), bits(&looped), "node kernel, dispatched, {n} targets");
-            assert_eq!(targets[(n / 2) as usize].acc.y.to_bits(), 0.0f64.to_bits(), "-0 + 0·g");
+            let one = through(&targets, &sizes, |t| {
+                x1::node_span(&node, SpanLanes::of(&mut t.span(0..run)), g)
+            });
+            let bucketed = through(&targets, &sizes, |t| {
+                (0..run).for_each(|b| apply_node(&node, &mut t.span(b..b + 1), g))
+            });
+            targets = through(&targets, &sizes, |t| apply_node(&node, &mut t.span(0..run), g));
+            assert_eq!(bits(&one), bits(&looped), "node kernel, one lane, {what}");
+            assert_eq!(bits(&bucketed), bits(&looped), "node kernel, bucket by bucket, {what}");
+            assert_eq!(bits(&targets), bits(&looped), "node kernel, dispatched, {what}");
+            assert_eq!(targets[n / 2].acc.y.to_bits(), 0.0f64.to_bits(), "-0 + 0·g");
+            assert_eq!(bits(&targets[live..]), guard, "node kernel, past the span, {what}");
 
             // Sources: the first targets themselves (same ids), a twin
             // of target 0 under another id (r² = 0 at zero softening),
             // and strangers with softenings of their own.
-            let mut sources: Vec<Particle> = targets.iter().take(5).copied().collect();
+            let mut sources: Vec<Particle> = targets.iter().take(5.min(live)).copied().collect();
             sources.push(Particle { id: 1000, ..targets[0] });
             sources.extend((0..6).map(|i| {
                 let mut s = particle(
@@ -671,7 +734,7 @@ mod tests {
                 s
             }));
             let mut looped = targets.clone();
-            for p in &mut looped {
+            for p in &mut looped[..live] {
                 for s in &sources {
                     if s.id == p.id {
                         continue;
@@ -681,11 +744,17 @@ mod tests {
                     p.potential += pot * g * p.mass;
                 }
             }
-            let mut one = targets.clone();
-            x1::leaf_bucket(&sources, &mut one, g);
-            apply_leaf(&sources, &mut targets, g);
-            assert_eq!(bits(&one), bits(&looped), "leaf kernel, one lane, {n} targets");
-            assert_eq!(bits(&targets), bits(&looped), "leaf kernel, dispatched, {n} targets");
+            let one = through(&targets, &sizes, |t| {
+                x1::leaf_span(&sources, SpanLanes::of(&mut t.span(0..run)), g)
+            });
+            let bucketed = through(&targets, &sizes, |t| {
+                (0..run).for_each(|b| apply_leaf(&sources, &mut t.span(b..b + 1), g))
+            });
+            targets = through(&targets, &sizes, |t| apply_leaf(&sources, &mut t.span(0..run), g));
+            assert_eq!(bits(&one), bits(&looped), "leaf kernel, one lane, {what}");
+            assert_eq!(bits(&bucketed), bits(&looped), "leaf kernel, bucket by bucket, {what}");
+            assert_eq!(bits(&targets), bits(&looped), "leaf kernel, dispatched, {what}");
+            assert_eq!(bits(&targets[live..]), guard, "leaf kernel, past the span, {what}");
         }
     }
 

@@ -6,7 +6,7 @@
 //! the `open` test prunes against the current k-th distance — "pruning
 //! criteria that can change during the traversal" (§II-A-2).
 
-use paratreet_core::{SpatialNodeView, TargetBucket, Visitor};
+use paratreet_core::{SpatialNodeView, TargetBucket, TargetSpan, Visitor};
 use paratreet_geometry::BoundingBox;
 use paratreet_particles::Particle;
 use paratreet_tree::data::wire;
@@ -95,6 +95,7 @@ impl Visitor for KnnVisitor {
     type Data = KnnData;
     type State = KnnState;
     type Prepared = ();
+    type PerTarget = ();
 
     fn prepare(&self, _source: &SpatialNodeView<'_, KnnData>) {}
 
@@ -118,7 +119,7 @@ impl Visitor for KnnVisitor {
         &self,
         _source: &SpatialNodeView<'_, KnnData>,
         _: &(),
-        _target: &mut TargetBucket<KnnState>,
+        _targets: &mut TargetSpan<'_, KnnState>,
     ) {
         // Pruned subtrees contribute no candidates.
     }
@@ -127,27 +128,29 @@ impl Visitor for KnnVisitor {
         &self,
         source: &SpatialNodeView<'_, KnnData>,
         _: &(),
-        target: &mut TargetBucket<KnnState>,
+        targets: &mut TargetSpan<'_, KnnState>,
     ) {
-        let state = &mut target.state;
-        if state.heaps.len() != target.particles.len() {
-            // Built one by one: cloning an empty heap drops its capacity.
-            state.heaps = (0..target.particles.len()).map(|_| KnnHeap::new(self.k)).collect();
-        }
-        let mut worst = 0.0f64;
-        for (tp, heap) in target.particles.iter().zip(&mut state.heaps) {
-            for sp in source.particles {
-                if sp.id == tp.id {
-                    continue;
-                }
-                let d2 = sp.pos.dist_sq(tp.pos);
-                if d2 < heap.bound() {
-                    heap.offer(d2, sp.id, ());
-                }
+        for (particles, target) in targets.buckets() {
+            let state = &mut target.state;
+            if state.heaps.len() != particles.len() {
+                // Built one by one: cloning an empty heap drops its capacity.
+                state.heaps = (0..particles.len()).map(|_| KnnHeap::new(self.k)).collect();
             }
-            worst = worst.max(heap.bound());
+            let mut worst = 0.0f64;
+            for (tp, heap) in particles.iter().zip(&mut state.heaps) {
+                for sp in source.particles {
+                    if sp.id == tp.id {
+                        continue;
+                    }
+                    let d2 = sp.pos.dist_sq(tp.pos);
+                    if d2 < heap.bound() {
+                        heap.offer(d2, sp.id, ());
+                    }
+                }
+                worst = worst.max(heap.bound());
+            }
+            state.bound = worst;
         }
-        state.bound = worst;
     }
 }
 
@@ -278,6 +281,21 @@ mod tests {
         }
     }
 
+    /// A visitor that only reads its targets writes nothing back: every
+    /// byte of every particle record is what it was before the traversal.
+    #[test]
+    fn traversal_leaves_the_particles_byte_identical() {
+        use paratreet_particles::io::to_bytes;
+        for kind in [TraversalKind::UpAndDown, TraversalKind::TopDown] {
+            framework(600, 11).step(|step| {
+                let before = to_bytes(step.particles());
+                let (states, _) = step.traverse(&KnnVisitor { k: 8 }, kind);
+                assert!(states.iter().all(|s| !s.heaps.is_empty()), "{kind:?}: neighbours found");
+                assert!(to_bytes(step.particles()) == before, "{kind:?}");
+            });
+        }
+    }
+
     /// Opens nothing: a traversal with it visits exactly what it seeds.
     struct RefuseAll;
 
@@ -285,12 +303,13 @@ mod tests {
         type Data = KnnData;
         type State = ();
         type Prepared = ();
+        type PerTarget = ();
         fn prepare(&self, _: &SpatialNodeView<'_, KnnData>) {}
         fn open(&self, _: &SpatialNodeView<'_, KnnData>, _: &(), _: &TargetBucket<()>) -> bool {
             false
         }
-        fn node(&self, _: &SpatialNodeView<'_, KnnData>, _: &(), _: &mut TargetBucket<()>) {}
-        fn leaf(&self, _: &SpatialNodeView<'_, KnnData>, _: &(), _: &mut TargetBucket<()>) {}
+        fn node(&self, _: &SpatialNodeView<'_, KnnData>, _: &(), _: &mut TargetSpan<'_, ()>) {}
+        fn leaf(&self, _: &SpatialNodeView<'_, KnnData>, _: &(), _: &mut TargetSpan<'_, ()>) {}
     }
 
     #[test]

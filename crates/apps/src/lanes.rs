@@ -1,10 +1,13 @@
-//! Lane types for bucket kernels whose lanes are target particles.
+//! Lane types for span kernels whose lanes are target particles.
 //!
 //! A kernel body is written once against the method set the two value
 //! types here share and instantiated for each (`gravity`'s
 //! `bucket_kernels!`): [`X1`] is one `f64` — the only instantiation off
 //! x86-64/AVX2, and the one the public per-pair kernels are — and
-//! [`X4`] is four of them in a `__m256d`.
+//! [`X4`] is four of them in a `__m256d`. A group of lanes is loaded
+//! from, and stored to, a stretch of one of a span's columns
+//! (`paratreet_core::TargetSpan::lanes`): consecutive values, one per
+//! lane.
 //!
 //! Identity contract: every method is the IEEE-754 operation of its
 //! name applied to each lane on its own — a correctly rounded add, sub,
@@ -21,9 +24,11 @@
 //!
 //! Every `X4` method carries `#[target_feature(enable = "avx2")]`: safe
 //! code reaches one only from a function with the same attribute, whose
-//! caller vouched for the CPU. Lane loads and stores are built from
-//! value intrinsics (`set`, `extract`, `unpack`), so nothing here
-//! touches a pointer.
+//! caller vouched for the CPU. The two that touch memory (`X4::load`,
+//! which `Ids4::load` goes through, and `X4::store`) take a slice, check
+//! its length and hand its pointer to an unaligned intrinsic — a
+//! full-width load or store, or a masked store for a short last group —
+//! the only `unsafe` here (three blocks).
 
 /// One lane: a plain `f64`.
 #[derive(Clone, Copy)]
@@ -42,10 +47,17 @@ impl X1 {
         X1(x)
     }
 
-    /// Lane `l` holds `f(l)`.
+    /// Lane `l` holds `column[l]`.
     #[inline(always)]
-    pub fn gather(f: impl Fn(usize) -> f64) -> X1 {
-        X1(f(0))
+    pub fn load(column: &[f64]) -> X1 {
+        X1(column[0])
+    }
+
+    /// `column[l]` takes lane `l`, for the first `live` lanes.
+    #[inline(always)]
+    pub fn store(self, column: &mut [f64], live: usize) {
+        debug_assert_eq!(live, 1);
+        column[0] = self.0;
     }
 
     #[inline(always)]
@@ -107,10 +119,10 @@ impl X1 {
 }
 
 impl Ids1 {
-    /// Lane `l` holds `f(l)`.
+    /// Lane `l` holds the identifier whose bits `column[l]` carries.
     #[inline(always)]
-    pub fn gather(f: impl Fn(usize) -> u64) -> Ids1 {
-        Ids1(f(0))
+    pub fn load(column: &[f64]) -> Ids1 {
+        Ids1(column[0].to_bits())
     }
 
     /// `same` in the lanes whose identifier is `id`, `other` elsewhere.
@@ -149,24 +161,39 @@ mod avx2 {
             X4(_mm256_set1_pd(x))
         }
 
-        /// Lane `l` holds `f(l)`.
+        /// Lane `l` holds `column[l]`.
         #[inline]
         #[target_feature(enable = "avx2")]
-        pub fn gather(f: impl Fn(usize) -> f64) -> X4 {
-            X4(_mm256_set_pd(f(3), f(2), f(1), f(0)))
+        pub fn load(column: &[f64]) -> X4 {
+            assert!(column.len() >= X4::LANES);
+            // SAFETY: the slice holds at least four `f64`s (asserted
+            // above), so 32 bytes from its start are readable;
+            // `loadu` has no alignment requirement.
+            X4(unsafe { _mm256_loadu_pd(column.as_ptr()) })
         }
 
+        /// `column[l]` takes lane `l`, for the first `live` lanes; the
+        /// values past them keep every bit.
         #[inline]
         #[target_feature(enable = "avx2")]
-        pub fn to_array(self) -> [f64; 4] {
-            let lo = _mm256_castpd256_pd128(self.0);
-            let hi = _mm256_extractf128_pd::<1>(self.0);
-            [
-                _mm_cvtsd_f64(lo),
-                _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo)),
-                _mm_cvtsd_f64(hi),
-                _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)),
-            ]
+        pub fn store(self, column: &mut [f64], live: usize) {
+            if live == X4::LANES {
+                assert!(column.len() >= X4::LANES);
+                // SAFETY: the slice holds at least four `f64`s (asserted
+                // above) and is borrowed mutably, so 32 bytes from its
+                // start are writable; `storeu` has no alignment
+                // requirement.
+                unsafe { _mm256_storeu_pd(column.as_mut_ptr(), self.0) }
+            } else {
+                assert!(column.len() >= live);
+                let lane = _mm256_set_epi64x(3, 2, 1, 0);
+                let is_live = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live as i64), lane);
+                // SAFETY: only lanes `l < live` have their mask's sign
+                // bit set, `maskstore` neither writes nor faults on the
+                // others, and the mutably borrowed slice holds at least
+                // `live` values (asserted above).
+                unsafe { _mm256_maskstore_pd(column.as_mut_ptr(), is_live, self.0) }
+            }
         }
 
         #[inline]
@@ -232,11 +259,11 @@ mod avx2 {
     }
 
     impl Ids4 {
-        /// Lane `l` holds `f(l)`.
+        /// Lane `l` holds the identifier whose bits `column[l]` carries.
         #[inline]
         #[target_feature(enable = "avx2")]
-        pub fn gather(f: impl Fn(usize) -> u64) -> Ids4 {
-            Ids4(_mm256_set_epi64x(f(3) as i64, f(2) as i64, f(1) as i64, f(0) as i64))
+        pub fn load(column: &[f64]) -> Ids4 {
+            Ids4(_mm256_castpd_si256(X4::load(column).0))
         }
 
         /// `same` in the lanes whose identifier is `id`, `other` elsewhere.

@@ -12,7 +12,9 @@
 
 use paratreet_apps::knn::{KnnData, Neighbor};
 use paratreet_apps::sph::{density_from_neighbors, kernel_w};
-use paratreet_core::{Framework, SpatialNodeView, TargetBucket, TraversalKind, Visitor};
+use paratreet_core::{
+    Framework, SpatialNodeView, TargetBucket, TargetSpan, TraversalKind, Visitor,
+};
 use std::collections::HashMap;
 
 /// Fixed-radius neighbour search: gathers every particle within
@@ -35,6 +37,7 @@ impl Visitor for BallSearchVisitor {
     type Data = KnnData;
     type State = BallState;
     type Prepared = ();
+    type PerTarget = ();
 
     fn prepare(&self, _source: &SpatialNodeView<'_, KnnData>) {}
 
@@ -50,32 +53,34 @@ impl Visitor for BallSearchVisitor {
         source.data.tight_box.dist_sq_to_box(&target.bbox) <= self.radius * self.radius
     }
 
-    fn node(&self, _s: &SpatialNodeView<'_, KnnData>, _: &(), _t: &mut TargetBucket<BallState>) {}
+    fn node(&self, _s: &SpatialNodeView<'_, KnnData>, _: &(), _t: &mut TargetSpan<'_, BallState>) {}
 
     fn leaf(
         &self,
         source: &SpatialNodeView<'_, KnnData>,
         _: &(),
-        target: &mut TargetBucket<BallState>,
+        targets: &mut TargetSpan<'_, BallState>,
     ) {
-        if target.state.lists.len() != target.particles.len() {
-            target.state.lists = vec![Vec::new(); target.particles.len()];
-        }
         let r2 = self.radius * self.radius;
-        for (ti, tp) in target.particles.iter().enumerate() {
-            for sp in source.particles {
-                if sp.id == tp.id {
-                    continue;
-                }
-                let d2 = sp.pos.dist_sq(tp.pos);
-                if d2 <= r2 {
-                    target.state.lists[ti].push(Neighbor {
-                        dist_sq: d2,
-                        id: sp.id,
-                        pos: sp.pos,
-                        mass: sp.mass,
-                        vel: sp.vel,
-                    });
+        for (particles, target) in targets.buckets() {
+            if target.state.lists.len() != particles.len() {
+                target.state.lists = vec![Vec::new(); particles.len()];
+            }
+            for (ti, tp) in particles.iter().enumerate() {
+                for sp in source.particles {
+                    if sp.id == tp.id {
+                        continue;
+                    }
+                    let d2 = sp.pos.dist_sq(tp.pos);
+                    if d2 <= r2 {
+                        target.state.lists[ti].push(Neighbor {
+                            dist_sq: d2,
+                            id: sp.id,
+                            pos: sp.pos,
+                            mass: sp.mass,
+                            vel: sp.vel,
+                        });
+                    }
                 }
             }
         }

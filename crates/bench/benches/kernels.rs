@@ -2,13 +2,15 @@
 //! traversal (gravity exact/approx, SPH kernel evaluations).
 //!
 //! The per-pair gravity rows stream 1 024 targets through one call
-//! site; a traversal never does — it applies a node or a leaf to one
-//! target bucket of 1–16 particles (mean 5.2 on the benchmark's
-//! clustered set) and moves on. The `grav_node_bucket_*` and
-//! `grav_leaf_bucket_*` rows time the bucket kernels at those shapes,
-//! gather and write-back included: one iteration is 61 440
-//! particle–node interactions (node rows) or 983 040 particle–particle
-//! interactions (leaf rows).
+//! site; a traversal never does — it applies a node or a leaf to a span
+//! of adjacent target buckets of 1–16 particles each (mean 5.2 on the
+//! benchmark's clustered set; a pruned node meets runs of 8.3 buckets on
+//! average) and moves on. The `grav_node_bucket_*` and
+//! `grav_leaf_bucket_*` rows time the span kernels on spans of one
+//! bucket at those shapes, `grav_node_span_5x8` on runs of eight
+//! 5-particle buckets, all over assembled target lanes: one iteration is
+//! 61 440 particle–node interactions (node rows) or 983 040
+//! particle–particle interactions (leaf rows).
 //!
 //! The kNN rows time the candidate set alone on what a k = 32 search
 //! accepts: in situ (`sph_knn`) a particle's heap takes 84 offers that
@@ -19,12 +21,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paratreet_apps::gravity::{
-    apply_leaf, apply_node, grav_approx, grav_exact, CentroidData, NodeMoments,
+    apply_leaf, apply_node, grav_approx, grav_exact, CentroidData, GravityVisitor, NodeMoments,
 };
 use paratreet_apps::knn::KnnHeap;
 use paratreet_apps::sph::{kernel_dw_dr, kernel_w, sph_framework, SphSimulation};
-use paratreet_core::Configuration;
-use paratreet_geometry::{BoundingBox, Vec3};
+use paratreet_core::{Configuration, Targets};
+use paratreet_geometry::{BoundingBox, Vec3, ROOT_KEY};
 use paratreet_particles::gen;
 use paratreet_tree::Data;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -63,15 +65,28 @@ fn bench_gravity_kernels(c: &mut Criterion) {
     for p in &mut bucketed {
         p.softening = 0.01;
     }
+    // One Partition's targets in buckets of `len`.
+    let targets_of = |len: usize| -> Targets<()> {
+        let buckets = bucketed.chunks(len).map(|bucket| (ROOT_KEY, bucket.iter().copied()));
+        Targets::assemble(&GravityVisitor::default(), buckets)
+    };
     let moments = NodeMoments::of(&data, 0.7);
     const PASSES: usize = 64;
     group.throughput(criterion::Throughput::Elements((PASSES * bucketed.len()) as u64));
-    for len in [1, 5, 16] {
-        group.bench_function(format!("grav_node_bucket_{len}"), |b| {
+    // (row, bucket length, buckets per span)
+    for (row, len, run) in [
+        ("grav_node_bucket_1", 1, 1),
+        ("grav_node_bucket_5", 5, 1),
+        ("grav_node_span_5x8", 5, 8),
+        ("grav_node_bucket_16", 16, 1),
+    ] {
+        let mut targets = targets_of(len);
+        let n = targets.buckets().len();
+        group.bench_function(row, |b| {
             b.iter(|| {
                 for _ in 0..PASSES {
-                    for bucket in bucketed.chunks_mut(len) {
-                        apply_node(black_box(&moments), bucket, 1.0);
+                    for first in (0..n).step_by(run) {
+                        apply_node(black_box(&moments), &mut targets.span(first..first + run), 1.0);
                     }
                 }
             })
@@ -81,11 +96,13 @@ fn bench_gravity_kernels(c: &mut Criterion) {
     let pairs = PASSES * sources.len() * bucketed.len();
     group.throughput(criterion::Throughput::Elements(pairs as u64));
     for len in [5, 16] {
+        let mut targets = targets_of(len);
+        let n = targets.buckets().len();
         group.bench_function(format!("grav_leaf_bucket_16x{len}"), |b| {
             b.iter(|| {
                 for _ in 0..PASSES {
-                    for bucket in bucketed.chunks_mut(len) {
-                        apply_leaf(black_box(sources), bucket, 1.0);
+                    for bucket in 0..n {
+                        apply_leaf(black_box(sources), &mut targets.span(bucket..bucket + 1), 1.0);
                     }
                 }
             })

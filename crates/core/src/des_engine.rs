@@ -46,12 +46,12 @@
 
 use crate::config::{Configuration, TraversalKind};
 use crate::maintain::TreeMaintainer;
-use crate::pipeline::{self, BucketMeta, Iteration};
+use crate::pipeline::{self, Iteration};
 use crate::traversal::{
     process_item, process_item_dry, seed_items, traverse_local, CacheModel, PendingFetch,
-    WorkCounts, WorkStack,
+    TargetsOf, WorkCounts, WorkStack,
 };
-use crate::visitor::{TargetBucket, Visitor};
+use crate::visitor::Visitor;
 use paratreet_cache::stats::CacheStatsSnapshot;
 use paratreet_cache::{CacheError, CacheTree, NodeHandle, RequestOutcome};
 use paratreet_geometry::NodeKey;
@@ -408,10 +408,7 @@ fn owner_of(
 struct PartState<V: Visitor> {
     rank: u32,
     cache_idx: u32,
-    buckets: Vec<TargetBucket<V::State>>,
-    /// Global bucket ids (for write-back and crash reset), aligned with
-    /// `buckets`.
-    bucket_ids: Vec<usize>,
+    targets: TargetsOf<V>,
     stack: WorkStack<V::Data>,
     /// Bucket sets of the items parked on a fetch, by awaited key. A
     /// parked item owns its copy; resumption re-finds the node.
@@ -432,13 +429,13 @@ struct PartState<V: Visitor> {
 /// Wipes a partition's volatile traversal state after its rank crashed:
 /// bump the epoch (in-flight events become stale), clear the stack and
 /// parked fetches, restore bucket state *and particles* to their
-/// pre-iteration values so re-running applies every effect exactly once.
+/// pre-iteration values (`fresh`: the Partition's targets assembled
+/// again) so re-running applies every effect exactly once.
 fn reset_part<V: Visitor>(
     ps: &mut PartState<V>,
     pe: &mut u32,
     parts_done: &mut usize,
-    master: &[Particle],
-    metas: &[BucketMeta],
+    fresh: TargetsOf<V>,
 ) {
     *pe += 1;
     ps.stack = WorkStack::new();
@@ -452,12 +449,7 @@ fn reset_part<V: Visitor>(
         ps.finished = false;
         *parts_done -= 1;
     }
-    for (&bi, b) in ps.bucket_ids.iter().zip(&mut ps.buckets) {
-        b.state = V::State::default();
-        for (slot, &mi) in metas[bi].indices.iter().enumerate() {
-            b.particles[slot] = master[mi as usize];
-        }
-    }
+    ps.targets = fresh;
 }
 
 /// Grafts a rebuilt subtree into every cache instance of its (new) home
@@ -738,17 +730,13 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         let part_resource = |p: u32| -> u64 { p as u64 + 1 };
 
         // ---- Partition states ----
-        let mut parts: Vec<PartState<V>> = front
-            .partitions::<V::State>()
-            .into_iter()
-            .enumerate()
-            .map(|(p, part)| {
+        let mut parts: Vec<PartState<V>> = (0..front.by_partition.len())
+            .map(|p| {
                 let rank = partition_rank(p);
                 PartState {
                     rank,
                     cache_idx: rank * caches_per_rank + p as u32 % caches_per_rank,
-                    buckets: part.buckets,
-                    bucket_ids: part.ids,
+                    targets: front.targets(self.visitor, p),
                     stack: WorkStack::new(),
                     paused: HashMap::new(),
                     outstanding: 0,
@@ -1163,8 +1151,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                             &mut parts[p],
                             &mut part_epoch[p],
                             &mut parts_done,
-                            &front.master,
-                            metas,
+                            front.targets(visitor, p),
                         );
                     }
                 }
@@ -1225,12 +1212,8 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                             parts[p].rank = new_rank;
                             parts[p].cache_idx =
                                 new_rank * caches_per_rank + (p as u32 % caches_per_rank);
-                            let bytes: u64 = parts[p]
-                                .buckets
-                                .iter()
-                                .map(|b| (b.particles.len() * PARTICLE_WIRE_BYTES) as u64)
-                                .sum::<u64>()
-                                + 8;
+                            let bytes =
+                                (parts[p].targets.n_particles() * PARTICLE_WIRE_BYTES) as u64 + 8;
                             sim.comm.messages += 1;
                             sim.comm.bytes += bytes;
                             rec.restored_bytes += bytes;
@@ -1539,7 +1522,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                 let cache = &caches[ps.cache_idx as usize];
                 if !ps.seeded {
                     ps.seeded = true;
-                    ps.stack = seed_items::<V>(cache, kind, &ps.buckets);
+                    ps.stack = seed_items::<V>(cache, kind, &ps.targets);
                 }
                 // Run-to-completion: drain the stack, surrendering
                 // placeholder hits. Up-and-down traversals stop at the
@@ -1558,7 +1541,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                         process_item_dry(
                             cache,
                             visitor,
-                            &mut ps.buckets,
+                            &mut ps.targets,
                             item,
                             &mut ps.stack,
                             &mut fetches,
@@ -1568,7 +1551,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                         process_item(
                             cache,
                             visitor,
-                            &mut ps.buckets,
+                            &mut ps.targets,
                             item,
                             &mut ps.stack,
                             &mut fetches,
@@ -1903,7 +1886,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         if dry {
             for ps in &mut parts {
                 let cache = &caches[ps.cache_idx as usize];
-                let _ = traverse_local(cache, visitor, kind, &mut ps.buckets);
+                let _ = traverse_local(cache, visitor, kind, &mut ps.targets);
             }
         }
 
@@ -1919,12 +1902,12 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         }
 
         // ---- Write-back and reporting ----
-        for ps in &parts {
-            front.write_back(&ps.bucket_ids, &ps.buckets);
+        for (p, ps) in parts.iter().enumerate() {
+            front.write_back(p, &ps.targets);
         }
         let states: Vec<(NodeKey, V::State)> = parts
             .iter()
-            .flat_map(|ps| ps.buckets.iter().map(|b| (b.leaf_key, b.state.clone())))
+            .flat_map(|ps| ps.targets.buckets().iter().map(|b| (b.leaf_key, b.state.clone())))
             .collect();
         let mut cache_stats = CacheStatsSnapshot::default();
         for c in &front.caches {

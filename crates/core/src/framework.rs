@@ -9,8 +9,9 @@
 //! Within a [`Framework::step`], every traversal sees the same
 //! start-of-step particle snapshot as *sources* (the built tree), while
 //! target accumulators (acceleration, density, …) and visitor states are
-//! written into partition-owned bucket copies and merged back after each
-//! traversal — the paper's race-freedom-by-construction.
+//! written into each Partition's own [`Targets`](crate::Targets) and
+//! merged back after each traversal — the paper's
+//! race-freedom-by-construction.
 
 use crate::config::{Configuration, TraversalKind};
 use crate::maintain::{TreeMaintainer, UpdateTotals};
@@ -134,47 +135,46 @@ impl<D: Data> Step<D> {
     }
 
     /// Runs one traversal of `kind` with `visitor` over every Partition
-    /// in parallel, merges particle accumulators back, and returns the
-    /// per-bucket visitor states (in deterministic bucket order) plus
-    /// this traversal's statistics.
+    /// in parallel — each assembles its own targets, then walks — merges
+    /// what the visitor wrote back into the particles, and returns the
+    /// per-bucket visitor states (Partition by Partition, the order
+    /// [`Step::bucket_particle_ids`] reports in) plus this traversal's
+    /// statistics.
     pub fn traverse<V: Visitor<Data = D>>(
         &mut self,
         visitor: &V,
         kind: TraversalKind,
     ) -> (Vec<V::State>, TraversalStats) {
         let t0 = std::time::Instant::now();
-        let mut per_partition = self.front.partitions::<V::State>();
 
-        // Parallel traversal: partitions are independent, the cache is
-        // read-only (all local).
-        let cache = &self.cache;
-        let counts_total: WorkCounts =
+        // Partitions are independent; the cache and the master array
+        // are read-only (all local) until every Partition is done.
+        let (cache, front) = (&self.cache, &self.front);
+        let traversed: Vec<_> =
             cache.telemetry.clone().wall_span(0, "local traversal", None, || {
-                per_partition
-                    .par_iter_mut()
-                    .map(|part| traverse_local(cache, visitor, kind, &mut part.buckets))
-                    .reduce(WorkCounts::default, |mut a, b| {
-                        a += b;
-                        a
+                front
+                    .by_partition
+                    .par_iter()
+                    .enumerate()
+                    .map(|(p, _)| {
+                        let mut targets = front.targets(visitor, p);
+                        let counts = traverse_local(cache, visitor, kind, &mut targets);
+                        (targets, counts)
                     })
+                    .collect()
             });
 
-        // Write-back; states are collected in bucket order.
-        let mut states: Vec<Option<V::State>> =
-            (0..self.front.buckets.len()).map(|_| None).collect();
-        for part in per_partition {
-            self.front.write_back(&part.ids, &part.buckets);
-            for (bi, bucket) in part.ids.into_iter().zip(part.buckets) {
-                states[bi] = Some(bucket.state);
-            }
+        let mut counts_total = WorkCounts::default();
+        let mut states = Vec::with_capacity(self.front.buckets.len());
+        for (p, (targets, counts)) in traversed.into_iter().enumerate() {
+            counts_total += counts;
+            self.front.write_back(p, &targets);
+            states.extend(targets.into_states());
         }
 
         self.report.counts += counts_total;
         self.report.seconds_traverse += t0.elapsed().as_secs_f64();
-        (
-            states.into_iter().map(|s| s.expect("every bucket traversed")).collect(),
-            TraversalStats { counts: counts_total, fetches: 0 },
-        )
+        (states, TraversalStats { counts: counts_total, fetches: 0 })
     }
 
     /// Read access to the step's current particle state (sources remain
@@ -189,8 +189,10 @@ impl<D: Data> Step<D> {
     pub fn bucket_particle_ids(&self) -> Vec<Vec<u64>> {
         let front = &self.front;
         front
-            .buckets
+            .by_partition
             .iter()
+            .flatten()
+            .map(|&b| &front.buckets[b as usize])
             .map(|m| m.indices.iter().map(|&i| front.master[i as usize].id).collect())
             .collect()
     }

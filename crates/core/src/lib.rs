@@ -54,6 +54,9 @@ pub use forest::{
 };
 pub use framework::{Framework, SnapshotHook, StepReport};
 pub use maintain::{MaintainRound, TreeMaintainer, UpdateTotals};
+pub use pipeline::Targets;
 pub use threaded::{ThreadedEngine, ThreadedReport};
 pub use traversal::{CacheModel, TraversalStats, WorkCounts};
-pub use visitor::{SpatialNodeView, TargetBucket, Visitor};
+pub use visitor::{
+    Lane, SpatialNodeView, TargetBucket, TargetLanes, TargetSpan, Visitor, LANE_GROUP,
+};

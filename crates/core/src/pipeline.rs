@@ -10,17 +10,24 @@
 //! between executors — its over-decomposition floors, the Subtree /
 //! Partition → rank placement, and the executor itself (rayon over
 //! partitions, real threads and channels, or the discrete-event loop).
+//!
+//! A Partition's targets are one [`Targets`] whichever engine traverses
+//! them: assembled from the master array by [`Iteration::targets`]
+//! (read-only, so engines call it inside their per-Partition region; a
+//! crashed Partition is reset by assembling again) and returned to it by
+//! [`Iteration::write_back`].
 
 use crate::config::Configuration;
 use crate::decomp::{decompose, Partitioner, SubtreePiece};
 use crate::maintain::{MaintainRound, TreeMaintainer, UpdateTotals};
-use crate::visitor::TargetBucket;
+use crate::visitor::{Lane, TargetBucket, TargetSpan, Visitor, LANE_GROUP};
 use paratreet_cache::{CacheTree, SubtreeSummary};
 use paratreet_geometry::{BoundingBox, NodeKey};
 use paratreet_particles::Particle;
 use paratreet_telemetry::{FlightRecorder, MetricsRegistry, Telemetry};
 use paratreet_tree::{BuiltTree, Data, TreeBuilder};
 use rayon::prelude::*;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Columns the wall-clock engines' flight recorders sample at each phase
@@ -98,13 +105,125 @@ pub(crate) struct BucketMeta {
     pub indices: Vec<u32>,
 }
 
-/// One Partition's target buckets: the global bucket ids (indices into
-/// [`Iteration::buckets`]) and the owned copies a traversal mutates.
-pub(crate) struct PartitionBuckets<S> {
-    /// Global bucket ids, ascending.
-    pub ids: Vec<usize>,
-    /// The buckets, aligned with `ids`.
-    pub buckets: Vec<TargetBucket<S>>,
+/// One Partition's targets, as a traversal reads and writes them: the
+/// buckets in Partition order and, laid end to end in that order, their
+/// particles — [`Particle`] records in one flat array, or, for a visitor
+/// that declares lanes, one `f64` column per declared field and no
+/// records. A run of adjacent buckets is therefore one stretch of every
+/// array ([`Targets::span`]).
+#[derive(Clone, Debug)]
+pub struct Targets<S, T = ()> {
+    buckets: Vec<TargetBucket<S, T>>,
+    particles: Vec<Particle>,
+    /// One column per read lane of [`Visitor::LANES`], each
+    /// `LANE_GROUP - 1` zeros longer than the Partition.
+    reads: Vec<Vec<f64>>,
+    /// One column per write lane (`write_lanes`), padded alike.
+    writes: Vec<Vec<f64>>,
+    write_lanes: &'static [Lane],
+    /// A visitor took the records mutably.
+    dirty: bool,
+}
+
+impl<S: Default, T> Targets<S, T> {
+    /// Assembles a Partition's targets from its buckets' leaf keys and
+    /// particles, in order: tight boxes, `visitor`'s per-target values
+    /// and default states, then either the records or `visitor`'s lanes.
+    pub fn assemble<V, B>(
+        visitor: &V,
+        buckets: impl IntoIterator<Item = (NodeKey, B)>,
+    ) -> Targets<S, T>
+    where
+        V: Visitor<State = S, PerTarget = T>,
+        B: IntoIterator<Item = Particle, IntoIter: ExactSizeIterator>,
+    {
+        // Sized before it is filled: growing by doubling would leave
+        // twice the Partition behind in freed blocks.
+        let buckets: Vec<(NodeKey, B::IntoIter)> =
+            buckets.into_iter().map(|(key, own)| (key, own.into_iter())).collect();
+        let mut particles: Vec<Particle> =
+            Vec::with_capacity(buckets.iter().map(|(_, own)| own.len()).sum());
+        let buckets = buckets
+            .into_iter()
+            .map(|(leaf_key, own)| {
+                let start = particles.len();
+                particles.extend(own);
+                let own = &particles[start..];
+                debug_assert!(!own.is_empty(), "leaf sharing never produces an empty bucket");
+                TargetBucket {
+                    leaf_key,
+                    bbox: BoundingBox::around(own.iter().map(|p| p.pos)),
+                    range: start..particles.len(),
+                    state: S::default(),
+                    prepared: visitor.prepare_target(own),
+                }
+            })
+            .collect();
+        let column = |lane: &Lane| {
+            let mut column = Vec::with_capacity(particles.len() + LANE_GROUP - 1);
+            column.extend(particles.iter().map(|p| lane.get(p)));
+            column.resize(particles.len() + LANE_GROUP - 1, 0.0);
+            column
+        };
+        let reads: Vec<Vec<f64>> = V::LANES.reads.iter().map(column).collect();
+        let writes: Vec<Vec<f64>> = V::LANES.writes.iter().map(column).collect();
+        if !reads.is_empty() || !writes.is_empty() {
+            particles = Vec::new();
+        }
+        Targets { buckets, particles, reads, writes, write_lanes: V::LANES.writes, dirty: false }
+    }
+}
+
+impl<S, T> Targets<S, T> {
+    /// The buckets, in Partition order.
+    pub fn buckets(&self) -> &[TargetBucket<S, T>] {
+        &self.buckets
+    }
+
+    /// Target particles in the Partition.
+    pub fn n_particles(&self) -> usize {
+        self.buckets.last().map_or(0, |b| b.range.end)
+    }
+
+    /// The run of adjacent buckets `run`, as `node` and `leaf` take it.
+    pub fn span(&mut self, run: Range<usize>) -> TargetSpan<'_, S, T> {
+        let buckets = &mut self.buckets[run];
+        let range = match (buckets.first(), buckets.last()) {
+            (Some(first), Some(last)) => first.range.start..last.range.end,
+            _ => 0..0,
+        };
+        TargetSpan {
+            buckets,
+            particles: self.particles.get_mut(range.clone()).unwrap_or_default(),
+            reads: &self.reads,
+            writes: &mut self.writes,
+            range,
+            dirty: &mut self.dirty,
+        }
+    }
+
+    /// Returns what the traversal wrote to the particles it was gathered
+    /// from — `homes` names each target's place in `master`, in Partition
+    /// order: the write lanes where the visitor declared lanes, whole
+    /// records where it took them mutably, nothing otherwise.
+    pub fn write_back(&self, master: &mut [Particle], homes: impl Iterator<Item = usize>) {
+        if !self.write_lanes.is_empty() {
+            for (slot, home) in homes.enumerate() {
+                for (lane, column) in self.write_lanes.iter().zip(&self.writes) {
+                    lane.set(&mut master[home], column[slot]);
+                }
+            }
+        } else if self.dirty {
+            for (p, home) in self.particles.iter().zip(homes) {
+                master[home] = *p;
+            }
+        }
+    }
+
+    /// The per-bucket states, in Partition order.
+    pub fn into_states(self) -> impl Iterator<Item = S> {
+        self.buckets.into_iter().map(|b| b.state)
+    }
 }
 
 /// One iteration's state, filled phase by phase: [`Iteration::obtain`]
@@ -143,8 +262,12 @@ pub(crate) struct Iteration<D: Data> {
     /// are contiguous master ranges.
     pub master: Vec<Particle>,
     /// Target buckets in (Subtree, leaf DFS, first-appearance Partition)
-    /// order — the deterministic bucket order every engine reports in.
+    /// order.
     pub buckets: Vec<BucketMeta>,
+    /// Each Partition's buckets (indices into `buckets`, ascending):
+    /// Partition-then-bucket is the deterministic order every engine
+    /// reports states in.
+    pub by_partition: Vec<Vec<u32>>,
     /// Tree leaves whose particles spanned >1 Partition (Fig. 5).
     pub n_split_leaves: usize,
     /// Wall-clock seconds leaf sharing took.
@@ -304,6 +427,7 @@ impl<D: Data> Iteration<D> {
     /// the bucket where a leaf spans several Partitions.
     fn share_leaves(&mut self) {
         self.master.reserve(self.trees.iter().map(|t| t.particles.len()).sum());
+        self.by_partition = vec![Vec::new(); self.n_partitions.max(1)];
         // Grouping scratch, reused across leaves (inner index vectors
         // move into BucketMeta; only the spine's capacity persists).
         let mut per_part: Vec<(u32, Vec<u32>)> = Vec::new();
@@ -335,47 +459,39 @@ impl<D: Data> Iteration<D> {
                     self.n_split_leaves += 1;
                 }
                 let (leaf_key, subtree) = (node.key, si as u32);
-                self.buckets.extend(per_part.drain(..).map(|(partition, indices)| BucketMeta {
-                    leaf_key,
-                    partition,
-                    subtree,
-                    indices,
-                }));
+                for (partition, indices) in per_part.drain(..) {
+                    self.by_partition[partition as usize].push(self.buckets.len() as u32);
+                    self.buckets.push(BucketMeta { leaf_key, partition, subtree, indices });
+                }
             }
             self.master.extend_from_slice(&tree.particles);
         }
     }
 
-    /// Assembles every Partition's target buckets: owned particle copies
-    /// with their tight bounding box and a default visitor state.
-    pub fn partitions<S: Default>(&self) -> Vec<PartitionBuckets<S>> {
-        let mut out: Vec<PartitionBuckets<S>> = (0..self.n_partitions.max(1))
-            .map(|_| PartitionBuckets { ids: Vec::new(), buckets: Vec::new() })
-            .collect();
-        for (bi, meta) in self.buckets.iter().enumerate() {
-            let particles: Vec<Particle> =
-                meta.indices.iter().map(|&i| self.master[i as usize]).collect();
-            let bbox = BoundingBox::around(particles.iter().map(|p| p.pos));
-            let slot = &mut out[meta.partition as usize];
-            slot.ids.push(bi);
-            slot.buckets.push(TargetBucket {
-                leaf_key: meta.leaf_key,
-                particles,
-                bbox,
-                state: S::default(),
-            });
-        }
-        out
+    /// Assembles Partition `p`'s targets for `visitor` from the master
+    /// array.
+    pub fn targets<V: Visitor<Data = D>>(
+        &self,
+        visitor: &V,
+        p: usize,
+    ) -> Targets<V::State, V::PerTarget> {
+        Targets::assemble(
+            visitor,
+            self.by_partition[p].iter().map(|&b| {
+                let meta = &self.buckets[b as usize];
+                (meta.leaf_key, meta.indices.iter().map(|&i| self.master[i as usize]))
+            }),
+        )
     }
 
-    /// Write-back: one Partition's bucket particle copies return to the
+    /// Write-back: what Partition `p`'s traversal wrote returns to the
     /// master array.
-    pub fn write_back<S>(&mut self, ids: &[usize], buckets: &[TargetBucket<S>]) {
-        for (&bi, bucket) in ids.iter().zip(buckets) {
-            for (&mi, p) in self.buckets[bi].indices.iter().zip(&bucket.particles) {
-                self.master[mi as usize] = *p;
-            }
-        }
+    pub fn write_back<S, T>(&mut self, p: usize, targets: &Targets<S, T>) {
+        let buckets = &self.buckets;
+        let homes = self.by_partition[p]
+            .iter()
+            .flat_map(|&b| buckets[b as usize].indices.iter().map(|&i| i as usize));
+        targets.write_back(&mut self.master, homes);
     }
 
     /// Writes one [`FLIGHT_SERIES`] row (a no-op on a disabled recorder).

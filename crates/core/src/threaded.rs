@@ -29,8 +29,8 @@
 use crate::config::{Configuration, TraversalKind};
 use crate::maintain::TreeMaintainer;
 use crate::pipeline::{self, Iteration};
-use crate::traversal::{process_item, seed_items, PendingFetch, WorkCounts, WorkStack};
-use crate::visitor::{TargetBucket, Visitor};
+use crate::traversal::{process_item, seed_items, PendingFetch, TargetsOf, WorkCounts, WorkStack};
+use crate::visitor::Visitor;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use paratreet_cache::stats::CacheStatsSnapshot;
 use paratreet_cache::{CacheTree, NodeHandle, RequestOutcome};
@@ -62,9 +62,7 @@ enum Task<V: Visitor> {
 /// One partition's private traversal state (moves with its task).
 struct PartState<V: Visitor> {
     id: u32,
-    buckets: Vec<TargetBucket<V::State>>,
-    /// Global bucket ids (for write-back), aligned with `buckets`.
-    bucket_ids: Vec<usize>,
+    targets: TargetsOf<V>,
     stack: WorkStack<V::Data>,
     counts: WorkCounts,
     outstanding: usize,
@@ -232,15 +230,11 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
         front.sample_flight(&self.flight, epoch, 0, front.seconds_setup());
 
         // ---- Partition states ----
-        let mut part_states: Vec<Option<Box<PartState<V>>>> = front
-            .partitions::<V::State>()
-            .into_iter()
-            .enumerate()
-            .map(|(p, part)| {
+        let mut part_states: Vec<Option<Box<PartState<V>>>> = (0..front.by_partition.len())
+            .map(|p| {
                 Some(Box::new(PartState {
                     id: p as u32,
-                    buckets: part.buckets,
-                    bucket_ids: part.ids,
+                    targets: front.targets(self.visitor, p),
                     stack: WorkStack::new(),
                     counts: WorkCounts::default(),
                     outstanding: 0,
@@ -427,7 +421,7 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
         }
         for ps in collected.into_inner() {
             counts += ps.counts;
-            front.write_back(&ps.bucket_ids, &ps.buckets);
+            front.write_back(ps.id as usize, &ps.targets);
         }
         let remote_fills = remote_fills.load(Ordering::Relaxed) as u64;
         let mut metrics = MetricsRegistry::new();
@@ -615,7 +609,7 @@ fn run_partition<V: Visitor>(
 ) -> Option<Box<PartState<V>>> {
     if !ps.seeded {
         ps.seeded = true;
-        ps.stack = seed_items::<V>(&shared.cache, kind, &ps.buckets);
+        ps.stack = seed_items::<V>(&shared.cache, kind, &ps.targets);
     }
     loop {
         // Drain local work, surrendering placeholder hits. A fetch's
@@ -628,7 +622,7 @@ fn run_partition<V: Visitor>(
             process_item(
                 &shared.cache,
                 visitor,
-                &mut ps.buckets,
+                &mut ps.targets,
                 item,
                 &mut ps.stack,
                 &mut fetches,
@@ -676,7 +670,7 @@ fn run_partition<V: Visitor>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::visitor::SpatialNodeView;
+    use crate::visitor::{SpatialNodeView, TargetBucket, TargetSpan};
     use paratreet_particles::gen;
     use paratreet_tree::CountData;
 
@@ -687,12 +681,13 @@ mod tests {
         type Data = CountData;
         type State = ();
         type Prepared = ();
+        type PerTarget = ();
         fn prepare(&self, _: &SpatialNodeView<'_, CountData>) {}
         fn open(&self, _: &SpatialNodeView<'_, CountData>, _: &(), _: &TargetBucket<()>) -> bool {
             true
         }
-        fn node(&self, _: &SpatialNodeView<'_, CountData>, _: &(), _: &mut TargetBucket<()>) {}
-        fn leaf(&self, _: &SpatialNodeView<'_, CountData>, _: &(), _: &mut TargetBucket<()>) {}
+        fn node(&self, _: &SpatialNodeView<'_, CountData>, _: &(), _: &mut TargetSpan<'_, ()>) {}
+        fn leaf(&self, _: &SpatialNodeView<'_, CountData>, _: &(), _: &mut TargetSpan<'_, ()>) {}
     }
 
     fn config() -> Configuration {
@@ -729,8 +724,7 @@ mod tests {
         };
         let mut ps = PartState::<OpenAll> {
             id: 0,
-            buckets: Vec::new(),
-            bucket_ids: Vec::new(),
+            targets: front.targets(&OpenAll, 0),
             stack: WorkStack::new(),
             counts: WorkCounts::default(),
             outstanding: 0,

@@ -10,6 +10,15 @@
 //! classic walk ("BasicTrav" in Fig. 10) is the same machine seeded with
 //! one single-bucket item per target bucket.
 //!
+//! `open` is evaluated bucket by bucket, but `node` and `leaf` are not
+//! applied bucket by bucket: the buckets that do not open a node are
+//! neighbours in SFC order, so an item's ascending bucket list is walked
+//! as *runs* — adjacent buckets with the same outcome — and each run is
+//! handed to the visitor as one [`TargetSpan`](crate::visitor::TargetSpan).
+//! An item meets each interested bucket exactly once and a run never
+//! crosses items, so every bucket sees the calls it always saw, in the
+//! order it always saw them.
+//!
 //! Bucket lists are not owned by their items: an item holds a
 //! [`BucketRange`] into its partition's [`WorkStack`] scratch, the
 //! children of a node all share the one range their parent's `open`s
@@ -23,11 +32,12 @@
 //! distributed engine turns it into a cache request.
 
 use crate::config::TraversalKind;
+use crate::pipeline::Targets;
 use crate::visitor::{SpatialNodeView, TargetBucket, Visitor};
 use paratreet_cache::{CacheNode, CacheTree, NodeHandle, NodeKind};
 use paratreet_geometry::NodeKey;
 use paratreet_telemetry::{MetricSource, MetricsRegistry};
-use std::ops::AddAssign;
+use std::ops::{AddAssign, Range};
 
 /// A (source, target) node pair on the dual-tree work stack.
 type NodePair<D> = (NodeHandle<D>, NodeHandle<D>);
@@ -214,20 +224,91 @@ impl<D> WorkStack<D> {
     }
 }
 
-/// Evaluates one work item: `open`/`node`/`leaf` per interested bucket,
-/// pushing child items onto `stack` (in reverse slot order, so the LIFO
-/// stack pops slot 0 first) and surrendering placeholder hits to
-/// `fetches`. `item` must be the item just popped from `stack`.
+/// One Partition's targets as visitor `V` sees them.
+pub type TargetsOf<V> = Targets<<V as Visitor>::State, <V as Visitor>::PerTarget>;
+
+/// How a traversal applies the outcomes `open` decides.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Apply {
+    /// Not at all: counters, children and fetches only.
+    Dry,
+    /// One `node()`/`leaf()` call per run of adjacent buckets.
+    Runs,
+    /// One call per bucket — the reference the coalescing test holds
+    /// [`Apply::Runs`] against.
+    #[cfg(test)]
+    PerBucket,
+}
+
+/// Applies one source node's outcomes run by run: holds the run of
+/// adjacent buckets that took the node the same way (all as a leaf, or
+/// all as a pruned node) and have not been applied yet.
+struct Runs<'a, V: Visitor> {
+    visitor: &'a V,
+    source: &'a SpatialNodeView<'a, V::Data>,
+    prepared: &'a V::Prepared,
+    mode: Apply,
+    run: Range<usize>,
+    leaf: bool,
+}
+
+impl<'a, V: Visitor> Runs<'a, V> {
+    fn new(
+        visitor: &'a V,
+        source: &'a SpatialNodeView<'a, V::Data>,
+        prepared: &'a V::Prepared,
+        mode: Apply,
+    ) -> Runs<'a, V> {
+        Runs { visitor, source, prepared, mode, run: 0..0, leaf: false }
+    }
+
+    /// Bucket `b` takes the node as a leaf (`leaf`) or pruned: extends
+    /// the run if `b` continues it, else applies the run and starts the
+    /// next at `b`.
+    #[inline]
+    fn push(&mut self, targets: &mut TargetsOf<V>, b: usize, leaf: bool) {
+        if self.mode == Apply::Dry {
+            return;
+        }
+        if self.mode == Apply::Runs && b == self.run.end && leaf == self.leaf {
+            self.run.end += 1;
+        } else {
+            self.flush(targets);
+            (self.run, self.leaf) = (b..b + 1, leaf);
+        }
+    }
+
+    /// Applies the run, if any.
+    #[inline]
+    fn flush(&mut self, targets: &mut TargetsOf<V>) {
+        let run = std::mem::replace(&mut self.run, 0..0);
+        if run.is_empty() {
+            return;
+        }
+        let mut span = targets.span(run);
+        if self.leaf {
+            self.visitor.leaf(self.source, self.prepared, &mut span);
+        } else {
+            self.visitor.node(self.source, self.prepared, &mut span);
+        }
+    }
+}
+
+/// Evaluates one work item: `open` per interested bucket, `node`/`leaf`
+/// per run of them, pushing child items onto `stack` (in reverse slot
+/// order, so the LIFO stack pops slot 0 first) and surrendering
+/// placeholder hits to `fetches`. `item` must be the item just popped
+/// from `stack`.
 pub fn process_item<V: Visitor>(
     cache: &CacheTree<V::Data>,
     visitor: &V,
-    buckets: &mut [TargetBucket<V::State>],
+    targets: &mut TargetsOf<V>,
     item: WorkItem<V::Data>,
     stack: &mut WorkStack<V::Data>,
     fetches: &mut Vec<PendingFetch<V::Data>>,
     counts: &mut WorkCounts,
 ) {
-    process_item_inner(cache, visitor, buckets, item, stack, fetches, counts, true)
+    process_item_inner(cache, visitor, targets, item, stack, fetches, counts, Apply::Runs)
 }
 
 /// [`process_item`] without the visitor side effects: identical `open`
@@ -242,25 +323,25 @@ pub fn process_item<V: Visitor>(
 pub fn process_item_dry<V: Visitor>(
     cache: &CacheTree<V::Data>,
     visitor: &V,
-    buckets: &mut [TargetBucket<V::State>],
+    targets: &mut TargetsOf<V>,
     item: WorkItem<V::Data>,
     stack: &mut WorkStack<V::Data>,
     fetches: &mut Vec<PendingFetch<V::Data>>,
     counts: &mut WorkCounts,
 ) {
-    process_item_inner(cache, visitor, buckets, item, stack, fetches, counts, false)
+    process_item_inner(cache, visitor, targets, item, stack, fetches, counts, Apply::Dry)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn process_item_inner<V: Visitor>(
     cache: &CacheTree<V::Data>,
     visitor: &V,
-    buckets: &mut [TargetBucket<V::State>],
+    targets: &mut TargetsOf<V>,
     item: WorkItem<V::Data>,
     stack: &mut WorkStack<V::Data>,
     fetches: &mut Vec<PendingFetch<V::Data>>,
     counts: &mut WorkCounts,
-    apply: bool,
+    mode: Apply,
 ) {
     let node = item.node.get(cache);
     counts.nodes_visited += 1;
@@ -269,22 +350,20 @@ fn process_item_inner<V: Visitor>(
     }
     let view = SpatialNodeView::of(node);
     let prepared = visitor.prepare(&view);
+    let mut runs = Runs::new(visitor, &view, &prepared, mode);
     if node.kind == NodeKind::Leaf {
         for &b in stack.buckets(item.buckets) {
             counts.opens += 1;
-            let bucket = &mut buckets[b as usize];
-            if visitor.open(&view, &prepared, bucket) {
+            let bucket = &targets.buckets()[b as usize];
+            let leaf = visitor.open(&view, &prepared, bucket);
+            if leaf {
                 counts.leaf_interactions += (node.particles.len() * bucket.len()) as u64;
-                if apply {
-                    visitor.leaf(&view, &prepared, bucket);
-                }
             } else {
                 counts.node_interactions += bucket.len() as u64;
-                if apply {
-                    visitor.node(&view, &prepared, bucket);
-                }
             }
+            runs.push(targets, b as usize, leaf);
         }
+        runs.flush(targets);
         return;
     }
     // Internal or placeholder: the buckets that open the node are
@@ -293,16 +372,15 @@ fn process_item_inner<V: Visitor>(
     for i in item.buckets.span() {
         let b = stack.scratch[i];
         counts.opens += 1;
-        let bucket = &mut buckets[b as usize];
+        let bucket = &targets.buckets()[b as usize];
         if visitor.open(&view, &prepared, bucket) {
             stack.scratch.push(b);
         } else {
             counts.node_interactions += bucket.len() as u64;
-            if apply {
-                visitor.node(&view, &prepared, bucket);
-            }
+            runs.push(targets, b as usize, false);
         }
     }
+    runs.flush(targets);
     let opened = BucketRange::new(opened_start, stack.scratch.len() - opened_start);
     if opened.len == 0 {
         return;
@@ -326,9 +404,10 @@ fn process_item_inner<V: Visitor>(
 pub fn seed_items<V: Visitor>(
     cache: &CacheTree<V::Data>,
     kind: TraversalKind,
-    buckets: &[TargetBucket<V::State>],
+    targets: &TargetsOf<V>,
 ) -> WorkStack<V::Data> {
     let mut stack = WorkStack::new();
+    let buckets = targets.buckets();
     let Some(root) = cache.root() else { return stack };
     if buckets.is_empty() {
         return stack;
@@ -359,8 +438,9 @@ pub fn seed_items<V: Visitor>(
 /// buckets. The work unit is a *(source node, target node)* pair; the
 /// visitor's `cell()` decides whether to open both sides (B² child
 /// pairs) or only the source (B pairs), and a source pruned against an
-/// internal target applies its summary to every partition bucket below
-/// that target at once — the bulk saving dual-tree methods offer.
+/// internal target applies its summary to the partition's buckets below
+/// that target run by run — one `node()` call where they are adjacent —
+/// the bulk saving dual-tree methods offer.
 ///
 /// Pruning against internal targets is conservative: `open()` is
 /// consulted with an empty pseudo-bucket carrying the target node's
@@ -368,36 +448,40 @@ pub fn seed_items<V: Visitor>(
 pub fn traverse_dual<V: Visitor>(
     cache: &CacheTree<V::Data>,
     visitor: &V,
-    buckets: &mut [TargetBucket<V::State>],
+    targets: &mut TargetsOf<V>,
+) -> WorkCounts {
+    traverse_dual_inner(cache, visitor, targets, Apply::Runs)
+}
+
+fn traverse_dual_inner<V: Visitor>(
+    cache: &CacheTree<V::Data>,
+    visitor: &V,
+    targets: &mut TargetsOf<V>,
+    mode: Apply,
 ) -> WorkCounts {
     let mut counts = WorkCounts::default();
     let root = match cache.root() {
         Some(r) => r,
         None => return counts,
     };
-    if buckets.is_empty() {
+    if targets.buckets().is_empty() {
         return counts;
     }
     let bits = cache.bits;
-    // Buckets of this partition beneath a given target node.
-    let under =
-        |key: paratreet_geometry::NodeKey, buckets: &[TargetBucket<V::State>]| -> Vec<u32> {
-            buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| key == b.leaf_key || key.is_ancestor_of(b.leaf_key, bits))
-                .map(|(i, _)| i as u32)
-                .collect()
-        };
+    // Is bucket `b` of this partition beneath (or at) target node `key`?
+    // Subtrees are not laid out in key order, so the buckets under a key
+    // are runs of the bucket array, not one range of it: callers scan.
+    let under = |key: NodeKey, b: &TargetBucket<V::State, V::PerTarget>| {
+        key == b.leaf_key || key.is_ancestor_of(b.leaf_key, bits)
+    };
     // Target nodes worth visiting: ancestors (and selves) of this
     // partition's bucket leaves. Everything else belongs to other
     // partitions and is skipped before it costs a pair evaluation.
-    let mut relevant: std::collections::HashSet<paratreet_geometry::NodeKey> =
-        std::collections::HashSet::new();
-    for b in buckets.iter() {
+    let mut relevant: std::collections::HashSet<NodeKey> = std::collections::HashSet::new();
+    for b in targets.buckets() {
         let mut k = b.leaf_key;
         loop {
-            if !relevant.insert(k) || k == paratreet_geometry::NodeKey::root() {
+            if !relevant.insert(k) || k == NodeKey::root() {
                 break;
             }
             k = k.parent(bits);
@@ -414,19 +498,22 @@ pub fn traverse_dual<V: Visitor>(
         counts.nodes_visited += 1;
         let src_view = SpatialNodeView::of(src);
         let prepared = visitor.prepare(&src_view);
+        let mut runs = Runs::new(visitor, &src_view, &prepared, mode);
 
         if tgt.kind == NodeKind::Leaf {
             // Single-tree semantics against the bucket(s) of this leaf.
-            let members = under(tgt.key, buckets);
-            for b in members {
-                let bucket = &mut buckets[b as usize];
+            for b in 0..targets.buckets().len() {
+                let bucket = &targets.buckets()[b];
+                if !under(tgt.key, bucket) {
+                    continue;
+                }
                 counts.opens += 1;
                 if !visitor.open(&src_view, &prepared, bucket) {
                     counts.node_interactions += bucket.len() as u64;
-                    visitor.node(&src_view, &prepared, bucket);
+                    runs.push(targets, b, false);
                 } else if src.kind == NodeKind::Leaf {
                     counts.leaf_interactions += (src.particles.len() * bucket.len()) as u64;
-                    visitor.leaf(&src_view, &prepared, bucket);
+                    runs.push(targets, b, true);
                 } else {
                     assert!(
                         src.kind == NodeKind::Internal || src.kind == NodeKind::Empty,
@@ -439,29 +526,33 @@ pub fn traverse_dual<V: Visitor>(
                     }
                 }
             }
+            runs.flush(targets);
             continue;
         }
         // Internal target: does this partition own anything below it?
-        let members = under(tgt.key, buckets);
-        if members.is_empty() || tgt.kind == NodeKind::Empty {
+        if tgt.kind == NodeKind::Empty || !targets.buckets().iter().any(|b| under(tgt.key, b)) {
             continue;
         }
         assert!(tgt.kind == NodeKind::Internal, "dual-tree traversal requires a fully local tree");
         // Conservative pruning with a pseudo-bucket at the target's box.
         let pseudo = TargetBucket {
             leaf_key: tgt.key,
-            particles: Vec::new(),
             bbox: tgt.bbox,
+            range: 0..0,
             state: V::State::default(),
+            prepared: visitor.prepare_target(&[]),
         };
         counts.opens += 1;
         if !visitor.open(&src_view, &prepared, &pseudo) {
             // The source's summary covers every bucket below the target.
-            for b in members {
-                let bucket = &mut buckets[b as usize];
-                counts.node_interactions += bucket.len() as u64;
-                visitor.node(&src_view, &prepared, bucket);
+            for b in 0..targets.buckets().len() {
+                let bucket = &targets.buckets()[b];
+                if under(tgt.key, bucket) {
+                    counts.node_interactions += bucket.len() as u64;
+                    runs.push(targets, b, false);
+                }
             }
+            runs.flush(targets);
             continue;
         }
         if src.kind != NodeKind::Internal {
@@ -546,17 +637,36 @@ pub fn traverse_local<V: Visitor>(
     cache: &CacheTree<V::Data>,
     visitor: &V,
     kind: TraversalKind,
-    buckets: &mut [TargetBucket<V::State>],
+    targets: &mut TargetsOf<V>,
+) -> WorkCounts {
+    traverse_local_inner(cache, visitor, kind, targets, Apply::Runs)
+}
+
+fn traverse_local_inner<V: Visitor>(
+    cache: &CacheTree<V::Data>,
+    visitor: &V,
+    kind: TraversalKind,
+    targets: &mut TargetsOf<V>,
+    mode: Apply,
 ) -> WorkCounts {
     if kind == TraversalKind::DualTree {
-        return traverse_dual(cache, visitor, buckets);
+        return traverse_dual_inner(cache, visitor, targets, mode);
     }
     let mut counts = WorkCounts::default();
-    let mut stack = seed_items::<V>(cache, kind, buckets);
+    let mut stack = seed_items::<V>(cache, kind, targets);
     // Up-and-down seeds are ordered nearest-last; reverse handled by LIFO.
     let mut fetches = Vec::new();
     while let Some(item) = stack.pop() {
-        process_item(cache, visitor, buckets, item, &mut stack, &mut fetches, &mut counts);
+        process_item_inner(
+            cache,
+            visitor,
+            targets,
+            item,
+            &mut stack,
+            &mut fetches,
+            &mut counts,
+            mode,
+        );
         assert!(
             fetches.is_empty(),
             "local traversal reached a remote placeholder {:?}",
@@ -564,4 +674,116 @@ pub fn traverse_local<V: Visitor>(
         );
     }
     counts
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Configuration;
+    use crate::pipeline::Iteration;
+    use crate::visitor::TargetSpan;
+    use paratreet_particles::gen;
+    use paratreet_telemetry::Telemetry;
+    use paratreet_tree::CountData;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Records what each bucket is handed: `(node key, as a leaf?)` per
+    /// call, in call order — and how many calls spanned several buckets.
+    /// Opens by a deterministic hash of the (node, bucket) pair, so
+    /// neighbouring buckets often — not always — take a node the same
+    /// way.
+    #[derive(Default)]
+    struct Recorder {
+        wide_calls: AtomicUsize,
+    }
+
+    impl Recorder {
+        fn record(
+            &self,
+            key: NodeKey,
+            leaf: bool,
+            targets: &mut TargetSpan<'_, Vec<(NodeKey, bool)>>,
+        ) {
+            let buckets = targets.buckets().map(|(_, b)| b.state.push((key, leaf))).count();
+            self.wide_calls.fetch_add((buckets > 1) as usize, Ordering::Relaxed);
+        }
+    }
+
+    impl Visitor for Recorder {
+        type Data = CountData;
+        type State = Vec<(NodeKey, bool)>;
+        type Prepared = ();
+        type PerTarget = ();
+        fn prepare(&self, _: &SpatialNodeView<'_, CountData>) {}
+        fn open(
+            &self,
+            source: &SpatialNodeView<'_, CountData>,
+            _: &(),
+            target: &TargetBucket<Self::State>,
+        ) -> bool {
+            let pair = source.key.raw().wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                ^ (target.leaf_key.raw() >> 2).wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+            (pair >> 40) % 8 < 5
+        }
+        fn node(
+            &self,
+            source: &SpatialNodeView<'_, CountData>,
+            _: &(),
+            targets: &mut TargetSpan<'_, Self::State>,
+        ) {
+            self.record(source.key, false, targets);
+        }
+        fn leaf(
+            &self,
+            source: &SpatialNodeView<'_, CountData>,
+            _: &(),
+            targets: &mut TargetSpan<'_, Self::State>,
+        ) {
+            self.record(source.key, true, targets);
+        }
+    }
+
+    /// Coalescing changes no bucket's call sequence: under every
+    /// schedule, on a tree whose leaves split across Partitions, each
+    /// bucket is handed the same nodes, the same way, in the same order
+    /// as when every call is flushed bucket by bucket — and the counters
+    /// agree.
+    #[test]
+    fn runs_change_no_buckets_call_sequence() {
+        let quiet = Telemetry::disabled();
+        let config =
+            Configuration { bucket_size: 6, n_subtrees: 8, n_partitions: 5, ..Default::default() };
+        let particles = gen::clustered(2500, 3, 19, 1.0, 1.0);
+        let mut front = Iteration::<CountData>::obtain(&config, &quiet, particles, None, false);
+        front.prepare(&vec![0; front.n_subtrees], 1, 1, &config, &quiet);
+        assert!(front.n_split_leaves > 0, "some leaf is shared between Partitions");
+        let cache = &front.caches[0];
+        for kind in [
+            TraversalKind::TopDown,
+            TraversalKind::UpAndDown,
+            TraversalKind::BasicDfs,
+            TraversalKind::DualTree,
+        ] {
+            let mut wide_calls = 0;
+            for p in 0..front.by_partition.len() {
+                let walk = |mode: Apply| {
+                    let recorder = Recorder::default();
+                    let mut targets = front.targets(&recorder, p);
+                    let counts = traverse_local_inner(cache, &recorder, kind, &mut targets, mode);
+                    let calls: Vec<_> = targets.into_states().collect();
+                    (calls, counts, recorder.wide_calls.into_inner())
+                };
+                let (by_bucket, by_bucket_counts, wide) = walk(Apply::PerBucket);
+                assert_eq!(wide, 0, "the reference applies bucket by bucket");
+                let (by_run, by_run_counts, wide) = walk(Apply::Runs);
+                wide_calls += wide;
+                assert!(by_run.iter().any(|calls| !calls.is_empty()));
+                assert_eq!(by_run, by_bucket, "{kind:?}, partition {p}");
+                assert_eq!(by_run_counts, by_bucket_counts, "{kind:?}, partition {p}");
+            }
+            // Multi-bucket items exist only where buckets share a walk.
+            let shared = matches!(kind, TraversalKind::TopDown | TraversalKind::DualTree);
+            assert_eq!(wide_calls > 0, shared, "{kind:?}: {wide_calls} calls spanned buckets");
+        }
+    }
 }

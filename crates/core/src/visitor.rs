@@ -14,12 +14,18 @@
 //! buckets — so whatever the callbacks derive from the source node alone
 //! is computed once per node by [`Visitor::prepare`] and handed to every
 //! `open`/`node`/`leaf` call of that node (the `Score`/`BaseCase` split
-//! of Curtin et al., *Tree-Independent Dual-Tree Algorithms*).
+//! of Curtin et al., *Tree-Independent Dual-Tree Algorithms*), and what
+//! they derive from a target bucket alone once per bucket by
+//! [`Visitor::prepare_target`]. `open` is asked bucket by bucket, but the
+//! buckets that give one node the same answer are neighbours in SFC
+//! order, so `node` and `leaf` take a [`TargetSpan`]: a run of adjacent
+//! buckets of one Partition, applied in one call.
 
 use paratreet_cache::{CacheNode, NodeKind};
 use paratreet_geometry::{BoundingBox, NodeKey};
 use paratreet_particles::Particle;
 use paratreet_tree::Data;
+use std::ops::Range;
 
 /// Read-only view of a source tree node handed to visitor callbacks —
 /// the paper's `SpatialNode<Data>`.
@@ -49,35 +55,190 @@ impl<'a, D: Data> SpatialNodeView<'a, D> {
     }
 }
 
-/// One target bucket owned by a Partition: writable copies of its
-/// particles plus visitor-defined per-bucket scratch state.
+/// A target-particle field a visitor can ask for as a *lane*: one
+/// contiguous `f64` column per field over a Partition's targets, in
+/// bucket order, instead of 152-byte [`Particle`] records
+/// ([`Visitor::LANES`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lane {
+    /// `pos.x`.
+    PosX,
+    /// `pos.y`.
+    PosY,
+    /// `pos.z`.
+    PosZ,
+    /// `mass`.
+    Mass,
+    /// `softening`.
+    Softening,
+    /// `id`, its 64 bits carried in an `f64` (`f64::from_bits`).
+    Id,
+    /// `acc.x`.
+    AccX,
+    /// `acc.y`.
+    AccY,
+    /// `acc.z`.
+    AccZ,
+    /// `potential`.
+    Potential,
+}
+
+impl Lane {
+    /// The lane's value for `p`.
+    pub fn get(self, p: &Particle) -> f64 {
+        match self {
+            Lane::PosX => p.pos.x,
+            Lane::PosY => p.pos.y,
+            Lane::PosZ => p.pos.z,
+            Lane::Mass => p.mass,
+            Lane::Softening => p.softening,
+            Lane::Id => f64::from_bits(p.id),
+            Lane::AccX => p.acc.x,
+            Lane::AccY => p.acc.y,
+            Lane::AccZ => p.acc.z,
+            Lane::Potential => p.potential,
+        }
+    }
+
+    /// Stores the lane's value `v` into `p`.
+    pub fn set(self, p: &mut Particle, v: f64) {
+        match self {
+            Lane::PosX => p.pos.x = v,
+            Lane::PosY => p.pos.y = v,
+            Lane::PosZ => p.pos.z = v,
+            Lane::Mass => p.mass = v,
+            Lane::Softening => p.softening = v,
+            Lane::Id => p.id = v.to_bits(),
+            Lane::AccX => p.acc.x = v,
+            Lane::AccY => p.acc.y = v,
+            Lane::AccZ => p.acc.z = v,
+            Lane::Potential => p.potential = v,
+        }
+    }
+}
+
+/// The lanes a visitor's `node` and `leaf` see their targets through. A
+/// visitor that declares any lane gets columns and no records.
+#[derive(Clone, Copy, Debug)]
+pub struct TargetLanes {
+    /// Fields read as lanes.
+    pub reads: &'static [Lane],
+    /// Fields accumulated into as lanes: gathered before the traversal,
+    /// returned to the particles after it.
+    pub writes: &'static [Lane],
+}
+
+impl TargetLanes {
+    /// No lanes: the targets are [`Particle`] records.
+    pub const NONE: TargetLanes = TargetLanes { reads: &[], writes: &[] };
+}
+
+/// Lane slices reach to a whole number of groups of this many values, so
+/// a kernel may load and compute full-width over a span's short last
+/// group ([`TargetSpan::lanes`]).
+pub const LANE_GROUP: usize = 4;
+
+/// One target bucket of a Partition: where its particles lie in the
+/// Partition's target arrays ([`crate::Targets`]), their tight box, and
+/// the visitor's per-bucket values.
 ///
 /// Buckets are handed to Partitions during the leaf-sharing step; a
 /// bucket whose particles span two Partitions is *split* into local
 /// buckets (Fig. 5), so a target bucket may be a strict subset of a tree
 /// leaf.
 #[derive(Clone, Debug)]
-pub struct TargetBucket<S> {
+pub struct TargetBucket<S, T = ()> {
     /// Key of the tree leaf this bucket came from.
     pub leaf_key: NodeKey,
-    /// Writable particle copies; accumulators (acc, density, ...) are
-    /// written here and merged back after the traversal.
-    pub particles: Vec<Particle>,
     /// Tight bounding box of the bucket's particles.
     pub bbox: BoundingBox,
+    /// The bucket's stretch of its Partition's target arrays. Adjacent
+    /// buckets have adjacent stretches.
+    pub range: Range<usize>,
     /// Visitor-defined per-bucket state (e.g. k-NN candidate heaps).
     pub state: S,
+    /// What [`Visitor::prepare_target`] derived from the bucket's
+    /// particles.
+    pub prepared: T,
 }
 
-impl<S> TargetBucket<S> {
+impl<S, T> TargetBucket<S, T> {
     /// Number of particles in the bucket.
     pub fn len(&self) -> usize {
-        self.particles.len()
+        self.range.len()
     }
 
-    /// True when the bucket is empty (never produced by leaf sharing).
+    /// True when the bucket is empty (only a dual-tree pseudo-bucket is).
     pub fn is_empty(&self) -> bool {
-        self.particles.is_empty()
+        self.range.is_empty()
+    }
+}
+
+/// A run of adjacent target buckets of one Partition — what `node` and
+/// `leaf` are applied to. The traversal extends a run while consecutive
+/// buckets give a work item the same outcome; a single-bucket item makes
+/// spans of one.
+///
+/// A visitor that declares no lanes sees the span's particles as one
+/// slice of the Partition's flat array ([`TargetSpan::particles_mut`])
+/// or, where it keeps per-bucket state, bucket by bucket
+/// ([`TargetSpan::buckets`]). One that declares lanes
+/// sees columns ([`TargetSpan::lanes`]) and no records.
+pub struct TargetSpan<'a, S, T = ()> {
+    pub(crate) buckets: &'a mut [TargetBucket<S, T>],
+    /// The span's records (empty when lanes are declared).
+    pub(crate) particles: &'a mut [Particle],
+    /// Whole read columns of the Partition.
+    pub(crate) reads: &'a [Vec<f64>],
+    /// Whole write columns of the Partition.
+    pub(crate) writes: &'a mut [Vec<f64>],
+    /// The span's stretch of the Partition's target arrays.
+    pub(crate) range: Range<usize>,
+    /// Set when records are handed out mutably: write-back copies them.
+    pub(crate) dirty: &'a mut bool,
+}
+
+impl<S, T> TargetSpan<'_, S, T> {
+    /// The span's particles, writable: what a visitor accumulates here
+    /// returns to the master array after the traversal.
+    pub fn particles_mut(&mut self) -> &mut [Particle] {
+        *self.dirty = true;
+        self.particles
+    }
+
+    /// The span bucket by bucket: each bucket's particles beside its box,
+    /// state and prepared value.
+    pub fn buckets(&mut self) -> impl Iterator<Item = (&[Particle], &mut TargetBucket<S, T>)> {
+        let (start, particles) = (self.range.start, &*self.particles);
+        self.buckets.iter_mut().map(move |b| {
+            let own = particles.get(b.range.start - start..b.range.end - start);
+            (own.unwrap_or_default(), b)
+        })
+    }
+
+    /// The span's stretch of the `R` read and `W` write lanes the visitor
+    /// declared, in declaration order, and the number of live values.
+    /// Every slice reaches past them to a whole number of
+    /// [`LANE_GROUP`]s: what lies there is the next bucket's values (or
+    /// zeros at the end of the Partition), free to load and compute on;
+    /// a kernel stores back live values only.
+    pub fn lanes<const R: usize, const W: usize>(
+        &mut self,
+    ) -> ([&[f64]; R], [&mut [f64]; W], usize) {
+        assert!(
+            self.reads.len() == R && self.writes.len() == W,
+            "the visitor declares {} read and {} write lanes",
+            self.reads.len(),
+            self.writes.len()
+        );
+        let live = self.range.len();
+        let padded = self.range.start..self.range.start + live.next_multiple_of(LANE_GROUP);
+        let reads = std::array::from_fn(|i| &self.reads[i][padded.clone()]);
+        let mut writes = self.writes.iter_mut();
+        let writes = std::array::from_fn(|_| {
+            &mut writes.next().expect("W columns, checked above")[padded.clone()]
+        });
+        (reads, writes, live)
     }
 }
 
@@ -94,34 +255,47 @@ pub trait Visitor: Send + Sync {
     /// What the callbacks derive from a source node alone (`()` when
     /// there is nothing worth hoisting).
     type Prepared;
+    /// What the callbacks derive from a target bucket alone (`()` when
+    /// there is nothing worth hoisting).
+    type PerTarget: Default + Clone + Send + Sync + 'static;
+
+    /// The target fields `node` and `leaf` see as lanes.
+    const LANES: TargetLanes = TargetLanes::NONE;
 
     /// Derives the per-node values. Must be a pure function of `source`
     /// (and `self`): the traversal calls it once per work item and
     /// passes the result to every `open`/`node`/`leaf` of that item.
     fn prepare(&self, source: &SpatialNodeView<'_, Self::Data>) -> Self::Prepared;
 
+    /// Derives the per-target values from a bucket's particles, once,
+    /// when the Partition's targets are assembled; every callback that
+    /// meets the bucket reads them in [`TargetBucket::prepared`].
+    fn prepare_target(&self, _particles: &[Particle]) -> Self::PerTarget {
+        Self::PerTarget::default()
+    }
+
     /// Should the traversal descend below `source` for this target?
     fn open(
         &self,
         source: &SpatialNodeView<'_, Self::Data>,
         prepared: &Self::Prepared,
-        target: &TargetBucket<Self::State>,
+        target: &TargetBucket<Self::State, Self::PerTarget>,
     ) -> bool;
 
-    /// Consume `source`'s summary for this target (pruned path).
+    /// Consume `source`'s summary for these targets (pruned path).
     fn node(
         &self,
         source: &SpatialNodeView<'_, Self::Data>,
         prepared: &Self::Prepared,
-        target: &mut TargetBucket<Self::State>,
+        targets: &mut TargetSpan<'_, Self::State, Self::PerTarget>,
     );
 
-    /// Exact interaction of a source leaf with this target.
+    /// Exact interaction of a source leaf with these targets.
     fn leaf(
         &self,
         source: &SpatialNodeView<'_, Self::Data>,
         prepared: &Self::Prepared,
-        target: &mut TargetBucket<Self::State>,
+        targets: &mut TargetSpan<'_, Self::State, Self::PerTarget>,
     );
 
     /// Dual-tree hook: when evaluating node–node interactions, `true`
@@ -140,6 +314,7 @@ pub trait Visitor: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Targets;
     use paratreet_geometry::{Vec3, ROOT_KEY};
     use paratreet_tree::CountData;
 
@@ -156,6 +331,7 @@ mod tests {
         type Data = CountData;
         type State = Calls;
         type Prepared = bool;
+        type PerTarget = ();
         fn prepare(&self, source: &SpatialNodeView<'_, CountData>) -> bool {
             source.n_particles > 1
         }
@@ -167,11 +343,21 @@ mod tests {
         ) -> bool {
             *crowded
         }
-        fn node(&self, _s: &SpatialNodeView<'_, CountData>, _: &bool, t: &mut TargetBucket<Calls>) {
-            t.state.nodes += 1;
+        fn node(
+            &self,
+            _s: &SpatialNodeView<'_, CountData>,
+            _: &bool,
+            t: &mut TargetSpan<'_, Calls>,
+        ) {
+            t.buckets().for_each(|(_, b)| b.state.nodes += 1);
         }
-        fn leaf(&self, _s: &SpatialNodeView<'_, CountData>, _: &bool, t: &mut TargetBucket<Calls>) {
-            t.state.leaves += 1;
+        fn leaf(
+            &self,
+            _s: &SpatialNodeView<'_, CountData>,
+            _: &bool,
+            t: &mut TargetSpan<'_, Calls>,
+        ) {
+            t.buckets().for_each(|(_, b)| b.state.leaves += 1);
         }
     }
 
@@ -192,17 +378,14 @@ mod tests {
         let node =
             CacheNode::new(ROOT_KEY, b, 3, CountData { count: 3 }, 0, NodeKind::Internal, vec![]);
         let v = CountingVisitor;
-        let mut bucket = TargetBucket {
-            leaf_key: ROOT_KEY,
-            particles: vec![Particle::point_mass(0, 1.0, Vec3::ZERO)],
-            bbox: b,
-            state: Calls::default(),
-        };
+        let mut targets =
+            Targets::assemble(&v, [(ROOT_KEY, [Particle::point_mass(0, 1.0, Vec3::ZERO)])]);
         let view = SpatialNodeView::of(&node);
         let prepared = v.prepare(&view);
-        assert!(v.open(&view, &prepared, &bucket));
-        v.node(&view, &prepared, &mut bucket);
-        v.leaf(&view, &prepared, &mut bucket);
+        assert!(v.open(&view, &prepared, &targets.buckets()[0]));
+        v.node(&view, &prepared, &mut targets.span(0..1));
+        v.leaf(&view, &prepared, &mut targets.span(0..1));
+        let bucket = &targets.buckets()[0];
         assert_eq!(bucket.state.nodes, 1);
         assert_eq!(bucket.state.leaves, 1);
         assert_eq!(bucket.len(), 1);

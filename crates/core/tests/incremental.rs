@@ -18,7 +18,7 @@
 
 use paratreet_core::{
     CacheModel, Configuration, DistributedEngine, Framework, SpatialNodeView, TargetBucket,
-    ThreadedEngine, TraversalKind, TreeMaintainer, Visitor,
+    TargetSpan, ThreadedEngine, TraversalKind, TreeMaintainer, Visitor,
 };
 use paratreet_geometry::{BoundingBox, Sphere, Vec3};
 use paratreet_particles::{gen, Particle};
@@ -90,8 +90,8 @@ impl Visitor for MonoGravity {
     type Data = MonoData;
     type State = ();
     type Prepared = ();
+    type PerTarget = ();
     fn prepare(&self, _: &SpatialNodeView<'_, MonoData>) {}
-
     fn open(
         &self,
         source: &SpatialNodeView<'_, MonoData>,
@@ -110,10 +110,15 @@ impl Visitor for MonoGravity {
         target.bbox.intersects_sphere(&Sphere::new(c, radius))
     }
 
-    fn node(&self, source: &SpatialNodeView<'_, MonoData>, _: &(), target: &mut TargetBucket<()>) {
+    fn node(
+        &self,
+        source: &SpatialNodeView<'_, MonoData>,
+        _: &(),
+        target: &mut TargetSpan<'_, ()>,
+    ) {
         let c = source.data.centroid();
         let m = source.data.sum_mass;
-        for p in &mut target.particles {
+        for p in target.particles_mut() {
             let dr = c - p.pos;
             let r2 = dr.norm_sq();
             if r2 > 0.0 {
@@ -123,8 +128,13 @@ impl Visitor for MonoGravity {
         }
     }
 
-    fn leaf(&self, source: &SpatialNodeView<'_, MonoData>, _: &(), target: &mut TargetBucket<()>) {
-        for p in &mut target.particles {
+    fn leaf(
+        &self,
+        source: &SpatialNodeView<'_, MonoData>,
+        _: &(),
+        target: &mut TargetSpan<'_, ()>,
+    ) {
+        for p in target.particles_mut() {
             for s in source.particles {
                 if s.id == p.id {
                     continue;
@@ -155,8 +165,8 @@ impl Visitor for RadiusCount {
     type Data = MonoData;
     type State = u64;
     type Prepared = ();
+    type PerTarget = ();
     fn prepare(&self, _: &SpatialNodeView<'_, MonoData>) {}
-
     fn open(
         &self,
         source: &SpatialNodeView<'_, MonoData>,
@@ -177,16 +187,23 @@ impl Visitor for RadiusCount {
         &self,
         _source: &SpatialNodeView<'_, MonoData>,
         _: &(),
-        _target: &mut TargetBucket<u64>,
+        _target: &mut TargetSpan<'_, u64>,
     ) {
     }
 
-    fn leaf(&self, source: &SpatialNodeView<'_, MonoData>, _: &(), target: &mut TargetBucket<u64>) {
+    fn leaf(
+        &self,
+        source: &SpatialNodeView<'_, MonoData>,
+        _: &(),
+        targets: &mut TargetSpan<'_, u64>,
+    ) {
         let r2 = self.radius * self.radius;
-        for s in source.particles {
-            for p in &target.particles {
-                if (p.pos - s.pos).norm_sq() <= r2 {
-                    target.state += 1;
+        for (particles, target) in targets.buckets() {
+            for s in source.particles {
+                for p in particles {
+                    if (p.pos - s.pos).norm_sq() <= r2 {
+                        target.state += 1;
+                    }
                 }
             }
         }

@@ -5,7 +5,7 @@
 
 use paratreet_core::{
     CacheModel, Configuration, DistributedEngine, IterationReport, SpatialNodeView, TargetBucket,
-    TraversalKind, Visitor, DES_FLIGHT_SERIES,
+    TargetSpan, TraversalKind, Visitor, DES_FLIGHT_SERIES,
 };
 use paratreet_particles::gen;
 use paratreet_runtime::MachineSpec;
@@ -22,15 +22,16 @@ impl Visitor for CountVisitor {
     type Data = CountData;
     type State = u64;
     type Prepared = ();
+    type PerTarget = ();
     fn prepare(&self, _: &SpatialNodeView<'_, CountData>) {}
     fn open(&self, s: &SpatialNodeView<'_, CountData>, _: &(), _t: &TargetBucket<u64>) -> bool {
         s.n_particles > 8
     }
-    fn node(&self, s: &SpatialNodeView<'_, CountData>, _: &(), t: &mut TargetBucket<u64>) {
-        t.state += s.data.count;
+    fn node(&self, s: &SpatialNodeView<'_, CountData>, _: &(), t: &mut TargetSpan<'_, u64>) {
+        t.buckets().for_each(|(_, t)| t.state += s.data.count);
     }
-    fn leaf(&self, s: &SpatialNodeView<'_, CountData>, _: &(), t: &mut TargetBucket<u64>) {
-        t.state += s.particles.len() as u64 * s.data.count;
+    fn leaf(&self, s: &SpatialNodeView<'_, CountData>, _: &(), t: &mut TargetSpan<'_, u64>) {
+        t.buckets().for_each(|(_, t)| t.state += s.particles.len() as u64 * s.data.count);
     }
 }
 

@@ -16,7 +16,10 @@ echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
 echo "== kernel identity + allocation tests, optimised (the build the benchmark runs) =="
+# Span kernels == per-bucket kernels == per-pair loops, and coalescing
+# changes no bucket's call sequence, beside the whole-step identity.
 cargo test --release -q -p paratreet-apps --lib lane_kernels
+cargo test --release -q -p paratreet-core --lib runs_change_no_buckets_call_sequence
 cargo test --release -q --test gravity_accuracy bucket_kernels
 cargo test --release -q --test traversal_scratch
 # kNN/SPH data path: key heap == record-heap model, SPH step == the
@@ -66,9 +69,20 @@ if grep -rn "unsafe" shims/rayon; then
     echo "shims/rayon must stay free of unsafe (ROADMAP aim 3)"; exit 1
 fi
 
-echo "== every unsafe under crates/apps/src sits under a // SAFETY: comment =="
-awk 'FNR == 1 { prev = "" } /unsafe/ && !/^[[:space:]]*\/\// && prev !~ /\/\/ SAFETY:/ { print FILENAME ":" FNR ": " $0; bad = 1 } { prev = $0 } END { exit bad }' \
-    $(find crates/apps/src -name '*.rs') || { echo "unsafe without a // SAFETY: comment on the line above"; exit 1; }
+echo "== every unsafe under crates/{apps,core}/src sits under a // SAFETY: comment =="
+# The comment block directly above the line must contain "// SAFETY:".
+awk 'FNR == 1 { safe = 0 }
+     /^[[:space:]]*\/\// { if ($0 ~ /\/\/ SAFETY:/) safe = 1; next }
+     /unsafe/ && !safe { print FILENAME ":" FNR ": " $0; bad = 1 }
+     { safe = 0 }
+     END { exit bad }' \
+    $(find crates/apps/src crates/core/src -name '*.rs') ||
+    { echo "unsafe without a // SAFETY: comment directly above"; exit 1; }
+
+echo "== spans are slices and ranges: no 'unsafe' in core's visitor, traversal or pipeline =="
+if grep -n "unsafe" crates/core/src/visitor.rs crates/core/src/traversal.rs crates/core/src/pipeline.rs; then
+    echo "the target types and the walk must stay safe Rust (DESIGN §5d)"; exit 1
+fi
 
 echo "== threaded_engine x200 (bounded schedule fuzz, 60 s cap per run) =="
 # The OS picks a different interleaving every run; a lost or doubled

@@ -6,7 +6,8 @@
 use paratreet_apps::gravity::{CentroidData, GravityVisitor};
 use paratreet_baselines::direct::{direct_gravity, rms_acc_error};
 use paratreet_core::{
-    Configuration, DecompType, Framework, SpatialNodeView, TargetBucket, TraversalKind, Visitor,
+    Configuration, DecompType, Framework, SpatialNodeView, TargetBucket, TargetSpan, TraversalKind,
+    Visitor,
 };
 use paratreet_geometry::{Sphere, Vec3};
 use paratreet_particles::gen;
@@ -232,6 +233,7 @@ impl Visitor for PerPairGravity {
     type Data = CentroidData;
     type State = ();
     type Prepared = ();
+    type PerTarget = ();
 
     fn prepare(&self, _: &SpatialNodeView<'_, CentroidData>) {}
 
@@ -243,19 +245,19 @@ impl Visitor for PerPairGravity {
         t.bbox.intersects_sphere(&sphere)
     }
 
-    fn node(&self, s: &SpatialNodeView<'_, CentroidData>, _: &(), t: &mut TargetBucket<()>) {
+    fn node(&self, s: &SpatialNodeView<'_, CentroidData>, _: &(), t: &mut TargetSpan<'_, ()>) {
         let centroid = s.data.centroid();
         let mass = s.data.sum_mass;
         let quad = s.data.quad_about_centroid();
-        for p in &mut t.particles {
+        for p in t.particles_mut() {
             let (acc, pot) = Self::approx(p.pos, centroid, mass, &quad);
             p.acc += acc * self.g;
             p.potential += pot * self.g * p.mass;
         }
     }
 
-    fn leaf(&self, s: &SpatialNodeView<'_, CentroidData>, _: &(), t: &mut TargetBucket<()>) {
-        for p in &mut t.particles {
+    fn leaf(&self, s: &SpatialNodeView<'_, CentroidData>, _: &(), t: &mut TargetSpan<'_, ()>) {
+        for p in t.particles_mut() {
             for src in s.particles {
                 if src.id == p.id {
                     continue;

@@ -8,7 +8,7 @@ use paratreet_apps::knn::{KnnData, KnnVisitor};
 use paratreet_core::framework::FLIGHT_SERIES;
 use paratreet_core::{
     CacheModel, Configuration, DistributedEngine, Framework, SpatialNodeView, TargetBucket,
-    ThreadedEngine, TraversalKind, Visitor,
+    TargetLanes, TargetSpan, ThreadedEngine, TraversalKind, Visitor,
 };
 use paratreet_particles::gen;
 use paratreet_runtime::MachineSpec;
@@ -214,6 +214,8 @@ impl Visitor for Dying {
     type Data = CentroidData;
     type State = <GravityVisitor as Visitor>::State;
     type Prepared = <GravityVisitor as Visitor>::Prepared;
+    type PerTarget = <GravityVisitor as Visitor>::PerTarget;
+    const LANES: TargetLanes = GravityVisitor::LANES;
     fn prepare(&self, s: &SpatialNodeView<'_, CentroidData>) -> Self::Prepared {
         self.0.prepare(s)
     }
@@ -229,7 +231,7 @@ impl Visitor for Dying {
         &self,
         s: &SpatialNodeView<'_, CentroidData>,
         m: &Self::Prepared,
-        t: &mut TargetBucket<Self::State>,
+        t: &mut TargetSpan<'_, Self::State>,
     ) {
         self.0.node(s, m, t)
     }
@@ -237,7 +239,7 @@ impl Visitor for Dying {
         &self,
         _: &SpatialNodeView<'_, CentroidData>,
         _: &Self::Prepared,
-        _: &mut TargetBucket<Self::State>,
+        _: &mut TargetSpan<'_, Self::State>,
     ) {
         panic!("injected kernel fault");
     }

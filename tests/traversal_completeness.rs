@@ -6,7 +6,8 @@
 //! particle has absorbed exactly the total mass of the universe.
 
 use paratreet_core::{
-    Configuration, DecompType, Framework, SpatialNodeView, TargetBucket, TraversalKind, Visitor,
+    Configuration, DecompType, Framework, SpatialNodeView, TargetBucket, TargetSpan, TraversalKind,
+    Visitor,
 };
 use paratreet_particles::{gen, Particle};
 use paratreet_tree::{CountData, Data, TreeType};
@@ -53,8 +54,8 @@ impl Visitor for MassAuditVisitor {
     type Data = MassData;
     type State = ();
     type Prepared = ();
+    type PerTarget = ();
     fn prepare(&self, _: &SpatialNodeView<'_, MassData>) {}
-
     fn open(
         &self,
         source: &SpatialNodeView<'_, MassData>,
@@ -71,14 +72,24 @@ impl Visitor for MassAuditVisitor {
         (h >> 32) & 3 != 0 // open ~75% of the time
     }
 
-    fn node(&self, source: &SpatialNodeView<'_, MassData>, _: &(), target: &mut TargetBucket<()>) {
-        for p in &mut target.particles {
+    fn node(
+        &self,
+        source: &SpatialNodeView<'_, MassData>,
+        _: &(),
+        target: &mut TargetSpan<'_, ()>,
+    ) {
+        for p in target.particles_mut() {
             p.density += source.data.mass;
         }
     }
 
-    fn leaf(&self, source: &SpatialNodeView<'_, MassData>, _: &(), target: &mut TargetBucket<()>) {
-        for p in &mut target.particles {
+    fn leaf(
+        &self,
+        source: &SpatialNodeView<'_, MassData>,
+        _: &(),
+        target: &mut TargetSpan<'_, ()>,
+    ) {
+        for p in target.particles_mut() {
             for s in source.particles {
                 p.density += s.mass;
             }
@@ -186,14 +197,15 @@ fn open_everything_gives_exact_n_squared() {
         type Data = CountData;
         type State = ();
         type Prepared = ();
+        type PerTarget = ();
         fn prepare(&self, _: &SpatialNodeView<'_, CountData>) {}
         fn open(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &TargetBucket<()>) -> bool {
             true
         }
-        fn node(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &mut TargetBucket<()>) {
+        fn node(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &mut TargetSpan<'_, ()>) {
             panic!("node() must never fire when everything opens");
         }
-        fn leaf(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &mut TargetBucket<()>) {}
+        fn leaf(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &mut TargetSpan<'_, ()>) {}
     }
     let n = 300usize;
     let particles = gen::uniform_cube(n, 3, 1.0, 1.0);
@@ -213,12 +225,13 @@ fn open_nothing_prunes_at_the_root() {
         type Data = CountData;
         type State = ();
         type Prepared = ();
+        type PerTarget = ();
         fn prepare(&self, _: &SpatialNodeView<'_, CountData>) {}
         fn open(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &TargetBucket<()>) -> bool {
             false
         }
-        fn node(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &mut TargetBucket<()>) {}
-        fn leaf(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &mut TargetBucket<()>) {
+        fn node(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &mut TargetSpan<'_, ()>) {}
+        fn leaf(&self, _s: &SpatialNodeView<'_, CountData>, _: &(), _t: &mut TargetSpan<'_, ()>) {
             panic!("leaf() must never fire when nothing opens");
         }
     }

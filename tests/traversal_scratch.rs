@@ -7,9 +7,9 @@
 use paratreet_apps::gravity::{CentroidData, GravityVisitor};
 use paratreet_cache::{CacheNode, CacheTree, SubtreeSummary};
 use paratreet_core::traversal::{process_item, seed_items, traverse_local, WorkCounts};
-use paratreet_core::{decompose, Configuration, TargetBucket, TraversalKind};
-use paratreet_geometry::BoundingBox;
-use paratreet_particles::gen;
+use paratreet_core::{decompose, Configuration, Targets, TraversalKind};
+use paratreet_geometry::NodeKey;
+use paratreet_particles::{gen, Particle};
 use paratreet_tree::{BuiltTree, TreeBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -92,21 +92,16 @@ fn tree() -> CacheTree<CentroidData> {
 /// in depth-first order, so most of the tree is far away and the opening
 /// angle decides how much of it is visited — and the level of the
 /// deepest leaf.
-fn partition(cache: &CacheTree<CentroidData>) -> (Vec<TargetBucket<()>>, u32) {
+fn partition(cache: &CacheTree<CentroidData>) -> (Targets<()>, u32) {
     fn walk(
         node: &CacheNode<CentroidData>,
         bits: u32,
-        out: &mut Vec<TargetBucket<()>>,
+        out: &mut Vec<(NodeKey, Vec<Particle>)>,
         depth: &mut u32,
     ) {
         if !node.particles.is_empty() {
             *depth = (*depth).max(node.key.level(bits));
-            out.push(TargetBucket {
-                leaf_key: node.key,
-                particles: node.particles.clone(),
-                bbox: BoundingBox::around(node.particles.iter().map(|p| p.pos)),
-                state: (),
-            });
+            out.push((node.key, node.particles.clone()));
         }
         for slot in 0..8 {
             if let Some(child) = node.child(slot) {
@@ -117,7 +112,7 @@ fn partition(cache: &CacheTree<CentroidData>) -> (Vec<TargetBucket<()>>, u32) {
     let (mut out, mut depth) = (Vec::new(), 0);
     walk(cache.root().expect("a tree was built"), cache.bits, &mut out, &mut depth);
     out.truncate(out.len() / 16);
-    (out, depth)
+    (Targets::assemble(&GravityVisitor::default(), out), depth)
 }
 
 #[test]
@@ -155,7 +150,7 @@ fn allocations_do_not_grow_with_nodes_visited() {
 fn scratch_holds_at_most_one_range_per_tree_level() {
     let cache = tree();
     let (mut buckets, depth) = partition(&cache);
-    let n = buckets.len();
+    let n = buckets.buckets().len();
     let visitor = GravityVisitor { theta: 0.5, g: 1.0 };
     let expected = traverse_local(&cache, &visitor, TraversalKind::TopDown, &mut buckets.clone());
 
