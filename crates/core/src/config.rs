@@ -146,8 +146,6 @@ pub struct Configuration {
     /// Levels of descendants shipped per fill ("number of nodes fetched
     /// per request").
     pub fetch_depth: u32,
-    /// Number of simulation iterations to run.
-    pub iterations: usize,
     /// Space-filling curve used by SFC decomposition.
     pub sfc: SfcCurve,
     /// Incremental tree maintenance (off by default: full rebuild per
@@ -164,7 +162,6 @@ impl Default for Configuration {
             n_subtrees: 8,
             n_partitions: 8,
             fetch_depth: 3,
-            iterations: 1,
             sfc: SfcCurve::Morton,
             incremental: IncrementalConfig::default(),
         }

@@ -44,27 +44,31 @@
 //! simulation and reset a crashed partition's bucket state and
 //! particles to their pre-iteration values before re-running.
 
+#![warn(clippy::too_many_lines)]
+
+mod phases;
+mod recovery;
+mod walk;
+
 use crate::config::{Configuration, TraversalKind};
 use crate::maintain::TreeMaintainer;
-use crate::pipeline::{self, Iteration};
-use crate::traversal::{
-    process_item, process_item_dry, seed_items, traverse_local, CacheModel, PendingFetch,
-    TargetsOf, WorkCounts, WorkStack,
-};
+use crate::pipeline::Iteration;
+use crate::traversal::{traverse_local, Apply, CacheModel, WorkCounts};
 use crate::visitor::Visitor;
 use paratreet_cache::stats::CacheStatsSnapshot;
-use paratreet_cache::{CacheError, CacheTree, NodeHandle, RequestOutcome};
 use paratreet_geometry::NodeKey;
 use paratreet_particles::io::PARTICLE_WIRE_BYTES;
 use paratreet_particles::Particle;
 use paratreet_runtime::sim::CommStats;
 use paratreet_runtime::{
-    CrashConfig, CrashPhase, CrashTrigger, FaultAction, FaultConfig, FaultInjector, FaultStats,
-    Ledger, MachineSpec, Phase, Sim,
+    CrashConfig, CrashTrigger, FaultConfig, FaultInjector, FaultStats, Ledger, MachineSpec, Phase,
+    Sim,
 };
 use paratreet_telemetry::{FlightRecorder, MetricSource, MetricsRegistry, Telemetry, Track};
-use paratreet_tree::BuiltTree;
+use paratreet_tree::{BuiltTree, Data};
+use phases::{Barriers, Gate, Stage, N_GATES};
 use std::collections::{BTreeMap, HashMap};
+use walk::{Fetch, PartState};
 
 pub use paratreet_cache::stats::CacheStatsSnapshot as CacheSnapshot;
 
@@ -242,252 +246,378 @@ pub struct IterationReport {
 }
 
 /// Event payloads of the engine's simulation. `Clone` because the fault
-/// layer may deliver a message twice. Barrier events carry the rank they
-/// count toward plus that rank's epoch at send time (`re`); a crash
-/// bumps the epoch, so the dead rank's in-flight events are discarded at
-/// delivery and recovery re-posts them under the new epoch. Partition
-/// events carry the partition epoch (`pe`) the same way.
+/// layer may deliver a message twice. Front-end deliveries carry the
+/// rank they count toward plus that rank's epoch at send time (`re`); a
+/// crash bumps the epoch, so the dead rank's in-flight events are
+/// discarded at delivery and recovery re-posts them under the new epoch.
+/// Partition events carry the partition epoch (`pe`) the same way.
 #[derive(Clone)]
 enum Ev {
-    /// A rank finished writing its checkpoint (no barrier: checkpoints
-    /// overlap decomposition).
-    CheckpointDone,
-    DecompDone {
-        rank: u32,
-        re: u32,
-    },
-    /// One subtree build finished on `rank`. `si` is `u32::MAX` unless
-    /// the subtree was re-sharded and must be grafted into its new
-    /// owner's caches on completion.
-    BuildDone {
-        rank: u32,
-        re: u32,
-        si: u32,
-    },
-    ShareArrive {
-        to: u32,
-        re: u32,
-    },
-    /// `skel` distinguishes the per-rank skeleton-build task from a
-    /// leaf-share message (they share one barrier but different pending
-    /// counters).
-    LeafShareArrive {
-        to: u32,
-        re: u32,
-        skel: bool,
-    },
+    /// A charged copy nothing waits on finished (a checkpoint write —
+    /// checkpoints overlap decomposition — or a migration batch).
+    CopyDone,
+    /// One front-end task or message reached `rank`, counted by `gate`'s
+    /// barrier. `si` is [`NO_SUBTREE`] unless a build is of a re-sharded
+    /// subtree that must be grafted into its new owner's caches.
+    Arrive { gate: Gate, rank: u32, re: u32, si: u32 },
     /// The configured rank dies now.
     Crash,
     /// The retry timeout elapsed since the crash: survivors react.
     CrashDetected,
     /// Restart-mode recovery chain; stages run in order 0..=3.
-    RecoverStep {
-        stage: u8,
-    },
+    RecoverStep { stage: u8 },
     /// A re-sharded subtree's checkpoint finished reading at its new
     /// owner (re-shard mode).
-    SubtreeRestored {
-        si: u32,
-    },
+    SubtreeRestored { si: u32 },
     /// A crashed rank's subtree finished rebuilding.
-    SubtreeRebuilt {
-        si: u32,
-    },
+    SubtreeRebuilt { si: u32 },
     /// (Re)process a partition's work list.
-    PartRun {
-        part: u32,
-        pe: u32,
-    },
+    PartRun { part: u32, pe: u32 },
     /// A partition's processing batch finished; release its effects.
-    PartWorkDone {
-        part: u32,
-        pe: u32,
-        fetches: Vec<(NodeKey, Vec<u32>)>,
-    },
+    PartWorkDone { part: u32, pe: u32, fetches: Vec<(NodeKey, Vec<u32>)> },
     /// A fetch request arrived at the home rank.
-    RequestArrive {
-        key: NodeKey,
-        home_rank: u32,
-        to_cache: u32,
-        requester_rank: u32,
-    },
+    RequestArrive(Fetch),
     /// The home rank finished serialising a fill.
-    FillServeDone {
-        home_rank: u32,
-        to_cache: u32,
-        requester_rank: u32,
-        bytes: Vec<u8>,
-    },
+    FillServeDone { fetch: Fetch, bytes: Vec<u8> },
     /// A fill arrived at the requesting rank.
-    FillArrive {
-        to_cache: u32,
-        bytes: Vec<u8>,
-    },
+    FillArrive { to_cache: u32, bytes: Vec<u8> },
     /// An insertion task completed: splice and resume.
-    InsertDone {
-        to_cache: u32,
-        bytes: Vec<u8>,
-    },
+    InsertDone { to_cache: u32, bytes: Vec<u8> },
     /// A paused partition's resumption task completed.
-    Resumed {
-        part: u32,
-        pe: u32,
-        key: NodeKey,
-    },
+    Resumed { part: u32, pe: u32, key: NodeKey },
     /// A fetch's retry timer expired; re-request if the fill never came.
     /// Only scheduled when fault injection is on.
-    FetchTimeout {
-        key: NodeKey,
-        home_rank: u32,
-        to_cache: u32,
-        requester_rank: u32,
-        attempt: u32,
-    },
+    FetchTimeout(Fetch),
 }
 
-/// Routes one engine message through the fault layer: deliver, drop,
-/// duplicate, or delay it per the injector's seeded decision stream.
-/// With no injector this is exactly [`Sim::send`].
-fn send_faulty(
-    sim: &mut Sim<Ev>,
-    injector: &mut Option<FaultInjector>,
-    from: u32,
-    to: u32,
-    bytes: u64,
-    ev: Ev,
-) {
-    match injector.as_mut().map(FaultInjector::decide) {
-        None | Some(FaultAction::Deliver) => sim.send(from, to, bytes, ev),
-        Some(FaultAction::Drop) => {}
-        Some(FaultAction::Duplicate) => {
-            sim.send(from, to, bytes, ev.clone());
-            sim.send(from, to, bytes, ev);
+/// `Ev::Arrive::si` of a delivery that grafts nothing.
+const NO_SUBTREE: u32 = u32::MAX;
+
+/// What the front-end's tasks cost, fixed at set-up.
+struct TaskCosts {
+    /// Decomposition (or, on an incremental advance, classify/resync
+    /// sweep) tasks per rank, their phase and the cost of one.
+    decomp_per_rank: u32,
+    decomp_phase: Phase,
+    decomp: f64,
+    /// A full build of each Subtree: Subtrees build independently, in
+    /// parallel across each rank's workers (the model's
+    /// synchronisation-free build). Recovery charges this when it
+    /// restores from the checkpoint.
+    subtree_build: Vec<f64>,
+    /// What each Subtree's *this-iteration* task is: the full build
+    /// (seed, fallback, and rebalanced Subtrees), or an incremental
+    /// patch.
+    subtree: Vec<(Phase, f64)>,
+    /// One rank's skeleton build over the shared summaries.
+    skeleton: f64,
+}
+
+impl TaskCosts {
+    fn new<D: Data>(
+        costs: &CostModel,
+        front: &Iteration<D>,
+        n_total: usize,
+        machine: &MachineSpec,
+    ) -> TaskCosts {
+        let log_n = (n_total as f64).log2();
+        let per_rank_particles = (n_total as f64 / machine.nodes as f64).max(1.0);
+        let decomp_per_rank = (machine.workers_per_rank as u32).min(8);
+        let update = front.round.as_ref().filter(|r| !r.full_rebuild);
+        let sort = costs.sort_per_particle_log * per_rank_particles / decomp_per_rank as f64;
+        let subtree_build: Vec<f64> = front
+            .summaries
+            .iter()
+            .map(|s| {
+                let n_i = s.n_particles.max(1) as f64;
+                costs.build_per_particle_log * n_i * (n_i.log2().max(1.0))
+            })
+            .collect();
+        // An incremental patch applies one sorted batch per Subtree, so
+        // the sieve work amortises: b touched particles share prefix
+        // paths, costing b·log(n/b) rather than b·log n, plus a linear
+        // term for the dirty-path summary re-accumulation.
+        let subtree = (0..front.n_subtrees)
+            .map(|si| match update {
+                Some(r) if !r.rebuilt_subtrees.contains(&(si as u32)) => {
+                    let n_i = front.summaries[si].n_particles.max(1) as f64;
+                    let touched = r.per_subtree_work.get(si).copied().unwrap_or(0) as f64;
+                    let amortized = (n_i / touched.max(1.0)).max(2.0).log2();
+                    let cost = costs.build_per_particle_log * (touched * amortized + 0.25 * n_i);
+                    (Phase::TreeUpdate, cost.max(1e-9))
+                }
+                _ => (Phase::TreeBuild, subtree_build[si]),
+            })
+            .collect();
+        TaskCosts {
+            decomp_per_rank,
+            decomp_phase: if update.is_some() { Phase::TreeUpdate } else { Phase::Decomposition },
+            decomp: if update.is_some() { sort } else { sort * log_n },
+            subtree_build,
+            subtree,
+            skeleton: costs.insert_fixed + front.summaries.len() as f64 * 1e-7,
         }
-        Some(FaultAction::Delay(extra)) => sim.send_delayed(from, to, bytes, extra, ev),
     }
 }
 
-/// The crashed rank's owed barrier deliveries, snapshotted once at
-/// detection. Epoch discards freeze the pending counters between crash
-/// and detection (no barrier can release while the dead rank owes it),
-/// so this snapshot equals the state at the instant of the crash.
-#[derive(Clone, Copy, Default)]
-struct Stuck {
-    decomp: usize,
-    build: usize,
-    share: usize,
-    skel: usize,
-    leaf: usize,
-}
-
-/// Resolves the *current* owner of `key`: walk ancestors up to the
-/// enclosing subtree root and read the (possibly re-sharded) owner
-/// table. Falls back to the cache's baked-in home rank for keys above
-/// every subtree root (the shared top levels).
-fn owner_of(
-    index: &HashMap<NodeKey, usize>,
-    owner: &[u32],
-    bits: u32,
-    key: NodeKey,
-    fallback: u32,
-) -> u32 {
-    let mut k = key;
-    loop {
-        if let Some(&si) = index.get(&k) {
-            return owner[si];
-        }
-        let p = k.parent(bits);
-        if p == k {
-            return fallback;
-        }
-        k = p;
-    }
-}
-
-/// Per-partition chare state.
-struct PartState<V: Visitor> {
-    rank: u32,
-    cache_idx: u32,
-    targets: TargetsOf<V>,
-    stack: WorkStack<V::Data>,
-    /// Bucket sets of the items parked on a fetch, by awaited key. A
-    /// parked item owns its copy; resumption re-finds the node.
-    paused: HashMap<NodeKey, Vec<Vec<u32>>>,
-    outstanding: usize,
-    /// Work batches spawned whose `PartWorkDone` has not fired yet.
-    in_flight: usize,
-    /// Accumulated traversal cost (the chare's measured load).
-    cost: f64,
-    /// Interaction counts this partition has accumulated; discarded on
-    /// crash reset so re-executed work is never double-counted.
-    counts: WorkCounts,
-    seeded: bool,
-    resumed_once: bool,
-    finished: bool,
-}
-
-/// Wipes a partition's volatile traversal state after its rank crashed:
-/// bump the epoch (in-flight events become stale), clear the stack and
-/// parked fetches, restore bucket state *and particles* to their
-/// pre-iteration values (`fresh`: the Partition's targets assembled
-/// again) so re-running applies every effect exactly once.
-fn reset_part<V: Visitor>(
-    ps: &mut PartState<V>,
-    pe: &mut u32,
-    parts_done: &mut usize,
-    fresh: TargetsOf<V>,
-) {
-    *pe += 1;
-    ps.stack = WorkStack::new();
-    ps.paused.clear();
-    ps.outstanding = 0;
-    ps.in_flight = 0;
-    ps.counts = WorkCounts::default();
-    ps.seeded = false;
-    ps.resumed_once = false;
-    if ps.finished {
-        ps.finished = false;
-        *parts_done -= 1;
-    }
-    ps.targets = fresh;
-}
-
-/// Grafts a rebuilt subtree into every cache instance of its (new) home
-/// rank and resumes any traversals parked on its root placeholder.
-#[allow(clippy::too_many_arguments)]
-fn graft_subtree<V: Visitor>(
-    sim: &mut Sim<Ev>,
-    tree: BuiltTree<V::Data>,
-    home: u32,
+/// One iteration's simulation state; [`Run::on`] advances it one event
+/// at a time. Grouped by what owns each part: `phases` the barriers and
+/// stage, `walk` the partitions and the fetch/fill pipeline, `recovery`
+/// everything from `crash` down to `launch_missed`.
+struct Run<'a, V: Visitor> {
+    // ---- Fixed for the run ----
+    engine: &'a DistributedEngine<'a, V>,
+    /// The engine's configuration with the over-decomposition floors.
+    config: &'a Configuration,
+    front: &'a Iteration<V::Data>,
+    tasks: TaskCosts,
+    /// Geometry-only traversals run dry in the simulation and apply the
+    /// visitor once post-sim in canonical order (module docs), so their
+    /// physics is independent of message timing and crashes.
+    apply: Apply,
+    ranks: u32,
+    /// WaitFree/XWrite: one cache per rank. PerThread: one per worker; a
+    /// partition binds to cache `(rank, partition % workers)`.
     caches_per_rank: u32,
-    caches: &[CacheTree<V::Data>],
-    parts: &[PartState<V>],
-    part_epoch: &[u32],
-    resume_cost: f64,
-    fill_errors: &mut u64,
-) {
-    let mut tree = Some(tree);
-    for i in 0..caches_per_rank {
-        let ci = (home * caches_per_rank + i) as usize;
-        let t = if i + 1 == caches_per_rank {
-            tree.take().expect("graft tree consumed once")
-        } else {
-            tree.as_ref().expect("graft tree alive").clone()
+    /// Fault layer (`None` ⇒ perfect network, no timers).
+    injector: Option<FaultInjector>,
+    retry_timeout: f64,
+
+    // ---- Placement ----
+    /// The live owner table: starts at the SFC placement and is
+    /// rewritten when a crash re-shards the dead rank's subtrees.
+    owner: Vec<u32>,
+    subtree_index: HashMap<NodeKey, usize>,
+    parts: Vec<PartState<V>>,
+    /// Every (subtree, partition) leaf-share pair with its wire size;
+    /// sender and receiver are resolved at send time from the live owner
+    /// table and partition placement, so recovery can replay exactly the
+    /// messages a re-shard redirects.
+    leaf_pairs: Vec<(u32, u32, u64)>,
+
+    // ---- Front-end ----
+    barriers: Barriers,
+    stage: Stage,
+
+    // ---- Crash + recovery ----
+    crash: Option<CrashConfig>,
+    /// The stage whose start fires the crash (`None`: at a time, or never).
+    crash_at: Option<Stage>,
+    crash_fired: bool,
+    /// The built trees, cloned at iteration start — the engine's stable
+    /// storage. Recovery restores a dead rank's subtrees from exactly
+    /// these bytes; builds are deterministic, so this is bit-identical to
+    /// rebuilding from the decomposition pieces, and in maintained mode
+    /// it captures the incrementally patched tree so restart replays the
+    /// update sequence deterministically.
+    checkpoint: Option<Vec<BuiltTree<V::Data>>>,
+    /// Checkpoint sizes: per-subtree particle payloads plus a small
+    /// header; per rank, its subtrees plus one partition-assignment
+    /// record per partition.
+    ckpt_subtree_bytes: Vec<u64>,
+    ckpt_rank_bytes: Vec<u64>,
+    down: Vec<bool>,
+    part_epoch: Vec<u32>,
+    cache_epoch: u32,
+    needs_graft: Vec<bool>,
+    /// What each barrier was owed by way of the crashed rank, read at
+    /// detection (see [`Barriers`]).
+    lost: [usize; N_GATES],
+    /// Build-barrier deliveries recovery still has to re-post, one per
+    /// landed rebuild, and rebuilds still running.
+    owed_build: usize,
+    rebuilds_left: usize,
+    /// A partition launch was dropped because its rank was down.
+    launch_missed: bool,
+
+    // ---- What the report reads ----
+    tally: Tally,
+}
+
+/// A run's results, besides its partitions.
+#[derive(Default)]
+struct Tally {
+    /// Virtual time when setup finished and traversal began.
+    traversal_start: f64,
+    /// Buckets that crossed rank boundaries during leaf sharing (under
+    /// the initial placement).
+    n_shared_buckets: usize,
+    parts_done: usize,
+    fetch_retries: u64,
+    fill_errors: u64,
+    rec: RecoveryStats,
+}
+
+impl<'a, V: Visitor> Run<'a, V> {
+    /// Places Partitions (contiguous id blocks by default — the SFC
+    /// placement — or the caller's measured-load `assignment`) and sizes
+    /// the checkpoint. `owner` is the Subtree placement `front` was
+    /// prepared with.
+    fn new(
+        engine: &'a DistributedEngine<'a, V>,
+        config: &'a Configuration,
+        front: &'a Iteration<V::Data>,
+        owner: Vec<u32>,
+        assignment: Option<&[u32]>,
+        checkpoint: Option<Vec<BuiltTree<V::Data>>>,
+        injector: Option<FaultInjector>,
+    ) -> Run<'a, V> {
+        let ranks = engine.machine.nodes as u32;
+        let n_partitions = front.n_partitions.max(1);
+        if let Some(a) = assignment {
+            assert_eq!(a.len(), n_partitions, "assignment must cover every partition");
+        }
+        let partition_rank = |pi: usize| -> u32 {
+            match assignment {
+                Some(a) => a[pi],
+                None => (pi as u64 * ranks as u64 / n_partitions as u64) as u32,
+            }
         };
-        match caches[ci].insert_subtree(t, home) {
-            Ok(outcome) => {
-                for (key, waiter) in outcome.resumed {
-                    let part = waiter as u32;
-                    let rank = parts[part as usize].rank;
-                    sim.spawn(
-                        rank,
-                        Phase::TraversalResumption,
-                        resume_cost,
-                        Ev::Resumed { part, pe: part_epoch[part as usize], key },
-                    );
+        let caches_per_rank = front.caches.len() as u32 / ranks;
+        let parts: Vec<PartState<V>> = (0..front.by_partition.len())
+            .map(|p| {
+                let rank = partition_rank(p);
+                let cache_idx = rank * caches_per_rank + p as u32 % caches_per_rank;
+                PartState::new(rank, cache_idx, front.targets(engine.visitor, p))
+            })
+            .collect();
+        let ckpt_subtree_bytes: Vec<u64> = checkpoint
+            .iter()
+            .flatten()
+            .map(|t| (t.particles.len() * PARTICLE_WIRE_BYTES + 32) as u64)
+            .collect();
+        let mut ckpt_rank_bytes = vec![0u64; if checkpoint.is_some() { ranks as usize } else { 0 }];
+        for (si, bytes) in ckpt_subtree_bytes.iter().enumerate() {
+            ckpt_rank_bytes[owner[si] as usize] += bytes;
+        }
+        if checkpoint.is_some() {
+            for p in 0..n_partitions {
+                ckpt_rank_bytes[partition_rank(p) as usize] += 8;
+            }
+        }
+        let n_shared_buckets = (front.buckets.iter())
+            .filter(|m| owner[m.subtree as usize] != parts[m.partition as usize].rank)
+            .count();
+        let n_total = front.master.len().max(2);
+        let crash = engine.faults.and_then(|f| f.crash);
+        Run {
+            engine,
+            config,
+            front,
+            tasks: TaskCosts::new(&engine.costs, front, n_total, &engine.machine),
+            apply: match engine.kind {
+                TraversalKind::TopDown | TraversalKind::BasicDfs => Apply::Dry,
+                _ => Apply::Runs,
+            },
+            ranks,
+            caches_per_rank,
+            injector,
+            retry_timeout: engine.faults.map_or(0.0, |f| f.retry_timeout_s),
+            subtree_index: front.summaries.iter().enumerate().map(|(si, s)| (s.key, si)).collect(),
+            leaf_pairs: front
+                .buckets
+                .iter()
+                .map(|m| (m.subtree, m.partition, (m.indices.len() * PARTICLE_WIRE_BYTES) as u64))
+                .collect(),
+            barriers: Barriers::new(ranks as usize),
+            stage: Stage::Decomposition,
+            crash,
+            crash_at: crash.and_then(|c| match c.trigger {
+                CrashTrigger::AtPhase(p) => Some(Stage::of(p)),
+                CrashTrigger::AtTime(_) => None,
+            }),
+            crash_fired: false,
+            checkpoint,
+            ckpt_subtree_bytes,
+            ckpt_rank_bytes,
+            down: vec![false; ranks as usize],
+            part_epoch: vec![0; parts.len()],
+            cache_epoch: 0,
+            needs_graft: vec![false; owner.len()],
+            lost: [0; N_GATES],
+            owed_build: 0,
+            rebuilds_left: 0,
+            launch_missed: false,
+            tally: Tally { n_shared_buckets, ..Default::default() },
+            owner,
+            parts,
+        }
+    }
+
+    /// Charges one transfer of `bytes` to the communication totals.
+    fn charge(sim: &mut Sim<Ev>, bytes: u64) {
+        sim.comm.messages += 1;
+        sim.comm.bytes += bytes;
+    }
+
+    /// Charges `bytes` as communication and runs the copy as a `phase`
+    /// task on `rank`.
+    fn copy_task(&self, sim: &mut Sim<Ev>, rank: u32, phase: Phase, bytes: u64, done: Ev) {
+        Self::charge(sim, bytes);
+        let costs = &self.engine.costs;
+        sim.spawn(rank, phase, costs.serialize_per_byte * bytes as f64 + costs.insert_fixed, done);
+    }
+
+    /// An event stamped before a crash voided it.
+    fn discard(&mut self) {
+        self.tally.rec.discarded_events += 1;
+    }
+
+    /// Everything that happens at virtual time zero.
+    fn start(&mut self, sim: &mut Sim<Ev>) {
+        // Crash runs only: every rank checkpoints its owned particles
+        // and partition table to stable storage, overlapping the
+        // decomposition sort.
+        for r in 0..self.ckpt_rank_bytes.len() {
+            let bytes = self.ckpt_rank_bytes[r];
+            self.tally.rec.checkpoint_bytes += bytes;
+            self.copy_task(sim, r as u32, Phase::Checkpoint, bytes, Ev::CopyDone);
+        }
+        // Incremental advance: particles that crossed Subtree boundaries
+        // moved between the owning ranks. The maintainer hands them over
+        // as per-destination batches, so the comm model charges one
+        // message per (source rank, destination rank) pair — all
+        // escapees travelling that edge share a single batch envelope —
+        // rather than one per subtree migration edge.
+        if let Some(r) = self.front.round.as_ref().filter(|r| !r.full_rebuild) {
+            let mut rank_batches: BTreeMap<(u32, u32), u64> = BTreeMap::new();
+            for &(from_si, to_si, n) in &r.migrations {
+                let (from, to) = (self.owner[from_si as usize], self.owner[to_si as usize]);
+                if from != to {
+                    *rank_batches.entry((from, to)).or_default() += n as u64;
                 }
             }
-            Err(_) => *fill_errors += 1,
+            for ((from, _to), n) in rank_batches {
+                let bytes = n * PARTICLE_WIRE_BYTES as u64 + MIGRATION_BATCH_HEADER_BYTES;
+                self.copy_task(sim, from, Phase::TreeUpdate, bytes, Ev::CopyDone);
+            }
+        }
+        self.begin(sim, Stage::Decomposition);
+        if let Some(CrashTrigger::AtTime(t)) = self.crash.map(|c| c.trigger) {
+            sim.post_after(t, Ev::Crash);
+        }
+    }
+
+    /// Advances the run by one event.
+    fn on(&mut self, sim: &mut Sim<Ev>, ev: Ev) {
+        match ev {
+            Ev::CopyDone => {}
+            Ev::Arrive { gate, rank, re, si } => self.on_arrive(sim, gate, rank, re, si),
+            Ev::Crash => self.on_crash(sim),
+            Ev::CrashDetected => self.on_crash_detected(sim),
+            Ev::RecoverStep { stage } => self.on_recover_step(sim, stage),
+            Ev::SubtreeRestored { si } => self.on_subtree_restored(sim, si),
+            Ev::SubtreeRebuilt { si } => self.on_subtree_rebuilt(sim, si),
+            Ev::PartRun { part, pe } => self.on_part_run(sim, part, pe),
+            Ev::PartWorkDone { part, pe, fetches } => {
+                self.on_part_work_done(sim, part, pe, fetches)
+            }
+            Ev::RequestArrive(fetch) => self.on_request(sim, fetch),
+            Ev::FillServeDone { fetch, bytes } => self.on_fill_served(sim, fetch, bytes),
+            Ev::FillArrive { to_cache, bytes } => self.on_fill_arrive(sim, to_cache, bytes),
+            Ev::InsertDone { to_cache, bytes } => self.on_insert_done(sim, to_cache, &bytes),
+            Ev::Resumed { part, pe, key } => self.on_resumed(sim, part, pe, key),
+            Ev::FetchTimeout(fetch) => self.on_fetch_timeout(sim, fetch),
         }
     }
 }
@@ -582,7 +712,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
 
     /// Runs one full iteration over `particles` and reports.
     pub fn run_iteration(&self, particles: Vec<Particle>) -> IterationReport {
-        self.run_inner(particles, None, None).0
+        self.simulate(particles, None, None).0
     }
 
     /// Like [`DistributedEngine::run_iteration`], but also returns every
@@ -593,7 +723,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         &self,
         particles: Vec<Particle>,
     ) -> (IterationReport, Vec<(NodeKey, V::State)>) {
-        self.run_inner(particles, None, None)
+        self.simulate(particles, None, None)
     }
 
     /// Like [`DistributedEngine::run_iteration`], but with an explicit
@@ -607,7 +737,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         particles: Vec<Particle>,
         assignment: Option<&[u32]>,
     ) -> IterationReport {
-        self.run_inner(particles, assignment, None).0
+        self.simulate(particles, assignment, None).0
     }
 
     /// Like [`DistributedEngine::run_iteration`], but against a tree
@@ -630,1268 +760,123 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         slot: &mut Option<TreeMaintainer<V::Data>>,
         particles: Vec<Particle>,
     ) -> IterationReport {
-        self.run_inner(particles, None, Some(slot)).0
+        self.simulate(particles, None, Some(slot)).0
     }
 
-    fn run_inner(
-        &self,
-        particles: Vec<Particle>,
-        assignment: Option<&[u32]>,
-        maintained: Option<&mut Option<TreeMaintainer<V::Data>>>,
-    ) -> (IterationReport, Vec<(NodeKey, V::State)>) {
-        let n_total = particles.len().max(2);
-        let log_n = (n_total as f64).log2();
-        let ranks = self.machine.nodes as u32;
-        let workers = self.machine.workers_per_rank as u32;
-
-        // Fault layer (None ⇒ perfect network, no timers). Constructed
-        // first so an invalid configuration fails before any work.
-        let mut injector =
-            self.faults.map(|f| FaultInjector::new(f).expect("invalid fault configuration"));
-        let retry_timeout = self.faults.map(|f| f.retry_timeout_s).unwrap_or(0.0);
-        let crash: Option<CrashConfig> = self.faults.and_then(|f| f.crash);
-        if let Some(c) = crash {
-            assert!(ranks >= 2, "rank crash-stop recovery needs at least two ranks");
-            assert!(c.rank < ranks, "crash rank {} out of range for {} ranks", c.rank, ranks);
-        }
-
-        // Overdecomposition: the configured counts are minimums. Every
-        // rank needs several Subtrees, and enough Partitions to keep its
-        // workers busy across fetch stalls (Charm++'s "more partitions
-        // than processors") — bounded by bucket granularity so
-        // partitions keep enough buckets for the loop transposition.
+    /// The engine's configuration with its over-decomposition floors:
+    /// the configured counts are minimums. Every rank needs several
+    /// Subtrees, and enough Partitions to keep its workers busy across
+    /// fetch stalls (Charm++'s "more partitions than processors") —
+    /// bounded by bucket granularity so partitions keep enough buckets
+    /// for the loop transposition.
+    fn floored_config(&self, n_total: usize) -> Configuration {
         let mut config = self.config.clone();
         config.n_subtrees = config.n_subtrees.max(self.machine.nodes * 4);
         let by_granularity = (n_total / (config.bucket_size * 4)).max(1);
         let by_machine = self.machine.nodes * self.machine.workers_per_rank * 2;
         config.n_partitions =
             config.n_partitions.max(by_machine.min(by_granularity).max(self.machine.nodes * 2));
+        config
+    }
 
-        // ---- Decomposition or incremental update (centrally executed,
-        // per-rank charged) ----
-        // `round` is `Some` only on an incremental advance (not the
-        // seed), and drives the Phase::TreeUpdate cost accounting below.
-        // The front-end runs untraced: this engine's spans are stamped
-        // in virtual time, and wall-clock ones would break the
-        // byte-identical trace a seed guarantees.
+    /// Set-up, the event loop, and the report.
+    fn simulate(
+        &self,
+        particles: Vec<Particle>,
+        assignment: Option<&[u32]>,
+        maintained: Option<&mut Option<TreeMaintainer<V::Data>>>,
+    ) -> (IterationReport, Vec<(NodeKey, V::State)>) {
+        // Constructed first so an invalid configuration fails before any
+        // work.
+        let injector =
+            self.faults.map(|f| FaultInjector::new(f).expect("invalid fault configuration"));
+        let ranks = self.machine.nodes as u32;
+        let crash = self.faults.and_then(|f| f.crash);
+        if let Some(c) = crash {
+            assert!(ranks >= 2, "rank crash-stop recovery needs at least two ranks");
+            assert!(c.rank < ranks, "crash rank {} out of range for {} ranks", c.rank, ranks);
+        }
+        let config = self.floored_config(particles.len().max(2));
+
+        // Decomposition or incremental update: centrally executed,
+        // per-rank charged. The front-end runs untraced: this engine's
+        // spans are stamped in virtual time, and wall-clock ones would
+        // break the byte-identical trace a seed guarantees.
         let untraced = Telemetry::disabled();
         let mut front =
             Iteration::<V::Data>::obtain(&config, &untraced, particles, maintained, false);
-        let n_subtrees = front.n_subtrees;
-
         // Subtrees to ranks: contiguous blocks in piece (SFC) order.
-        let subtree_rank =
-            |si: usize| -> u32 { (si as u64 * ranks as u64 / n_subtrees as u64) as u32 };
-        // Partitions to ranks: contiguous id blocks by default (the SFC
-        // placement), or the caller's measured-load assignment.
-        let n_partitions = front.n_partitions.max(1);
-        if let Some(a) = assignment {
-            assert_eq!(a.len(), n_partitions, "assignment must cover every partition");
-        }
-        let partition_rank = |pi: usize| -> u32 {
-            match assignment {
-                Some(a) => a[pi],
-                None => (pi as u64 * ranks as u64 / n_partitions as u64) as u32,
-            }
-        };
+        let n_subtrees = front.n_subtrees as u64;
+        let owner: Vec<u32> =
+            (0..n_subtrees).map(|si| (si * ranks as u64 / n_subtrees) as u32).collect();
+        let checkpoint = crash.is_some().then(|| front.trees.clone());
+        let per_thread = self.cache_model == CacheModel::PerThread;
+        let caches_per_rank = if per_thread { self.machine.workers_per_rank } else { 1 };
+        front.prepare(&owner, ranks as usize, caches_per_rank, &config, &untraced);
 
-        // Checkpoint: clone the built trees — the engine's stable
-        // storage. Recovery restores a dead rank's subtrees from exactly
-        // these bytes; builds are deterministic, so this is
-        // bit-identical to rebuilding from the decomposition pieces, and
-        // in maintained mode it captures the incrementally patched tree
-        // so restart replays the update sequence deterministically.
-        let checkpoint: Option<Vec<BuiltTree<V::Data>>> =
-            crash.is_some().then(|| front.trees.clone());
-
-        // The live owner table: starts at the SFC placement and is
-        // rewritten when a crash re-shards the dead rank's subtrees.
-        let mut owner: Vec<u32> = (0..n_subtrees).map(subtree_rank).collect();
-
-        // ---- Master array + leaf sharing, cache instances ----
-        // WaitFree/XWrite: one cache per rank. PerThread: one per
-        // worker; a partition binds to cache (rank, local_part % workers).
-        let bits = config.tree_type.bits_per_level();
-        let caches_per_rank: u32 =
-            if self.cache_model == CacheModel::PerThread { workers } else { 1 };
-        front.prepare(&owner, ranks as usize, caches_per_rank as usize, &config, &untraced);
-        let (summaries, caches, metas) = (&front.summaries, &front.caches, &front.buckets);
-        let subtree_index: HashMap<NodeKey, usize> =
-            summaries.iter().enumerate().map(|(si, s)| (s.key, si)).collect();
-
-        // Restores one subtree from the checkpoint (bit-identical to the
-        // tree that was built — or maintained — this iteration).
-        let rebuild = |si: usize| -> BuiltTree<V::Data> {
-            checkpoint.as_ref().expect("checkpoint exists when a crash is configured")[si].clone()
-        };
-
-        // XWrite lock resource ids (one per rank), partition resources.
-        const LOCK_BASE: u64 = 1 << 48;
-        let part_resource = |p: u32| -> u64 { p as u64 + 1 };
-
-        // ---- Partition states ----
-        let mut parts: Vec<PartState<V>> = (0..front.by_partition.len())
-            .map(|p| {
-                let rank = partition_rank(p);
-                PartState {
-                    rank,
-                    cache_idx: rank * caches_per_rank + p as u32 % caches_per_rank,
-                    targets: front.targets(self.visitor, p),
-                    stack: WorkStack::new(),
-                    paused: HashMap::new(),
-                    outstanding: 0,
-                    in_flight: 0,
-                    cost: 0.0,
-                    counts: WorkCounts::default(),
-                    seeded: false,
-                    resumed_once: false,
-                    finished: false,
-                }
-            })
-            .collect();
-        // Every (subtree, partition) leaf-share pair with its wire size;
-        // sender and receiver are resolved at send time from the live
-        // owner table and partition placement, so recovery can replay
-        // exactly the messages a re-shard redirects.
-        let leaf_pairs: Vec<(u32, u32, u64)> = metas
-            .iter()
-            .map(|m| (m.subtree, m.partition, (m.indices.len() * PARTICLE_WIRE_BYTES) as u64))
-            .collect();
-        let n_shared_buckets = metas
-            .iter()
-            .filter(|m| owner[m.subtree as usize] != parts[m.partition as usize].rank)
-            .count();
-
-        // Checkpoint sizes: per-subtree particle payloads plus a small
-        // header, and one partition-assignment record per partition.
-        let (ckpt_subtree_bytes, ckpt_rank_bytes) = match &checkpoint {
-            Some(trees) => {
-                let sb: Vec<u64> = trees
-                    .iter()
-                    .map(|t| (t.particles.len() * PARTICLE_WIRE_BYTES + 32) as u64)
-                    .collect();
-                let mut rb = vec![0u64; ranks as usize];
-                for (si, b) in sb.iter().enumerate() {
-                    rb[owner[si] as usize] += b;
-                }
-                for p in 0..n_partitions {
-                    rb[partition_rank(p) as usize] += 8;
-                }
-                (sb, rb)
-            }
-            None => (Vec::new(), Vec::new()),
-        };
-
-        // ---- Simulate ----
         let mut sim: Sim<Ev> = Sim::new(self.machine.clone());
         sim.telemetry = self.telemetry.clone();
-        let costs = self.costs;
-        let fetch_depth = config.fetch_depth;
-        let cache_model = self.cache_model;
-        let visitor = self.visitor;
-        let kind = self.kind;
-        // Geometry-only traversals run dry in the simulation and apply
-        // the visitor once post-sim in canonical order (module docs), so
-        // their physics is independent of message timing and crashes.
-        let dry = matches!(kind, TraversalKind::TopDown | TraversalKind::BasicDfs);
+        let mut run = Run::new(self, &config, &front, owner, assignment, checkpoint, injector);
+        run.start(&mut sim);
+        sim.run(|sim, ev| run.on(sim, ev));
 
-        let mut rec = RecoveryStats::default();
-
-        // Phase 0 (crash runs only): every rank checkpoints its owned
-        // particles and partition table to stable storage, overlapping
-        // the decomposition sort.
-        if crash.is_some() {
-            for r in 0..ranks {
-                let bytes = ckpt_rank_bytes[r as usize];
-                sim.comm.messages += 1;
-                sim.comm.bytes += bytes;
-                rec.checkpoint_bytes += bytes;
-                sim.spawn(
-                    r,
-                    Phase::Checkpoint,
-                    costs.serialize_per_byte * bytes as f64 + costs.insert_fixed,
-                    Ev::CheckpointDone,
-                );
-            }
-        }
-
-        // Incremental advance: particles that crossed Subtree boundaries
-        // moved between the owning ranks. The maintainer hands them over
-        // as per-destination batches, so the comm model charges one
-        // message per (source rank, destination rank) pair — all
-        // escapees travelling that edge share a single batch envelope —
-        // rather than one per subtree migration edge.
-        let incremental_update = front.round.as_ref().is_some_and(|r| !r.full_rebuild);
-        if let Some(r) = front.round.as_ref().filter(|r| !r.full_rebuild) {
-            let mut rank_batches: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-            for &(from_si, to_si, n) in &r.migrations {
-                let from = owner[from_si as usize];
-                let to = owner[to_si as usize];
-                if from == to {
-                    continue;
-                }
-                *rank_batches.entry((from, to)).or_default() += n as u64;
-            }
-            for ((from, _to), n) in rank_batches {
-                let bytes = n * PARTICLE_WIRE_BYTES as u64 + MIGRATION_BATCH_HEADER_BYTES;
-                sim.comm.messages += 1;
-                sim.comm.bytes += bytes;
-                sim.spawn(
-                    from,
-                    Phase::TreeUpdate,
-                    costs.serialize_per_byte * bytes as f64 + costs.insert_fixed,
-                    Ev::CheckpointDone,
-                );
-            }
-        }
-
-        // Phase 1: decomposition tasks — the model spreads the per-rank
-        // sort over the rank's workers (the real engines' decomposition
-        // sort is one serial `sort_by_sfc_key`, not a region). On an
-        // incremental advance the sort is replaced by the maintainer's
-        // classify/resync sweep: linear in the rank's particles, charged
-        // to the incremental-update phase.
-        let per_rank_particles = (n_total as f64 / ranks as f64).max(1.0);
-        let decomp_tasks_per_rank = workers.min(8);
-        let front_phase = if incremental_update { Phase::TreeUpdate } else { Phase::Decomposition };
-        let decomp_task_cost = if incremental_update {
-            costs.sort_per_particle_log * per_rank_particles / decomp_tasks_per_rank as f64
-        } else {
-            costs.sort_per_particle_log * per_rank_particles * log_n / decomp_tasks_per_rank as f64
-        };
-        let mut pending_decomp = vec![0usize; ranks as usize];
-        for r in 0..ranks {
-            for _ in 0..decomp_tasks_per_rank {
-                pending_decomp[r as usize] += 1;
-                sim.spawn(r, front_phase, decomp_task_cost, Ev::DecompDone { rank: r, re: 0 });
-            }
-        }
-
-        // Arm the crash trigger. Phase triggers other than decomposition
-        // fire inside the matching barrier-release arm below.
-        let phase_trigger = crash.and_then(|c| match c.trigger {
-            CrashTrigger::AtPhase(p) => Some(p),
-            CrashTrigger::AtTime(_) => None,
-        });
-        if let Some(c) = crash {
-            match c.trigger {
-                CrashTrigger::AtPhase(CrashPhase::Decomposition) => sim.post(Ev::Crash),
-                CrashTrigger::AtTime(t) => sim.post_after(t, Ev::Crash),
-                CrashTrigger::AtPhase(_) => {}
-            }
-        }
-
-        // Counters used by the barrier logic inside the handler.
-        let mut decomp_left = (ranks * decomp_tasks_per_rank) as usize;
-        let mut build_left = 0usize;
-        let mut share_left = 0usize;
-        let mut leaf_share_left = 0usize;
-        let mut traversal_start = 0.0f64;
-        let mut traversal_begun = false;
-        let mut parts_done = 0usize;
-        let mut fetch_retries = 0u64;
-        let mut fill_errors = 0u64;
-
-        // Crash-recovery state: epochs, liveness, per-rank owed-delivery
-        // counters (incremented at spawn/send, decremented at valid
-        // delivery — so a crash leaves the dead rank's counters frozen
-        // at exactly what recovery must re-inject).
-        let mut rank_epoch = vec![0u32; ranks as usize];
-        let mut part_epoch = vec![0u32; n_partitions];
-        let mut down = vec![false; ranks as usize];
-        let mut pending_build = vec![0usize; ranks as usize];
-        let mut pending_share_in = vec![0usize; ranks as usize];
-        let mut pending_skel = vec![0usize; ranks as usize];
-        let mut pending_leaf_in = vec![0usize; ranks as usize];
-        let mut needs_graft = vec![false; n_subtrees];
-        let mut recovered_trees: Vec<Option<BuiltTree<V::Data>>> =
-            (0..n_subtrees).map(|_| None).collect();
-        let mut stuck = Stuck::default();
-        let mut crash_fired = false;
-        let mut cache_epoch_now = 0u32;
-        let mut owed_build = 0usize;
-        let mut rec_left = 0usize;
-        let mut graft_left = 0usize;
-
-        // Per-subtree build costs: Subtrees build independently, in
-        // parallel across each rank's workers (the model's
-        // synchronisation-free build).
-        let subtree_build_cost: Vec<f64> = summaries
-            .iter()
-            .map(|s| {
-                let n_i = s.n_particles.max(1) as f64;
-                costs.build_per_particle_log * n_i * (n_i.log2().max(1.0))
-            })
-            .collect();
-
-        // What each Subtree's *this-iteration* task costs. A full build
-        // (seed, fallback, and rebalanced Subtrees) keeps the
-        // Phase::TreeBuild cost above — which recovery also charges when
-        // it restores from checkpoint. An incremental patch applies one
-        // sorted batch per Subtree, so the sieve work amortises: b
-        // touched particles share prefix paths, costing b·log(n/b)
-        // rather than b·log n, plus a linear term for the dirty-path
-        // summary re-accumulation.
-        let subtree_task: Vec<(Phase, f64)> = (0..n_subtrees)
-            .map(|si| match front.round.as_ref() {
-                Some(r) if !r.full_rebuild && !r.rebuilt_subtrees.contains(&(si as u32)) => {
-                    let n_i = summaries[si].n_particles.max(1) as f64;
-                    let touched = r.per_subtree_work.get(si).copied().unwrap_or(0) as f64;
-                    let amortized = (n_i / touched.max(1.0)).max(2.0).log2();
-                    let cost = costs.build_per_particle_log * (touched * amortized + 0.25 * n_i);
-                    (Phase::TreeUpdate, cost.max(1e-9))
-                }
-                _ => (Phase::TreeBuild, subtree_build_cost[si]),
-            })
-            .collect();
-
-        let flight = self.flight.clone();
-        sim.run(|sim, ev| match ev {
-            Ev::CheckpointDone => {}
-            Ev::DecompDone { rank, re } => {
-                if re != rank_epoch[rank as usize] {
-                    rec.discarded_events += 1;
-                    return;
-                }
-                pending_decomp[rank as usize] -= 1;
-                decomp_left -= 1;
-                if decomp_left == 0 {
-                    if phase_trigger == Some(CrashPhase::TreeBuild) && !crash_fired {
-                        sim.post(Ev::Crash);
-                    }
-                    // Phase 2: tree builds — or incremental patches —
-                    // one task per Subtree, on the subtree's current
-                    // owner.
-                    for (si, &(phase, cost)) in subtree_task.iter().enumerate() {
-                        let r = owner[si];
-                        let stamp = if needs_graft[si] { si as u32 } else { u32::MAX };
-                        build_left += 1;
-                        pending_build[r as usize] += 1;
-                        sim.spawn(
-                            r,
-                            phase,
-                            cost,
-                            Ev::BuildDone { rank: r, re: rank_epoch[r as usize], si: stamp },
-                        );
-                    }
-                }
-            }
-            Ev::BuildDone { rank, re, si } => {
-                if re != rank_epoch[rank as usize] {
-                    rec.discarded_events += 1;
-                    return;
-                }
-                pending_build[rank as usize] -= 1;
-                build_left -= 1;
-                if si != u32::MAX && needs_graft[si as usize] {
-                    // A re-sharded subtree finished building at its new
-                    // owner: graft it so fetches can be served there.
-                    let tree = rebuild(si as usize);
-                    graft_subtree::<V>(
-                        sim,
-                        tree,
-                        owner[si as usize],
-                        caches_per_rank,
-                        caches,
-                        &parts,
-                        &part_epoch,
-                        costs.resume,
-                        &mut fill_errors,
-                    );
-                    needs_graft[si as usize] = false;
-                }
-                if build_left == 0 {
-                    // Phase 3: share summaries all-to-all among the
-                    // living. With one rank left (or one rank total) the
-                    // barrier is satisfied by a single local event.
-                    let payload = summaries.len() as u64 * costs.summary_bytes;
-                    let mut sent = 0usize;
-                    for from in 0..ranks {
-                        if down[from as usize] {
-                            continue;
-                        }
-                        for to in 0..ranks {
-                            if to == from || down[to as usize] {
-                                continue;
-                            }
-                            share_left += 1;
-                            pending_share_in[to as usize] += 1;
-                            sent += 1;
-                            sim.send(
-                                from,
-                                to,
-                                payload / ranks as u64,
-                                Ev::ShareArrive { to, re: rank_epoch[to as usize] },
-                            );
-                        }
-                    }
-                    if sent == 0 {
-                        let to = (0..ranks).find(|&r| !down[r as usize]).unwrap_or(0);
-                        share_left += 1;
-                        pending_share_in[to as usize] += 1;
-                        sim.post(Ev::ShareArrive { to, re: rank_epoch[to as usize] });
-                    }
-                }
-            }
-            Ev::ShareArrive { to, re } => {
-                if re != rank_epoch[to as usize] {
-                    rec.discarded_events += 1;
-                    return;
-                }
-                pending_share_in[to as usize] -= 1;
-                share_left -= 1;
-                if share_left == 0 {
-                    if phase_trigger == Some(CrashPhase::LeafSharing) && !crash_fired {
-                        sim.post(Ev::Crash);
-                    }
-                    // Small skeleton-build task per living rank, then
-                    // leaf buckets flow from each subtree's current
-                    // owner to its partition's current rank.
-                    for r in 0..ranks {
-                        if down[r as usize] {
-                            continue;
-                        }
-                        leaf_share_left += 1;
-                        pending_skel[r as usize] += 1;
-                        sim.spawn(
-                            r,
-                            Phase::ShareTopLevels,
-                            costs.insert_fixed + summaries.len() as f64 * 1e-7,
-                            Ev::LeafShareArrive { to: r, re: rank_epoch[r as usize], skel: true },
-                        );
-                    }
-                    for &(si, part, bytes) in leaf_pairs.iter() {
-                        let from = owner[si as usize];
-                        let to2 = parts[part as usize].rank;
-                        if from == to2 {
-                            continue;
-                        }
-                        leaf_share_left += 1;
-                        pending_leaf_in[to2 as usize] += 1;
-                        sim.send(
-                            from,
-                            to2,
-                            bytes,
-                            Ev::LeafShareArrive {
-                                to: to2,
-                                re: rank_epoch[to2 as usize],
-                                skel: false,
-                            },
-                        );
-                    }
-                }
-            }
-            Ev::LeafShareArrive { to, re, skel } => {
-                if re != rank_epoch[to as usize] {
-                    rec.discarded_events += 1;
-                    return;
-                }
-                if skel {
-                    pending_skel[to as usize] -= 1;
-                } else {
-                    pending_leaf_in[to as usize] -= 1;
-                }
-                leaf_share_left -= 1;
-                if leaf_share_left == 0 {
-                    #[cfg(debug_assertions)]
-                    front.audit(&config, "at traversal start");
-                    traversal_start = sim.now();
-                    traversal_begun = true;
-                    if flight.is_enabled() {
-                        // Stage-0 row: setup (decompose + build + both
-                        // sharing rounds) is complete. Virtual time and
-                        // deterministic sim state only, so the series
-                        // stays byte-identical for a given seed.
-                        flight.sample_at(
-                            sim.now() * 1e6,
-                            &[
-                                0.0,
-                                sim.ledger.total_busy(),
-                                sim.utilization(),
-                                sim.comm.messages as f64,
-                                sim.comm.bytes as f64,
-                                fetch_retries as f64,
-                                0.0,
-                            ],
-                        );
-                    }
-                    if phase_trigger == Some(CrashPhase::Traversal) && !crash_fired {
-                        sim.post(Ev::Crash);
-                    }
-                    // Seed every partition's traversal.
-                    for p in 0..parts.len() as u32 {
-                        sim.post(Ev::PartRun { part: p, pe: part_epoch[p as usize] });
-                    }
-                }
-            }
-            Ev::Crash => {
-                if crash_fired {
-                    return;
-                }
-                crash_fired = true;
-                let c = crash.expect("crash event only posted when configured");
-                let cr = c.rank as usize;
-                rec.count += 1;
-                rec.crash_time_s = sim.now();
-                rec.phase_idx = if decomp_left > 0 {
-                    0
-                } else if build_left > 0 {
-                    1
-                } else if !traversal_begun {
-                    2
-                } else {
-                    3
-                };
-                down[cr] = true;
-                // Everything in flight to or from this rank is now void.
-                rank_epoch[cr] += 1;
-                for p in 0..parts.len() {
-                    if parts[p].rank == c.rank {
-                        reset_part::<V>(
-                            &mut parts[p],
-                            &mut part_epoch[p],
-                            &mut parts_done,
-                            front.targets(visitor, p),
-                        );
-                    }
-                }
-                sim.telemetry.count("fault.crash", 1);
-                // Survivors notice when the rank stops answering — the
-                // same timeout that drives fetch retries.
-                sim.post_after(retry_timeout, Ev::CrashDetected);
-            }
-            Ev::CrashDetected => {
-                let c = crash.expect("detection follows a configured crash");
-                let cr = c.rank as usize;
-                rec.detected_s = sim.now();
-                // The dead rank's owed deliveries, frozen since the
-                // crash (epoch discards stop the counters moving).
-                stuck = Stuck {
-                    decomp: pending_decomp[cr],
-                    build: pending_build[cr],
-                    share: pending_share_in[cr],
-                    skel: pending_skel[cr],
-                    leaf: pending_leaf_in[cr],
-                };
-                // Globally invalidate fills serialised before the crash.
-                cache_epoch_now += 1;
-                for cache in caches.iter() {
-                    cache.set_epoch(cache_epoch_now);
-                }
-                // Re-arm placeholders whose fetches died with the rank.
-                for cache in caches.iter() {
-                    rec.rearmed_keys += cache.on_owner_crash(c.rank) as u64;
-                }
-                if c.restart {
-                    sim.post_after(c.restart_delay_s, Ev::RecoverStep { stage: 0 });
-                } else {
-                    // ---- Re-shard onto the survivors ----
-                    let alive: Vec<u32> = (0..ranks).filter(|&r| !down[r as usize]).collect();
-                    let mut rr = 0usize;
-                    let mut resharded: Vec<usize> = Vec::new();
-                    for si in 0..n_subtrees {
-                        if owner[si] == c.rank {
-                            owner[si] = alive[rr % alive.len()];
-                            rr += 1;
-                            needs_graft[si] = true;
-                            resharded.push(si);
-                        }
-                    }
-                    rec.resharded_subtrees = resharded.len() as u64;
-                    for i in 0..caches_per_rank {
-                        caches[(c.rank * caches_per_rank + i) as usize].mark_dead();
-                    }
-                    // Adopt the dead rank's partitions (already reset at
-                    // the crash); their buckets re-load from the
-                    // checkpointed particles.
-                    let mut moved = 0usize;
-                    for p in 0..parts.len() {
-                        if parts[p].rank == c.rank {
-                            let new_rank = alive[moved % alive.len()];
-                            moved += 1;
-                            parts[p].rank = new_rank;
-                            parts[p].cache_idx =
-                                new_rank * caches_per_rank + (p as u32 % caches_per_rank);
-                            let bytes =
-                                (parts[p].targets.n_particles() * PARTICLE_WIRE_BYTES) as u64 + 8;
-                            sim.comm.messages += 1;
-                            sim.comm.bytes += bytes;
-                            rec.restored_bytes += bytes;
-                            if traversal_begun {
-                                sim.post(Ev::PartRun { part: p as u32, pe: part_epoch[p] });
-                            }
-                        }
-                    }
-                    rec.moved_partitions = moved as u64;
-                    if stuck.decomp > 0 {
-                        // Survivors redo the dead rank's share of the
-                        // sort; the build barrier then spawns on the new
-                        // owners and grafts ride the normal path.
-                        for i in 0..stuck.decomp {
-                            let r = alive[i % alive.len()];
-                            sim.spawn(
-                                r,
-                                Phase::Decomposition,
-                                decomp_task_cost,
-                                Ev::DecompDone { rank: c.rank, re: rank_epoch[cr] },
-                            );
-                        }
-                        rec.completed_s = sim.now();
-                    } else {
-                        // Read each lost subtree's checkpoint at its new
-                        // owner, rebuild, graft; owed build-barrier
-                        // deliveries are re-posted as rebuilds land.
-                        owed_build = stuck.build;
-                        graft_left = resharded.len();
-                        for &si in &resharded {
-                            let bytes = ckpt_subtree_bytes[si];
-                            sim.comm.messages += 1;
-                            sim.comm.bytes += bytes;
-                            rec.restored_bytes += bytes;
-                            sim.spawn(
-                                owner[si],
-                                Phase::Recovery,
-                                costs.serialize_per_byte * bytes as f64 + costs.insert_fixed,
-                                Ev::SubtreeRestored { si: si as u32 },
-                            );
-                        }
-                        if graft_left == 0 {
-                            rec.completed_s = sim.now();
-                        }
-                    }
-                    // Absorb the dead rank's stuck barrier shares so the
-                    // pipeline can release without it.
-                    for _ in 0..stuck.share {
-                        sim.post(Ev::ShareArrive { to: c.rank, re: rank_epoch[cr] });
-                    }
-                    for _ in 0..stuck.skel {
-                        sim.post(Ev::LeafShareArrive {
-                            to: c.rank,
-                            re: rank_epoch[cr],
-                            skel: true,
-                        });
-                    }
-                    for _ in 0..stuck.leaf {
-                        sim.post(Ev::LeafShareArrive {
-                            to: c.rank,
-                            re: rank_epoch[cr],
-                            skel: false,
-                        });
-                    }
-                }
-            }
-            Ev::RecoverStep { stage } => {
-                let c = crash.expect("recovery follows a configured crash");
-                let cr = c.rank as usize;
-                match stage {
-                    0 => {
-                        // The rank is back: read its checkpoint.
-                        rec.restarted = 1;
-                        let bytes = ckpt_rank_bytes[cr];
-                        sim.comm.messages += 1;
-                        sim.comm.bytes += bytes;
-                        rec.restored_bytes += bytes;
-                        sim.spawn(
-                            c.rank,
-                            Phase::Recovery,
-                            costs.serialize_per_byte * bytes as f64 + costs.insert_fixed,
-                            Ev::RecoverStep { stage: 1 },
-                        );
-                    }
-                    1 => {
-                        if stuck.decomp > 0 {
-                            // Crash hit the sort: redo the owed share
-                            // locally; the rest of the pipeline follows
-                            // from the barriers.
-                            down[cr] = false;
-                            for _ in 0..stuck.decomp {
-                                sim.spawn(
-                                    c.rank,
-                                    Phase::Decomposition,
-                                    decomp_task_cost,
-                                    Ev::DecompDone { rank: c.rank, re: rank_epoch[cr] },
-                                );
-                            }
-                            rec.completed_s = sim.now();
-                        } else {
-                            // All of this rank's subtrees rebuild from
-                            // the checkpoint (its memory is gone, even
-                            // for builds that had finished).
-                            if rec.phase_idx < 3 {
-                                down[cr] = false;
-                            }
-                            owed_build = stuck.build;
-                            let owned: Vec<usize> =
-                                (0..n_subtrees).filter(|&si| owner[si] == c.rank).collect();
-                            rec_left = owned.len();
-                            if rec_left == 0 {
-                                sim.post(Ev::RecoverStep { stage: 2 });
-                            } else {
-                                for si in owned {
-                                    sim.spawn(
-                                        c.rank,
-                                        Phase::TreeBuild,
-                                        subtree_build_cost[si],
-                                        Ev::SubtreeRebuilt { si: si as u32 },
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    2 => {
-                        if stuck.share > 0 {
-                            // Survivors re-send the summaries the rank
-                            // lost; the share barrier then releases with
-                            // everyone alive.
-                            let payload =
-                                summaries.len() as u64 * costs.summary_bytes / ranks as u64;
-                            let alive: Vec<u32> =
-                                (0..ranks).filter(|&r| r != c.rank && !down[r as usize]).collect();
-                            for i in 0..stuck.share {
-                                let from = alive[i % alive.len()];
-                                sim.send(
-                                    from,
-                                    c.rank,
-                                    payload,
-                                    Ev::ShareArrive { to: c.rank, re: rank_epoch[cr] },
-                                );
-                            }
-                            rec.completed_s = sim.now();
-                        } else if stuck.skel + stuck.leaf > 0 || rec.phase_idx == 3 {
-                            // Redo the skeleton build before rejoining
-                            // the leaf-share barrier or traversal.
-                            sim.spawn(
-                                c.rank,
-                                Phase::ShareTopLevels,
-                                costs.insert_fixed + summaries.len() as f64 * 1e-7,
-                                Ev::RecoverStep { stage: 3 },
-                            );
-                        } else {
-                            // Crash hit decomposition or build: the
-                            // barriers already carry the redone work.
-                            rec.completed_s = sim.now();
-                        }
-                    }
-                    _ => {
-                        if stuck.skel + stuck.leaf > 0 {
-                            // Crash hit leaf sharing: absorb the redone
-                            // skeleton and re-send the lost leaf buckets
-                            // from their current owners.
-                            for _ in 0..stuck.skel {
-                                sim.post(Ev::LeafShareArrive {
-                                    to: c.rank,
-                                    re: rank_epoch[cr],
-                                    skel: true,
-                                });
-                            }
-                            let mut need = stuck.leaf;
-                            for &(si, part, bytes) in leaf_pairs.iter() {
-                                if need == 0 {
-                                    break;
-                                }
-                                let from = owner[si as usize];
-                                if parts[part as usize].rank == c.rank && from != c.rank {
-                                    need -= 1;
-                                    sim.send(
-                                        from,
-                                        c.rank,
-                                        bytes,
-                                        Ev::LeafShareArrive {
-                                            to: c.rank,
-                                            re: rank_epoch[cr],
-                                            skel: false,
-                                        },
-                                    );
-                                }
-                            }
-                            for _ in 0..need {
-                                sim.post(Ev::LeafShareArrive {
-                                    to: c.rank,
-                                    re: rank_epoch[cr],
-                                    skel: false,
-                                });
-                            }
-                            rec.completed_s = sim.now();
-                        } else {
-                            // Traversal-phase restart: re-initialise the
-                            // rank's caches from the rebuilt subtrees
-                            // (remote fills are gone; placeholders
-                            // re-fetch on demand) and relaunch its
-                            // partitions from their reset state.
-                            let owned: Vec<usize> =
-                                (0..n_subtrees).filter(|&si| owner[si] == c.rank).collect();
-                            for i in 0..caches_per_rank {
-                                let ci = (c.rank * caches_per_rank + i) as usize;
-                                let local: Vec<BuiltTree<V::Data>> = if i + 1 == caches_per_rank {
-                                    owned
-                                        .iter()
-                                        .map(|&si| {
-                                            recovered_trees[si].take().expect("subtree rebuilt")
-                                        })
-                                        .collect()
-                                } else {
-                                    owned
-                                        .iter()
-                                        .map(|&si| {
-                                            recovered_trees[si].clone().expect("subtree rebuilt")
-                                        })
-                                        .collect()
-                                };
-                                caches[ci].reinit(summaries, local);
-                            }
-                            down[cr] = false;
-                            for p in 0..parts.len() {
-                                if parts[p].rank == c.rank {
-                                    sim.post(Ev::PartRun { part: p as u32, pe: part_epoch[p] });
-                                }
-                            }
-                            rec.completed_s = sim.now();
-                        }
-                    }
-                }
-            }
-            Ev::SubtreeRestored { si } => {
-                // Checkpoint read done at the new owner: rebuild there.
-                let s = si as usize;
-                sim.spawn(
-                    owner[s],
-                    Phase::TreeBuild,
-                    subtree_build_cost[s],
-                    Ev::SubtreeRebuilt { si },
-                );
-            }
-            Ev::SubtreeRebuilt { si } => {
-                let s = si as usize;
-                let c = crash.expect("rebuild follows a configured crash");
-                if c.restart {
-                    // Keep the tree for the cache re-init (only needed
-                    // when remote state was lost mid-traversal); satisfy
-                    // one owed build-barrier delivery per rebuild.
-                    if rec.phase_idx == 3 {
-                        recovered_trees[s] = Some(rebuild(s));
-                    }
-                    if owed_build > 0 {
-                        owed_build -= 1;
-                        sim.post(Ev::BuildDone {
-                            rank: c.rank,
-                            re: rank_epoch[c.rank as usize],
-                            si: u32::MAX,
-                        });
-                    }
-                    rec_left -= 1;
-                    if rec_left == 0 {
-                        sim.post(Ev::RecoverStep { stage: 2 });
-                    }
-                } else {
-                    let tree = rebuild(s);
-                    graft_subtree::<V>(
-                        sim,
-                        tree,
-                        owner[s],
-                        caches_per_rank,
-                        caches,
-                        &parts,
-                        &part_epoch,
-                        costs.resume,
-                        &mut fill_errors,
-                    );
-                    needs_graft[s] = false;
-                    if owed_build > 0 {
-                        owed_build -= 1;
-                        sim.post(Ev::BuildDone {
-                            rank: c.rank,
-                            re: rank_epoch[c.rank as usize],
-                            si: u32::MAX,
-                        });
-                    }
-                    graft_left -= 1;
-                    if graft_left == 0 {
-                        rec.completed_s = sim.now();
-                    }
-                }
-            }
-            Ev::PartRun { part, pe } => {
-                if pe != part_epoch[part as usize] {
-                    rec.discarded_events += 1;
-                    return;
-                }
-                let ps = &mut parts[part as usize];
-                if down[ps.rank as usize] {
-                    return;
-                }
-                let cache = &caches[ps.cache_idx as usize];
-                if !ps.seeded {
-                    ps.seeded = true;
-                    ps.stack = seed_items::<V>(cache, kind, &ps.targets);
-                }
-                // Run-to-completion: drain the stack, surrendering
-                // placeholder hits. Up-and-down traversals stop at the
-                // *first* pending fetch instead: their pruning bounds
-                // tighten as items complete in order, so racing ahead
-                // with untightened bounds would fetch (and evaluate) far
-                // more remote data than the sequential schedule — the
-                // partition waits, while other partitions on the rank
-                // keep the workers busy.
-                let ordered = kind == TraversalKind::UpAndDown;
-                let mut batch = WorkCounts::default();
-                let mut fetches: Vec<PendingFetch<V::Data>> = Vec::new();
-                let mut fetch_list: Vec<(NodeKey, Vec<u32>)> = Vec::new();
-                while let Some(item) = ps.stack.pop() {
-                    if dry {
-                        process_item_dry(
-                            cache,
-                            visitor,
-                            &mut ps.targets,
-                            item,
-                            &mut ps.stack,
-                            &mut fetches,
-                            &mut batch,
-                        );
-                    } else {
-                        process_item(
-                            cache,
-                            visitor,
-                            &mut ps.targets,
-                            item,
-                            &mut ps.stack,
-                            &mut fetches,
-                            &mut batch,
-                        );
-                    }
-                    // A surrendered range is reclaimed by the next pop:
-                    // the event that parks the fetch carries its copy.
-                    for f in fetches.drain(..) {
-                        fetch_list.push((f.key, ps.stack.buckets(f.buckets).to_vec()));
-                    }
-                    if ordered && !fetch_list.is_empty() {
-                        break;
-                    }
-                }
-                ps.counts += batch;
-                let phase =
-                    if ps.resumed_once { Phase::RemoteTraversal } else { Phase::LocalTraversal };
-                ps.in_flight += 1;
-                let batch_cost = costs.work(&batch).max(1e-9);
-                ps.cost += batch_cost;
-                sim.spawn_exclusive(
-                    ps.rank,
-                    part_resource(part),
-                    phase,
-                    batch_cost,
-                    Ev::PartWorkDone { part, pe, fetches: fetch_list },
-                );
-            }
-            Ev::PartWorkDone { part, pe, fetches } => {
-                if pe != part_epoch[part as usize] {
-                    rec.discarded_events += 1;
-                    return;
-                }
-                let ps = &mut parts[part as usize];
-                let cache = &caches[ps.cache_idx as usize];
-                ps.in_flight -= 1;
-                let mut rerun = false;
-                for (key, buckets) in fetches {
-                    // Re-find the placeholder (it may have been swapped).
-                    // The skeleton guarantees the key exists; a miss is
-                    // an engine bug, not a recoverable message fault.
-                    let Some(node) = cache.find(key) else {
-                        debug_assert!(false, "fetch target {key} missing from skeleton");
-                        fill_errors += 1;
-                        sim.telemetry.count("des.fill_errors", 1);
-                        continue;
-                    };
-                    if !node.is_placeholder() {
-                        // Fill landed while we were busy: traverse on.
-                        ps.stack.push(NodeHandle::new(node), &buckets);
-                        rerun = true;
-                        continue;
-                    }
-                    match cache.request(node, part as u64) {
-                        RequestOutcome::Ready(n) => {
-                            ps.stack.push(NodeHandle::new(n), &buckets);
-                            rerun = true;
-                        }
-                        RequestOutcome::SendFetch { home_rank } => {
-                            // After a re-shard the cached home rank may
-                            // be stale: route to the current owner.
-                            let home = if crash.is_some() {
-                                owner_of(&subtree_index, &owner, bits, key, home_rank)
-                            } else {
-                                home_rank
-                            };
-                            ps.paused.entry(key).or_default().push(buckets);
-                            ps.outstanding += 1;
-                            // Small CPU cost to issue the request.
-                            sim.ledger.record(sim.now(), sim.now(), Phase::CacheRequest);
-                            sim.telemetry.span_at(
-                                Track { rank: ps.rank, worker: 0 },
-                                "cache request",
-                                sim.now() * 1e6,
-                                0.0,
-                                Some(key.raw()),
-                            );
-                            if !down[home as usize] {
-                                send_faulty(
-                                    sim,
-                                    &mut injector,
-                                    ps.rank,
-                                    home,
-                                    costs.request_bytes,
-                                    Ev::RequestArrive {
-                                        key,
-                                        home_rank: home,
-                                        to_cache: ps.cache_idx,
-                                        requester_rank: ps.rank,
-                                    },
-                                );
-                            }
-                            if injector.is_some() {
-                                sim.post_after(
-                                    retry_timeout,
-                                    Ev::FetchTimeout {
-                                        key,
-                                        home_rank: home,
-                                        to_cache: ps.cache_idx,
-                                        requester_rank: ps.rank,
-                                        attempt: 1,
-                                    },
-                                );
-                            }
-                        }
-                        RequestOutcome::InFlight => {
-                            ps.paused.entry(key).or_default().push(buckets);
-                            ps.outstanding += 1;
-                        }
-                    }
-                }
-                if rerun {
-                    sim.post(Ev::PartRun { part, pe });
-                } else if ps.stack.is_empty()
-                    && ps.outstanding == 0
-                    && ps.in_flight == 0
-                    && !ps.finished
-                {
-                    ps.finished = true;
-                    parts_done += 1;
-                }
-            }
-            Ev::RequestArrive { key, home_rank: home, to_cache, requester_rank } => {
-                // Serve at the home rank: the authoritative copy lives in
-                // every cache instance of that rank (with PerThread they
-                // all graft the local trees), so its first cache serves.
-                if down[home as usize] {
-                    rec.dead_requests += 1;
-                    return;
-                }
-                let home_cache = (home * caches_per_rank) as usize;
-                if caches[home_cache].is_dead() {
-                    rec.dead_requests += 1;
-                    return;
-                }
-                if crash.is_some() {
-                    // A re-sharded subtree may not be grafted at its new
-                    // owner yet; drop and let the retry timer re-ask.
-                    match caches[home_cache].find(key) {
-                        Some(n) if !n.is_placeholder() => {}
-                        _ => {
-                            rec.dead_requests += 1;
-                            return;
-                        }
-                    }
-                }
-                match caches[home_cache].serialize_fragment(key, fetch_depth) {
-                    Ok(bytes) => {
-                        let cost = costs.serialize_per_byte * bytes.len() as f64
-                            + costs.insert_fixed / 2.0;
-                        sim.spawn(
-                            home,
-                            Phase::FillServe,
-                            cost,
-                            Ev::FillServeDone { home_rank: home, to_cache, requester_rank, bytes },
-                        );
-                    }
-                    Err(e) => {
-                        // The home rank cannot serve this key. Drop the
-                        // request; the requester's retry timer re-issues
-                        // it rather than aborting the simulation.
-                        fill_errors += 1;
-                        sim.telemetry.count("des.fill_errors", 1);
-                        eprintln!("des: fetch for {key} failed at home rank {home}: {e}");
-                    }
-                }
-            }
-            Ev::FillServeDone { home_rank, to_cache, requester_rank, bytes } => {
-                if down[requester_rank as usize] {
-                    rec.discarded_events += 1;
-                    return;
-                }
-                let nbytes = bytes.len() as u64;
-                send_faulty(
-                    sim,
-                    &mut injector,
-                    home_rank,
-                    requester_rank,
-                    nbytes,
-                    Ev::FillArrive { to_cache, bytes },
-                );
-            }
-            Ev::FillArrive { to_cache, bytes } => {
-                let rank = caches[to_cache as usize].rank;
-                if down[rank as usize] || caches[to_cache as usize].is_dead() {
-                    rec.discarded_events += 1;
-                    return;
-                }
-                let cost = costs.insert_fixed + costs.insert_per_byte * bytes.len() as f64;
-                match cache_model {
-                    CacheModel::XWrite => sim.spawn_exclusive(
-                        rank,
-                        LOCK_BASE + rank as u64,
-                        Phase::CacheInsertion,
-                        cost,
-                        Ev::InsertDone { to_cache, bytes },
-                    ),
-                    _ => sim.spawn(
-                        rank,
-                        Phase::CacheInsertion,
-                        cost,
-                        Ev::InsertDone { to_cache, bytes },
-                    ),
-                }
-            }
-            Ev::InsertDone { to_cache, bytes } => {
-                let cache = &caches[to_cache as usize];
-                if down[cache.rank as usize] || cache.is_dead() {
-                    rec.discarded_events += 1;
-                    return;
-                }
-                match cache.insert_fragment(&bytes) {
-                    Ok(outcome) => {
-                        // A fill may materialise several keys at once (a
-                        // deep fragment covering earlier shallow waits);
-                        // every (key, waiter) pair resumes independently.
-                        for (key, waiter) in outcome.resumed {
-                            let part = waiter as u32;
-                            let rank = parts[part as usize].rank;
-                            sim.spawn(
-                                rank,
-                                Phase::TraversalResumption,
-                                costs.resume,
-                                Ev::Resumed { part, pe: part_epoch[part as usize], key },
-                            );
-                        }
-                    }
-                    Err(CacheError::StaleEpoch { .. }) => {
-                        // A fill serialised before the crash: reject it
-                        // silently — the retry machinery re-fetches
-                        // under the new epoch.
-                        rec.stale_fills += 1;
-                    }
-                    Err(e) => {
-                        // A bad fill degrades to a logged drop; the
-                        // placeholder stays pending and the retry timer
-                        // re-requests it.
-                        fill_errors += 1;
-                        sim.telemetry.count("des.fill_errors", 1);
-                        eprintln!("des: fill rejected by cache {to_cache}: {e}");
-                    }
-                }
-            }
-            Ev::Resumed { part, pe, key } => {
-                if pe != part_epoch[part as usize] {
-                    rec.discarded_events += 1;
-                    return;
-                }
-                let ps = &mut parts[part as usize];
-                let cache = &caches[ps.cache_idx as usize];
-                if let Some(items) = ps.paused.remove(&key) {
-                    let Some(node) = cache.find(key) else {
-                        // Resumption implies the key was just spliced;
-                        // losing it again is an engine bug.
-                        debug_assert!(false, "resumed key {key} missing from cache");
-                        ps.paused.insert(key, items);
-                        return;
-                    };
-                    for buckets in items {
-                        ps.outstanding -= 1;
-                        ps.stack.push(NodeHandle::new(node), &buckets);
-                    }
-                    ps.resumed_once = true;
-                    sim.post(Ev::PartRun { part, pe });
-                }
-            }
-            Ev::FetchTimeout { key, home_rank, to_cache, requester_rank, attempt } => {
-                // Re-request only if the fill never landed (the fetch or
-                // the fill was dropped, or both are still delayed — a
-                // duplicate fill is idempotent, so over-asking is safe).
-                if down[requester_rank as usize] || caches[to_cache as usize].is_dead() {
-                    return;
-                }
-                let still_pending =
-                    caches[to_cache as usize].find(key).is_some_and(|n| n.is_placeholder());
-                if !still_pending || injector.is_none() {
-                    return;
-                }
-                let home = if crash.is_some() {
-                    owner_of(&subtree_index, &owner, bits, key, home_rank)
-                } else {
-                    home_rank
-                };
-                if down[home as usize] {
-                    // The owner is down (crashed, not yet restarted or
-                    // re-sharded): keep the timer alive and try again.
-                    sim.post_after(
-                        retry_timeout,
-                        Ev::FetchTimeout {
-                            key,
-                            home_rank: home,
-                            to_cache,
-                            requester_rank,
-                            attempt: attempt + 1,
-                        },
-                    );
-                    return;
-                }
-                fetch_retries += 1;
-                sim.telemetry.count("des.fetch_retries", 1);
-                send_faulty(
-                    sim,
-                    &mut injector,
-                    requester_rank,
-                    home,
-                    costs.request_bytes,
-                    Ev::RequestArrive { key, home_rank: home, to_cache, requester_rank },
-                );
-                sim.post_after(
-                    retry_timeout,
-                    Ev::FetchTimeout {
-                        key,
-                        home_rank: home,
-                        to_cache,
-                        requester_rank,
-                        attempt: attempt + 1,
-                    },
-                );
-            }
-        });
-
-        assert_eq!(parts_done, parts.len(), "all partitions must finish");
+        assert_eq!(run.tally.parts_done, run.parts.len(), "all partitions must finish");
         #[cfg(debug_assertions)]
         front.audit(&config, "after traversal");
-
-        // ---- Canonical visitor application (dry traversals) ----
+        let Run { mut parts, injector, tally, apply, .. } = run;
         // The simulation established timing, communication, and a fully
-        // materialised cache per partition; the physics is applied once,
-        // in depth-first order, so the result is bit-identical with or
-        // without crashes and message faults.
-        if dry {
+        // materialised cache per partition; a dry traversal's physics is
+        // applied once, in depth-first order, so the result is
+        // bit-identical with or without crashes and message faults.
+        if apply == Apply::Dry {
             for ps in &mut parts {
-                let cache = &caches[ps.cache_idx as usize];
-                let _ = traverse_local(cache, visitor, kind, &mut ps.targets);
+                let cache = &front.caches[ps.cache_idx as usize];
+                traverse_local(cache, self.visitor, self.kind, &mut ps.targets);
             }
         }
+        let faults = injector.map(|f| f.stats).unwrap_or_default();
+        self.report(&sim, front, parts, faults, tally)
+    }
 
-        if rec.count > 0 {
-            let c = crash.expect("recovery stats only accumulate with a crash");
+    /// Writes one [`DES_FLIGHT_SERIES`] row from deterministic sim state
+    /// (a no-op on a disabled recorder).
+    fn sample_flight(
+        &self,
+        sim: &Sim<Ev>,
+        at_s: f64,
+        stage: u8,
+        fetch_retries: u64,
+        migrated: u64,
+    ) {
+        if self.flight.is_enabled() {
+            self.flight.sample_at(
+                at_s * 1e6,
+                &[
+                    stage as f64,
+                    sim.ledger.total_busy(),
+                    sim.utilization(),
+                    sim.comm.messages as f64,
+                    sim.comm.bytes as f64,
+                    fetch_retries as f64,
+                    migrated as f64,
+                ],
+            );
+        }
+    }
+
+    /// Write-back and reporting. The registry is assembled first; the
+    /// report's named fields read back from it, so the two can never
+    /// disagree.
+    fn report(
+        &self,
+        sim: &Sim<Ev>,
+        mut front: Iteration<V::Data>,
+        parts: Vec<PartState<V>>,
+        faults: FaultStats,
+        tally: Tally,
+    ) -> (IterationReport, Vec<(NodeKey, V::State)>) {
+        let rec = tally.rec;
+        if let Some(c) = self.faults.and_then(|f| f.crash).filter(|_| rec.count > 0) {
             self.telemetry.span_at(
                 Track { rank: c.rank, worker: 0 },
                 "recovery",
@@ -1900,70 +885,28 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                 None,
             );
         }
-
-        // ---- Write-back and reporting ----
-        for (p, ps) in parts.iter().enumerate() {
-            front.write_back(p, &ps.targets);
-        }
+        let caches = std::mem::take(&mut front.caches);
+        let done = parts.iter().enumerate().map(|(p, ps)| (p, &ps.targets, ps.counts));
+        let (counts, cache, mut metrics) = front.finish(&caches, done, None);
         let states: Vec<(NodeKey, V::State)> = parts
             .iter()
             .flat_map(|ps| ps.targets.buckets().iter().map(|b| (b.leaf_key, b.state.clone())))
             .collect();
-        let mut cache_stats = CacheStatsSnapshot::default();
-        for c in &front.caches {
-            cache_stats.merge(&c.stats.snapshot());
-        }
         let partition_costs: Vec<f64> = parts.iter().map(|p| p.cost).collect();
-        let mut counts_total = WorkCounts::default();
-        for ps in &parts {
-            counts_total += ps.counts;
-        }
-        let fault_stats = injector.map(|f| f.stats).unwrap_or_default();
+        self.sample_flight(sim, sim.makespan(), 1, tally.fetch_retries, front.round_migrated());
 
-        if self.flight.is_enabled() {
-            // Stage-1 row: the iteration is over. Stamped at the
-            // (virtual) makespan from deterministic sim state.
-            self.flight.sample_at(
-                sim.makespan() * 1e6,
-                &[
-                    1.0,
-                    sim.ledger.total_busy(),
-                    sim.utilization(),
-                    sim.comm.messages as f64,
-                    sim.comm.bytes as f64,
-                    fetch_retries as f64,
-                    front.round_migrated() as f64,
-                ],
-            );
-        }
-
-        // Assemble the registry first; the report's named fields read
-        // back from it, so the two can never disagree.
-        let mut metrics = MetricsRegistry::new();
         metrics.absorb("comm", &sim.comm);
-        metrics.absorb("cache", &cache_stats);
-        metrics.absorb("counts", &counts_total);
-        metrics.absorb("faults", &fault_stats);
-        // The same counters again under the stable `fault.*` prefix,
-        // alongside the engine-level fault handling totals.
-        metrics.absorb("fault", &fault_stats);
-        metrics.set_u64("fault.fetch_retries", fetch_retries);
-        metrics.set_u64("fault.fill_errors", fill_errors);
+        metrics.absorb("fault", &faults);
+        metrics.set_u64("fault.fetch_retries", tally.fetch_retries);
+        metrics.set_u64("fault.fill_errors", tally.fill_errors);
         metrics.absorb("phase_busy_s", &sim.ledger);
         metrics.set_f64("time.makespan_s", sim.makespan());
-        metrics.set_f64("time.traversal_start_s", traversal_start);
-        metrics.set_f64("time.traversal_s", sim.makespan() - traversal_start);
+        metrics.set_f64("time.traversal_start_s", tally.traversal_start);
+        metrics.set_f64("time.traversal_s", sim.makespan() - tally.traversal_start);
         metrics.set_f64("util.workers", sim.utilization());
-        metrics.set_u64("des.fetch_retries", fetch_retries);
-        metrics.set_u64("des.fill_errors", fill_errors);
-        metrics.set_u64("des.n_shared_buckets", n_shared_buckets as u64);
+        metrics.set_u64("des.n_shared_buckets", tally.n_shared_buckets as u64);
         metrics.set_u64("des.n_partitions", partition_costs.len() as u64);
-        metrics.set_u64("decomp.n_split_leaves", front.n_split_leaves as u64);
-        if let Some(totals) = &front.update {
-            let (batches, migrated) = (front.round_batches(), front.round_migrated());
-            pipeline::record_update(&mut metrics, totals, batches, migrated, None);
-        }
-        if let Some(c) = crash {
+        if let Some(c) = self.faults.and_then(|f| f.crash) {
             metrics.absorb("recovery", &rec);
             metrics.set_u64("fault.crash.count", rec.count);
             metrics.set_u64("fault.crash.rank", c.rank as u64);
@@ -1976,16 +919,16 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
             traversal_start: metrics.get_f64("time.traversal_start_s"),
             phase_busy: sim.ledger.busy_per_phase(),
             comm: sim.comm,
-            counts: counts_total,
-            cache: cache_stats,
+            counts,
+            cache,
             utilization: metrics.get_f64("util.workers"),
             ledger: sim.ledger.clone(),
-            n_shared_buckets,
+            n_shared_buckets: tally.n_shared_buckets,
             partition_costs,
             particles: front.master,
-            faults: fault_stats,
-            fetch_retries: metrics.get_u64("des.fetch_retries"),
-            fill_errors: metrics.get_u64("des.fill_errors"),
+            faults,
+            fetch_retries: metrics.get_u64("fault.fetch_retries"),
+            fill_errors: metrics.get_u64("fault.fill_errors"),
             recovery: rec,
             metrics,
         };

@@ -20,7 +20,9 @@
 use crate::config::Configuration;
 use crate::decomp::{decompose, Partitioner, SubtreePiece};
 use crate::maintain::{MaintainRound, TreeMaintainer, UpdateTotals};
+use crate::traversal::WorkCounts;
 use crate::visitor::{Lane, TargetBucket, TargetSpan, Visitor, LANE_GROUP};
+use paratreet_cache::stats::CacheStatsSnapshot;
 use paratreet_cache::{CacheTree, SubtreeSummary};
 use paratreet_geometry::{BoundingBox, NodeKey};
 use paratreet_particles::Particle;
@@ -492,6 +494,38 @@ impl<D: Data> Iteration<D> {
             .iter()
             .flat_map(|&b| buckets[b as usize].indices.iter().map(|&i| i as usize));
         targets.write_back(&mut self.master, homes);
+    }
+
+    /// How a message engine's iteration ends: every Partition's targets
+    /// — `(partition, targets, its interaction counts)` — return to the
+    /// master array, counts and the `caches`' statistics are summed, and
+    /// the report's registry starts with what both engines record:
+    /// `cache.*`, `counts.*`, `decomp.n_split_leaves` and, on a
+    /// maintained run, [`record_update`]'s entries.
+    pub fn finish<'t, S: 't, T: 't>(
+        &mut self,
+        caches: impl IntoIterator<Item = &'t CacheTree<D>>,
+        parts: impl IntoIterator<Item = (usize, &'t Targets<S, T>, WorkCounts)>,
+        seconds_update: Option<f64>,
+    ) -> (WorkCounts, CacheStatsSnapshot, MetricsRegistry) {
+        let mut counts = WorkCounts::default();
+        for (p, targets, own) in parts {
+            counts += own;
+            self.write_back(p, targets);
+        }
+        let mut cache = CacheStatsSnapshot::default();
+        for c in caches {
+            cache.merge(&c.stats.snapshot());
+        }
+        let mut metrics = MetricsRegistry::new();
+        metrics.absorb("cache", &cache);
+        metrics.absorb("counts", &counts);
+        metrics.set_u64("decomp.n_split_leaves", self.n_split_leaves as u64);
+        if let Some(totals) = &self.update {
+            let (batches, migrated) = (self.round_batches(), self.round_migrated());
+            record_update(&mut metrics, totals, batches, migrated, seconds_update);
+        }
+        (counts, cache, metrics)
     }
 
     /// Writes one [`FLIGHT_SERIES`] row (a no-op on a disabled recorder).

@@ -28,8 +28,8 @@
 
 use crate::config::{Configuration, TraversalKind};
 use crate::maintain::TreeMaintainer;
-use crate::pipeline::{self, Iteration};
-use crate::traversal::{process_item, seed_items, PendingFetch, TargetsOf, WorkCounts, WorkStack};
+use crate::pipeline::Iteration;
+use crate::traversal::{drain, seed_items, Apply, PendingFetch, TargetsOf, WorkCounts, WorkStack};
 use crate::visitor::Visitor;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use paratreet_cache::stats::CacheStatsSnapshot;
@@ -97,7 +97,6 @@ struct RankShared<V: Visitor> {
     /// Partitions not yet finished, across the whole machine.
     remaining: Arc<AtomicUsize>,
     fetch_depth: u32,
-    counts: Mutex<WorkCounts>,
 }
 
 /// Outcome of a threaded iteration.
@@ -275,7 +274,6 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
                     parked: Mutex::new(HashMap::new()),
                     remaining: remaining.clone(),
                     fetch_depth: config.fetch_depth,
-                    counts: Mutex::new(WorkCounts::default()),
                 })
             })
             .collect();
@@ -411,30 +409,14 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
         });
 
         // ---- Write-back and report ----
-        let mut counts = WorkCounts::default();
-        for s in &shared {
-            counts += *s.counts.lock();
-        }
-        let mut cache_stats = CacheStatsSnapshot::default();
-        for s in &shared {
-            cache_stats.merge(&s.cache.stats.snapshot());
-        }
-        for ps in collected.into_inner() {
-            counts += ps.counts;
-            front.write_back(ps.id as usize, &ps.targets);
-        }
+        let collected = collected.into_inner();
+        let done = collected.iter().map(|ps| (ps.id as usize, &ps.targets, ps.counts));
+        let caches = shared.iter().map(|s| &s.cache);
+        let (counts, cache_stats, mut metrics) =
+            front.finish(caches, done, Some(front.seconds_update));
         let remote_fills = remote_fills.load(Ordering::Relaxed) as u64;
-        let mut metrics = MetricsRegistry::new();
-        metrics.absorb("cache", &cache_stats);
-        metrics.absorb("counts", &counts);
         metrics.set_u64("net.remote_fills", remote_fills);
-        metrics.set_u64("decomp.n_split_leaves", front.n_split_leaves as u64);
         metrics.set_f64("time.iteration_s", started.elapsed().as_secs_f64());
-        if let Some(totals) = &front.update {
-            let (batches, migrated) = (front.round_batches(), front.round_migrated());
-            let seconds = Some(front.seconds_update);
-            pipeline::record_update(&mut metrics, totals, batches, migrated, seconds);
-        }
         front.sample_flight(&self.flight, epoch, 1, started.elapsed().as_secs_f64());
         ThreadedReport {
             particles: front.master,
@@ -612,34 +594,25 @@ fn run_partition<V: Visitor>(
         ps.stack = seed_items::<V>(&shared.cache, kind, &ps.targets);
     }
     loop {
-        // Drain local work, surrendering placeholder hits. A fetch's
-        // bucket range is reclaimed by the next pop, so its copy parks
-        // at once; the requests go out when the stack has run dry.
-        let mut fetches: Vec<PendingFetch<V::Data>> = Vec::new();
-        let mut registered = 0;
-        let ordered = kind == TraversalKind::UpAndDown;
-        while let Some(item) = ps.stack.pop() {
-            process_item(
-                &shared.cache,
-                visitor,
-                &mut ps.targets,
-                item,
-                &mut ps.stack,
-                &mut fetches,
-                &mut ps.counts,
-            );
-            for f in &fetches[registered..] {
-                let buckets = ps.stack.buckets(f.buckets).to_vec();
-                register_wait(shared, &mut ps, f.key, buckets);
-            }
-            registered = fetches.len();
-            if ordered && !fetches.is_empty() {
-                break;
-            }
+        // Drain local work; each surrendered fetch parks with its copy
+        // of the buckets. Every wait is registered before any request
+        // goes out, and the requests go out when the stack has run dry.
+        let mut fetches: Vec<(PendingFetch<V::Data>, Vec<u32>)> = Vec::new();
+        let state = &mut *ps;
+        state.counts += drain(
+            &shared.cache,
+            visitor,
+            kind,
+            Apply::Runs,
+            &mut state.targets,
+            &mut state.stack,
+            |fetch, buckets| fetches.push((fetch, buckets.to_vec())),
+        );
+        for (fetch, buckets) in &mut fetches {
+            register_wait(shared, &mut ps, fetch.key, std::mem::take(buckets));
         }
-
-        for f in fetches {
-            issue_request(shared, &mut ps, f.key, f.node);
+        for (fetch, _) in fetches {
+            issue_request(shared, &mut ps, fetch.key, fetch.node);
         }
 
         // Collect anything fills released while we were working.
@@ -720,7 +693,6 @@ mod tests {
             parked: Mutex::new(HashMap::new()),
             remaining: Arc::new(AtomicUsize::new(1)),
             fetch_depth: config().fetch_depth,
-            counts: Mutex::new(WorkCounts::default()),
         };
         let mut ps = PartState::<OpenAll> {
             id: 0,

@@ -228,9 +228,16 @@ impl<D> WorkStack<D> {
 pub type TargetsOf<V> = Targets<<V as Visitor>::State, <V as Visitor>::PerTarget>;
 
 /// How a traversal applies the outcomes `open` decides.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Apply {
-    /// Not at all: counters, children and fetches only.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Apply {
+    /// Not at all: identical `open` decisions, counters, children and
+    /// fetches, but no `node()`/`leaf()` call. The distributed engine
+    /// simulates in this mode — the timeline drives fetches and costs,
+    /// and physics is applied afterwards by a canonical local replay
+    /// over the fully-fetched cache, so a crash can never double-apply
+    /// an interaction. Only valid for traversals whose `open` ignores
+    /// bucket state (gravity, collision); state-dependent walks (k-NN)
+    /// must apply as they go.
     Dry,
     /// One `node()`/`leaf()` call per run of adjacent buckets.
     Runs,
@@ -295,53 +302,20 @@ impl<'a, V: Visitor> Runs<'a, V> {
 }
 
 /// Evaluates one work item: `open` per interested bucket, `node`/`leaf`
-/// per run of them, pushing child items onto `stack` (in reverse slot
-/// order, so the LIFO stack pops slot 0 first) and surrendering
-/// placeholder hits to `fetches`. `item` must be the item just popped
-/// from `stack`.
+/// per run of them as `apply` says, pushing child items onto `stack` (in
+/// reverse slot order, so the LIFO stack pops slot 0 first) and
+/// surrendering placeholder hits to `fetches`. `item` must be the item
+/// just popped from `stack`.
+#[allow(clippy::too_many_arguments)]
 pub fn process_item<V: Visitor>(
     cache: &CacheTree<V::Data>,
     visitor: &V,
+    apply: Apply,
     targets: &mut TargetsOf<V>,
     item: WorkItem<V::Data>,
     stack: &mut WorkStack<V::Data>,
     fetches: &mut Vec<PendingFetch<V::Data>>,
     counts: &mut WorkCounts,
-) {
-    process_item_inner(cache, visitor, targets, item, stack, fetches, counts, Apply::Runs)
-}
-
-/// [`process_item`] without the visitor side effects: identical `open`
-/// decisions, identical counters and child/fetch generation, but no
-/// `node()`/`leaf()` application. The distributed engine runs crash
-/// recovery in this mode — the simulated timeline drives fetches and
-/// costs, and physics is applied afterwards by a canonical local replay
-/// over the fully-fetched cache, so a crash can never double-apply an
-/// interaction. Only valid for traversals whose `open` ignores bucket
-/// state (gravity, collision); state-dependent walks (k-NN) must apply
-/// as they go.
-pub fn process_item_dry<V: Visitor>(
-    cache: &CacheTree<V::Data>,
-    visitor: &V,
-    targets: &mut TargetsOf<V>,
-    item: WorkItem<V::Data>,
-    stack: &mut WorkStack<V::Data>,
-    fetches: &mut Vec<PendingFetch<V::Data>>,
-    counts: &mut WorkCounts,
-) {
-    process_item_inner(cache, visitor, targets, item, stack, fetches, counts, Apply::Dry)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn process_item_inner<V: Visitor>(
-    cache: &CacheTree<V::Data>,
-    visitor: &V,
-    targets: &mut TargetsOf<V>,
-    item: WorkItem<V::Data>,
-    stack: &mut WorkStack<V::Data>,
-    fetches: &mut Vec<PendingFetch<V::Data>>,
-    counts: &mut WorkCounts,
-    mode: Apply,
 ) {
     let node = item.node.get(cache);
     counts.nodes_visited += 1;
@@ -350,7 +324,7 @@ fn process_item_inner<V: Visitor>(
     }
     let view = SpatialNodeView::of(node);
     let prepared = visitor.prepare(&view);
-    let mut runs = Runs::new(visitor, &view, &prepared, mode);
+    let mut runs = Runs::new(visitor, &view, &prepared, apply);
     if node.kind == NodeKind::Leaf {
         for &b in stack.buckets(item.buckets) {
             counts.opens += 1;
@@ -445,19 +419,11 @@ pub fn seed_items<V: Visitor>(
 /// Pruning against internal targets is conservative: `open()` is
 /// consulted with an empty pseudo-bucket carrying the target node's
 /// bounding box and default state.
-pub fn traverse_dual<V: Visitor>(
+fn traverse_dual<V: Visitor>(
     cache: &CacheTree<V::Data>,
     visitor: &V,
+    apply: Apply,
     targets: &mut TargetsOf<V>,
-) -> WorkCounts {
-    traverse_dual_inner(cache, visitor, targets, Apply::Runs)
-}
-
-fn traverse_dual_inner<V: Visitor>(
-    cache: &CacheTree<V::Data>,
-    visitor: &V,
-    targets: &mut TargetsOf<V>,
-    mode: Apply,
 ) -> WorkCounts {
     let mut counts = WorkCounts::default();
     let root = match cache.root() {
@@ -498,7 +464,7 @@ fn traverse_dual_inner<V: Visitor>(
         counts.nodes_visited += 1;
         let src_view = SpatialNodeView::of(src);
         let prepared = visitor.prepare(&src_view);
-        let mut runs = Runs::new(visitor, &src_view, &prepared, mode);
+        let mut runs = Runs::new(visitor, &src_view, &prepared, apply);
 
         if tgt.kind == NodeKind::Leaf {
             // Single-tree semantics against the bucket(s) of this leaf.
@@ -630,6 +596,44 @@ fn seed_up_and_down<D: paratreet_tree::Data>(
     }
 }
 
+/// Drains `stack` — the one work-item loop every executor runs: pop,
+/// [`process_item`] under `apply`, and hand each surrendered fetch to
+/// `surrender` with the buckets that opened the placeholder. That slice
+/// is the fetch's range of the stack's scratch, which the next pop
+/// reclaims: an executor that parks the fetch copies it out here.
+///
+/// Up-and-down traversals stop at the *first* surrendered fetch: their
+/// pruning bounds tighten as items complete in order, so racing ahead
+/// with untightened bounds would fetch (and evaluate) far more remote
+/// data than the sequential schedule — the Partition waits, while other
+/// Partitions on the rank keep the workers busy. Every other schedule
+/// runs the stack dry. Returns the counters of the items processed.
+pub fn drain<V: Visitor>(
+    cache: &CacheTree<V::Data>,
+    visitor: &V,
+    kind: TraversalKind,
+    apply: Apply,
+    targets: &mut TargetsOf<V>,
+    stack: &mut WorkStack<V::Data>,
+    mut surrender: impl FnMut(PendingFetch<V::Data>, &[u32]),
+) -> WorkCounts {
+    let ordered = kind == TraversalKind::UpAndDown;
+    let mut counts = WorkCounts::default();
+    let mut fetches = Vec::new();
+    while let Some(item) = stack.pop() {
+        process_item(cache, visitor, apply, targets, item, stack, &mut fetches, &mut counts);
+        let parked = !fetches.is_empty();
+        for fetch in fetches.drain(..) {
+            let opened = fetch.buckets;
+            surrender(fetch, stack.buckets(opened));
+        }
+        if ordered && parked {
+            break;
+        }
+    }
+    counts
+}
+
 /// Runs a traversal over one partition's buckets entirely locally,
 /// panicking if any placeholder is opened (the shared-memory engine
 /// guarantees all data is local). Returns the interaction counters.
@@ -639,41 +643,17 @@ pub fn traverse_local<V: Visitor>(
     kind: TraversalKind,
     targets: &mut TargetsOf<V>,
 ) -> WorkCounts {
-    traverse_local_inner(cache, visitor, kind, targets, Apply::Runs)
+    if kind == TraversalKind::DualTree {
+        return traverse_dual(cache, visitor, Apply::Runs, targets);
+    }
+    // Up-and-down seeds are ordered nearest-last; reverse handled by LIFO.
+    let mut stack = seed_items::<V>(cache, kind, targets);
+    drain(cache, visitor, kind, Apply::Runs, targets, &mut stack, remote_placeholder)
 }
 
-fn traverse_local_inner<V: Visitor>(
-    cache: &CacheTree<V::Data>,
-    visitor: &V,
-    kind: TraversalKind,
-    targets: &mut TargetsOf<V>,
-    mode: Apply,
-) -> WorkCounts {
-    if kind == TraversalKind::DualTree {
-        return traverse_dual_inner(cache, visitor, targets, mode);
-    }
-    let mut counts = WorkCounts::default();
-    let mut stack = seed_items::<V>(cache, kind, targets);
-    // Up-and-down seeds are ordered nearest-last; reverse handled by LIFO.
-    let mut fetches = Vec::new();
-    while let Some(item) = stack.pop() {
-        process_item_inner(
-            cache,
-            visitor,
-            targets,
-            item,
-            &mut stack,
-            &mut fetches,
-            &mut counts,
-            mode,
-        );
-        assert!(
-            fetches.is_empty(),
-            "local traversal reached a remote placeholder {:?}",
-            fetches[0].key
-        );
-    }
-    counts
+/// What a fully local traversal does with a surrendered fetch.
+fn remote_placeholder<D>(fetch: PendingFetch<D>, _: &[u32]) {
+    panic!("local traversal reached a remote placeholder {:?}", fetch.key);
 }
 
 #[cfg(test)]
@@ -769,7 +749,13 @@ mod tests {
                 let walk = |mode: Apply| {
                     let recorder = Recorder::default();
                     let mut targets = front.targets(&recorder, p);
-                    let counts = traverse_local_inner(cache, &recorder, kind, &mut targets, mode);
+                    let counts = if kind == TraversalKind::DualTree {
+                        traverse_dual(cache, &recorder, mode, &mut targets)
+                    } else {
+                        let mut stack = seed_items::<Recorder>(cache, kind, &targets);
+                        let unreachable = remote_placeholder;
+                        drain(cache, &recorder, kind, mode, &mut targets, &mut stack, unreachable)
+                    };
                     let calls: Vec<_> = targets.into_states().collect();
                     (calls, counts, recorder.wide_calls.into_inner())
                 };

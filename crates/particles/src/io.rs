@@ -67,7 +67,10 @@ pub fn to_bytes(particles: &[Particle]) -> Vec<u8> {
     out
 }
 
-/// Parses a binary snapshot produced by [`to_bytes`].
+/// Parses a binary snapshot produced by [`to_bytes`]. A snapshot is
+/// outside input: beyond the framing checks, a record whose position,
+/// velocity or mass is NaN or infinite is rejected here, by index —
+/// decomposition downstream has no answer for it.
 pub fn from_bytes(data: &[u8]) -> io::Result<Vec<Particle>> {
     let err = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
     if data.len() < HEADER_BYTES {
@@ -89,6 +92,12 @@ pub fn from_bytes(data: &[u8]) -> io::Result<Vec<Particle>> {
     }
     let mut out = Vec::with_capacity(n as usize);
     while let Some(p) = get_particle(data, &mut off) {
+        if !(p.pos.is_finite() && p.vel.is_finite() && p.mass.is_finite()) {
+            let i = out.len();
+            return Err(err(&format!(
+                "snapshot record {i} has a non-finite position, velocity or mass"
+            )));
+        }
         out.push(p);
     }
     Ok(out)

@@ -27,8 +27,12 @@ cargo test --release -q --test traversal_scratch
 cargo test --release -q -p paratreet-tree --lib key_heap_matches_record_heap_model
 cargo test --release -q -p paratreet-apps --lib -- \
     step_matches_the_record_list_reference query_neighbors_carry_their_particles_payload
-# The CLI rejects what it does not read, on the binary users run.
+# The CLI rejects what it does not read — per app and engine — and runs
+# `--iterations N` as N iterations on every engine, on the binary users run.
 cargo test --release -q --test cli
+# The DES engine's whole output, scenario by scenario, against the hashes
+# recorded before it was split into modules (and the crash-anywhere sweep).
+cargo test --release -q -p paratreet-core --test des_pinned
 
 echo "== fork-join executor + thread-count identity, optimised (the build the benchmark runs) =="
 cargo test --release -q -p rayon
@@ -103,6 +107,8 @@ if grep -nE '^\[features\]|^(serde|bytes)\b' Cargo.toml crates/*/Cargo.toml; the
 fi
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+# clippy.toml caps a function at 150 lines where a file opts in with
+# `#![warn(clippy::too_many_lines)]`: the DES modules and the CLI.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== benchmark package builds against the pinned public surface =="

@@ -10,10 +10,17 @@
 //! paratreet gravity --input snap.ptrt --output out.ptrt --csv out.csv
 //! paratreet gravity --engine threaded --ranks 4 --workers 2
 //! ```
+//!
+//! The binary is a table ([`APPS`]): each app names the options it reads
+//! and the engines it runs on, and the parser holds every invocation to
+//! it.
 
+#![warn(clippy::too_many_lines)]
+
+use paratreet::core_api::framework::FLIGHT_SERIES;
 use paratreet::core_api::{
     CacheModel, Configuration, DecompType, DistributedEngine, Framework, ThreadedEngine,
-    TraversalKind,
+    TraversalKind, TreeMaintainer, DES_FLIGHT_SERIES,
 };
 use paratreet_apps::collision::{orbital_period, DiskSimulation};
 use paratreet_apps::gravity::{CentroidData, GravityVisitor};
@@ -25,6 +32,7 @@ use paratreet_runtime::{
     CrashConfig, CrashPhase, CrashTrigger, FaultConfig, FaultInjector, FaultStats, MachineSpec,
 };
 use paratreet_telemetry::{export, FlightRecorder, MetricsRegistry, Telemetry};
+use paratreet_tree::CountData;
 use std::collections::HashMap;
 use std::process::exit;
 
@@ -32,6 +40,10 @@ const USAGE: &str = "\
 paratreet — spatial tree traversal framework (ParaTreeT reproduction)
 
 USAGE: paratreet <APP> [OPTIONS]
+
+Options are per app: one the chosen app (or engine) does not read stops
+the run, naming it. Every simulation app takes WORKLOAD, CONFIGURATION,
+INCREMENTAL and OUTPUT options; the sections below say who reads the rest.
 
 APPS:
   gravity     Barnes-Hut N-body (leapfrog integration)
@@ -65,20 +77,23 @@ CONFIGURATION:
   --tree KIND          oct | kd | longest-dim              [oct]
   --decomp KIND        sfc | oct | kd | longest-dim        [sfc]
   --traversal KIND     top-down | basic-dfs | up-and-down | dual-tree
+                       (gravity)                           [top-down]
   --bucket N           max bucket size                     [16]
   --subtrees N         minimum Subtrees                    [8]
   --partitions N       minimum Partitions                  [16]
-  --iterations N       simulation steps                    [1]
-  --theta T            Barnes-Hut opening angle            [0.7]
-  --k N                SPH/kNN neighbour count             [32]
-  --dt T               timestep (gravity/disk)             [auto]
+  --iterations N       simulation steps, on every engine   [1]
+  --theta T            Barnes-Hut opening angle (gravity)  [0.7]
+  --k N                SPH/kNN neighbour count (sph,
+                       serve-bench)                        [32]
+  --dt T               timestep (gravity/sph/disk)         [auto]
 
-ENGINE:
+ENGINE (gravity: all three; fof: shared | machine; others: shared):
   --engine KIND        shared | threaded | machine         [shared]
   --ranks N            ranks for threaded/machine engines  [2]
-  --workers N          workers per rank                    [2]
+  --workers N          workers per rank (gravity threaded,
+                       fof machine)                        [2]
 
-INCREMENTAL TREE MAINTENANCE (all engines):
+INCREMENTAL TREE MAINTENANCE (gravity/sph/disk, all engines):
   --incremental B      maintain the tree across iterations instead
                        of rebuilding from scratch          [false]
   --inc-alpha F        BB[α] weight-balance factor: rebuild a
@@ -124,7 +139,7 @@ QUERY SERVING (serve-bench only):
                        publishing epoch N (0 = off); the
                        service enters stale-serving mode    [0]
 
-FAULT INJECTION (machine engine only; seeded, deterministic):
+FAULT INJECTION (gravity, machine engine only; seeded, deterministic):
   --fault-drop P       drop probability per message        [0]
   --fault-dup P        duplicate probability per message   [0]
   --fault-delay P      extra-delay probability per message [0]
@@ -132,7 +147,7 @@ FAULT INJECTION (machine engine only; seeded, deterministic):
   --fault-seed S       fault stream seed                   [0x5EEDCAFE]
   --fault-timeout T    fetch retry timeout, seconds        [5e-3]
 
-CRASH-STOP FAULTS (machine engine only; deterministic):
+CRASH-STOP FAULTS (gravity, machine engine only; deterministic):
   --crash-rank R       rank R crash-stops (requires --ranks >= 2)
   --crash-phase P      decomposition | tree-build | leaf-sharing |
                        traversal — crash at that phase start [traversal]
@@ -142,7 +157,7 @@ CRASH-STOP FAULTS (machine engine only; deterministic):
                        and re-shard onto survivors          [true]
   --crash-restart-delay T  reboot delay after detection, s  [5e-3]
 
-OUTPUT:
+OUTPUT (snapshot, CSV: gravity/sph/disk; time series: all but fof):
   --output FILE        write final .ptrt snapshot
   --csv FILE           write final state as CSV
   --trace-out FILE     write a Chrome trace of the run (open at
@@ -155,119 +170,180 @@ OUTPUT:
   --sample-ms T        serve-bench flight sampling interval, ms [5]
 ";
 
-/// Every option the binary reads, grouped as `USAGE`'s sections.
-/// `parse_args` rejects any other name; a test below holds this list and
-/// `USAGE` to each other.
+/// One application: what it runs on and which options it reads. An
+/// option outside its table stops the run.
+struct App {
+    name: &'static str,
+    /// Groups of options it reads on every engine.
+    options: &'static [&'static [&'static str]],
+    /// `(engine, options read on that engine only)`; the first engine is
+    /// the default.
+    engines: &'static [(&'static str, &'static [&'static str])],
+    run: fn(&Opts),
+}
+
+const WORKLOAD: &[&str] = &["particles", "dist", "seed", "input", "radius-scale", "tiles", "tile"];
+const TREE: &[&str] = &["tree", "decomp", "bucket", "subtrees", "partitions"];
+const MAINTAIN: &[&str] = &["inc-alpha", "inc-depth-slack", "inc-imbalance", "inc-universe-pad"];
+const STEPS: &[&str] = &["incremental", "iterations", "dt"];
+const OBSERVE: &[&str] = &["trace-out", "metrics-out"];
+const STATE_OUT: &[&str] = &["output", "csv", "timeseries-out"];
 #[rustfmt::skip]
-const OPTIONS: &[&str] = &[
-    "particles", "dist", "seed", "input", "radius-scale",
-    "tiles", "tile", "periodic", "link", "min-members",
-    "tree", "decomp", "traversal", "bucket", "subtrees", "partitions", "iterations", "theta", "k",
-    "dt",
-    "engine", "ranks", "workers",
-    "incremental", "inc-alpha", "inc-depth-slack", "inc-imbalance", "inc-universe-pad",
+const FAULTS: &[&str] = &[
+    "ranks",
+    "fault-drop", "fault-dup", "fault-delay", "fault-delay-s", "fault-seed", "fault-timeout",
+    "crash-rank", "crash-phase", "crash-time", "crash-restart", "crash-restart-delay",
+];
+#[rustfmt::skip]
+const SERVE: &[&str] = &[
+    "iterations", "k", "timeseries-out", "sample-ms",
     "clients", "queries", "serve-workers", "threads", "batch", "queue", "ring", "admission",
     "writer-pace-ms", "deadline-ms", "max-backlog-ms", "retries", "pace-us", "degrade",
     "respawn-limit", "inject-worker-panic", "inject-writer-panic",
-    "fault-drop", "fault-dup", "fault-delay", "fault-delay-s", "fault-seed", "fault-timeout",
-    "crash-rank", "crash-phase", "crash-time", "crash-restart", "crash-restart-delay",
-    "output", "csv", "trace-out", "metrics-out", "timeseries-out", "sample-ms",
+];
+const SHARED_ONLY: &[(&str, &[&str])] = &[("shared", &[])];
+
+const APPS: &[App] = &[
+    App {
+        name: "gravity",
+        options: &[WORKLOAD, TREE, MAINTAIN, STEPS, &["traversal", "theta"], OBSERVE, STATE_OUT],
+        engines: &[("shared", &[]), ("threaded", &["ranks", "workers"]), ("machine", FAULTS)],
+        run: run_gravity,
+    },
+    App {
+        name: "sph",
+        options: &[WORKLOAD, TREE, MAINTAIN, STEPS, &["k"], OBSERVE, STATE_OUT],
+        engines: SHARED_ONLY,
+        run: run_sph,
+    },
+    App {
+        name: "disk",
+        options: &[WORKLOAD, TREE, MAINTAIN, STEPS, OBSERVE, STATE_OUT],
+        engines: SHARED_ONLY,
+        run: run_disk,
+    },
+    App {
+        name: "serve-bench",
+        options: &[WORKLOAD, TREE, MAINTAIN, SERVE, OBSERVE],
+        engines: SHARED_ONLY,
+        run: run_serve_bench,
+    },
+    App {
+        name: "fof",
+        options: &[WORKLOAD, TREE, &["periodic", "link", "min-members"], OBSERVE],
+        engines: &[("shared", &[]), ("machine", &["ranks", "workers"])],
+        run: run_fof,
+    },
 ];
 
-fn parse_args() -> (String, HashMap<String, String>) {
-    let mut args = std::env::args().skip(1);
-    let app = match args.next() {
-        Some(a) if !a.starts_with("--") => a,
-        _ => {
-            eprintln!("{USAGE}");
-            exit(2);
+impl App {
+    /// Every option the app reads on some engine.
+    fn all_options(&self) -> impl Iterator<Item = &'static str> {
+        let per_engine = self.engines.iter().map(|(_, own)| *own);
+        self.options.iter().copied().chain(per_engine).flatten().copied().chain(["engine"])
+    }
+}
+
+/// The parsed `--name value` pairs of one invocation.
+struct Opts(HashMap<String, String>);
+
+impl Opts {
+    fn str(&self, key: &str) -> Option<&str> {
+        self.0.get(key).map(String::as_str)
+    }
+
+    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        match self.0.get(key) {
+            Some(v) => v.parse().unwrap_or_else(|_| {
+                eprintln!("bad value for --{key}: {v}");
+                exit(2);
+            }),
+            None => default,
         }
-    };
-    let mut opts = HashMap::new();
-    while let Some(k) = args.next() {
-        if let Some(name) = k.strip_prefix("--") {
-            if !OPTIONS.contains(&name) {
-                eprintln!("unknown option --{name}\n{USAGE}");
+    }
+
+    /// `--key`'s value looked up among `choices` — `default` names the
+    /// one an absent option means; any other value exits 2 listing them.
+    fn choice<T: Copy>(&self, key: &str, default: &str, choices: &[(&str, T)]) -> T {
+        let given = self.str(key).unwrap_or(default);
+        match choices.iter().find(|(name, _)| *name == given) {
+            Some(&(_, value)) => value,
+            None => {
+                let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
+                eprintln!("bad value for --{key}: {given} (expected {})", names.join(" | "));
                 exit(2);
             }
-            match args.next() {
-                Some(v) => {
-                    opts.insert(name.to_string(), v);
-                }
-                None => {
-                    eprintln!("missing value for --{name}\n{USAGE}");
-                    exit(2);
-                }
-            }
-        } else {
-            eprintln!("unexpected argument {k}\n{USAGE}");
+        }
+    }
+
+    /// Parses `--tiles AxBxC` (e.g. `2x2x1`).
+    fn tiles(&self) -> [usize; 3] {
+        let s = self.get("tiles", "2x2x1".to_string());
+        let parts: Vec<usize> = s.split('x').filter_map(|t| t.parse().ok()).collect();
+        if parts.len() != 3 || parts.contains(&0) {
+            eprintln!("bad value for --tiles: {s} (expected AxBxC, e.g. 2x2x1)");
             exit(2);
         }
+        [parts[0], parts[1], parts[2]]
+    }
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    exit(2);
+}
+
+/// Splits the command line into the app and its options. A name no app
+/// reads, or one the chosen app does not read on the chosen engine,
+/// stops the run; `help` takes any documented option and prints the
+/// usage text. The engine the run is on is left under `engine`.
+fn parse_args() -> (Option<&'static App>, Opts) {
+    let mut args = std::env::args().skip(1);
+    let name = match args.next() {
+        Some(a) if !a.starts_with("--") => a,
+        _ => usage_error("no application given"),
+    };
+    let app = APPS.iter().find(|a| a.name == name);
+    if app.is_none() && !matches!(name.as_str(), "help" | "-h") {
+        usage_error(&format!("unknown app {name}"));
+    }
+    let mut opts = Opts(HashMap::new());
+    while let Some(k) = args.next() {
+        let Some(name) = k.strip_prefix("--") else {
+            usage_error(&format!("unexpected argument {k}"));
+        };
+        if !APPS.iter().any(|a| a.all_options().any(|o| o == name)) {
+            usage_error(&format!("unknown option --{name}"));
+        }
+        match args.next() {
+            Some(v) => opts.0.insert(name.to_string(), v),
+            None => usage_error(&format!("missing value for --{name}")),
+        };
+    }
+    if let Some(app) = app {
+        let engine = opts.str("engine").unwrap_or(app.engines[0].0);
+        let Some((_, on_engine)) = app.engines.iter().find(|(e, _)| *e == engine) else {
+            let engines: Vec<&str> = app.engines.iter().map(|(e, _)| *e).collect();
+            eprintln!(
+                "{} does not run on engine {engine} (only {})",
+                app.name,
+                engines.join(" | ")
+            );
+            exit(2);
+        };
+        let read = [&["engine"][..], on_engine, &app.options.concat()].concat();
+        if let Some(name) = opts.0.keys().find(|name| !read.contains(&name.as_str())) {
+            eprintln!("option --{name} is not read by {} on the {engine} engine", app.name);
+            exit(2);
+        }
+        let engine = engine.to_string();
+        opts.0.insert("engine".to_string(), engine);
     }
     (app, opts)
 }
 
-fn get<T: std::str::FromStr>(opts: &HashMap<String, String>, key: &str, default: T) -> T {
-    match opts.get(key) {
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("bad value for --{key}: {v}");
-            exit(2);
-        }),
-        None => default,
-    }
-}
-
-fn tree_type(s: &str) -> paratreet_tree::TreeType {
-    match s {
-        "oct" => paratreet_tree::TreeType::Octree,
-        "kd" => paratreet_tree::TreeType::KdTree,
-        "longest-dim" => paratreet_tree::TreeType::LongestDim,
-        _ => {
-            eprintln!("unknown tree type {s}");
-            exit(2);
-        }
-    }
-}
-
-fn decomp_type(s: &str) -> DecompType {
-    match s {
-        "sfc" => DecompType::Sfc,
-        "oct" => DecompType::Oct,
-        "kd" => DecompType::Kd,
-        "longest-dim" => DecompType::LongestDim,
-        _ => {
-            eprintln!("unknown decomposition type {s}");
-            exit(2);
-        }
-    }
-}
-
-fn traversal_kind(s: &str) -> TraversalKind {
-    match s {
-        "top-down" => TraversalKind::TopDown,
-        "basic-dfs" => TraversalKind::BasicDfs,
-        "up-and-down" => TraversalKind::UpAndDown,
-        "dual-tree" => TraversalKind::DualTree,
-        _ => {
-            eprintln!("unknown traversal {s}");
-            exit(2);
-        }
-    }
-}
-
-/// Parses `--tiles AxBxC` (e.g. `2x2x1`).
-fn parse_tiles(opts: &HashMap<String, String>) -> [usize; 3] {
-    let s = get(opts, "tiles", "2x2x1".to_string());
-    let parts: Vec<usize> = s.split('x').filter_map(|t| t.parse().ok()).collect();
-    if parts.len() != 3 || parts.contains(&0) {
-        eprintln!("bad value for --tiles: {s} (expected AxBxC, e.g. 2x2x1)");
-        exit(2);
-    }
-    [parts[0], parts[1], parts[2]]
-}
-
-fn load_particles(app: &str, opts: &HashMap<String, String>) -> Vec<Particle> {
-    if let Some(path) = opts.get("input") {
+fn load_particles(app: &str, opts: &Opts) -> Vec<Particle> {
+    if let Some(path) = opts.str("input") {
         match io::read_snapshot(path) {
             Ok(ps) => {
                 println!("loaded {} particles from {path}", ps.len());
@@ -279,102 +355,78 @@ fn load_particles(app: &str, opts: &HashMap<String, String>) -> Vec<Particle> {
             }
         }
     }
-    let n = get(opts, "particles", 10_000usize);
-    let seed = get(opts, "seed", 1u64);
+    let n = opts.get("particles", 10_000usize);
+    let seed = opts.get("seed", 1u64);
     let default_dist = match app {
         "sph" => "lattice",
         "disk" => "disk",
         "fof" => "tiled",
         _ => "plummer",
     };
-    let binding = default_dist.to_string();
-    let dist = opts.get("dist").unwrap_or(&binding);
-    match dist.as_str() {
-        "uniform" => gen::uniform_cube(n, seed, 1.0, 1.0),
-        "plummer" => gen::plummer(n, seed, 1.0, 1.0),
-        "clustered" => gen::clustered(n, 4, seed, 1.0, 1.0),
-        "lattice" => gen::perturbed_lattice(n, seed, 0.5, 0.02),
-        "tiled" => gen::tiled_plummer(n, parse_tiles(opts), seed, get(opts, "tile", 1.0), 1.0),
-        "disk" => {
+    let generators: [(&str, &dyn Fn() -> Vec<Particle>); 6] = [
+        ("uniform", &|| gen::uniform_cube(n, seed, 1.0, 1.0)),
+        ("plummer", &|| gen::plummer(n, seed, 1.0, 1.0)),
+        ("clustered", &|| gen::clustered(n, 4, seed, 1.0, 1.0)),
+        ("lattice", &|| gen::perturbed_lattice(n, seed, 0.5, 0.02)),
+        ("tiled", &|| gen::tiled_plummer(n, opts.tiles(), seed, opts.get("tile", 1.0), 1.0)),
+        ("disk", &|| {
             let mut params = DiskParams::default();
-            params.body_radius *= get(opts, "radius-scale", 3e4);
+            params.body_radius *= opts.get("radius-scale", 3e4);
             gen::keplerian_disk(n, seed, params)
-        }
-        other => {
-            eprintln!("unknown distribution {other}");
-            exit(2);
-        }
-    }
+        }),
+    ];
+    opts.choice("dist", default_dist, &generators)()
 }
 
-fn write_outputs(opts: &HashMap<String, String>, particles: &[Particle]) {
-    if let Some(path) = opts.get("output") {
-        if let Err(e) = io::write_snapshot(path, particles) {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        }
-        println!("wrote snapshot to {path}");
-    }
-    if let Some(path) = opts.get("csv") {
-        match std::fs::File::create(path) {
-            Ok(mut f) => {
-                io::write_csv(&mut f, particles).expect("csv write");
-                println!("wrote CSV to {path}");
-            }
-            Err(e) => {
-                eprintln!("cannot create {path}: {e}");
-                exit(1);
-            }
-        }
-    }
-}
-
-fn configuration(opts: &HashMap<String, String>) -> Configuration {
+fn configuration(opts: &Opts, default_tree: &str, default_decomp: &str) -> Configuration {
+    use paratreet_tree::TreeType;
+    let trees = [
+        ("oct", TreeType::Octree),
+        ("kd", TreeType::KdTree),
+        ("longest-dim", TreeType::LongestDim),
+    ];
+    let decomps = [
+        ("sfc", DecompType::Sfc),
+        ("oct", DecompType::Oct),
+        ("kd", DecompType::Kd),
+        ("longest-dim", DecompType::LongestDim),
+    ];
     let mut config = Configuration {
-        tree_type: tree_type(&get(opts, "tree", "oct".to_string())),
-        decomp_type: decomp_type(&get(opts, "decomp", "sfc".to_string())),
-        bucket_size: get(opts, "bucket", 16usize),
-        n_subtrees: get(opts, "subtrees", 8usize),
-        n_partitions: get(opts, "partitions", 16usize),
-        iterations: get(opts, "iterations", 1usize),
+        tree_type: opts.choice("tree", default_tree, &trees),
+        decomp_type: opts.choice("decomp", default_decomp, &decomps),
+        bucket_size: opts.get("bucket", 16usize),
+        n_subtrees: opts.get("subtrees", 8usize),
+        n_partitions: opts.get("partitions", 16usize),
         ..Default::default()
     };
     let inc = &mut config.incremental;
-    inc.enabled = get(opts, "incremental", inc.enabled);
-    inc.balance_alpha = get(opts, "inc-alpha", inc.balance_alpha);
-    inc.balance_depth_slack = get(opts, "inc-depth-slack", inc.balance_depth_slack);
-    inc.imbalance_rebuild = get(opts, "inc-imbalance", inc.imbalance_rebuild);
-    inc.universe_pad = get(opts, "inc-universe-pad", inc.universe_pad);
+    inc.enabled = opts.get("incremental", inc.enabled);
+    inc.balance_alpha = opts.get("inc-alpha", inc.balance_alpha);
+    inc.balance_depth_slack = opts.get("inc-depth-slack", inc.balance_depth_slack);
+    inc.imbalance_rebuild = opts.get("inc-imbalance", inc.imbalance_rebuild);
+    inc.universe_pad = opts.get("inc-universe-pad", inc.universe_pad);
     config
 }
 
 /// Scheduled crash-stop knobs; `None` unless `--crash-rank` was given.
-fn crash_config(opts: &HashMap<String, String>) -> Option<CrashConfig> {
-    let rank = opts.get("crash-rank")?;
-    let rank: u32 = rank.parse().unwrap_or_else(|_| {
-        eprintln!("bad value for --crash-rank: {rank}");
-        exit(2);
-    });
-    let trigger = if opts.contains_key("crash-time") {
-        CrashTrigger::AtTime(get(opts, "crash-time", 0.0f64))
+fn crash_config(opts: &Opts) -> Option<CrashConfig> {
+    opts.str("crash-rank")?;
+    let phases = [
+        ("decomposition", CrashPhase::Decomposition),
+        ("tree-build", CrashPhase::TreeBuild),
+        ("leaf-sharing", CrashPhase::LeafSharing),
+        ("traversal", CrashPhase::Traversal),
+    ];
+    let trigger = if opts.str("crash-time").is_some() {
+        CrashTrigger::AtTime(opts.get("crash-time", 0.0f64))
     } else {
-        let phase = match get(opts, "crash-phase", "traversal".to_string()).as_str() {
-            "decomposition" => CrashPhase::Decomposition,
-            "tree-build" => CrashPhase::TreeBuild,
-            "leaf-sharing" => CrashPhase::LeafSharing,
-            "traversal" => CrashPhase::Traversal,
-            other => {
-                eprintln!("unknown crash phase {other}");
-                exit(2);
-            }
-        };
-        CrashTrigger::AtPhase(phase)
+        CrashTrigger::AtPhase(opts.choice("crash-phase", "traversal", &phases))
     };
     Some(CrashConfig {
-        rank,
+        rank: opts.get("crash-rank", 0u32),
         trigger,
-        restart: get(opts, "crash-restart", true),
-        restart_delay_s: get(opts, "crash-restart-delay", 5e-3),
+        restart: opts.get("crash-restart", true),
+        restart_delay_s: opts.get("crash-restart-delay", 5e-3),
     })
 }
 
@@ -382,138 +434,166 @@ fn crash_config(opts: &HashMap<String, String>) -> Option<CrashConfig> {
 /// probability is zero and no crash is scheduled (a perfect network
 /// needs no retry machinery). Every rejected configuration is reported
 /// through [`FaultConfigError`]'s rendering, not a panic.
-fn fault_config(opts: &HashMap<String, String>) -> Option<FaultConfig> {
-    let drop_p = get(opts, "fault-drop", 0.0f64);
-    let duplicate_p = get(opts, "fault-dup", 0.0f64);
-    let delay_p = get(opts, "fault-delay", 0.0f64);
+fn fault_config(opts: &Opts, ranks: usize) -> Option<FaultConfig> {
+    let drop_p = opts.get("fault-drop", 0.0f64);
+    let duplicate_p = opts.get("fault-dup", 0.0f64);
+    let delay_p = opts.get("fault-delay", 0.0f64);
     let crash = crash_config(opts);
     if drop_p == 0.0 && duplicate_p == 0.0 && delay_p == 0.0 && crash.is_none() {
         return None;
     }
     let config = FaultConfig {
-        seed: get(opts, "fault-seed", 0x5EED_CAFEu64),
+        seed: opts.get("fault-seed", 0x5EED_CAFEu64),
         drop_p,
         duplicate_p,
         delay_p,
-        delay_s: get(opts, "fault-delay-s", 2e-3),
-        retry_timeout_s: get(opts, "fault-timeout", 5e-3),
+        delay_s: opts.get("fault-delay-s", 2e-3),
+        retry_timeout_s: opts.get("fault-timeout", 5e-3),
         crash,
     };
     if let Err(e) = FaultInjector::new(config) {
         eprintln!("invalid fault configuration: {e}");
         exit(2);
     }
+    if let Some(c) = crash.filter(|c| ranks < 2 || c.rank as usize >= ranks) {
+        eprintln!(
+            "--crash-rank {} needs a machine of at least 2 ranks \
+             with the crashed rank on it (got --ranks {ranks})",
+            c.rank
+        );
+        exit(2);
+    }
     Some(config)
 }
 
-/// The telemetry handle for a run: enabled when `--trace-out` was
-/// given (virtual clock for the machine engine, wall clock otherwise),
-/// disabled — and therefore free — when it wasn't.
-fn telemetry_for(opts: &HashMap<String, String>, virtual_clock: bool, shards: usize) -> Telemetry {
-    if !opts.contains_key("trace-out") {
-        return Telemetry::disabled();
-    }
-    if virtual_clock {
-        Telemetry::virtual_time(shards)
-    } else {
-        Telemetry::wall(shards)
-    }
+/// Where a run's observations go: the telemetry handle behind
+/// `--trace-out` and the flight recorder behind `--timeseries-out`
+/// (virtual clock for the machine engine, wall clock otherwise) — each
+/// disabled, and therefore free, when its flag was not given — and,
+/// once the run is over, every file an output flag names.
+struct Outputs<'a> {
+    opts: &'a Opts,
+    telemetry: Telemetry,
+    flight: FlightRecorder,
 }
 
-/// Drains `telemetry` into `--trace-out` and dumps `metrics` to
-/// `--metrics-out`, when the respective flag was given.
-fn write_telemetry(
-    opts: &HashMap<String, String>,
-    telemetry: &Telemetry,
-    metrics: Option<&MetricsRegistry>,
-) {
-    if let Some(path) = opts.get("trace-out") {
-        match export::write_chrome_trace(path, &telemetry.drain()) {
-            Ok(()) => println!("wrote Chrome trace to {path} (load at ui.perfetto.dev)"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                exit(1);
-            }
-        }
-    }
-    if let Some(path) = opts.get("metrics-out") {
-        let Some(metrics) = metrics else {
-            eprintln!("--metrics-out is not supported for this app/engine combination");
-            exit(2);
+/// Flight rows a simulation of `iterations` steps can write.
+fn step_rows(iterations: usize) -> usize {
+    (iterations + 1) * 2 + 8
+}
+
+impl<'a> Outputs<'a> {
+    /// `extra_threads` are the OS threads the engine adds to the pool's;
+    /// `series` and `capacity` shape the flight recorder.
+    fn new(
+        opts: &'a Opts,
+        virtual_clock: bool,
+        extra_threads: usize,
+        series: &[&'static str],
+        capacity: usize,
+    ) -> Outputs<'a> {
+        let shards =
+            extra_threads + std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8) + 1;
+        let telemetry = match (opts.str("trace-out").is_some(), virtual_clock) {
+            (false, _) => Telemetry::disabled(),
+            (true, true) => Telemetry::virtual_time(1),
+            (true, false) => Telemetry::wall(shards),
         };
-        match export::write_metrics(path, metrics) {
-            Ok(()) => println!("wrote metrics to {path}"),
+        let flight = match (opts.str("timeseries-out").is_some(), virtual_clock) {
+            (false, _) => FlightRecorder::disabled(),
+            (true, true) => FlightRecorder::virtual_time(series, capacity),
+            (true, false) => FlightRecorder::wall(series, capacity),
+        };
+        Outputs { opts, telemetry, flight }
+    }
+
+    /// Writes the file behind `flag`, if it was given; a failure ends
+    /// the run with exit 1.
+    fn file(&self, flag: &str, what: &str, write: impl FnOnce(&str) -> std::io::Result<()>) {
+        let Some(path) = self.opts.str(flag) else { return };
+        match write(path) {
+            Ok(()) => println!("wrote {what} to {path}"),
             Err(e) => {
                 eprintln!("cannot write {path}: {e}");
                 exit(1);
             }
         }
     }
-}
 
-/// Wall-clock shard count for engines running on OS threads.
-fn wall_shards(extra_threads: usize) -> usize {
-    extra_threads + std::thread::available_parallelism().map(|n| n.get()).unwrap_or(8) + 1
-}
-
-/// The flight-recorder handle for a run: enabled when
-/// `--timeseries-out` was given (virtual clock for the machine engine,
-/// wall clock otherwise), disabled — and therefore free — otherwise.
-fn flight_for(
-    opts: &HashMap<String, String>,
-    virtual_clock: bool,
-    series: &[&'static str],
-    capacity: usize,
-) -> FlightRecorder {
-    if !opts.contains_key("timeseries-out") {
-        return FlightRecorder::disabled();
-    }
-    if virtual_clock {
-        FlightRecorder::virtual_time(series, capacity)
-    } else {
-        FlightRecorder::wall(series, capacity)
+    /// Drains the trace, dumps `metrics` and the flight window, and
+    /// writes the final `particles` — each where its flag points.
+    fn write(&self, metrics: &MetricsRegistry, particles: &[Particle]) {
+        self.file("trace-out", "Chrome trace", |path| {
+            export::write_chrome_trace(path, &self.telemetry.drain())
+        });
+        self.file("metrics-out", "metrics", |path| export::write_metrics(path, metrics));
+        self.file("timeseries-out", "flight-recorder series", |path| {
+            export::write_timeseries(path, &self.flight.snapshot())
+        });
+        self.file("output", "snapshot", |path| io::write_snapshot(path, particles));
+        self.file("csv", "CSV", |path| {
+            std::fs::File::create(path).and_then(|mut f| io::write_csv(&mut f, particles))
+        });
     }
 }
 
-/// Writes the flight-recorder window to `--timeseries-out`, when given.
-fn write_flight(opts: &HashMap<String, String>, flight: &FlightRecorder) {
-    if let Some(path) = opts.get("timeseries-out") {
-        match export::write_timeseries(path, &flight.snapshot()) {
-            Ok(()) => println!("wrote flight-recorder series to {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                exit(1);
-            }
+/// `iterations` iterations on a message engine: `iterate` runs one over
+/// the particles it is handed (against the maintained tree, or a fresh
+/// one) and `particles_of` takes them back out of its report; in
+/// between, the particles drift under the forces just computed.
+fn message_engine_steps<R>(
+    (iterations, dt): (usize, f64),
+    particles: Vec<Particle>,
+    mut iterate: impl FnMut(Vec<Particle>) -> R,
+    particles_of: impl Fn(&mut R) -> &mut Vec<Particle>,
+    step_line: impl Fn(usize, &R),
+) -> R {
+    let mut rep = iterate(particles);
+    for step in 1..iterations.max(1) {
+        let mut ps = std::mem::take(particles_of(&mut rep));
+        for p in ps.iter_mut() {
+            p.vel += p.acc * dt;
+            p.pos += p.vel * dt;
+            p.acc = Vec3::ZERO;
+            p.potential = 0.0;
         }
+        rep = iterate(ps);
+        step_line(step, &rep);
     }
+    rep
 }
 
-fn run_gravity(opts: &HashMap<String, String>) {
+fn run_gravity(opts: &Opts) {
     let mut particles = load_particles("gravity", opts);
     for p in &mut particles {
         if p.softening == 0.0 {
             p.softening = 0.01;
         }
     }
-    let config = configuration(opts);
-    let kind = traversal_kind(&get(opts, "traversal", "top-down".to_string()));
-    let visitor = GravityVisitor { theta: get(opts, "theta", 0.7), g: 1.0 };
-    let iterations = config.iterations;
-    let dt = get(opts, "dt", 1.0 / 64.0);
-    let engine = get(opts, "engine", "shared".to_string());
-
-    match engine.as_str() {
-        "shared" => {
-            let telemetry = telemetry_for(opts, false, wall_shards(0));
-            let flight = flight_for(
-                opts,
-                false,
-                paratreet::core_api::framework::FLIGHT_SERIES,
-                (iterations + 1) * 2 + 8,
-            );
+    let config = configuration(opts, "oct", "sfc");
+    let traversals = [
+        ("top-down", TraversalKind::TopDown),
+        ("basic-dfs", TraversalKind::BasicDfs),
+        ("up-and-down", TraversalKind::UpAndDown),
+        ("dual-tree", TraversalKind::DualTree),
+    ];
+    let kind = opts.choice("traversal", "top-down", &traversals);
+    let visitor = GravityVisitor { theta: opts.get("theta", 0.7), g: 1.0 };
+    let steps @ (iterations, dt) = (opts.get("iterations", 1usize), opts.get("dt", 1.0 / 64.0));
+    let (ranks, workers) = (opts.get("ranks", 2usize), opts.get("workers", 2usize));
+    // Maintained mode: the tree persists across iterations inside
+    // `slot`; each step patches it instead of rebuilding it (on the
+    // simulated machine, charging Phase::TreeUpdate instead of full
+    // decomposition + build time).
+    let (maintained, mut slot) = (config.incremental.enabled, None);
+    match opts.str("engine") {
+        // Leapfrog (kick-drift-kick): one traversal for the initial
+        // forces, then one per step.
+        Some("shared") => {
+            let out = Outputs::new(opts, false, 0, FLIGHT_SERIES, step_rows(iterations));
             let mut fw: Framework<CentroidData> = Framework::new(config, particles)
-                .with_telemetry(telemetry.clone())
-                .with_flight_recorder(flight.clone());
+                .with_telemetry(out.telemetry.clone())
+                .with_flight_recorder(out.flight.clone());
             fw.step(|s| {
                 s.traverse(&visitor, kind);
             });
@@ -539,177 +619,121 @@ fn run_gravity(opts: &HashMap<String, String>) {
                 );
                 last_metrics = report.metrics();
             }
-            write_telemetry(opts, &telemetry, Some(&last_metrics));
-            write_flight(opts, &flight);
-            write_outputs(opts, fw.particles());
+            out.write(&last_metrics, fw.particles());
         }
-        "threaded" => {
-            let ranks = get(opts, "ranks", 2usize);
-            let workers = get(opts, "workers", 2usize);
-            let incremental = config.incremental.enabled;
-            let telemetry = telemetry_for(opts, false, wall_shards(ranks * workers + ranks));
-            let flight = flight_for(
-                opts,
-                false,
-                paratreet::core_api::framework::FLIGHT_SERIES,
-                (iterations + 1) * 2 + 8,
-            );
+        Some("threaded") => {
+            let threads = ranks * workers + ranks;
+            let out = Outputs::new(opts, false, threads, FLIGHT_SERIES, step_rows(iterations));
             let eng = ThreadedEngine::new(config, ranks, workers, &visitor)
-                .with_telemetry(telemetry.clone())
-                .with_flight_recorder(flight.clone());
-            let rep = if incremental {
-                // Maintained mode: the tree persists across iterations
-                // inside `slot`; each step drifts the particles and
-                // patches the tree instead of rebuilding it.
-                let mut slot = None;
-                let mut rep = eng.run_maintained(&mut slot, particles, kind);
-                for step in 1..iterations.max(1) {
-                    let mut ps = rep.particles;
-                    for p in ps.iter_mut() {
-                        p.vel += p.acc * dt;
-                        p.pos += p.vel * dt;
-                        p.acc = Vec3::ZERO;
-                        p.potential = 0.0;
-                    }
-                    rep = eng.run_maintained(&mut slot, ps, kind);
-                    println!(
-                        "step {step}: {} pp interactions, update {:.1} ms",
-                        rep.counts.leaf_interactions,
-                        rep.metrics.get_f64("time.update_s") * 1e3
-                    );
+                .with_telemetry(out.telemetry.clone())
+                .with_flight_recorder(out.flight.clone());
+            let iterate = |ps| {
+                if maintained {
+                    eng.run_maintained(&mut slot, ps, kind)
+                } else {
+                    eng.run_iteration(ps, kind)
                 }
-                rep
-            } else {
-                eng.run_iteration(particles, kind)
             };
+            let rep = message_engine_steps(
+                steps,
+                particles,
+                iterate,
+                |r| &mut r.particles,
+                |step, r| {
+                    let update_ms = r.metrics.get_f64("time.update_s") * 1e3;
+                    let pp = r.counts.leaf_interactions;
+                    println!("step {step}: {pp} pp interactions, update {update_ms:.1} ms");
+                },
+            );
             println!(
                 "threaded ({ranks}x{workers}): {} pp interactions, {} remote fills, {} fetches",
                 rep.counts.leaf_interactions, rep.remote_fills, rep.cache.requests_sent
             );
-            write_telemetry(opts, &telemetry, Some(&rep.metrics));
-            write_flight(opts, &flight);
-            write_outputs(opts, &rep.particles);
+            out.write(&rep.metrics, &rep.particles);
         }
-        "machine" => {
-            let ranks = get(opts, "ranks", 2usize);
-            let incremental = config.incremental.enabled;
-            let telemetry = telemetry_for(opts, true, 1);
-            let flight = flight_for(
-                opts,
-                true,
-                paratreet::core_api::DES_FLIGHT_SERIES,
-                (iterations + 1) * 2 + 8,
-            );
-            let mut eng = DistributedEngine::new(
-                MachineSpec::stampede2(ranks),
-                config,
-                CacheModel::WaitFree,
-                kind,
-                &visitor,
-            )
-            .with_telemetry(telemetry.clone())
-            .with_flight_recorder(flight.clone());
-            if let Some(f) = fault_config(opts) {
-                if let Some(c) = f.crash {
-                    if ranks < 2 || c.rank as usize >= ranks {
-                        eprintln!(
-                            "--crash-rank {} needs a machine of at least 2 ranks \
-                             with the crashed rank on it (got --ranks {ranks})",
-                            c.rank
-                        );
-                        exit(2);
-                    }
-                }
+        _ => {
+            let out = Outputs::new(opts, true, 0, DES_FLIGHT_SERIES, step_rows(iterations));
+            let machine = MachineSpec::stampede2(ranks);
+            let mut eng =
+                DistributedEngine::new(machine, config, CacheModel::WaitFree, kind, &visitor)
+                    .with_telemetry(out.telemetry.clone())
+                    .with_flight_recorder(out.flight.clone());
+            if let Some(f) = fault_config(opts, ranks) {
                 eng = eng.with_faults(f);
             }
-            let rep = if incremental {
-                // Maintained mode on the simulated machine: later
-                // iterations charge Phase::TreeUpdate instead of full
-                // decomposition + build time.
-                let mut slot = None;
-                let mut rep = eng.run_maintained(&mut slot, particles);
-                for step in 1..iterations.max(1) {
-                    let mut ps = rep.particles;
-                    for p in ps.iter_mut() {
-                        p.vel += p.acc * dt;
-                        p.pos += p.vel * dt;
-                        p.acc = Vec3::ZERO;
-                        p.potential = 0.0;
-                    }
-                    rep = eng.run_maintained(&mut slot, ps);
+            let iterate = |ps| {
+                if maintained {
+                    eng.run_maintained(&mut slot, ps)
+                } else {
+                    eng.run_iteration(ps)
+                }
+            };
+            let rep = message_engine_steps(
+                steps,
+                particles,
+                iterate,
+                |r| &mut r.particles,
+                |step, r| {
                     println!(
                         "step {step}: makespan {:.3} ms, {} buckets patched, {} migrated",
-                        rep.makespan * 1e3,
-                        rep.metrics.get_u64("tree.update.patched"),
-                        rep.metrics.get_u64("tree.update.round_migrated")
+                        r.makespan * 1e3,
+                        r.metrics.get_u64("tree.update.patched"),
+                        r.metrics.get_u64("tree.update.round_migrated")
                     );
-                }
-                rep
-            } else {
-                eng.run_iteration(particles)
-            };
-            println!(
-                "machine model ({ranks} nodes): makespan {:.3} ms, utilization {:.1}%, {} bytes on the wire",
-                rep.makespan * 1e3,
-                rep.utilization * 100.0,
-                rep.comm.bytes
+                },
             );
-            if rep.faults != FaultStats::default() || rep.fetch_retries > 0 {
-                println!(
-                    "faults injected: {} dropped, {} duplicated, {} delayed; {} fetch retries, {} fill errors",
-                    rep.faults.dropped,
-                    rep.faults.duplicated,
-                    rep.faults.delayed,
-                    rep.fetch_retries,
-                    rep.fill_errors
-                );
-            }
-            if rep.recovery.count > 0 {
-                let r = &rep.recovery;
-                println!(
-                    "crash recovered: detected at {:.3} ms, done at {:.3} ms ({}); \
-                     {} stale fills rejected, {} checkpoint bytes read",
-                    r.detected_s * 1e3,
-                    r.completed_s * 1e3,
-                    if r.restarted > 0 {
-                        "rank restarted from checkpoint".to_string()
-                    } else {
-                        format!(
-                            "{} subtrees re-sharded, {} partitions moved",
-                            r.resharded_subtrees, r.moved_partitions
-                        )
-                    },
-                    r.stale_fills,
-                    r.restored_bytes
-                );
-            }
-            write_telemetry(opts, &telemetry, Some(&rep.metrics));
-            write_flight(opts, &flight);
-            write_outputs(opts, &rep.particles);
-        }
-        other => {
-            eprintln!("unknown engine {other}");
-            exit(2);
+            print_machine_summary(&rep, ranks);
+            out.write(&rep.metrics, &rep.particles);
         }
     }
 }
 
-fn run_sph(opts: &HashMap<String, String>) {
-    let particles = load_particles("sph", opts);
-    let config = configuration(opts);
-    let iterations = config.iterations;
-    let telemetry = telemetry_for(opts, false, wall_shards(0));
-    let flight = flight_for(
-        opts,
-        false,
-        paratreet::core_api::framework::FLIGHT_SERIES,
-        (iterations + 1) * 2 + 8,
+fn print_machine_summary(rep: &paratreet::core_api::IterationReport, ranks: usize) {
+    println!(
+        "machine model ({ranks} nodes): makespan {:.3} ms, utilization {:.1}%, {} bytes on the wire",
+        rep.makespan * 1e3,
+        rep.utilization * 100.0,
+        rep.comm.bytes
     );
-    let mut fw = sph_framework(config, particles);
-    fw.telemetry = telemetry.clone();
-    fw.flight = flight.clone();
-    let sph = SphSimulation { k: get(opts, "k", 32usize), ..Default::default() };
-    let dt = get(opts, "dt", 1e-3);
+    if rep.faults != FaultStats::default() || rep.fetch_retries > 0 {
+        println!(
+            "faults injected: {} dropped, {} duplicated, {} delayed; {} fetch retries, {} fill errors",
+            rep.faults.dropped,
+            rep.faults.duplicated,
+            rep.faults.delayed,
+            rep.fetch_retries,
+            rep.fill_errors
+        );
+    }
+    let r = &rep.recovery;
+    if r.count > 0 {
+        let how = match r.restarted {
+            0 => format!(
+                "{} subtrees re-sharded, {} partitions moved",
+                r.resharded_subtrees, r.moved_partitions
+            ),
+            _ => "rank restarted from checkpoint".to_string(),
+        };
+        println!(
+            "crash recovered: detected at {:.3} ms, done at {:.3} ms ({how}); \
+             {} stale fills rejected, {} checkpoint bytes read",
+            r.detected_s * 1e3,
+            r.completed_s * 1e3,
+            r.stale_fills,
+            r.restored_bytes
+        );
+    }
+}
+
+fn run_sph(opts: &Opts) {
+    let particles = load_particles("sph", opts);
+    let iterations = opts.get("iterations", 1usize);
+    let out = Outputs::new(opts, false, 0, FLIGHT_SERIES, step_rows(iterations));
+    let mut fw = sph_framework(configuration(opts, "oct", "sfc"), particles);
+    fw.telemetry = out.telemetry.clone();
+    fw.flight = out.flight.clone();
+    let sph = SphSimulation { k: opts.get("k", 32usize), ..Default::default() };
+    let dt = opts.get("dt", 1e-3);
     let mut metrics = MetricsRegistry::new();
     for step in 0..iterations {
         for p in fw.particles_mut().iter_mut() {
@@ -728,33 +752,19 @@ fn run_sph(opts: &HashMap<String, String>) {
         metrics.set_u64("sph.neighbor_entries", stats.neighbor_entries as u64);
         metrics.set_u64("sph.steps", (step + 1) as u64);
     }
-    write_telemetry(opts, &telemetry, Some(&metrics));
-    write_flight(opts, &flight);
-    write_outputs(opts, fw.particles());
+    out.write(&metrics, fw.particles());
 }
 
-fn run_disk(opts: &HashMap<String, String>) {
+fn run_disk(opts: &Opts) {
     let particles = load_particles("disk", opts);
-    let mut config = configuration(opts);
-    if !opts.contains_key("tree") {
-        config.tree_type = paratreet_tree::TreeType::LongestDim;
-    }
-    if !opts.contains_key("decomp") {
-        config.decomp_type = DecompType::LongestDim;
-    }
-    let iterations = config.iterations;
+    let config = configuration(opts, "longest-dim", "longest-dim");
+    let iterations = opts.get("iterations", 1usize);
     let star_mass = particles.first().map(|p| p.mass).unwrap_or(1.0);
-    let dt = get(opts, "dt", orbital_period(2.0, star_mass) / 50.0);
-    let telemetry = telemetry_for(opts, false, wall_shards(0));
-    let flight = flight_for(
-        opts,
-        false,
-        paratreet::core_api::framework::FLIGHT_SERIES,
-        (iterations + 1) * 2 + 8,
-    );
+    let dt = opts.get("dt", orbital_period(2.0, star_mass) / 50.0);
+    let out = Outputs::new(opts, false, 0, FLIGHT_SERIES, step_rows(iterations));
     let mut sim = DiskSimulation::new(config, particles, dt);
-    sim.framework.telemetry = telemetry.clone();
-    sim.framework.flight = flight.clone();
+    sim.framework.telemetry = out.telemetry.clone();
+    sim.framework.flight = out.flight.clone();
     for step in 0..iterations {
         let events = sim.step();
         if !events.is_empty() {
@@ -770,75 +780,57 @@ fn run_disk(opts: &HashMap<String, String>) {
     metrics.set_u64("disk.collisions", sim.events.len() as u64);
     metrics.set_u64("disk.steps", iterations as u64);
     metrics.set_u64("disk.bodies_remaining", sim.framework.particles().len() as u64);
-    write_telemetry(opts, &telemetry, Some(&metrics));
-    write_flight(opts, &flight);
-    write_outputs(opts, sim.framework.particles());
+    out.write(&metrics, sim.framework.particles());
 }
 
-fn run_serve_bench(opts: &HashMap<String, String>) {
+fn run_serve_bench(opts: &Opts) {
     use paratreet_serve::{
-        run_load, AdmissionPolicy, DegradeConfig, FailPoints, LoadConfig, QueryClass, QueryService,
+        run_load, AdmissionPolicy, DegradeConfig, FailPoints, LoadConfig, QueryService,
         ServeConfig, WriterConfig,
     };
-    use paratreet_tree::CountData;
+    use std::time::Duration;
 
     let particles = load_particles("serve-bench", opts);
-    let mut config = configuration(opts);
+    let mut config = configuration(opts, "oct", "sfc");
     config.incremental.enabled = true;
-    let admission = match get(opts, "admission", "defer".to_string()).as_str() {
-        "defer" => AdmissionPolicy::Defer,
-        "shed" => AdmissionPolicy::Shed,
-        "cost" => AdmissionPolicy::CostAware,
-        other => {
-            eprintln!("unknown admission policy {other} (defer | shed | cost)");
-            exit(2);
-        }
-    };
-    let iterations = get(opts, "iterations", 0u64);
-    let pace_ms = get(opts, "writer-pace-ms", 0u64);
-    let deadline_ms = get(opts, "deadline-ms", 0u64);
-    let max_backlog_ms = get(opts, "max-backlog-ms", 0u64);
-    let degrade_on = get(opts, "degrade", 0u64) != 0;
-    let fail = FailPoints {
-        worker_panic_at_batch: match get(opts, "inject-worker-panic", 0u64) {
-            0 => None,
-            n => Some(n),
-        },
-        writer_panic_at_epoch: match get(opts, "inject-writer-panic", 0u64) {
-            0 => None,
-            n => Some(n),
-        },
-    };
-
-    let (maintainer, seed_trees) =
-        paratreet::core_api::TreeMaintainer::<CountData>::seed(&config, particles, true);
+    let admissions = [
+        ("defer", AdmissionPolicy::Defer),
+        ("shed", AdmissionPolicy::Shed),
+        ("cost", AdmissionPolicy::CostAware),
+    ];
+    // `--name 0` switches the feature off.
+    let nonzero = |name: &str| Some(opts.get(name, 0u64)).filter(|&n| n > 0);
+    let (maintainer, seed_trees) = TreeMaintainer::<CountData>::seed(&config, particles, true);
     let universe = maintainer.universe();
 
     // Attach observability *before* the service spawns: workers trace
     // each request's span chain into `telemetry` as it runs, and the
     // sampler thread records FLIGHT_SERIES rows while the load is live.
-    let serve_workers = get(opts, "serve-workers", 4usize);
-    let client_threads = get(opts, "threads", 4usize);
-    let telemetry = telemetry_for(opts, false, wall_shards(serve_workers + client_threads + 2));
-    let flight = flight_for(opts, false, paratreet_serve::service::FLIGHT_SERIES, 65_536);
+    let serve_workers = opts.get("serve-workers", 4usize);
+    let client_threads = opts.get("threads", 4usize);
+    let threads = serve_workers + client_threads + 2;
+    let out = Outputs::new(opts, false, threads, paratreet_serve::service::FLIGHT_SERIES, 65_536);
+    let degrade = nonzero("degrade").is_some();
     let mut service: QueryService<CountData> = QueryService::with_telemetry(
         ServeConfig {
             workers: serve_workers,
-            queue_capacity: get(opts, "queue", 256usize),
-            ring_capacity: get(opts, "ring", 8usize),
-            admission,
-            max_backlog: (max_backlog_ms > 0)
-                .then(|| std::time::Duration::from_millis(max_backlog_ms)),
-            degrade: if degrade_on { DegradeConfig::default() } else { DegradeConfig::disabled() },
-            respawn_limit: get(opts, "respawn-limit", 8u32),
-            fail,
+            queue_capacity: opts.get("queue", 256usize),
+            ring_capacity: opts.get("ring", 8usize),
+            admission: opts.choice("admission", "defer", &admissions),
+            max_backlog: nonzero("max-backlog-ms").map(Duration::from_millis),
+            degrade: if degrade { DegradeConfig::default() } else { DegradeConfig::disabled() },
+            respawn_limit: opts.get("respawn-limit", 8u32),
+            fail: FailPoints {
+                worker_panic_at_batch: nonzero("inject-worker-panic"),
+                writer_panic_at_epoch: nonzero("inject-writer-panic"),
+            },
             ..ServeConfig::default()
         },
-        telemetry.clone(),
+        out.telemetry.clone(),
     );
-    if flight.is_enabled() {
-        let interval = std::time::Duration::from_millis(get(opts, "sample-ms", 5u64));
-        service.spawn_flight_sampler(flight.clone(), interval);
+    if out.flight.is_enabled() {
+        let interval = Duration::from_millis(opts.get("sample-ms", 5u64));
+        service.spawn_flight_sampler(out.flight.clone(), interval);
     }
     service.spawn_writer(
         maintainer,
@@ -852,35 +844,30 @@ fn run_serve_bench(opts: &HashMap<String, String>) {
             }
         }),
         WriterConfig {
-            iterations: if iterations == 0 { u64::MAX } else { iterations },
-            pace: (pace_ms > 0).then(|| std::time::Duration::from_millis(pace_ms)),
+            iterations: nonzero("iterations").unwrap_or(u64::MAX),
+            pace: nonzero("writer-pace-ms").map(Duration::from_millis),
         },
     );
 
     let load = LoadConfig {
-        clients: get(opts, "clients", 200usize),
-        queries_per_client: get(opts, "queries", 50usize),
+        clients: opts.get("clients", 200usize),
+        queries_per_client: opts.get("queries", 50usize),
         threads: client_threads,
-        batch: get(opts, "batch", 32usize),
-        k: get(opts, "k", 8usize),
-        seed: get(opts, "seed", 1u64),
-        deadline: (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms)),
-        max_retries: get(opts, "retries", 3u32),
-        pace: match get(opts, "pace-us", 0u64) {
-            0 => None,
-            us => Some(std::time::Duration::from_micros(us)),
-        },
+        batch: opts.get("batch", 32usize),
+        k: opts.get("k", 8usize),
+        seed: opts.get("seed", 1u64),
+        deadline: nonzero("deadline-ms").map(Duration::from_millis),
+        max_retries: opts.get("retries", 3u32),
+        pace: nonzero("pace-us").map(Duration::from_micros),
         ..LoadConfig::default()
     };
     let report = run_load(&service, universe, &load);
     let health = service.health();
     let shutdown = service.shutdown();
-    let last_epoch = shutdown.last_epoch.unwrap_or(0);
     let metrics = service.metrics();
-
     println!(
         "{} completed / {} submitted / {} shed in {:.2}s — {:.0} queries/s; \
-         epochs {}..{} answered, writer published {} (last epoch {last_epoch})",
+         epochs {}..{} answered, writer published {} (last epoch {})",
         report.completed,
         report.submitted,
         report.shed,
@@ -889,6 +876,7 @@ fn run_serve_bench(opts: &HashMap<String, String>) {
         report.min_epoch,
         report.max_epoch,
         metrics.get_u64("serve.snapshots.published"),
+        shutdown.last_epoch.unwrap_or(0),
     );
     println!(
         "  overload: {} deadline-exceeded, {} retries, {} abandoned, {} degraded, {} partial",
@@ -896,12 +884,9 @@ fn run_serve_bench(opts: &HashMap<String, String>) {
     );
     let issued: u64 = report.per_class.iter().sum();
     if load.deadline.is_some() && issued > 0 {
-        println!(
-            "  in-deadline completion: {}/{} = {:.1}%",
-            metrics.get_u64("serve.queries.completed_in_deadline"),
-            issued,
-            100.0 * metrics.get_u64("serve.queries.completed_in_deadline") as f64 / issued as f64,
-        );
+        let in_deadline = metrics.get_u64("serve.queries.completed_in_deadline");
+        let percent = 100.0 * in_deadline as f64 / issued as f64;
+        println!("  in-deadline completion: {in_deadline}/{issued} = {percent:.1}%");
     }
     println!(
         "  health: {} writer, {}/{} workers alive, {} panics, {} respawns{}{}",
@@ -915,9 +900,9 @@ fn run_serve_bench(opts: &HashMap<String, String>) {
         } else {
             String::new()
         },
-        if shutdown.is_clean() { String::new() } else { " [unclean shutdown]".to_string() },
+        if shutdown.is_clean() { "" } else { " [unclean shutdown]" },
     );
-    for class in QueryClass::ALL {
+    for class in paratreet_serve::QueryClass::ALL {
         let key = |stat: &str| format!("serve.latency.{}.{stat}", class.label());
         println!(
             "  {:>5}: {} queries, p50 {:.1}us p99 {:.1}us p999 {:.1}us",
@@ -928,9 +913,7 @@ fn run_serve_bench(opts: &HashMap<String, String>) {
             metrics.get_u64(&key("p999")) as f64 * 1e-3,
         );
     }
-
-    write_telemetry(opts, &telemetry, Some(&metrics));
-    write_flight(opts, &flight);
+    out.write(&metrics, &[]);
 }
 
 /// Friends-of-friends halo finding over a tiled forest: decompose per
@@ -938,36 +921,26 @@ fn run_serve_bench(opts: &HashMap<String, String>) {
 /// link with the dual-tree pass, and merge halos across boxes. The
 /// machine engine additionally prices the exchange through the DES comm
 /// model (`ghost.des.*` metrics, virtual-time spans).
-fn run_fof(opts: &HashMap<String, String>) {
+fn run_fof(opts: &Opts) {
     use paratreet::core_api::{
         decompose_forest, des_ghost_exchange, enforce_seam_balance, exchange_ghosts, DomainSpec,
     };
     use paratreet_apps::fof::{link_forest, FofParams};
-    use paratreet_tree::CountData;
 
-    let config = configuration(opts);
+    let config = configuration(opts, "oct", "sfc");
     let particles = load_particles("fof", opts);
-    let tiles = parse_tiles(opts);
-    let tile = get(opts, "tile", 1.0f64);
-    let periodic = get(opts, "periodic", true);
-    let spec = DomainSpec::tiled(tiles, tile, periodic);
+    let tiles = opts.tiles();
+    let tile = opts.get("tile", 1.0f64);
+    let spec = DomainSpec::tiled(tiles, tile, opts.get("periodic", true));
     let n = particles.len();
     let volume = (tiles[0] * tiles[1] * tiles[2]) as f64 * tile * tile * tile;
-    let mut link = get(opts, "link", 0.0f64);
+    let mut link = opts.get("link", 0.0f64);
     if link <= 0.0 {
         link = 0.2 * (volume / n.max(1) as f64).cbrt();
     }
-    let params = FofParams { link, min_members: get(opts, "min-members", 8usize) };
-    let engine = get(opts, "engine", "shared".to_string());
-    let machine_engine = match engine.as_str() {
-        "machine" => true,
-        "shared" => false,
-        other => {
-            eprintln!("unknown engine {other} for fof (shared | machine)");
-            exit(2);
-        }
-    };
-    let telemetry = telemetry_for(opts, machine_engine, wall_shards(0));
+    let params = FofParams { link, min_members: opts.get("min-members", 8usize) };
+    let machine_engine = opts.str("engine") == Some("machine");
+    let out = Outputs::new(opts, machine_engine, 0, &[], 0);
 
     let t0 = std::time::Instant::now();
     let forest = decompose_forest(particles, &config, &spec);
@@ -979,7 +952,7 @@ fn run_fof(opts: &HashMap<String, String>) {
         config.tree_type,
         config.bucket_size,
     );
-    let layer = exchange_ghosts(&forest, &trees, link, &telemetry);
+    let layer = exchange_ghosts(&forest, &trees, link, &out.telemetry);
     let catalog =
         link_forest(&forest, &trees, &layer, &params, config.tree_type, config.bucket_size);
     let elapsed = t0.elapsed().as_secs_f64();
@@ -993,10 +966,8 @@ fn run_fof(opts: &HashMap<String, String>) {
     metrics.set_f64("fof.link", link);
     metrics.set_f64("fof.elapsed_s", elapsed);
     if machine_engine {
-        let ranks = get(opts, "ranks", 2usize);
-        let workers = get(opts, "workers", 2usize);
-        let report =
-            des_ghost_exchange(&layer, MachineSpec::test(ranks, workers), telemetry.clone());
+        let machine = MachineSpec::test(opts.get("ranks", 2usize), opts.get("workers", 2usize));
+        let report = des_ghost_exchange(&layer, machine, out.telemetry.clone());
         metrics.absorb("ghost.des", &report);
         println!(
             "ghost DES: {} messages, {} bytes, makespan {:.3} ms, utilization {:.0}%",
@@ -1032,22 +1003,13 @@ fn run_fof(opts: &HashMap<String, String>) {
             h.center.z
         );
     }
-    write_telemetry(opts, &telemetry, Some(&metrics));
+    out.write(&metrics, &[]);
 }
 
 fn main() {
-    let (app, opts) = parse_args();
-    match app.as_str() {
-        "gravity" => run_gravity(&opts),
-        "sph" => run_sph(&opts),
-        "disk" => run_disk(&opts),
-        "serve-bench" => run_serve_bench(&opts),
-        "fof" => run_fof(&opts),
-        "help" | "-h" | "--help" => println!("{USAGE}"),
-        other => {
-            eprintln!("unknown app {other}\n{USAGE}");
-            exit(2);
-        }
+    match parse_args() {
+        (Some(app), opts) => (app.run)(&opts),
+        (None, _) => println!("{USAGE}"),
     }
 }
 
@@ -1056,18 +1018,18 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
-    /// The list `parse_args` checks against is the list of option lines
-    /// a user reads; `tests/cli.rs` feeds every `--name` the text
-    /// mentions, prose included, through the parser.
+    /// The options the app tables accept are the option lines a user
+    /// reads; `tests/cli.rs` feeds every `--name` the text mentions,
+    /// prose included, through the parser.
     #[test]
     fn options_and_usage_name_the_same_flags() {
-        let listed: BTreeSet<&str> = OPTIONS.iter().copied().collect();
-        assert_eq!(listed.len(), OPTIONS.len(), "duplicate entry in OPTIONS");
+        let listed: BTreeSet<&str> = APPS.iter().flat_map(App::all_options).collect();
         let documented: BTreeSet<&str> = USAGE
             .lines()
             .filter_map(|l| l.strip_prefix("  --"))
             .map(|l| l.split(' ').next().unwrap())
             .collect();
         assert_eq!(documented, listed);
+        assert_eq!(listed.len(), 62);
     }
 }

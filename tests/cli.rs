@@ -43,6 +43,51 @@ fn small_gravity_run_succeeds() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
 }
 
+/// Options are per app and per engine: one the chosen app does not read
+/// stops the run, naming the option and the app, before anything runs.
+#[test]
+fn option_the_app_does_not_read_is_rejected_by_name() {
+    for (args, named) in [
+        (&["sph", "--theta", "0.1"][..], "--theta"),
+        (&["gravity", "--particles", "200", "--crash-rank", "1"], "--crash-rank"),
+        (&["gravity", "--engine", "machine", "--workers", "3"], "--workers"),
+        (&["fof", "--iterations", "2"], "--iterations"),
+        (&["sph", "--engine", "machine", "--theta", "0.1", "--crash-rank", "1"], "machine"),
+    ] {
+        let out = paratreet(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = stderr(&out);
+        assert!(err.contains(named) && err.contains(args[0]), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "nothing ran before the rejection");
+    }
+}
+
+/// `--iterations N` is N iterations on every engine, maintained tree or
+/// not: the message engines print one line per iteration after the
+/// first.
+#[test]
+fn iterations_count_on_every_engine() {
+    for engine in ["threaded", "machine"] {
+        for incremental in ["false", "true"] {
+            let out = paratreet(&[
+                "gravity",
+                "--particles",
+                "300",
+                "--engine",
+                engine,
+                "--iterations",
+                "3",
+                "--incremental",
+                incremental,
+            ]);
+            assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let steps = stdout.lines().filter(|l| l.starts_with("step ")).count();
+            assert_eq!(steps, 2, "{engine}, incremental {incremental}: {stdout}");
+        }
+    }
+}
+
 /// Every `--name` the usage text mentions gets past the parser (`help`
 /// parses its options like any app, then prints instead of running).
 /// The binary's own unit test holds the list to the text the other way.

@@ -61,3 +61,49 @@ proptest! {
         prop_assert_eq!(text.lines().count(), ps.len() + 1);
     }
 }
+
+/// A record whose position, velocity or mass is NaN or infinite is
+/// rejected where the bytes enter, by index; fields a traversal
+/// overwrites (acceleration, potential) are not the reader's business.
+#[test]
+fn non_finite_records_are_rejected_by_index() {
+    let clean: Vec<Particle> =
+        (0..5).map(|i| Particle::point_mass(i, 1.0, Vec3::new(i as f64, 0.5, -0.5))).collect();
+    type Spoil = fn(&mut Particle);
+    let spoilers: [(&str, Spoil); 4] = [
+        ("NaN position", |p| p.pos.y = f64::NAN),
+        ("infinite position", |p| p.pos.x = f64::NEG_INFINITY),
+        ("infinite velocity", |p| p.vel.z = f64::INFINITY),
+        ("NaN mass", |p| p.mass = f64::NAN),
+    ];
+    for (what, spoil) in spoilers {
+        let mut ps = clean.clone();
+        spoil(&mut ps[3]);
+        let err = io::from_bytes(&io::to_bytes(&ps)).expect_err(what);
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        assert!(err.to_string().contains("record 3"), "{what}: {err}");
+    }
+    let mut ps = clean.clone();
+    ps[3].acc.x = f64::NAN;
+    assert!(io::from_bytes(&io::to_bytes(&ps)).is_ok(), "acceleration is output, not input");
+    assert_eq!(io::from_bytes(&io::to_bytes(&clean)).expect("finite records load"), clean);
+}
+
+/// The CLI turns that error into exit 1, naming the file and the record.
+#[test]
+fn cli_input_with_a_non_finite_record_exits_1() {
+    let mut ps: Vec<Particle> =
+        (0..4).map(|i| Particle::point_mass(i, 1.0, Vec3::splat(i as f64))).collect();
+    ps[2].pos.z = f64::NAN;
+    let path = std::env::temp_dir().join(format!("paratreet_nan_{}.ptrt", std::process::id()));
+    std::fs::write(&path, io::to_bytes(&ps)).expect("temp file");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_paratreet"))
+        .args(["gravity", "--input"])
+        .arg(&path)
+        .output()
+        .expect("the binary runs");
+    std::fs::remove_file(&path).expect("temp file removed");
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("record 2") && err.contains("paratreet_nan_"), "{err}");
+}

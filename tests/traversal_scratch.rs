@@ -6,7 +6,9 @@
 
 use paratreet_apps::gravity::{CentroidData, GravityVisitor};
 use paratreet_cache::{CacheNode, CacheTree, SubtreeSummary};
-use paratreet_core::traversal::{process_item, seed_items, traverse_local, WorkCounts};
+use paratreet_core::traversal::{
+    drain, process_item, seed_items, traverse_local, Apply, WorkCounts,
+};
 use paratreet_core::{decompose, Configuration, Targets, TraversalKind};
 use paratreet_geometry::NodeKey;
 use paratreet_particles::{gen, Particle};
@@ -152,13 +154,25 @@ fn scratch_holds_at_most_one_range_per_tree_level() {
     let (mut buckets, depth) = partition(&cache);
     let n = buckets.buckets().len();
     let visitor = GravityVisitor { theta: 0.5, g: 1.0 };
-    let expected = traverse_local(&cache, &visitor, TraversalKind::TopDown, &mut buckets.clone());
+    let kind = TraversalKind::TopDown;
+    let expected = traverse_local(&cache, &visitor, kind, &mut buckets.clone());
 
-    let mut stack = seed_items::<GravityVisitor>(&cache, TraversalKind::TopDown, &buckets);
+    // The loop every executor shares, then the same walk item by item
+    // to watch the scratch.
+    let mut stack = seed_items::<GravityVisitor>(&cache, kind, &buckets);
     assert_eq!((stack.len(), stack.scratch_len()), (1, n), "one seed spanning every bucket");
+    let (mut drained, apply) = (buckets.clone(), Apply::Runs);
+    let counts = drain(&cache, &visitor, kind, apply, &mut drained, &mut stack, |fetch, _| {
+        panic!("the tree is fully local, yet {} was surrendered", fetch.key)
+    });
+    assert_eq!(counts, expected, "the shared drain is traverse_local");
+    assert!(stack.is_empty(), "a fully local walk runs the stack dry");
+
+    let mut stack = seed_items::<GravityVisitor>(&cache, kind, &buckets);
     let (mut counts, mut fetches, mut peak) = (WorkCounts::default(), Vec::new(), 0);
     while let Some(item) = stack.pop() {
-        process_item(&cache, &visitor, &mut buckets, item, &mut stack, &mut fetches, &mut counts);
+        let (stack, fetches, counts) = (&mut stack, &mut fetches, &mut counts);
+        process_item(&cache, &visitor, apply, &mut buckets, item, stack, fetches, counts);
         peak = peak.max(stack.scratch_len());
     }
     assert!(fetches.is_empty(), "the tree is fully local");
