@@ -8,7 +8,10 @@
 //! interested in it; processing an item evaluates `open` per bucket and
 //! forwards the still-interested subset to the node's children. The
 //! classic walk ("BasicTrav" in Fig. 10) is the same machine seeded with
-//! one single-bucket item per target bucket.
+//! one single-bucket item per target bucket. The up-and-down walk is
+//! seeded per *sibling group* — the buckets whose leaves share a parent
+//! — so its items, too, carry several buckets, while each bucket still
+//! meets its own leaf first and farther subtrees later.
 //!
 //! `open` is evaluated bucket by bucket, but `node` and `leaf` are not
 //! applied bucket by bucket: the buckets that do not open a node are
@@ -69,11 +72,17 @@ impl CacheModel {
 }
 
 /// Interaction counters for one traversal. These are exact algorithmic
-/// quantities (identical across executors), and double as the cost basis
-/// for the virtual-time machine model.
+/// quantities, and double as the cost basis for the virtual-time machine
+/// model. They are identical across executors for visitors whose `open`
+/// reads no bucket state (gravity, collision); a state-dependent `open`
+/// (k-NN's heap bound) tightens in whatever order the executor's pauses
+/// leave, so its counts depend on the schedule.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounts {
-    /// Tree nodes visited (work items processed).
+    /// Work items processed: one per (node, group of buckets) the walk
+    /// meets. A top-down item carries every bucket still interested in
+    /// the node and an up-and-down item a sibling group, so this is not
+    /// the number of `open`s, nor the same across schedules.
     pub nodes_visited: u64,
     /// `open()` evaluations.
     pub opens: u64,
@@ -191,9 +200,15 @@ impl<D> WorkStack<D> {
     /// Pushes an item that owns a fresh copy of `buckets` (a resumed
     /// fetch: its old range is long reclaimed).
     pub fn push(&mut self, node: NodeHandle<D>, buckets: &[u32]) {
-        let range = BucketRange::new(self.scratch.len(), buckets.len());
-        self.scratch.extend_from_slice(buckets);
+        let range = self.append(buckets.iter().copied());
         self.items.push(WorkItem { node, buckets: range });
+    }
+
+    /// Writes `buckets` at the top of the scratch as a fresh range.
+    fn append(&mut self, buckets: impl IntoIterator<Item = u32>) -> BucketRange {
+        let start = self.scratch.len();
+        self.scratch.extend(buckets);
+        BucketRange::new(start, self.scratch.len() - start)
     }
 
     /// Pops the top item and reclaims the scratch above its range.
@@ -373,8 +388,9 @@ pub fn process_item<V: Visitor>(
 }
 
 /// Builds the initial work list for one partition's buckets. The
-/// scratch starts as the identity `0..buckets.len()`: the top-down seed
-/// spans all of it, every single-bucket seed is a one-entry range of it.
+/// top-down and basic seeds index the identity `0..buckets.len()` (the
+/// top-down seed all of it, every basic seed one entry); the up-and-down
+/// seeds write their ranges in push order, one sibling group at a time.
 pub fn seed_items<V: Visitor>(
     cache: &CacheTree<V::Data>,
     kind: TraversalKind,
@@ -386,19 +402,24 @@ pub fn seed_items<V: Visitor>(
     if buckets.is_empty() {
         return stack;
     }
-    stack.scratch.extend(0..buckets.len() as u32);
+    let root_item = |buckets| WorkItem { node: NodeHandle::new(root), buckets };
     match kind {
-        TraversalKind::TopDown => stack.items.push(WorkItem {
-            node: NodeHandle::new(root),
-            buckets: BucketRange::new(0, buckets.len()),
-        }),
-        TraversalKind::BasicDfs => stack.items.extend(
-            (0..buckets.len())
-                .map(|b| WorkItem { node: NodeHandle::new(root), buckets: BucketRange::new(b, 1) }),
-        ),
+        TraversalKind::TopDown => {
+            let all = stack.append(0..buckets.len() as u32);
+            stack.items.push(root_item(all));
+        }
+        TraversalKind::BasicDfs => {
+            stack.append(0..buckets.len() as u32);
+            stack.items.extend((0..buckets.len()).map(|b| root_item(BucketRange::new(b, 1))));
+        }
         TraversalKind::UpAndDown => {
-            for (bi, bucket) in buckets.iter().enumerate() {
-                seed_up_and_down(root, cache.bits, bucket.leaf_key, bi, &mut stack.items);
+            let parent = |b: usize| buckets[b].leaf_key.parent(cache.bits);
+            let mut start = 0;
+            while start < buckets.len() {
+                let p = parent(start);
+                let end = (start..buckets.len()).find(|&b| parent(b) != p).unwrap_or(buckets.len());
+                seed_sibling_group(root, cache.bits, p, buckets, start..end, &mut stack);
+                start = end;
             }
         }
         TraversalKind::DualTree => {
@@ -554,12 +575,82 @@ fn traverse_dual<V: Visitor>(
     counts
 }
 
+/// Up-and-down seeds for one sibling group: the adjacent buckets `group`
+/// of a Partition, whose leaves share the parent `parent`. Walk the path
+/// root → parent; emit, for every ancestor, its non-path children
+/// carrying the whole group; then each child of the parent carrying the
+/// group minus the buckets whose own leaf it is; and each bucket's own
+/// leaf last, as a one-bucket item. A LIFO stack then hands every bucket
+/// what a walk of its own would: its leaf first, then its siblings in
+/// slot order, then progressively farther subtrees, deepest level first.
+/// If the walk hits a placeholder (the leaves live under unfetched remote
+/// data), the placeholder itself is emitted as the group's final, nearest
+/// item.
+///
+/// Every range is written at the top of the scratch in push order (a
+/// child that carries the whole group after one that did not gets a
+/// fresh copy), which keeps [`WorkStack`]'s "range ends never decrease".
+fn seed_sibling_group<D: paratreet_tree::Data, S, T>(
+    root: &CacheNode<D>,
+    bits: u32,
+    parent: NodeKey,
+    buckets: &[TargetBucket<S, T>],
+    group: Range<usize>,
+    stack: &mut WorkStack<D>,
+) {
+    let ids = || group.clone().map(|b| b as u32);
+    let mut whole = stack.append(ids());
+    let mut node = root;
+    let mut level = node.key.level(bits);
+    while node.key != parent && node.kind == NodeKind::Internal {
+        level += 1;
+        let path_slot = parent.ancestor_at(level, bits).child_index(bits);
+        for i in (0..8).rev().filter(|&i| i != path_slot) {
+            if let Some(c) = node.child(i) {
+                stack.items.push(WorkItem { node: NodeHandle::new(c), buckets: whole });
+            }
+        }
+        match node.child(path_slot) {
+            Some(c) => node = c,
+            None => return, // the parent's slot vanished: nothing nearer to add
+        }
+    }
+    if node.kind != NodeKind::Internal {
+        // A placeholder (or a leaf) covers the parent: nearest item.
+        stack.items.push(WorkItem { node: NodeHandle::new(node), buckets: whole });
+        return;
+    }
+    for i in (0..8).rev() {
+        let Some(c) = node.child(i) else { continue };
+        let own = |b: usize| buckets[b].leaf_key == c.key;
+        let carried = if group.clone().any(own) {
+            stack.append(group.clone().filter(|&b| !own(b)).map(|b| b as u32))
+        } else {
+            if whole.span().end < stack.scratch.len() {
+                whole = stack.append(ids());
+            }
+            whole
+        };
+        if carried.len > 0 {
+            stack.items.push(WorkItem { node: NodeHandle::new(c), buckets: carried });
+        }
+    }
+    for b in group {
+        if let Some(leaf) = node.child(buckets[b].leaf_key.child_index(bits)) {
+            let one = stack.append([b as u32]);
+            stack.items.push(WorkItem { node: NodeHandle::new(leaf), buckets: one });
+        }
+    }
+}
+
 /// Up-and-down seeds for one bucket: walk the path root → leaf; emit, for
 /// every ancestor, its non-path children, and the leaf itself last — so a
 /// LIFO stack visits the bucket's own leaf first, then nearby siblings,
 /// then progressively farther subtrees. If the walk hits a placeholder
 /// (the leaf lives under unfetched remote data), the placeholder itself
-/// is emitted as the final, nearest item.
+/// is emitted as the final, nearest item. The reference the sibling-group
+/// seeds are held against: one item per bucket per node.
+#[cfg(test)]
 fn seed_up_and_down<D: paratreet_tree::Data>(
     root: &CacheNode<D>,
     bits: u32,
@@ -723,6 +814,21 @@ mod tests {
         }
     }
 
+    /// A tree whose leaves split across Partitions: 2 500 clustered
+    /// particles in buckets of 6, 8 Subtrees placed round-robin on
+    /// `n_ranks` ranks, 5 Partitions.
+    fn split_leaf_front(n_ranks: u32) -> Iteration<CountData> {
+        let quiet = Telemetry::disabled();
+        let config =
+            Configuration { bucket_size: 6, n_subtrees: 8, n_partitions: 5, ..Default::default() };
+        let particles = gen::clustered(2500, 3, 19, 1.0, 1.0);
+        let mut front = Iteration::<CountData>::obtain(&config, &quiet, particles, None, false);
+        let home: Vec<u32> = (0..front.n_subtrees as u32).map(|s| s % n_ranks).collect();
+        front.prepare(&home, n_ranks as usize, 1, &config, &quiet);
+        assert!(front.n_split_leaves > 0, "some leaf is shared between Partitions");
+        front
+    }
+
     /// Coalescing changes no bucket's call sequence: under every
     /// schedule, on a tree whose leaves split across Partitions, each
     /// bucket is handed the same nodes, the same way, in the same order
@@ -730,13 +836,7 @@ mod tests {
     /// agree.
     #[test]
     fn runs_change_no_buckets_call_sequence() {
-        let quiet = Telemetry::disabled();
-        let config =
-            Configuration { bucket_size: 6, n_subtrees: 8, n_partitions: 5, ..Default::default() };
-        let particles = gen::clustered(2500, 3, 19, 1.0, 1.0);
-        let mut front = Iteration::<CountData>::obtain(&config, &quiet, particles, None, false);
-        front.prepare(&vec![0; front.n_subtrees], 1, 1, &config, &quiet);
-        assert!(front.n_split_leaves > 0, "some leaf is shared between Partitions");
+        let front = split_leaf_front(1);
         let cache = &front.caches[0];
         for kind in [
             TraversalKind::TopDown,
@@ -767,9 +867,130 @@ mod tests {
                 assert_eq!(by_run, by_bucket, "{kind:?}, partition {p}");
                 assert_eq!(by_run_counts, by_bucket_counts, "{kind:?}, partition {p}");
             }
-            // Multi-bucket items exist only where buckets share a walk.
-            let shared = matches!(kind, TraversalKind::TopDown | TraversalKind::DualTree);
+            // Multi-bucket items exist only where buckets share a walk:
+            // all schedules but the basic one, which seeds every bucket
+            // alone at the root.
+            let shared = kind != TraversalKind::BasicDfs;
             assert_eq!(wide_calls > 0, shared, "{kind:?}: {wide_calls} calls spanned buckets");
         }
+    }
+
+    /// The per-bucket up-and-down seeds the sibling groups replaced: one
+    /// one-entry range of the identity per bucket per node.
+    fn seed_per_bucket(
+        cache: &CacheTree<CountData>,
+        targets: &TargetsOf<Recorder>,
+    ) -> WorkStack<CountData> {
+        let mut stack = WorkStack::new();
+        let root = cache.root().expect("a tree was built");
+        stack.append(0..targets.buckets().len() as u32);
+        for (b, bucket) in targets.buckets().iter().enumerate() {
+            seed_up_and_down(root, cache.bits, bucket.leaf_key, b, &mut stack.items);
+        }
+        stack
+    }
+
+    /// Per bucket, what an up-and-down walk hands it.
+    type Calls = Vec<Vec<(NodeKey, bool)>>;
+    /// Per bucket, the placeholders it opened, each after how many calls.
+    type Opened = Vec<Vec<(usize, NodeKey)>>;
+
+    /// Partition `p`'s up-and-down walk over `cache`, seeded by sibling
+    /// group or (`grouped == false`) bucket by bucket, run dry with every
+    /// fetch left unanswered.
+    fn walk_up_and_down(
+        front: &Iteration<CountData>,
+        cache: &CacheTree<CountData>,
+        p: usize,
+        grouped: bool,
+    ) -> (Calls, Opened, WorkCounts) {
+        let recorder = Recorder::default();
+        let mut targets = front.targets(&recorder, p);
+        let mut stack = if grouped {
+            seed_items::<Recorder>(cache, TraversalKind::UpAndDown, &targets)
+        } else {
+            seed_per_bucket(cache, &targets)
+        };
+        let mut opened: Opened = vec![Vec::new(); targets.buckets().len()];
+        let (mut counts, mut fetches) = (WorkCounts::default(), Vec::new());
+        while let Some(item) = stack.pop() {
+            let (apply, stack, fetches, counts) =
+                (Apply::Runs, &mut stack, &mut fetches, &mut counts);
+            process_item(cache, &recorder, apply, &mut targets, item, stack, fetches, counts);
+            for fetch in fetches.drain(..) {
+                for &b in stack.buckets(fetch.buckets) {
+                    let calls = targets.buckets()[b as usize].state.len();
+                    opened[b as usize].push((calls, fetch.key));
+                }
+            }
+        }
+        (targets.into_states().collect(), opened, counts)
+    }
+
+    /// Holds Partition `p`'s sibling-group walk against the per-bucket
+    /// one: the same calls and placeholders per bucket, in the same
+    /// order, the same `open`s and interactions, in fewer work items.
+    /// Returns whether any placeholder was opened.
+    fn assert_groups_match_per_bucket(
+        front: &Iteration<CountData>,
+        cache: &CacheTree<CountData>,
+        p: usize,
+    ) -> bool {
+        let (calls, opened, counts) = walk_up_and_down(front, cache, p, true);
+        let (want_calls, want_opened, want) = walk_up_and_down(front, cache, p, false);
+        assert!(calls.iter().any(|c| !c.is_empty()), "partition {p} met nothing");
+        assert_eq!(calls, want_calls, "partition {p}");
+        assert_eq!(opened, want_opened, "partition {p}");
+        let interactions = |c: WorkCounts| (c.opens, c.node_interactions, c.leaf_interactions);
+        assert_eq!(interactions(counts), interactions(want), "partition {p}");
+        assert!(
+            counts.nodes_visited < want.nodes_visited,
+            "partition {p}: {} items by group, {} by bucket",
+            counts.nodes_visited,
+            want.nodes_visited
+        );
+        opened.iter().any(|o| !o.is_empty())
+    }
+
+    /// Seeding up-and-down by sibling group changes no bucket's call
+    /// sequence on a fully local tree.
+    #[test]
+    fn sibling_groups_change_no_buckets_call_sequence() {
+        let front = split_leaf_front(1);
+        for p in 0..front.by_partition.len() {
+            assert!(!assert_groups_match_per_bucket(&front, &front.caches[0], p), "all local");
+        }
+    }
+
+    /// The same on rank 0 of two, where the path to a group's parent is
+    /// cut by a remote Subtree's placeholder: the placeholder is the
+    /// group's nearest item, and every bucket opens it where it would
+    /// have alone.
+    #[test]
+    fn sibling_groups_keep_a_placeholder_as_the_nearest_item() {
+        let front = split_leaf_front(2);
+        let cache = &front.caches[0];
+        let (mut cut_groups, mut opened) = (0, false);
+        for p in 0..front.by_partition.len() {
+            opened |= assert_groups_match_per_bucket(&front, cache, p);
+            let targets = front.targets(&Recorder::default(), p);
+            let stack = seed_items::<Recorder>(cache, TraversalKind::UpAndDown, &targets);
+            cut_groups += stack
+                .items
+                .iter()
+                .filter(|item| {
+                    let node = item.node.get(cache);
+                    let carried = stack.buckets(item.buckets);
+                    node.is_placeholder()
+                        && carried.len() > 1
+                        && carried.iter().all(|&b| {
+                            node.key
+                                .is_ancestor_of(targets.buckets()[b as usize].leaf_key, cache.bits)
+                        })
+                })
+                .count();
+        }
+        assert!(cut_groups > 0, "no group's path was cut by a placeholder");
+        assert!(opened, "no placeholder was opened");
     }
 }

@@ -148,20 +148,21 @@ impl BoundingBox {
 
     /// Squared distance from `p` to the nearest point of the box
     /// (zero when `p` is inside).
+    ///
+    /// Branch-free: per axis the gap is `max(lo − v, v − hi, 0)`. On a
+    /// non-empty box at most one of the two differences is positive, and
+    /// it is the one a "below / above / inside" branch would pick; an
+    /// inside axis adds `+0.0`, which leaves a non-negative sum's bits
+    /// alone; a NaN coordinate drops out (`f64::max` returns the other
+    /// operand), as it does from both comparisons of the branch; the
+    /// empty box is `+∞` either way.
     #[inline]
     pub fn dist_sq_to(&self, p: Vec3) -> f64 {
-        let mut d = 0.0;
-        for i in 0..3 {
-            let v = p.component(i);
-            let lo = self.lo.component(i);
-            let hi = self.hi.component(i);
-            if v < lo {
-                d += (lo - v) * (lo - v);
-            } else if v > hi {
-                d += (v - hi) * (v - hi);
-            }
-        }
-        d
+        let gap = |lo: f64, v: f64, hi: f64| (lo - v).max(v - hi).max(0.0);
+        let gx = gap(self.lo.x, p.x, self.hi.x);
+        let gy = gap(self.lo.y, p.y, self.hi.y);
+        let gz = gap(self.lo.z, p.z, self.hi.z);
+        gx * gx + gy * gy + gz * gz
     }
 
     /// Squared distance between the closest points of two boxes (zero

@@ -121,3 +121,123 @@ proptest! {
         let _ = NodeKey::root();
     }
 }
+
+// The branchy predicates the branch-free ones replaced, verbatim but for
+// `self` → `bx`. They are the reference the replacements must match bit
+// for bit: every Barnes-Hut `open` and every kNN / ball descent reads
+// them, so a single differing bit would move a physics output.
+
+fn dist_sq_to_branchy(bx: &BoundingBox, p: Vec3) -> f64 {
+    let mut d = 0.0;
+    for i in 0..3 {
+        let v = p.component(i);
+        let lo = bx.lo.component(i);
+        let hi = bx.hi.component(i);
+        if v < lo {
+            d += (lo - v) * (lo - v);
+        } else if v > hi {
+            d += (v - hi) * (v - hi);
+        }
+    }
+    d
+}
+
+fn intersects_branchy(bx: &BoundingBox, o: &BoundingBox) -> bool {
+    !bx.is_empty()
+        && !o.is_empty()
+        && bx.lo.x <= o.hi.x
+        && o.lo.x <= bx.hi.x
+        && bx.lo.y <= o.hi.y
+        && o.lo.y <= bx.hi.y
+        && bx.lo.z <= o.hi.z
+        && o.lo.z <= bx.hi.z
+}
+
+fn intersects_sphere_branchy(bx: &BoundingBox, s: &Sphere) -> bool {
+    !bx.is_empty() && dist_sq_to_branchy(bx, s.center) <= s.radius_sq()
+}
+
+/// Shape `shape` of the box spanned by `a` and `b`: 0 the box around
+/// them, 1..=7 that box collapsed to zero width on the axes the bits of
+/// `shape` name, 8 the empty box, 9 a box from `-0.0` to `+0.0` on the
+/// first axis (and `a`..`b` on the others).
+fn shaped_box(a: Vec3, b: Vec3, shape: usize) -> BoundingBox {
+    match shape {
+        0 => BoundingBox::new(a, b),
+        1..=7 => {
+            let mut flat = b;
+            for i in (0..3).filter(|i| shape >> i & 1 == 1) {
+                flat.set_component(i, a.component(i));
+            }
+            BoundingBox::new(a, flat)
+        }
+        8 => BoundingBox::empty(),
+        _ => {
+            let bx = BoundingBox::new(a, b);
+            BoundingBox { lo: Vec3 { x: -0.0, ..bx.lo }, hi: Vec3 { x: 0.0, ..bx.hi } }
+        }
+    }
+}
+
+/// Points to hold `bx`'s predicates at: inside (`t` ∈ [0, 1)³ of the
+/// way across), `far` as drawn, strictly below and above, on every face
+/// and every corner (coordinates copied from `lo` / `hi`), with a `±0.0`
+/// coordinate, all `±0.0`, and with one NaN coordinate.
+fn probes(bx: &BoundingBox, t: Vec3, far: Vec3) -> Vec<Vec3> {
+    let inside = Vec3 {
+        x: bx.lo.x + (bx.hi.x - bx.lo.x) * t.x,
+        y: bx.lo.y + (bx.hi.y - bx.lo.y) * t.y,
+        z: bx.lo.z + (bx.hi.z - bx.lo.z) * t.z,
+    };
+    let step = Vec3 { x: far.x.abs() + 1.0, y: far.y.abs() + 1.0, z: far.z.abs() + 1.0 };
+    let mut out =
+        vec![inside, far, bx.lo - step, bx.hi + step, Vec3::splat(0.0), Vec3::splat(-0.0)];
+    for corner in 0..8 {
+        let pick = |i: usize| (if corner >> i & 1 == 1 { bx.hi } else { bx.lo }).component(i);
+        out.push(Vec3 { x: pick(0), y: pick(1), z: pick(2) });
+    }
+    for i in 0..3 {
+        for base in [inside, far] {
+            for v in [bx.lo.component(i), bx.hi.component(i), 0.0, -0.0, f64::NAN] {
+                let mut p = base;
+                p.set_component(i, v);
+                out.push(p);
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn branch_free_predicates_keep_every_bit(
+        (a, b, c, d) in (vec3(), vec3(), vec3(), vec3()),
+        (t, far) in (unit_vec3(), vec3()),
+        (shape, other_shape) in (0usize..10, 0usize..10),
+        r in 0.0f64..2e6,
+    ) {
+        let bx = shaped_box(a, b, shape);
+        let points = probes(&bx, t, far);
+        let mut others = vec![shaped_box(c, d, other_shape), bx];
+        for w in points.windows(2) {
+            others.push(BoundingBox { lo: w[0], hi: w[0] });
+            others.push(BoundingBox { lo: w[0], hi: w[1] });
+            others.push(BoundingBox::new(w[0], w[1]));
+        }
+        for &p in &points {
+            let want = dist_sq_to_branchy(&bx, p);
+            let have = bx.dist_sq_to(p);
+            prop_assert_eq!(have.to_bits(), want.to_bits(), "{:?} to {:?}: {} vs {}", bx, p, have, want);
+            for radius in [0.0, r, want.sqrt(), f64::INFINITY] {
+                let s = Sphere { center: p, radius };
+                prop_assert_eq!(bx.intersects_sphere(&s), intersects_sphere_branchy(&bx, &s), "{:?} {:?}", bx, s);
+            }
+        }
+        for o in &others {
+            prop_assert_eq!(bx.intersects(o), intersects_branchy(&bx, o), "{:?} {:?}", bx, o);
+            prop_assert_eq!(o.intersects(&bx), intersects_branchy(o, &bx), "{:?} {:?}", o, bx);
+        }
+    }
+}

@@ -17,9 +17,13 @@ cargo test --workspace -q
 
 echo "== kernel identity + allocation tests, optimised (the build the benchmark runs) =="
 # Span kernels == per-bucket kernels == per-pair loops, and coalescing
-# changes no bucket's call sequence, beside the whole-step identity.
+# changes no bucket's call sequence, beside the whole-step identity;
+# sibling-group seeds hand every bucket what per-bucket seeds did, and
+# the branch-free box predicates keep every bit of the branchy ones.
 cargo test --release -q -p paratreet-apps --lib lane_kernels
-cargo test --release -q -p paratreet-core --lib runs_change_no_buckets_call_sequence
+cargo test --release -q -p paratreet-core --lib -- \
+    runs_change_no_buckets_call_sequence sibling_groups_
+cargo test --release -q -p paratreet-geometry --test prop_geometry branch_free_predicates
 cargo test --release -q --test gravity_accuracy bucket_kernels
 cargo test --release -q --test traversal_scratch
 # kNN/SPH data path: key heap == record-heap model, SPH step == the
@@ -86,6 +90,11 @@ awk 'FNR == 1 { safe = 0 }
 echo "== spans are slices and ranges: no 'unsafe' in core's visitor, traversal or pipeline =="
 if grep -n "unsafe" crates/core/src/visitor.rs crates/core/src/traversal.rs crates/core/src/pipeline.rs; then
     echo "the target types and the walk must stay safe Rust (DESIGN §5d)"; exit 1
+fi
+
+echo "== the box predicates are plain scalar Rust: no 'unsafe' under crates/geometry/src =="
+if grep -rn "unsafe" crates/geometry/src; then
+    echo "geometry must stay free of unsafe and intrinsics (DESIGN §5d)"; exit 1
 fi
 
 echo "== threaded_engine x200 (bounded schedule fuzz, 60 s cap per run) =="
