@@ -6,6 +6,7 @@
 //! traversal parked on a key it materialised.
 
 use super::{Ev, Run};
+use crate::config::TraversalKind;
 use crate::traversal::{
     drain, seed_items, CacheModel, PendingFetch, TargetsOf, WorkCounts, WorkStack,
 };
@@ -15,6 +16,7 @@ use paratreet_geometry::NodeKey;
 use paratreet_runtime::{FaultAction, FaultInjector, Phase, Sim};
 use paratreet_telemetry::Track;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// XWrite lock resource ids (one per rank) sit above every partition's.
 const LOCK_BASE: u64 = 1 << 48;
@@ -157,11 +159,21 @@ impl<V: Visitor> Run<'_, V> {
             ps.stack = seed_items::<V>(cache, kind, &ps.targets);
         }
         // The event that parks a fetch carries its copy of the buckets.
+        // Up-and-down stops at its first fetch: its pruning bounds tighten
+        // as items complete in order, so racing ahead with untightened
+        // bounds would fetch (and evaluate) far more remote data than the
+        // sequential schedule. Every other schedule runs the stack dry.
+        let ordered = kind == TraversalKind::UpAndDown;
         let mut fetches: Vec<(NodeKey, Vec<u32>)> = Vec::new();
         let park = |fetch: PendingFetch<V::Data>, buckets: &[u32]| {
-            fetches.push((fetch.key, buckets.to_vec()))
+            fetches.push((fetch.key, buckets.to_vec()));
+            if ordered {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
         };
-        let batch = drain(cache, visitor, kind, self.apply, &mut ps.targets, &mut ps.stack, park);
+        let batch = drain(cache, visitor, self.apply, &mut ps.targets, &mut ps.stack, park);
         ps.counts += batch;
         let phase = if ps.resumed_once { Phase::RemoteTraversal } else { Phase::LocalTraversal };
         ps.in_flight += 1;

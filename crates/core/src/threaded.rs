@@ -11,8 +11,8 @@
 //!
 //! On a many-core host this is a usable shared/distributed-memory hybrid
 //! engine; in this repository it is primarily the strongest correctness
-//! test of the concurrency design (forces must match the deterministic
-//! engines bit-for-bit up to floating-point summation order).
+//! test of the concurrency design: its forces must match the
+//! deterministic engines' bit for bit.
 //!
 //! Execution structure per rank:
 //!
@@ -22,23 +22,27 @@
 //! * a **message pump** thread owning the rank's inbox: `Request`s are
 //!   served from the local cache (serialise + reply), `Fill`s become
 //!   insert tasks;
-//! * partitions are chare-like: a partition task runs to completion or
-//!   until every remaining item waits on a fetch; its state then parks
-//!   in the rank's shared table until a fill re-enqueues it.
+//! * partitions are chares: a partition task runs until it finishes or
+//!   reaches its first unmaterialised node. It then parks whole on that
+//!   one key while the rank's workers turn to its other Partitions, and
+//!   the fill re-enqueues it with the node on top of its stack — where
+//!   the shared-memory engine's stack holds that node's children — so
+//!   every bucket meets its nodes in the shared-memory engine's order.
 
 use crate::config::{Configuration, TraversalKind};
 use crate::maintain::TreeMaintainer;
 use crate::pipeline::Iteration;
-use crate::traversal::{drain, seed_items, Apply, PendingFetch, TargetsOf, WorkCounts, WorkStack};
+use crate::traversal::{drain, seed_items, Apply, TargetsOf, WorkCounts, WorkStack};
 use crate::visitor::Visitor;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use paratreet_cache::stats::CacheStatsSnapshot;
-use paratreet_cache::{CacheTree, NodeHandle, RequestOutcome};
+use paratreet_cache::{CacheNode, CacheTree, NodeHandle, RequestOutcome};
 use paratreet_geometry::NodeKey;
 use paratreet_particles::Particle;
 use paratreet_telemetry::{FlightRecorder, MetricsRegistry, Telemetry};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -65,23 +69,23 @@ struct PartState<V: Visitor> {
     targets: TargetsOf<V>,
     stack: WorkStack<V::Data>,
     counts: WorkCounts,
-    outstanding: usize,
-    seeded: bool,
 }
 
-/// Items a parked partition waits on, plus the handoff flags.
+/// A partition's entry in its rank's table: the state it parked with and
+/// the one fetch that will release it.
 struct Parked<V: Visitor> {
-    /// The partition state while it is not running.
+    /// The partition state while it is parked.
     state: Option<Box<PartState<V>>>,
-    /// Items keyed by the fetch that will release them.
-    waiting: HashMap<NodeKey, Vec<Vec<u32>>>,
-    /// Items released by fills while the partition was running/parked.
-    ready: Vec<(NodeKey, Vec<u32>)>,
+    /// The awaited key and the buckets that opened its placeholder.
+    waiting: Option<(NodeKey, Vec<u32>)>,
+    /// The fill landed after the request but before the partition
+    /// parked: it resumes itself instead of parking.
+    released: bool,
 }
 
 impl<V: Visitor> Default for Parked<V> {
     fn default() -> Self {
-        Parked { state: None, waiting: HashMap::new(), ready: Vec::new() }
+        Parked { state: None, waiting: None, released: false }
     }
 }
 
@@ -228,21 +232,16 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
         let epoch = self.iterations.fetch_add(1, Ordering::Relaxed);
         front.sample_flight(&self.flight, epoch, 0, front.seconds_setup());
 
-        // ---- Partition states ----
-        let mut part_states: Vec<Option<Box<PartState<V>>>> = (0..front.by_partition.len())
+        // ---- Partition states, seeded against their home rank's cache ----
+        let n_partitions = front.by_partition.len();
+        let partition_rank = |pi: usize| pi * ranks / n_partitions;
+        let part_states: Vec<Box<PartState<V>>> = (0..n_partitions)
             .map(|p| {
-                Some(Box::new(PartState {
-                    id: p as u32,
-                    targets: front.targets(self.visitor, p),
-                    stack: WorkStack::new(),
-                    counts: WorkCounts::default(),
-                    outstanding: 0,
-                    seeded: false,
-                }))
+                let targets = front.targets(self.visitor, p);
+                let stack = seed_items::<V>(&front.caches[partition_rank(p)], kind, &targets);
+                Box::new(PartState { id: p as u32, targets, stack, counts: WorkCounts::default() })
             })
             .collect();
-        let n_partitions = part_states.len();
-        let partition_rank = |pi: usize| -> u32 { (pi * ranks / n_partitions) as u32 };
 
         // ---- Channels ----
         let mut net_senders: Vec<Sender<Msg>> = Vec::with_capacity(ranks);
@@ -278,12 +277,9 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
             })
             .collect();
 
-        // Seed partition tasks on their home ranks.
-        for (p, state) in part_states.iter_mut().enumerate() {
-            let rank = partition_rank(p) as usize;
-            task_senders[rank]
-                .send(Task::RunPartition(state.take().expect("seeded once")))
-                .expect("rank alive");
+        // Enqueue every partition on its home rank.
+        for (p, state) in part_states.into_iter().enumerate() {
+            task_senders[partition_rank(p)].send(Task::RunPartition(state)).expect("rank alive");
         }
 
         // ---- Run ----
@@ -356,7 +352,7 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
                                         shared.rank,
                                         "local traversal",
                                         Some(part),
-                                        || run_partition(&shared, visitor, kind, ps),
+                                        || run_partition(&shared, visitor, ps),
                                     );
                                     if let Some(done) = done {
                                         collected.lock().push(done);
@@ -445,9 +441,10 @@ impl Drop for WakeOnExit {
     }
 }
 
-/// Inserts a fill and re-enqueues every partition it unblocks. A fill
-/// may materialise several keys at once; each (key, partition) pair
-/// from the outcome releases its own waiting entry.
+/// Inserts a fill and releases every partition it unblocks. A fill may
+/// materialise several keys at once, and a partition waits on at most
+/// one of them: a parked partition goes back to the workers, one still
+/// on its way to parking finds `released` set and resumes itself.
 fn handle_fill<V: Visitor>(shared: &RankShared<V>, bytes: &[u8]) {
     let outcome = match shared.cache.insert_fragment(bytes) {
         Ok(o) => o,
@@ -459,99 +456,70 @@ fn handle_fill<V: Visitor>(shared: &RankShared<V>, bytes: &[u8]) {
         }
     };
     let mut parked = shared.parked.lock();
-    for (key, waiter) in outcome.resumed {
+    for (_, waiter) in outcome.resumed {
         let entry = parked.entry(waiter as u32).or_default();
-        if let Some(bucket_sets) = entry.waiting.remove(&key) {
-            for buckets in bucket_sets {
-                entry.ready.push((key, buckets));
-            }
-        }
-        // If the partition is parked (not running), hand it back to the
-        // workers; if it is running, it will collect `ready` itself.
-        if let Some(mut state) = entry.state.take() {
-            drain_ready(shared, &mut state, entry);
-            if shared.tasks.send(Task::RunPartition(state)).is_err() {
-                debug_assert!(false, "workers gone while partitions still parked");
-            }
-        }
-    }
-}
-
-/// Moves released items into the partition's stack.
-fn drain_ready<V: Visitor>(
-    shared: &RankShared<V>,
-    state: &mut PartState<V>,
-    entry: &mut Parked<V>,
-) {
-    for (key, buckets) in entry.ready.drain(..) {
-        let Some(node) = shared.cache.find(key) else {
-            debug_assert!(false, "released key {key} missing from cache");
+        let Some(mut state) = entry.state.take() else {
+            entry.released = true;
             continue;
         };
-        state.outstanding -= 1;
-        state.stack.push(NodeHandle::new(node), &buckets);
+        resume(shared, &mut state, entry);
+        if shared.tasks.send(Task::RunPartition(state)).is_err() {
+            debug_assert!(false, "workers gone while partitions still parked");
+        }
     }
 }
 
-/// Registers a surrendered fetch's bucket set — the copy the parked
-/// item owns — as a waiter on `key`. This happens *before* the request
-/// is issued (and before the partition is released), so a racing fill
-/// always finds either the waiting entry or the parked state.
-fn register_wait<V: Visitor>(
-    shared: &RankShared<V>,
-    ps: &mut PartState<V>,
-    key: NodeKey,
-    buckets: Vec<u32>,
-) {
-    let mut parked = shared.parked.lock();
-    let entry = parked.entry(ps.id).or_default();
-    entry.waiting.entry(key).or_default().push(buckets);
-    ps.outstanding += 1;
+/// Puts the node a released partition waited on back on top of its
+/// stack, with the buckets that opened its placeholder.
+fn resume<V: Visitor>(shared: &RankShared<V>, state: &mut PartState<V>, entry: &mut Parked<V>) {
+    let (key, buckets) = entry.waiting.take().expect("a released partition waits on one key");
+    let node = shared.cache.find(key).expect("a released key is in the cache");
+    state.stack.push(NodeHandle::new(node), &buckets);
 }
 
-/// Issues the cache request for a fetch [`register_wait`] registered.
-fn issue_request<V: Visitor>(
+/// Asks the cache for the placeholder partition `id` stopped at: the
+/// materialised node if a fill got there first; otherwise `id` is now a
+/// waiter on `key` and the fetch is on its way (`None`).
+fn request<V: Visitor>(
     shared: &RankShared<V>,
-    ps: &mut PartState<V>,
+    id: u32,
     key: NodeKey,
     placeholder: NodeHandle<V::Data>,
-) {
-    let node = placeholder.get(&shared.cache);
-    match shared.cache.request(node, ps.id as u64) {
-        RequestOutcome::Ready(n) => {
-            // Fill won the race: reclaim the waiting entry — if it is
-            // still there. When the partition already waited on this key
-            // from an earlier item, the fill's `handle_fill` may have
-            // moved *every* set on the key, this one included, to
-            // `ready` between the registration and the request; then
-            // `drain_ready` resumes it, and releasing it here as well
-            // would resume it twice and drive `outstanding` negative.
-            let mut parked = shared.parked.lock();
-            let entry = parked.entry(ps.id).or_default();
-            if let Some(mut sets) = entry.waiting.remove(&key) {
-                let buckets = sets.pop().expect("a waiting entry holds at least one set");
-                if !sets.is_empty() {
-                    entry.waiting.insert(key, sets);
-                }
-                ps.outstanding -= 1;
-                ps.stack.push(NodeHandle::new(n), &buckets);
-            }
-        }
+) -> Option<&CacheNode<V::Data>> {
+    match shared.cache.request(placeholder.get(&shared.cache), id as u64) {
+        RequestOutcome::Ready(node) => return Some(node),
         RequestOutcome::SendFetch { home_rank } => {
-            if shared.net[home_rank as usize]
-                .send(Msg::Request { key, reply_to: shared.rank })
-                .is_err()
-            {
+            let request = Msg::Request { key, reply_to: shared.rank };
+            if shared.net[home_rank as usize].send(request).is_err() {
                 debug_assert!(false, "home rank {home_rank} hung up early");
             }
         }
         RequestOutcome::InFlight => {}
     }
+    None
+}
+
+/// Parks `ps` on `key` until the fill [`request`] registered it for
+/// lands — or, if it already has, hands `ps` back to run on.
+fn park<V: Visitor>(
+    shared: &RankShared<V>,
+    mut ps: Box<PartState<V>>,
+    key: NodeKey,
+    buckets: Vec<u32>,
+) -> Option<Box<PartState<V>>> {
+    let mut parked = shared.parked.lock();
+    let entry = parked.entry(ps.id).or_default();
+    entry.waiting = Some((key, buckets));
+    if std::mem::take(&mut entry.released) {
+        resume(shared, &mut ps, entry);
+        return Some(ps);
+    }
+    entry.state = Some(ps);
+    None
 }
 
 /// What every rank's partition table holds — the explanation attached
-/// to a dead thread's panic: which partitions sit parked or waiting, on
-/// which keys, with how many fetches outstanding.
+/// to a dead thread's panic: which partition waits on which key.
 fn dump_parked<V: Visitor>(shared: &[Arc<RankShared<V>>]) -> String {
     let mut out = String::new();
     for s in shared {
@@ -559,21 +527,9 @@ fn dump_parked<V: Visitor>(shared: &[Arc<RankShared<V>>]) -> String {
         let mut ids: Vec<&u32> = parked.keys().collect();
         ids.sort();
         for id in ids {
-            let e = &parked[id];
-            if e.state.is_none() && e.waiting.is_empty() {
-                continue;
+            if let Some((key, _)) = &parked[id].waiting {
+                out.push_str(&format!("  rank {} partition {id}: waiting on {key}\n", s.rank));
             }
-            let mut keys: Vec<String> = e.waiting.keys().map(|k| k.to_string()).collect();
-            keys.sort();
-            let outstanding = match &e.state {
-                Some(state) => state.outstanding.to_string(),
-                None => "? (running or lost)".to_owned(),
-            };
-            out.push_str(&format!(
-                "  rank {} partition {id}: outstanding {outstanding}, waiting on [{}]\n",
-                s.rank,
-                keys.join(", ")
-            ));
         }
     }
     if out.is_empty() {
@@ -582,61 +538,33 @@ fn dump_parked<V: Visitor>(shared: &[Arc<RankShared<V>>]) -> String {
     out
 }
 
-/// Runs a partition until it finishes (returned) or parks (None).
+/// Runs a partition until it finishes (returned) or parks (None). The
+/// walk stops at the partition's first surrendered fetch, so nothing
+/// overtakes the item that fetch belongs to.
 fn run_partition<V: Visitor>(
     shared: &RankShared<V>,
     visitor: &V,
-    kind: TraversalKind,
     mut ps: Box<PartState<V>>,
 ) -> Option<Box<PartState<V>>> {
-    if !ps.seeded {
-        ps.seeded = true;
-        ps.stack = seed_items::<V>(&shared.cache, kind, &ps.targets);
-    }
     loop {
-        // Drain local work; each surrendered fetch parks with its copy
-        // of the buckets. Every wait is registered before any request
-        // goes out, and the requests go out when the stack has run dry.
-        let mut fetches: Vec<(PendingFetch<V::Data>, Vec<u32>)> = Vec::new();
+        let mut stopped = None;
         let state = &mut *ps;
         state.counts += drain(
             &shared.cache,
             visitor,
-            kind,
             Apply::Runs,
             &mut state.targets,
             &mut state.stack,
-            |fetch, buckets| fetches.push((fetch, buckets.to_vec())),
+            |fetch, buckets| {
+                stopped = Some((fetch, buckets.to_vec()));
+                ControlFlow::Break(())
+            },
         );
-        for (fetch, buckets) in &mut fetches {
-            register_wait(shared, &mut ps, fetch.key, std::mem::take(buckets));
+        let Some((fetch, buckets)) = stopped else { return Some(ps) };
+        match request(shared, ps.id, fetch.key, fetch.node) {
+            Some(node) => ps.stack.push(NodeHandle::new(node), &buckets),
+            None => ps = park(shared, ps, fetch.key, buckets)?,
         }
-        for (fetch, _) in fetches {
-            issue_request(shared, &mut ps, fetch.key, fetch.node);
-        }
-
-        // Collect anything fills released while we were working.
-        {
-            let mut parked = shared.parked.lock();
-            if let Some(entry) = parked.get_mut(&ps.id) {
-                drain_ready(shared, &mut ps, entry);
-            }
-        }
-        if !ps.stack.is_empty() {
-            continue;
-        }
-        if ps.outstanding == 0 {
-            return Some(ps);
-        }
-        // Park: publish the state; if something raced in, take it back.
-        let mut parked = shared.parked.lock();
-        let entry = parked.entry(ps.id).or_default();
-        if entry.ready.is_empty() {
-            entry.state = Some(ps);
-            return None;
-        }
-        drain_ready(shared, &mut ps, entry);
-        drop(parked);
     }
 }
 
@@ -667,56 +595,100 @@ mod tests {
         Configuration { bucket_size: 8, n_subtrees: 8, n_partitions: 4, ..Default::default() }
     }
 
-    /// The threaded kNN livelock, replayed deterministically: a partition
-    /// already waits on a key from an earlier item, registers a second
-    /// item on it, and the fill lands *between* that registration and the
-    /// request. `handle_fill` moves both sets to `ready`; the request then
-    /// answers `Ready`, and must not release the second item again.
-    #[test]
-    fn fill_between_registration_and_request_releases_each_item_once() {
+    /// Rank 0 of two, where partition 0 (returned alongside) stopped at
+    /// the placeholder of a Subtree rank 1 owns — and the fill rank 1
+    /// answers with.
+    struct HandOff {
+        shared: RankShared<OpenAll>,
+        tasks: Receiver<Task<OpenAll>>,
+        net: Receiver<Msg>,
+        key: NodeKey,
+        placeholder: NodeHandle<CountData>,
+        fill: Vec<u8>,
+    }
+
+    fn hand_off() -> (HandOff, Box<PartState<OpenAll>>) {
         let quiet = Telemetry::disabled();
         let particles = gen::uniform_cube(400, 5, 1.0, 1.0);
         let mut front = Iteration::<CountData>::obtain(&config(), &quiet, particles, None, false);
         let n = front.n_subtrees;
         let home: Vec<u32> = (0..n).map(|si| (si * 2 / n) as u32).collect();
         front.prepare(&home, 2, 1, &config(), &quiet);
-        let remote =
-            front.summaries.iter().find(|s| s.home_rank == 1).expect("rank 1 owns some").key;
+        let key = front.summaries.iter().find(|s| s.home_rank == 1).expect("rank 1 owns some").key;
         let owner = front.caches.pop().expect("rank 1");
-        let (tasks, _task_rx) = unbounded();
-        let (net, _net_rx) = unbounded();
+        let fill = owner.serialize_fragment(key, config().fetch_depth).expect("owner serves it");
+        let (task_tx, tasks) = unbounded();
+        let (net_tx, net) = unbounded();
         let shared = RankShared::<OpenAll> {
             rank: 0,
             cache: front.caches.pop().expect("rank 0"),
-            tasks,
-            net: vec![net.clone(), net],
+            tasks: task_tx,
+            net: vec![net_tx.clone(), net_tx],
             parked: Mutex::new(HashMap::new()),
             remaining: Arc::new(AtomicUsize::new(1)),
             fetch_depth: config().fetch_depth,
         };
-        let mut ps = PartState::<OpenAll> {
+        let placeholder = shared.cache.find(key).expect("skeleton holds every subtree root");
+        assert!(placeholder.is_placeholder());
+        let placeholder = NodeHandle::new(placeholder);
+        let ps = Box::new(PartState::<OpenAll> {
             id: 0,
             targets: front.targets(&OpenAll, 0),
             stack: WorkStack::new(),
             counts: WorkCounts::default(),
-            outstanding: 0,
-            seeded: true,
-        };
-        let placeholder = shared.cache.find(remote).expect("skeleton holds every subtree root");
-        assert!(placeholder.is_placeholder());
-        let node = NodeHandle::new(placeholder);
+        });
+        (HandOff { shared, tasks, net, key, placeholder, fill }, ps)
+    }
 
-        register_wait(&shared, &mut ps, remote, vec![0]);
-        issue_request(&shared, &mut ps, remote, node); // goes out; the partition now waits on the key
-        register_wait(&shared, &mut ps, remote, vec![1]);
-        let fill = owner.serialize_fragment(remote, shared.fetch_depth).expect("owner serves it");
-        handle_fill(&shared, &fill); // both sets move to `ready`
-        issue_request(&shared, &mut ps, remote, node); // answers Ready
+    impl HandOff {
+        /// The partition's request goes out, registering it as a waiter.
+        fn request(&self) {
+            assert!(request(&self.shared, 0, self.key, self.placeholder).is_none());
+            let sent = self.net.try_recv();
+            assert!(matches!(sent, Ok(Msg::Request { key, reply_to: 0 }) if key == self.key));
+        }
 
-        let mut parked = shared.parked.lock();
-        drain_ready(&shared, &mut ps, parked.get_mut(&0).expect("the partition registered"));
-        assert_eq!(ps.outstanding, 0, "every registered wait is released exactly once");
-        assert_eq!(ps.stack.len(), 2, "and each item resumes exactly once");
+        /// The node the partition resumes at: the fill's, with the
+        /// buckets it parked with.
+        fn assert_resumed(&self, mut ps: Box<PartState<OpenAll>>) {
+            assert_eq!(ps.stack.len(), 1, "one item resumes");
+            let item = ps.stack.pop().expect("one item");
+            let node = item.node.get(&self.shared.cache);
+            assert_eq!(node.key, self.key);
+            assert!(!node.is_placeholder());
+            assert_eq!(ps.stack.buckets(item.buckets), [0, 1]);
+            let parked = self.shared.parked.lock();
+            let entry = &parked[&0];
+            assert!(entry.state.is_none() && entry.waiting.is_none() && !entry.released);
+        }
+    }
+
+    /// The fill lands after the request registered the partition as a
+    /// waiter but before the partition parks: it finds `released` set
+    /// and runs on, and nothing is re-enqueued.
+    #[test]
+    fn fill_before_the_partition_parks_resumes_it_in_place() {
+        let (h, ps) = hand_off();
+        h.request();
+        handle_fill(&h.shared, &h.fill);
+        assert!(h.shared.parked.lock()[&0].released);
+        let ps = park(&h.shared, ps, h.key, vec![0, 1]).expect("released: it runs on");
+        assert!(h.tasks.try_recv().is_err(), "a running partition is not re-enqueued");
+        h.assert_resumed(ps);
+    }
+
+    /// The fill lands after the partition parked: it is re-enqueued
+    /// exactly once, and a duplicate fill releases nothing.
+    #[test]
+    fn fill_after_the_partition_parks_re_enqueues_it_once() {
+        let (h, ps) = hand_off();
+        h.request();
+        assert!(park(&h.shared, ps, h.key, vec![0, 1]).is_none(), "nothing released yet");
+        handle_fill(&h.shared, &h.fill);
+        handle_fill(&h.shared, &h.fill);
+        let Ok(Task::RunPartition(ps)) = h.tasks.try_recv() else { panic!("not re-enqueued") };
+        assert!(h.tasks.try_recv().is_err(), "re-enqueued exactly once");
+        h.assert_resumed(ps);
     }
 
     /// Patched trees must satisfy every invariant a fresh build does, and

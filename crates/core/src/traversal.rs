@@ -40,7 +40,7 @@ use crate::visitor::{SpatialNodeView, TargetBucket, Visitor};
 use paratreet_cache::{CacheNode, CacheTree, NodeHandle, NodeKind};
 use paratreet_geometry::NodeKey;
 use paratreet_telemetry::{MetricSource, MetricsRegistry};
-use std::ops::{AddAssign, Range};
+use std::ops::{AddAssign, ControlFlow, Range};
 
 /// A (source, target) node pair on the dual-tree work stack.
 type NodePair<D> = (NodeHandle<D>, NodeHandle<D>);
@@ -76,7 +76,10 @@ impl CacheModel {
 /// model. They are identical across executors for visitors whose `open`
 /// reads no bucket state (gravity, collision); a state-dependent `open`
 /// (k-NN's heap bound) tightens in whatever order the executor's pauses
-/// leave, so its counts depend on the schedule.
+/// leave, so its counts depend on the schedule. The message engines
+/// re-open a resumed placeholder: the item that hit it and the item
+/// that resumes at the fetched node both count toward `nodes_visited`
+/// and `opens`, so those two exceed the shared-memory engine's there.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounts {
     /// Work items processed: one per (node, group of buckets) the walk
@@ -693,33 +696,27 @@ fn seed_up_and_down<D: paratreet_tree::Data>(
 /// is the fetch's range of the stack's scratch, which the next pop
 /// reclaims: an executor that parks the fetch copies it out here.
 ///
-/// Up-and-down traversals stop at the *first* surrendered fetch: their
-/// pruning bounds tighten as items complete in order, so racing ahead
-/// with untightened bounds would fetch (and evaluate) far more remote
-/// data than the sequential schedule — the Partition waits, while other
-/// Partitions on the rank keep the workers busy. Every other schedule
-/// runs the stack dry. Returns the counters of the items processed.
+/// The walk runs the stack dry, or stops right after a fetch `surrender`
+/// answers with [`ControlFlow::Break`]; the items still stacked are then
+/// the caller's to resume. Returns the counters of the items processed.
 pub fn drain<V: Visitor>(
     cache: &CacheTree<V::Data>,
     visitor: &V,
-    kind: TraversalKind,
     apply: Apply,
     targets: &mut TargetsOf<V>,
     stack: &mut WorkStack<V::Data>,
-    mut surrender: impl FnMut(PendingFetch<V::Data>, &[u32]),
+    mut surrender: impl FnMut(PendingFetch<V::Data>, &[u32]) -> ControlFlow<()>,
 ) -> WorkCounts {
-    let ordered = kind == TraversalKind::UpAndDown;
     let mut counts = WorkCounts::default();
     let mut fetches = Vec::new();
     while let Some(item) = stack.pop() {
         process_item(cache, visitor, apply, targets, item, stack, &mut fetches, &mut counts);
-        let parked = !fetches.is_empty();
-        for fetch in fetches.drain(..) {
+        // An item meets one node, so it surrenders at most one fetch.
+        if let Some(fetch) = fetches.pop() {
             let opened = fetch.buckets;
-            surrender(fetch, stack.buckets(opened));
-        }
-        if ordered && parked {
-            break;
+            if surrender(fetch, stack.buckets(opened)).is_break() {
+                break;
+            }
         }
     }
     counts
@@ -739,11 +736,11 @@ pub fn traverse_local<V: Visitor>(
     }
     // Up-and-down seeds are ordered nearest-last; reverse handled by LIFO.
     let mut stack = seed_items::<V>(cache, kind, targets);
-    drain(cache, visitor, kind, Apply::Runs, targets, &mut stack, remote_placeholder)
+    drain(cache, visitor, Apply::Runs, targets, &mut stack, remote_placeholder)
 }
 
 /// What a fully local traversal does with a surrendered fetch.
-fn remote_placeholder<D>(fetch: PendingFetch<D>, _: &[u32]) {
+fn remote_placeholder<D>(fetch: PendingFetch<D>, _: &[u32]) -> ControlFlow<()> {
     panic!("local traversal reached a remote placeholder {:?}", fetch.key);
 }
 
@@ -854,7 +851,7 @@ mod tests {
                     } else {
                         let mut stack = seed_items::<Recorder>(cache, kind, &targets);
                         let unreachable = remote_placeholder;
-                        drain(cache, &recorder, kind, mode, &mut targets, &mut stack, unreachable)
+                        drain(cache, &recorder, mode, &mut targets, &mut stack, unreachable)
                     };
                     let calls: Vec<_> = targets.into_states().collect();
                     (calls, counts, recorder.wide_calls.into_inner())

@@ -403,12 +403,20 @@ fn threaded_engine_maintained_matches_fresh_on_first_step() {
     // therefore its interaction counts — must equal a fresh iteration.
     assert_eq!(fresh.counts.leaf_interactions, maintained.counts.leaf_interactions);
     assert_eq!(fresh.counts.node_interactions, maintained.counts.node_interactions);
-    assert_eq!(fresh.particles.len(), maintained.particles.len());
     assert!(slot.is_some(), "run_maintained must leave the maintainer seeded");
+    // And so must its forces, bit for bit, whatever the schedule.
+    let mut fresh = fresh.particles;
+    let mut ps = maintained.particles;
+    fresh.sort_by_key(|p| p.id);
+    ps.sort_by_key(|p| p.id);
+    assert_eq!(fresh.len(), ps.len());
+    let bits = |p: &Particle| [p.acc.x, p.acc.y, p.acc.z, p.potential].map(f64::to_bits);
+    for (a, b) in fresh.iter().zip(&ps) {
+        assert_eq!(a.id, b.id);
+        assert_eq!(bits(a), bits(b), "forces differ on particle {}", a.id);
+    }
 
     // A second maintained step reports update activity.
-    let mut ps = maintained.particles;
-    ps.sort_by_key(|p| p.id);
     for p in ps.iter_mut() {
         p.pos += p.vel * (1.0 / 64.0);
         p.acc = Vec3::ZERO;

@@ -537,30 +537,31 @@ impl<'a> Outputs<'a> {
     }
 }
 
-/// `iterations` iterations on a message engine: `iterate` runs one over
-/// the particles it is handed (against the maintained tree, or a fresh
-/// one) and `particles_of` takes them back out of its report; in
-/// between, the particles drift under the forces just computed.
-fn message_engine_steps<R>(
+/// `iterations` leapfrog (kick-drift-kick) steps, on any engine:
+/// `forces` computes the accelerations of the particles it is handed and
+/// hands them back with its report — once for the initial forces, then
+/// once per step, which `step_line` then reports. Returns the last
+/// report and the final particles.
+fn leapfrog<R>(
     (iterations, dt): (usize, f64),
     particles: Vec<Particle>,
-    mut iterate: impl FnMut(Vec<Particle>) -> R,
-    particles_of: impl Fn(&mut R) -> &mut Vec<Particle>,
+    mut forces: impl FnMut(Vec<Particle>) -> (R, Vec<Particle>),
     step_line: impl Fn(usize, &R),
-) -> R {
-    let mut rep = iterate(particles);
-    for step in 1..iterations.max(1) {
-        let mut ps = std::mem::take(particles_of(&mut rep));
+) -> (R, Vec<Particle>) {
+    let kick = |ps: &mut [Particle]| ps.iter_mut().for_each(|p| p.vel += p.acc * (0.5 * dt));
+    let (mut rep, mut ps) = forces(particles);
+    for step in 0..iterations {
+        kick(&mut ps);
         for p in ps.iter_mut() {
-            p.vel += p.acc * dt;
             p.pos += p.vel * dt;
             p.acc = Vec3::ZERO;
             p.potential = 0.0;
         }
-        rep = iterate(ps);
+        (rep, ps) = forces(ps);
+        kick(&mut ps);
         step_line(step, &rep);
     }
-    rep
+    (rep, ps)
 }
 
 fn run_gravity(opts: &Opts) {
@@ -579,7 +580,7 @@ fn run_gravity(opts: &Opts) {
     ];
     let kind = opts.choice("traversal", "top-down", &traversals);
     let visitor = GravityVisitor { theta: opts.get("theta", 0.7), g: 1.0 };
-    let steps @ (iterations, dt) = (opts.get("iterations", 1usize), opts.get("dt", 1.0 / 64.0));
+    let steps @ (iterations, _) = (opts.get("iterations", 1usize), opts.get("dt", 1.0 / 64.0));
     let (ranks, workers) = (opts.get("ranks", 2usize), opts.get("workers", 2usize));
     // Maintained mode: the tree persists across iterations inside
     // `slot`; each step patches it instead of rebuilding it (on the
@@ -587,39 +588,27 @@ fn run_gravity(opts: &Opts) {
     // decomposition + build time).
     let (maintained, mut slot) = (config.incremental.enabled, None);
     match opts.str("engine") {
-        // Leapfrog (kick-drift-kick): one traversal for the initial
-        // forces, then one per step.
         Some("shared") => {
             let out = Outputs::new(opts, false, 0, FLIGHT_SERIES, step_rows(iterations));
-            let mut fw: Framework<CentroidData> = Framework::new(config, particles)
+            let mut fw: Framework<CentroidData> = Framework::new(config, Vec::new())
                 .with_telemetry(out.telemetry.clone())
                 .with_flight_recorder(out.flight.clone());
-            fw.step(|s| {
-                s.traverse(&visitor, kind);
-            });
-            let mut last_metrics = MetricsRegistry::new();
-            for step in 0..iterations {
-                for p in fw.particles_mut().iter_mut() {
-                    p.vel += p.acc * (0.5 * dt);
-                    p.pos += p.vel * dt;
-                    p.acc = Vec3::ZERO;
-                    p.potential = 0.0;
-                }
+            let forces = |ps| {
+                *fw.particles_mut() = ps;
                 let (_, report) = fw.step(|s| {
                     s.traverse(&visitor, kind);
                 });
-                for p in fw.particles_mut().iter_mut() {
-                    p.vel += p.acc * (0.5 * dt);
-                }
+                (report, std::mem::take(fw.particles_mut()))
+            };
+            let (report, particles) = leapfrog(steps, particles, forces, |step, report| {
                 println!(
                     "step {step}: {} pp + {} pn interactions, traverse {:.1} ms",
                     report.counts.leaf_interactions,
                     report.counts.node_interactions,
                     report.seconds_traverse * 1e3
                 );
-                last_metrics = report.metrics();
-            }
-            out.write(&last_metrics, fw.particles());
+            });
+            out.write(&report.metrics(), &particles);
         }
         Some("threaded") => {
             let threads = ranks * workers + ranks;
@@ -627,29 +616,25 @@ fn run_gravity(opts: &Opts) {
             let eng = ThreadedEngine::new(config, ranks, workers, &visitor)
                 .with_telemetry(out.telemetry.clone())
                 .with_flight_recorder(out.flight.clone());
-            let iterate = |ps| {
-                if maintained {
+            let forces = |ps| {
+                let mut rep = if maintained {
                     eng.run_maintained(&mut slot, ps, kind)
                 } else {
                     eng.run_iteration(ps, kind)
-                }
+                };
+                let ps = std::mem::take(&mut rep.particles);
+                (rep, ps)
             };
-            let rep = message_engine_steps(
-                steps,
-                particles,
-                iterate,
-                |r| &mut r.particles,
-                |step, r| {
-                    let update_ms = r.metrics.get_f64("time.update_s") * 1e3;
-                    let pp = r.counts.leaf_interactions;
-                    println!("step {step}: {pp} pp interactions, update {update_ms:.1} ms");
-                },
-            );
+            let (rep, particles) = leapfrog(steps, particles, forces, |step, r| {
+                let update_ms = r.metrics.get_f64("time.update_s") * 1e3;
+                let pp = r.counts.leaf_interactions;
+                println!("step {step}: {pp} pp interactions, update {update_ms:.1} ms");
+            });
             println!(
                 "threaded ({ranks}x{workers}): {} pp interactions, {} remote fills, {} fetches",
                 rep.counts.leaf_interactions, rep.remote_fills, rep.cache.requests_sent
             );
-            out.write(&rep.metrics, &rep.particles);
+            out.write(&rep.metrics, &particles);
         }
         _ => {
             let out = Outputs::new(opts, true, 0, DES_FLIGHT_SERIES, step_rows(iterations));
@@ -661,29 +646,25 @@ fn run_gravity(opts: &Opts) {
             if let Some(f) = fault_config(opts, ranks) {
                 eng = eng.with_faults(f);
             }
-            let iterate = |ps| {
-                if maintained {
+            let forces = |ps| {
+                let mut rep = if maintained {
                     eng.run_maintained(&mut slot, ps)
                 } else {
                     eng.run_iteration(ps)
-                }
+                };
+                let ps = std::mem::take(&mut rep.particles);
+                (rep, ps)
             };
-            let rep = message_engine_steps(
-                steps,
-                particles,
-                iterate,
-                |r| &mut r.particles,
-                |step, r| {
-                    println!(
-                        "step {step}: makespan {:.3} ms, {} buckets patched, {} migrated",
-                        r.makespan * 1e3,
-                        r.metrics.get_u64("tree.update.patched"),
-                        r.metrics.get_u64("tree.update.round_migrated")
-                    );
-                },
-            );
+            let (rep, particles) = leapfrog(steps, particles, forces, |step, r| {
+                println!(
+                    "step {step}: makespan {:.3} ms, {} buckets patched, {} migrated",
+                    r.makespan * 1e3,
+                    r.metrics.get_u64("tree.update.patched"),
+                    r.metrics.get_u64("tree.update.round_migrated")
+                );
+            });
             print_machine_summary(&rep, ranks);
-            out.write(&rep.metrics, &rep.particles);
+            out.write(&rep.metrics, &particles);
         }
     }
 }

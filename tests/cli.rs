@@ -62,12 +62,11 @@ fn option_the_app_does_not_read_is_rejected_by_name() {
     }
 }
 
-/// `--iterations N` is N iterations on every engine, maintained tree or
-/// not: the message engines print one line per iteration after the
-/// first.
+/// `--iterations N` is N leapfrog steps on every engine, maintained tree
+/// or not: one line per step.
 #[test]
 fn iterations_count_on_every_engine() {
-    for engine in ["threaded", "machine"] {
+    for engine in ["shared", "threaded", "machine"] {
         for incremental in ["false", "true"] {
             let out = paratreet(&[
                 "gravity",
@@ -83,8 +82,36 @@ fn iterations_count_on_every_engine() {
             assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
             let stdout = String::from_utf8_lossy(&out.stdout);
             let steps = stdout.lines().filter(|l| l.starts_with("step ")).count();
-            assert_eq!(steps, 2, "{engine}, incremental {incremental}: {stdout}");
+            assert_eq!(steps, 3, "{engine}, incremental {incremental}: {stdout}");
         }
+    }
+}
+
+/// The threaded engine applies in the shared-memory engine's order and
+/// both integrate with one leapfrog: with the decomposition pinned above
+/// the threaded floors, their CSVs are byte for byte the same.
+#[test]
+fn threaded_csv_equals_shared() {
+    let csv = |engine: &[&str]| {
+        let path = std::env::temp_dir().join(format!(
+            "paratreet_cli_{}_{}.csv",
+            engine.join("_"),
+            std::process::id()
+        ));
+        let path_arg = path.to_str().expect("a UTF-8 temp path");
+        let mut args = vec!["gravity", "--particles", "2000", "--iterations", "2"];
+        args.extend(["--subtrees", "16", "--partitions", "32", "--csv", path_arg]);
+        args.extend(engine);
+        let out = paratreet(&args);
+        assert_eq!(out.status.code(), Some(0), "{engine:?}: {}", stderr(&out));
+        let bytes = std::fs::read(&path).expect("the CSV was written");
+        std::fs::remove_file(&path).expect("the CSV is ours to remove");
+        bytes
+    };
+    let shared = csv(&["--engine", "shared"]);
+    for (ranks, workers) in [("2", "1"), ("3", "2")] {
+        let threaded = csv(&["--engine", "threaded", "--ranks", ranks, "--workers", workers]);
+        assert!(threaded == shared, "threaded {ranks}x{workers} CSV differs from shared");
     }
 }
 

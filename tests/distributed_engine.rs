@@ -5,9 +5,8 @@
 //! change the local/remote work split, and all partitions always finish.
 
 use paratreet_apps::gravity::{CentroidData, GravityVisitor};
-use paratreet_baselines::direct::rms_acc_error;
 use paratreet_core::{CacheModel, Configuration, DistributedEngine, Framework, TraversalKind};
-use paratreet_particles::gen;
+use paratreet_particles::{gen, Particle};
 use paratreet_runtime::MachineSpec;
 
 /// Subtree/partition counts high enough that `DistributedEngine::new`
@@ -15,6 +14,17 @@ use paratreet_runtime::MachineSpec;
 /// identical opening decisions) across engines and rank counts.
 fn config() -> Configuration {
     Configuration { bucket_size: 8, n_subtrees: 16, n_partitions: 32, ..Default::default() }
+}
+
+/// Every particle's `acc` and `potential` as bits, by id: equal forces
+/// compare `==` bit for bit.
+fn force_bits(ps: &[Particle]) -> Vec<(u64, [u64; 4])> {
+    let mut bits: Vec<_> = ps
+        .iter()
+        .map(|p| (p.id, [p.acc.x, p.acc.y, p.acc.z, p.potential].map(f64::to_bits)))
+        .collect();
+    bits.sort_unstable();
+    bits
 }
 
 #[test]
@@ -37,8 +47,8 @@ fn distributed_matches_shared_memory_forces() {
             &visitor,
         );
         let rep = engine.run_iteration(ps.clone());
-        let err = rms_acc_error(&rep.particles, &reference);
-        assert!(err < 1e-9, "{ranks} ranks: force mismatch {err}");
+        // Bit for bit: the DES replays `traverse_local` per Partition.
+        assert!(force_bits(&rep.particles) == force_bits(&reference), "{ranks} ranks");
         // Exact interaction counts match (same pruning decisions).
         assert_eq!(rep.counts.leaf_interactions, report.counts.leaf_interactions, "{ranks} ranks");
         assert_eq!(rep.counts.node_interactions, report.counts.node_interactions, "{ranks} ranks");
@@ -109,8 +119,7 @@ fn per_thread_cache_duplicates_fetches() {
     );
     assert!(per_thread.comm.bytes > shared.comm.bytes);
     // Physics is unaffected by the cache model.
-    let err = rms_acc_error(&per_thread.particles, &shared.particles);
-    assert!(err < 1e-9);
+    assert!(force_bits(&per_thread.particles) == force_bits(&shared.particles));
 }
 
 #[test]
@@ -133,8 +142,7 @@ fn xwrite_serialises_insertions_but_keeps_physics() {
     assert_eq!(xwrite.cache.requests_sent, wait_free.cache.requests_sent);
     // ...but serialised insertion can only make the makespan worse or equal.
     assert!(xwrite.makespan >= wait_free.makespan * 0.999);
-    let err = rms_acc_error(&xwrite.particles, &wait_free.particles);
-    assert!(err < 1e-9);
+    assert!(force_bits(&xwrite.particles) == force_bits(&wait_free.particles));
 }
 
 #[test]

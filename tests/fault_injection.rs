@@ -7,13 +7,23 @@
 //! audit coverage under adversarial delivery.
 
 use paratreet_apps::gravity::GravityVisitor;
-use paratreet_baselines::direct::rms_acc_error;
 use paratreet_core::{CacheModel, Configuration, DistributedEngine, TraversalKind};
-use paratreet_particles::gen;
+use paratreet_particles::{gen, Particle};
 use paratreet_runtime::{CrashConfig, CrashPhase, CrashTrigger, FaultConfig, MachineSpec};
 
 fn config() -> Configuration {
     Configuration { bucket_size: 8, n_subtrees: 16, n_partitions: 32, ..Default::default() }
+}
+
+/// Every particle's `acc` and `potential` as bits, by id: equal forces
+/// compare `==` bit for bit.
+fn force_bits(ps: &[Particle]) -> Vec<(u64, [u64; 4])> {
+    let mut bits: Vec<_> = ps
+        .iter()
+        .map(|p| (p.id, [p.acc.x, p.acc.y, p.acc.z, p.potential].map(f64::to_bits)))
+        .collect();
+    bits.sort_unstable();
+    bits
 }
 
 fn faults(seed: u64) -> FaultConfig {
@@ -41,10 +51,7 @@ fn crash_only(trigger: CrashTrigger, restart: bool) -> FaultConfig {
     }
 }
 
-fn run(
-    ps: &[paratreet_particles::Particle],
-    f: Option<FaultConfig>,
-) -> paratreet_core::des_engine::IterationReport {
+fn run(ps: &[Particle], f: Option<FaultConfig>) -> paratreet_core::des_engine::IterationReport {
     let visitor = GravityVisitor::default();
     let mut engine = DistributedEngine::new(
         MachineSpec::test(4, 2),
@@ -78,9 +85,8 @@ fn faulty_network_reaches_identical_results() {
     // Same pruning decisions, same exact work.
     assert_eq!(faulty.counts.leaf_interactions, clean.counts.leaf_interactions);
     assert_eq!(faulty.counts.node_interactions, clean.counts.node_interactions);
-    // Same physics (forces differ only by FP summation order).
-    let err = rms_acc_error(&faulty.particles, &clean.particles);
-    assert!(err < 1e-9, "force mismatch under faults: {err}");
+    // Same physics, bit for bit.
+    assert!(force_bits(&faulty.particles) == force_bits(&clean.particles), "faults move forces");
 
     // A perfect network injects nothing and never retries.
     assert_eq!(clean.faults.dropped + clean.faults.duplicated + clean.faults.delayed, 0);
@@ -123,8 +129,8 @@ fn faults_cost_time_but_not_correctness_across_cache_models() {
         .with_faults(faults(3))
         .run_iteration(ps.clone());
         assert_eq!(faulty.counts, clean.counts, "{model:?}");
-        let err = rms_acc_error(&faulty.particles, &clean.particles);
-        assert!(err < 1e-9, "{model:?}: force mismatch under faults: {err}");
+        let same = force_bits(&faulty.particles) == force_bits(&clean.particles);
+        assert!(same, "{model:?}: faults move forces");
         // Lost and delayed messages can only stretch the timeline.
         assert!(faulty.makespan >= clean.makespan * 0.999, "{model:?}");
     }

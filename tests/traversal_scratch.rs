@@ -162,7 +162,7 @@ fn scratch_holds_at_most_one_range_per_tree_level() {
     let mut stack = seed_items::<GravityVisitor>(&cache, kind, &buckets);
     assert_eq!((stack.len(), stack.scratch_len()), (1, n), "one seed spanning every bucket");
     let (mut drained, apply) = (buckets.clone(), Apply::Runs);
-    let counts = drain(&cache, &visitor, kind, apply, &mut drained, &mut stack, |fetch, _| {
+    let counts = drain(&cache, &visitor, apply, &mut drained, &mut stack, |fetch, _| {
         panic!("the tree is fully local, yet {} was surrendered", fetch.key)
     });
     assert_eq!(counts, expected, "the shared drain is traverse_local");
