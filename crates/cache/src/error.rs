@@ -9,8 +9,7 @@
 //!   must never abort a simulation.
 //! * **Programming errors panic** — API misuse that no message can
 //!   trigger, such as calling [`crate::CacheTree::init`] with duplicate
-//!   subtree summaries or grafting a tree whose first node is not its
-//!   root. These stay `assert!`/`debug_assert!`.
+//!   subtree summaries. These stay `assert!`/`debug_assert!`.
 //!
 //! Every variant carries enough context to be logged without access to
 //! the failing payload.
@@ -22,17 +21,18 @@ use paratreet_geometry::NodeKey;
 /// validate before they mutate).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheError {
-    /// A fill payload failed to decode (truncated, bad magic, or an
-    /// inconsistent node table).
+    /// A fill payload failed to decode (truncated, bad magic) or its
+    /// nodes do not fit together (child keys, leaf particle counts).
     MalformedFragment {
         /// Payload size, for log correlation.
         len: usize,
     },
     /// A fill payload decoded to zero nodes.
     EmptyFragment,
-    /// A fill arrived for a subtree whose parent is not materialised on
-    /// this rank, so there is nowhere to splice it. Seen when faults
-    /// reorder a fill ahead of the fill that creates its splice point.
+    /// A fill arrived for a key this rank never registered (a local
+    /// Subtree's interior, say) or under a parent not materialised here,
+    /// so there is nowhere to splice it. Seen when faults reorder a fill
+    /// ahead of the fill that creates its splice point.
     OrphanFill {
         /// Root key of the orphaned fragment.
         key: NodeKey,

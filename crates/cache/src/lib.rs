@@ -11,9 +11,9 @@
 //!
 //! * placeholder nodes stand in for remote data and carry an atomic
 //!   "requested" flag,
-//! * a received fragment is materialised by any worker, wired up
-//!   privately, and then published by a single atomic swap of the parent's
-//!   child pointer (Steps 2–4 of Fig. 2),
+//! * a received fragment is materialised by any worker, appended to the
+//!   cache's node store privately, and then published by a single atomic
+//!   store of the parent's child handle (Steps 2–4 of Fig. 2),
 //! * a process-level hash table maps node keys to materialised nodes; it
 //!   takes a short lock only on insertion, never during traversal reads,
 //! * paused traversals are parked per-key and handed back to the caller
@@ -49,6 +49,7 @@
 pub mod error;
 pub mod node;
 pub mod stats;
+mod store;
 pub mod tree;
 pub mod wire;
 pub mod xwrite;

@@ -1,22 +1,27 @@
 //! Nodes of the per-process cached global tree.
 //!
-//! A [`CacheNode`] is immutable after publication except for two atomic
-//! fields: the `requested` flag on placeholders and the child pointer
-//! slots on internal nodes (which transition placeholder → expanded node
-//! exactly once). Everything else is written before the node becomes
-//! reachable, which is what makes lock-free reading sound.
+//! A [`CacheNode`] lives in its cache's append-only node store and is
+//! named by a [`NodeHandle`]. It is immutable after publication except
+//! for two atomic fields: the `requested` flag on placeholders and the
+//! child handle slots on internal nodes (which transition placeholder →
+//! expanded node exactly once). Everything else is written before the
+//! node becomes reachable. A leaf's particles are not in the node: its
+//! bucket is a range of a particle array the cache holds beside the
+//! nodes ([`crate::CacheTree::particles`]).
 
 use paratreet_geometry::{BoundingBox, NodeKey};
-use paratreet_particles::Particle;
+use paratreet_tree::node::NO_NODE;
 use paratreet_tree::Data;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::marker::PhantomData;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// What a cached node is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeKind {
     /// Interior node whose children (local or placeholder) are linked.
     Internal,
-    /// Leaf with its bucket of particles present in `particles`.
+    /// Leaf whose bucket of particles is present in the cache.
     Leaf,
     /// A region with no particles.
     Empty,
@@ -41,27 +46,30 @@ pub struct CacheNode<D> {
     /// Node kind (fixed at construction; placeholders are *replaced*,
     /// never mutated, when their data arrives).
     pub kind: NodeKind,
-    /// Bucket particles (leaves only; empty otherwise).
-    pub particles: Vec<Particle>,
+    /// This node's own handle, set when it is appended to a store.
+    pub(crate) handle: u32,
+    /// The particle array a leaf's bucket lies in.
+    pub(crate) array: u32,
+    /// A leaf's bucket: `start..end` of its particle array.
+    pub(crate) bucket: Range<u32>,
     /// Whether a fetch for this placeholder is already in flight.
     pub requested: AtomicBool,
-    /// Child links. Only the first `branch_factor` slots are used. A null
-    /// pointer means the child does not exist (empty octant). Slots are
-    /// written before publication and overwritten at most once afterwards
-    /// (placeholder → expanded), always with `Release`.
-    pub children: [AtomicPtr<CacheNode<D>>; 8],
+    /// Child handles. Only the first `branch_factor` slots are used;
+    /// `u32::MAX` means the child does not exist (empty octant). Slots
+    /// are written `Relaxed` before publication and overwritten at most
+    /// once afterwards (placeholder → expanded), always with `Release`.
+    pub children: [AtomicU32; 8],
 }
 
 impl<D: Data> CacheNode<D> {
-    /// A node with no children linked yet.
-    pub fn new(
+    /// A node with no children linked yet and an empty bucket.
+    pub(crate) fn new(
         key: NodeKey,
         bbox: BoundingBox,
         n_particles: u32,
         data: D,
         home_rank: u32,
         kind: NodeKind,
-        particles: Vec<Particle>,
     ) -> CacheNode<D> {
         CacheNode {
             key,
@@ -70,27 +78,42 @@ impl<D: Data> CacheNode<D> {
             data,
             home_rank,
             kind,
-            particles,
+            handle: NO_NODE,
+            array: 0,
+            bucket: 0..0,
             requested: AtomicBool::new(false),
-            children: Default::default(),
+            children: std::array::from_fn(|_| AtomicU32::new(NO_NODE)),
         }
     }
 
-    /// Reads child slot `i` with `Acquire`, returning a reference bound
-    /// to `self`'s lifetime (all nodes of one tree live equally long).
+    /// Reads child slot `i` with `Acquire`; resolve it with
+    /// [`crate::CacheTree::node`].
     #[inline]
-    pub fn child(&self, i: usize) -> Option<&CacheNode<D>> {
-        let p = self.children[i].load(Ordering::Acquire);
-        // SAFETY: child pointers are only ever set to nodes owned by the
-        // same `CacheTree`, which outlives every reference derived from
-        // `&self`, and the pointed-to node was fully constructed before
-        // the `Release` store that published the pointer.
-        unsafe { p.as_ref() }
+    pub fn child(&self, i: usize) -> Option<NodeHandle<D>> {
+        let h = self.children[i].load(Ordering::Acquire);
+        (h != NO_NODE).then_some(NodeHandle(h, PhantomData))
     }
 
-    /// Iterates over present children (slots 0..`branch_factor`).
-    pub fn children_iter(&self, branch_factor: usize) -> impl Iterator<Item = &CacheNode<D>> + '_ {
-        (0..branch_factor).filter_map(move |i| self.child(i))
+    /// This node's handle in the cache that holds it.
+    #[inline]
+    pub fn handle(&self) -> NodeHandle<D> {
+        NodeHandle(self.handle, PhantomData)
+    }
+
+    /// A leaf's stretch of its particle array (empty for other kinds).
+    pub fn bucket(&self) -> Range<usize> {
+        self.bucket.start as usize..self.bucket.end as usize
+    }
+
+    /// Shifts every present child by `base`: a run's node indices become
+    /// the handles of a store the run was appended to at `base`.
+    pub(crate) fn rebase(&mut self, base: u32) {
+        for c in &mut self.children {
+            let c = c.get_mut();
+            if *c != NO_NODE {
+                *c += base;
+            }
+        }
     }
 
     /// True when this node is a summary-only placeholder.
@@ -106,12 +129,21 @@ impl<D: Data> CacheNode<D> {
     }
 }
 
-/// A raw, lifetime-erased reference to a node of some [`crate::CacheTree`].
+/// The name of a node of some [`crate::CacheTree`]: an index into its
+/// append-only node store, which only [`crate::CacheTree::node`]
+/// resolves.
 ///
 /// Traversal engines park work items across pause/resume boundaries, so
 /// they cannot hold borrows; a handle defers the borrow to the moment of
-/// use, tying the returned reference to the cache that owns the node.
-pub struct NodeHandle<D>(*const CacheNode<D>);
+/// use. A handle used against the wrong cache names some other node or
+/// fails the bounds check; it never dangles.
+pub struct NodeHandle<D>(pub(crate) u32, PhantomData<fn() -> D>);
+
+impl<D> NodeHandle<D> {
+    pub(crate) fn new(index: u32) -> NodeHandle<D> {
+        NodeHandle(index, PhantomData)
+    }
+}
 
 impl<D> Clone for NodeHandle<D> {
     fn clone(&self) -> Self {
@@ -122,34 +154,7 @@ impl<D> Copy for NodeHandle<D> {}
 
 impl<D> std::fmt::Debug for NodeHandle<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "NodeHandle({:p})", self.0)
-    }
-}
-
-// SAFETY: the pointer targets a node owned by a `CacheTree`, which the
-// caller must still hold to dereference (see [`NodeHandle::get`]); the
-// node itself is Sync for Sync `D`.
-unsafe impl<D: Send + Sync> Send for NodeHandle<D> {}
-unsafe impl<D: Send + Sync> Sync for NodeHandle<D> {}
-
-impl<D> NodeHandle<D> {
-    /// Wraps a node reference. The caller promises the node belongs to a
-    /// cache that will outlive every later [`NodeHandle::get`].
-    pub fn new(node: &CacheNode<D>) -> NodeHandle<D> {
-        NodeHandle(node)
-    }
-
-    /// Re-borrows the node against the cache that owns it.
-    ///
-    /// The `owner` parameter is the lifetime witness: passing the owning
-    /// [`crate::CacheTree`] (or anything borrowed from it) guarantees the
-    /// node is still alive, since cache nodes are never freed before the
-    /// tree drops.
-    #[inline]
-    pub fn get<'a, T: ?Sized>(&self, _owner: &'a T) -> &'a CacheNode<D> {
-        // SAFETY: per the constructor contract the node outlives `owner`'s
-        // borrow; nodes are never moved or freed while their tree lives.
-        unsafe { &*self.0 }
+        write!(f, "NodeHandle({})", self.0)
     }
 }
 

@@ -10,30 +10,36 @@
 //! * grafted local subtrees (full structure, reachable "as if local"),
 //! * placeholders for remote subtrees, each with an atomic `requested`
 //!   flag,
-//! * received fill fragments spliced in by atomic pointer swap.
+//! * received fill fragments spliced in by one atomic store of a child
+//!   handle.
 //!
-//! # Safety model
+//! # Publication model
 //!
-//! Every node is individually boxed; ownership of all boxes lives in an
-//! append-only allocation list inside the tree, and nothing is freed
-//! until the `CacheTree` drops (the cache is no-delete, like the paper's).
-//! Child pointers only ever point at nodes in that list, and every store
-//! that publishes a pointer is `Release` while traversal loads are
-//! `Acquire`. Hence any `&CacheNode` obtained through the tree is valid
-//! for the tree's lifetime and its non-atomic fields are fully visible.
+//! Nodes live in one append-only store and are named by `u32` handles
+//! ([`NodeHandle`]); a leaf's particles are a range of one of the
+//! particle arrays kept beside the nodes — a local Subtree's array,
+//! moved in whole, or a fill's. Both stores append under the
+//! book-keeping lock, and every slot is written once, before any handle
+//! to it is published. A child slot is written `Relaxed` while its node
+//! is still private and overwritten at most once afterwards
+//! (placeholder → fill) with `Release`; readers load child slots and the
+//! root with `Acquire`, so whatever a loaded handle names is fully
+//! visible. Nothing is removed until the `CacheTree` drops (the cache is
+//! no-delete, like the paper's): a handle never dangles.
 
 use crate::error::CacheError;
-use crate::node::{CacheNode, NodeKind};
+use crate::node::{CacheNode, NodeHandle, NodeKind};
 use crate::stats::CacheStats;
+use crate::store::Store;
 use crate::wire;
 use paratreet_geometry::{BoundingBox, NodeKey};
+use paratreet_particles::Particle;
 use paratreet_telemetry::Telemetry;
 use paratreet_tree::node::NO_NODE;
 use paratreet_tree::{BuiltTree, Data, NodeShape};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
-use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
 /// The summary of one subtree root that every rank learns during the
 /// share step: enough to build the top skeleton and to prune traversals
@@ -69,8 +75,8 @@ pub enum RequestOutcome<'a, D> {
 
 /// Everything a successful fill splice produced: the canonical node now
 /// standing at the fragment root's key, and every parked waiter the fill
-/// unblocked (tagged with the key it was parked on, so engines can
-/// requeue the right paused work).
+/// unblocked (tagged with the key it was parked on and the node standing
+/// there, so engines can requeue the right paused work).
 #[derive(Debug)]
 pub struct FillOutcome<'a, D> {
     /// Canonical node at the fragment root's key. On a duplicate fill
@@ -79,17 +85,25 @@ pub struct FillOutcome<'a, D> {
     /// `(key, waiter)` pairs drained from `pending`, covering every key
     /// the fill materialised — root, interior, and frontier keys alike.
     pub resumed: Vec<(NodeKey, u64)>,
+    /// The canonical node at each `resumed` key, index for index.
+    pub resumed_at: Vec<NodeHandle<D>>,
     /// True when the fragment root was already materialised and the
     /// payload was discarded (idempotent duplicate delivery).
     pub duplicate: bool,
 }
 
 /// Book-keeping guarded by one short-held mutex: the process-level hash
-/// table of materialised nodes plus parked waiters. Traversal *reads*
-/// never touch this — they walk atomic child pointers.
+/// table of materialised nodes, parked waiters, and the next free slots
+/// of the stores. Traversal *reads* never touch this — they walk atomic
+/// child handles.
+#[derive(Default)]
 struct Bookkeeping<D> {
-    resolved: HashMap<NodeKey, NonNull<CacheNode<D>>>,
+    resolved: HashMap<NodeKey, NodeHandle<D>>,
     pending: HashMap<NodeKey, Vec<u64>>,
+    /// Nodes appended so far, superseded ones included.
+    n_nodes: u32,
+    /// Particle arrays appended so far.
+    n_arrays: u32,
 }
 
 /// The per-rank software cache; see module docs.
@@ -104,9 +118,12 @@ pub struct CacheTree<D: Data> {
     /// threaded engine attaches an enabled handle; the DES engine keeps
     /// its virtual-time trace free of wall timestamps).
     pub telemetry: Telemetry,
-    root: AtomicPtr<CacheNode<D>>,
+    root: AtomicU32,
     book: Mutex<Bookkeeping<D>>,
-    allocs: Mutex<Vec<NonNull<CacheNode<D>>>>,
+    nodes: Store<CacheNode<D>>,
+    /// The particle arrays leaves' buckets index: one per local Subtree
+    /// and one per fill.
+    arrays: Store<Vec<Particle>>,
     /// Recovery epoch: fills are stamped with the sender's epoch at
     /// serialisation and rejected on insert when they predate the
     /// receiver's ([`CacheError::StaleEpoch`]). Bumped by the engine on
@@ -118,13 +135,6 @@ pub struct CacheTree<D: Data> {
     dead: AtomicBool,
 }
 
-// SAFETY: the raw pointers all target boxed nodes owned by `allocs`,
-// which live exactly as long as the tree; cross-thread publication of
-// node contents happens-before any read via the Release/Acquire pairs on
-// child pointers and the root pointer, or via the book-keeping mutex.
-unsafe impl<D: Data> Send for CacheTree<D> {}
-unsafe impl<D: Data> Sync for CacheTree<D> {}
-
 impl<D: Data> CacheTree<D> {
     /// An empty cache for `rank`, for a tree with `bits` per key digit.
     pub fn new(rank: u32, bits: u32) -> CacheTree<D> {
@@ -133,9 +143,10 @@ impl<D: Data> CacheTree<D> {
             bits,
             stats: CacheStats::new(),
             telemetry: Telemetry::disabled(),
-            root: AtomicPtr::new(std::ptr::null_mut()),
-            book: Mutex::new(Bookkeeping { resolved: HashMap::new(), pending: HashMap::new() }),
-            allocs: Mutex::new(Vec::new()),
+            root: AtomicU32::new(NO_NODE),
+            book: Mutex::default(),
+            nodes: Store::new(),
+            arrays: Store::new(),
             epoch: AtomicU32::new(0),
             dead: AtomicBool::new(false),
         }
@@ -172,9 +183,8 @@ impl<D: Data> CacheTree<D> {
     pub fn on_owner_crash(&self, dead_rank: u32) -> usize {
         let book = self.book.lock();
         let mut rearmed = 0;
-        for p in book.resolved.values() {
-            // SAFETY: resolved pointers target nodes owned by self.
-            let node = unsafe { p.as_ref() };
+        for &h in book.resolved.values() {
+            let node = self.node(h);
             if node.is_placeholder()
                 && node.home_rank == dead_rank
                 && node.requested.swap(false, Ordering::AcqRel)
@@ -188,15 +198,16 @@ impl<D: Data> CacheTree<D> {
     /// Rebuilds this cache from scratch (restart recovery): every fill
     /// received so far is forgotten, the book-keeping is cleared, and
     /// the skeleton is re-initialised from `summaries` + the rank's
-    /// rebuilt `local` trees. Superseded allocations are kept until drop
-    /// (the cache stays no-delete, so old [`NodeHandle`]s never dangle
-    /// — the engine discards all work items of the crashed rank anyway).
+    /// rebuilt `local` trees, appended as a fresh skeleton. Superseded
+    /// nodes are kept until drop (the cache stays no-delete, so old
+    /// [`NodeHandle`]s never dangle — the engine discards all work items
+    /// of the crashed rank anyway).
     pub fn reinit(&self, summaries: &[SubtreeSummary<D>], local: Vec<BuiltTree<D>>) {
         {
             let mut book = self.book.lock();
             book.resolved.clear();
             book.pending.clear();
-            self.root.store(std::ptr::null_mut(), Ordering::Release);
+            self.root.store(NO_NODE, Ordering::Release);
         }
         self.init(summaries, local);
     }
@@ -228,11 +239,26 @@ impl<D: Data> CacheTree<D> {
         self.insert_fragment(&bytes)
     }
 
-    /// Takes ownership of a boxed node, returning its stable pointer.
-    fn adopt(&self, node: Box<CacheNode<D>>) -> NonNull<CacheNode<D>> {
-        let ptr = NonNull::from(Box::leak(node));
-        self.allocs.lock().push(ptr);
-        ptr
+    /// Appends a run of nodes, whose child slots already name store
+    /// handles, and the particle array their buckets index. Returns the
+    /// run's first handle.
+    fn append(
+        &self,
+        book: &mut Bookkeeping<D>,
+        run: impl IntoIterator<Item = CacheNode<D>>,
+        particles: Vec<Particle>,
+    ) -> NodeHandle<D> {
+        let (first, array) = (book.n_nodes, book.n_arrays);
+        if !particles.is_empty() {
+            self.arrays.set(array, particles);
+            book.n_arrays += 1;
+        }
+        for mut node in run {
+            (node.handle, node.array) = (book.n_nodes, array);
+            self.nodes.set(book.n_nodes, node);
+            book.n_nodes += 1;
+        }
+        NodeHandle::new(first)
     }
 
     /// Builds the top skeleton from all ranks' subtree summaries and
@@ -279,20 +305,14 @@ impl<D: Data> CacheTree<D> {
         let mut book = self.book.lock();
         // Materialise subtree roots first.
         for s in summaries {
-            let ptr = if let Some(tree) = local_by_key.remove(&s.key) {
-                self.graft(tree, s.home_rank)
+            let h = if let Some(tree) = local_by_key.remove(&s.key) {
+                self.graft(&mut book, tree, s.home_rank)
             } else {
-                self.adopt(Box::new(CacheNode::new(
-                    s.key,
-                    s.bbox,
-                    s.n_particles,
-                    s.data.clone(),
-                    s.home_rank,
-                    NodeKind::Placeholder,
-                    vec![],
-                )))
+                let (data, kind) = (s.data.clone(), NodeKind::Placeholder);
+                let node = CacheNode::new(s.key, s.bbox, s.n_particles, data, s.home_rank, kind);
+                self.append(&mut book, [node], Vec::new())
             };
-            book.resolved.insert(s.key, ptr);
+            book.resolved.insert(s.key, h);
         }
         assert!(local_by_key.is_empty(), "local subtree without matching summary");
 
@@ -307,103 +327,89 @@ impl<D: Data> CacheTree<D> {
                 // else; and with one subtree the root is the summary.
                 continue;
             }
-            let mut bbox = BoundingBox::empty();
-            let mut n = 0u32;
-            let mut data = D::default();
-            let node = Box::new(CacheNode::new(
-                key,
-                bbox, // placeholder; fixed below after children are read
-                0,
-                D::default(),
-                u32::MAX, // the skeleton is replicated, not owned
-                NodeKind::Internal,
-                vec![],
-            ));
-            let ptr = self.adopt(node);
+            // The skeleton is replicated, not owned: no home rank.
+            let (bbox, kind) = (BoundingBox::empty(), NodeKind::Internal);
+            let mut node = CacheNode::new(key, bbox, 0, D::default(), u32::MAX, kind);
             let mut kids = child_keys[&key].clone();
             kids.sort_by_key(|k| k.child_index(self.bits));
             for ck in kids {
-                let child = book.resolved[&ck];
-                // SAFETY: both nodes are owned by this tree and we are
-                // pre-publication (under the book lock, root not yet set).
-                let child_ref = unsafe { child.as_ref() };
-                bbox.merge(&child_ref.bbox);
-                n += child_ref.n_particles;
-                data.merge(&child_ref.data);
-                unsafe { ptr.as_ref() }.children[ck.child_index(self.bits)]
-                    .store(child.as_ptr(), Ordering::Relaxed);
+                let child = self.node(book.resolved[&ck]);
+                node.bbox.merge(&child.bbox);
+                node.n_particles += child.n_particles;
+                node.data.merge(&child.data);
+                *node.children[ck.child_index(self.bits)].get_mut() = child.handle;
             }
-            // SAFETY: sole owner pre-publication; no other thread can
-            // reach this node yet.
-            unsafe {
-                let m = &mut *ptr.as_ptr();
-                m.bbox = bbox;
-                m.n_particles = n;
-                m.data = data;
-            }
-            book.resolved.insert(key, ptr);
+            let h = self.append(&mut book, [node], Vec::new());
+            book.resolved.insert(key, h);
         }
 
-        let root_ptr = book.resolved[&NodeKey::root()];
+        let root = book.resolved[&NodeKey::root()];
         drop(book);
-        self.root.store(root_ptr.as_ptr(), Ordering::Release);
+        self.root.store(root.0, Ordering::Release);
     }
 
-    /// Converts a built subtree into cache nodes, wiring children, and
-    /// returns the pointer to its root. Pre-publication, so plain stores.
-    fn graft(&self, tree: BuiltTree<D>, home_rank: u32) -> NonNull<CacheNode<D>> {
-        let mut ptrs: Vec<NonNull<CacheNode<D>>> = Vec::with_capacity(tree.nodes.len());
-        for bn in &tree.nodes {
-            let (kind, particles) = match bn.shape {
-                NodeShape::Internal => (NodeKind::Internal, vec![]),
-                NodeShape::Empty => (NodeKind::Empty, vec![]),
-                NodeShape::Leaf { start, end } => {
-                    (NodeKind::Leaf, tree.particles[start as usize..end as usize].to_vec())
-                }
+    /// Appends a built subtree as one run — its nodes in arena order
+    /// (index 0, the root, first), its particle array moved in whole —
+    /// and returns its root's handle. Pre-publication, so plain stores.
+    fn graft(&self, book: &mut Bookkeeping<D>, tree: BuiltTree<D>, home: u32) -> NodeHandle<D> {
+        let base = book.n_nodes;
+        let run = tree.nodes.into_iter().map(|bn| {
+            let (kind, bucket) = match bn.shape {
+                NodeShape::Internal => (NodeKind::Internal, 0..0),
+                NodeShape::Empty => (NodeKind::Empty, 0..0),
+                NodeShape::Leaf { start, end } => (NodeKind::Leaf, start..end),
             };
-            let node = Box::new(CacheNode::new(
-                bn.key,
-                bn.bbox,
-                bn.n_particles,
-                bn.data.clone(),
-                home_rank,
-                kind,
-                particles,
-            ));
-            ptrs.push(self.adopt(node));
+            let mut node = CacheNode::new(bn.key, bn.bbox, bn.n_particles, bn.data, home, kind);
+            node.bucket = bucket;
+            node.children = bn.children.map(AtomicU32::new);
+            node.rebase(base);
+            node
+        });
+        self.append(book, run, tree.particles)
+    }
+
+    /// The node `h` names — wait-free: no lock, only `Acquire` loads.
+    /// Panics on a handle past this cache's end (another cache's).
+    #[inline]
+    pub fn node(&self, h: NodeHandle<D>) -> &CacheNode<D> {
+        self.nodes.get(h.0).expect("a handle names a node of its cache")
+    }
+
+    /// Child `i` of `node`, resolved.
+    #[inline]
+    pub fn child(&self, node: &CacheNode<D>, i: usize) -> Option<&CacheNode<D>> {
+        node.child(i).map(|h| self.node(h))
+    }
+
+    /// The present children of `node` (slots 0..`branch_factor`).
+    pub fn children<'a>(
+        &'a self,
+        node: &'a CacheNode<D>,
+        branch_factor: usize,
+    ) -> impl Iterator<Item = &'a CacheNode<D>> + 'a {
+        (0..branch_factor).filter_map(move |i| self.child(node, i))
+    }
+
+    /// A leaf's bucket of particles; empty for every other kind.
+    #[inline]
+    pub fn particles(&self, node: &CacheNode<D>) -> &[Particle] {
+        match self.arrays.get(node.array) {
+            Some(array) if node.is_leaf() => &array[node.bucket()],
+            _ => &[],
         }
-        for (i, bn) in tree.nodes.iter().enumerate() {
-            for (slot, &c) in bn.children.iter().enumerate() {
-                if c != NO_NODE {
-                    unsafe { ptrs[i].as_ref() }.children[slot]
-                        .store(ptrs[c as usize].as_ptr(), Ordering::Relaxed);
-                }
-            }
-        }
-        // The caller treats slot 0 as the subtree root; a BuiltTree whose
-        // first node is not its root would silently graft garbage.
-        debug_assert_eq!(
-            unsafe { ptrs[0].as_ref() }.key,
-            tree.root().key,
-            "grafted tree's nodes[0] must be its root"
-        );
-        ptrs[0]
     }
 
     /// The global root; `None` before [`CacheTree::init`].
     pub fn root(&self) -> Option<&CacheNode<D>> {
-        let p = self.root.load(Ordering::Acquire);
-        // SAFETY: see module-level safety model.
-        unsafe { p.as_ref() }
+        let h = self.root.load(Ordering::Acquire);
+        (h != NO_NODE).then(|| self.node(NodeHandle::new(h)))
     }
 
     /// Looks a node up in the process-level hash table. Takes the
     /// book-keeping lock — setup/debug paths only, not traversal.
     pub fn lookup(&self, key: NodeKey) -> Option<&CacheNode<D>> {
-        let book = self.book.lock();
-        let p = book.resolved.get(&key).copied();
-        // SAFETY: nodes live as long as self.
-        p.map(|nn| unsafe { &*nn.as_ptr() })
+        let h = self.book.lock().resolved.get(&key).copied();
+        h.map(|h| self.node(h))
     }
 
     /// Asks for the contents of placeholder `node`, parking `waiter`
@@ -414,12 +420,11 @@ impl<D: Data> CacheTree<D> {
         debug_assert!(node.is_placeholder());
         let mut book = self.book.lock();
         // Re-check under the lock: a fill may have swapped the
-        // placeholder out after the caller loaded its pointer.
+        // placeholder out after the caller loaded its handle.
         if let Some(&cur) = book.resolved.get(&node.key) {
-            // SAFETY: nodes live as long as self.
-            let cur_ref = unsafe { &*cur.as_ptr() };
-            if !cur_ref.is_placeholder() {
-                return RequestOutcome::Ready(cur_ref);
+            let cur = self.node(cur);
+            if !cur.is_placeholder() {
+                return RequestOutcome::Ready(cur);
             }
         }
         book.pending.entry(node.key).or_default().push(waiter);
@@ -450,7 +455,7 @@ impl<D: Data> CacheTree<D> {
         while level < target_level {
             level += 1;
             let digit = key.ancestor_at(level, self.bits).child_index(self.bits);
-            node = node.child(digit)?;
+            node = self.child(node, digit)?;
         }
         (node.key == key).then_some(node)
     }
@@ -469,7 +474,7 @@ impl<D: Data> CacheTree<D> {
                 return Err(CacheError::NotInitialized);
             }
             let node = self.find(key).ok_or(CacheError::UnknownKey { key })?;
-            Ok(wire::encode_fragment(node, depth, self.epoch()))
+            Ok(wire::encode_fragment(self, node, depth, self.epoch()))
         })
     }
 
@@ -477,7 +482,7 @@ impl<D: Data> CacheTree<D> {
     /// returns a [`FillOutcome`]: the canonical fragment-root node plus
     /// every parked waiter this fill unblocks (Step 5). Any worker
     /// thread may call this — that is the point of the wait-free design:
-    /// the tree structure is updated by atomic child-pointer swaps, and
+    /// the tree structure is updated by atomic child-handle stores, and
     /// only the hash-table/pending book-keeping takes a (short) lock.
     ///
     /// Guarantees, in the presence of duplicated / reordered deliveries:
@@ -506,7 +511,7 @@ impl<D: Data> CacheTree<D> {
         if self.is_dead() {
             return Err(CacheError::OwnerDead { rank: self.rank });
         }
-        let frag = wire::decode_fragment::<D>(bytes)?;
+        let mut frag = wire::decode_fragment::<D>(bytes)?;
         let cache_epoch = self.epoch();
         if frag.epoch != cache_epoch {
             return Err(CacheError::StaleEpoch { fill_epoch: frag.epoch, cache_epoch });
@@ -515,45 +520,40 @@ impl<D: Data> CacheTree<D> {
             return Err(CacheError::EmptyFragment);
         }
         let root_key = frag.nodes[0].key;
-        let n_fragment_particles = frag.n_particles;
 
         let mut book = self.book.lock();
 
-        // Validate the splice point *before* mutating anything, so a
-        // rejected fill leaves the cache untouched.
+        // Validate *before* mutating anything, so a rejected fill leaves
+        // the cache untouched. A fill lands only on a key this cache
+        // registered (every placeholder is, when it is created) under a
+        // materialised parent, and its nodes must fit together.
         if root_key == NodeKey::root() {
             if !book.resolved.contains_key(&root_key) {
                 return Err(CacheError::NotInitialized);
             }
         } else {
-            let parent_key = root_key.parent(self.bits);
-            let parent_ok = book
-                .resolved
-                .get(&parent_key)
-                // SAFETY: resolved pointers target nodes owned by self.
-                .map(|p| !unsafe { p.as_ref() }.is_placeholder())
-                .unwrap_or(false);
-            if !parent_ok {
+            let parent = book.resolved.get(&root_key.parent(self.bits));
+            let parent_ok = parent.is_some_and(|&p| !self.node(p).is_placeholder());
+            if !parent_ok || !book.resolved.contains_key(&root_key) {
                 return Err(CacheError::OrphanFill { key: root_key });
             }
+        }
+        if !frag.is_consistent(self.bits) {
+            return Err(CacheError::MalformedFragment { len: bytes.len() });
         }
 
         CacheStats::add(&self.stats.fills_inserted, 1);
         CacheStats::add(&self.stats.bytes_received, bytes.len() as u64);
         CacheStats::add(&self.stats.nodes_inserted, frag.nodes.len() as u64);
-        CacheStats::add(&self.stats.particles_inserted, n_fragment_particles);
+        CacheStats::add(&self.stats.particles_inserted, frag.particles.len() as u64);
 
-        // Adopt allocations (pointers stay valid; Boxes move, heap
-        // doesn't). Lock order is always book → allocs, as in `init`.
-        let mut ptrs = Vec::with_capacity(frag.nodes.len());
-        {
-            let mut allocs = self.allocs.lock();
-            for node in frag.nodes {
-                let ptr = NonNull::from(Box::leak(node));
-                allocs.push(ptr);
-                ptrs.push(ptr);
-            }
-        }
+        // Append the fragment as one run: its child indices become store
+        // handles, its particle array is moved in.
+        let base = book.n_nodes;
+        frag.nodes.iter_mut().for_each(|node| node.rebase(base));
+        self.append(&mut book, frag.nodes, frag.particles);
+        let run: Vec<&CacheNode<D>> =
+            (base..book.n_nodes).map(|h| self.node(NodeHandle::new(h))).collect();
 
         // Step 3a — canonicalise per key: decide, for every key the
         // fragment carries, which node shall represent it from now on.
@@ -561,20 +561,17 @@ impl<D: Data> CacheTree<D> {
         // existing placeholder is kept over a fragment placeholder (it
         // owns the `requested` flag and the identity other parents point
         // at) but loses to fragment data.
-        let mut fragment_wins = Vec::with_capacity(ptrs.len());
-        for &p in &ptrs {
-            // SAFETY: just adopted, owned by self.
-            let node = unsafe { p.as_ref() };
+        let mut fragment_wins = Vec::with_capacity(run.len());
+        for node in &run {
             let wins = match book.resolved.get(&node.key) {
-                Some(existing) => {
-                    // SAFETY: resolved pointers target nodes owned by self.
-                    let ex = unsafe { existing.as_ref() };
+                Some(&existing) => {
+                    let ex = self.node(existing);
                     ex.is_placeholder() && !node.is_placeholder()
                 }
                 None => true,
             };
             if wins {
-                book.resolved.insert(node.key, p);
+                book.resolved.insert(node.key, node.handle());
             }
             fragment_wins.push(wins);
         }
@@ -582,25 +579,16 @@ impl<D: Data> CacheTree<D> {
         // Step 3b — rewire winning internal nodes' child slots to the
         // canonical node per key. Pre-publication: Relaxed suffices, the
         // publishing stores below are Release.
-        for (i, &p) in ptrs.iter().enumerate() {
-            if !fragment_wins[i] {
-                continue;
-            }
-            // SAFETY: adopted above.
-            let node = unsafe { p.as_ref() };
-            if node.kind != NodeKind::Internal {
+        for (i, node) in run.iter().enumerate() {
+            if !fragment_wins[i] || node.kind != NodeKind::Internal {
                 continue;
             }
             for slot in 0..wire::MAX_BRANCH {
-                let child = node.children[slot].load(Ordering::Relaxed);
-                if child.is_null() {
-                    continue;
-                }
-                // SAFETY: fragment-internal pointer, adopted above.
-                let child_key = unsafe { (*child).key };
-                if let Some(canon) = book.resolved.get(&child_key) {
-                    if canon.as_ptr() != child {
-                        node.children[slot].store(canon.as_ptr(), Ordering::Relaxed);
+                let Some(child) = node.child(slot) else { continue };
+                let child_key = self.node(child).key;
+                if let Some(&canon) = book.resolved.get(&child_key) {
+                    if canon.0 != child.0 {
+                        node.children[slot].store(canon.0, Ordering::Relaxed);
                     }
                 }
             }
@@ -611,71 +599,59 @@ impl<D: Data> CacheTree<D> {
         // loads). This covers the fragment root replacing its
         // placeholder AND interior keys whose placeholder is referenced
         // by an *older* fill's internal node.
-        for (i, &p) in ptrs.iter().enumerate() {
+        for (i, node) in run.iter().enumerate() {
             if !fragment_wins[i] {
                 continue;
             }
-            // SAFETY: adopted above.
-            let key = unsafe { p.as_ref() }.key;
+            let key = node.key;
             if key == NodeKey::root() {
-                self.root.store(p.as_ptr(), Ordering::Release);
+                self.root.store(node.handle, Ordering::Release);
                 continue;
             }
-            let Some(parent) = book.resolved.get(&key.parent(self.bits)) else {
+            let Some(&parent) = book.resolved.get(&key.parent(self.bits)) else {
                 // Interior keys always have their parent in the fragment;
                 // the root's parent was validated above.
                 continue;
             };
-            // SAFETY: resolved pointers target nodes owned by self.
-            let parent_ref = unsafe { parent.as_ref() };
-            if parent_ref.is_placeholder() {
+            let parent = self.node(parent);
+            if parent.is_placeholder() {
                 // Never hang children off a placeholder (audit invariant).
                 continue;
             }
-            parent_ref.children[key.child_index(self.bits)].store(p.as_ptr(), Ordering::Release);
+            parent.children[key.child_index(self.bits)].store(node.handle, Ordering::Release);
         }
 
         // Step 5 — drain waiters for every key that is materialised
-        // after this fill, tagging each with its parking key so the
-        // engine can requeue the right paused work.
-        let mut resumed: Vec<(NodeKey, u64)> = Vec::new();
-        for &p in &ptrs {
-            // SAFETY: adopted above.
-            let key = unsafe { p.as_ref() }.key;
-            let materialised = book
-                .resolved
-                .get(&key)
-                // SAFETY: resolved pointers target nodes owned by self.
-                .map(|c| !unsafe { c.as_ref() }.is_placeholder())
-                .unwrap_or(false);
-            if materialised {
-                if let Some(ws) = book.pending.remove(&key) {
-                    resumed.extend(ws.into_iter().map(|w| (key, w)));
-                }
-            }
-        }
-
-        let canon_root = book.resolved[&root_key];
-        // SAFETY: nodes live as long as self.
-        let canon_root_ref = unsafe { &*canon_root.as_ptr() };
-        if canon_root_ref.is_placeholder() {
+        // after this fill, tagging each with its parking key and the
+        // node there so the engine can requeue the right paused work.
+        let mut drained: Vec<&CacheNode<D>> = (run.iter())
+            .filter_map(|node| book.resolved.get(&node.key).map(|&canon| self.node(canon)))
+            .filter(|canon| !canon.is_placeholder())
+            .collect();
+        let canon_root = self.node(book.resolved[&root_key]);
+        if canon_root.is_placeholder() {
             // Depth-0 fill: no data arrived. Re-arm the request flag and
             // hand the waiters back; resuming them re-runs the visitor,
             // which re-requests at the placeholder and re-parks.
-            canon_root_ref.requested.store(false, Ordering::Release);
-            if let Some(ws) = book.pending.remove(&root_key) {
-                resumed.extend(ws.into_iter().map(|w| (root_key, w)));
+            canon_root.requested.store(false, Ordering::Release);
+            drained.push(canon_root);
+        }
+        let (mut resumed, mut resumed_at) = (Vec::new(), Vec::new());
+        for canon in drained {
+            if let Some(ws) = book.pending.remove(&canon.key) {
+                resumed_at.extend(std::iter::repeat_n(canon.handle(), ws.len()));
+                resumed.extend(ws.into_iter().map(|w| (canon.key, w)));
             }
         }
         CacheStats::add(&self.stats.waiters_resumed, resumed.len() as u64);
 
-        let duplicate = !fragment_wins[0] && !canon_root_ref.is_placeholder();
+        let duplicate = !fragment_wins[0] && !canon_root.is_placeholder();
         if duplicate {
             CacheStats::add(&self.stats.fills_duplicate, 1);
         }
         drop(book);
 
-        Ok(FillOutcome { root: canon_root_ref, resumed, duplicate })
+        Ok(FillOutcome { root: canon_root, resumed, resumed_at, duplicate })
     }
 
     /// Checks every structural invariant of the cached tree. Intended
@@ -690,39 +666,32 @@ impl<D: Data> CacheTree<D> {
     ///    and no child sits in a slot beyond the branch factor,
     /// 3. no placeholder (or leaf, or empty) node has children,
     /// 4. every `pending` key refers to a resolved placeholder (a waiter
-    ///    parked on materialised data would sleep forever),
-    /// 5. the allocation list is at least as large as the reachable set
-    ///    (no-delete cache: nothing reachable was ever freed).
+    ///    parked on materialised data would sleep forever).
+    ///
+    /// Nothing reachable can have been freed: the store never removes a
+    /// node, and a handle past its end panics where it is resolved.
     pub fn audit(&self) -> Result<(), String> {
         let book = self.book.lock();
-        let root = self.root.load(Ordering::Acquire);
-        if root.is_null() {
+        let Some(root) = self.root() else {
             return if book.resolved.is_empty() && book.pending.is_empty() {
                 Ok(())
             } else {
                 Err("cache has book-keeping entries but no published root".into())
             };
-        }
+        };
 
         let branch = 1usize << self.bits;
         let mut errors: Vec<String> = Vec::new();
-        let mut reachable: HashSet<*const CacheNode<D>> = HashSet::new();
-        let mut stack: Vec<*const CacheNode<D>> = vec![root];
-        while let Some(p) = stack.pop() {
-            if !reachable.insert(p) {
-                // SAFETY: reachable pointers target nodes owned by self.
-                let key = unsafe { (*p).key };
-                errors.push(format!("node {key} is reachable via more than one path"));
+        let mut reachable: HashSet<u32> = HashSet::new();
+        let mut stack = vec![root];
+        while let Some(node) = stack.pop() {
+            if !reachable.insert(node.handle) {
+                errors.push(format!("node {} is reachable via more than one path", node.key));
                 continue;
             }
-            // SAFETY: as above.
-            let node = unsafe { &*p };
             let mut has_children = false;
             for slot in 0..node.children.len() {
-                let c = node.children[slot].load(Ordering::Acquire);
-                if c.is_null() {
-                    continue;
-                }
+                let Some(c) = self.child(node, slot) else { continue };
                 has_children = true;
                 if slot >= branch {
                     errors.push(format!(
@@ -730,8 +699,7 @@ impl<D: Data> CacheTree<D> {
                         node.key
                     ));
                 }
-                // SAFETY: child pointers target nodes owned by self.
-                let child_key = unsafe { (*c).key };
+                let child_key = c.key;
                 let expected = node.key.child(slot, self.bits);
                 if child_key != expected {
                     errors.push(format!(
@@ -746,13 +714,12 @@ impl<D: Data> CacheTree<D> {
             }
         }
 
-        for (&key, p) in &book.resolved {
-            // SAFETY: resolved pointers target nodes owned by self.
-            let node = unsafe { p.as_ref() };
+        for (&key, &h) in &book.resolved {
+            let node = self.node(h);
             if node.key != key {
                 errors.push(format!("resolved[{key}] points at node with key {}", node.key));
             }
-            if !reachable.contains(&(p.as_ptr() as *const CacheNode<D>)) {
+            if !reachable.contains(&h.0) {
                 errors.push(format!("resolved key {key} is not reachable from the root"));
             }
         }
@@ -761,26 +728,14 @@ impl<D: Data> CacheTree<D> {
             if waiters.is_empty() {
                 continue;
             }
-            let is_placeholder = book
-                .resolved
-                .get(&key)
-                // SAFETY: as above.
-                .map(|p| unsafe { p.as_ref() }.is_placeholder())
-                .unwrap_or(false);
+            let is_placeholder =
+                book.resolved.get(&key).is_some_and(|&h| self.node(h).is_placeholder());
             if !is_placeholder {
                 errors.push(format!(
                     "{} waiter(s) parked on {key}, which is not a resolved placeholder",
                     waiters.len()
                 ));
             }
-        }
-
-        let n_alloc = self.allocs.lock().len();
-        if n_alloc < reachable.len() {
-            errors.push(format!(
-                "allocation list holds {n_alloc} nodes but {} are reachable",
-                reachable.len()
-            ));
         }
 
         if errors.is_empty() {
@@ -797,7 +752,7 @@ impl<D: Data> CacheTree<D> {
     /// 1. **Bucket-size bounds** — every leaf holds at most
     ///    `bucket_size` particles unless its key has no room for deeper
     ///    digits (the depth-cap escape hatch fresh builds also use), and
-    ///    its particle list length matches its `n_particles` summary,
+    ///    its bucket's length matches its `n_particles` summary,
     /// 2. **Summary consistency** — every internal node's `n_particles`
     ///    equals the sum over its children (placeholder summaries
     ///    included: counts travel on the wire), every child's region box
@@ -811,35 +766,31 @@ impl<D: Data> CacheTree<D> {
     pub fn audit_patched(&self, bucket_size: usize) -> Result<(), String> {
         self.audit()?;
         let book = self.book.lock();
-        let root = self.root.load(Ordering::Acquire);
-        if root.is_null() {
-            return Ok(());
-        }
+        let Some(root) = self.root() else { return Ok(()) };
         let max_level = 63 / self.bits; // deepest level a key can encode
         let mut errors: Vec<String> = Vec::new();
-        let mut stack: Vec<*const CacheNode<D>> = vec![root];
-        while let Some(p) = stack.pop() {
-            // SAFETY: reachable pointers target nodes owned by self.
-            let node = unsafe { &*p };
+        let mut stack = vec![root];
+        while let Some(node) = stack.pop() {
             match node.kind {
                 NodeKind::Leaf => {
-                    if node.particles.len() != node.n_particles as usize {
+                    let particles = self.particles(node);
+                    if particles.len() != node.n_particles as usize {
                         errors.push(format!(
                             "leaf {} summarises {} particles but holds {}",
                             node.key,
                             node.n_particles,
-                            node.particles.len()
+                            particles.len()
                         ));
                     }
                     let at_depth_cap = node.key.level(self.bits) >= max_level;
-                    if node.particles.len() > bucket_size && !at_depth_cap {
+                    if particles.len() > bucket_size && !at_depth_cap {
                         errors.push(format!(
                             "leaf {} holds {} particles, over bucket size {bucket_size}",
                             node.key,
-                            node.particles.len()
+                            particles.len()
                         ));
                     }
-                    if let Some(p) = node.particles.iter().find(|p| !node.bbox.contains(p.pos)) {
+                    if let Some(p) = particles.iter().find(|p| !node.bbox.contains(p.pos)) {
                         errors.push(format!(
                             "leaf {} holds particle {} outside its region box",
                             node.key, p.id
@@ -850,13 +801,8 @@ impl<D: Data> CacheTree<D> {
                     let mut n_children = 0u32;
                     let mut sum = 0u32;
                     for slot in 0..node.children.len() {
-                        let c = node.children[slot].load(Ordering::Acquire);
-                        if c.is_null() {
-                            continue;
-                        }
+                        let Some(child) = self.child(node, slot) else { continue };
                         n_children += 1;
-                        // SAFETY: child pointers target nodes owned by self.
-                        let child = unsafe { &*c };
                         sum += child.n_particles;
                         let contained =
                             node.bbox.contains(child.bbox.lo) && node.bbox.contains(child.bbox.hi);
@@ -866,7 +812,7 @@ impl<D: Data> CacheTree<D> {
                                 child.key, node.key
                             ));
                         }
-                        stack.push(c);
+                        stack.push(child);
                     }
                     if n_children == 0 {
                         errors.push(format!("internal node {} has no children", node.key));
@@ -878,11 +824,8 @@ impl<D: Data> CacheTree<D> {
                     }
                 }
                 NodeKind::Placeholder => {
-                    let canonical = book
-                        .resolved
-                        .get(&node.key)
-                        .map(|canon| std::ptr::eq(canon.as_ptr(), p))
-                        .unwrap_or(false);
+                    let canonical =
+                        book.resolved.get(&node.key).is_some_and(|h| h.0 == node.handle);
                     if !canonical {
                         errors.push(format!(
                             "orphan placeholder {}: reachable but not the canonical entry",
@@ -900,19 +843,9 @@ impl<D: Data> CacheTree<D> {
         }
     }
 
-    /// Number of nodes currently allocated (including superseded
+    /// Number of nodes appended so far (including superseded
     /// placeholders — the cache is no-delete).
     pub fn n_allocated(&self) -> usize {
-        self.allocs.lock().len()
-    }
-}
-
-impl<D: Data> Drop for CacheTree<D> {
-    fn drop(&mut self) {
-        for ptr in self.allocs.get_mut().drain(..) {
-            // SAFETY: every pointer in `allocs` came from Box::leak and
-            // is dropped exactly once, here.
-            drop(unsafe { Box::from_raw(ptr.as_ptr()) });
-        }
+        self.book.lock().n_nodes as usize
     }
 }

@@ -59,22 +59,22 @@ fn make_fills(n: usize) -> (CacheTree<CountData>, Vec<(NodeKey, Vec<u8>)>) {
 /// `n_particles` equals the sum over its children (or its bucket size),
 /// treating placeholders as trusted summaries.
 fn check_consistent(cache: &CacheTree<CountData>) -> u64 {
-    fn walk(n: &paratreet_cache::CacheNode<CountData>) -> u64 {
+    fn walk(c: &CacheTree<CountData>, n: &paratreet_cache::CacheNode<CountData>) -> u64 {
         match n.kind {
             NodeKind::Placeholder => n.n_particles as u64,
             NodeKind::Empty => 0,
             NodeKind::Leaf => {
-                assert_eq!(n.particles.len() as u32, n.n_particles);
+                assert_eq!(c.particles(n).len() as u32, n.n_particles);
                 n.n_particles as u64
             }
             NodeKind::Internal => {
-                let sum: u64 = n.children_iter(8).map(walk).sum();
+                let sum: u64 = c.children(n, 8).map(|ch| walk(c, ch)).sum();
                 assert_eq!(sum, n.n_particles as u64, "internal node count mismatch");
                 sum
             }
         }
     }
-    walk(cache.root().expect("root"))
+    walk(cache, cache.root().expect("root"))
 }
 
 #[test]
@@ -122,9 +122,9 @@ fn parallel_writers_single_reader() {
     while let Some(nd) = stack.pop() {
         assert_ne!(nd.kind, NodeKind::Placeholder);
         if nd.is_leaf() {
-            leaf_particles += nd.particles.len();
+            leaf_particles += away.particles(nd).len();
         }
-        for c in nd.children_iter(8) {
+        for c in away.children(nd, 8) {
             stack.push(c);
         }
     }

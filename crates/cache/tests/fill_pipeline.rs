@@ -1,10 +1,12 @@
 //! Hardening tests for the fetch → serialize → fill → resume pipeline:
 //! waiters parked at several depths must all be resumed by one deep fill
 //! (the waiter-leak regression), duplicate fills must be idempotent,
-//! orphaned fills must be rejected without mutating the cache, and a
-//! placeholder-root fill must re-arm the request flag. Each scenario
-//! finishes with a full [`CacheTree::audit`] pass.
+//! orphaned fills — a fill keyed inside a local Subtree among them — must
+//! be rejected without mutating the cache, and a placeholder-root fill
+//! must re-arm the request flag. Each scenario finishes with a full
+//! [`CacheTree::audit`] pass.
 
+use paratreet_cache::wire::HEADER_BYTES;
 use paratreet_cache::{CacheError, CacheNode, CacheTree, NodeKind, RequestOutcome, SubtreeSummary};
 use paratreet_geometry::NodeKey;
 use paratreet_particles::{gen, ParticleVec};
@@ -51,9 +53,12 @@ fn make_world(n: usize) -> (CacheTree<CountData>, CacheTree<CountData>) {
 }
 
 /// All placeholder children directly under `node`, biggest first.
-fn placeholder_children(node: &CacheNode<CountData>) -> Vec<&CacheNode<CountData>> {
+fn placeholder_children<'a>(
+    cache: &'a CacheTree<CountData>,
+    node: &'a CacheNode<CountData>,
+) -> Vec<&'a CacheNode<CountData>> {
     let mut out: Vec<_> =
-        node.children_iter(8).filter(|c| c.kind == NodeKind::Placeholder).collect();
+        cache.children(node, 8).filter(|c| c.kind == NodeKind::Placeholder).collect();
     out.sort_by_key(|c| std::cmp::Reverse(c.n_particles));
     out
 }
@@ -61,7 +66,10 @@ fn placeholder_children(node: &CacheNode<CountData>) -> Vec<&CacheNode<CountData
 /// The busiest subtree root on the home rank (deep enough to have
 /// placeholder frontiers two fills down).
 fn busiest_octant(home: &CacheTree<CountData>) -> NodeKey {
-    home.root().unwrap().children_iter(8).max_by_key(|c| c.n_particles).expect("home owns data").key
+    home.children(home.root().unwrap(), 8)
+        .max_by_key(|c| c.n_particles)
+        .expect("home owns data")
+        .key
 }
 
 #[test]
@@ -76,7 +84,7 @@ fn one_deep_fill_resumes_waiters_parked_at_different_depths() {
     let out1 = away.insert_fragment(&home.serialize_fragment(k1, 1).unwrap()).unwrap();
     assert_eq!(out1.resumed, vec![(k1, 1)]);
 
-    let level2 = placeholder_children(away.find(k1).unwrap());
+    let level2 = placeholder_children(&away, away.find(k1).unwrap());
     assert!(level2.len() >= 2, "need two depth-2 placeholders, got {}", level2.len());
     let k2 = level2[0].key; // will be fetched shallowly next
     let k2b = level2[1].key; // waiter parks here (depth 2)
@@ -84,7 +92,7 @@ fn one_deep_fill_resumes_waiters_parked_at_different_depths() {
     let out2 = away.insert_fragment(&home.serialize_fragment(k2, 1).unwrap()).unwrap();
     assert_eq!(out2.resumed, vec![(k2, 2)]);
 
-    let level3 = placeholder_children(away.find(k2).unwrap());
+    let level3 = placeholder_children(&away, away.find(k2).unwrap());
     assert!(!level3.is_empty(), "need a depth-3 placeholder under {k2}");
     let k3 = level3[0].key; // waiter parks here (depth 3)
 
@@ -148,9 +156,7 @@ fn orphan_fill_is_rejected_without_mutating() {
     // A fill for a *grandchild* key whose parent is still a placeholder
     // on the away rank (a reordered delivery) has nowhere to splice.
     let k2 = home
-        .find(k1)
-        .unwrap()
-        .children_iter(8)
+        .children(home.find(k1).unwrap(), 8)
         .max_by_key(|c| c.n_particles)
         .expect("busiest octant has children")
         .key;
@@ -169,6 +175,27 @@ fn orphan_fill_is_rejected_without_mutating() {
     away.insert_fragment(&home.serialize_fragment(k1, 1).unwrap()).unwrap();
     away.insert_fragment(&deep_fill).expect("parent now materialised");
     away.audit().expect("audit after recovery");
+}
+
+#[test]
+fn a_fill_keyed_inside_a_local_subtree_is_rejected_without_mutating() {
+    // A local Subtree's interior nodes are not hashed, so a fill whose
+    // root key names one passes a check of its parent alone — and would
+    // be spliced over the real node.
+    let (home, _) = make_world(1500);
+    let k1 = busiest_octant(&home);
+    let original = home
+        .children(home.find(k1).unwrap(), 8)
+        .max_by_key(|c| c.n_particles)
+        .expect("busiest octant has children");
+    let mut fill = home.serialize_fragment(k1, 1).unwrap();
+    fill[HEADER_BYTES..HEADER_BYTES + 8].copy_from_slice(&original.key.raw().to_le_bytes());
+
+    let allocated = home.n_allocated();
+    assert!(home.insert_fragment(&fill).is_err(), "a fill must land where it says it goes");
+    assert_eq!(home.n_allocated(), allocated, "rejected fills must not mutate");
+    home.audit().expect("audit after rejected fill");
+    assert!(std::ptr::eq(home.find(original.key).unwrap(), original), "the local node stays");
 }
 
 #[test]

@@ -55,7 +55,7 @@ fn all_nodes(cache: &CacheTree<CountData>) -> Vec<(NodeKey, &CacheNode<CountData
     let mut stack = vec![cache.root().expect("initialised")];
     while let Some(n) = stack.pop() {
         out.push((n.key, n));
-        for c in n.children_iter(8) {
+        for c in cache.children(n, 8) {
             stack.push(c);
         }
     }

@@ -2,71 +2,74 @@
 //! structure, and arbitrary bytes never panic the decoder (fills arrive
 //! from the network; a malformed fill must be an error, not a crash).
 
-use paratreet_cache::wire::{decode_fragment, encode_fragment, HEADER_BYTES};
-use paratreet_cache::{CacheError, CacheNode, NodeKind};
+use paratreet_cache::wire::{decode_fragment, encode_fragment, Fragment, HEADER_BYTES};
+use paratreet_cache::{CacheError, CacheNode, CacheTree, NodeKind, SubtreeSummary};
 use paratreet_geometry::{BoundingBox, NodeKey, Vec3, ROOT_KEY};
 use paratreet_particles::Particle;
-use paratreet_tree::CountData;
+use paratreet_tree::node::{BuildNode, NodeShape, NO_NODE};
+use paratreet_tree::{BuiltTree, CountData};
 use proptest::prelude::*;
 use std::sync::atomic::Ordering;
 
-/// Builds a random small tree of boxed cache nodes from a recursive
-/// shape description; returns all nodes (root first).
-#[allow(clippy::vec_box)] // mirrors the cache's boxed-node storage
-fn build_tree(shape: &Shape, key: NodeKey, nodes: &mut Vec<Box<CacheNode<CountData>>>) -> usize {
+/// Appends the random small tree of a recursive shape description to
+/// `tree` in preorder, under `key`; returns its root's index.
+fn build_tree(shape: &Shape, key: NodeKey, tree: &mut BuiltTree<CountData>) -> u32 {
     let b = BoundingBox::new(Vec3::ZERO, Vec3::splat(1.0));
-    match shape {
+    let my = tree.nodes.len();
+    tree.nodes.push(BuildNode {
+        key,
+        bbox: b,
+        shape: NodeShape::Empty,
+        children: [NO_NODE; 8],
+        data: CountData::default(),
+        n_particles: 0,
+        depth: key.level(3),
+    });
+    let total = match shape {
         Shape::Leaf(n) => {
-            let ps: Vec<Particle> =
-                (0..*n).map(|i| Particle::point_mass(i as u64, 1.0, Vec3::splat(0.5))).collect();
-            nodes.push(Box::new(CacheNode::new(
-                key,
-                b,
-                *n as u32,
-                CountData { count: *n as u64 },
-                2,
-                NodeKind::Leaf,
-                ps,
-            )));
-            nodes.len() - 1
+            let start = tree.particles.len() as u32;
+            let ps = (0..*n).map(|i| Particle::point_mass(i as u64, 1.0, Vec3::splat(0.5)));
+            tree.particles.extend(ps);
+            tree.nodes[my].shape = NodeShape::Leaf { start, end: start + *n as u32 };
+            *n as u32
         }
-        Shape::Empty => {
-            nodes.push(Box::new(CacheNode::new(
-                key,
-                b,
-                0,
-                CountData::default(),
-                2,
-                NodeKind::Empty,
-                vec![],
-            )));
-            nodes.len() - 1
-        }
+        Shape::Empty => 0,
         Shape::Internal(children) => {
-            nodes.push(Box::new(CacheNode::new(
-                key,
-                b,
-                0,
-                CountData::default(),
-                2,
-                NodeKind::Internal,
-                vec![],
-            )));
-            let my = nodes.len() - 1;
+            tree.nodes[my].shape = NodeShape::Internal;
             let mut total = 0u32;
             for (slot, child) in children.iter().enumerate().take(8) {
                 if let Some(c) = child {
-                    let ci = build_tree(c, key.child(slot, 3), nodes);
-                    total += nodes[ci].n_particles;
-                    let ptr = &*nodes[ci] as *const _ as *mut CacheNode<CountData>;
-                    nodes[my].children[slot].store(ptr, Ordering::Relaxed);
+                    let ci = build_tree(c, key.child(slot, 3), tree);
+                    total += tree.nodes[ci as usize].n_particles;
+                    tree.nodes[my].children[slot] = ci;
                 }
             }
-            nodes[my].n_particles = total;
-            nodes[my].data = CountData { count: total as u64 };
-            my
+            total
         }
-    }
+    };
+    tree.nodes[my].n_particles = total;
+    tree.nodes[my].data = CountData { count: total as u64 };
+    my as u32
+}
+
+/// A cache holding the tree of `shape` as its one local Subtree.
+fn build_cache(shape: &Shape) -> CacheTree<CountData> {
+    let mut tree = BuiltTree { nodes: Vec::new(), particles: Vec::new(), bits_per_level: 3 };
+    build_tree(shape, ROOT_KEY, &mut tree);
+    let root = tree.root();
+    let (bbox, n_particles, data) = (root.bbox, root.n_particles, root.data);
+    let cache = CacheTree::new(2, 3);
+    cache.init(
+        &[SubtreeSummary { key: ROOT_KEY, bbox, n_particles, data, home_rank: 2 }],
+        vec![tree],
+    );
+    cache
+}
+
+/// The fill a home rank serialises for the tree of `shape`.
+fn encode(shape: &Shape, depth_limit: u32, epoch: u32) -> Vec<u8> {
+    let cache = build_cache(shape);
+    encode_fragment(&cache, cache.root().unwrap(), depth_limit, epoch)
 }
 
 #[derive(Clone, Debug)]
@@ -83,18 +86,31 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
     })
 }
 
+/// Child `i` of `node`, a node of `frag`'s run.
+fn in_run<'f>(
+    frag: &'f Fragment<CountData>,
+    node: &CacheNode<CountData>,
+    i: usize,
+) -> Option<&'f CacheNode<CountData>> {
+    frag.nodes.get(node.children[i].load(Ordering::Relaxed) as usize)
+}
+
 /// Collects (key, kind, n_particles) of the reachable tree for
-/// structural comparison.
-fn fingerprint(node: &CacheNode<CountData>, out: &mut Vec<(u64, u8, u32, usize)>) {
+/// structural comparison; `child` resolves child slots.
+fn fingerprint<'a>(
+    node: &'a CacheNode<CountData>,
+    child: &impl Fn(&'a CacheNode<CountData>, usize) -> Option<&'a CacheNode<CountData>>,
+    out: &mut Vec<(u64, u8, u32, usize)>,
+) {
     let kind = match node.kind {
         NodeKind::Internal => 0,
         NodeKind::Leaf => 1,
         NodeKind::Empty => 2,
         NodeKind::Placeholder => 3,
     };
-    out.push((node.key.raw(), kind, node.n_particles, node.particles.len()));
-    for c in node.children_iter(8) {
-        fingerprint(c, out);
+    out.push((node.key.raw(), kind, node.n_particles, node.bucket().len()));
+    for c in (0..8).filter_map(|i| child(node, i)) {
+        fingerprint(c, child, out);
     }
 }
 
@@ -103,24 +119,21 @@ proptest! {
 
     #[test]
     fn roundtrip_preserves_structure_and_epoch(shape in arb_shape(), epoch in any::<u32>()) {
-        let mut nodes = Vec::new();
-        build_tree(&shape, ROOT_KEY, &mut nodes);
-        let root = &nodes[0];
-        let bytes = encode_fragment(root, 16, epoch);
+        let cache = build_cache(&shape);
+        let root = cache.root().unwrap();
+        let bytes = encode_fragment(&cache, root, 16, epoch);
         let frag = decode_fragment::<CountData>(&bytes).expect("well-formed fragment");
         prop_assert_eq!(frag.epoch, epoch, "epoch must survive the wire");
         let mut a = Vec::new();
-        fingerprint(root, &mut a);
+        fingerprint(root, &|n, i| cache.child(n, i), &mut a);
         let mut b = Vec::new();
-        fingerprint(&frag.nodes[0], &mut b);
+        fingerprint(&frag.nodes[0], &|n, i| in_run(&frag, n, i), &mut b);
         prop_assert_eq!(a, b);
     }
 
     #[test]
     fn depth_limited_roundtrip_never_exceeds_depth(shape in arb_shape(), depth in 0u32..3) {
-        let mut nodes = Vec::new();
-        build_tree(&shape, ROOT_KEY, &mut nodes);
-        let bytes = encode_fragment(&nodes[0], depth, 0);
+        let bytes = encode(&shape, depth, 0);
         let frag = decode_fragment::<CountData>(&bytes).expect("well-formed fragment");
         // No decoded node sits deeper than `depth` below the root.
         for n in &frag.nodes {
@@ -136,9 +149,7 @@ proptest! {
 
     #[test]
     fn truncations_of_valid_fragments_are_rejected(shape in arb_shape(), cut_frac in 0.0f64..1.0) {
-        let mut nodes = Vec::new();
-        build_tree(&shape, ROOT_KEY, &mut nodes);
-        let bytes = encode_fragment(&nodes[0], 16, 3);
+        let bytes = encode(&shape, 16, 3);
         let cut = ((bytes.len() as f64) * cut_frac) as usize;
         if cut < bytes.len() {
             prop_assert!(decode_fragment::<CountData>(&bytes[..cut]).is_err());
@@ -147,9 +158,7 @@ proptest! {
 
     #[test]
     fn bitflips_never_panic(shape in arb_shape(), flip_byte in 0usize..256, flip_bit in 0u8..8) {
-        let mut nodes = Vec::new();
-        build_tree(&shape, ROOT_KEY, &mut nodes);
-        let mut bytes = encode_fragment(&nodes[0], 16, 3);
+        let mut bytes = encode(&shape, 16, 3);
         if !bytes.is_empty() {
             let i = flip_byte % bytes.len();
             bytes[i] ^= 1 << flip_bit;
@@ -162,9 +171,7 @@ proptest! {
         // A pre-epoch payload is exactly a v2 payload with the header
         // stripped: it must surface as LegacyFragment (or, when shorter
         // than any header could be, MalformedFragment), never decode.
-        let mut nodes = Vec::new();
-        build_tree(&shape, ROOT_KEY, &mut nodes);
-        let bytes = encode_fragment(&nodes[0], 16, 1);
+        let bytes = encode(&shape, 16, 1);
         let legacy = &bytes[HEADER_BYTES..];
         match decode_fragment::<CountData>(legacy) {
             Err(CacheError::LegacyFragment { len }) => prop_assert_eq!(len, legacy.len()),
@@ -176,9 +183,7 @@ proptest! {
 
     #[test]
     fn wrong_wire_versions_are_rejected(shape in arb_shape(), version in any::<u8>()) {
-        let mut nodes = Vec::new();
-        build_tree(&shape, ROOT_KEY, &mut nodes);
-        let mut bytes = encode_fragment(&nodes[0], 16, 1);
+        let mut bytes = encode(&shape, 16, 1);
         if version != bytes[4] {
             bytes[4] = version;
             prop_assert_eq!(

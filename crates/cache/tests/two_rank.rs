@@ -120,7 +120,7 @@ fn fetch_fill_swap_resume_cycle() {
     // root now reaches the materialised node.
     let root = c0.root().unwrap();
     let slot = remote.key.child_index(3);
-    let via_tree = root.child(slot).unwrap();
+    let via_tree = c0.child(root, slot).unwrap();
     assert!(std::ptr::eq(via_tree, node));
 
     // A request after the fill reports Ready immediately.
@@ -145,10 +145,10 @@ fn chained_fetches_reach_all_particles() {
         while let Some(n) = stack.pop() {
             match n.kind {
                 NodeKind::Placeholder => placeholders.push((n.key, n)),
-                NodeKind::Leaf => leaf_particles += n.particles.len() as u64,
+                NodeKind::Leaf => leaf_particles += c0.particles(n).len() as u64,
                 _ => {}
             }
-            for c in n.children_iter(8) {
+            for c in c0.children(n, 8) {
                 stack.push(c);
             }
         }
@@ -191,7 +191,7 @@ fn traversal_sees_identical_structure_on_both_ranks_after_full_fetch() {
             if n.is_placeholder() {
                 to_fetch.push((n.key, n));
             }
-            for c in n.children_iter(8) {
+            for c in c0.children(n, 8) {
                 stack.push(c);
             }
         }
@@ -213,9 +213,9 @@ fn traversal_sees_identical_structure_on_both_ranks_after_full_fetch() {
         let mut stack = vec![c.root().unwrap()];
         while let Some(n) = stack.pop() {
             if n.is_leaf() {
-                out.push((n.key.raw(), n.particles.len()));
+                out.push((n.key.raw(), c.particles(n).len()));
             }
-            for ch in n.children_iter(8) {
+            for ch in c.children(n, 8) {
                 stack.push(ch);
             }
         }

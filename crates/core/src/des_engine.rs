@@ -56,13 +56,13 @@ use crate::pipeline::Iteration;
 use crate::traversal::{traverse_local, Apply, CacheModel, WorkCounts};
 use crate::visitor::Visitor;
 use paratreet_cache::stats::CacheStatsSnapshot;
+use paratreet_cache::NodeHandle;
 use paratreet_geometry::NodeKey;
 use paratreet_particles::io::PARTICLE_WIRE_BYTES;
 use paratreet_particles::Particle;
 use paratreet_runtime::sim::CommStats;
 use paratreet_runtime::{
     CrashConfig, CrashTrigger, FaultConfig, FaultInjector, FaultStats, Ledger, MachineSpec, Phase,
-    Sim,
 };
 use paratreet_telemetry::{FlightRecorder, MetricSource, MetricsRegistry, Telemetry, Track};
 use paratreet_tree::{BuiltTree, Data};
@@ -252,7 +252,7 @@ pub struct IterationReport {
 /// discarded at delivery and recovery re-posts them under the new epoch.
 /// Partition events carry the partition epoch (`pe`) the same way.
 #[derive(Clone)]
-enum Ev {
+enum Ev<D> {
     /// A charged copy nothing waits on finished (a checkpoint write —
     /// checkpoints overlap decomposition — or a migration batch).
     CopyDone,
@@ -283,12 +283,16 @@ enum Ev {
     FillArrive { to_cache: u32, bytes: Vec<u8> },
     /// An insertion task completed: splice and resume.
     InsertDone { to_cache: u32, bytes: Vec<u8> },
-    /// A paused partition's resumption task completed.
-    Resumed { part: u32, pe: u32, key: NodeKey },
+    /// A paused partition's resumption task completed: its items parked
+    /// on `node`'s key resume at `node`, the node a fill put there.
+    Resumed { part: u32, pe: u32, node: NodeHandle<D> },
     /// A fetch's retry timer expired; re-request if the fill never came.
     /// Only scheduled when fault injection is on.
     FetchTimeout(Fetch),
 }
+
+/// The runtime's simulation over this engine's events, for visitor `V`.
+type Sim<V> = paratreet_runtime::Sim<Ev<<V as Visitor>::Data>>;
 
 /// `Ev::Arrive::si` of a delivery that grafts nothing.
 const NO_SUBTREE: u32 = u32::MAX;
@@ -545,14 +549,14 @@ impl<'a, V: Visitor> Run<'a, V> {
     }
 
     /// Charges one transfer of `bytes` to the communication totals.
-    fn charge(sim: &mut Sim<Ev>, bytes: u64) {
+    fn charge(sim: &mut Sim<V>, bytes: u64) {
         sim.comm.messages += 1;
         sim.comm.bytes += bytes;
     }
 
     /// Charges `bytes` as communication and runs the copy as a `phase`
     /// task on `rank`.
-    fn copy_task(&self, sim: &mut Sim<Ev>, rank: u32, phase: Phase, bytes: u64, done: Ev) {
+    fn copy_task(&self, sim: &mut Sim<V>, rank: u32, phase: Phase, bytes: u64, done: Ev<V::Data>) {
         Self::charge(sim, bytes);
         let costs = &self.engine.costs;
         sim.spawn(rank, phase, costs.serialize_per_byte * bytes as f64 + costs.insert_fixed, done);
@@ -564,7 +568,7 @@ impl<'a, V: Visitor> Run<'a, V> {
     }
 
     /// Everything that happens at virtual time zero.
-    fn start(&mut self, sim: &mut Sim<Ev>) {
+    fn start(&mut self, sim: &mut Sim<V>) {
         // Crash runs only: every rank checkpoints its owned particles
         // and partition table to stable storage, overlapping the
         // decomposition sort.
@@ -599,7 +603,7 @@ impl<'a, V: Visitor> Run<'a, V> {
     }
 
     /// Advances the run by one event.
-    fn on(&mut self, sim: &mut Sim<Ev>, ev: Ev) {
+    fn on(&mut self, sim: &mut Sim<V>, ev: Ev<V::Data>) {
         match ev {
             Ev::CopyDone => {}
             Ev::Arrive { gate, rank, re, si } => self.on_arrive(sim, gate, rank, re, si),
@@ -616,7 +620,7 @@ impl<'a, V: Visitor> Run<'a, V> {
             Ev::FillServeDone { fetch, bytes } => self.on_fill_served(sim, fetch, bytes),
             Ev::FillArrive { to_cache, bytes } => self.on_fill_arrive(sim, to_cache, bytes),
             Ev::InsertDone { to_cache, bytes } => self.on_insert_done(sim, to_cache, &bytes),
-            Ev::Resumed { part, pe, key } => self.on_resumed(sim, part, pe, key),
+            Ev::Resumed { part, pe, node } => self.on_resumed(sim, part, pe, node),
             Ev::FetchTimeout(fetch) => self.on_fetch_timeout(sim, fetch),
         }
     }
@@ -814,7 +818,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         let caches_per_rank = if per_thread { self.machine.workers_per_rank } else { 1 };
         front.prepare(&owner, ranks as usize, caches_per_rank, &config, &untraced);
 
-        let mut sim: Sim<Ev> = Sim::new(self.machine.clone());
+        let mut sim: Sim<V> = paratreet_runtime::Sim::new(self.machine.clone());
         sim.telemetry = self.telemetry.clone();
         let mut run = Run::new(self, &config, &front, owner, assignment, checkpoint, injector);
         run.start(&mut sim);
@@ -840,14 +844,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
 
     /// Writes one [`DES_FLIGHT_SERIES`] row from deterministic sim state
     /// (a no-op on a disabled recorder).
-    fn sample_flight(
-        &self,
-        sim: &Sim<Ev>,
-        at_s: f64,
-        stage: u8,
-        fetch_retries: u64,
-        migrated: u64,
-    ) {
+    fn sample_flight(&self, sim: &Sim<V>, at_s: f64, stage: u8, fetch_retries: u64, migrated: u64) {
         if self.flight.is_enabled() {
             self.flight.sample_at(
                 at_s * 1e6,
@@ -869,7 +866,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
     /// disagree.
     fn report(
         &self,
-        sim: &Sim<Ev>,
+        sim: &Sim<V>,
         mut front: Iteration<V::Data>,
         parts: Vec<PartState<V>>,
         faults: FaultStats,

@@ -5,9 +5,9 @@
 //! phase. This module owns the barriers and the per-rank epochs that
 //! guard them; what a crash does with them is `recovery`'s business.
 
-use super::{Ev, Run, NO_SUBTREE};
+use super::{Ev, Run, Sim, NO_SUBTREE};
 use crate::visitor::Visitor;
-use paratreet_runtime::{CrashPhase, Phase, Sim};
+use paratreet_runtime::{CrashPhase, Phase};
 
 /// The pipeline stage a run is in — what [`Run::begin`] last began.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,12 +134,12 @@ impl Barriers {
 impl<V: Visitor> Run<'_, V> {
     /// A front-end delivery to `rank` for `gate`, stamped with the
     /// rank's current epoch.
-    pub(super) fn arrival(&self, gate: Gate, rank: u32) -> Ev {
+    pub(super) fn arrival(&self, gate: Gate, rank: u32) -> Ev<V::Data> {
         Ev::Arrive { gate, rank, re: self.barriers.epoch(rank), si: NO_SUBTREE }
     }
 
     /// Counts one delivery; the last one of a phase begins the next.
-    pub(super) fn on_arrive(&mut self, sim: &mut Sim<Ev>, gate: Gate, rank: u32, re: u32, si: u32) {
+    pub(super) fn on_arrive(&mut self, sim: &mut Sim<V>, gate: Gate, rank: u32, re: u32, si: u32) {
         let Some(released) = self.barriers.arrive(gate, rank, re) else {
             return self.discard();
         };
@@ -166,7 +166,7 @@ impl<V: Visitor> Run<'_, V> {
     /// Begins `stage`: fires a crash scheduled for its start, then
     /// spawns its tasks and messages on the current owners, expecting
     /// each at its barrier.
-    pub(super) fn begin(&mut self, sim: &mut Sim<Ev>, stage: Stage) {
+    pub(super) fn begin(&mut self, sim: &mut Sim<V>, stage: Stage) {
         self.stage = stage;
         if self.crash_at == Some(stage) && !self.crash_fired {
             sim.post(Ev::Crash);
@@ -185,7 +185,7 @@ impl<V: Visitor> Run<'_, V> {
     /// a region). On an incremental advance the sort is replaced by the
     /// maintainer's classify/resync sweep: linear in the rank's
     /// particles, charged to the incremental-update phase.
-    fn begin_decomposition(&mut self, sim: &mut Sim<Ev>) {
+    fn begin_decomposition(&mut self, sim: &mut Sim<V>) {
         for r in 0..self.ranks {
             for _ in 0..self.tasks.decomp_per_rank {
                 self.barriers.expect(Gate::Decomp, r);
@@ -197,7 +197,7 @@ impl<V: Visitor> Run<'_, V> {
 
     /// Tree builds — or incremental patches — one task per Subtree, on
     /// the subtree's current owner.
-    fn begin_builds(&mut self, sim: &mut Sim<Ev>) {
+    fn begin_builds(&mut self, sim: &mut Sim<V>) {
         for si in 0..self.owner.len() {
             let (phase, cost) = self.tasks.subtree[si];
             let rank = self.owner[si];
@@ -210,7 +210,7 @@ impl<V: Visitor> Run<'_, V> {
 
     /// Summaries all-to-all among the living. With one rank left (or one
     /// rank total) the barrier is satisfied by a single local event.
-    fn begin_sharing(&mut self, sim: &mut Sim<Ev>) {
+    fn begin_sharing(&mut self, sim: &mut Sim<V>) {
         let payload = self.front.summaries.len() as u64 * self.engine.costs.summary_bytes;
         let alive = |r: &u32| !self.down[*r as usize];
         let living: Vec<u32> = (0..self.ranks).filter(alive).collect();
@@ -230,7 +230,7 @@ impl<V: Visitor> Run<'_, V> {
     /// A small skeleton-build task per living rank, then leaf buckets
     /// flow from each subtree's current owner to its partition's
     /// current rank.
-    fn begin_leaf_sharing(&mut self, sim: &mut Sim<Ev>) {
+    fn begin_leaf_sharing(&mut self, sim: &mut Sim<V>) {
         for r in (0..self.ranks).filter(|&r| !self.down[r as usize]) {
             self.barriers.expect(Gate::Skeleton, r);
             let built = self.arrival(Gate::Skeleton, r);
@@ -248,7 +248,7 @@ impl<V: Visitor> Run<'_, V> {
 
     /// Set-up is complete: stamp the stage-0 flight row and seed every
     /// partition's traversal.
-    fn begin_traversal(&mut self, sim: &mut Sim<Ev>) {
+    fn begin_traversal(&mut self, sim: &mut Sim<V>) {
         #[cfg(debug_assertions)]
         self.front.audit(self.config, "at traversal start");
         self.tally.traversal_start = sim.now();

@@ -8,11 +8,11 @@
 //! barrier the crash interrupted — re-posting exactly those deliveries.
 
 use super::phases::{Gate, Stage};
-use super::{Ev, Run};
+use super::{Ev, Run, Sim};
 use crate::visitor::Visitor;
 use paratreet_geometry::NodeKey;
 use paratreet_particles::io::PARTICLE_WIRE_BYTES;
-use paratreet_runtime::{CrashConfig, Phase, Sim};
+use paratreet_runtime::{CrashConfig, Phase};
 use paratreet_tree::BuiltTree;
 
 impl<V: Visitor> Run<'_, V> {
@@ -38,14 +38,14 @@ impl<V: Visitor> Run<'_, V> {
 
     /// Posts `n` deliveries to the crashed rank at `gate` under its new
     /// epoch: the barrier absorbs what the crash voided.
-    fn repost(&self, sim: &mut Sim<Ev>, gate: Gate, rank: u32, n: usize) {
+    fn repost(&self, sim: &mut Sim<V>, gate: Gate, rank: u32, n: usize) {
         for _ in 0..n {
             sim.post(self.arrival(gate, rank));
         }
     }
 
     /// Reading `bytes` back from stable storage, as a recovery cost.
-    fn restore_task(&mut self, sim: &mut Sim<Ev>, rank: u32, bytes: u64, done: Ev) {
+    fn restore_task(&mut self, sim: &mut Sim<V>, rank: u32, bytes: u64, done: Ev<V::Data>) {
         self.tally.rec.restored_bytes += bytes;
         self.copy_task(sim, rank, Phase::Recovery, bytes, done);
     }
@@ -76,13 +76,13 @@ impl<V: Visitor> Run<'_, V> {
     /// Grafts a restored subtree into every cache instance of its (new)
     /// home rank and resumes any traversals parked on its root
     /// placeholder.
-    pub(super) fn graft(&mut self, sim: &mut Sim<Ev>, si: usize) {
+    pub(super) fn graft(&mut self, sim: &mut Sim<V>, si: usize) {
         let home = self.owner[si];
         let first = (home * self.caches_per_rank) as usize;
         let caches = &self.front.caches[first..first + self.caches_per_rank as usize];
         for cache in caches {
             match cache.insert_subtree(self.restore(si), home) {
-                Ok(outcome) => self.resume(sim, outcome.resumed),
+                Ok(outcome) => self.resume(sim, outcome.resumed, outcome.resumed_at),
                 Err(_) => self.tally.fill_errors += 1,
             }
         }
@@ -93,7 +93,7 @@ impl<V: Visitor> Run<'_, V> {
     /// is void, its partitions lose their volatile state. Survivors
     /// notice when the rank stops answering — the same timeout that
     /// drives fetch retries.
-    pub(super) fn on_crash(&mut self, sim: &mut Sim<Ev>) {
+    pub(super) fn on_crash(&mut self, sim: &mut Sim<V>) {
         if self.crash_fired {
             return;
         }
@@ -117,7 +117,7 @@ impl<V: Visitor> Run<'_, V> {
     }
 
     /// The retry timeout elapsed since the crash: survivors react.
-    pub(super) fn on_crash_detected(&mut self, sim: &mut Sim<Ev>) {
+    pub(super) fn on_crash_detected(&mut self, sim: &mut Sim<V>) {
         let c = self.crash_config();
         self.tally.rec.detected_s = sim.now();
         self.lost = self.barriers.owed(c.rank);
@@ -139,7 +139,7 @@ impl<V: Visitor> Run<'_, V> {
 
     /// Stay-dead recovery: the survivors adopt the dead rank's subtrees
     /// and partitions, and the barriers absorb what it owed.
-    fn reshard(&mut self, sim: &mut Sim<Ev>, dead: u32) {
+    fn reshard(&mut self, sim: &mut Sim<V>, dead: u32) {
         let alive = self.survivors(dead);
         let resharded = self.owned_by(dead);
         for (i, &si) in resharded.iter().enumerate() {
@@ -200,7 +200,7 @@ impl<V: Visitor> Run<'_, V> {
     }
 
     /// Restart-mode recovery chain; stages run in order 0..=3.
-    pub(super) fn on_recover_step(&mut self, sim: &mut Sim<Ev>, stage: u8) {
+    pub(super) fn on_recover_step(&mut self, sim: &mut Sim<V>, stage: u8) {
         let rank = self.crash_config().rank;
         match stage {
             0 => {
@@ -217,7 +217,7 @@ impl<V: Visitor> Run<'_, V> {
 
     /// Stage 1: redo the sort the crash hit, or rebuild the rank's
     /// subtrees from the checkpoint.
-    fn restart_rebuild(&mut self, sim: &mut Sim<Ev>, rank: u32) {
+    fn restart_rebuild(&mut self, sim: &mut Sim<V>, rank: u32) {
         let lost_sorts = self.lost[Gate::Decomp as usize];
         if lost_sorts > 0 {
             // Crash hit the sort: redo the owed share locally; the rest
@@ -249,7 +249,7 @@ impl<V: Visitor> Run<'_, V> {
 
     /// Stage 2: rejoin the summary share the crash hit, or move on to
     /// the skeleton.
-    fn restart_share(&mut self, sim: &mut Sim<Ev>, rank: u32) {
+    fn restart_share(&mut self, sim: &mut Sim<V>, rank: u32) {
         let lost = self.lost;
         if lost[Gate::Share as usize] > 0 {
             // Survivors re-send the summaries the rank lost; the share
@@ -278,7 +278,7 @@ impl<V: Visitor> Run<'_, V> {
 
     /// Stage 3: the skeleton is rebuilt — rejoin leaf sharing, or the
     /// traversal.
-    fn restart_rejoin(&mut self, sim: &mut Sim<Ev>, rank: u32) {
+    fn restart_rejoin(&mut self, sim: &mut Sim<V>, rank: u32) {
         let lost = self.lost;
         if lost[Gate::Skeleton as usize] + lost[Gate::Leaves as usize] > 0 {
             // Crash hit leaf sharing: absorb the redone skeleton and
@@ -319,7 +319,7 @@ impl<V: Visitor> Run<'_, V> {
 
     /// A re-sharded subtree's checkpoint finished reading at its new
     /// owner: rebuild there.
-    pub(super) fn on_subtree_restored(&mut self, sim: &mut Sim<Ev>, si: u32) {
+    pub(super) fn on_subtree_restored(&mut self, sim: &mut Sim<V>, si: u32) {
         let (rank, cost) = (self.owner[si as usize], self.tasks.subtree_build[si as usize]);
         sim.spawn(rank, Phase::TreeBuild, cost, Ev::SubtreeRebuilt { si });
     }
@@ -327,7 +327,7 @@ impl<V: Visitor> Run<'_, V> {
     /// A crashed rank's subtree finished rebuilding: graft it at its new
     /// owner (re-shard), satisfy one owed build-barrier delivery, and
     /// close the rebuild round with the last one.
-    pub(super) fn on_subtree_rebuilt(&mut self, sim: &mut Sim<Ev>, si: u32) {
+    pub(super) fn on_subtree_rebuilt(&mut self, sim: &mut Sim<V>, si: u32) {
         let c = self.crash_config();
         if !c.restart {
             self.graft(sim, si as usize);

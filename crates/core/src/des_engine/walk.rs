@@ -5,7 +5,7 @@
 //! home rank for a fill, and the fill's insertion resumes every
 //! traversal parked on a key it materialised.
 
-use super::{Ev, Run};
+use super::{Ev, Run, Sim};
 use crate::config::TraversalKind;
 use crate::traversal::{
     drain, seed_items, CacheModel, PendingFetch, TargetsOf, WorkCounts, WorkStack,
@@ -13,10 +13,13 @@ use crate::traversal::{
 use crate::visitor::Visitor;
 use paratreet_cache::{CacheError, NodeHandle, RequestOutcome};
 use paratreet_geometry::NodeKey;
-use paratreet_runtime::{FaultAction, FaultInjector, Phase, Sim};
+use paratreet_runtime::{FaultAction, FaultInjector, Phase};
 use paratreet_telemetry::Track;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
+
+/// A node of the cache visitor `V`'s traversals walk.
+type Handle<V> = NodeHandle<<V as Visitor>::Data>;
 
 /// XWrite lock resource ids (one per rank) sit above every partition's.
 const LOCK_BASE: u64 = 1 << 48;
@@ -38,7 +41,7 @@ pub(super) struct PartState<V: Visitor> {
     pub(super) targets: TargetsOf<V>,
     stack: WorkStack<V::Data>,
     /// Bucket sets of the items parked on a fetch, by awaited key. A
-    /// parked item owns its copy; resumption re-finds the node.
+    /// parked item owns its copy; the fill hands back the node.
     paused: HashMap<NodeKey, Vec<Vec<u32>>>,
     outstanding: usize,
     /// Work batches spawned whose `PartWorkDone` has not fired yet.
@@ -86,8 +89,8 @@ impl<V: Visitor> PartState<V> {
 impl<V: Visitor> Run<'_, V> {
     /// Routes one engine message through the fault layer: deliver, drop,
     /// duplicate, or delay it per the injector's seeded decision stream.
-    /// With no injector this is exactly [`Sim::send`].
-    fn send(&mut self, sim: &mut Sim<Ev>, from: u32, to: u32, bytes: u64, ev: Ev) {
+    /// With no injector this is exactly [`paratreet_runtime::Sim::send`].
+    fn send(&mut self, sim: &mut Sim<V>, from: u32, to: u32, bytes: u64, ev: Ev<V::Data>) {
         match self.injector.as_mut().map(FaultInjector::decide) {
             None | Some(FaultAction::Deliver) => sim.send(from, to, bytes, ev),
             Some(FaultAction::Drop) => {}
@@ -101,7 +104,7 @@ impl<V: Visitor> Run<'_, V> {
 
     /// Sends `fetch` to its home rank — unless that rank is down — and,
     /// when faults are on, arms the timer that re-asks if no fill comes.
-    fn send_fetch(&mut self, sim: &mut Sim<Ev>, fetch: Fetch, retry: bool) {
+    fn send_fetch(&mut self, sim: &mut Sim<V>, fetch: Fetch, retry: bool) {
         if !self.down[fetch.home as usize] {
             if retry {
                 self.tally.fetch_retries += 1;
@@ -117,19 +120,20 @@ impl<V: Visitor> Run<'_, V> {
 
     /// A fill or a fetch the cache could not take: logged by the caller,
     /// counted here, and left to the retry timer.
-    fn fill_error(&mut self, sim: &mut Sim<Ev>) {
+    fn fill_error(&mut self, sim: &mut Sim<V>) {
         self.tally.fill_errors += 1;
         sim.telemetry.count("des.fill_errors", 1);
     }
 
-    /// Every `(key, waiter)` a fill or graft released resumes on its own.
-    pub(super) fn resume(&mut self, sim: &mut Sim<Ev>, resumed: Vec<(NodeKey, u64)>) {
-        for (key, waiter) in resumed {
+    /// Every `(key, waiter)` a fill or graft released resumes on its
+    /// own, at the node `at` names for it.
+    pub(super) fn resume(&mut self, sim: &mut Sim<V>, ws: Vec<(NodeKey, u64)>, at: Vec<Handle<V>>) {
+        for ((_, waiter), node) in ws.into_iter().zip(at) {
             let part = waiter as u32;
             let rank = self.parts[part as usize].rank;
             let pe = self.part_epoch[part as usize];
             let cost = self.engine.costs.resume;
-            sim.spawn(rank, Phase::TraversalResumption, cost, Ev::Resumed { part, pe, key });
+            sim.spawn(rank, Phase::TraversalResumption, cost, Ev::Resumed { part, pe, node });
         }
     }
 
@@ -142,7 +146,7 @@ impl<V: Visitor> Run<'_, V> {
 
     /// (Re)processes a partition's work list as one run-to-completion
     /// batch.
-    pub(super) fn on_part_run(&mut self, sim: &mut Sim<Ev>, part: u32, pe: u32) {
+    pub(super) fn on_part_run(&mut self, sim: &mut Sim<V>, part: u32, pe: u32) {
         if pe != self.part_epoch[part as usize] {
             return self.discard();
         }
@@ -187,7 +191,7 @@ impl<V: Visitor> Run<'_, V> {
     /// either finds its fill already landed or parks on a request.
     pub(super) fn on_part_work_done(
         &mut self,
-        sim: &mut Sim<Ev>,
+        sim: &mut Sim<V>,
         part: u32,
         pe: u32,
         fetches: Vec<(NodeKey, Vec<u32>)>,
@@ -232,7 +236,7 @@ impl<V: Visitor> Run<'_, V> {
             let ps = &mut self.parts[part as usize];
             match ready {
                 Some(n) => {
-                    ps.stack.push(NodeHandle::new(n), &buckets);
+                    ps.stack.push(n.handle(), &buckets);
                     rerun = true;
                 }
                 None => {
@@ -253,7 +257,7 @@ impl<V: Visitor> Run<'_, V> {
     /// A fetch request arrived at the home rank. The authoritative copy
     /// lives in every cache instance of that rank (with PerThread they
     /// all graft the local trees), so its first cache serves.
-    pub(super) fn on_request(&mut self, sim: &mut Sim<Ev>, fetch: Fetch) {
+    pub(super) fn on_request(&mut self, sim: &mut Sim<V>, fetch: Fetch) {
         let Fetch { key, home, .. } = fetch;
         let home_cache = &self.front.caches[(home * self.caches_per_rank) as usize];
         // After a crash a re-sharded subtree may not be grafted at its
@@ -281,7 +285,7 @@ impl<V: Visitor> Run<'_, V> {
     }
 
     /// The home rank finished serialising a fill: put it on the wire.
-    pub(super) fn on_fill_served(&mut self, sim: &mut Sim<Ev>, fetch: Fetch, bytes: Vec<u8>) {
+    pub(super) fn on_fill_served(&mut self, sim: &mut Sim<V>, fetch: Fetch, bytes: Vec<u8>) {
         if self.is_lost(fetch.to_cache) {
             return self.discard();
         }
@@ -291,7 +295,7 @@ impl<V: Visitor> Run<'_, V> {
 
     /// A fill arrived at the requesting rank: insert it on the least busy
     /// worker — under the rank's one lock in the XWrite model.
-    pub(super) fn on_fill_arrive(&mut self, sim: &mut Sim<Ev>, to_cache: u32, bytes: Vec<u8>) {
+    pub(super) fn on_fill_arrive(&mut self, sim: &mut Sim<V>, to_cache: u32, bytes: Vec<u8>) {
         if self.is_lost(to_cache) {
             return self.discard();
         }
@@ -308,14 +312,14 @@ impl<V: Visitor> Run<'_, V> {
     }
 
     /// An insertion task completed: splice and resume.
-    pub(super) fn on_insert_done(&mut self, sim: &mut Sim<Ev>, to_cache: u32, bytes: &[u8]) {
+    pub(super) fn on_insert_done(&mut self, sim: &mut Sim<V>, to_cache: u32, bytes: &[u8]) {
         if self.is_lost(to_cache) {
             return self.discard();
         }
         match self.front.caches[to_cache as usize].insert_fragment(bytes) {
             // A fill may materialise several keys at once (a deep
             // fragment covering earlier shallow waits).
-            Ok(outcome) => self.resume(sim, outcome.resumed),
+            Ok(outcome) => self.resume(sim, outcome.resumed, outcome.resumed_at),
             // A fill serialised before the crash: reject it silently —
             // the retry machinery re-fetches under the new epoch.
             Err(CacheError::StaleEpoch { .. }) => self.tally.rec.stale_fills += 1,
@@ -328,23 +332,18 @@ impl<V: Visitor> Run<'_, V> {
         }
     }
 
-    /// A paused partition's resumption task completed.
-    pub(super) fn on_resumed(&mut self, sim: &mut Sim<Ev>, part: u32, pe: u32, key: NodeKey) {
+    /// A paused partition's resumption task completed: its items parked
+    /// on `node`'s key go back on its stack at `node`.
+    pub(super) fn on_resumed(&mut self, sim: &mut Sim<V>, part: u32, pe: u32, node: Handle<V>) {
         if pe != self.part_epoch[part as usize] {
             return self.discard();
         }
         let ps = &mut self.parts[part as usize];
+        let key = self.front.caches[ps.cache_idx as usize].node(node).key;
         let Some(items) = ps.paused.remove(&key) else { return };
-        let Some(node) = self.front.caches[ps.cache_idx as usize].find(key) else {
-            // Resumption implies the key was just spliced; losing it
-            // again is an engine bug.
-            debug_assert!(false, "resumed key {key} missing from cache");
-            ps.paused.insert(key, items);
-            return;
-        };
         for buckets in items {
             ps.outstanding -= 1;
-            ps.stack.push(NodeHandle::new(node), &buckets);
+            ps.stack.push(node, &buckets);
         }
         ps.resumed_once = true;
         sim.post(Ev::PartRun { part, pe });
@@ -355,7 +354,7 @@ impl<V: Visitor> Run<'_, V> {
     /// delayed — a duplicate fill is idempotent, so over-asking is safe).
     /// While the owner is down (crashed, not yet restarted or
     /// re-sharded) only the timer is kept alive.
-    pub(super) fn on_fetch_timeout(&mut self, sim: &mut Sim<Ev>, fetch: Fetch) {
+    pub(super) fn on_fetch_timeout(&mut self, sim: &mut Sim<V>, fetch: Fetch) {
         let requester_cache = &self.front.caches[fetch.to_cache as usize];
         if self.down[fetch.requester as usize] || requester_cache.is_dead() {
             return;

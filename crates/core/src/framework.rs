@@ -205,7 +205,7 @@ impl<D: Data> Step<D> {
             if node.kind == NodeKind::Leaf {
                 n += 1;
             }
-            for c in node.children_iter(8) {
+            for c in self.cache.children(node, 8) {
                 stack.push(c);
             }
         }

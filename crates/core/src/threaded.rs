@@ -36,7 +36,7 @@ use crate::traversal::{drain, seed_items, Apply, TargetsOf, WorkCounts, WorkStac
 use crate::visitor::Visitor;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use paratreet_cache::stats::CacheStatsSnapshot;
-use paratreet_cache::{CacheNode, CacheTree, NodeHandle, RequestOutcome};
+use paratreet_cache::{CacheTree, NodeHandle, RequestOutcome};
 use paratreet_geometry::NodeKey;
 use paratreet_particles::Particle;
 use paratreet_telemetry::{FlightRecorder, MetricsRegistry, Telemetry};
@@ -79,13 +79,13 @@ struct Parked<V: Visitor> {
     /// The awaited key and the buckets that opened its placeholder.
     waiting: Option<(NodeKey, Vec<u32>)>,
     /// The fill landed after the request but before the partition
-    /// parked: it resumes itself instead of parking.
-    released: bool,
+    /// parked: it resumes itself at this node instead of parking.
+    released: Option<NodeHandle<V::Data>>,
 }
 
 impl<V: Visitor> Default for Parked<V> {
     fn default() -> Self {
-        Parked { state: None, waiting: None, released: false }
+        Parked { state: None, waiting: None, released: None }
     }
 }
 
@@ -444,7 +444,8 @@ impl Drop for WakeOnExit {
 /// Inserts a fill and releases every partition it unblocks. A fill may
 /// materialise several keys at once, and a partition waits on at most
 /// one of them: a parked partition goes back to the workers, one still
-/// on its way to parking finds `released` set and resumes itself.
+/// on its way to parking finds `released` set and resumes itself. Each
+/// resumes at the node the fill hands back for its key.
 fn handle_fill<V: Visitor>(shared: &RankShared<V>, bytes: &[u8]) {
     let outcome = match shared.cache.insert_fragment(bytes) {
         Ok(o) => o,
@@ -456,25 +457,24 @@ fn handle_fill<V: Visitor>(shared: &RankShared<V>, bytes: &[u8]) {
         }
     };
     let mut parked = shared.parked.lock();
-    for (_, waiter) in outcome.resumed {
+    for ((_, waiter), node) in outcome.resumed.into_iter().zip(outcome.resumed_at) {
         let entry = parked.entry(waiter as u32).or_default();
         let Some(mut state) = entry.state.take() else {
-            entry.released = true;
+            entry.released = Some(node);
             continue;
         };
-        resume(shared, &mut state, entry);
+        resume(&mut state, entry, node);
         if shared.tasks.send(Task::RunPartition(state)).is_err() {
             debug_assert!(false, "workers gone while partitions still parked");
         }
     }
 }
 
-/// Puts the node a released partition waited on back on top of its
-/// stack, with the buckets that opened its placeholder.
-fn resume<V: Visitor>(shared: &RankShared<V>, state: &mut PartState<V>, entry: &mut Parked<V>) {
-    let (key, buckets) = entry.waiting.take().expect("a released partition waits on one key");
-    let node = shared.cache.find(key).expect("a released key is in the cache");
-    state.stack.push(NodeHandle::new(node), &buckets);
+/// Puts `node`, which stands where a released partition waited, back on
+/// top of its stack with the buckets that opened its placeholder.
+fn resume<V: Visitor>(state: &mut PartState<V>, entry: &mut Parked<V>, node: NodeHandle<V::Data>) {
+    let (_, buckets) = entry.waiting.take().expect("a released partition waits on one key");
+    state.stack.push(node, &buckets);
 }
 
 /// Asks the cache for the placeholder partition `id` stopped at: the
@@ -485,9 +485,9 @@ fn request<V: Visitor>(
     id: u32,
     key: NodeKey,
     placeholder: NodeHandle<V::Data>,
-) -> Option<&CacheNode<V::Data>> {
-    match shared.cache.request(placeholder.get(&shared.cache), id as u64) {
-        RequestOutcome::Ready(node) => return Some(node),
+) -> Option<NodeHandle<V::Data>> {
+    match shared.cache.request(shared.cache.node(placeholder), id as u64) {
+        RequestOutcome::Ready(node) => return Some(node.handle()),
         RequestOutcome::SendFetch { home_rank } => {
             let request = Msg::Request { key, reply_to: shared.rank };
             if shared.net[home_rank as usize].send(request).is_err() {
@@ -510,8 +510,8 @@ fn park<V: Visitor>(
     let mut parked = shared.parked.lock();
     let entry = parked.entry(ps.id).or_default();
     entry.waiting = Some((key, buckets));
-    if std::mem::take(&mut entry.released) {
-        resume(shared, &mut ps, entry);
+    if let Some(node) = entry.released.take() {
+        resume(&mut ps, entry, node);
         return Some(ps);
     }
     entry.state = Some(ps);
@@ -562,7 +562,7 @@ fn run_partition<V: Visitor>(
         );
         let Some((fetch, buckets)) = stopped else { return Some(ps) };
         match request(shared, ps.id, fetch.key, fetch.node) {
-            Some(node) => ps.stack.push(NodeHandle::new(node), &buckets),
+            Some(node) => ps.stack.push(node, &buckets),
             None => ps = park(shared, ps, fetch.key, buckets)?,
         }
     }
@@ -630,7 +630,7 @@ mod tests {
         };
         let placeholder = shared.cache.find(key).expect("skeleton holds every subtree root");
         assert!(placeholder.is_placeholder());
-        let placeholder = NodeHandle::new(placeholder);
+        let placeholder = placeholder.handle();
         let ps = Box::new(PartState::<OpenAll> {
             id: 0,
             targets: front.targets(&OpenAll, 0),
@@ -653,13 +653,13 @@ mod tests {
         fn assert_resumed(&self, mut ps: Box<PartState<OpenAll>>) {
             assert_eq!(ps.stack.len(), 1, "one item resumes");
             let item = ps.stack.pop().expect("one item");
-            let node = item.node.get(&self.shared.cache);
+            let node = self.shared.cache.node(item.node);
             assert_eq!(node.key, self.key);
             assert!(!node.is_placeholder());
             assert_eq!(ps.stack.buckets(item.buckets), [0, 1]);
             let parked = self.shared.parked.lock();
             let entry = &parked[&0];
-            assert!(entry.state.is_none() && entry.waiting.is_none() && !entry.released);
+            assert!(entry.state.is_none() && entry.waiting.is_none() && entry.released.is_none());
         }
     }
 
@@ -671,7 +671,7 @@ mod tests {
         let (h, ps) = hand_off();
         h.request();
         handle_fill(&h.shared, &h.fill);
-        assert!(h.shared.parked.lock()[&0].released);
+        assert!(h.shared.parked.lock()[&0].released.is_some());
         let ps = park(&h.shared, ps, h.key, vec![0, 1]).expect("released: it runs on");
         assert!(h.tasks.try_recv().is_err(), "a running partition is not re-enqueued");
         h.assert_resumed(ps);

@@ -335,12 +335,12 @@ pub fn process_item<V: Visitor>(
     fetches: &mut Vec<PendingFetch<V::Data>>,
     counts: &mut WorkCounts,
 ) {
-    let node = item.node.get(cache);
+    let node = cache.node(item.node);
     counts.nodes_visited += 1;
     if node.kind == NodeKind::Empty {
         return;
     }
-    let view = SpatialNodeView::of(node);
+    let view = SpatialNodeView::of(cache, node);
     let prepared = visitor.prepare(&view);
     let mut runs = Runs::new(visitor, &view, &prepared, apply);
     if node.kind == NodeKind::Leaf {
@@ -349,7 +349,7 @@ pub fn process_item<V: Visitor>(
             let bucket = &targets.buckets()[b as usize];
             let leaf = visitor.open(&view, &prepared, bucket);
             if leaf {
-                counts.leaf_interactions += (node.particles.len() * bucket.len()) as u64;
+                counts.leaf_interactions += (view.particles.len() * bucket.len()) as u64;
             } else {
                 counts.node_interactions += bucket.len() as u64;
             }
@@ -384,7 +384,7 @@ pub fn process_item<V: Visitor>(
         // in ascending slot (depth-first, SFC) order.
         for i in (0..8).rev() {
             if let Some(c) = node.child(i) {
-                stack.items.push(WorkItem { node: NodeHandle::new(c), buckets: opened });
+                stack.items.push(WorkItem { node: c, buckets: opened });
             }
         }
     }
@@ -405,7 +405,7 @@ pub fn seed_items<V: Visitor>(
     if buckets.is_empty() {
         return stack;
     }
-    let root_item = |buckets| WorkItem { node: NodeHandle::new(root), buckets };
+    let root_item = |buckets| WorkItem { node: root.handle(), buckets };
     match kind {
         TraversalKind::TopDown => {
             let all = stack.append(0..buckets.len() as u32);
@@ -421,7 +421,7 @@ pub fn seed_items<V: Visitor>(
             while start < buckets.len() {
                 let p = parent(start);
                 let end = (start..buckets.len()).find(|&b| parent(b) != p).unwrap_or(buckets.len());
-                seed_sibling_group(root, cache.bits, p, buckets, start..end, &mut stack);
+                seed_sibling_group(cache, root, p, buckets, start..end, &mut stack);
                 start = end;
             }
         }
@@ -451,7 +451,7 @@ fn traverse_dual<V: Visitor>(
 ) -> WorkCounts {
     let mut counts = WorkCounts::default();
     let root = match cache.root() {
-        Some(r) => r,
+        Some(r) => r.handle(),
         None => return counts,
     };
     if targets.buckets().is_empty() {
@@ -478,15 +478,15 @@ fn traverse_dual<V: Visitor>(
         }
     }
 
-    let mut stack: Vec<NodePair<V::Data>> = vec![(NodeHandle::new(root), NodeHandle::new(root))];
+    let mut stack: Vec<NodePair<V::Data>> = vec![(root, root)];
     while let Some((src_h, tgt_h)) = stack.pop() {
-        let src = src_h.get(cache);
-        let tgt = tgt_h.get(cache);
+        let src = cache.node(src_h);
+        let tgt = cache.node(tgt_h);
         if !relevant.contains(&tgt.key) {
             continue;
         }
         counts.nodes_visited += 1;
-        let src_view = SpatialNodeView::of(src);
+        let src_view = SpatialNodeView::of(cache, src);
         let prepared = visitor.prepare(&src_view);
         let mut runs = Runs::new(visitor, &src_view, &prepared, apply);
 
@@ -502,7 +502,7 @@ fn traverse_dual<V: Visitor>(
                     counts.node_interactions += bucket.len() as u64;
                     runs.push(targets, b, false);
                 } else if src.kind == NodeKind::Leaf {
-                    counts.leaf_interactions += (src.particles.len() * bucket.len()) as u64;
+                    counts.leaf_interactions += (src_view.particles.len() * bucket.len()) as u64;
                     runs.push(targets, b, true);
                 } else {
                     assert!(
@@ -511,7 +511,7 @@ fn traverse_dual<V: Visitor>(
                     );
                     for i in (0..8).rev() {
                         if let Some(c) = src.child(i) {
-                            stack.push((NodeHandle::new(c), tgt_h));
+                            stack.push((c, tgt_h));
                         }
                     }
                 }
@@ -549,19 +549,19 @@ fn traverse_dual<V: Visitor>(
             // Source cannot open further (leaf): descend the target only.
             for i in (0..8).rev() {
                 if let Some(c) = tgt.child(i) {
-                    stack.push((src_h, NodeHandle::new(c)));
+                    stack.push((src_h, c));
                 }
             }
             continue;
         }
-        let tgt_view = SpatialNodeView::of(tgt);
+        let tgt_view = SpatialNodeView::of(cache, tgt);
         if visitor.cell(&src_view, &tgt_view) {
             // Open both: B² child pairs.
             for i in (0..8).rev() {
                 if let Some(sc) = src.child(i) {
                     for j in (0..8).rev() {
                         if let Some(tc) = tgt.child(j) {
-                            stack.push((NodeHandle::new(sc), NodeHandle::new(tc)));
+                            stack.push((sc, tc));
                         }
                     }
                 }
@@ -570,7 +570,7 @@ fn traverse_dual<V: Visitor>(
             // Keep the target, open only the source: B pairs.
             for i in (0..8).rev() {
                 if let Some(sc) = src.child(i) {
-                    stack.push((NodeHandle::new(sc), tgt_h));
+                    stack.push((sc, tgt_h));
                 }
             }
         }
@@ -594,14 +594,14 @@ fn traverse_dual<V: Visitor>(
 /// child that carries the whole group after one that did not gets a
 /// fresh copy), which keeps [`WorkStack`]'s "range ends never decrease".
 fn seed_sibling_group<D: paratreet_tree::Data, S, T>(
+    cache: &CacheTree<D>,
     root: &CacheNode<D>,
-    bits: u32,
     parent: NodeKey,
     buckets: &[TargetBucket<S, T>],
     group: Range<usize>,
     stack: &mut WorkStack<D>,
 ) {
-    let ids = || group.clone().map(|b| b as u32);
+    let (bits, ids) = (cache.bits, || group.clone().map(|b| b as u32));
     let mut whole = stack.append(ids());
     let mut node = root;
     let mut level = node.key.level(bits);
@@ -610,21 +610,21 @@ fn seed_sibling_group<D: paratreet_tree::Data, S, T>(
         let path_slot = parent.ancestor_at(level, bits).child_index(bits);
         for i in (0..8).rev().filter(|&i| i != path_slot) {
             if let Some(c) = node.child(i) {
-                stack.items.push(WorkItem { node: NodeHandle::new(c), buckets: whole });
+                stack.items.push(WorkItem { node: c, buckets: whole });
             }
         }
-        match node.child(path_slot) {
+        match cache.child(node, path_slot) {
             Some(c) => node = c,
             None => return, // the parent's slot vanished: nothing nearer to add
         }
     }
     if node.kind != NodeKind::Internal {
         // A placeholder (or a leaf) covers the parent: nearest item.
-        stack.items.push(WorkItem { node: NodeHandle::new(node), buckets: whole });
+        stack.items.push(WorkItem { node: node.handle(), buckets: whole });
         return;
     }
     for i in (0..8).rev() {
-        let Some(c) = node.child(i) else { continue };
+        let Some(c) = cache.child(node, i) else { continue };
         let own = |b: usize| buckets[b].leaf_key == c.key;
         let carried = if group.clone().any(own) {
             stack.append(group.clone().filter(|&b| !own(b)).map(|b| b as u32))
@@ -635,13 +635,13 @@ fn seed_sibling_group<D: paratreet_tree::Data, S, T>(
             whole
         };
         if carried.len > 0 {
-            stack.items.push(WorkItem { node: NodeHandle::new(c), buckets: carried });
+            stack.items.push(WorkItem { node: c.handle(), buckets: carried });
         }
     }
     for b in group {
         if let Some(leaf) = node.child(buckets[b].leaf_key.child_index(bits)) {
             let one = stack.append([b as u32]);
-            stack.items.push(WorkItem { node: NodeHandle::new(leaf), buckets: one });
+            stack.items.push(WorkItem { node: leaf, buckets: one });
         }
     }
 }
@@ -655,21 +655,20 @@ fn seed_sibling_group<D: paratreet_tree::Data, S, T>(
 /// seeds are held against: one item per bucket per node.
 #[cfg(test)]
 fn seed_up_and_down<D: paratreet_tree::Data>(
-    root: &CacheNode<D>,
-    bits: u32,
+    cache: &CacheTree<D>,
     leaf_key: NodeKey,
     bucket: usize,
     items: &mut Vec<WorkItem<D>>,
 ) {
-    let buckets = BucketRange::new(bucket, 1);
+    let (bits, buckets) = (cache.bits, BucketRange::new(bucket, 1));
     let leaf_level = leaf_key.level(bits);
-    let mut node = root;
+    let mut node = cache.root().expect("a tree was built");
     let mut level = node.key.level(bits);
     loop {
         if node.key == leaf_key || node.kind != NodeKind::Internal {
             // Reached the leaf (or a placeholder / oversized leaf that
             // covers it): nearest item, emitted last → popped first.
-            items.push(WorkItem { node: NodeHandle::new(node), buckets });
+            items.push(WorkItem { node: node.handle(), buckets });
             return;
         }
         level += 1;
@@ -680,10 +679,10 @@ fn seed_up_and_down<D: paratreet_tree::Data>(
                 continue;
             }
             if let Some(c) = node.child(i) {
-                items.push(WorkItem { node: NodeHandle::new(c), buckets });
+                items.push(WorkItem { node: c, buckets });
             }
         }
-        match node.child(path_slot) {
+        match cache.child(node, path_slot) {
             Some(c) => node = c,
             None => return, // leaf's slot vanished: nothing nearer to add
         }
@@ -879,10 +878,9 @@ mod tests {
         targets: &TargetsOf<Recorder>,
     ) -> WorkStack<CountData> {
         let mut stack = WorkStack::new();
-        let root = cache.root().expect("a tree was built");
         stack.append(0..targets.buckets().len() as u32);
         for (b, bucket) in targets.buckets().iter().enumerate() {
-            seed_up_and_down(root, cache.bits, bucket.leaf_key, b, &mut stack.items);
+            seed_up_and_down(cache, bucket.leaf_key, b, &mut stack.items);
         }
         stack
     }
@@ -976,7 +974,7 @@ mod tests {
                 .items
                 .iter()
                 .filter(|item| {
-                    let node = item.node.get(cache);
+                    let node = cache.node(item.node);
                     let carried = stack.buckets(item.buckets);
                     node.is_placeholder()
                         && carried.len() > 1

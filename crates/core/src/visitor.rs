@@ -21,7 +21,7 @@
 //! order, so `node` and `leaf` take a [`TargetSpan`]: a run of adjacent
 //! buckets of one Partition, applied in one call.
 
-use paratreet_cache::{CacheNode, NodeKind};
+use paratreet_cache::{CacheNode, CacheTree};
 use paratreet_geometry::{BoundingBox, NodeKey};
 use paratreet_particles::Particle;
 use paratreet_tree::Data;
@@ -43,14 +43,14 @@ pub struct SpatialNodeView<'a, D> {
 }
 
 impl<'a, D: Data> SpatialNodeView<'a, D> {
-    /// Builds a view over a cache node.
-    pub fn of(node: &'a CacheNode<D>) -> SpatialNodeView<'a, D> {
+    /// Builds a view over a node of `cache`.
+    pub fn of(cache: &'a CacheTree<D>, node: &'a CacheNode<D>) -> SpatialNodeView<'a, D> {
         SpatialNodeView {
             key: node.key,
             bbox: &node.bbox,
             n_particles: node.n_particles,
             data: &node.data,
-            particles: if node.kind == NodeKind::Leaf { &node.particles } else { &[] },
+            particles: cache.particles(node),
         }
     }
 }
@@ -315,8 +315,9 @@ pub trait Visitor: Send + Sync {
 mod tests {
     use super::*;
     use crate::pipeline::Targets;
+    use paratreet_cache::SubtreeSummary;
     use paratreet_geometry::{Vec3, ROOT_KEY};
-    use paratreet_tree::CountData;
+    use paratreet_tree::{CountData, TreeBuilder, TreeType};
 
     /// A visitor that counts callback invocations in its bucket state.
     struct CountingVisitor;
@@ -361,26 +362,36 @@ mod tests {
         }
     }
 
+    /// A cache over two particles in opposite octants of the unit cube:
+    /// an internal root over two one-particle leaves.
+    fn two_leaf_cache() -> CacheTree<CountData> {
+        let ps = [0.25, 0.75].map(|x| Particle::point_mass(0, 1.0, Vec3::splat(x)));
+        let builder = TreeBuilder::new(TreeType::Octree).bucket_size(1).parallel(false);
+        let tree = builder.build(ps.into(), BoundingBox::new(Vec3::ZERO, Vec3::splat(1.0)));
+        let (root, cache) = (tree.root(), CacheTree::new(0, 3));
+        let (key, bbox, n_particles, data) = (root.key, root.bbox, root.n_particles, root.data);
+        cache.init(&[SubtreeSummary { key, bbox, n_particles, data, home_rank: 0 }], vec![tree]);
+        cache
+    }
+
     #[test]
     fn view_exposes_leaf_particles_only_for_leaves() {
-        let b = BoundingBox::new(Vec3::ZERO, Vec3::splat(1.0));
-        let ps = vec![Particle::point_mass(0, 1.0, Vec3::splat(0.5))];
-        let leaf = CacheNode::new(ROOT_KEY, b, 1, CountData { count: 1 }, 0, NodeKind::Leaf, ps);
-        let internal =
-            CacheNode::new(ROOT_KEY, b, 5, CountData { count: 5 }, 0, NodeKind::Internal, vec![]);
-        assert_eq!(SpatialNodeView::of(&leaf).particles.len(), 1);
-        assert!(SpatialNodeView::of(&internal).particles.is_empty());
+        let cache = two_leaf_cache();
+        let internal = cache.root().unwrap();
+        let leaf = cache.children(internal, 8).next().unwrap();
+        assert!(leaf.is_leaf());
+        assert_eq!(SpatialNodeView::of(&cache, leaf).particles.len(), 1);
+        assert!(SpatialNodeView::of(&cache, internal).particles.is_empty());
     }
 
     #[test]
     fn visitor_state_lives_in_bucket() {
-        let b = BoundingBox::new(Vec3::ZERO, Vec3::splat(1.0));
-        let node =
-            CacheNode::new(ROOT_KEY, b, 3, CountData { count: 3 }, 0, NodeKind::Internal, vec![]);
+        let cache = two_leaf_cache();
+        let node = cache.root().unwrap();
         let v = CountingVisitor;
         let mut targets =
             Targets::assemble(&v, [(ROOT_KEY, [Particle::point_mass(0, 1.0, Vec3::ZERO)])]);
-        let view = SpatialNodeView::of(&node);
+        let view = SpatialNodeView::of(&cache, node);
         let prepared = v.prepare(&view);
         assert!(v.open(&view, &prepared, &targets.buckets()[0]));
         v.node(&view, &prepared, &mut targets.span(0..1));

@@ -37,6 +37,9 @@ cargo test --release -q --test cli
 # The DES engine's whole output, scenario by scenario, against the hashes
 # recorded before it was split into modules (and the crash-anywhere sweep).
 cargo test --release -q -p paratreet-core --test des_pinned
+# The software cache's parallel readers and writers, and its fill
+# pipeline, on the handle store the optimised build reads wait-free.
+cargo test --release -q -p paratreet-cache --test concurrent --test fill_pipeline
 
 echo "== fork-join executor + thread-count identity, optimised (the build the benchmark runs) =="
 cargo test --release -q -p rayon
@@ -96,6 +99,24 @@ echo "== the box predicates are plain scalar Rust: no 'unsafe' under crates/geom
 if grep -rn "unsafe" crates/geometry/src; then
     echo "geometry must stay free of unsafe and intrinsics (DESIGN §5d)"; exit 1
 fi
+
+echo "== the software cache is an arena of handles: no 'unsafe' under crates/cache/src =="
+if grep -rn "unsafe" crates/cache/src; then
+    echo "the cache must stay safe Rust: set-once slots and u32 handles (DESIGN §5d)"; exit 1
+fi
+
+echo "== cache concurrent x50, every other run on one core (wait-free reads under inserts, 60 s cap per run) =="
+# A reader that sees a handle before the node it names, or a waiter lost
+# between request and fill, shows as a panic, an audit failure or a hang.
+concurrent_bin=$(cargo test -p paratreet-cache --test concurrent --no-run --message-format=json 2>/dev/null |
+    sed -n 's/.*"executable":"\([^"]*concurrent-[^"]*\)".*/\1/p' | tail -n 1)
+[ -x "$concurrent_bin" ] || { echo "cache concurrent loop: test binary not found"; exit 1; }
+for i in $(seq 1 50); do
+    pin=""
+    [ $((i % 2)) -eq 0 ] && pin="taskset -c 0"
+    timeout 60 $pin "$concurrent_bin" -q > /dev/null 2>&1 ||
+        { echo "cache concurrent loop: run $i${pin:+ ($pin)} failed or hung (exit $?)"; exit 1; }
+done
 
 echo "== threaded_engine x200, every other run on one core (bounded schedule fuzz, 60 s cap per run) =="
 # The OS picks a different interleaving every run; a lost or doubled

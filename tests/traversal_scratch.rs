@@ -2,7 +2,9 @@
 //! of bucket lists of their own. Two consequences are checked here, on a
 //! fixed 20 k-particle tree walked for one partition's buckets: a
 //! traversal's heap allocations do not grow with the nodes it visits,
-//! and the scratch stays within one range per tree level.
+//! and the scratch stays within one range per tree level. So is the
+//! cache's side of it: initialising a cache over that tree allocates no
+//! more for a tree of many more nodes.
 
 use paratreet_apps::gravity::{CentroidData, GravityVisitor};
 use paratreet_cache::{CacheNode, CacheTree, SubtreeSummary};
@@ -58,9 +60,12 @@ fn allocations_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
 
 const BUCKET_SIZE: usize = 16;
 
-/// The fully local cached tree over 20 k clustered particles.
-fn tree() -> CacheTree<CentroidData> {
-    let config = Configuration { bucket_size: BUCKET_SIZE, n_subtrees: 8, ..Default::default() };
+/// The Subtrees over 20 k clustered particles in buckets of
+/// `bucket_size`, and their summaries.
+fn subtrees(
+    bucket_size: usize,
+) -> (Vec<SubtreeSummary<CentroidData>>, Vec<BuiltTree<CentroidData>>) {
+    let config = Configuration { bucket_size, n_subtrees: 8, ..Default::default() };
     let particles = gen::clustered(20_000, 4, 17, 1.0, 1.0);
     let trees: Vec<BuiltTree<CentroidData>> = decompose(particles, &config)
         .subtrees
@@ -85,7 +90,13 @@ fn tree() -> CacheTree<CentroidData> {
             home_rank: 0,
         })
         .collect();
-    let cache = CacheTree::new(0, config.tree_type.bits_per_level());
+    (summaries, trees)
+}
+
+/// The fully local cached tree over 20 k clustered particles.
+fn tree() -> CacheTree<CentroidData> {
+    let (summaries, trees) = subtrees(BUCKET_SIZE);
+    let cache = CacheTree::new(0, Configuration::default().tree_type.bits_per_level());
     cache.init(&summaries, trees);
     cache
 }
@@ -96,23 +107,21 @@ fn tree() -> CacheTree<CentroidData> {
 /// deepest leaf.
 fn partition(cache: &CacheTree<CentroidData>) -> (Targets<()>, u32) {
     fn walk(
+        cache: &CacheTree<CentroidData>,
         node: &CacheNode<CentroidData>,
-        bits: u32,
         out: &mut Vec<(NodeKey, Vec<Particle>)>,
         depth: &mut u32,
     ) {
-        if !node.particles.is_empty() {
-            *depth = (*depth).max(node.key.level(bits));
-            out.push((node.key, node.particles.clone()));
+        if !cache.particles(node).is_empty() {
+            *depth = (*depth).max(node.key.level(cache.bits));
+            out.push((node.key, cache.particles(node).to_vec()));
         }
-        for slot in 0..8 {
-            if let Some(child) = node.child(slot) {
-                walk(child, bits, out, depth);
-            }
+        for child in cache.children(node, 8) {
+            walk(cache, child, out, depth);
         }
     }
     let (mut out, mut depth) = (Vec::new(), 0);
-    walk(cache.root().expect("a tree was built"), cache.bits, &mut out, &mut depth);
+    walk(cache, cache.root().expect("a tree was built"), &mut out, &mut depth);
     out.truncate(out.len() / 16);
     (Targets::assemble(&GravityVisitor::default(), out), depth)
 }
@@ -183,4 +192,24 @@ fn scratch_holds_at_most_one_range_per_tree_level() {
     let bound = (depth as usize + 1) * n;
     assert!(peak <= bound, "peak scratch {peak} exceeds {bound} ({depth} levels × {n} buckets)");
     assert!(peak > n, "some node was opened");
+}
+
+#[test]
+fn cache_init_allocations_do_not_grow_with_nodes() {
+    let init = |bucket_size: usize| {
+        let (summaries, trees) = subtrees(bucket_size);
+        let nodes: usize = trees.iter().map(|t| t.nodes.len()).sum();
+        let cache = CacheTree::new(0, Configuration::default().tree_type.bits_per_level());
+        let ((), allocs) = allocations_during(|| cache.init(&summaries, trees));
+        (nodes, allocs)
+    };
+    let (coarse_nodes, coarse) = init(16);
+    let (fine_nodes, fine) = init(2);
+    assert!(fine_nodes >= 3 * coarse_nodes, "{fine_nodes} nodes vs {coarse_nodes}");
+    // What is left is the store's chunks doubling: one more per doubling
+    // of the node count.
+    assert!(
+        fine.abs_diff(coarse) <= 4,
+        "{fine} allocations for {fine_nodes} nodes, {coarse} for {coarse_nodes}"
+    );
 }
