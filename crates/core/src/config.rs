@@ -96,7 +96,9 @@ pub enum TraversalKind {
 /// whole tree is rebuilt and re-decomposed.
 #[derive(Clone, Copy, Debug)]
 pub struct IncrementalConfig {
-    /// Maintain the tree across iterations instead of rebuilding.
+    /// Maintain the tree across iterations instead of rebuilding. Read
+    /// by the shared-memory [`crate::Framework`]; the message engines
+    /// rebuild every iteration.
     pub enabled: bool,
     /// BB[α] weight-balance factor: rebuild a median-split Subtree when
     /// an interior node's heaviest child holds more than this fraction

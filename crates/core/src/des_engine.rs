@@ -51,7 +51,6 @@ mod recovery;
 mod walk;
 
 use crate::config::{Configuration, TraversalKind};
-use crate::maintain::TreeMaintainer;
 use crate::pipeline::Iteration;
 use crate::traversal::{traverse_local, Apply, CacheModel, WorkCounts};
 use crate::visitor::Visitor;
@@ -67,15 +66,10 @@ use paratreet_runtime::{
 use paratreet_telemetry::{FlightRecorder, MetricSource, MetricsRegistry, Telemetry, Track};
 use paratreet_tree::{BuiltTree, Data};
 use phases::{Barriers, Gate, Stage, N_GATES};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use walk::{Fetch, PartState};
 
 pub use paratreet_cache::stats::CacheStatsSnapshot as CacheSnapshot;
-
-/// Fixed envelope per migration batch message (counts, subtree ids,
-/// epoch stamp). Escapees bound for the same destination rank share
-/// one such envelope instead of paying per-particle message overhead.
-const MIGRATION_BATCH_HEADER_BYTES: u64 = 32;
 
 /// Calibrated per-unit costs (seconds on the Stampede2 Skylake baseline).
 /// The absolute values set the scale; the *shapes* of the scaling curves
@@ -254,7 +248,7 @@ pub struct IterationReport {
 #[derive(Clone)]
 enum Ev<D> {
     /// A charged copy nothing waits on finished (a checkpoint write —
-    /// checkpoints overlap decomposition — or a migration batch).
+    /// checkpoints overlap decomposition).
     CopyDone,
     /// One front-end task or message reached `rank`, counted by `gate`'s
     /// barrier. `si` is [`NO_SUBTREE`] unless a build is of a re-sharded
@@ -299,20 +293,14 @@ const NO_SUBTREE: u32 = u32::MAX;
 
 /// What the front-end's tasks cost, fixed at set-up.
 struct TaskCosts {
-    /// Decomposition (or, on an incremental advance, classify/resync
-    /// sweep) tasks per rank, their phase and the cost of one.
+    /// Decomposition tasks per rank and the cost of one.
     decomp_per_rank: u32,
-    decomp_phase: Phase,
     decomp: f64,
-    /// A full build of each Subtree: Subtrees build independently, in
+    /// A build of each Subtree: Subtrees build independently, in
     /// parallel across each rank's workers (the model's
-    /// synchronisation-free build). Recovery charges this when it
+    /// synchronisation-free build). Recovery charges it again when it
     /// restores from the checkpoint.
     subtree_build: Vec<f64>,
-    /// What each Subtree's *this-iteration* task is: the full build
-    /// (seed, fallback, and rebalanced Subtrees), or an incremental
-    /// patch.
-    subtree: Vec<(Phase, f64)>,
     /// One rank's skeleton build over the shared summaries.
     skeleton: f64,
 }
@@ -327,7 +315,6 @@ impl TaskCosts {
         let log_n = (n_total as f64).log2();
         let per_rank_particles = (n_total as f64 / machine.nodes as f64).max(1.0);
         let decomp_per_rank = (machine.workers_per_rank as u32).min(8);
-        let update = front.round.as_ref().filter(|r| !r.full_rebuild);
         let sort = costs.sort_per_particle_log * per_rank_particles / decomp_per_rank as f64;
         let subtree_build: Vec<f64> = front
             .summaries
@@ -337,28 +324,10 @@ impl TaskCosts {
                 costs.build_per_particle_log * n_i * (n_i.log2().max(1.0))
             })
             .collect();
-        // An incremental patch applies one sorted batch per Subtree, so
-        // the sieve work amortises: b touched particles share prefix
-        // paths, costing b·log(n/b) rather than b·log n, plus a linear
-        // term for the dirty-path summary re-accumulation.
-        let subtree = (0..front.n_subtrees)
-            .map(|si| match update {
-                Some(r) if !r.rebuilt_subtrees.contains(&(si as u32)) => {
-                    let n_i = front.summaries[si].n_particles.max(1) as f64;
-                    let touched = r.per_subtree_work.get(si).copied().unwrap_or(0) as f64;
-                    let amortized = (n_i / touched.max(1.0)).max(2.0).log2();
-                    let cost = costs.build_per_particle_log * (touched * amortized + 0.25 * n_i);
-                    (Phase::TreeUpdate, cost.max(1e-9))
-                }
-                _ => (Phase::TreeBuild, subtree_build[si]),
-            })
-            .collect();
         TaskCosts {
             decomp_per_rank,
-            decomp_phase: if update.is_some() { Phase::TreeUpdate } else { Phase::Decomposition },
-            decomp: if update.is_some() { sort } else { sort * log_n },
+            decomp: sort * log_n,
             subtree_build,
-            subtree,
             skeleton: costs.insert_fixed + front.summaries.len() as f64 * 1e-7,
         }
     }
@@ -411,9 +380,7 @@ struct Run<'a, V: Visitor> {
     /// The built trees, cloned at iteration start — the engine's stable
     /// storage. Recovery restores a dead rank's subtrees from exactly
     /// these bytes; builds are deterministic, so this is bit-identical to
-    /// rebuilding from the decomposition pieces, and in maintained mode
-    /// it captures the incrementally patched tree so restart replays the
-    /// update sequence deterministically.
+    /// rebuilding from the decomposition pieces.
     checkpoint: Option<Vec<BuiltTree<V::Data>>>,
     /// Checkpoint sizes: per-subtree particle payloads plus a small
     /// header; per rank, its subtrees plus one partition-assignment
@@ -577,25 +544,6 @@ impl<'a, V: Visitor> Run<'a, V> {
             self.tally.rec.checkpoint_bytes += bytes;
             self.copy_task(sim, r as u32, Phase::Checkpoint, bytes, Ev::CopyDone);
         }
-        // Incremental advance: particles that crossed Subtree boundaries
-        // moved between the owning ranks. The maintainer hands them over
-        // as per-destination batches, so the comm model charges one
-        // message per (source rank, destination rank) pair — all
-        // escapees travelling that edge share a single batch envelope —
-        // rather than one per subtree migration edge.
-        if let Some(r) = self.front.round.as_ref().filter(|r| !r.full_rebuild) {
-            let mut rank_batches: BTreeMap<(u32, u32), u64> = BTreeMap::new();
-            for &(from_si, to_si, n) in &r.migrations {
-                let (from, to) = (self.owner[from_si as usize], self.owner[to_si as usize]);
-                if from != to {
-                    *rank_batches.entry((from, to)).or_default() += n as u64;
-                }
-            }
-            for ((from, _to), n) in rank_batches {
-                let bytes = n * PARTICLE_WIRE_BYTES as u64 + MIGRATION_BATCH_HEADER_BYTES;
-                self.copy_task(sim, from, Phase::TreeUpdate, bytes, Ev::CopyDone);
-            }
-        }
         self.begin(sim, Stage::Decomposition);
         if let Some(CrashTrigger::AtTime(t)) = self.crash.map(|c| c.trigger) {
             sim.post_after(t, Ev::Crash);
@@ -631,6 +579,8 @@ impl<'a, V: Visitor> Run<'a, V> {
 /// `stage` is 0 for setup complete (decompose + build + sharing) and 1
 /// for the finished iteration; timestamps are virtual microseconds, so
 /// a given workload and seed produce a byte-identical series.
+/// `update_migrated` is always 0 (this engine maintains no tree); the
+/// column stays so the series keeps the shape recorded runs have.
 pub const DES_FLIGHT_SERIES: &[&str] = &[
     "stage",
     "busy_s",
@@ -716,7 +666,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
 
     /// Runs one full iteration over `particles` and reports.
     pub fn run_iteration(&self, particles: Vec<Particle>) -> IterationReport {
-        self.simulate(particles, None, None).0
+        self.simulate(particles, None).0
     }
 
     /// Like [`DistributedEngine::run_iteration`], but also returns every
@@ -727,7 +677,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         &self,
         particles: Vec<Particle>,
     ) -> (IterationReport, Vec<(NodeKey, V::State)>) {
-        self.simulate(particles, None, None)
+        self.simulate(particles, None)
     }
 
     /// Like [`DistributedEngine::run_iteration`], but with an explicit
@@ -741,30 +691,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         particles: Vec<Particle>,
         assignment: Option<&[u32]>,
     ) -> IterationReport {
-        self.simulate(particles, assignment, None).0
-    }
-
-    /// Like [`DistributedEngine::run_iteration`], but against a tree
-    /// maintained across calls: the first call seeds the
-    /// [`TreeMaintainer`] into `slot` and charges a normal
-    /// decomposition + build; every later call patches the maintained
-    /// tree and charges [`Phase::TreeUpdate`] tasks instead — a linear
-    /// classify/re-sieve sweep per rank, a per-Subtree patch task sized
-    /// by the structural work actually done, full
-    /// [`Phase::TreeBuild`] cost only for Subtrees the drift thresholds
-    /// rebuilt, and wire bytes for particles that migrated across rank
-    /// boundaries. The whole-tree fallback (and the seed) charge the
-    /// full pipeline. Composes with crash recovery: the checkpoint
-    /// captures the maintained trees, so a crashed rank's subtrees are
-    /// restored bit-identical to the maintained state and the update
-    /// sequence replays deterministically. Pass the same `slot` every
-    /// iteration; cumulative counters land under `tree.update.*`.
-    pub fn run_maintained(
-        &self,
-        slot: &mut Option<TreeMaintainer<V::Data>>,
-        particles: Vec<Particle>,
-    ) -> IterationReport {
-        self.simulate(particles, None, Some(slot)).0
+        self.simulate(particles, assignment).0
     }
 
     /// The engine's configuration with its over-decomposition floors:
@@ -788,7 +715,6 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         &self,
         particles: Vec<Particle>,
         assignment: Option<&[u32]>,
-        maintained: Option<&mut Option<TreeMaintainer<V::Data>>>,
     ) -> (IterationReport, Vec<(NodeKey, V::State)>) {
         // Constructed first so an invalid configuration fails before any
         // work.
@@ -802,13 +728,12 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         }
         let config = self.floored_config(particles.len().max(2));
 
-        // Decomposition or incremental update: centrally executed,
-        // per-rank charged. The front-end runs untraced: this engine's
-        // spans are stamped in virtual time, and wall-clock ones would
-        // break the byte-identical trace a seed guarantees.
+        // Decomposition and build: centrally executed, per-rank charged.
+        // The front-end runs untraced: this engine's spans are stamped in
+        // virtual time, and wall-clock ones would break the
+        // byte-identical trace a seed guarantees.
         let untraced = Telemetry::disabled();
-        let mut front =
-            Iteration::<V::Data>::obtain(&config, &untraced, particles, maintained, false);
+        let mut front = Iteration::<V::Data>::obtain(&config, &untraced, particles, None, false);
         // Subtrees to ranks: contiguous blocks in piece (SFC) order.
         let n_subtrees = front.n_subtrees as u64;
         let owner: Vec<u32> =
@@ -844,7 +769,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
 
     /// Writes one [`DES_FLIGHT_SERIES`] row from deterministic sim state
     /// (a no-op on a disabled recorder).
-    fn sample_flight(&self, sim: &Sim<V>, at_s: f64, stage: u8, fetch_retries: u64, migrated: u64) {
+    fn sample_flight(&self, sim: &Sim<V>, at_s: f64, stage: u8, fetch_retries: u64) {
         if self.flight.is_enabled() {
             self.flight.sample_at(
                 at_s * 1e6,
@@ -855,7 +780,7 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                     sim.comm.messages as f64,
                     sim.comm.bytes as f64,
                     fetch_retries as f64,
-                    migrated as f64,
+                    0.0,
                 ],
             );
         }
@@ -884,13 +809,13 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
         }
         let caches = std::mem::take(&mut front.caches);
         let done = parts.iter().enumerate().map(|(p, ps)| (p, &ps.targets, ps.counts));
-        let (counts, cache, mut metrics) = front.finish(&caches, done, None);
+        let (counts, cache, mut metrics) = front.finish(&caches, done);
         let states: Vec<(NodeKey, V::State)> = parts
             .iter()
             .flat_map(|ps| ps.targets.buckets().iter().map(|b| (b.leaf_key, b.state.clone())))
             .collect();
         let partition_costs: Vec<f64> = parts.iter().map(|p| p.cost).collect();
-        self.sample_flight(sim, sim.makespan(), 1, tally.fetch_retries, front.round_migrated());
+        self.sample_flight(sim, sim.makespan(), 1, tally.fetch_retries);
 
         metrics.absorb("comm", &sim.comm);
         metrics.absorb("fault", &faults);

@@ -182,29 +182,26 @@ impl<V: Visitor> Run<'_, V> {
 
     /// The model spreads each rank's sort over its workers (the real
     /// engines' decomposition sort is one serial `sort_by_sfc_key`, not
-    /// a region). On an incremental advance the sort is replaced by the
-    /// maintainer's classify/resync sweep: linear in the rank's
-    /// particles, charged to the incremental-update phase.
+    /// a region).
     fn begin_decomposition(&mut self, sim: &mut Sim<V>) {
         for r in 0..self.ranks {
             for _ in 0..self.tasks.decomp_per_rank {
                 self.barriers.expect(Gate::Decomp, r);
                 let done = self.arrival(Gate::Decomp, r);
-                sim.spawn(r, self.tasks.decomp_phase, self.tasks.decomp, done);
+                sim.spawn(r, Phase::Decomposition, self.tasks.decomp, done);
             }
         }
     }
 
-    /// Tree builds — or incremental patches — one task per Subtree, on
-    /// the subtree's current owner.
+    /// Tree builds, one task per Subtree, on the subtree's current owner.
     fn begin_builds(&mut self, sim: &mut Sim<V>) {
         for si in 0..self.owner.len() {
-            let (phase, cost) = self.tasks.subtree[si];
+            let cost = self.tasks.subtree_build[si];
             let rank = self.owner[si];
             let si = if self.needs_graft[si] { si as u32 } else { NO_SUBTREE };
             self.barriers.expect(Gate::Build, rank);
             let re = self.barriers.epoch(rank);
-            sim.spawn(rank, phase, cost, Ev::Arrive { gate: Gate::Build, rank, re, si });
+            sim.spawn(rank, Phase::TreeBuild, cost, Ev::Arrive { gate: Gate::Build, rank, re, si });
         }
     }
 
@@ -252,7 +249,7 @@ impl<V: Visitor> Run<'_, V> {
         #[cfg(debug_assertions)]
         self.front.audit(self.config, "at traversal start");
         self.tally.traversal_start = sim.now();
-        self.engine.sample_flight(sim, sim.now(), 0, self.tally.fetch_retries, 0);
+        self.engine.sample_flight(sim, sim.now(), 0, self.tally.fetch_retries);
         for p in 0..self.parts.len() {
             sim.post(Ev::PartRun { part: p as u32, pe: self.part_epoch[p] });
         }

@@ -31,7 +31,7 @@ impl<V: Visitor> Run<'_, V> {
     }
 
     /// Restores one subtree from the checkpoint (bit-identical to the
-    /// tree that was built — or maintained — this iteration).
+    /// tree that was built this iteration).
     fn restore(&self, si: usize) -> BuiltTree<V::Data> {
         self.checkpoint.as_ref().expect("checkpoint exists when a crash is configured")[si].clone()
     }

@@ -34,13 +34,6 @@
 //! latency per zone, unpack tasks on the destination — so ghost traffic
 //! lands on the virtual timeline and in `ghost.*` metrics like every
 //! other phase.
-//!
-//! [`ForestMaintainer`] extends [`TreeMaintainer`] to the forest: each
-//! box keeps its own maintainer, and a particle that escapes its box is
-//! routed to the owning box so only the source and destination boxes
-//! fall back to a rebuild — the other boxes keep their incremental
-//! state (the box-scoped version of the single-box universe-escape
-//! fallback).
 
 use std::collections::BTreeSet;
 use std::mem::size_of;
@@ -54,7 +47,6 @@ use paratreet_tree::{BuildNode, BuiltTree, Data, NodeIdx, NodeShape, TreeType};
 
 use crate::config::Configuration;
 use crate::decomp::{decompose_within, universe_for, Decomposition, Partitioner, SubtreePiece};
-use crate::maintain::{MaintainRound, TreeMaintainer, UpdateTotals};
 use crate::pipeline::build_pieces;
 use rayon::prelude::*;
 
@@ -351,21 +343,6 @@ impl BoxRouting {
         let owned = &self.order[self.starts[b]..self.starts[b + 1]];
         owned.iter().map(|&i| self.particles[i as usize]).collect()
     }
-}
-
-/// Buckets particles into their owning boxes (wrapping positions into
-/// the primary cell first when the domain is periodic). Returns the
-/// realized boxes, the wrapping, and one particle list per box with
-/// input order preserved within each box.
-pub fn assign_to_boxes(
-    particles: Vec<Particle>,
-    config: &Configuration,
-    spec: &DomainSpec,
-) -> (Vec<BoundingBox>, PeriodicBox, Vec<Vec<Particle>>) {
-    let routing = BoxRouting::new(particles, config, spec);
-    // Every box gathers its own particles.
-    let buckets = routing.boxes.par_iter().enumerate().map(|(b, _)| routing.gather(b)).collect();
-    (routing.boxes, routing.period, buckets)
 }
 
 /// The universe a box's own decomposition runs in: the domain box grown
@@ -968,153 +945,6 @@ pub fn des_ghost_exchange(
     GhostDesReport { makespan: sim.makespan(), comm: sim.comm, utilization: sim.utilization() }
 }
 
-// ---------------------------------------------------------------------
-// Forest maintenance.
-// ---------------------------------------------------------------------
-
-/// What one [`ForestMaintainer::advance`] did.
-#[derive(Clone, Debug, Default)]
-pub struct ForestRound {
-    /// Per-box maintenance rounds, in box order.
-    pub rounds: Vec<MaintainRound>,
-    /// Particles handed from one box to another this step.
-    pub n_crossed: u64,
-    /// Boxes that fell back to a full (per-box) rebuild.
-    pub rebuilt_boxes: Vec<u32>,
-}
-
-/// Incremental maintenance over a forest: one [`TreeMaintainer`] per
-/// box. A particle that leaves its box is routed to the owning box
-/// before the per-box advance, so only the boxes whose populations
-/// changed fall back to a rebuild — an escape no longer forces a
-/// *global* re-decomposition the way a single maintainer's
-/// universe-escape fallback does. With a `SingleCube` spec this is
-/// exactly a single [`TreeMaintainer`] (no routing, identical
-/// fallback behavior).
-pub struct ForestMaintainer<D: Data> {
-    spec: DomainSpec,
-    boxes: Vec<BoundingBox>,
-    period: PeriodicBox,
-    origin: Vec3,
-    maintainers: Vec<TreeMaintainer<D>>,
-}
-
-impl<D: Data> ForestMaintainer<D> {
-    /// Buckets particles into boxes and seeds one maintainer per box.
-    /// Returns the per-box built trees. Boxes that start empty are not
-    /// supported (give every box at least one particle).
-    pub fn seed(
-        config: &Configuration,
-        particles: Vec<Particle>,
-        spec: &DomainSpec,
-        parallel: bool,
-    ) -> (ForestMaintainer<D>, Vec<Vec<BuiltTree<D>>>) {
-        let (boxes, period, buckets) = assign_to_boxes(particles, config, spec);
-        let cfg = per_box_config(config, boxes.len());
-        let origin = match spec {
-            DomainSpec::TiledGrid { origin, .. } => *origin,
-            _ => Vec3::ZERO,
-        };
-        let mut maintainers = Vec::with_capacity(boxes.len());
-        let mut trees = Vec::with_capacity(boxes.len());
-        for bucket in buckets {
-            assert!(
-                !bucket.is_empty(),
-                "ForestMaintainer requires every domain box to own at least one particle at seed"
-            );
-            let (m, t) = TreeMaintainer::seed(&cfg, bucket, parallel);
-            maintainers.push(m);
-            trees.push(t);
-        }
-        (ForestMaintainer { spec: spec.clone(), boxes, period, origin, maintainers }, trees)
-    }
-
-    /// The domain boxes.
-    pub fn boxes(&self) -> &[BoundingBox] {
-        &self.boxes
-    }
-
-    /// Per-box cumulative `tree.update.*` counters.
-    pub fn totals(&self, box_idx: usize) -> &UpdateTotals {
-        self.maintainers[box_idx].totals()
-    }
-
-    /// Sums the per-box counters (for `tree.update.*` metrics).
-    pub fn combined_totals(&self) -> UpdateTotals {
-        let mut out = UpdateTotals::default();
-        for m in &self.maintainers {
-            let t = m.totals();
-            out.steps = out.steps.max(t.steps);
-            out.moved += t.moved;
-            out.patched += t.patched;
-            out.escaped += t.escaped;
-            out.migrated += t.migrated;
-            out.batches += t.batches;
-            out.splits += t.splits;
-            out.merges += t.merges;
-            out.pruned += t.pruned;
-            out.refreshed += t.refreshed;
-            out.subtree_rebuilds += t.subtree_rebuilds;
-            out.full_rebuilds += t.full_rebuilds;
-            out.update_errors += t.update_errors;
-            out.last_imbalance = out.last_imbalance.max(t.last_imbalance);
-        }
-        out
-    }
-
-    /// One forest step. `masters` is the integrated per-box particle
-    /// state in the order the previous trees' buckets tiled it. Escaped
-    /// particles are wrapped (periodic domains), re-routed to their
-    /// owning box (appended in a canonical `(key, id)` order), and then
-    /// every box advances independently — boxes untouched by the
-    /// migration keep their incremental state.
-    pub fn advance(
-        &mut self,
-        mut masters: Vec<Vec<Particle>>,
-    ) -> (Vec<Vec<BuiltTree<D>>>, ForestRound) {
-        assert_eq!(masters.len(), self.boxes.len(), "one master list per box");
-        let mut round = ForestRound::default();
-        // Route box-crossers. The per-box retain keeps each box's
-        // survivors in master order; arrivals are appended sorted so
-        // the result is a canonical function of the particle state.
-        let mut moved: Vec<Vec<Particle>> = vec![Vec::new(); self.boxes.len()];
-        for (bi, master) in masters.iter_mut().enumerate() {
-            master.retain_mut(|p| {
-                if self.period.is_periodic() {
-                    p.pos = self.period.wrap(p.pos, self.origin);
-                }
-                let dest = self.spec.assign(p.pos, &self.boxes);
-                if dest == bi {
-                    true
-                } else {
-                    moved[dest].push(*p);
-                    false
-                }
-            });
-        }
-        for (bi, mut arrivals) in moved.into_iter().enumerate() {
-            if arrivals.is_empty() {
-                continue;
-            }
-            round.n_crossed += arrivals.len() as u64;
-            arrivals.sort_unstable_by_key(|p| (p.key, p.id));
-            masters[bi].extend(arrivals);
-        }
-        // Per-box advance: a population change falls back inside that
-        // box's maintainer only.
-        let mut trees = Vec::with_capacity(self.boxes.len());
-        for (bi, master) in masters.into_iter().enumerate() {
-            let (t, r) = self.maintainers[bi].advance(master);
-            if r.full_rebuild {
-                round.rebuilt_boxes.push(bi as u32);
-            }
-            round.rounds.push(r);
-            trees.push(t);
-        }
-        (trees, round)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1518,61 +1348,6 @@ mod tests {
         assert!(report.comm.messages > 0);
         assert!(report.makespan > 0.0);
         assert_eq!(report.comm.bytes, layer.stats.bytes);
-    }
-
-    #[test]
-    fn box_escape_scopes_fallback_to_the_affected_boxes() {
-        // Three explicit boxes along x. A particle drifts from box 0
-        // into box 1; box 2 must keep its incremental state (no full
-        // rebuild), while boxes 0 and 1 rebuild from their changed
-        // populations.
-        let cfg = config(TreeType::Octree);
-        let boxes = vec![
-            BoundingBox::new(Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0)),
-            BoundingBox::new(Vec3::new(1.0, 0.0, 0.0), Vec3::new(2.0, 1.0, 1.0)),
-            BoundingBox::new(Vec3::new(2.0, 0.0, 0.0), Vec3::new(3.0, 1.0, 1.0)),
-        ];
-        let spec = DomainSpec::Explicit { boxes, period: None };
-        let mut ps = Vec::new();
-        for b in 0..3u64 {
-            let mut chunk = gen::uniform_cube(60, 17 + b, 1.0, 1.0);
-            for (i, p) in chunk.iter_mut().enumerate() {
-                p.id = b * 60 + i as u64;
-                p.pos.x = p.pos.x.rem_euclid(1.0) * 0.98 + b as f64 + 0.01;
-                p.pos.y = p.pos.y.rem_euclid(1.0);
-                p.pos.z = p.pos.z.rem_euclid(1.0);
-            }
-            ps.extend(chunk);
-        }
-        let (mut fm, trees) = ForestMaintainer::<CountData>::seed(&cfg, ps, &spec, false);
-        let mut masters: Vec<Vec<Particle>> = trees
-            .iter()
-            .map(|ts| ts.iter().flat_map(|t| t.particles.iter().copied()).collect())
-            .collect();
-        // Step 1: nothing moves — every box advances incrementally.
-        let (trees, round) = fm.advance(masters.clone());
-        assert_eq!(round.n_crossed, 0);
-        assert!(round.rebuilt_boxes.is_empty(), "quiescent step must not rebuild");
-        masters = trees
-            .iter()
-            .map(|ts| ts.iter().flat_map(|t| t.particles.iter().copied()).collect())
-            .collect();
-        // Step 2: push one box-0 particle into box 1.
-        masters[0][0].pos.x = 1.5;
-        let rebuilds_before: Vec<u64> = (0..3).map(|b| fm.totals(b).full_rebuilds).collect();
-        let (_trees, round) = fm.advance(masters);
-        assert_eq!(round.n_crossed, 1);
-        assert_eq!(
-            fm.totals(2).full_rebuilds,
-            rebuilds_before[2],
-            "the untouched box must not be re-decomposed"
-        );
-        assert!(
-            fm.totals(0).full_rebuilds > rebuilds_before[0]
-                && fm.totals(1).full_rebuilds > rebuilds_before[1],
-            "the affected boxes fall back locally"
-        );
-        assert_eq!(round.rebuilt_boxes, vec![0, 1]);
     }
 
     #[test]

@@ -49,8 +49,7 @@ pub use des_engine::{
 };
 pub use forest::{
     decompose_forest, des_ghost_exchange, enforce_seam_balance, exchange_ghosts, DomainSpec,
-    Forest, ForestMaintainer, ForestRound, ForestStats, GhostDesReport, GhostLayer, GhostRoute,
-    GhostStats, GhostZone,
+    Forest, ForestStats, GhostDesReport, GhostLayer, GhostRoute, GhostStats, GhostZone,
 };
 pub use framework::{Framework, SnapshotHook, StepReport};
 pub use maintain::{MaintainRound, TreeMaintainer, UpdateTotals};

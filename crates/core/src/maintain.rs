@@ -36,9 +36,7 @@
 //!
 //! All decisions are deterministic functions of the particle state —
 //! parallel phases collect results in Subtree index order, so thread
-//! count never changes the output — and a crash-recovery replay that
-//! restores the maintained trees and re-runs the same inputs
-//! reproduces the same structure.
+//! count never changes the output.
 
 use crate::config::{Configuration, DecompType, SfcCurve};
 use crate::decomp::{decompose_within, universe_for, Partitioner};
@@ -103,8 +101,8 @@ impl MetricSource for UpdateTotals {
     }
 }
 
-/// What one [`TreeMaintainer::advance`] did — consumed by the engines
-/// for telemetry and (in the DES engine) virtual-time cost charging.
+/// What one [`TreeMaintainer::advance`] did — consumed by the
+/// shared-memory engine's step report and the serving writer.
 #[derive(Clone, Debug, Default)]
 pub struct MaintainRound {
     /// Summed per-subtree update counters for this round.
@@ -113,12 +111,6 @@ pub struct MaintainRound {
     pub n_migrated: u64,
     /// Non-empty per-Subtree insert batches applied this round.
     pub n_batches: u64,
-    /// `(from_subtree, to_subtree, count)` migration edges, ascending.
-    pub migrations: Vec<(u32, u32, u32)>,
-    /// Per-subtree structural work units (evictions + insertions +
-    /// splits + merges + summary refreshes) — the DES engine's update
-    /// task cost driver.
-    pub per_subtree_work: Vec<u64>,
     /// Subtrees rebuilt alone this round (weight balance or adoption).
     pub rebuilt_subtrees: Vec<u32>,
     /// The whole-tree fallback fired (universe escape or imbalance).
@@ -149,7 +141,7 @@ pub(crate) fn partition_imbalance(loads: &[u64]) -> f64 {
 }
 
 /// Runs `f(item, arg)` over the zipped items: one parallel region on
-/// the ambient pool when `parallel`, a plain loop when not (the DES).
+/// the ambient pool when `parallel`, a plain loop when not.
 /// Results come back in item order, so the output — and everything
 /// downstream — is independent of thread count.
 fn par_map_mut<T, U, R>(
@@ -172,7 +164,8 @@ where
     }
 }
 
-/// Maintains the global tree across iterations for one engine. Seeded
+/// Maintains the global tree across iterations (for the shared-memory
+/// engine and the serving writer). Seeded
 /// once with a full decompose + build; advanced once per iteration with
 /// the integrated particle state.
 pub struct TreeMaintainer<D: Data> {
@@ -194,8 +187,7 @@ impl<D: Data> TreeMaintainer<D> {
     /// `n_subtrees` / `n_partitions` minimums. With
     /// `incremental.universe_pad == 0` the returned trees are
     /// bit-identical to a fresh [`crate::decompose`] + build pass.
-    /// `parallel = false` (the deterministic DES engine) also runs the
-    /// batch phases as plain loops.
+    /// `parallel = false` also runs the batch phases as plain loops.
     pub fn seed(
         config: &Configuration,
         particles: Vec<Particle>,
@@ -347,7 +339,6 @@ impl<D: Data> TreeMaintainer<D> {
     ) -> Result<(Vec<BuiltTree<D>>, Vec<u64>), UpdateError> {
         let inc = self.config.incremental;
         let n_trees = self.trees.len();
-        round.per_subtree_work = vec![0u64; n_trees];
         // Phase 1 — classify: resync + evict in one pass per Subtree,
         // in parallel over the disjoint slabs.
         let counts: Vec<usize> = self.trees.iter().map(|t| t.n_particles() as usize).collect();
@@ -360,11 +351,10 @@ impl<D: Data> TreeMaintainer<D> {
         debug_assert_eq!(off, master.len());
         let classified = par_map_mut(self.parallel, &mut self.trees, slices, |t, s| t.classify(s));
         let mut escapees_per_tree = Vec::with_capacity(n_trees);
-        for (si, c) in classified.into_iter().enumerate() {
+        for c in classified {
             let c = c?;
             round.stats.n_moved += c.n_moved;
             round.stats.n_escaped += c.escapees.len() as u64;
-            round.per_subtree_work[si] += c.escapees.len() as u64;
             escapees_per_tree.push(c.escapees);
         }
         // Phase 2 — route: group escapees by the Subtree whose region
@@ -374,16 +364,13 @@ impl<D: Data> TreeMaintainer<D> {
         // particle state, not of which leaves the escapees came from.
         let mut batches: Vec<Vec<Particle>> = vec![Vec::new(); n_trees];
         let mut homeless: BTreeMap<usize, Vec<Particle>> = BTreeMap::new();
-        let mut migrations = vec![0u32; n_trees * n_trees];
         for (si, escaped) in escapees_per_tree.into_iter().enumerate() {
             for p in escaped {
                 let (dest, covered) = self.route(p.pos, si);
                 if dest != si {
-                    migrations[si * n_trees + dest] += 1;
                     round.n_migrated += 1;
                 }
                 round.stats.n_inserted += 1;
-                round.per_subtree_work[dest] += 1;
                 if covered {
                     batches[dest].push(p);
                 } else {
@@ -393,12 +380,6 @@ impl<D: Data> TreeMaintainer<D> {
                 }
             }
         }
-        round.migrations = migrations
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(i, &n)| ((i / n_trees) as u32, (i % n_trees) as u32, n))
-            .collect();
         for b in batches.iter_mut() {
             // Unstable sort is deterministic here: (key, id) is a total
             // order because ids are unique.
@@ -416,8 +397,6 @@ impl<D: Data> TreeMaintainer<D> {
         let mut unbalanced = vec![false; n_trees];
         for (si, rep) in applied.into_iter().enumerate() {
             let rep = rep?;
-            round.per_subtree_work[si] +=
-                rep.stats.n_splits + rep.stats.n_merges + rep.stats.n_refreshed;
             round.stats += rep.stats;
             unbalanced[si] = rep.unbalanced;
         }
@@ -498,7 +477,6 @@ impl<D: Data> TreeMaintainer<D> {
         let built = self.reseed(particles);
         round.full_rebuild = true;
         round.rebuilt_subtrees.clear();
-        round.per_subtree_work = vec![0u64; built.len()];
         self.totals.full_rebuilds += 1;
         (built, round)
     }

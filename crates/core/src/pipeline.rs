@@ -41,8 +41,7 @@ pub const FLIGHT_SERIES: &[&str] =
 
 /// The maintained-run report entries: cumulative `tree.update.*`
 /// counters plus this round's batch / migration counts, and the
-/// wall-clock `time.update_s` where the engine measures one (the DES
-/// engine charges virtual time instead and passes `None`).
+/// wall-clock `time.update_s` where the caller measures one.
 pub(crate) fn record_update(
     metrics: &mut MetricsRegistry,
     totals: &UpdateTotals,
@@ -500,13 +499,11 @@ impl<D: Data> Iteration<D> {
     /// — `(partition, targets, its interaction counts)` — return to the
     /// master array, counts and the `caches`' statistics are summed, and
     /// the report's registry starts with what both engines record:
-    /// `cache.*`, `counts.*`, `decomp.n_split_leaves` and, on a
-    /// maintained run, [`record_update`]'s entries.
+    /// `cache.*`, `counts.*` and `decomp.n_split_leaves`.
     pub fn finish<'t, S: 't, T: 't>(
         &mut self,
         caches: impl IntoIterator<Item = &'t CacheTree<D>>,
         parts: impl IntoIterator<Item = (usize, &'t Targets<S, T>, WorkCounts)>,
-        seconds_update: Option<f64>,
     ) -> (WorkCounts, CacheStatsSnapshot, MetricsRegistry) {
         let mut counts = WorkCounts::default();
         for (p, targets, own) in parts {
@@ -521,10 +518,6 @@ impl<D: Data> Iteration<D> {
         metrics.absorb("cache", &cache);
         metrics.absorb("counts", &counts);
         metrics.set_u64("decomp.n_split_leaves", self.n_split_leaves as u64);
-        if let Some(totals) = &self.update {
-            let (batches, migrated) = (self.round_batches(), self.round_migrated());
-            record_update(&mut metrics, totals, batches, migrated, seconds_update);
-        }
         (counts, cache, metrics)
     }
 
@@ -641,5 +634,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Patched trees must satisfy every invariant a fresh build does: a
+    /// maintained arena with a particle outside its leaf's region trips
+    /// the debug audit at the end of `prepare`.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside its region box")]
+    fn prepare_audits_a_patched_arena() {
+        let config =
+            Configuration { bucket_size: 8, n_subtrees: 8, n_partitions: 4, ..Default::default() };
+        let quiet = Telemetry::disabled();
+        let mut slot = None;
+        let particles = gen::uniform_cube(300, 9, 1.0, 1.0);
+        let mut it =
+            Iteration::<CountData>::obtain(&config, &quiet, particles, Some(&mut slot), true);
+        it.trees[0].particles[0].pos = paratreet_geometry::Vec3::splat(1e3);
+        let home: Vec<u32> = (0..it.n_subtrees).map(|si| (si * 2 / it.n_subtrees) as u32).collect();
+        it.prepare(&home, 2, 1, &config, &quiet);
     }
 }

@@ -30,7 +30,6 @@
 //!   every bucket meets its nodes in the shared-memory engine's order.
 
 use crate::config::{Configuration, TraversalKind};
-use crate::maintain::TreeMaintainer;
 use crate::pipeline::Iteration;
 use crate::traversal::{drain, seed_items, Apply, TargetsOf, WorkCounts, WorkStack};
 use crate::visitor::Visitor;
@@ -177,32 +176,6 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
     /// with fetches and fills crossing real channels between real
     /// threads. `kind` must not be [`TraversalKind::DualTree`].
     pub fn run_iteration(&self, particles: Vec<Particle>, kind: TraversalKind) -> ThreadedReport {
-        self.run(particles, kind, None)
-    }
-
-    /// Runs one iteration against a tree maintained across calls: the
-    /// first call seeds the [`TreeMaintainer`] into `slot` (a normal
-    /// decomposition + build), every later call patches the maintained
-    /// tree in place under the "incremental update" phase and traverses
-    /// the flattened result through the exact machinery of
-    /// [`ThreadedEngine::run_iteration`]. Pass the same `slot` every
-    /// iteration; its tree-update counters land under `tree.update.*`
-    /// in the report's metrics.
-    pub fn run_maintained(
-        &self,
-        slot: &mut Option<TreeMaintainer<V::Data>>,
-        particles: Vec<Particle>,
-        kind: TraversalKind,
-    ) -> ThreadedReport {
-        self.run(particles, kind, Some(slot))
-    }
-
-    fn run(
-        &self,
-        particles: Vec<Particle>,
-        kind: TraversalKind,
-        maintained: Option<&mut Option<TreeMaintainer<V::Data>>>,
-    ) -> ThreadedReport {
         let started = std::time::Instant::now();
         let ranks = self.n_ranks;
         // Over-decomposition floors: several Subtrees per rank, and
@@ -211,7 +184,7 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
         config.n_subtrees = config.n_subtrees.max(ranks * 4);
         config.n_partitions = config.n_partitions.max(ranks * self.workers_per_rank * 2);
         // Built centrally; the per-Subtree builds run as one parallel region.
-        let front = Iteration::obtain(&config, &self.telemetry, particles, maintained, true);
+        let front = Iteration::obtain(&config, &self.telemetry, particles, None, true);
         self.run_obtained(&config, front, kind, started)
     }
 
@@ -408,8 +381,7 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
         let collected = collected.into_inner();
         let done = collected.iter().map(|ps| (ps.id as usize, &ps.targets, ps.counts));
         let caches = shared.iter().map(|s| &s.cache);
-        let (counts, cache_stats, mut metrics) =
-            front.finish(caches, done, Some(front.seconds_update));
+        let (counts, cache_stats, mut metrics) = front.finish(caches, done);
         let remote_fills = remote_fills.load(Ordering::Relaxed) as u64;
         metrics.set_u64("net.remote_fills", remote_fills);
         metrics.set_f64("time.iteration_s", started.elapsed().as_secs_f64());
@@ -689,27 +661,5 @@ mod tests {
         let Ok(Task::RunPartition(ps)) = h.tasks.try_recv() else { panic!("not re-enqueued") };
         assert!(h.tasks.try_recv().is_err(), "re-enqueued exactly once");
         h.assert_resumed(ps);
-    }
-
-    /// Patched trees must satisfy every invariant a fresh build does, and
-    /// this engine checks it like the other two: a maintained arena with
-    /// a particle outside its leaf's region trips the debug audit before
-    /// any thread starts.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "outside its region box")]
-    fn maintained_run_audits_the_patched_arena() {
-        let mut slot = None;
-        let particles = gen::uniform_cube(300, 9, 1.0, 1.0);
-        let quiet = Telemetry::disabled();
-        let mut front =
-            Iteration::<CountData>::obtain(&config(), &quiet, particles, Some(&mut slot), true);
-        front.trees[0].particles[0].pos = paratreet_geometry::Vec3::splat(1e3);
-        ThreadedEngine::new(config(), 2, 1, &OpenAll).run_obtained(
-            &config(),
-            front,
-            TraversalKind::TopDown,
-            std::time::Instant::now(),
-        );
     }
 }

@@ -11,8 +11,7 @@
 
 use paratreet_core::{
     sfc_balanced_assignment, CacheModel, Configuration, DistributedEngine, IterationReport,
-    SpatialNodeView, TargetBucket, TargetSpan, TraversalKind, TreeMaintainer, Visitor,
-    DES_FLIGHT_SERIES,
+    SpatialNodeView, TargetBucket, TargetSpan, TraversalKind, Visitor, DES_FLIGHT_SERIES,
 };
 use paratreet_geometry::NodeKey;
 use paratreet_particles::{gen, io};
@@ -104,10 +103,9 @@ fn is_alias(key: &str) -> bool {
     key.starts_with("faults.") || key == "des.fetch_retries" || key == "des.fill_errors"
 }
 
-/// Runs `iterations` of the scenario (maintained when more than one,
-/// drifting the particles in between; `rebalance` re-runs once under the
-/// measured-load assignment instead) and hashes everything it produced.
-fn run(s: Scenario, iterations: usize, rebalance: bool) -> u64 {
+/// Runs the scenario (`rebalance` re-runs once under the measured-load
+/// assignment) and hashes everything it produced.
+fn run(s: Scenario, rebalance: bool) -> u64 {
     let telemetry = Telemetry::virtual_time(1);
     let flight = FlightRecorder::virtual_time(DES_FLIGHT_SERIES, 64);
     let engine = engine(s).with_telemetry(telemetry.clone()).with_flight_recorder(flight.clone());
@@ -124,22 +122,7 @@ fn run(s: Scenario, iterations: usize, rebalance: bool) -> u64 {
         }
     };
     let particles = particles();
-    if iterations > 1 {
-        let mut slot: Option<TreeMaintainer<CountData>> = None;
-        let mut ps = particles;
-        for step in 0..iterations {
-            let rep = engine.run_maintained(&mut slot, ps);
-            digest(&rep, &[]);
-            ps = rep.particles;
-            for p in ps.iter_mut() {
-                let h = p.id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ step as u64;
-                p.pos.x += ((h & 0xFF) as f64 / 255.0 - 0.5) * 4e-2;
-                p.pos.y += ((h >> 8 & 0xFF) as f64 / 255.0 - 0.5) * 4e-2;
-                p.acc = paratreet_geometry::Vec3::ZERO;
-                p.potential = 0.0;
-            }
-        }
-    } else if rebalance {
+    if rebalance {
         let first = engine.run_iteration(particles.clone());
         let assignment = sfc_balanced_assignment(&first.partition_costs, RANKS);
         let rep = engine.run_iteration_with_assignment(particles, Some(&assignment));
@@ -155,11 +138,11 @@ fn run(s: Scenario, iterations: usize, rebalance: bool) -> u64 {
 
 fn scenarios() -> Vec<(String, u64)> {
     let mut out: Vec<(String, u64)> = Vec::new();
-    let mut add = |name: &str, s: Scenario, iterations: usize, rebalance: bool| {
-        out.push((name.to_owned(), run(s, iterations, rebalance)));
+    let mut add = |name: &str, s: Scenario, rebalance: bool| {
+        out.push((name.to_owned(), run(s, rebalance)));
     };
-    add("clean", CLEAN, 1, false);
-    add("drop/dup/delay", Scenario { faults: Some(lossy()), ..CLEAN }, 1, false);
+    add("clean", CLEAN, false);
+    add("drop/dup/delay", Scenario { faults: Some(lossy()), ..CLEAN }, false);
     for (phase, label) in [
         (CrashPhase::Decomposition, "decomposition"),
         (CrashPhase::TreeBuild, "tree-build"),
@@ -169,7 +152,7 @@ fn scenarios() -> Vec<(String, u64)> {
         for restart in [true, false] {
             let mode = if restart { "restart" } else { "re-shard" };
             let faults = Some(crash(CrashTrigger::AtPhase(phase), restart));
-            add(&format!("crash {label} {mode}"), Scenario { faults, ..CLEAN }, 1, false);
+            add(&format!("crash {label} {mode}"), Scenario { faults, ..CLEAN }, false);
         }
     }
     // A fraction of the clean makespan lands mid-pipeline (the engine is
@@ -181,7 +164,6 @@ fn scenarios() -> Vec<(String, u64)> {
         add(
             &format!("crash at {fraction} of the makespan {mode}"),
             Scenario { faults, ..CLEAN },
-            1,
             false,
         );
     }
@@ -189,33 +171,27 @@ fn scenarios() -> Vec<(String, u64)> {
         crash: crash(CrashTrigger::AtPhase(CrashPhase::Traversal), false).crash,
         ..lossy()
     };
-    add("lossy crash re-shard", Scenario { faults: Some(lossy_crash), ..CLEAN }, 1, false);
-    add("per-thread caches", Scenario { cache: CacheModel::PerThread, ..CLEAN }, 1, false);
+    add("lossy crash re-shard", Scenario { faults: Some(lossy_crash), ..CLEAN }, false);
+    add("per-thread caches", Scenario { cache: CacheModel::PerThread, ..CLEAN }, false);
     let per_thread_crash = Scenario {
         cache: CacheModel::PerThread,
         faults: Some(crash(CrashTrigger::AtPhase(CrashPhase::Traversal), true)),
         ..CLEAN
     };
-    add("per-thread crash restart", per_thread_crash, 1, false);
+    add("per-thread crash restart", per_thread_crash, false);
     add(
         "x-write cache",
         Scenario { cache: CacheModel::XWrite, faults: Some(lossy()), ..CLEAN },
-        1,
         false,
     );
-    add("basic-dfs", Scenario { kind: TraversalKind::BasicDfs, ..CLEAN }, 1, false);
+    add("basic-dfs", Scenario { kind: TraversalKind::BasicDfs, ..CLEAN }, false);
     let up = Scenario { kind: TraversalKind::UpAndDown, ..CLEAN };
-    add("up-and-down", up, 1, false);
+    add("up-and-down", up, false);
     for restart in [true, false] {
         let faults = Some(crash(CrashTrigger::AtPhase(CrashPhase::Traversal), restart));
-        add(&format!("up-and-down crash restart={restart}"), Scenario { faults, ..up }, 1, false);
+        add(&format!("up-and-down crash restart={restart}"), Scenario { faults, ..up }, false);
     }
-    add("measured-load assignment", CLEAN, 1, true);
-    add("maintained x3", CLEAN, 3, false);
-    let faults = Some(crash(CrashTrigger::AtPhase(CrashPhase::TreeBuild), true));
-    add("maintained x3 crash restart", Scenario { faults, ..CLEAN }, 3, false);
-    let faults = Some(crash(CrashTrigger::AtPhase(CrashPhase::Traversal), false));
-    add("maintained x3 crash re-shard", Scenario { faults, ..CLEAN }, 3, false);
+    add("measured-load assignment", CLEAN, true);
     out
 }
 
@@ -249,9 +225,6 @@ const PINNED: &[(&str, u64)] = &[
     ("up-and-down crash restart=true", 0x20e7cb440661741e),
     ("up-and-down crash restart=false", 0xbb8764cc81c979a3),
     ("measured-load assignment", 0x7cacb43a00f90bdb),
-    ("maintained x3", 0xb6e6c725706c1c40),
-    ("maintained x3 crash restart", 0x7ea2fbb5a290e883),
-    ("maintained x3 crash re-shard", 0xfdf5280dbad07bbe),
 ];
 
 #[test]

@@ -17,12 +17,11 @@
 //!   every incremental step and panics on any structural violation.
 
 use paratreet_core::{
-    CacheModel, Configuration, DistributedEngine, Framework, SpatialNodeView, TargetBucket,
-    TargetSpan, ThreadedEngine, TraversalKind, TreeMaintainer, Visitor,
+    Configuration, Framework, SpatialNodeView, TargetBucket, TargetSpan, TraversalKind,
+    TreeMaintainer, Visitor,
 };
 use paratreet_geometry::{BoundingBox, Sphere, Vec3};
 use paratreet_particles::{gen, Particle};
-use paratreet_runtime::MachineSpec;
 use paratreet_tree::data::wire;
 use paratreet_tree::Data;
 use proptest::prelude::*;
@@ -335,96 +334,6 @@ fn k_step_neighbour_counts_match_exactly() {
         let total_b: u64 = state_b.0.iter().sum();
         assert_eq!(total_a, total_b, "neighbour totals diverged at step {step}");
     }
-}
-
-#[test]
-fn des_engine_maintained_runs_and_reports_update_metrics() {
-    let particles = gen::clustered(2_000, 3, 5, 1.0, 1.0);
-    let visitor = MonoGravity { theta: 0.6 };
-    let mut cfg = config(true, 0.05);
-    cfg.bucket_size = 16;
-    let engine = DistributedEngine::new(
-        MachineSpec::test(3, 2),
-        cfg,
-        CacheModel::WaitFree,
-        TraversalKind::TopDown,
-        &visitor,
-    );
-    let mut slot: Option<TreeMaintainer<MonoData>> = None;
-    let mut ps = particles;
-    let mut last = None;
-    for _ in 0..3 {
-        let rep = engine.run_maintained(&mut slot, ps);
-        ps = rep.particles.clone();
-        for p in ps.iter_mut() {
-            p.pos += p.vel * (1.0 / 64.0);
-            p.acc = Vec3::ZERO;
-            p.potential = 0.0;
-        }
-        last = Some(rep);
-    }
-    let rep = last.unwrap();
-    assert!(rep.makespan > 0.0);
-    assert_eq!(rep.particles.len(), 2_000);
-    assert!(rep.metrics.get_u64("tree.update.steps") >= 2, "update steps must accumulate");
-    assert!(rep.metrics.get_u64("tree.update.moved") > 0, "drift must move particles");
-
-    // Determinism: the same maintained run replays to the same virtual
-    // makespan and metrics (this is what checkpoint replay relies on).
-    let mut slot2: Option<TreeMaintainer<MonoData>> = None;
-    let mut ps2 = gen::clustered(2_000, 3, 5, 1.0, 1.0);
-    let mut last2 = None;
-    for _ in 0..3 {
-        let rep = engine.run_maintained(&mut slot2, ps2);
-        ps2 = rep.particles.clone();
-        for p in ps2.iter_mut() {
-            p.pos += p.vel * (1.0 / 64.0);
-            p.acc = Vec3::ZERO;
-            p.potential = 0.0;
-        }
-        last2 = Some(rep);
-    }
-    let rep2 = last2.unwrap();
-    assert_eq!(rep.makespan, rep2.makespan);
-    assert_eq!(rep.metrics, rep2.metrics);
-}
-
-#[test]
-fn threaded_engine_maintained_matches_fresh_on_first_step() {
-    let particles = gen::plummer(1_000, 13, 1.0, 1.0);
-    let visitor = MonoGravity { theta: 0.6 };
-    let engine = ThreadedEngine::new(config(false, 0.0), 2, 2, &visitor);
-
-    let fresh = engine.run_iteration(particles.clone(), TraversalKind::TopDown);
-    let mut slot: Option<TreeMaintainer<MonoData>> = None;
-    let maintained = engine.run_maintained(&mut slot, particles, TraversalKind::TopDown);
-
-    // The first maintained step seeds from scratch, so its tree — and
-    // therefore its interaction counts — must equal a fresh iteration.
-    assert_eq!(fresh.counts.leaf_interactions, maintained.counts.leaf_interactions);
-    assert_eq!(fresh.counts.node_interactions, maintained.counts.node_interactions);
-    assert!(slot.is_some(), "run_maintained must leave the maintainer seeded");
-    // And so must its forces, bit for bit, whatever the schedule.
-    let mut fresh = fresh.particles;
-    let mut ps = maintained.particles;
-    fresh.sort_by_key(|p| p.id);
-    ps.sort_by_key(|p| p.id);
-    assert_eq!(fresh.len(), ps.len());
-    let bits = |p: &Particle| [p.acc.x, p.acc.y, p.acc.z, p.potential].map(f64::to_bits);
-    for (a, b) in fresh.iter().zip(&ps) {
-        assert_eq!(a.id, b.id);
-        assert_eq!(bits(a), bits(b), "forces differ on particle {}", a.id);
-    }
-
-    // A second maintained step reports update activity.
-    for p in ps.iter_mut() {
-        p.pos += p.vel * (1.0 / 64.0);
-        p.acc = Vec3::ZERO;
-        p.potential = 0.0;
-    }
-    let second = engine.run_maintained(&mut slot, ps, TraversalKind::TopDown);
-    assert!(second.metrics.get_u64("tree.update.steps") >= 1);
-    assert_eq!(second.particles.len(), 1_000);
 }
 
 proptest! {

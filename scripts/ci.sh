@@ -140,6 +140,11 @@ if grep -nE '^\[features\]|^(serde|bytes)\b' Cargo.toml crates/*/Cargo.toml; the
     echo "a feature table or a retired stand-in is back"; exit 1
 fi
 
+echo "== maintenance runs on the shared engine only: no second path in the message engines or the forest =="
+if grep -rnE 'run_maintained|ForestMaintainer|per_subtree_work' crates src; then
+    echo "maintained mode is back in a message engine or the forest (DESIGN §10)"; exit 1
+fi
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 # clippy.toml caps a function at 150 lines where a file opts in with
 # `#![warn(clippy::too_many_lines)]`: the DES modules and the CLI.
@@ -179,7 +184,7 @@ grep -q '"recovery.restored_bytes":[1-9]' "$chaos_metrics" ||
 
 echo "== incremental smoke (multi-iteration maintained tree) =="
 inc_metrics="$smoke_dir/inc.json"
-cargo run --release -q --bin paratreet -- gravity --particles 3000 --engine machine --ranks 4 \
+cargo run --release -q --bin paratreet -- gravity --particles 3000 --engine shared \
     --iterations 3 --incremental true \
     --metrics-out "$inc_metrics" > /dev/null
 grep -q '"tree.update.steps":[1-9]' "$inc_metrics" ||
@@ -191,7 +196,7 @@ grep -q '"tree.update.moved":[1-9]' "$inc_metrics" ||
 
 echo "== incremental disk smoke (batched escapees, no drift rebuilds) =="
 disk_metrics="$smoke_dir/disk.json"
-cargo run --release -q --bin paratreet -- gravity --particles 3000 --engine machine --ranks 4 \
+cargo run --release -q --bin paratreet -- gravity --particles 3000 --engine shared \
     --iterations 4 --incremental true --dist disk \
     --metrics-out "$disk_metrics" > /dev/null
 grep -q '"tree.update.batches":[1-9]' "$disk_metrics" ||

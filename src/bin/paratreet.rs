@@ -42,8 +42,8 @@ paratreet — spatial tree traversal framework (ParaTreeT reproduction)
 USAGE: paratreet <APP> [OPTIONS]
 
 Options are per app: one the chosen app (or engine) does not read stops
-the run, naming it. Every simulation app takes WORKLOAD, CONFIGURATION,
-INCREMENTAL and OUTPUT options; the sections below say who reads the rest.
+the run, naming it. Every simulation app takes WORKLOAD, CONFIGURATION
+and OUTPUT options; the sections below say who reads the rest.
 
 APPS:
   gravity     Barnes-Hut N-body (leapfrog integration)
@@ -77,7 +77,8 @@ CONFIGURATION:
   --tree KIND          oct | kd | longest-dim              [oct]
   --decomp KIND        sfc | oct | kd | longest-dim        [sfc]
   --traversal KIND     top-down | basic-dfs | up-and-down | dual-tree
-                       (gravity)                           [top-down]
+                       (gravity; dual-tree on the shared
+                       engine only)                        [top-down]
   --bucket N           max bucket size                     [16]
   --subtrees N         minimum Subtrees                    [8]
   --partitions N       minimum Partitions                  [16]
@@ -93,7 +94,8 @@ ENGINE (gravity: all three; fof: shared | machine; others: shared):
   --workers N          workers per rank (gravity threaded,
                        fof machine)                        [2]
 
-INCREMENTAL TREE MAINTENANCE (gravity/sph/disk, all engines):
+INCREMENTAL TREE MAINTENANCE (gravity/sph/disk on the shared engine;
+serve-bench always maintains and reads the tuning below):
   --incremental B      maintain the tree across iterations instead
                        of rebuilding from scratch          [false]
   --inc-alpha F        BB[α] weight-balance factor: rebuild a
@@ -176,16 +178,19 @@ struct App {
     name: &'static str,
     /// Groups of options it reads on every engine.
     options: &'static [&'static [&'static str]],
-    /// `(engine, options read on that engine only)`; the first engine is
-    /// the default.
-    engines: &'static [(&'static str, &'static [&'static str])],
+    /// `(engine, groups of options read on that engine only)`; the
+    /// first engine is the default.
+    engines: &'static [(&'static str, &'static [&'static [&'static str]])],
+    /// `(engine, option, value)`: a value of an option the app reads
+    /// that the engine cannot run.
+    refuses: &'static [(&'static str, &'static str, &'static str)],
     run: fn(&Opts),
 }
 
 const WORKLOAD: &[&str] = &["particles", "dist", "seed", "input", "radius-scale", "tiles", "tile"];
 const TREE: &[&str] = &["tree", "decomp", "bucket", "subtrees", "partitions"];
 const MAINTAIN: &[&str] = &["inc-alpha", "inc-depth-slack", "inc-imbalance", "inc-universe-pad"];
-const STEPS: &[&str] = &["incremental", "iterations", "dt"];
+const STEPS: &[&str] = &["iterations", "dt"];
 const OBSERVE: &[&str] = &["trace-out", "metrics-out"];
 const STATE_OUT: &[&str] = &["output", "csv", "timeseries-out"];
 #[rustfmt::skip]
@@ -201,37 +206,46 @@ const SERVE: &[&str] = &[
     "writer-pace-ms", "deadline-ms", "max-backlog-ms", "retries", "pace-us", "degrade",
     "respawn-limit", "inject-worker-panic", "inject-writer-panic",
 ];
-const SHARED_ONLY: &[(&str, &[&str])] = &[("shared", &[])];
+const SHARED_ONLY: &[(&str, &[&[&str]])] = &[("shared", &[])];
 
 const APPS: &[App] = &[
     App {
         name: "gravity",
-        options: &[WORKLOAD, TREE, MAINTAIN, STEPS, &["traversal", "theta"], OBSERVE, STATE_OUT],
-        engines: &[("shared", &[]), ("threaded", &["ranks", "workers"]), ("machine", FAULTS)],
+        options: &[WORKLOAD, TREE, STEPS, &["traversal", "theta"], OBSERVE, STATE_OUT],
+        engines: &[
+            ("shared", &[&["incremental"], MAINTAIN]),
+            ("threaded", &[&["ranks", "workers"]]),
+            ("machine", &[FAULTS]),
+        ],
+        refuses: &[("threaded", "traversal", "dual-tree"), ("machine", "traversal", "dual-tree")],
         run: run_gravity,
     },
     App {
         name: "sph",
-        options: &[WORKLOAD, TREE, MAINTAIN, STEPS, &["k"], OBSERVE, STATE_OUT],
+        options: &[WORKLOAD, TREE, &["incremental"], MAINTAIN, STEPS, &["k"], OBSERVE, STATE_OUT],
         engines: SHARED_ONLY,
+        refuses: &[],
         run: run_sph,
     },
     App {
         name: "disk",
-        options: &[WORKLOAD, TREE, MAINTAIN, STEPS, OBSERVE, STATE_OUT],
+        options: &[WORKLOAD, TREE, &["incremental"], MAINTAIN, STEPS, OBSERVE, STATE_OUT],
         engines: SHARED_ONLY,
+        refuses: &[],
         run: run_disk,
     },
     App {
         name: "serve-bench",
         options: &[WORKLOAD, TREE, MAINTAIN, SERVE, OBSERVE],
         engines: SHARED_ONLY,
+        refuses: &[],
         run: run_serve_bench,
     },
     App {
         name: "fof",
         options: &[WORKLOAD, TREE, &["periodic", "link", "min-members"], OBSERVE],
-        engines: &[("shared", &[]), ("machine", &["ranks", "workers"])],
+        engines: &[("shared", &[]), ("machine", &[&["ranks", "workers"]])],
+        refuses: &[],
         run: run_fof,
     },
 ];
@@ -239,8 +253,12 @@ const APPS: &[App] = &[
 impl App {
     /// Every option the app reads on some engine.
     fn all_options(&self) -> impl Iterator<Item = &'static str> {
-        let per_engine = self.engines.iter().map(|(_, own)| *own);
-        self.options.iter().copied().chain(per_engine).flatten().copied().chain(["engine"])
+        let per_engine = self.engines.iter().flat_map(|(_, own)| *own);
+        self.options
+            .iter()
+            .chain(per_engine)
+            .flat_map(|group| group.iter().copied())
+            .chain(["engine"])
     }
 }
 
@@ -331,9 +349,14 @@ fn parse_args() -> (Option<&'static App>, Opts) {
             );
             exit(2);
         };
-        let read = [&["engine"][..], on_engine, &app.options.concat()].concat();
+        let read = [&["engine"][..], &on_engine.concat(), &app.options.concat()].concat();
         if let Some(name) = opts.0.keys().find(|name| !read.contains(&name.as_str())) {
             eprintln!("option --{name} is not read by {} on the {engine} engine", app.name);
+            exit(2);
+        }
+        let refused = app.refuses.iter().find(|(e, n, v)| *e == engine && opts.str(n) == Some(v));
+        if let Some((_, name, value)) = refused {
+            eprintln!("{} --{name} {value} does not run on the {engine} engine", app.name);
             exit(2);
         }
         let engine = engine.to_string();
@@ -582,11 +605,6 @@ fn run_gravity(opts: &Opts) {
     let visitor = GravityVisitor { theta: opts.get("theta", 0.7), g: 1.0 };
     let steps @ (iterations, _) = (opts.get("iterations", 1usize), opts.get("dt", 1.0 / 64.0));
     let (ranks, workers) = (opts.get("ranks", 2usize), opts.get("workers", 2usize));
-    // Maintained mode: the tree persists across iterations inside
-    // `slot`; each step patches it instead of rebuilding it (on the
-    // simulated machine, charging Phase::TreeUpdate instead of full
-    // decomposition + build time).
-    let (maintained, mut slot) = (config.incremental.enabled, None);
     match opts.str("engine") {
         Some("shared") => {
             let out = Outputs::new(opts, false, 0, FLIGHT_SERIES, step_rows(iterations));
@@ -617,18 +635,12 @@ fn run_gravity(opts: &Opts) {
                 .with_telemetry(out.telemetry.clone())
                 .with_flight_recorder(out.flight.clone());
             let forces = |ps| {
-                let mut rep = if maintained {
-                    eng.run_maintained(&mut slot, ps, kind)
-                } else {
-                    eng.run_iteration(ps, kind)
-                };
+                let mut rep = eng.run_iteration(ps, kind);
                 let ps = std::mem::take(&mut rep.particles);
                 (rep, ps)
             };
             let (rep, particles) = leapfrog(steps, particles, forces, |step, r| {
-                let update_ms = r.metrics.get_f64("time.update_s") * 1e3;
-                let pp = r.counts.leaf_interactions;
-                println!("step {step}: {pp} pp interactions, update {update_ms:.1} ms");
+                println!("step {step}: {} pp interactions", r.counts.leaf_interactions);
             });
             println!(
                 "threaded ({ranks}x{workers}): {} pp interactions, {} remote fills, {} fetches",
@@ -647,21 +659,12 @@ fn run_gravity(opts: &Opts) {
                 eng = eng.with_faults(f);
             }
             let forces = |ps| {
-                let mut rep = if maintained {
-                    eng.run_maintained(&mut slot, ps)
-                } else {
-                    eng.run_iteration(ps)
-                };
+                let mut rep = eng.run_iteration(ps);
                 let ps = std::mem::take(&mut rep.particles);
                 (rep, ps)
             };
             let (rep, particles) = leapfrog(steps, particles, forces, |step, r| {
-                println!(
-                    "step {step}: makespan {:.3} ms, {} buckets patched, {} migrated",
-                    r.makespan * 1e3,
-                    r.metrics.get_u64("tree.update.patched"),
-                    r.metrics.get_u64("tree.update.round_migrated")
-                );
+                println!("step {step}: makespan {:.3} ms", r.makespan * 1e3);
             });
             print_machine_summary(&rep, ranks);
             out.write(&rep.metrics, &particles);

@@ -53,6 +53,8 @@ fn option_the_app_does_not_read_is_rejected_by_name() {
         (&["gravity", "--engine", "machine", "--workers", "3"], "--workers"),
         (&["fof", "--iterations", "2"], "--iterations"),
         (&["sph", "--engine", "machine", "--theta", "0.1", "--crash-rank", "1"], "machine"),
+        (&["gravity", "--engine", "machine", "--incremental", "true"], "--incremental"),
+        (&["gravity", "--engine", "threaded", "--inc-alpha", "0.6"], "--inc-alpha"),
     ] {
         let out = paratreet(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -62,28 +64,40 @@ fn option_the_app_does_not_read_is_rejected_by_name() {
     }
 }
 
-/// `--iterations N` is N leapfrog steps on every engine, maintained tree
-/// or not: one line per step.
+/// `--iterations N` is N leapfrog steps on every engine, and on the
+/// shared engine whether the tree is maintained or rebuilt: one line per
+/// step.
 #[test]
 fn iterations_count_on_every_engine() {
-    for engine in ["shared", "threaded", "machine"] {
-        for incremental in ["false", "true"] {
-            let out = paratreet(&[
-                "gravity",
-                "--particles",
-                "300",
-                "--engine",
-                engine,
-                "--iterations",
-                "3",
-                "--incremental",
-                incremental,
-            ]);
-            assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-            let stdout = String::from_utf8_lossy(&out.stdout);
-            let steps = stdout.lines().filter(|l| l.starts_with("step ")).count();
-            assert_eq!(steps, 3, "{engine}, incremental {incremental}: {stdout}");
-        }
+    let runs: [&[&str]; 4] = [
+        &["--engine", "shared", "--incremental", "false"],
+        &["--engine", "shared", "--incremental", "true"],
+        &["--engine", "threaded"],
+        &["--engine", "machine"],
+    ];
+    for run in runs {
+        let mut args = vec!["gravity", "--particles", "300", "--iterations", "3"];
+        args.extend(run);
+        let out = paratreet(&args);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let steps = stdout.lines().filter(|l| l.starts_with("step ")).count();
+        assert_eq!(steps, 3, "{run:?}: {stdout}");
+    }
+}
+
+/// Dual-tree traversal runs on the shared engine only: a message engine
+/// refuses it, naming the traversal and the engine, before any work.
+#[test]
+fn dual_tree_on_a_message_engine_is_rejected_by_name() {
+    for engine in ["threaded", "machine"] {
+        let args =
+            ["gravity", "--particles", "200", "--engine", engine, "--traversal", "dual-tree"];
+        let out = paratreet(&args);
+        assert_eq!(out.status.code(), Some(2), "{engine}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("dual-tree") && err.contains(engine), "{engine}: {err}");
+        assert!(out.stdout.is_empty(), "nothing ran before the rejection");
     }
 }
 
