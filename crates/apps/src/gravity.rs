@@ -7,7 +7,7 @@
 //! `gravApprox`/`gravExact` kernels (Fig. 7). A complete N-body step is
 //! ~100 lines of user code — that is the productivity claim of Table III.
 
-use crate::lanes::X1;
+use crate::lanes::{width, X1};
 use paratreet_core::{Lane, SpatialNodeView, TargetBucket, TargetLanes, TargetSpan, Visitor};
 use paratreet_geometry::{BoundingBox, Sphere, Vec3};
 use paratreet_particles::Particle;
@@ -203,41 +203,57 @@ impl<'a> SpanLanes<'a> {
     }
 }
 
-/// The one run-time choice of instantiation: four lanes where the CPU
-/// has AVX2, one elsewhere.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn four_lanes() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
 /// Adds a pruned node's attraction to every particle of a span of
 /// targets: `acc += a·g`, `potential += φ·g·m` with `(a, φ)` from
-/// [`grav_approx`], four targets at a time where the CPU has AVX2.
+/// [`grav_approx`], eight or four targets per instruction where the CPU
+/// has AVX-512F or AVX2 ([`width`]).
 pub fn apply_node<S, T>(node: &NodeMoments, targets: &mut TargetSpan<'_, S, T>, g: f64) {
-    let lanes = SpanLanes::of(targets);
-    #[cfg(target_arch = "x86_64")]
-    if four_lanes() {
-        // SAFETY: the running CPU was just found to support AVX2.
-        return unsafe { x4::node_span(node, lanes, g) };
-    }
-    x1::node_span(node, lanes, g)
+    node_span_at(width(), node, SpanLanes::of(targets), g)
 }
 
 /// Adds the exact attraction of every source particle to every particle
 /// of a span of targets, skipping a particle's attraction on itself:
 /// `acc += a·g`, `potential += φ·g·m` with `(a, φ)` from [`grav_exact`]
 /// under the larger of the pair's softenings. Each target sees the
-/// sources in slice order; four targets at a time where the CPU has
-/// AVX2.
+/// sources in slice order; eight or four targets per instruction where
+/// the CPU has AVX-512F or AVX2 ([`width`]).
 pub fn apply_leaf<S, T>(sources: &[Particle], targets: &mut TargetSpan<'_, S, T>, g: f64) {
-    let lanes = SpanLanes::of(targets);
+    leaf_span_at(width(), sources, SpanLanes::of(targets), g)
+}
+
+/// [`apply_node`]'s kernel on `lanes` lanes: the CPU's [`width`], or in
+/// the identity tests any width up to it.
+fn node_span_at(lanes: usize, node: &NodeMoments, t: SpanLanes<'_>, g: f64) {
+    assert!(lanes <= width(), "{lanes} lanes on a CPU that runs {}", width());
     #[cfg(target_arch = "x86_64")]
-    if four_lanes() {
-        // SAFETY: the running CPU was just found to support AVX2.
-        return unsafe { x4::leaf_span(sources, lanes, g) };
+    // SAFETY: `lanes` is at most `width()` (asserted above), which is 8
+    // only where the CPU has AVX-512F and AVX2, and 4 only where it has
+    // AVX2.
+    unsafe {
+        match lanes {
+            8 => return x8::node_span(node, t, g),
+            4 => return x4::node_span(node, t, g),
+            _ => {}
+        }
     }
-    x1::leaf_span(sources, lanes, g)
+    x1::node_span(node, t, g)
+}
+
+/// [`apply_leaf`]'s kernel on `lanes` lanes, as [`node_span_at`].
+fn leaf_span_at(lanes: usize, sources: &[Particle], t: SpanLanes<'_>, g: f64) {
+    assert!(lanes <= width(), "{lanes} lanes on a CPU that runs {}", width());
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `lanes` is at most `width()` (asserted above), which is 8
+    // only where the CPU has AVX-512F and AVX2, and 4 only where it has
+    // AVX2.
+    unsafe {
+        match lanes {
+            8 => return x8::leaf_span(sources, t, g),
+            4 => return x4::leaf_span(sources, t, g),
+            _ => {}
+        }
+    }
+    x1::leaf_span(sources, t, g)
 }
 
 /// The gravity kernels, written once over a lane type of
@@ -393,6 +409,11 @@ mod x1 {
 #[cfg(target_arch = "x86_64")]
 mod x4 {
     bucket_kernels!(X4, Ids4, #[target_feature(enable = "avx2")]);
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x8 {
+    bucket_kernels!(X8, Ids8, #[target_feature(enable = "avx512f")]);
 }
 
 /// The Barnes-Hut visitor (paper Fig. 7): sphere–box opening criterion,
@@ -670,19 +691,22 @@ mod tests {
 
     /// The lane kernels are the per-pair loops, bit for bit, on every
     /// lane of every group and tail, however the targets are cut into
-    /// buckets and spans: the one-lane instantiation (called by name, so
-    /// it runs on AVX2 hosts too) over a whole span, whatever
+    /// buckets and spans: each instantiation this CPU runs (one lane
+    /// everywhere, four with AVX2, eight with AVX-512F — called by width,
+    /// not only the dispatched one) over a whole span, whatever
     /// `apply_node` / `apply_leaf` dispatch to here over the whole span
     /// and over its buckets one by one, and a plain loop over the public
     /// per-pair kernels all agree — with a target on the node's centroid
     /// (r² = 0), a source coincident with an unsoftened target, and
-    /// sources that are themselves targets. A span is 1–4 buckets, the
-    /// first of 1–19 targets (every tail length; most runs end
-    /// mid-group), and is followed by a bucket the kernels are not given:
-    /// its accumulators, which a full-width tail group reads, hold
-    /// sentinels that must come back untouched.
+    /// sources that are themselves targets, one in each lane position of
+    /// an eight-lane group. A span is 1–4 buckets, the first of 1–19
+    /// targets (every tail length; most runs end mid-group), and is
+    /// followed by a bucket the kernels are not given: its accumulators,
+    /// which a full-width tail group reads, hold sentinels that must come
+    /// back untouched.
     #[test]
     fn lane_kernels_keep_every_bit_of_the_per_pair_loops() {
+        let widths: Vec<usize> = [1, 4, 8].into_iter().filter(|&w| w <= width()).collect();
         let g = 6.5;
         let quad = [0.011, 0.002, -0.001, 0.023, 0.003, 0.017];
         let sentinel = f64::from_bits(0x7ff8_5e17_15e1_0001);
@@ -706,23 +730,26 @@ mod tests {
                 p.acc += acc * g;
                 p.potential += pot * g * p.mass;
             }
-            let one = through(&targets, &sizes, |t| {
-                x1::node_span(&node, SpanLanes::of(&mut t.span(0..run)), g)
-            });
+            for &w in &widths {
+                let at = through(&targets, &sizes, |t| {
+                    node_span_at(w, &node, SpanLanes::of(&mut t.span(0..run)), g)
+                });
+                assert_eq!(bits(&at), bits(&looped), "node kernel, {w} lanes, {what}");
+            }
             let bucketed = through(&targets, &sizes, |t| {
                 (0..run).for_each(|b| apply_node(&node, &mut t.span(b..b + 1), g))
             });
             targets = through(&targets, &sizes, |t| apply_node(&node, &mut t.span(0..run), g));
-            assert_eq!(bits(&one), bits(&looped), "node kernel, one lane, {what}");
             assert_eq!(bits(&bucketed), bits(&looped), "node kernel, bucket by bucket, {what}");
             assert_eq!(bits(&targets), bits(&looped), "node kernel, dispatched, {what}");
             assert_eq!(targets[n / 2].acc.y.to_bits(), 0.0f64.to_bits(), "-0 + 0·g");
             assert_eq!(bits(&targets[live..]), guard, "node kernel, past the span, {what}");
 
-            // Sources: the first targets themselves (same ids), a twin
-            // of target 0 under another id (r² = 0 at zero softening),
-            // and strangers with softenings of their own.
-            let mut sources: Vec<Particle> = targets.iter().take(5.min(live)).copied().collect();
+            // Sources: the first eight targets themselves (same ids, so
+            // every lane of a first group meets its own), a twin of
+            // target 0 under another id (r² = 0 at zero softening), and
+            // strangers with softenings of their own.
+            let mut sources: Vec<Particle> = targets.iter().take(8.min(live)).copied().collect();
             sources.push(Particle { id: 1000, ..targets[0] });
             sources.extend((0..6).map(|i| {
                 let mut s = particle(
@@ -744,18 +771,33 @@ mod tests {
                     p.potential += pot * g * p.mass;
                 }
             }
-            let one = through(&targets, &sizes, |t| {
-                x1::leaf_span(&sources, SpanLanes::of(&mut t.span(0..run)), g)
-            });
+            for &w in &widths {
+                let at = through(&targets, &sizes, |t| {
+                    leaf_span_at(w, &sources, SpanLanes::of(&mut t.span(0..run)), g)
+                });
+                assert_eq!(bits(&at), bits(&looped), "leaf kernel, {w} lanes, {what}");
+            }
             let bucketed = through(&targets, &sizes, |t| {
                 (0..run).for_each(|b| apply_leaf(&sources, &mut t.span(b..b + 1), g))
             });
             targets = through(&targets, &sizes, |t| apply_leaf(&sources, &mut t.span(0..run), g));
-            assert_eq!(bits(&one), bits(&looped), "leaf kernel, one lane, {what}");
             assert_eq!(bits(&bucketed), bits(&looped), "leaf kernel, bucket by bucket, {what}");
             assert_eq!(bits(&targets), bits(&looped), "leaf kernel, dispatched, {what}");
             assert_eq!(bits(&targets[live..]), guard, "leaf kernel, past the span, {what}");
         }
+    }
+
+    /// A kernel run on more lanes than the CPU was found to have stops
+    /// before it reaches an instruction the CPU may lack.
+    #[test]
+    #[should_panic(expected = "lanes on a CPU that runs")]
+    fn a_width_past_the_cpus_is_refused() {
+        let mut targets = Targets::assemble(
+            &GravityVisitor::default(),
+            [(ROOT_KEY, vec![particle(0, 1.0, Vec3::ZERO)])],
+        );
+        let node = NodeMoments { opening: Sphere::new(Vec3::ZERO, 1.0), mass: 1.0, quad: [0.0; 6] };
+        node_span_at(width() + 1, &node, SpanLanes::of(&mut targets.span(0..1)), 1.0);
     }
 
     #[test]

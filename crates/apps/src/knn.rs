@@ -138,16 +138,24 @@ impl Visitor for KnnVisitor {
             }
             let mut worst = 0.0f64;
             for (tp, heap) in particles.iter().zip(&mut state.heaps) {
-                for sp in source.particles {
-                    if sp.id == tp.id {
-                        continue;
-                    }
-                    let d2 = sp.pos.dist_sq(tp.pos);
-                    if d2 < heap.bound() {
-                        heap.offer(d2, sp.id, ());
+                // The bound moves only when an offer is taken. The source
+                // box's distance rounds no higher than any of its
+                // particles' (the same operations on smaller operands),
+                // so a target it does not beat could take no offer.
+                let mut bound = heap.bound();
+                if source.data.tight_box.dist_sq_to(tp.pos) < bound {
+                    for sp in source.particles {
+                        if sp.id == tp.id {
+                            continue;
+                        }
+                        let d2 = sp.pos.dist_sq(tp.pos);
+                        if d2 < bound {
+                            heap.offer(d2, sp.id, ());
+                            bound = heap.bound();
+                        }
                     }
                 }
-                worst = worst.max(heap.bound());
+                worst = worst.max(bound);
             }
             state.bound = worst;
         }
@@ -294,6 +302,51 @@ mod tests {
                 assert!(to_bytes(step.particles()) == before, "{kind:?}");
             });
         }
+    }
+
+    /// `leaf` skips a target its source box does not beat, and keeps
+    /// what offering every pair kept: sources coincident at exactly the
+    /// target's bound (a box distance equal to it) add nothing, as their
+    /// offers would have been refused, while coincident sources inside
+    /// it are all taken, the bound tightening after each.
+    #[test]
+    fn leaf_keeps_what_every_pair_offered_kept() {
+        use paratreet_core::Targets;
+        use paratreet_geometry::ROOT_KEY;
+        let target = Particle::point_mass(0, 1.0, Vec3::ZERO);
+        let leaf = |id: u64, pos: [f64; 3]| -> Vec<Particle> {
+            let pos = Vec3::new(pos[0], pos[1], pos[2]);
+            (id..id + 2).map(|id| Particle::point_mass(id, 1.0, pos)).collect()
+        };
+        // Fills k = 2 at distance² 1, then meets the bound, then beats it.
+        let leaves = [leaf(10, [1.0, 0.0, 0.0]), leaf(20, [0.0, 0.0, -1.0]), leaf(30, [0.5; 3])];
+        let visitor = KnnVisitor { k: 2 };
+        let mut targets = Targets::assemble(&visitor, [(ROOT_KEY, vec![target])]);
+        let mut offered: KnnHeap = KnnHeap::new(visitor.k);
+        for sources in &leaves {
+            let data = KnnData::from_leaf(sources, &BoundingBox::empty());
+            let view = SpatialNodeView {
+                key: ROOT_KEY,
+                bbox: &data.tight_box,
+                n_particles: sources.len() as u32,
+                data: &data,
+                particles: sources,
+            };
+            visitor.leaf(&view, &(), &mut targets.span(0..1));
+            for sp in sources {
+                let d2 = sp.pos.dist_sq(target.pos);
+                if d2 < offered.bound() {
+                    offered.offer(d2, sp.id, ());
+                }
+            }
+            let state = &targets.buckets()[0].state;
+            let kept: Vec<u64> =
+                state.heaps[0].clone().into_sorted().iter().map(|c| c.id).collect();
+            let want: Vec<u64> = offered.clone().into_sorted().iter().map(|c| c.id).collect();
+            assert_eq!(kept, want, "after leaf {}", sources[0].id);
+            assert_eq!(state.bound().to_bits(), offered.bound().to_bits());
+        }
+        assert_eq!(offered.bound(), 0.75);
     }
 
     /// Opens nothing: a traversal with it visits exactly what it seeds.

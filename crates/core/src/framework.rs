@@ -84,7 +84,7 @@ impl StepReport {
                 update,
                 self.round_batches,
                 self.round_migrated,
-                Some(self.seconds_update),
+                self.seconds_update,
             );
         }
         m

@@ -41,17 +41,15 @@ pub const FLIGHT_SERIES: &[&str] =
 
 /// The maintained-run report entries: cumulative `tree.update.*`
 /// counters plus this round's batch / migration counts, and the
-/// wall-clock `time.update_s` where the caller measures one.
+/// wall-clock `time.update_s`.
 pub(crate) fn record_update(
     metrics: &mut MetricsRegistry,
     totals: &UpdateTotals,
     round_batches: u64,
     round_migrated: u64,
-    seconds_update: Option<f64>,
+    seconds_update: f64,
 ) {
-    if let Some(s) = seconds_update {
-        metrics.set_f64("time.update_s", s);
-    }
+    metrics.set_f64("time.update_s", seconds_update);
     metrics.absorb("tree.update", totals);
     metrics.set_u64("tree.update.round_batches", round_batches);
     metrics.set_u64("tree.update.round_migrated", round_migrated);

@@ -136,7 +136,7 @@ impl TargetLanes {
 /// Lane slices reach to a whole number of groups of this many values, so
 /// a kernel may load and compute full-width over a span's short last
 /// group ([`TargetSpan::lanes`]).
-pub const LANE_GROUP: usize = 4;
+pub const LANE_GROUP: usize = 8;
 
 /// One target bucket of a Partition: where its particles lie in the
 /// Partition's target arrays ([`crate::Targets`]), their tight box, and

@@ -15,6 +15,28 @@ cargo build --release
 echo "== cargo test --workspace -q =="
 cargo test --workspace -q
 
+echo "== lane widths this host runs (the identity test calls each one by name) =="
+cpu_flags=" $(grep -m 1 '^flags' /proc/cpuinfo 2>/dev/null | cut -d: -f2) "
+widths="X1"
+case "$cpu_flags" in *" avx2 "*)
+    widths="$widths X4"
+    case "$cpu_flags" in *" avx512f "*) widths="$widths X8" ;; esac ;;
+esac
+echo "lane widths: $widths"
+case "$widths" in *X8*) ;; *)
+    echo "WARNING: no avx2+avx512f on this host: the X8 span kernels were NOT exercised" ;;
+esac
+
+echo "== the CPU is asked in one place: is_x86_feature_detected! only in apps::lanes::width =="
+# Prints file:function for every call; exactly one pair may appear.
+feature_sites=$(awk 'FNR == 1 { fn = "" }
+     /^[[:space:]]*\/\// { next }
+     match($0, /fn [A-Za-z0-9_]+/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+     /is_x86_feature_detected!/ { print FILENAME ":" fn }' \
+    $(find crates -name '*.rs') | sort -u)
+[ "$feature_sites" = "crates/apps/src/lanes.rs:width" ] ||
+    { echo "is_x86_feature_detected! outside lanes::width: $feature_sites"; exit 1; }
+
 echo "== kernel identity + allocation tests, optimised (the build the benchmark runs) =="
 # Span kernels == per-bucket kernels == per-pair loops, and coalescing
 # changes no bucket's call sequence, beside the whole-step identity;

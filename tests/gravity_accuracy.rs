@@ -273,9 +273,10 @@ impl Visitor for PerPairGravity {
 
 #[test]
 fn bucket_kernels_keep_every_bit_of_the_per_pair_step() {
-    // Hoisting the per-node moments and applying them four targets at a
-    // time reorders nothing a particle can see: a whole framework step
-    // leaves the bits the per-pair loops leave, in both schedules.
+    // Hoisting the per-node moments and applying them eight (or four)
+    // targets at a time reorders nothing a particle can see: a whole
+    // framework step leaves the bits the per-pair loops leave, in both
+    // schedules.
     let mut ps = gen::clustered(3000, 4, 29, 1.0, 1.0);
     for (i, p) in ps.iter_mut().enumerate() {
         p.softening = [0.0, 0.01, 0.05][i % 3];
