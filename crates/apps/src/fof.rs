@@ -19,12 +19,15 @@
 //! 4. a **dual-tree linking pass**, one parallel region over every
 //!    Subtree of every box (local×local over subtree pairs, plus
 //!    local×ghost against a tree built over the box's ghost layer),
-//!    pruning node pairs farther apart than `b`,
+//!    pruning node pairs whose particles' tight boxes are farther apart
+//!    than `b` — not their cells, which in sparse outskirts are far
+//!    larger than what they hold,
 //! 5. a **union-find over dense particle indices**: each Subtree links
 //!    into its own disjoint stretch of one parent array inside the
 //!    region, links that leave a Subtree are applied afterwards in a
 //!    fixed order, and the halo id — the minimum member id — is computed
-//!    when the catalog is assembled. A graph's components do not depend
+//!    when the catalog is assembled, by a counting sort on the
+//!    components' roots. A graph's components do not depend
 //!    on the order its edges arrive in, so the catalog is bit-identical
 //!    across thread counts and across how the boxes happened to find
 //!    the links.
@@ -138,33 +141,69 @@ impl UnionFind<'_> {
 // Dual-tree linking.
 // ---------------------------------------------------------------------
 
+/// The tight box of each node's particles, by node index: a leaf's grows
+/// over its bucket, an internal node's merges its children's, an empty
+/// node's is empty. Builds and seam splits both emit nodes in pre-order,
+/// so one pass in reverse node order meets every child before its
+/// parent.
+fn tight_boxes<D: Data>(tree: &BuiltTree<D>) -> Vec<BoundingBox> {
+    let mut tight = vec![BoundingBox::empty(); tree.nodes.len()];
+    for (i, node) in tree.nodes.iter().enumerate().rev() {
+        match node.shape {
+            NodeShape::Leaf { start, end } => {
+                let bucket = &tree.particles[start as usize..end as usize];
+                tight[i] = BoundingBox::around(bucket.iter().map(|p| p.pos));
+            }
+            NodeShape::Internal => {
+                for c in node.child_indices() {
+                    assert!(c as usize > i, "node {c} is a child of the later node {i}");
+                    let child = tight[c as usize];
+                    tight[i].merge(&child);
+                }
+            }
+            NodeShape::Empty => {}
+        }
+    }
+    tight
+}
+
+/// A tree beside the tight boxes of its nodes ([`tight_boxes`]).
+struct Bounded<'a, D> {
+    tree: &'a BuiltTree<D>,
+    tight: &'a [BoundingBox],
+}
+
 /// Recursive dual-tree pass: reports every friendship between tree `a`
 /// and tree `b` to `sink` as `(position in a.particles, position in
-/// b.particles)`, pruning node pairs separated by more than the linking
-/// length. The trees may carry different `Data` (a box's own trees
-/// against its ghost tree). With `same_tree`, node pairs below the
-/// diagonal are skipped and leaf self-pairs iterate `i < j`.
-#[allow(clippy::too_many_arguments)]
+/// b.particles)`. It prunes node pairs whose particles' tight boxes are
+/// farther apart than the linking length, and in a leaf pair skips a
+/// particle of `a` farther than that from the tight box of `b`'s leaf.
+/// A box distance is a floating-point lower bound of every pair distance
+/// it covers — the same per-axis differences, squares and x, y, z sum,
+/// on operands no larger — so no friendship is pruned away. The trees
+/// may carry different `Data` (a box's own trees against its ghost
+/// tree). With `same_tree`, node pairs below the diagonal are skipped
+/// and leaf self-pairs iterate `i < j`.
 fn dual_link<A: Data, B: Data, S: FnMut(u32, u32)>(
-    a: &BuiltTree<A>,
+    a: &Bounded<'_, A>,
     ai: NodeIdx,
-    b: &BuiltTree<B>,
+    b: &Bounded<'_, B>,
     bi: NodeIdx,
     same_tree: bool,
     r2: f64,
     sink: &mut S,
 ) {
-    let na = &a.nodes[ai as usize];
-    let nb = &b.nodes[bi as usize];
+    let na = &a.tree.nodes[ai as usize];
+    let nb = &b.tree.nodes[bi as usize];
     if na.n_particles == 0 || nb.n_particles == 0 {
         return;
     }
-    if na.bbox.dist_sq_to_box(&nb.bbox) > r2 {
+    if a.tight[ai as usize].dist_sq_to_box(&b.tight[bi as usize]) > r2 {
         return;
     }
     if same_tree && ai == bi {
         if let NodeShape::Leaf { start, end } = na.shape {
-            let bucket = &a.particles[start as usize..end as usize];
+            let bucket = &a.tree.particles[start as usize..end as usize];
             for (i, p) in (start..).zip(bucket) {
                 for (j, q) in (i + 1..).zip(&bucket[(i + 1 - start) as usize..]) {
                     if p.pos.dist_sq(q.pos) <= r2 {
@@ -176,7 +215,12 @@ fn dual_link<A: Data, B: Data, S: FnMut(u32, u32)>(
         }
         // Expand both sides together, keeping child pairs ordered so
         // each off-diagonal pair is visited exactly once.
-        let kids: Vec<NodeIdx> = na.child_indices().collect();
+        let (mut kids, mut n_kids) = ([0 as NodeIdx; 8], 0);
+        for c in na.child_indices() {
+            kids[n_kids] = c;
+            n_kids += 1;
+        }
+        let kids = &kids[..n_kids];
         for (i, &ca) in kids.iter().enumerate() {
             for &cb in &kids[i..] {
                 dual_link(a, ca, b, cb, same_tree, r2, sink);
@@ -186,8 +230,13 @@ fn dual_link<A: Data, B: Data, S: FnMut(u32, u32)>(
     }
     match (na.shape, nb.shape) {
         (NodeShape::Leaf { start: sa, end: ea }, NodeShape::Leaf { start: sb, end: eb }) => {
-            for (i, p) in (sa..).zip(&a.particles[sa as usize..ea as usize]) {
-                for (j, q) in (sb..).zip(&b.particles[sb as usize..eb as usize]) {
+            let (near, bucket) =
+                (&b.tight[bi as usize], &b.tree.particles[sb as usize..eb as usize]);
+            for (i, p) in (sa..).zip(&a.tree.particles[sa as usize..ea as usize]) {
+                if near.dist_sq_to(p.pos) > r2 {
+                    continue;
+                }
+                for (j, q) in (sb..).zip(bucket) {
                     if p.pos.dist_sq(q.pos) <= r2 {
                         sink(i, j);
                     }
@@ -205,7 +254,7 @@ fn dual_link<A: Data, B: Data, S: FnMut(u32, u32)>(
             }
         }
         (NodeShape::Internal, NodeShape::Internal) => {
-            // Open the fatter node: fewer pair visits for skewed depths.
+            // Open the fatter cell: fewer pair visits for skewed depths.
             if na.bbox.size().max_component() >= nb.bbox.size().max_component() {
                 for ca in na.child_indices() {
                     dual_link(a, ca, b, bi, same_tree, r2, sink);
@@ -239,6 +288,13 @@ fn ghost_tree(
     builder.build(ghosts, root)
 }
 
+/// One box's Subtrees' tight boxes, and the throwaway tree over its
+/// ghosts with that tree's.
+struct BoxBounds {
+    own: Vec<Vec<BoundingBox>>,
+    ghost: Option<(BuiltTree<CountData>, Vec<BoundingBox>)>,
+}
+
 /// The dual-tree linking pass over a whole forest. A particle *is* its
 /// dense index — its place when the boxes' trees are laid end to end,
 /// box by box and Subtree by Subtree — so nothing is looked up by id.
@@ -261,7 +317,21 @@ pub fn link_forest<D: Data>(
     tree_type: TreeType,
     bucket_size: usize,
 ) -> FofCatalog {
-    let r2 = params.link * params.link;
+    let (parent, n_links) = link_dense(trees, layer, params.link, tree_type, bucket_size);
+    let particles = trees.iter().flatten().flat_map(|t| &t.particles);
+    assemble_catalog(parent, particles, n_links, params, &forest.period)
+}
+
+/// [`link_forest`]'s walk: the finished union-find over the forest's
+/// dense indices, and the number of unions that joined two components.
+fn link_dense<D: Data>(
+    trees: &[Vec<BuiltTree<D>>],
+    layer: &GhostLayer,
+    link: f64,
+    tree_type: TreeType,
+    bucket_size: usize,
+) -> (Vec<u32>, u64) {
+    let r2 = link * link;
     // Dense index of each Subtree's first particle, and of each box's.
     let mut n = 0usize;
     let tree_base: Vec<Vec<u32>> = trees
@@ -278,9 +348,13 @@ pub fn link_forest<D: Data>(
     assert!(n <= u32::MAX as usize, "dense particle indices are 32-bit");
     let box_base = |b: usize| tree_base[b].first().copied().unwrap_or(0);
 
-    // A box's ghosts under one throwaway tree, each relabelled with its
-    // original's dense index (a ghost tree is never looked at by id).
-    let ghost_trees: Vec<Option<BuiltTree<CountData>>> = (0..trees.len())
+    // One region over the boxes derives every tree's tight boxes and
+    // puts each box's ghosts under one throwaway tree, each ghost
+    // relabelled with its original's dense index (a ghost tree is never
+    // looked at by id).
+    let bounds: Vec<BoxBounds> = (0..trees.len())
+        .collect::<Vec<_>>()
+        .into_par_iter()
         .map(|b| {
             let mut ghosts = Vec::new();
             for zone in layer.zones_for(b) {
@@ -292,7 +366,12 @@ pub fn link_forest<D: Data>(
                         .map(|(g, &origin)| Particle { id: (base + origin) as u64, ..*g }),
                 );
             }
-            (!ghosts.is_empty()).then(|| ghost_tree(ghosts, tree_type, bucket_size))
+            let ghost = (!ghosts.is_empty()).then(|| {
+                let gt = ghost_tree(ghosts, tree_type, bucket_size);
+                let tight = tight_boxes(&gt);
+                (gt, tight)
+            });
+            BoxBounds { own: trees[b].iter().map(tight_boxes).collect(), ghost }
         })
         .collect();
 
@@ -310,16 +389,18 @@ pub fn link_forest<D: Data>(
     let linked: Vec<(u64, Vec<(u32, u32)>)> = stretches
         .into_par_iter()
         .map(|(b, t, own)| {
-            let (ta, base) = (&trees[b][t], tree_base[b][t]);
+            let bounded = |u: usize| Bounded { tree: &trees[b][u], tight: &bounds[b].own[u] };
+            let (ta, base) = (bounded(t), tree_base[b][t]);
             let mut uf = UnionFind { base, parent: own, n_links: 0 };
-            dual_link(ta, 0, ta, 0, true, r2, &mut |i, j| uf.union(base + i, base + j));
+            dual_link(&ta, 0, &ta, 0, true, r2, &mut |i, j| uf.union(base + i, base + j));
             let mut leaving = Vec::new();
-            for (u, tb) in trees[b].iter().enumerate().skip(t + 1) {
-                let other = tree_base[b][u];
-                dual_link(ta, 0, tb, 0, false, r2, &mut |i, j| leaving.push((base + i, other + j)));
+            for (u, &other) in tree_base[b].iter().enumerate().skip(t + 1) {
+                dual_link(&ta, 0, &bounded(u), 0, false, r2, &mut |i, j| {
+                    leaving.push((base + i, other + j))
+                });
             }
-            if let Some(gt) = &ghost_trees[b] {
-                dual_link(ta, 0, gt, 0, false, r2, &mut |i, j| {
+            if let Some((gt, tight)) = &bounds[b].ghost {
+                dual_link(&ta, 0, &Bounded { tree: gt, tight }, 0, false, r2, &mut |i, j| {
                     // A ghost can be an image of the particle itself
                     // (periodic self-route); that is not a friendship.
                     let origin = gt.particles[j as usize].id as u32;
@@ -339,8 +420,7 @@ pub fn link_forest<D: Data>(
         }
     }
     let n_links = uf.n_links;
-    let particles = trees.iter().flatten().flat_map(|t| &t.particles);
-    assemble_catalog(parent, particles, n_links, params, &forest.period)
+    (parent, n_links)
 }
 
 // ---------------------------------------------------------------------
@@ -377,34 +457,50 @@ fn assemble_catalog<'a>(
         size[parent[i] as usize] += 1;
     }
     let min_members = params.min_members.max(2) as u32;
-    // (root, id, position, mass) of everything in a halo, read off the
-    // particles in storage order; sorted, a halo is one run with its
-    // members ascending.
-    let mut grouped: Vec<(u32, u64, Vec3, f64)> = parent
-        .iter()
-        .zip(particles)
-        .filter(|(&root, _)| size[root as usize] >= min_members)
-        .map(|(&root, p)| (root, p.id, p.pos, p.mass))
-        .collect();
-    grouped.sort_unstable_by_key(|&(root, id, ..)| (root, id));
-    let mut halos: Vec<Halo> = grouped
-        .chunk_by(|a, b| a.0 == b.0)
-        .map(|component| {
-            let anchor = component[0].2;
+    // A counting sort by root: each halo gets a stretch of `grouped`, in
+    // ascending root order, and `next[root]` is where its next member
+    // goes (`u32::MAX` for a root of no halo).
+    let mut next = size;
+    let mut halo_stretches = Vec::new();
+    let mut n_grouped = 0u32;
+    for slot in &mut next {
+        if *slot >= min_members {
+            halo_stretches.push(n_grouped as usize..(n_grouped + *slot) as usize);
+            (*slot, n_grouped) = (n_grouped, n_grouped + *slot);
+        } else {
+            *slot = u32::MAX;
+        }
+    }
+    // (id, position, mass) of every halo member, scattered in storage
+    // order; sorted, a stretch has its members ascending.
+    let mut grouped = vec![(0u64, Vec3::ZERO, 0.0f64); n_grouped as usize];
+    for (&root, p) in parent.iter().zip(particles) {
+        let slot = &mut next[root as usize];
+        if *slot != u32::MAX {
+            grouped[*slot as usize] = (p.id, p.pos, p.mass);
+            *slot += 1;
+        }
+    }
+    let mut halos: Vec<Halo> = halo_stretches
+        .into_iter()
+        .map(|stretch| {
+            let component = &mut grouped[stretch];
+            component.sort_unstable_by_key(|&(id, ..)| id);
+            let anchor = component[0].1;
             let mut mass = 0.0;
             let mut weighted = Vec3::ZERO;
-            for &(_, _, pos, m) in component {
+            for &(_, pos, m) in &*component {
                 weighted += period.min_image(anchor, pos) * m;
                 mass += m;
             }
             let center =
                 if mass > 0.0 { period.wrap(anchor + weighted / mass, Vec3::ZERO) } else { anchor };
-            let members: Vec<u64> = component.iter().map(|&(_, id, ..)| id).collect();
+            let members: Vec<u64> = component.iter().map(|&(id, ..)| id).collect();
             Halo { id: members[0], members, center, mass }
         })
         .collect();
     halos.sort_by(|a, b| b.members.len().cmp(&a.members.len()).then(a.id.cmp(&b.id)));
-    FofCatalog { halos, n_particles: parent.len() as u64, n_grouped: grouped.len() as u64, n_links }
+    FofCatalog { halos, n_particles: parent.len() as u64, n_grouped: n_grouped as u64, n_links }
 }
 
 /// The O(n²) reference: every pair, minimum-image distances, same
@@ -448,20 +544,31 @@ mod tests {
         }
     }
 
-    /// Full forest-FoF pipeline over the given particles and spec.
-    fn run_fof(particles: Vec<Particle>, spec: &DomainSpec, params: &FofParams) -> FofCatalog {
-        let cfg = config();
+    /// A seam-balanced forest of `tree_type` trees over `particles` cut by
+    /// `spec`, and the number of seam splits it took.
+    fn balanced_forest(
+        tree_type: TreeType,
+        particles: Vec<Particle>,
+        spec: &DomainSpec,
+    ) -> (Forest, Vec<Vec<BuiltTree<CountData>>>, u64) {
+        let cfg = Configuration { tree_type, ..config() };
         let forest = decompose_forest(particles, &cfg, spec);
         let mut trees = forest.build_trees::<CountData>(&cfg, false);
-        enforce_seam_balance(
+        let splits = enforce_seam_balance(
             &mut trees,
             &forest.boxes,
             &forest.routes,
             cfg.tree_type,
             cfg.bucket_size,
         );
+        (forest, trees, splits)
+    }
+
+    /// Full forest-FoF pipeline over the given particles and spec.
+    fn run_fof(particles: Vec<Particle>, spec: &DomainSpec, params: &FofParams) -> FofCatalog {
+        let (forest, trees, _) = balanced_forest(TreeType::Octree, particles, spec);
         let layer = exchange_ghosts(&forest, &trees, params.link, &Telemetry::disabled());
-        link_forest(&forest, &trees, &layer, params, cfg.tree_type, cfg.bucket_size)
+        link_forest(&forest, &trees, &layer, params, TreeType::Octree, config().bucket_size)
     }
 
     /// A tight blob of `n` particles around `c` (radius ≪ link length).
@@ -845,5 +952,248 @@ mod tests {
         let loose = FofParams { link: 0.05, min_members: 2 };
         let cat2 = run_fof(ps, &DomainSpec::tiled([1, 1, 1], 1.0, false), &loose);
         assert_eq!(cat2.halos.len(), 2);
+    }
+
+    /// The catalog assembly as it ran before it became a counting sort:
+    /// `(root, id, position, mass)` of every halo member gathered in
+    /// storage order and sorted once. Kept verbatim as the reference the
+    /// counting sort must equal.
+    mod sorted {
+        use super::super::*;
+
+        pub fn assemble_catalog<'a>(
+            mut parent: Vec<u32>,
+            particles: impl Iterator<Item = &'a Particle> + Clone,
+            n_links: u64,
+            params: &FofParams,
+            period: &PeriodicBox,
+        ) -> FofCatalog {
+            debug_assert!(
+                {
+                    let mut ids: Vec<u64> = particles.clone().map(|p| p.id).collect();
+                    ids.sort_unstable();
+                    ids.windows(2).all(|w| w[0] != w[1])
+                },
+                "particle ids must be unique within a snapshot"
+            );
+            // Parents point downwards, so one ascending pass leaves every entry
+            // at its root.
+            let mut size = vec![0u32; parent.len()];
+            for i in 0..parent.len() {
+                parent[i] = parent[parent[i] as usize];
+                size[parent[i] as usize] += 1;
+            }
+            let min_members = params.min_members.max(2) as u32;
+            // (root, id, position, mass) of everything in a halo, read off the
+            // particles in storage order; sorted, a halo is one run with its
+            // members ascending.
+            let mut grouped: Vec<(u32, u64, Vec3, f64)> = parent
+                .iter()
+                .zip(particles)
+                .filter(|(&root, _)| size[root as usize] >= min_members)
+                .map(|(&root, p)| (root, p.id, p.pos, p.mass))
+                .collect();
+            grouped.sort_unstable_by_key(|&(root, id, ..)| (root, id));
+            let mut halos: Vec<Halo> = grouped
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|component| {
+                    let anchor = component[0].2;
+                    let mut mass = 0.0;
+                    let mut weighted = Vec3::ZERO;
+                    for &(_, _, pos, m) in component {
+                        weighted += period.min_image(anchor, pos) * m;
+                        mass += m;
+                    }
+                    let center = if mass > 0.0 {
+                        period.wrap(anchor + weighted / mass, Vec3::ZERO)
+                    } else {
+                        anchor
+                    };
+                    let members: Vec<u64> = component.iter().map(|&(_, id, ..)| id).collect();
+                    Halo { id: members[0], members, center, mass }
+                })
+                .collect();
+            halos.sort_by(|a, b| b.members.len().cmp(&a.members.len()).then(a.id.cmp(&b.id)));
+            FofCatalog {
+                halos,
+                n_particles: parent.len() as u64,
+                n_grouped: grouped.len() as u64,
+                n_links,
+            }
+        }
+    }
+
+    const TREE_TYPES: [TreeType; 4] =
+        [TreeType::Octree, TreeType::KdTree, TreeType::LongestDim, TreeType::BinaryOct];
+
+    /// The one range of `tree.particles` the leaves under node `i` tile.
+    fn node_range(tree: &BuiltTree<CountData>, i: NodeIdx) -> std::ops::Range<usize> {
+        let node = &tree.nodes[i as usize];
+        let range = match node.shape {
+            NodeShape::Leaf { start, end } => start as usize..end as usize,
+            NodeShape::Empty => 0..0,
+            NodeShape::Internal => node
+                .child_indices()
+                .map(|c| node_range(tree, c))
+                .filter(|r| !r.is_empty())
+                .reduce(|a, b| {
+                    assert_eq!(a.end, b.start, "node {i}: children's particles are not adjacent");
+                    a.start..b.end
+                })
+                .unwrap_or(0..0),
+        };
+        assert_eq!(range.len(), node.n_particles as usize, "node {i}");
+        range
+    }
+
+    #[test]
+    fn tight_boxes_are_the_boxes_around_each_nodes_particles() {
+        // A periodic 3³ cut through 2³ Plummer spheres: the octree forest
+        // has to split seam leaves, which appends nodes to the arenas.
+        let field = gen::tiled_plummer(4000, [2, 2, 2], 31, 1.0, 1.0);
+        let spec = DomainSpec::tiled([3; 3], 2.0 / 3.0, true);
+        for tree_type in TREE_TYPES {
+            let (_, trees, splits) = balanced_forest(tree_type, field.clone(), &spec);
+            assert!(tree_type != TreeType::Octree || splits > 0, "no seam leaf was split");
+            for (b, tree) in trees.iter().flatten().enumerate() {
+                let tight = tight_boxes(tree);
+                assert_eq!(tight.len(), tree.nodes.len());
+                for (i, got) in tight.iter().enumerate() {
+                    let range = node_range(tree, i as NodeIdx);
+                    let want = BoundingBox::around(tree.particles[range].iter().map(|p| p.pos));
+                    assert_eq!(*got, want, "{tree_type:?} tree {b} node {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn particles_exactly_one_linking_length_apart_link() {
+        // Two chains along x, 1/8 apart inside each and 1/4 = `link`
+        // apart across: every coordinate is dyadic, so the one crossing
+        // pair (3/8 and 5/8) is at squared distance exactly `link²`, and
+        // so are the tight boxes of the two leaves holding it. A prune or
+        // row skip that drops a box *at* the linking length loses it.
+        let link = 0.25;
+        let chain = |ids: std::ops::Range<u64>, x0: f64| -> Vec<Particle> {
+            ids.map(|id| Particle {
+                id,
+                mass: 1.0,
+                pos: Vec3::new(x0 + 0.125 * (id % 3) as f64, 0.5, 0.5),
+                ..Particle::default()
+            })
+            .collect()
+        };
+        let (left, right) = (chain(0..3, 0.125), chain(3..6, 0.625));
+        let both: Vec<Particle> = left.iter().chain(&right).copied().collect();
+        let r2 = link * link;
+        assert_eq!(left[2].pos.dist_sq(right[0].pos), r2);
+        let unit = BoundingBox::new(Vec3::ZERO, Vec3::splat(1.0));
+        for tree_type in TREE_TYPES {
+            let builder = TreeBuilder {
+                tree_type,
+                bucket_size: 2,
+                parallel: false,
+                root_key: ROOT_KEY,
+                root_depth: 0,
+            };
+            let build = |ps: &[Particle]| builder.build::<CountData>(ps.to_vec(), unit);
+            let friends = |a: &BuiltTree<CountData>, b: &BuiltTree<CountData>, same| {
+                let (ta, tb) = (tight_boxes(a), tight_boxes(b));
+                let mut ids = Vec::new();
+                dual_link(
+                    &Bounded { tree: a, tight: &ta },
+                    0,
+                    &Bounded { tree: b, tight: &tb },
+                    0,
+                    same,
+                    r2,
+                    &mut |i, j| {
+                        let (p, q) = (a.particles[i as usize].id, b.particles[j as usize].id);
+                        ids.push((p.min(q), p.max(q)));
+                    },
+                );
+                ids.sort_unstable();
+                ids
+            };
+            let chains = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)];
+            let mut want = vec![(2, 3)];
+            let tree = build(&both);
+            let leaf_of = |id: u64| {
+                let at = tree.particles.iter().position(|p| p.id == id).unwrap();
+                tree.nodes.iter().position(|n| n.bucket_range().is_some_and(|r| r.contains(&at)))
+            };
+            assert_ne!(leaf_of(2), leaf_of(3), "{tree_type:?}: the pair must straddle two leaves");
+            // Across two trees only the crossing pair is a friendship.
+            assert_eq!(friends(&build(&left), &build(&right), false), want, "{tree_type:?}");
+            want.extend(chains);
+            want.sort_unstable();
+            assert_eq!(friends(&tree, &tree, true), want, "{tree_type:?}");
+        }
+        // Through the forest, with the crossing pair split between two
+        // boxes and found by the local×ghost walk.
+        let params = FofParams { link, min_members: 2 };
+        let cat = run_fof(both, &DomainSpec::tiled([2, 1, 1], 0.5, false), &params);
+        assert_eq!(cat.halos.len(), 1, "the two chains are one halo");
+        assert_eq!(cat.halos[0].members, (0..6).collect::<Vec<u64>>());
+        assert_eq!(cat.n_links, 5);
+    }
+
+    #[test]
+    fn counting_sort_catalog_matches_the_sorted_reference() {
+        for (n, dims, seed, periodic) in
+            [(3000, [2, 2, 1], 23, true), (2000, [2, 1, 1], 41, false), (0, [1, 1, 1], 5, true)]
+        {
+            let field = gen::tiled_plummer(n, dims, seed, 1.0, 1.0);
+            let (forest, trees, _) =
+                balanced_forest(TreeType::Octree, field, &DomainSpec::tiled(dims, 1.0, periodic));
+            let link = 0.06;
+            let layer = exchange_ghosts(&forest, &trees, link, &Telemetry::disabled());
+            let (parent, n_links) =
+                link_dense(&trees, &layer, link, TreeType::Octree, config().bucket_size);
+            let particles = || trees.iter().flatten().flat_map(|t| &t.particles);
+            let catalog = |min_members| {
+                let params = FofParams { link, min_members };
+                let got =
+                    assemble_catalog(parent.clone(), particles(), n_links, &params, &forest.period);
+                let want = sorted::assemble_catalog(
+                    parent.clone(),
+                    particles(),
+                    n_links,
+                    &params,
+                    &forest.period,
+                );
+                assert_eq!(got, want, "n = {n}, min_members = {min_members}");
+                got
+            };
+            let pairs = catalog(2);
+            assert!(n == 0 || pairs.halos.len() > 10, "n = {n}: too few halos to compare");
+            catalog(8);
+            let largest = pairs.halos.first().map_or(0, |h| h.members.len());
+            assert!(catalog(largest + 1).halos.is_empty());
+        }
+    }
+
+    #[test]
+    fn catalogs_agree_across_tree_types_and_with_brute_force() {
+        let field = gen::tiled_plummer(1200, [2, 2, 1], 29, 1.0, 1.0);
+        let spec = DomainSpec::tiled([2, 2, 1], 1.0, true);
+        let params = FofParams { link: 0.06, min_members: 3 };
+        let mut first: Option<FofCatalog> = None;
+        for tree_type in TREE_TYPES {
+            let (forest, trees, _) = balanced_forest(tree_type, field.clone(), &spec);
+            let layer = exchange_ghosts(&forest, &trees, params.link, &Telemetry::disabled());
+            let cat =
+                link_forest(&forest, &trees, &layer, &params, tree_type, config().bucket_size);
+            let owned: Vec<Particle> =
+                trees.iter().flatten().flat_map(|t| t.particles.iter().copied()).collect();
+            let truth = brute_force_fof(&owned, &forest.period, &params);
+            assert_eq!(cat, truth, "{tree_type:?} vs brute force");
+            assert!(cat.halos.len() > 5, "{tree_type:?}: too few halos to compare");
+            match &first {
+                Some(octree) => assert_eq!(&cat, octree, "{tree_type:?} vs octree"),
+                None => first = Some(cat),
+            }
+        }
     }
 }

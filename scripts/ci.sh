@@ -71,13 +71,20 @@ cargo test --release -q -p paratreet-core --lib -- \
     build_pieces_ignores_parallel_and_thread_count thread_count_does_not_change_output
 cargo test --release -q -p paratreet-core --test incremental thread_sweep_is_bit_identical
 
-echo "== front-end reference equivalences, optimised: ranges == split_off, pruned == full scan, dense == id-keyed =="
+echo "== front-end reference equivalences, optimised: ranges == split_off, pruned == full scan, dense == id-keyed, counting sort == sort =="
 cargo test --release -q -p paratreet-particles --lib sfc_sort_matches_the_stable_record_sort
 cargo test --release -q -p paratreet-core --lib -- \
     range_pieces_match_the_split_off_reference pruned_walks_match_the_full_leaf_scans \
     exchange_work_follows_the_seam_not_the_forest
-cargo test --release -q -p paratreet-apps --lib \
-    dense_linking_matches_the_id_keyed_and_brute_force_finders
+# FoF prunes on tight boxes (equal to the boxes around each node's
+# particles, and linking a pair exactly one linking length apart) and
+# assembles its catalog with a counting sort (equal to the sorted one).
+cargo test --release -q -p paratreet-apps --lib -- \
+    dense_linking_matches_the_id_keyed_and_brute_force_finders \
+    tight_boxes_are_the_boxes_around_each_nodes_particles \
+    particles_exactly_one_linking_length_apart_link \
+    counting_sort_catalog_matches_the_sorted_reference \
+    catalogs_agree_across_tree_types_and_with_brute_force
 
 echo "== forest identity x20 (a catalog or ghost layer that depends on the schedule shows as a flake) =="
 identity_bin=$(cargo test --release --test thread_count_identity --no-run --message-format=json 2>/dev/null |
@@ -277,6 +284,20 @@ grep -q '"ghost.bytes":[1-9]' "$forest_metrics" ||
     { echo "forest smoke: ghost layer carried zero bytes"; exit 1; }
 grep -q '"ghost.des.comm.bytes":[1-9]' "$forest_metrics" ||
     { echo "forest smoke: DES exchange priced zero comm bytes"; exit 1; }
+# The catalog is a property of the particles, not of the tree that
+# found it: halos, links, grouped members and the largest halo agree
+# across the octree, the k-d tree and the longest-dimension tree.
+fof_counts() {
+    grep -o '"fof\.\(halos\|links\|grouped\|largest\)":[0-9]*' "$1" | sort
+}
+for tree in oct kd longest-dim; do
+    cargo run --release -q --bin paratreet -- fof --particles 6000 --tiles 2x2x1 \
+        --tree "$tree" --metrics-out "$smoke_dir/fof-$tree.json" > /dev/null
+    [ "$(fof_counts "$smoke_dir/fof-$tree.json" | wc -l)" -eq 4 ] ||
+        { echo "forest smoke: --tree $tree reported no fof.* counts"; exit 1; }
+    [ "$(fof_counts "$smoke_dir/fof-$tree.json")" = "$(fof_counts "$smoke_dir/fof-oct.json")" ] ||
+        { echo "forest smoke: --tree $tree found another catalog than --tree oct"; exit 1; }
+done
 
 echo "== analyze smoke (traced serve run -> paratreet-analyze --check) =="
 obs_dir="$smoke_dir/obs"
