@@ -32,8 +32,6 @@ pub struct LatencyRow {
     /// (0 when the dump predates the overload counters or the run was
     /// clean).
     pub deadline_exceeded: u64,
-    /// Requests answered at a reduced fidelity level (0 likewise).
-    pub degraded: u64,
 }
 
 /// A resolved p999 exemplar: the class, its chain, and completeness.
@@ -166,12 +164,11 @@ fn latency_rows(metrics: &Json) -> Vec<LatencyRow> {
                     .unwrap_or(0.0),
                 pin_wait_mean_ns: f(format!("serve.latency.{class}.pin_wait.mean")).unwrap_or(0.0),
                 exec_mean_ns: f(format!("serve.latency.{class}.exec.mean")).unwrap_or(0.0),
-                // Overload counters are absent in pre-ISSUE-9 dumps and
+                // The deadline counter is absent in older dumps and
                 // zero on clean runs; both read as 0 so `--check` and
                 // old artifacts keep working.
                 deadline_exceeded: f(format!("serve.latency.{class}.deadline_exceeded"))
                     .unwrap_or(0.0) as u64,
-                degraded: f(format!("serve.latency.{class}.degraded")).unwrap_or(0.0) as u64,
             })
         })
         .collect()
@@ -348,7 +345,6 @@ impl Analysis {
                     row.push("pin_wait_mean_ns", Json::F64(l.pin_wait_mean_ns));
                     row.push("exec_mean_ns", Json::F64(l.exec_mean_ns));
                     row.push("deadline_exceeded", Json::U64(l.deadline_exceeded));
-                    row.push("degraded", Json::U64(l.degraded));
                     row
                 })
                 .collect();
@@ -469,12 +465,12 @@ impl Analysis {
             let _ = writeln!(
                 out,
                 "\nlatency (ns): class, count, mean, p999, queue_wait, pin_wait, exec, \
-                 deadline_exceeded, degraded"
+                 deadline_exceeded"
             );
             for l in &self.latency {
                 let _ = writeln!(
                     out,
-                    "  {:<6} {:>8} {:>12.0} {:>12} {:>12.0} {:>12.0} {:>12.0} {:>8} {:>8}",
+                    "  {:<6} {:>8} {:>12.0} {:>12} {:>12.0} {:>12.0} {:>12.0} {:>8}",
                     l.class,
                     l.count,
                     l.mean_ns,
@@ -482,8 +478,7 @@ impl Analysis {
                     l.queue_wait_mean_ns,
                     l.pin_wait_mean_ns,
                     l.exec_mean_ns,
-                    l.deadline_exceeded,
-                    l.degraded
+                    l.deadline_exceeded
                 );
             }
         }

@@ -1,5 +1,5 @@
-//! Structured service errors — admission control, deadlines, and the
-//! supervision layer all speak through these. No path in the service
+//! Structured service errors — admission control, deadlines, and a
+//! panicking batch all speak through these. No path in the service
 //! answers a client with a panic: every way a request can fail is a
 //! [`ServeError`] variant a client can match on.
 
@@ -9,27 +9,13 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeError {
     /// Admission control shed the batch: the work queue was at
-    /// capacity under the depth policy (the `Shed` fallback knob, or
-    /// the hard cap behind cost-based admission). Carries the observed
-    /// depth and the bound so clients can implement informed
-    /// retry/backoff.
+    /// capacity under `Shed` (or under `Defer` with no worker to drain
+    /// it). Carries the observed depth and the bound.
     Overloaded {
         /// Queue depth at rejection time.
         depth: usize,
         /// The queue's capacity.
         capacity: usize,
-    },
-    /// Cost-based admission shed the batch: the predicted completion
-    /// time (queued backlog plus this batch's predicted service time)
-    /// exceeds the batch's deadline budget — or, with no deadline, the
-    /// configured backlog-time bound. Retrying immediately cannot
-    /// help; the deadline will not move.
-    OverBudget {
-        /// Predicted nanoseconds until this batch would complete.
-        predicted_ns: u64,
-        /// The budget it had to fit in (deadline remainder or the
-        /// backlog bound), nanoseconds.
-        budget_ns: u64,
     },
     /// The request's deadline expired while it waited in the queue;
     /// it was dropped at pop time instead of being executed uselessly.
@@ -39,8 +25,8 @@ pub enum ServeError {
         late_ns: u64,
     },
     /// The worker executing this request's batch panicked. The panic
-    /// was isolated (caught at the batch boundary) and the worker
-    /// respawned; the request itself was not answered and may be
+    /// was caught at the batch boundary and the worker carried on with
+    /// fresh scratch; the request itself was not answered and may be
     /// safely retried.
     WorkerPanicked,
     /// No snapshot has been published yet; there is nothing to query.
@@ -49,29 +35,12 @@ pub enum ServeError {
     ShuttingDown,
 }
 
-impl ServeError {
-    /// True for errors a client may reasonably retry after backoff
-    /// (transient pressure or startup), false for errors retrying
-    /// cannot fix ([`ServeError::OverBudget`]: the deadline will not
-    /// move; [`ServeError::ShuttingDown`]: the service is going away).
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            ServeError::Overloaded { .. } | ServeError::NotReady | ServeError::WorkerPanicked
-        )
-    }
-}
-
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ServeError::Overloaded { depth, capacity } => {
                 write!(f, "overloaded: queue depth {depth} at capacity {capacity}")
             }
-            ServeError::OverBudget { predicted_ns, budget_ns } => write!(
-                f,
-                "over budget: predicted completion in {predicted_ns}ns exceeds budget {budget_ns}ns"
-            ),
             ServeError::DeadlineExceeded { late_ns } => {
                 write!(f, "deadline exceeded: {late_ns}ns late at pop time")
             }

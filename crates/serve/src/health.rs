@@ -1,157 +1,49 @@
-//! Service health surface: the supervision tree's observable state.
-//!
-//! [`ServiceHealth`] is a point-in-time snapshot clients and operators
-//! poll ([`crate::QueryService::health`]); [`ShutdownReport`] is the
-//! structured record of how every supervised thread ended — a late
-//! panic degrades the report instead of aborting the process.
+//! How the service's threads ended: [`ShutdownReport`] is the
+//! structured record [`crate::QueryService::shutdown`] returns — a late
+//! panic shows up here as data instead of aborting the process.
 
-use paratreet_telemetry::metrics::{MetricSource, MetricsRegistry};
-use std::time::Duration;
-
-/// The writer thread's lifecycle state.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WriterState {
-    /// No writer was spawned (direct-publish / hook-fed services).
-    NotSpawned,
-    /// The writer is advancing and publishing.
-    Running,
-    /// The writer finished its configured iterations and retired; the
-    /// last snapshot keeps serving (intended staleness).
-    Finished,
-    /// The writer panicked. The service is in **stale-serving mode**:
-    /// readers keep answering from the last published snapshot and
-    /// [`ServiceHealth::staleness_epochs`] bounds how far behind a
-    /// healthy writer the answers are.
-    Panicked,
-}
-
-impl WriterState {
-    /// Stable numeric code for metrics export.
-    pub fn code(self) -> u64 {
-        match self {
-            WriterState::NotSpawned => 0,
-            WriterState::Running => 1,
-            WriterState::Finished => 2,
-            WriterState::Panicked => 3,
-        }
-    }
-
-    /// Human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            WriterState::NotSpawned => "not-spawned",
-            WriterState::Running => "running",
-            WriterState::Finished => "finished",
-            WriterState::Panicked => "panicked",
-        }
-    }
-}
-
-/// A point-in-time health snapshot of the whole supervision tree.
-#[derive(Clone, Copy, Debug)]
-pub struct ServiceHealth {
-    /// Reader threads the service was configured with.
-    pub workers_configured: usize,
-    /// Reader threads currently alive (running their pop loop).
-    pub workers_alive: usize,
-    /// Batch executions that panicked (each caught at the batch
-    /// boundary and answered as structured errors).
-    pub worker_panics: u64,
-    /// Workers respawned by the supervisor after a panic.
-    pub worker_respawns: u64,
-    /// True once the respawn budget is exhausted: panicked workers are
-    /// no longer replaced (the quarantine that bounds respawn storms).
-    pub quarantined: bool,
-    /// The writer thread's state.
-    pub writer: WriterState,
-    /// True when the writer died but readers keep serving pinned
-    /// snapshots (`writer == Panicked`).
-    pub stale_serving: bool,
-    /// In stale-serving mode: how many publications a healthy writer
-    /// would have made since the last one actually landed (wall time
-    /// since last publish over the EWMA publish interval). 0 when the
-    /// writer is healthy, retired, or never existed.
-    pub staleness_epochs: u64,
-    /// Wall-clock age of the newest snapshot (`None` before the first
-    /// publish).
-    pub last_publish_age: Option<Duration>,
-    /// Current degradation level (0 = full fidelity).
-    pub degrade_level: u8,
-    /// Requests dropped at pop time because their deadline had passed.
-    pub deadline_exceeded: u64,
-    /// Queries shed by admission control (all reasons).
-    pub shed: u64,
-}
-
-impl MetricSource for ServiceHealth {
-    fn register_metrics(&self, prefix: &str, registry: &mut MetricsRegistry) {
-        registry.set_u64(format!("{prefix}.workers_configured"), self.workers_configured as u64);
-        registry.set_u64(format!("{prefix}.workers_alive"), self.workers_alive as u64);
-        registry.set_u64(format!("{prefix}.worker_panics"), self.worker_panics);
-        registry.set_u64(format!("{prefix}.worker_respawns"), self.worker_respawns);
-        registry.set_bool(format!("{prefix}.quarantined"), self.quarantined);
-        registry.set_u64(format!("{prefix}.writer_state"), self.writer.code());
-        registry.set_bool(format!("{prefix}.stale_serving"), self.stale_serving);
-        registry.set_u64(format!("{prefix}.staleness_epochs"), self.staleness_epochs);
-        registry.set_u64(format!("{prefix}.degrade_level"), self.degrade_level as u64);
-        registry.set_u64(format!("{prefix}.deadline_exceeded"), self.deadline_exceeded);
-        registry.set_u64(format!("{prefix}.shed"), self.shed);
-    }
-}
-
-/// How one supervised thread's join ended.
+/// How one thread's join ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JoinOutcome {
     /// The thread was never spawned.
     NotSpawned,
     /// Joined cleanly.
     Clean,
-    /// The thread panicked (either reported through its own
-    /// `catch_unwind`, or the join itself returned an error because a
-    /// panic escaped). The process did not abort; the report carries
-    /// the fact instead.
+    /// A panic escaped the thread and its join returned an error. The
+    /// process did not abort; the report carries the fact instead.
     Panicked,
 }
 
-/// Aggregate worker-pool join accounting, assembled by the supervisor
-/// at shutdown.
+/// Aggregate worker-pool join accounting, assembled at shutdown.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerJoinStats {
-    /// Worker threads spawned over the service's life (initial pool
-    /// plus respawns).
+    /// Worker threads spawned over the service's life.
     pub spawned: usize,
     /// Joins that returned cleanly.
     pub clean: usize,
-    /// Joins whose thread had panicked out of its loop (caught batch
-    /// panics make the worker exit; the join itself is clean) plus
-    /// joins that returned an error.
+    /// Joins that returned an error (a panic escaped the worker's loop;
+    /// a panicking *batch* is caught and does not count here).
     pub panicked: usize,
 }
 
 /// The structured outcome of [`crate::QueryService::shutdown`]: every
-/// supervised thread's ending, in one value. Replaces the old
-/// `join().expect(...)` aborts — a worker or writer that died late
-/// shows up here as data.
+/// thread's ending, in one value.
 #[derive(Clone, Copy, Debug)]
 pub struct ShutdownReport {
-    /// The last epoch the writer published (`None` when no writer ran
-    /// or the writer panicked before its first publish).
+    /// The last epoch the writer published (`None` when no writer ran).
     pub last_epoch: Option<u64>,
     /// How the writer ended.
     pub writer: JoinOutcome,
     /// Worker-pool join accounting.
     pub workers: WorkerJoinStats,
-    /// How the supervisor thread ended.
-    pub supervisor: JoinOutcome,
     /// How the flight sampler ended.
     pub sampler: JoinOutcome,
 }
 
 impl ShutdownReport {
-    /// True when every supervised thread ended cleanly.
+    /// True when every thread ended cleanly.
     pub fn is_clean(&self) -> bool {
         self.writer != JoinOutcome::Panicked
-            && self.supervisor != JoinOutcome::Panicked
             && self.sampler != JoinOutcome::Panicked
             && self.workers.panicked == 0
     }
@@ -162,37 +54,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn health_metrics_are_schema_stable() {
-        let h = ServiceHealth {
-            workers_configured: 4,
-            workers_alive: 3,
-            worker_panics: 1,
-            worker_respawns: 1,
-            quarantined: false,
-            writer: WriterState::Panicked,
-            stale_serving: true,
-            staleness_epochs: 7,
-            last_publish_age: Some(Duration::from_millis(12)),
-            degrade_level: 2,
-            deadline_exceeded: 5,
-            shed: 9,
-        };
-        let mut r = MetricsRegistry::new();
-        r.absorb("serve.health", &h);
-        assert_eq!(r.get_u64("serve.health.workers_alive"), 3);
-        assert_eq!(r.get_u64("serve.health.writer_state"), WriterState::Panicked.code());
-        assert_eq!(r.get_u64("serve.health.stale_serving"), 1);
-        assert_eq!(r.get_u64("serve.health.staleness_epochs"), 7);
-        assert_eq!(r.get_u64("serve.health.degrade_level"), 2);
-    }
-
-    #[test]
     fn shutdown_report_cleanliness() {
         let clean = ShutdownReport {
             last_epoch: Some(3),
             writer: JoinOutcome::Clean,
             workers: WorkerJoinStats { spawned: 4, clean: 4, panicked: 0 },
-            supervisor: JoinOutcome::Clean,
             sampler: JoinOutcome::NotSpawned,
         };
         assert!(clean.is_clean());

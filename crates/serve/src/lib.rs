@@ -21,26 +21,21 @@
 //! * [`service`] — [`QueryService`]: worker pool, writer thread,
 //!   per-class latency histograms (p50/p99/p999 through the telemetry
 //!   [`paratreet_telemetry::Histogram`]).
-//! * [`load`] — seeded open-loop load generation ([`run_load`]):
-//!   thousands of simulated clients over a few driver threads.
+//! * [`load`] — seeded load generation ([`run_load`]): thousands of
+//!   simulated clients over a few client threads.
 //!
 //! Determinism: query *results* are a pure function of (snapshot,
 //! query) — replaying a request stream against a pinned epoch is
 //! bit-identical across runs. Under a live writer only the epoch each
 //! query lands on varies.
 //!
-//! Overload resilience (ISSUE 9): requests carry optional deadlines
-//! ([`Request::with_deadline`]) that are enforced at pop time; a
-//! lock-light EWMA [`cost`] model drives
-//! [`AdmissionPolicy::CostAware`] shedding; sustained pressure steps a
-//! [`degrade`] ladder (clamped `k`, shrunk radii, truncated range
-//! answers with resume cursors) with every degraded answer marked;
-//! workers and the writer run under `catch_unwind` with supervisor
-//! respawn, stale-serving mode, and a [`health`] surface
-//! ([`QueryService::health`], structured [`ShutdownReport`]s).
+//! Failure answers: requests carry optional deadlines
+//! ([`Request::with_deadline`]) that are enforced at pop time; a batch
+//! that panics is answered [`ServeError::WorkerPanicked`] and its
+//! worker carries on; a writer that dies leaves readers answering from
+//! the ring, and [`QueryService::shutdown`] reports how every thread
+//! ended ([`ShutdownReport`]).
 
-pub mod cost;
-pub mod degrade;
 pub mod error;
 pub mod health;
 pub mod load;
@@ -49,16 +44,12 @@ pub mod request;
 pub mod service;
 pub mod snapshot;
 
-pub use cost::CostModel;
-pub use degrade::{DegradeConfig, PressureTracker};
 pub use error::ServeError;
-pub use health::{JoinOutcome, ServiceHealth, ShutdownReport, WorkerJoinStats, WriterState};
+pub use health::{JoinOutcome, ShutdownReport, WorkerJoinStats};
 pub use load::{run_load, LoadConfig, LoadReport};
 pub use request::{
-    execute, execute_batch, execute_batch_degraded, Query, QueryClass, QueryResult, Request,
+    execute, execute_batch, execute_batch_observed, Query, QueryClass, QueryResult, Request,
     Response,
 };
-pub use service::{
-    AdmissionPolicy, FailPoints, MotionModel, QueryService, ServeConfig, WriterConfig,
-};
+pub use service::{AdmissionPolicy, MotionModel, QueryService, ServeConfig, WriterConfig};
 pub use snapshot::{PinnedSnapshot, RingStats, SnapshotData, SnapshotRing};

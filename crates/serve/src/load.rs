@@ -1,4 +1,4 @@
-//! Seeded open-loop load generation: thousands of simulated clients
+//! Seeded load generation: thousands of simulated clients
 //! multiplexed over a few driver threads, issuing a mixed query stream
 //! against a [`QueryService`](crate::service::QueryService).
 //!
@@ -8,12 +8,9 @@
 //! runs against a live writer legitimately differ only in which epoch
 //! answered each query.
 //!
-//! Overload is *measured*, never fatal: retryable submit failures
-//! (`Overloaded`, `NotReady`) back off with deterministic seeded
-//! jitter and retry a bounded number of times; non-retryable ones
-//! (`OverBudget` — the deadline will not move) are charged as sheds
-//! immediately. Error *responses* (deadline expiry in queue, a
-//! panicked worker) are tallied per kind in the [`LoadReport`].
+//! Overload is *measured*, never fatal: a refused submit is charged
+//! to the report as shed, and error *responses* (deadline expiry in
+//! queue, a panicked worker) are tallied per kind in the [`LoadReport`].
 
 use crate::request::{Query, QueryClass, Request, Response};
 use crate::service::QueryService;
@@ -27,12 +24,8 @@ use std::time::Duration;
 /// over responses of a per-response mix of client, sequence number, and
 /// result checksum. Epochs are deliberately excluded — they vary under
 /// a live writer; the *results per request* are what replays compare.
-/// Non-full-fidelity responses (errors, degraded, partial) contribute 0
-/// so the fold stays comparable across clean, degraded, and chaos runs.
-pub fn checksum_fold(resp: &Response) -> u64 {
-    if !resp.is_full_fidelity() {
-        return 0;
-    }
+/// Error responses contribute 0.
+fn checksum_fold(resp: &Response) -> u64 {
     let Ok(result) = &resp.result else { return 0 };
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in [resp.client as u64, resp.seq as u64, result.checksum()] {
@@ -54,28 +47,13 @@ pub struct LoadConfig {
     pub batch: usize,
     /// Neighbour count for kNN queries.
     pub k: usize,
-    /// Stream seed: same seed, same query streams (and same retry
-    /// jitter).
+    /// Stream seed: same seed, same query streams.
     pub seed: u64,
     /// Relative class weights, [`QueryClass::ALL`] order
     /// (knn, ball, range, ray).
     pub mix: [u32; 4],
     /// Per-request completion deadline (`None` = no deadlines).
     pub deadline: Option<Duration>,
-    /// Retry attempts after a retryable submit failure before the
-    /// batch is abandoned. 0 = shed immediately, the pre-ISSUE-9
-    /// behaviour.
-    pub max_retries: u32,
-    /// Base backoff before a retry; attempt `a` sleeps
-    /// `backoff × 2^a × jitter` with jitter drawn in `[0.5, 1.5)` from
-    /// a seeded stream, so two same-seed runs back off identically.
-    pub retry_backoff: Duration,
-    /// Inter-batch gap per driver thread (`None` = submit as fast as
-    /// possible). Paced load offers the same arrival timeline to every
-    /// admission policy, which is what makes shed-vs-cost in-deadline
-    /// fractions comparable: an unpaced driver finishes early exactly
-    /// when admission sheds fast, cutting the slower arm's run short.
-    pub pace: Option<Duration>,
 }
 
 impl Default for LoadConfig {
@@ -89,9 +67,6 @@ impl Default for LoadConfig {
             seed: 42,
             mix: [4, 3, 2, 1],
             deadline: None,
-            max_retries: 3,
-            retry_backoff: Duration::from_micros(200),
-            pace: None,
         }
     }
 }
@@ -103,21 +78,13 @@ pub struct LoadReport {
     pub submitted: u64,
     /// Queries answered with an `Ok` result.
     pub completed: u64,
-    /// Queries shed by admission control (all reasons, after retries).
+    /// Queries in refused submits (shed, not ready, shutting down).
     pub shed: u64,
-    /// Submit retry attempts performed.
-    pub retries: u64,
-    /// Queries abandoned after exhausting retries.
-    pub abandoned: u64,
     /// Queries answered `Err(DeadlineExceeded)` — expired in queue.
     pub deadline_exceeded: u64,
     /// Queries answered with any other structured error (e.g.
     /// `WorkerPanicked`).
     pub failed: u64,
-    /// `Ok` answers marked degraded by the ladder.
-    pub degraded: u64,
-    /// `Ok` answers carrying a partial resume cursor.
-    pub partial: u64,
     /// Queries generated per class ([`QueryClass::ALL`] order).
     pub per_class: [u64; 4],
     /// Wall seconds from first submit to last response.
@@ -128,8 +95,8 @@ pub struct LoadReport {
     pub min_epoch: u64,
     /// Highest snapshot epoch observed in an `Ok` response.
     pub max_epoch: u64,
-    /// Order-independent XOR of full-fidelity response checksums (see
-    /// [`checksum_fold`]).
+    /// Order-independent XOR of `Ok` response checksums (see
+    /// `checksum_fold`).
     pub checksum: u64,
 }
 
@@ -162,7 +129,6 @@ pub fn random_query(rng: &mut StdRng, universe: &BoundingBox, k: usize, mix: &[u
         }
         QueryClass::Range => Query::Range {
             bbox: BoundingBox::cube(point(rng), extent * rng.random_range(0.02..0.08)),
-            resume_after: None,
         },
         QueryClass::Ray => {
             let origin = point(rng);
@@ -173,10 +139,9 @@ pub fn random_query(rng: &mut StdRng, universe: &BoundingBox, k: usize, mix: &[u
 }
 
 /// Drives `config.clients` simulated clients against `service` and
-/// blocks until every accepted query is answered. Submit failures are
-/// retried (retryable kinds, bounded) or charged to the report —
-/// overload experiments measure behaviour instead of crashing the
-/// driver.
+/// blocks until every accepted query is answered. Refused submits are
+/// charged to the report — overload experiments measure behaviour
+/// instead of crashing the load generator.
 pub fn run_load<D: Data>(
     service: &QueryService<D>,
     universe: BoundingBox,
@@ -200,12 +165,8 @@ pub fn run_load<D: Data>(
         report.submitted += p.submitted;
         report.completed += p.completed;
         report.shed += p.shed;
-        report.retries += p.retries;
-        report.abandoned += p.abandoned;
         report.deadline_exceeded += p.deadline_exceeded;
         report.failed += p.failed;
-        report.degraded += p.degraded;
-        report.partial += p.partial;
         for i in 0..4 {
             report.per_class[i] += p.per_class[i];
         }
@@ -235,11 +196,6 @@ fn drive_clients<D: Data>(
     let mut accepted_batches = 0u64;
     let mut received_batches = 0u64;
     let batch_len = config.batch.max(1);
-    // The retry jitter stream is seeded independently of the query
-    // streams, so backing off never perturbs what queries are issued.
-    let mut retry_rng = StdRng::seed_from_u64(
-        config.seed ^ 0xA076_1D64_78BD_642F ^ (thread_index as u64).wrapping_mul(0x9E37_79B9),
-    );
 
     let absorb = |report: &mut LoadReport, responses: Vec<Response>| {
         for resp in &responses {
@@ -248,17 +204,22 @@ fn drive_clients<D: Data>(
                     report.completed += 1;
                     report.min_epoch = report.min_epoch.min(resp.epoch);
                     report.max_epoch = report.max_epoch.max(resp.epoch);
-                    if resp.degraded {
-                        report.degraded += 1;
-                    }
-                    if resp.partial.is_some() {
-                        report.partial += 1;
-                    }
                     report.checksum ^= checksum_fold(resp);
                 }
                 Err(ServeError::DeadlineExceeded { .. }) => report.deadline_exceeded += 1,
                 Err(_) => report.failed += 1,
             }
+        }
+    };
+
+    let mut submit = |report: &mut LoadReport, batch: Vec<Request>| {
+        let n = batch.len() as u64;
+        match service.submit(batch, Some(tx.clone())) {
+            Ok(()) => {
+                report.submitted += n;
+                accepted_batches += 1;
+            }
+            Err(_) => report.shed += n,
         }
     };
 
@@ -277,15 +238,7 @@ fn drive_clients<D: Data>(
             };
             pending.push(request);
             if pending.len() == batch_len {
-                submit_batch(
-                    service,
-                    &mut pending,
-                    &tx,
-                    &mut report,
-                    &mut accepted_batches,
-                    config,
-                    &mut retry_rng,
-                );
+                submit(&mut report, std::mem::take(&mut pending));
                 // Keep memory bounded: absorb whatever already came back.
                 while let Ok(responses) = rx.try_recv() {
                     received_batches += 1;
@@ -294,15 +247,7 @@ fn drive_clients<D: Data>(
             }
         }
         if !pending.is_empty() {
-            submit_batch(
-                service,
-                &mut pending,
-                &tx,
-                &mut report,
-                &mut accepted_batches,
-                config,
-                &mut retry_rng,
-            );
+            submit(&mut report, pending);
         }
         client += threads;
     }
@@ -314,52 +259,4 @@ fn drive_clients<D: Data>(
         absorb(&mut report, responses);
     }
     report
-}
-
-/// Submits one batch, retrying retryable failures with bounded,
-/// deterministically jittered backoff and charging the rest to the
-/// report. No failure path panics.
-fn submit_batch<D: Data>(
-    service: &QueryService<D>,
-    pending: &mut Vec<Request>,
-    tx: &crossbeam::channel::Sender<Vec<Response>>,
-    report: &mut LoadReport,
-    accepted_batches: &mut u64,
-    config: &LoadConfig,
-    retry_rng: &mut StdRng,
-) {
-    let batch = std::mem::take(pending);
-    let n = batch.len() as u64;
-    let mut attempt = 0u32;
-    loop {
-        // `submit` consumes the batch and returns nothing on failure;
-        // requests are `Copy`, so clone per attempt.
-        match service.submit(batch.clone(), Some(tx.clone())) {
-            Ok(()) => {
-                report.submitted += n;
-                *accepted_batches += 1;
-                break;
-            }
-            Err(e) if e.is_retryable() && attempt < config.max_retries => {
-                attempt += 1;
-                report.retries += 1;
-                // Seeded jitter in [0.5, 1.5), doubling per attempt.
-                let jitter = 0.5 + retry_rng.random_range(0.0..1.0);
-                let backoff =
-                    config.retry_backoff.mul_f64(jitter * (1u64 << (attempt - 1).min(16)) as f64);
-                std::thread::sleep(backoff);
-            }
-            Err(e) => {
-                report.shed += n;
-                if e.is_retryable() {
-                    // Retries exhausted on a transient failure.
-                    report.abandoned += n;
-                }
-                break;
-            }
-        }
-    }
-    if let Some(pace) = config.pace {
-        std::thread::sleep(pace);
-    }
 }

@@ -1,12 +1,6 @@
 //! A bounded MPMC work queue with both admission styles the service
 //! offers: `try_push` (shed on overflow — the admission-control path)
 //! and `push_wait` (block on overflow — the backpressure path).
-//!
-//! Each queued item carries an opaque **cost** (the service uses
-//! predicted service nanoseconds); the queue maintains the running sum
-//! so cost-based admission can read the backlog's predicted drain time
-//! in O(1) without walking the queue. The cost-free `try_push` /
-//! `push_wait` remain as zero-cost wrappers.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -22,9 +16,7 @@ pub enum PushError<T> {
 }
 
 struct Inner<T> {
-    /// `(item, cost)` pairs; `cost_sum` tracks the queued total.
-    items: VecDeque<(T, u64)>,
-    cost_sum: u64,
+    items: VecDeque<T>,
     closed: bool,
 }
 
@@ -42,7 +34,7 @@ impl<T> BoundedQueue<T> {
     /// An open queue holding at most `capacity` items.
     pub fn new(capacity: usize) -> BoundedQueue<T> {
         BoundedQueue {
-            inner: Mutex::new(Inner { items: VecDeque::new(), cost_sum: 0, closed: false }),
+            inner: Mutex::new(Inner { items: VecDeque::new(), closed: false }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: capacity.max(1),
@@ -55,11 +47,6 @@ impl<T> BoundedQueue<T> {
 
     /// Enqueues without blocking; [`PushError::Full`] at capacity.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
-        self.try_push_costed(item, 0)
-    }
-
-    /// [`Self::try_push`] with an attached cost added to the backlog sum.
-    pub fn try_push_costed(&self, item: T, cost: u64) -> Result<(), PushError<T>> {
         let mut inner = self.lock();
         if inner.closed {
             return Err(PushError::Closed(item));
@@ -67,8 +54,7 @@ impl<T> BoundedQueue<T> {
         if inner.items.len() >= self.capacity {
             return Err(PushError::Full(item));
         }
-        inner.items.push_back((item, cost));
-        inner.cost_sum = inner.cost_sum.saturating_add(cost);
+        inner.items.push_back(item);
         drop(inner);
         self.not_empty.notify_one();
         Ok(())
@@ -77,11 +63,6 @@ impl<T> BoundedQueue<T> {
     /// Enqueues, blocking while the queue is full; [`PushError::Closed`]
     /// if it closes while waiting.
     pub fn push_wait(&self, item: T) -> Result<(), PushError<T>> {
-        self.push_wait_costed(item, 0)
-    }
-
-    /// [`Self::push_wait`] with an attached cost added to the backlog sum.
-    pub fn push_wait_costed(&self, item: T, cost: u64) -> Result<(), PushError<T>> {
         let mut inner = self.lock();
         while inner.items.len() >= self.capacity && !inner.closed {
             inner = self.not_full.wait(inner).unwrap_or_else(PoisonError::into_inner);
@@ -89,8 +70,7 @@ impl<T> BoundedQueue<T> {
         if inner.closed {
             return Err(PushError::Closed(item));
         }
-        inner.items.push_back((item, cost));
-        inner.cost_sum = inner.cost_sum.saturating_add(cost);
+        inner.items.push_back(item);
         drop(inner);
         self.not_empty.notify_one();
         Ok(())
@@ -101,8 +81,7 @@ impl<T> BoundedQueue<T> {
     pub fn pop(&self) -> Option<T> {
         let mut inner = self.lock();
         loop {
-            if let Some((item, cost)) = inner.items.pop_front() {
-                inner.cost_sum = inner.cost_sum.saturating_sub(cost);
+            if let Some(item) = inner.items.pop_front() {
                 drop(inner);
                 self.not_full.notify_one();
                 return Some(item);
@@ -112,11 +91,6 @@ impl<T> BoundedQueue<T> {
             }
             inner = self.not_empty.wait(inner).unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    /// Sum of the costs attached to currently queued items.
-    pub fn cost(&self) -> u64 {
-        self.lock().cost_sum
     }
 
     /// Closes the queue: pushes fail from now on, pops drain what is
@@ -174,21 +148,6 @@ mod tests {
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn cost_sum_tracks_pushes_and_pops() {
-        let q = BoundedQueue::new(4);
-        assert_eq!(q.cost(), 0);
-        q.try_push_costed("a", 100).unwrap();
-        q.try_push_costed("b", 250).unwrap();
-        q.try_push("c").unwrap(); // cost-free wrapper contributes 0
-        assert_eq!(q.cost(), 350);
-        assert_eq!(q.pop(), Some("a"));
-        assert_eq!(q.cost(), 250);
-        assert_eq!(q.pop(), Some("b"));
-        assert_eq!(q.pop(), Some("c"));
-        assert_eq!(q.cost(), 0);
     }
 
     #[test]

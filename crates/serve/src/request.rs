@@ -6,7 +6,6 @@
 //! this purity — the same snapshot and batch always yield bit-identical
 //! responses, which is what makes pinned-epoch serving auditable.
 
-use crate::degrade::DegradeConfig;
 use crate::error::ServeError;
 use crate::snapshot::SnapshotData;
 use paratreet_geometry::{BoundingBox, Vec3};
@@ -77,11 +76,6 @@ pub enum Query {
     Range {
         /// Query box.
         bbox: BoundingBox,
-        /// Resume cursor for paging: only ids strictly greater than
-        /// this are returned. Ids come back ascending, so a client
-        /// holding a partial answer resubmits the same box with the
-        /// cursor from [`Response::partial`] to page through the rest.
-        resume_after: Option<u64>,
     },
     /// The first particle within `radius` of the ray.
     Ray {
@@ -188,10 +182,10 @@ pub struct Request {
     /// Submission instant — the latency histograms measure from here,
     /// so queue wait counts against the service.
     pub submitted_at: Instant,
-    /// Optional completion deadline. Admission predicts against it,
-    /// workers drop the request at pop time if it has already passed
-    /// (answering [`ServeError::DeadlineExceeded`] instead of doing
-    /// useless work). `None` = no deadline.
+    /// Optional completion deadline: workers drop the request at pop
+    /// time if it has already passed (answering
+    /// [`ServeError::DeadlineExceeded`] instead of doing useless work).
+    /// `None` = no deadline.
     pub deadline: Option<Instant>,
 }
 
@@ -212,12 +206,6 @@ impl Request {
     pub fn id(&self) -> u64 {
         ((self.client as u64) << 32) | self.seq as u64
     }
-
-    /// Nanoseconds of budget left at `now`; `None` when the request
-    /// has no deadline, `Some(0)` when it has already expired.
-    pub fn remaining_ns(&self, now: Instant) -> Option<u64> {
-        self.deadline.map(|d| d.saturating_duration_since(now).as_nanos() as u64)
-    }
 }
 
 /// One answered request. `result` is a `Result`: the service answers
@@ -235,27 +223,9 @@ pub struct Response {
     pub epoch: u64,
     /// The answer, or why there is none.
     pub result: Result<QueryResult, ServeError>,
-    /// True when a degradation-ladder clamp could have changed this
-    /// answer (kNN `k` capped, ball radius shrunk, range truncated).
-    pub degraded: bool,
-    /// Set when a range answer was truncated: the last id returned.
-    /// Resubmit the same box with `resume_after = Some(cursor)` to
-    /// page through the rest (ids are ascending).
-    pub partial: Option<u64>,
 }
 
-impl Response {
-    /// True for an untruncated, unclamped `Ok` answer — the only
-    /// responses the deterministic result folds count, so replay
-    /// comparisons stay valid under chaos and degraded runs.
-    pub fn is_full_fidelity(&self) -> bool {
-        self.result.is_ok() && !self.degraded && self.partial.is_none()
-    }
-}
-
-/// Runs one query against a forest at full fidelity. Range queries
-/// honour their `resume_after` cursor (paging is a client feature, not
-/// degradation): only ids strictly greater than the cursor return.
+/// Runs one query against a forest.
 pub fn execute<D: Data>(
     trees: &[paratreet_tree::BuiltTree<D>],
     query: &Query,
@@ -266,44 +236,10 @@ pub fn execute<D: Data>(
         Query::Ball { center, radius } => {
             QueryResult::Neighbors(ball_query_with(trees, center, radius, scratch))
         }
-        Query::Range { bbox, resume_after } => {
-            let mut ids = range_query_with(trees, &bbox, scratch);
-            if let Some(cursor) = resume_after {
-                // Ids are ascending: everything ≤ cursor was already
-                // delivered in an earlier page.
-                ids.retain(|&id| id > cursor);
-            }
-            QueryResult::Ids(ids)
-        }
+        Query::Range { bbox } => QueryResult::Ids(range_query_with(trees, &bbox, scratch)),
         Query::Ray { origin, dir, radius, t_max } => {
             QueryResult::Hit(raycast_with(trees, origin, dir, radius, t_max, scratch))
         }
-    }
-}
-
-/// The degradation ladder's pre-execution clamp: returns the effective
-/// query at `level` and whether the clamp could change the answer.
-/// Range truncation happens post-execution (see
-/// [`execute_batch_degraded`]) because the cap applies to the result.
-fn clamp_query(query: &Query, cfg: &DegradeConfig, level: u8) -> (Query, bool) {
-    match *query {
-        Query::Knn { pos, k } => {
-            let cap = cfg.k_cap(level);
-            if k > cap {
-                (Query::Knn { pos, k: cap }, true)
-            } else {
-                (*query, false)
-            }
-        }
-        Query::Ball { center, radius } => {
-            let scale = cfg.radius_scale(level);
-            if scale < 1.0 {
-                (Query::Ball { center, radius: radius * scale }, true)
-            } else {
-                (*query, false)
-            }
-        }
-        _ => (*query, false),
     }
 }
 
@@ -332,22 +268,6 @@ pub fn execute_batch_observed<D: Data>(
     snapshot: &SnapshotData<D>,
     requests: &[Request],
     scratch: &mut QueryScratch,
-    observer: Option<ExecObserver<'_>>,
-) -> Vec<Response> {
-    execute_batch_degraded(snapshot, requests, scratch, &DegradeConfig::disabled(), 0, observer)
-}
-
-/// [`execute_batch_observed`] at a degradation-ladder level: kNN `k`
-/// and ball radii are clamped before execution, range answers are
-/// truncated to the level's result cap with a resume cursor after it.
-/// At level 0 (or with the ladder disabled) this is exactly the pure
-/// full-fidelity batch — degrade-off runs stay bit-identical.
-pub fn execute_batch_degraded<D: Data>(
-    snapshot: &SnapshotData<D>,
-    requests: &[Request],
-    scratch: &mut QueryScratch,
-    degrade: &DegradeConfig,
-    level: u8,
     mut observer: Option<ExecObserver<'_>>,
 ) -> Vec<Response> {
     let trees = &snapshot.trees;
@@ -363,34 +283,16 @@ pub fn execute_batch_degraded<D: Data>(
     let mut out: Vec<Option<Response>> = (0..requests.len()).map(|_| None).collect();
     for (subtree, i) in order {
         let r = &requests[i];
-        let (effective, mut degraded) = if degrade.enabled && level > 0 {
-            clamp_query(&r.query, degrade, level)
-        } else {
-            (r.query, false)
-        };
         let started = observer.is_some().then(Instant::now);
-        let mut result = execute(trees, &effective, scratch);
+        let result = execute(trees, &r.query, scratch);
         if let (Some(obs), Some(t0)) = (observer.as_mut(), started) {
             obs(i, subtree, t0, Instant::now());
-        }
-        let mut partial = None;
-        if degrade.enabled && level > 0 {
-            if let QueryResult::Ids(ids) = &mut result {
-                let cap = degrade.result_cap(level);
-                if ids.len() > cap {
-                    ids.truncate(cap);
-                    partial = ids.last().copied();
-                    degraded = true;
-                }
-            }
         }
         out[i] = Some(Response {
             client: r.client,
             seq: r.seq,
             epoch: snapshot.epoch,
             result: Ok(result),
-            degraded,
-            partial,
         });
     }
     out.into_iter().map(|r| r.expect("every request answered")).collect()
@@ -417,11 +319,7 @@ mod tests {
         let reqs = vec![
             Request::new(1, 0, Query::Knn { pos: c, k: 5 }),
             Request::new(2, 7, Query::Ball { center: c, radius: 0.3 }),
-            Request::new(
-                3,
-                1,
-                Query::Range { bbox: BoundingBox::cube(c, 0.2), resume_after: None },
-            ),
+            Request::new(3, 1, Query::Range { bbox: BoundingBox::cube(c, 0.2) }),
             Request::new(
                 4,
                 2,
@@ -441,7 +339,6 @@ mod tests {
                 .find(|r| r.client == resp.client && r.seq == resp.seq)
                 .expect("response keeps request identity");
             let single = execute(&snap.trees, &req.query, &mut scratch);
-            assert!(resp.is_full_fidelity());
             assert_eq!(*resp.result.as_ref().unwrap(), single);
             assert_eq!(resp.epoch, 0);
         }
@@ -468,77 +365,6 @@ mod tests {
         let ka: Vec<u64> = a.iter().map(|r| r.result.as_ref().unwrap().checksum()).collect();
         let kb: Vec<u64> = b.iter().map(|r| r.result.as_ref().unwrap().checksum()).collect();
         assert_eq!(ka, kb);
-    }
-
-    #[test]
-    fn range_resume_cursor_pages_through_the_box() {
-        let snap = snapshot(600, 5);
-        let mut scratch = QueryScratch::default();
-        let bbox = snap.universe;
-        let full =
-            match execute(&snap.trees, &Query::Range { bbox, resume_after: None }, &mut scratch) {
-                QueryResult::Ids(ids) => ids,
-                other => panic!("expected ids, got {other:?}"),
-            };
-        assert!(full.len() > 4, "need a non-trivial answer to page");
-        // Resume after the 3rd id: the page is exactly the tail.
-        let cursor = full[2];
-        let page = match execute(
-            &snap.trees,
-            &Query::Range { bbox, resume_after: Some(cursor) },
-            &mut scratch,
-        ) {
-            QueryResult::Ids(ids) => ids,
-            other => panic!("expected ids, got {other:?}"),
-        };
-        assert_eq!(page, full[3..].to_vec());
-    }
-
-    #[test]
-    fn degraded_batch_clamps_and_marks() {
-        let snap = snapshot(800, 11);
-        let mut scratch = QueryScratch::default();
-        let c = snap.universe.center();
-        let cfg = DegradeConfig {
-            knn_k_cap: [usize::MAX, 4, 2, 1],
-            range_cap: [usize::MAX, 3, 2, 1],
-            ball_radius_scale: [1.0, 0.5, 0.25, 0.1],
-            ..DegradeConfig::default()
-        };
-        let reqs = vec![
-            Request::new(1, 0, Query::Knn { pos: c, k: 16 }),
-            Request::new(2, 0, Query::Range { bbox: snap.universe, resume_after: None }),
-            Request::new(3, 0, Query::Ball { center: c, radius: 0.4 }),
-        ];
-        let out = execute_batch_degraded(&snap, &reqs, &mut scratch, &cfg, 1, None);
-        let knn = out.iter().find(|r| r.client == 1).unwrap();
-        assert!(knn.degraded);
-        assert_eq!(knn.result.as_ref().unwrap().len(), 4, "k clamped to level-1 cap");
-        let range = out.iter().find(|r| r.client == 2).unwrap();
-        assert!(range.degraded);
-        let ids = match range.result.as_ref().unwrap() {
-            QueryResult::Ids(ids) => ids,
-            other => panic!("expected ids, got {other:?}"),
-        };
-        assert_eq!(ids.len(), 3, "range truncated to level-1 cap");
-        assert_eq!(range.partial, Some(*ids.last().unwrap()), "cursor = last id returned");
-        let ball = out.iter().find(|r| r.client == 3).unwrap();
-        assert!(ball.degraded, "scaled radius marks the answer");
-        // The degraded ball answer is a prefix of the full-fidelity one
-        // (smaller radius, same center, distances ascending).
-        let full = execute(&snap.trees, &Query::Ball { center: c, radius: 0.4 }, &mut scratch);
-        assert!(ball.result.as_ref().unwrap().len() <= full.len());
-        // Level 0 through the degraded path is bit-identical to the
-        // pure batch.
-        let clean = execute_batch(&snap, &reqs, &mut scratch);
-        let via_ladder = execute_batch_degraded(&snap, &reqs, &mut scratch, &cfg, 0, None);
-        for (a, b) in clean.iter().zip(&via_ladder) {
-            assert_eq!(
-                a.result.as_ref().unwrap().checksum(),
-                b.result.as_ref().unwrap().checksum()
-            );
-            assert!(b.is_full_fidelity());
-        }
     }
 
     #[test]

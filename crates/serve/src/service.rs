@@ -1,68 +1,48 @@
 //! The query service: a single writer advancing the live tree, a
-//! reader pool answering query batches against pinned snapshots — and,
-//! since ISSUE 9, a service that stays up and stays honest under
-//! overload and partial failure.
+//! reader pool answering query batches against pinned snapshots.
 //!
 //! Wiring:
 //!
 //! ```text
-//!  clients --submit--> BoundedQueue --pop--> worker pool (catch_unwind)
-//!     |       |            |                    |  pin()        |
-//!     |  Overloaded /      |                 SnapshotRing <--publish-- writer
-//!     |  OverBudget        +- blocks (Defer)     |          (catch_unwind)
-//!     +<- (Shed/CostAware)                       |
-//!                         supervisor: reaps + respawns workers,
-//!                         drives the degradation ladder, watches
-//!                         the writer (stale-serving mode)
+//!  clients --submit--> BoundedQueue --pop--> worker pool (catch_unwind per batch)
+//!     |         |          |                    |  pin()
+//!     |  Overloaded        +- blocks (Defer)  SnapshotRing <--publish-- writer
+//!     +<---- (Shed)
 //! ```
 //!
 //! Latency is measured from `Request::submitted_at` to completion, so
 //! queue wait is charged to the service — the histograms' p99/p999 are
-//! end-to-end numbers, which is what admission control protects.
+//! end-to-end numbers.
 //!
-//! The overload story, in the order a request meets it:
+//! What a request can meet on the way:
 //!
-//! 1. **Admission** ([`QueryService::submit`]): under
-//!    [`AdmissionPolicy::CostAware`] the EWMA [`CostModel`] predicts
-//!    the batch's service time from each query's entry-subtree
-//!    population; if backlog + batch cannot fit the batch's deadline
-//!    (or [`ServeConfig::max_backlog`] without one) the batch is shed
-//!    with [`ServeError::OverBudget`]. Depth-only `Shed` remains the
-//!    fallback knob, and the queue's hard capacity still backstops
-//!    `CostAware`.
+//! 1. **Admission** ([`QueryService::submit`]): `Shed` refuses a batch
+//!    with [`ServeError::Overloaded`] when the queue is full; `Defer`
+//!    blocks the submitter until space frees — unless no worker exists
+//!    to free it, in which case it sheds too.
 //! 2. **Queue** — deadline-aware at pop time: a worker drops requests
 //!    whose deadline already passed, answering
 //!    [`ServeError::DeadlineExceeded`] instead of executing uselessly.
-//! 3. **Execution** — at the supervisor-driven degradation level:
-//!    clamped kNN `k`, shrunk ball radii (the opening-angle analog),
-//!    truncated range answers with a resume cursor; every such answer
-//!    is marked `degraded`/`partial`.
-//! 4. **Failure** — the batch runs under `catch_unwind`; a panic
-//!    answers the batch with [`ServeError::WorkerPanicked`], kills the
-//!    worker (its scratch may be poisoned), and the supervisor
-//!    respawns a fresh one — bounded by [`ServeConfig::respawn_limit`]
-//!    so a deterministic poison pill cannot spawn forever. A panicked
-//!    writer flips the service into stale-serving mode: readers keep
-//!    answering from the last snapshot and [`QueryService::health`]
-//!    surfaces the staleness bound.
+//! 3. **Execution** — the batch runs under `catch_unwind`; a panic
+//!    answers it with [`ServeError::WorkerPanicked`] and the same
+//!    worker carries on with fresh scratch, so every reply channel a
+//!    client waits on still gets its answer. A panicked writer needs no
+//!    code: readers keep answering from the ring, and
+//!    [`QueryService::shutdown`] reports the panic.
 
-use crate::cost::CostModel;
-use crate::degrade::{DegradeConfig, PressureTracker};
 use crate::error::ServeError;
-use crate::health::{JoinOutcome, ServiceHealth, ShutdownReport, WorkerJoinStats, WriterState};
-use crate::load::checksum_fold;
+use crate::health::{JoinOutcome, ShutdownReport, WorkerJoinStats};
 use crate::queue::{BoundedQueue, PushError};
-use crate::request::{execute_batch_degraded, QueryClass, Request, Response};
+use crate::request::{execute_batch_observed, ExecObserver, QueryClass, Request, Response};
 use crate::snapshot::{PinnedSnapshot, SnapshotRing};
 use crossbeam::channel::Sender;
 use paratreet_core::TreeMaintainer;
 use paratreet_geometry::BoundingBox;
 use paratreet_particles::Particle;
 use paratreet_telemetry::{FlightRecorder, Histogram, MetricsRegistry, SpanLink, Telemetry, Track};
-use paratreet_tree::query::entry_subtree;
 use paratreet_tree::{BuiltTree, Data, QueryScratch};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -71,35 +51,18 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AdmissionPolicy {
     /// Reject the batch with [`ServeError::Overloaded`] when the queue
-    /// is full (depth-only load shedding — the fallback knob).
+    /// is full (load shedding).
     Shed,
-    /// Block the submitter until space frees (backpressure).
+    /// Block the submitter until space frees (backpressure). With zero
+    /// workers nothing would ever free it, so the batch sheds instead.
     Defer,
-    /// Predict the batch's service time with the EWMA cost model and
-    /// shed with [`ServeError::OverBudget`] when backlog + batch cannot
-    /// fit the deadline (or [`ServeConfig::max_backlog`] without one).
-    /// The queue's capacity still backstops it with `Overloaded`.
-    CostAware,
-}
-
-/// Deterministic failure injection for chaos tests and the CI overload
-/// smoke. Fail points fire inside the same `catch_unwind` regions that
-/// protect real panics, so injected faults exercise the genuine
-/// recovery paths.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FailPoints {
-    /// Panic the worker that pops the N-th batch (1-based, counted
-    /// across all workers in pop order).
-    pub worker_panic_at_batch: Option<u64>,
-    /// Panic the writer just before it would publish this epoch.
-    pub writer_panic_at_epoch: Option<u64>,
 }
 
 /// Service sizing and policy.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Reader (worker) threads. Zero is allowed — nothing drains the
-    /// queue, which the overload tests use to exercise shedding
+    /// queue, which the tests use to exercise shedding
     /// deterministically.
     pub workers: usize,
     /// Work queue capacity, in batches.
@@ -109,21 +72,6 @@ pub struct ServeConfig {
     pub ring_capacity: usize,
     /// Admission behaviour.
     pub admission: AdmissionPolicy,
-    /// Backlog-time bound for [`AdmissionPolicy::CostAware`] when a
-    /// batch carries no deadline: shed if the predicted completion
-    /// exceeds this. `None` = no bound (only deadlines and queue
-    /// capacity shed).
-    pub max_backlog: Option<Duration>,
-    /// The degradation ladder ([`DegradeConfig::disabled`] pins level 0).
-    pub degrade: DegradeConfig,
-    /// Worker respawns the supervisor will perform before quarantining
-    /// (answering panicked batches but no longer replacing workers).
-    pub respawn_limit: u32,
-    /// Supervisor tick interval: worker reaping cadence and the
-    /// pressure ladder's clock.
-    pub supervision_interval: Duration,
-    /// Failure injection (chaos tests; all-`None` in production).
-    pub fail: FailPoints,
 }
 
 impl Default for ServeConfig {
@@ -133,11 +81,6 @@ impl Default for ServeConfig {
             queue_capacity: 256,
             ring_capacity: 8,
             admission: AdmissionPolicy::Shed,
-            max_backlog: None,
-            degrade: DegradeConfig::disabled(),
-            respawn_limit: 8,
-            supervision_interval: Duration::from_millis(1),
-            fail: FailPoints::default(),
         }
     }
 }
@@ -170,7 +113,7 @@ struct WorkItem {
 /// stage components, all nanoseconds. `total` keeps exemplars so
 /// `serve.latency.<class>.p999` links to a concrete traced request.
 struct LatencySet {
-    /// Submit → accounted (the number admission control protects).
+    /// Submit → accounted.
     total: Histogram,
     /// Submit → popped by a worker (batch formation + queue wait;
     /// under [`AdmissionPolicy::Defer`] this includes the backpressure
@@ -182,8 +125,6 @@ struct LatencySet {
     exec: Histogram,
     /// Requests of this class dropped for deadline expiry in queue.
     deadline_exceeded: AtomicU64,
-    /// Answers of this class marked degraded by the ladder.
-    degraded: AtomicU64,
 }
 
 impl LatencySet {
@@ -194,94 +135,55 @@ impl LatencySet {
             pin_wait: Histogram::new(),
             exec: Histogram::new(),
             deadline_exceeded: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
         }
     }
 }
 
-/// Writer state codes stored in `Shared::writer_state` — see
-/// [`WriterState::code`].
-const WRITER_NOT_SPAWNED: u64 = 0;
-const WRITER_RUNNING: u64 = 1;
-const WRITER_FINISHED: u64 = 2;
-const WRITER_PANICKED: u64 = 3;
-
 /// Sentinel for "no writer epoch recorded yet".
 const NO_WRITER_EPOCH: u64 = u64::MAX;
 
-/// Why a worker's pop loop ended — the supervisor's respawn signal.
-enum WorkerExit {
-    /// The queue closed and drained: shutdown.
-    Drained,
-    /// A batch panicked (caught); the thread retires so a fresh one —
-    /// with fresh scratch — can replace it.
-    Panicked,
-}
-
-/// State shared by submitters, workers, the writer, and the supervisor.
+/// State shared by submitters, workers, and the writer.
 struct Shared<D: Data> {
     ring: Arc<SnapshotRing<D>>,
     queue: BoundedQueue<WorkItem>,
     /// Per-class latency (indexed by [`QueryClass::index`]).
     latency: [LatencySet; 4],
-    /// The admission cost model, fed by every executed request.
-    cost: CostModel,
     /// Request tracing sink: disabled by default, attached via
     /// [`QueryService::with_telemetry`]. When enabled, workers emit a
     /// linked span chain (request → admitted/queued/pinned/executed/
     /// responded) for every request.
     telemetry: Telemetry,
-    /// Degradation ladder shape (immutable copy of the config).
-    degrade: DegradeConfig,
-    /// Failure injection (immutable copy of the config).
-    fail: FailPoints,
-    /// Configured worker count (the cost model divides backlog by it).
-    workers_configured: usize,
     submitted: AtomicU64,
     completed: AtomicU64,
     /// Completed with the deadline still unexpired (deadline-free
     /// requests count; this over submitted is the bench's in-deadline
     /// fraction).
     completed_in_deadline: AtomicU64,
+    /// Queries refused at admission (the queue was at capacity).
     shed: AtomicU64,
-    /// Shed split by reason: queue at capacity vs. cost prediction.
-    shed_depth: AtomicU64,
-    shed_predicted: AtomicU64,
     /// Requests dropped at pop time for deadline expiry.
     deadline_exceeded: AtomicU64,
-    /// Answers marked degraded / carrying a partial cursor.
-    degraded: AtomicU64,
-    partial: AtomicU64,
     batches: AtomicU64,
-    /// Batches popped, in pop order — the worker fail point's clock.
-    batches_popped: AtomicU64,
-    /// Current degradation level (the supervisor writes, workers read).
-    degrade_level: AtomicU64,
-    degrade_transitions: AtomicU64,
-    /// Supervision counters.
-    workers_alive: AtomicU64,
+    /// Batches whose execution panicked (each answered
+    /// [`ServeError::WorkerPanicked`]).
     worker_panics: AtomicU64,
-    worker_respawns: AtomicU64,
-    quarantined: AtomicBool,
-    /// Writer lifecycle ([`WRITER_NOT_SPAWNED`] etc.).
-    writer_state: AtomicU64,
     /// Last epoch the writer published ([`NO_WRITER_EPOCH`] = none).
     writer_last_epoch: AtomicU64,
-    /// Order-independent XOR fold of completed result checksums —
-    /// *full-fidelity `Ok` answers only*, so replay comparisons stay
-    /// valid under chaos and degraded runs.
-    result_fold: AtomicU64,
+    /// Test seam: the 1-based pop-order number of the batch whose
+    /// execution panics (0 = none), and the pop counter it is read
+    /// against.
+    #[cfg(test)]
+    panic_at_batch: AtomicU64,
+    #[cfg(test)]
+    batches_popped: AtomicU64,
 }
 
-/// The concurrent spatial query service. Owns the supervisor (which
-/// owns the worker pool) and (optionally) the writer thread; dropping
-/// it shuts everything down.
+/// The concurrent spatial query service. Owns the worker pool and
+/// (optionally) the writer thread; dropping it shuts everything down.
 pub struct QueryService<D: Data> {
     shared: Arc<Shared<D>>,
     admission: AdmissionPolicy,
-    max_backlog: Option<Duration>,
-    supervisor: Option<JoinHandle<WorkerJoinStats>>,
-    stop_supervisor: Arc<AtomicBool>,
+    workers: Vec<JoinHandle<()>>,
     writer: Option<JoinHandle<()>>,
     stop_writer: Arc<AtomicBool>,
     sampler: Option<JoinHandle<()>>,
@@ -299,14 +201,11 @@ pub const FLIGHT_SERIES: &[&str] = &[
     "pin_retries",
     "writer_stalls",
     "deadline_exceeded",
-    "degrade_level",
-    "worker_respawns",
-    "stale_serving",
 ];
 
 impl<D: Data> QueryService<D> {
-    /// Starts the worker pool under its supervisor. No snapshot exists
-    /// yet: publish one (or spawn a writer) before submitting.
+    /// Starts the worker pool. No snapshot exists yet: publish one (or
+    /// spawn a writer) before submitting.
     pub fn new(config: ServeConfig) -> QueryService<D> {
         QueryService::with_telemetry(config, Telemetry::disabled())
     }
@@ -321,54 +220,30 @@ impl<D: Data> QueryService<D> {
             ring: SnapshotRing::new(config.ring_capacity),
             queue: BoundedQueue::new(config.queue_capacity),
             latency: [LatencySet::new(), LatencySet::new(), LatencySet::new(), LatencySet::new()],
-            cost: CostModel::new(),
             telemetry,
-            degrade: config.degrade,
-            fail: config.fail,
-            workers_configured: config.workers,
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             completed_in_deadline: AtomicU64::new(0),
             shed: AtomicU64::new(0),
-            shed_depth: AtomicU64::new(0),
-            shed_predicted: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
-            partial: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            batches_popped: AtomicU64::new(0),
-            degrade_level: AtomicU64::new(0),
-            degrade_transitions: AtomicU64::new(0),
-            workers_alive: AtomicU64::new(0),
             worker_panics: AtomicU64::new(0),
-            worker_respawns: AtomicU64::new(0),
-            quarantined: AtomicBool::new(false),
-            writer_state: AtomicU64::new(WRITER_NOT_SPAWNED),
             writer_last_epoch: AtomicU64::new(NO_WRITER_EPOCH),
-            result_fold: AtomicU64::new(0),
+            #[cfg(test)]
+            panic_at_batch: AtomicU64::new(0),
+            #[cfg(test)]
+            batches_popped: AtomicU64::new(0),
         });
-        let handles: Vec<JoinHandle<WorkerExit>> = (0..config.workers)
+        let workers = (0..config.workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(shared))
+                std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        let stop_supervisor = Arc::new(AtomicBool::new(false));
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop_supervisor);
-            let interval = config.supervision_interval;
-            let respawn_limit = config.respawn_limit;
-            Some(std::thread::spawn(move || {
-                supervisor_loop(shared, handles, stop, interval, respawn_limit)
-            }))
-        };
         QueryService {
             shared,
             admission: config.admission,
-            max_backlog: config.max_backlog,
-            supervisor,
-            stop_supervisor,
+            workers,
             writer: None,
             stop_writer: Arc::new(AtomicBool::new(false)),
             sampler: None,
@@ -398,7 +273,6 @@ impl<D: Data> QueryService<D> {
                 last = Instant::now();
                 last_completed = completed;
                 let ring = shared.ring.stats();
-                let stale = shared.writer_state.load(Relaxed) == WRITER_PANICKED;
                 recorder.sample(&[
                     shared.queue.len() as f64,
                     qps,
@@ -408,9 +282,6 @@ impl<D: Data> QueryService<D> {
                     ring.pin_retries as f64,
                     ring.writer_stalls as f64,
                     shared.deadline_exceeded.load(Relaxed) as f64,
-                    shared.degrade_level.load(Relaxed) as f64,
-                    shared.worker_respawns.load(Relaxed) as f64,
-                    stale as u64 as f64,
                 ]);
                 if stopping {
                     return;
@@ -442,18 +313,11 @@ impl<D: Data> QueryService<D> {
         self.shared.ring.pin()
     }
 
-    /// The admission cost model (read-only: predictions and counters).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.shared.cost
-    }
-
     /// Submits a batch. Answers arrive on `reply` (or nowhere, for
     /// fire-and-forget). Fails fast with [`ServeError::NotReady`]
     /// before the first snapshot, [`ServeError::Overloaded`] when the
-    /// queue is full under `Shed`/`CostAware`,
-    /// [`ServeError::OverBudget`] when the cost model predicts the
-    /// batch cannot meet its deadline (or the backlog bound), and
-    /// [`ServeError::ShuttingDown`] after shutdown.
+    /// queue is full under `Shed` (or under `Defer` with no worker to
+    /// drain it), and [`ServeError::ShuttingDown`] after shutdown.
     pub fn submit(
         &self,
         requests: Vec<Request>,
@@ -463,43 +327,10 @@ impl<D: Data> QueryService<D> {
             return Err(ServeError::NotReady);
         }
         let n = requests.len() as u64;
-        let mut batch_cost = 0u64;
-        if self.admission == AdmissionPolicy::CostAware {
-            let Some(pin) = self.shared.ring.pin() else {
-                return Err(ServeError::NotReady);
-            };
-            let now = Instant::now();
-            let mut earliest_deadline: Option<Instant> = None;
-            for r in &requests {
-                let subtree = entry_subtree(&pin.trees, r.query.anchor());
-                let population = pin.trees[subtree].particles.len();
-                batch_cost += self.shared.cost.predict(r.query.class(), population) as u64;
-                if let Some(d) = r.deadline {
-                    earliest_deadline = Some(earliest_deadline.map_or(d, |e: Instant| e.min(d)));
-                }
-            }
-            drop(pin);
-            // Backlog + this batch, divided across the pool: the
-            // predicted wall-clock until the batch completes.
-            let pool = self.shared.workers_configured.max(1) as u64;
-            let predicted_ns = (self.shared.queue.cost() + batch_cost) / pool;
-            let budget_ns = earliest_deadline
-                .map(|d| d.saturating_duration_since(now).as_nanos() as u64)
-                .or(self.max_backlog.map(|b| b.as_nanos() as u64));
-            if let Some(budget_ns) = budget_ns {
-                if predicted_ns > budget_ns {
-                    self.shared.shed.fetch_add(n, Relaxed);
-                    self.shared.shed_predicted.fetch_add(n, Relaxed);
-                    return Err(ServeError::OverBudget { predicted_ns, budget_ns });
-                }
-            }
-        }
         let item = WorkItem { requests, reply, submitted_to_queue: Instant::now() };
         let outcome = match self.admission {
-            AdmissionPolicy::Shed | AdmissionPolicy::CostAware => {
-                self.shared.queue.try_push_costed(item, batch_cost)
-            }
-            AdmissionPolicy::Defer => self.shared.queue.push_wait_costed(item, batch_cost),
+            AdmissionPolicy::Defer if !self.workers.is_empty() => self.shared.queue.push_wait(item),
+            _ => self.shared.queue.try_push(item),
         };
         match outcome {
             Ok(()) => {
@@ -508,7 +339,6 @@ impl<D: Data> QueryService<D> {
             }
             Err(PushError::Full(_)) => {
                 self.shared.shed.fetch_add(n, Relaxed);
-                self.shared.shed_depth.fetch_add(n, Relaxed);
                 Err(ServeError::Overloaded {
                     depth: self.shared.queue.len(),
                     capacity: self.shared.queue.capacity(),
@@ -521,12 +351,10 @@ impl<D: Data> QueryService<D> {
     /// Spawns the single writer: seeds a master particle array from
     /// `seed_trees`, publishes them as the first snapshot, then runs
     /// `config.iterations` advances — `motion(particles, iteration)`
-    /// integrates between advances — publishing each result. The
-    /// writer body runs under `catch_unwind`: a panic flips the
-    /// service into stale-serving mode (surfaced by
-    /// [`QueryService::health`]) instead of poisoning anything.
-    /// Returns immediately; the writer's final epoch comes back in the
-    /// [`ShutdownReport`].
+    /// integrates between advances — publishing each result. A writer
+    /// that panics leaves readers answering from the ring; its panic
+    /// comes back as [`JoinOutcome::Panicked`] in the
+    /// [`ShutdownReport`], beside its final epoch. Returns immediately.
     ///
     /// # Panics
     /// If a writer was already spawned.
@@ -546,34 +374,20 @@ impl<D: Data> QueryService<D> {
             seed_trees.iter().flat_map(|t| t.particles.iter().copied()).collect();
         let seed_epoch = shared.ring.publish(seed_trees, maintainer.universe());
         shared.writer_last_epoch.store(seed_epoch, Relaxed);
-        shared.writer_state.store(WRITER_RUNNING, Relaxed);
         self.writer = Some(std::thread::spawn(move || {
-            let fail = shared.fail;
-            let ring = Arc::clone(&shared.ring);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                for iteration in 1..=config.iterations {
-                    if stop.load(Relaxed) {
-                        break;
-                    }
-                    let next_epoch = ring.head_epoch().map_or(0, |e| e + 1);
-                    if fail.writer_panic_at_epoch == Some(next_epoch) {
-                        panic!("injected writer panic before epoch {next_epoch} (fail point)");
-                    }
-                    motion(&mut master, iteration);
-                    let (trees, _round) = maintainer.advance(std::mem::take(&mut master));
-                    master = trees.iter().flat_map(|t| t.particles.iter().copied()).collect();
-                    let epoch = ring.publish(trees, maintainer.universe());
-                    shared.writer_last_epoch.store(epoch, Relaxed);
-                    if let Some(pace) = config.pace {
-                        std::thread::sleep(pace);
-                    }
+            for iteration in 1..=config.iterations {
+                if stop.load(Relaxed) {
+                    break;
                 }
-            }));
-            let state = match outcome {
-                Ok(()) => WRITER_FINISHED,
-                Err(_) => WRITER_PANICKED,
-            };
-            shared.writer_state.store(state, Relaxed);
+                motion(&mut master, iteration);
+                let (trees, _round) = maintainer.advance(std::mem::take(&mut master));
+                master = trees.iter().flat_map(|t| t.particles.iter().copied()).collect();
+                let epoch = shared.ring.publish(trees, maintainer.universe());
+                shared.writer_last_epoch.store(epoch, Relaxed);
+                if let Some(pace) = config.pace {
+                    std::thread::sleep(pace);
+                }
+            }
         }));
     }
 
@@ -582,46 +396,15 @@ impl<D: Data> QueryService<D> {
         self.writer.as_ref().is_some_and(|w| !w.is_finished())
     }
 
-    /// A point-in-time health snapshot of the supervision tree:
-    /// workers alive/panicked/respawned, writer state, stale-serving
-    /// mode and its staleness bound, the degradation level, and the
-    /// overload counters.
-    pub fn health(&self) -> ServiceHealth {
-        let s = &self.shared;
-        let writer = match s.writer_state.load(Relaxed) {
-            WRITER_RUNNING => WriterState::Running,
-            WRITER_FINISHED => WriterState::Finished,
-            WRITER_PANICKED => WriterState::Panicked,
-            _ => WriterState::NotSpawned,
-        };
-        let stale_serving = writer == WriterState::Panicked;
-        ServiceHealth {
-            workers_configured: s.workers_configured,
-            workers_alive: s.workers_alive.load(Relaxed) as usize,
-            worker_panics: s.worker_panics.load(Relaxed),
-            worker_respawns: s.worker_respawns.load(Relaxed),
-            quarantined: s.quarantined.load(Relaxed),
-            writer,
-            stale_serving,
-            staleness_epochs: if stale_serving { s.ring.staleness_epochs() } else { 0 },
-            last_publish_age: s.ring.publish_age(),
-            degrade_level: s.degrade_level.load(Relaxed) as u8,
-            deadline_exceeded: s.deadline_exceeded.load(Relaxed),
-            shed: s.shed.load(Relaxed),
-        }
-    }
-
     /// Current service metrics under `serve.*` names: queue and
-    /// snapshot counters, overload and supervision counters
-    /// (`serve.deadline_exceeded`, `serve.shed.*`, `serve.degrade.*`,
-    /// `serve.worker.*`, `serve.writer.state`, `serve.stale_serving`,
-    /// `serve.staleness_epochs`), the cost model (`serve.cost.*`), and
-    /// per-class latency summaries
+    /// snapshot counters, failure counters (`serve.deadline_exceeded`,
+    /// `serve.shed.depth`, `serve.worker.panics`), and per-class
+    /// latency summaries
     /// (`serve.latency.<class>.{count,mean,p50,p99,p999,max}`, ns) with
     /// their stage components
     /// (`serve.latency.<class>.{queue_wait,pin_wait,exec}.*`), p999
-    /// exemplars, and per-class overload counters
-    /// (`serve.latency.<class>.{deadline_exceeded,degraded}`). Every
+    /// exemplars, and per-class deadline counters
+    /// (`serve.latency.<class>.deadline_exceeded`). Every
     /// key is present on every run — classes with no traffic export
     /// zero-count snapshots, so the schema is stable for downstream
     /// tooling.
@@ -632,28 +415,14 @@ impl<D: Data> QueryService<D> {
         m.set_u64("serve.queries.completed", s.completed.load(Relaxed));
         m.set_u64("serve.queries.completed_in_deadline", s.completed_in_deadline.load(Relaxed));
         m.set_u64("serve.queries.shed", s.shed.load(Relaxed));
-        m.set_u64("serve.shed.depth", s.shed_depth.load(Relaxed));
-        m.set_u64("serve.shed.predicted", s.shed_predicted.load(Relaxed));
+        m.set_u64("serve.shed.depth", s.shed.load(Relaxed));
         m.set_u64("serve.deadline_exceeded", s.deadline_exceeded.load(Relaxed));
-        m.set_u64("serve.degraded", s.degraded.load(Relaxed));
-        m.set_u64("serve.partial", s.partial.load(Relaxed));
-        m.set_u64("serve.degrade.level", s.degrade_level.load(Relaxed));
-        m.set_u64("serve.degrade.transitions", s.degrade_transitions.load(Relaxed));
-        m.set_u64("serve.worker.alive", s.workers_alive.load(Relaxed));
         m.set_u64("serve.worker.panics", s.worker_panics.load(Relaxed));
-        m.set_u64("serve.worker.respawns", s.worker_respawns.load(Relaxed));
-        m.set_bool("serve.worker.quarantined", s.quarantined.load(Relaxed));
-        let health = self.health();
-        m.set_u64("serve.writer.state", health.writer.code());
-        m.set_bool("serve.stale_serving", health.stale_serving);
-        m.set_u64("serve.staleness_epochs", health.staleness_epochs);
         m.set_u64("serve.batches", s.batches.load(Relaxed));
         m.set_u64("serve.queue.depth", s.queue.len() as u64);
         m.set_u64("serve.queue.capacity", s.queue.capacity() as u64);
-        m.set_u64("serve.queue.cost_ns", s.queue.cost());
         m.set_u64("serve.epoch", s.ring.head_epoch().unwrap_or(0));
         m.absorb("serve.snapshots", &s.ring.stats());
-        m.absorb("serve.cost", &s.cost);
         for class in QueryClass::ALL {
             let lat = &s.latency[class.index()];
             let prefix = format!("serve.latency.{}", class.label());
@@ -662,64 +431,45 @@ impl<D: Data> QueryService<D> {
             m.absorb(&format!("{prefix}.pin_wait"), &lat.pin_wait.snapshot());
             m.absorb(&format!("{prefix}.exec"), &lat.exec.snapshot());
             m.set_u64(format!("{prefix}.deadline_exceeded"), lat.deadline_exceeded.load(Relaxed));
-            m.set_u64(format!("{prefix}.degraded"), lat.degraded.load(Relaxed));
         }
         m
     }
 
-    /// The running XOR fold of completed full-fidelity result
-    /// checksums (degraded, partial, and error answers are excluded so
-    /// the fold stays comparable across clean/chaos/degraded runs).
-    pub fn result_fold(&self) -> u64 {
-        self.shared.result_fold.load(SeqCst)
-    }
-
     /// Stops the writer (if any), drains and closes the queue, and
-    /// joins every supervised thread — returning how each one ended as
-    /// a [`ShutdownReport`] instead of aborting on a late panic.
+    /// joins every thread — returning how each one ended as a
+    /// [`ShutdownReport`] instead of aborting on a late panic.
     /// Idempotent (a second call reports `NotSpawned` everywhere);
     /// also runs on drop.
     pub fn shutdown(&mut self) -> ShutdownReport {
         self.stop_writer.store(true, Relaxed);
-        let writer = match self.writer.take() {
-            None => JoinOutcome::NotSpawned,
-            Some(w) => match w.join() {
-                // The writer body catches its own panics and records
-                // them in `writer_state`; surface that as the outcome.
-                Ok(()) => {
-                    if self.shared.writer_state.load(Relaxed) == WRITER_PANICKED {
-                        JoinOutcome::Panicked
-                    } else {
-                        JoinOutcome::Clean
-                    }
-                }
-                Err(_) => JoinOutcome::Panicked,
-            },
-        };
+        let writer = join(self.writer.take());
         self.shared.queue.close();
-        self.stop_supervisor.store(true, Relaxed);
-        let (workers, supervisor) = match self.supervisor.take() {
-            None => (WorkerJoinStats::default(), JoinOutcome::NotSpawned),
-            Some(s) => match s.join() {
-                Ok(stats) => (stats, JoinOutcome::Clean),
-                Err(_) => (WorkerJoinStats::default(), JoinOutcome::Panicked),
-            },
-        };
+        let mut workers =
+            WorkerJoinStats { spawned: self.workers.len(), ..WorkerJoinStats::default() };
+        for w in self.workers.drain(..) {
+            match w.join() {
+                Ok(()) => workers.clean += 1,
+                Err(_) => workers.panicked += 1,
+            }
+        }
         // Stop the sampler last so its final row reflects the drained
         // end state.
         self.stop_sampler.store(true, Relaxed);
-        let sampler = match self.sampler.take() {
-            None => JoinOutcome::NotSpawned,
-            Some(s) => match s.join() {
-                Ok(()) => JoinOutcome::Clean,
-                Err(_) => JoinOutcome::Panicked,
-            },
-        };
+        let sampler = join(self.sampler.take());
         let last_epoch = match self.shared.writer_last_epoch.load(Relaxed) {
             NO_WRITER_EPOCH => None,
             e => Some(e),
         };
-        ShutdownReport { last_epoch, writer, workers, supervisor, sampler }
+        ShutdownReport { last_epoch, writer, workers, sampler }
+    }
+}
+
+/// How a thread's join ended ([`JoinOutcome::NotSpawned`] for none).
+fn join(handle: Option<JoinHandle<()>>) -> JoinOutcome {
+    match handle.map(JoinHandle::join) {
+        None => JoinOutcome::NotSpawned,
+        Some(Ok(())) => JoinOutcome::Clean,
+        Some(Err(_)) => JoinOutcome::Panicked,
     }
 }
 
@@ -729,92 +479,20 @@ impl<D: Data> Drop for QueryService<D> {
     }
 }
 
-/// The supervisor: reaps finished workers, respawns panicked ones
-/// (bounded by `respawn_limit`, then quarantine), and drives the
-/// degradation ladder from queue pressure and miss deltas. Returns the
-/// pool's join accounting for the [`ShutdownReport`].
-fn supervisor_loop<D: Data>(
-    shared: Arc<Shared<D>>,
-    mut handles: Vec<JoinHandle<WorkerExit>>,
-    stop: Arc<AtomicBool>,
-    interval: Duration,
-    respawn_limit: u32,
-) -> WorkerJoinStats {
-    let mut stats = WorkerJoinStats { spawned: handles.len(), ..WorkerJoinStats::default() };
-    let mut tracker = PressureTracker::new();
-    let mut last_misses = 0u64;
-    loop {
-        let stopping = stop.load(Relaxed);
-        let mut i = 0;
-        while i < handles.len() {
-            if !handles[i].is_finished() {
-                i += 1;
-                continue;
-            }
-            let h = handles.swap_remove(i);
-            match h.join() {
-                Ok(WorkerExit::Drained) => stats.clean += 1,
-                Ok(WorkerExit::Panicked) | Err(_) => {
-                    stats.panicked += 1;
-                    if !stopping {
-                        if shared.worker_respawns.load(Relaxed) < respawn_limit as u64 {
-                            shared.worker_respawns.fetch_add(1, Relaxed);
-                            let s = Arc::clone(&shared);
-                            handles.push(std::thread::spawn(move || worker_loop(s)));
-                            stats.spawned += 1;
-                        } else {
-                            shared.quarantined.store(true, Relaxed);
-                        }
-                    }
-                }
-            }
-        }
-        // One pressure tick: queue-depth fraction plus the shed +
-        // deadline-miss delta since the last tick.
-        let misses = shared.shed.load(Relaxed) + shared.deadline_exceeded.load(Relaxed);
-        let delta = misses.saturating_sub(last_misses);
-        last_misses = misses;
-        let depth_frac = shared.queue.len() as f64 / shared.queue.capacity() as f64;
-        if let Some(level) = tracker.tick(&shared.degrade, depth_frac, delta) {
-            shared.degrade_level.store(level as u64, Relaxed);
-        }
-        shared.degrade_transitions.store(tracker.transitions(), Relaxed);
-        if stopping {
-            // The queue is closed: remaining workers drain and exit.
-            for h in handles.drain(..) {
-                match h.join() {
-                    Ok(WorkerExit::Drained) => stats.clean += 1,
-                    Ok(WorkerExit::Panicked) | Err(_) => stats.panicked += 1,
-                }
-            }
-            return stats;
-        }
-        std::thread::sleep(interval);
-    }
-}
-
 /// A worker: pop a batch, drop expired requests, pin the freshest
-/// snapshot, answer at the current degradation level under
-/// `catch_unwind`, account. With tracing enabled, every stage is
-/// timestamped and every request leaves a linked span chain on this
-/// worker's track.
-fn worker_loop<D: Data>(shared: Arc<Shared<D>>) -> WorkerExit {
-    shared.workers_alive.fetch_add(1, Relaxed);
-    let exit = worker_loop_inner(&shared);
-    shared.workers_alive.fetch_sub(1, Relaxed);
-    exit
-}
-
-fn worker_loop_inner<D: Data>(shared: &Arc<Shared<D>>) -> WorkerExit {
+/// snapshot, answer under `catch_unwind`, account. A batch that panics
+/// is answered [`ServeError::WorkerPanicked`] and the worker carries on
+/// with fresh scratch — a client blocked on its reply channel gets an
+/// answer either way. With tracing enabled, every stage is timestamped
+/// and every request leaves a linked span chain on this worker's track.
+fn worker_loop<D: Data>(shared: &Shared<D>) {
     let mut scratch = QueryScratch::default();
     let tel = shared.telemetry.clone();
     let traced = tel.is_enabled();
     // Per-request `(entry subtree, exec start, exec end)` slots, filled
-    // by the execution observer — always on: the cost model eats the
-    // same observations tracing does.
+    // by the execution observer while tracing is on.
     let mut exec_obs: Vec<Option<(usize, Instant, Instant)>> = Vec::new();
     while let Some(item) = shared.queue.pop() {
-        let batch_no = shared.batches_popped.fetch_add(1, Relaxed) + 1;
         let popped = Instant::now();
 
         // Deadline check before doing any work: expired requests are
@@ -834,8 +512,6 @@ fn worker_loop_inner<D: Data>(shared: &Arc<Shared<D>>) -> WorkerExit {
                         seq: req.seq,
                         epoch: 0,
                         result: Err(ServeError::DeadlineExceeded { late_ns }),
-                        degraded: false,
-                        partial: None,
                     });
                 }
                 _ => live.push(*req),
@@ -853,92 +529,48 @@ fn worker_loop_inner<D: Data>(shared: &Arc<Shared<D>>) -> WorkerExit {
         // always available here.
         let Some(pin) = shared.ring.pin() else { continue };
         let pinned = Instant::now();
-        let level = shared.degrade_level.load(Relaxed) as u8;
-        let inject = shared.fail.worker_panic_at_batch == Some(batch_no);
 
         exec_obs.clear();
         exec_obs.resize(live.len(), None);
         let executed = catch_unwind(AssertUnwindSafe(|| {
-            if inject {
-                panic!("injected worker panic at batch {batch_no} (fail point)");
-            }
+            #[cfg(test)]
+            shared.poison_point();
             let mut observe = |i: usize, subtree: usize, t0: Instant, t1: Instant| {
                 exec_obs[i] = Some((subtree, t0, t1))
             };
-            execute_batch_degraded(
-                &pin,
-                &live,
-                &mut scratch,
-                &shared.degrade,
-                level,
-                Some(&mut observe),
-            )
+            let observer: Option<ExecObserver<'_>> = if traced { Some(&mut observe) } else { None };
+            execute_batch_observed(&pin, &live, &mut scratch, observer)
         }));
+        drop(pin); // release the slot before reply/accounting
 
         let responses = match executed {
             Ok(responses) => responses,
             Err(_) => {
                 // The batch panicked: answer every live request with a
-                // structured internal error, then retire this worker —
-                // its scratch may be poisoned; the supervisor respawns
-                // a fresh one.
+                // structured internal error and carry on with fresh
+                // scratch — the old one may have been left mid-update.
                 shared.worker_panics.fetch_add(1, Relaxed);
                 shared.batches.fetch_add(1, Relaxed);
-                drop(pin);
+                scratch = QueryScratch::default();
                 let mut answers = expired;
                 answers.extend(live.iter().map(|req| Response {
                     client: req.client,
                     seq: req.seq,
                     epoch: 0,
                     result: Err(ServeError::WorkerPanicked),
-                    degraded: false,
-                    partial: None,
                 }));
                 if let Some(reply) = item.reply {
                     let _ = reply.send(answers);
                 }
-                return WorkerExit::Panicked;
+                continue;
             }
         };
-
-        // Feed the cost model while the pin still resolves subtree
-        // populations. Each request is charged its own kernel time plus
-        // an equal share of the batch's non-kernel wall (pop, deadline
-        // filtering, pin wait, dispatch): admission predicts *service*
-        // time, and on microsecond kernels the fixed batch overheads
-        // dominate — feeding bare kernel durations makes the model
-        // over-admit and admitted requests expire in queue.
-        let batch_wall = Instant::now().saturating_duration_since(popped).as_nanos() as u64;
-        let kernel_total: u64 = exec_obs
-            .iter()
-            .flatten()
-            .map(|(_, t0, t1)| t1.saturating_duration_since(*t0).as_nanos() as u64)
-            .sum();
-        let overhead_share = batch_wall.saturating_sub(kernel_total) / live.len() as u64;
-        for (i, req) in live.iter().enumerate() {
-            if let Some((subtree, t0, t1)) = exec_obs[i] {
-                let population = pin.trees[subtree].particles.len();
-                let ns = t1.saturating_duration_since(t0).as_nanos() as u64;
-                shared.cost.observe(req.query.class(), population, ns + overhead_share);
-            }
-        }
-        drop(pin); // release the slot before reply/accounting
 
         let executed_at = Instant::now();
         let now = Instant::now();
         let track = Track { rank: 0, worker: tel.thread_slot() };
-        let mut fold = 0u64;
         let mut in_deadline = 0u64;
         for (i, req) in live.iter().enumerate() {
-            let resp = &responses[i];
-            if resp.degraded {
-                shared.degraded.fetch_add(1, Relaxed);
-                shared.latency[req.query.class().index()].degraded.fetch_add(1, Relaxed);
-            }
-            if resp.partial.is_some() {
-                shared.partial.fetch_add(1, Relaxed);
-            }
-            fold ^= checksum_fold(resp);
             if req.deadline.is_none_or(|d| now <= d) {
                 in_deadline += 1;
             }
@@ -1015,7 +647,6 @@ fn worker_loop_inner<D: Data>(shared: &Arc<Shared<D>>) -> WorkerExit {
             lat.pin_wait.record(pin_wait.as_nanos() as u64);
             lat.exec.record(exec.as_nanos() as u64);
         }
-        shared.result_fold.fetch_xor(fold, SeqCst);
         shared.batches.fetch_add(1, Relaxed);
         shared.completed.fetch_add(live.len() as u64, Relaxed);
         shared.completed_in_deadline.fetch_add(in_deadline, Relaxed);
@@ -1027,5 +658,97 @@ fn worker_loop_inner<D: Data>(shared: &Arc<Shared<D>>) -> WorkerExit {
             let _ = reply.send(answers);
         }
     }
-    WorkerExit::Drained
+}
+
+#[cfg(test)]
+impl<D: Data> Shared<D> {
+    /// Test seam: panics inside the batch that reaches execution as
+    /// number `panic_at_batch`.
+    fn poison_point(&self) {
+        let n = self.batches_popped.fetch_add(1, Relaxed) + 1;
+        if n == self.panic_at_batch.load(Relaxed) {
+            panic!("poisoned batch {n}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::load::random_query;
+    use paratreet_core::Configuration;
+    use paratreet_particles::gen;
+    use paratreet_tree::CountData;
+    use rand::{SeedableRng, StdRng};
+    use std::collections::BTreeMap;
+
+    /// 40 batches of 8 seeded queries (client = batch index, seq =
+    /// position) against a fresh single-worker service whose
+    /// `poison`-th batch panics (0 = none). Returns every response keyed
+    /// by `(client, seq)`, and the service.
+    fn run(poison: u64) -> (BTreeMap<(u32, u32), Response>, QueryService<CountData>) {
+        let mut config =
+            Configuration { n_subtrees: 6, n_partitions: 4, bucket_size: 16, ..Default::default() };
+        config.incremental.enabled = true;
+        let particles = gen::clustered(2000, 3, 21, 1.0, 1.0);
+        let (maintainer, seed_trees) = TreeMaintainer::<CountData>::seed(&config, particles, false);
+        let universe = maintainer.universe();
+        let service: QueryService<CountData> = QueryService::new(ServeConfig {
+            workers: 1, // single worker: batch pop order == submit order
+            admission: AdmissionPolicy::Defer,
+            ..ServeConfig::default()
+        });
+        service.shared.panic_at_batch.store(poison, Relaxed);
+        service.publish(seed_trees, universe);
+        let (tx, rx) = crossbeam::channel::unbounded::<Vec<Response>>();
+        for b in 0..40u32 {
+            let batch = (0..8u32)
+                .map(|s| {
+                    let mut rng = StdRng::seed_from_u64(977 ^ ((b as u64) << 8 | s as u64));
+                    Request::new(b, s, random_query(&mut rng, &universe, 5, &[1, 1, 1, 1]))
+                })
+                .collect();
+            service.submit(batch, Some(tx.clone())).unwrap();
+        }
+        // Polled with a bound, so a worker that died with batches still
+        // queued fails the test instead of hanging it.
+        let (mut responses, mut answered, t0) = (BTreeMap::new(), 0, Instant::now());
+        while answered < 40 {
+            let Ok(batch) = rx.try_recv() else {
+                assert!(t0.elapsed() < Duration::from_secs(20), "{answered}/40 batches answered");
+                std::thread::sleep(Duration::from_millis(1));
+                continue;
+            };
+            answered += 1;
+            for resp in batch {
+                responses.insert((resp.client, resp.seq), resp);
+            }
+        }
+        (responses, service)
+    }
+
+    /// A panicking batch is answered `WorkerPanicked`, every other
+    /// answer is bit-equal to a clean same-seed run, and the one worker
+    /// carried on to serve every later batch.
+    #[test]
+    fn worker_panic_is_answered_and_the_same_worker_carries_on() {
+        let (clean, mut clean_service) = run(0);
+        let (poisoned, mut service) = run(5);
+        assert_eq!(poisoned.len(), 320, "every request answered despite the panic");
+        for (key, resp) in &poisoned {
+            if key.0 == 4 {
+                // The 5th popped batch (client index 4) panicked.
+                assert_eq!(resp.result, Err(ServeError::WorkerPanicked), "{key:?}");
+            } else {
+                let (a, b) = (resp.result.as_ref().unwrap(), clean[key].result.as_ref().unwrap());
+                assert_eq!(a.checksum(), b.checksum(), "{key:?} diverged from the clean run");
+            }
+        }
+        assert_eq!(service.metrics().get_u64("serve.worker.panics"), 1);
+        let report = service.shutdown();
+        let one_worker = WorkerJoinStats { spawned: 1, clean: 1, panicked: 0 };
+        assert_eq!(report.workers, one_worker, "one worker served every batch");
+        assert!(report.is_clean(), "{report:?}");
+        assert!(clean_service.shutdown().is_clean());
+    }
 }

@@ -37,7 +37,6 @@ use std::cell::UnsafeCell;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 /// Sentinel for "no epoch": the head before the first publication, and
 /// the retired mark a slot carries while the writer replaces its data.
@@ -124,18 +123,6 @@ impl MetricSource for RingStats {
     }
 }
 
-/// The publish wall clock: when the head last advanced and how fast it
-/// has been advancing. This is what lets stale-serving mode turn "the
-/// writer died" into a *bound* — publications a healthy writer would
-/// have made since the last real one.
-#[derive(Clone, Copy, Debug, Default)]
-struct PublishClock {
-    last: Option<Instant>,
-    /// EWMA of the inter-publish interval, microseconds (0 until the
-    /// second publish).
-    interval_us: f64,
-}
-
 /// Fixed-capacity single-writer multi-reader snapshot ring.
 pub struct SnapshotRing<D: Data> {
     slots: Box<[Slot<D>]>,
@@ -144,7 +131,6 @@ pub struct SnapshotRing<D: Data> {
     /// Serialises publishers; publish is designed single-writer, the
     /// lock turns an accidental second writer into a wait, not a race.
     writer: Mutex<()>,
-    clock: Mutex<PublishClock>,
     published: AtomicU64,
     reclaimed: AtomicU64,
     pin_retries: AtomicU64,
@@ -168,7 +154,6 @@ impl<D: Data> SnapshotRing<D> {
             slots,
             head: AtomicU64::new(NO_EPOCH),
             writer: Mutex::new(()),
-            clock: Mutex::new(PublishClock::default()),
             published: AtomicU64::new(0),
             reclaimed: AtomicU64::new(0),
             pin_retries: AtomicU64::new(0),
@@ -228,45 +213,7 @@ impl<D: Data> SnapshotRing<D> {
         slot.epoch.store(epoch, SeqCst);
         self.head.store(epoch, SeqCst);
         self.published.fetch_add(1, SeqCst);
-        {
-            let now = Instant::now();
-            let mut clock = self.clock.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(last) = clock.last {
-                let us = now.duration_since(last).as_micros() as f64;
-                clock.interval_us = if clock.interval_us == 0.0 {
-                    us
-                } else {
-                    clock.interval_us + 0.2 * (us - clock.interval_us)
-                };
-            }
-            clock.last = Some(now);
-        }
         epoch
-    }
-
-    /// Wall-clock age of the newest publication (`None` before the
-    /// first).
-    pub fn publish_age(&self) -> Option<Duration> {
-        self.clock.lock().unwrap_or_else(PoisonError::into_inner).last.map(|t| t.elapsed())
-    }
-
-    /// EWMA of the inter-publish interval (`None` until two
-    /// publications establish a cadence).
-    pub fn publish_interval(&self) -> Option<Duration> {
-        let us = self.clock.lock().unwrap_or_else(PoisonError::into_inner).interval_us;
-        (us > 0.0).then(|| Duration::from_micros(us as u64))
-    }
-
-    /// Publications a writer at the observed cadence would have made
-    /// since the last real one — the staleness bound stale-serving mode
-    /// surfaces. 0 while a cadence is unknown or the head is fresh.
-    pub fn staleness_epochs(&self) -> u64 {
-        match (self.publish_age(), self.publish_interval()) {
-            (Some(age), Some(interval)) if !interval.is_zero() => {
-                (age.as_secs_f64() / interval.as_secs_f64()) as u64
-            }
-            _ => 0,
-        }
     }
 
     /// Pins the latest published snapshot, or `None` before the first
@@ -425,24 +372,6 @@ mod tests {
         }
         // Epoch 4 reused slot 0 with nobody pinning: freed immediately.
         assert_eq!(probe.load(SeqCst), 1);
-    }
-
-    #[test]
-    fn publish_clock_tracks_cadence() {
-        let r = ring();
-        assert_eq!(r.publish_age(), None);
-        assert_eq!(r.publish_interval(), None);
-        assert_eq!(r.staleness_epochs(), 0, "no cadence before the second publish");
-        r.publish(Vec::new(), stamped_box(0));
-        assert!(r.publish_age().is_some());
-        assert_eq!(r.publish_interval(), None);
-        std::thread::sleep(Duration::from_millis(2));
-        r.publish(Vec::new(), stamped_box(1));
-        let interval = r.publish_interval().expect("cadence after two publishes");
-        assert!(interval >= Duration::from_millis(1));
-        // A stalled writer accumulates staleness at the observed cadence.
-        std::thread::sleep(interval * 3);
-        assert!(r.staleness_epochs() >= 2);
     }
 
     #[test]

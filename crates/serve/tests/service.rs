@@ -42,7 +42,6 @@ fn live_service_answers_everything_under_defer() {
         queue_capacity: 64,
         ring_capacity: 8,
         admission: AdmissionPolicy::Defer,
-        ..ServeConfig::default()
     });
     service.spawn_writer(
         maintainer,
@@ -107,7 +106,6 @@ fn shed_policy_rejects_deterministically_when_nothing_drains() {
         queue_capacity: 4,
         ring_capacity: 4,
         admission: AdmissionPolicy::Shed,
-        ..ServeConfig::default()
     });
     service.publish(seed_trees, universe);
 
@@ -251,29 +249,14 @@ fn metrics_schema_is_stable_with_zero_traffic() {
         assert_eq!(m.get_u64(&format!("serve.latency.{class}.count")), 0);
         // ISSUE 9 per-class overload counters and cost estimates.
         assert!(m.contains(&format!("serve.latency.{class}.deadline_exceeded")));
-        assert!(m.contains(&format!("serve.latency.{class}.degraded")));
-        assert!(m.contains(&format!("serve.cost.{class}.est_ns")));
     }
     // ISSUE 9 global overload / supervision keys are always exported,
     // zero or not, so dashboards and `--check` comparisons never miss.
     for key in [
         "serve.queries.completed_in_deadline",
         "serve.shed.depth",
-        "serve.shed.predicted",
         "serve.deadline_exceeded",
-        "serve.degraded",
-        "serve.partial",
-        "serve.degrade.level",
-        "serve.degrade.transitions",
-        "serve.worker.alive",
         "serve.worker.panics",
-        "serve.worker.respawns",
-        "serve.worker.quarantined",
-        "serve.writer.state",
-        "serve.stale_serving",
-        "serve.staleness_epochs",
-        "serve.queue.cost_ns",
-        "serve.cost.observations",
     ] {
         assert!(m.contains(key), "missing {key}");
     }

@@ -174,6 +174,11 @@ if grep -rnE 'run_maintained|ForestMaintainer|per_subtree_work' crates src; then
     echo "maintained mode is back in a message engine or the forest (DESIGN §10)"; exit 1
 fi
 
+echo "== serve keeps what a workload runs: no cost admission, degradation ladder or supervisor =="
+if grep -rnE 'CostAware|DegradeConfig|PressureTracker|FailPoints|respawn|stale_serving' crates/serve/src src; then
+    echo "removed serve overload machinery is back (DESIGN §11)"; exit 1
+fi
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 # clippy.toml caps a function at 150 lines where a file opts in with
 # `#![warn(clippy::too_many_lines)]`: the DES modules and the CLI.
@@ -252,21 +257,20 @@ grep -q '"serve.latency.knn.p99":[1-9]' "$serve_metrics" ||
 grep -q '"serve.snapshots.published":[1-9]' "$serve_metrics" ||
     { echo "serve smoke: writer published no snapshots in $serve_metrics"; exit 1; }
 
-echo "== overload smoke (tiny capacity, tight deadlines, injected worker panic) =="
+echo "== deadline + shed smoke (tiny queue, 1 ms deadlines) =="
 overload_metrics="$smoke_dir/overload.json"
-# One worker (deterministic batch numbering for the fail point), a tiny
-# queue, 1ms deadlines, and a panic injected at the 3rd batch: the run
-# must still exit 0 — overload and faults are answered, never fatal.
+# One reader behind an 8-batch queue under shed admission and 1 ms
+# deadlines: the run must still exit 0 — overload is answered, never
+# fatal. k = 1024 makes one batch take about a millisecond, so a batch
+# queued behind another expires, and the full queue sheds.
 cargo run --release -q --bin paratreet -- serve-bench --particles 3000 --clients 40 \
-    --queries 25 --serve-workers 1 --threads 2 --queue 8 --batch 32 \
-    --admission shed --deadline-ms 1 --inject-worker-panic 3 \
+    --queries 25 --serve-workers 1 --threads 2 --queue 8 --batch 32 --k 1024 \
+    --admission shed --deadline-ms 1 \
     --metrics-out "$overload_metrics" > /dev/null
 grep -q '"serve.deadline_exceeded":[1-9]' "$overload_metrics" ||
-    { echo "overload smoke: no deadline expiries recorded in $overload_metrics"; exit 1; }
-grep -q '"serve.worker.panics":[1-9]' "$overload_metrics" ||
-    { echo "overload smoke: injected panic not counted in $overload_metrics"; exit 1; }
-grep -q '"serve.worker.respawns":[1-9]' "$overload_metrics" ||
-    { echo "overload smoke: supervisor respawned no worker in $overload_metrics"; exit 1; }
+    { echo "deadline smoke: no deadline expiries recorded in $overload_metrics"; exit 1; }
+grep -q '"serve.queries.shed":[1-9]' "$overload_metrics" ||
+    { echo "deadline smoke: nothing shed at the full queue in $overload_metrics"; exit 1; }
 
 echo "== forest smoke (tiled FoF over DES ghost exchange) =="
 forest_metrics="$smoke_dir/forest.json"

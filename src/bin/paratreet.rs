@@ -116,30 +116,14 @@ QUERY SERVING (serve-bench only):
   --batch N            queries per submitted batch         [32]
   --queue N            work queue capacity, batches        [256]
   --ring N             snapshot ring capacity              [8]
-  --admission KIND     defer (backpressure) | shed (depth) |
-                       cost (EWMA predicted-cost shedding) [defer]
+  --admission KIND     defer (backpressure) | shed (refuse
+                       when the queue is full)             [defer]
   --writer-pace-ms T   sleep between writer advances, ms   [0]
                        (--iterations 0 = advance until the load
                        finishes; N = stop after N advances)
   --deadline-ms T      per-request completion deadline, ms
                        (0 = none; expired requests answered
                        DeadlineExceeded, not executed)      [0]
-  --max-backlog-ms T   cost-admission backlog bound for
-                       deadline-free requests, ms (0 = none) [0]
-  --retries N          load-generator retry attempts after a
-                       retryable submit failure (seeded
-                       jittered exponential backoff)        [3]
-  --pace-us T          inter-batch gap per driver thread, us
-                       (0 = submit as fast as possible)     [0]
-  --degrade B          1 = enable the degradation ladder
-                       (clamped k, shrunk radii, truncated
-                       range answers with resume cursors)   [0]
-  --respawn-limit N    worker respawns before quarantine    [8]
-  --inject-worker-panic N  chaos: panic the worker popping
-                       batch N (0 = off)                    [0]
-  --inject-writer-panic N  chaos: panic the writer before
-                       publishing epoch N (0 = off); the
-                       service enters stale-serving mode    [0]
 
 FAULT INJECTION (gravity, machine engine only; seeded, deterministic):
   --fault-drop P       drop probability per message        [0]
@@ -203,8 +187,7 @@ const FAULTS: &[&str] = &[
 const SERVE: &[&str] = &[
     "iterations", "k", "timeseries-out", "sample-ms",
     "clients", "queries", "serve-workers", "threads", "batch", "queue", "ring", "admission",
-    "writer-pace-ms", "deadline-ms", "max-backlog-ms", "retries", "pace-us", "degrade",
-    "respawn-limit", "inject-worker-panic", "inject-writer-panic",
+    "writer-pace-ms", "deadline-ms",
 ];
 const SHARED_ONLY: &[(&str, &[&[&str]])] = &[("shared", &[])];
 
@@ -769,19 +752,14 @@ fn run_disk(opts: &Opts) {
 
 fn run_serve_bench(opts: &Opts) {
     use paratreet_serve::{
-        run_load, AdmissionPolicy, DegradeConfig, FailPoints, LoadConfig, QueryService,
-        ServeConfig, WriterConfig,
+        run_load, AdmissionPolicy, LoadConfig, QueryService, ServeConfig, WriterConfig,
     };
     use std::time::Duration;
 
     let particles = load_particles("serve-bench", opts);
     let mut config = configuration(opts, "oct", "sfc");
     config.incremental.enabled = true;
-    let admissions = [
-        ("defer", AdmissionPolicy::Defer),
-        ("shed", AdmissionPolicy::Shed),
-        ("cost", AdmissionPolicy::CostAware),
-    ];
+    let admissions = [("defer", AdmissionPolicy::Defer), ("shed", AdmissionPolicy::Shed)];
     // `--name 0` switches the feature off.
     let nonzero = |name: &str| Some(opts.get(name, 0u64)).filter(|&n| n > 0);
     let (maintainer, seed_trees) = TreeMaintainer::<CountData>::seed(&config, particles, true);
@@ -794,21 +772,12 @@ fn run_serve_bench(opts: &Opts) {
     let client_threads = opts.get("threads", 4usize);
     let threads = serve_workers + client_threads + 2;
     let out = Outputs::new(opts, false, threads, paratreet_serve::service::FLIGHT_SERIES, 65_536);
-    let degrade = nonzero("degrade").is_some();
     let mut service: QueryService<CountData> = QueryService::with_telemetry(
         ServeConfig {
             workers: serve_workers,
             queue_capacity: opts.get("queue", 256usize),
             ring_capacity: opts.get("ring", 8usize),
             admission: opts.choice("admission", "defer", &admissions),
-            max_backlog: nonzero("max-backlog-ms").map(Duration::from_millis),
-            degrade: if degrade { DegradeConfig::default() } else { DegradeConfig::disabled() },
-            respawn_limit: opts.get("respawn-limit", 8u32),
-            fail: FailPoints {
-                worker_panic_at_batch: nonzero("inject-worker-panic"),
-                writer_panic_at_epoch: nonzero("inject-writer-panic"),
-            },
-            ..ServeConfig::default()
         },
         out.telemetry.clone(),
     );
@@ -841,12 +810,9 @@ fn run_serve_bench(opts: &Opts) {
         k: opts.get("k", 8usize),
         seed: opts.get("seed", 1u64),
         deadline: nonzero("deadline-ms").map(Duration::from_millis),
-        max_retries: opts.get("retries", 3u32),
-        pace: nonzero("pace-us").map(Duration::from_micros),
         ..LoadConfig::default()
     };
     let report = run_load(&service, universe, &load);
-    let health = service.health();
     let shutdown = service.shutdown();
     let metrics = service.metrics();
     println!(
@@ -862,30 +828,15 @@ fn run_serve_bench(opts: &Opts) {
         metrics.get_u64("serve.snapshots.published"),
         shutdown.last_epoch.unwrap_or(0),
     );
-    println!(
-        "  overload: {} deadline-exceeded, {} retries, {} abandoned, {} degraded, {} partial",
-        report.deadline_exceeded, report.retries, report.abandoned, report.degraded, report.partial,
-    );
     let issued: u64 = report.per_class.iter().sum();
     if load.deadline.is_some() && issued > 0 {
         let in_deadline = metrics.get_u64("serve.queries.completed_in_deadline");
         let percent = 100.0 * in_deadline as f64 / issued as f64;
         println!("  in-deadline completion: {in_deadline}/{issued} = {percent:.1}%");
     }
-    println!(
-        "  health: {} writer, {}/{} workers alive, {} panics, {} respawns{}{}",
-        health.writer.label(),
-        health.workers_alive,
-        health.workers_configured,
-        health.worker_panics,
-        health.worker_respawns,
-        if health.stale_serving {
-            format!(", STALE-SERVING ({} epochs behind)", health.staleness_epochs)
-        } else {
-            String::new()
-        },
-        if shutdown.is_clean() { "" } else { " [unclean shutdown]" },
-    );
+    if !shutdown.is_clean() {
+        println!("  unclean shutdown: {shutdown:?}");
+    }
     for class in paratreet_serve::QueryClass::ALL {
         let key = |stat: &str| format!("serve.latency.{}.{stat}", class.label());
         println!(
@@ -1014,6 +965,6 @@ mod tests {
             .map(|l| l.split(' ').next().unwrap())
             .collect();
         assert_eq!(documented, listed);
-        assert_eq!(listed.len(), 62);
+        assert_eq!(listed.len(), 55);
     }
 }

@@ -64,6 +64,29 @@ fn option_the_app_does_not_read_is_rejected_by_name() {
     }
 }
 
+/// The query service's overload flags are gone with the machinery
+/// they drove: each one, and the `cost` admission policy, stops the run
+/// naming the flag.
+#[test]
+fn removed_serve_flags_are_refused_by_name() {
+    for (flag, value) in [
+        ("--max-backlog-ms", "5"),
+        ("--retries", "3"),
+        ("--pace-us", "10"),
+        ("--degrade", "1"),
+        ("--respawn-limit", "8"),
+        ("--inject-worker-panic", "3"),
+        ("--inject-writer-panic", "2"),
+        ("--admission", "cost"),
+    ] {
+        let out = paratreet(&["serve-bench", "--particles", "200", flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let err = stderr(&out);
+        assert!(err.contains(flag), "stderr names {flag}: {err}");
+        assert!(out.stdout.is_empty(), "nothing ran before the rejection");
+    }
+}
+
 /// `--iterations N` is N leapfrog steps on every engine, and on the
 /// shared engine whether the tree is maintained or rebuilt: one line per
 /// step.
