@@ -404,6 +404,8 @@ pub fn universe_for(particles: &[Particle], config: &Configuration, pad: f64) ->
 
 /// Like [`decompose`] but over an explicitly supplied universe box
 /// (see [`universe_for`]). The box must contain every particle.
+///
+/// Panics naming the first particle whose position is not finite.
 pub fn decompose_within(
     mut particles: Vec<Particle>,
     config: &Configuration,
@@ -411,16 +413,18 @@ pub fn decompose_within(
 ) -> Decomposition {
     // Key particles along the configured curve. The Hilbert curve only
     // applies to SFC decomposition — octree decomposition derives its
-    // splitters from Morton digit structure.
-    if config.sfc == SfcCurve::Hilbert && config.decomp_type == DecompType::Sfc {
-        for p in particles.iter_mut() {
-            p.key = paratreet_geometry::hilbert_key(p.pos, &universe);
-        }
-        particles.sort_by_sfc_key();
-    } else {
-        particles.assign_keys(&universe);
-        particles.sort_by_sfc_key();
+    // splitters from Morton digit structure. The same pass rejects a
+    // non-finite position: no key, box or force could place it.
+    let hilbert = config.sfc == SfcCurve::Hilbert && config.decomp_type == DecompType::Sfc;
+    for (i, p) in particles.iter_mut().enumerate() {
+        assert!(p.pos.is_finite(), "particle {i} (id {}) has a non-finite position", p.id);
+        p.key = if hilbert {
+            paratreet_geometry::hilbert_key(p.pos, &universe)
+        } else {
+            paratreet_geometry::morton_key(p.pos, &universe)
+        };
     }
+    particles.sort_by_sfc_key();
 
     let (partitioner, n_partitions) = match config.decomp_type {
         DecompType::Sfc => (sfc_partitioner(&particles, config.n_partitions), config.n_partitions),

@@ -2,9 +2,9 @@
 //!
 //! Everything else in this crate assumes *one* global box with one
 //! decomposition inside it. This module generalizes the domain to a
-//! **forest**: a set of boxes ([`DomainSpec`] — a single cube, a
-//! periodic/tiled grid, or explicit irregular boxes), each hosting its
-//! own [`Decomposition`] and tree set, stitched together by
+//! **forest**: a set of boxes ([`DomainSpec`] — a single cube or a
+//! periodic/tiled grid), each hosting its own [`Decomposition`] and
+//! tree set, stitched together by
 //!
 //! * **inter-box adjacency** ([`GhostRoute`]) — which box abuts which,
 //!   including wrap-around routes through periodic seams,
@@ -28,19 +28,14 @@
 //! parallel region whose results come back in box / route order, so
 //! every output is the same at any thread count.
 //!
-//! In the shared-memory engines the exchange is a plain copy; the DES
-//! path ([`des_ghost_exchange`]) prices the same zones through the
-//! machine model — pack tasks on the source rank, NIC injection +
-//! latency per zone, unpack tasks on the destination — so ghost traffic
-//! lands on the virtual timeline and in `ghost.*` metrics like every
-//! other phase.
+//! The exchange is a plain copy: the forest runs on the shared-memory
+//! engine only.
 
 use std::collections::BTreeSet;
 use std::mem::size_of;
 
 use paratreet_geometry::{BoundingBox, NodeKey, PeriodicBox, Vec3};
 use paratreet_particles::Particle;
-use paratreet_runtime::{CommStats, MachineSpec, Phase, Sim};
 use paratreet_telemetry::{MetricSource, MetricsRegistry, Telemetry};
 use paratreet_tree::node::NO_NODE;
 use paratreet_tree::{BuildNode, BuiltTree, Data, NodeIdx, NodeShape, TreeType};
@@ -74,16 +69,6 @@ pub enum DomainSpec {
         /// Identify opposite outer faces of the grid.
         periodic: bool,
     },
-    /// Explicit, possibly irregular boxes (zoom-in regions, AMR-style
-    /// patches). A particle belongs to the first box containing it, or
-    /// the nearest box when none does. `period` optionally wraps the
-    /// whole arrangement (`0.0` on an axis leaves it open).
-    Explicit {
-        /// The domain boxes, in ownership-priority order.
-        boxes: Vec<BoundingBox>,
-        /// Optional per-axis period of the arrangement.
-        period: Option<Vec3>,
-    },
 }
 
 impl DomainSpec {
@@ -109,9 +94,6 @@ impl DomainSpec {
                 } else {
                     PeriodicBox::OPEN
                 }
-            }
-            DomainSpec::Explicit { period, .. } => {
-                period.map(|p| PeriodicBox { period: p }).unwrap_or(PeriodicBox::OPEN)
             }
         }
     }
@@ -142,15 +124,14 @@ impl DomainSpec {
                 }
                 out
             }
-            DomainSpec::Explicit { boxes, .. } => boxes.clone(),
         }
     }
 
     /// The owning box index for a position (already wrapped into the
     /// primary cell when the domain is periodic). Total: every position
-    /// maps to exactly one box, clamping / nearest-box rules cover
-    /// positions outside every box.
-    pub fn assign(&self, pos: Vec3, boxes: &[BoundingBox]) -> usize {
+    /// maps to exactly one box, and a position outside the grid clamps
+    /// to the nearest tile.
+    pub fn assign(&self, pos: Vec3) -> usize {
         match self {
             DomainSpec::SingleCube => 0,
             DomainSpec::TiledGrid { dims, origin, tile, .. } => {
@@ -161,23 +142,6 @@ impl DomainSpec {
                     idx[a] = (t.max(0.0) as usize).min(d[a] - 1);
                 }
                 idx[0] + d[0] * (idx[1] + d[1] * idx[2])
-            }
-            DomainSpec::Explicit { .. } => {
-                for (i, b) in boxes.iter().enumerate() {
-                    if b.contains(pos) {
-                        return i;
-                    }
-                }
-                let mut best = 0usize;
-                let mut best_d = f64::INFINITY;
-                for (i, b) in boxes.iter().enumerate() {
-                    let d = b.dist_sq_to(pos);
-                    if d < best_d {
-                        best_d = d;
-                        best = i;
-                    }
-                }
-                best
             }
         }
     }
@@ -318,7 +282,7 @@ impl BoxRouting {
                 if wraps {
                     p.pos = period.wrap(p.pos, origin);
                 }
-                spec.assign(p.pos, &boxes) as u32
+                spec.assign(p.pos) as u32
             })
             .collect();
         let mut starts = vec![0usize; boxes.len() + 1];
@@ -814,8 +778,7 @@ fn reach_boxes<D: Data>(forest: &Forest, trees: &[Vec<BuiltTree<D>>]) -> Vec<Bou
 /// radius. This is the shared-memory exchange — one region over the
 /// routes, each a pruned descent of the source box's trees
 /// ([`GhostStats::nodes_visited`]), zones kept in route order — wrapped
-/// in a `"ghost exchange"` telemetry span; the DES engine prices the
-/// same zones with [`des_ghost_exchange`].
+/// in a `"ghost exchange"` telemetry span.
 pub fn exchange_ghosts<D: Data>(
     forest: &Forest,
     trees: &[Vec<BuiltTree<D>>],
@@ -878,73 +841,6 @@ pub fn exchange_ghosts<D: Data>(
     })
 }
 
-// ---------------------------------------------------------------------
-// DES pricing of the exchange.
-// ---------------------------------------------------------------------
-
-/// What a DES-priced exchange cost on the virtual timeline.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GhostDesReport {
-    /// Virtual seconds from first pack to last unpack.
-    pub makespan: f64,
-    /// Bytes / messages charged to the network.
-    pub comm: CommStats,
-    /// Busy fraction of the machine during the exchange.
-    pub utilization: f64,
-}
-
-impl MetricSource for GhostDesReport {
-    fn register_metrics(&self, prefix: &str, registry: &mut MetricsRegistry) {
-        registry.set_f64(format!("{prefix}.makespan_s"), self.makespan);
-        registry.set_f64(format!("{prefix}.utilization"), self.utilization);
-        self.comm.register_metrics(&format!("{prefix}.comm"), registry);
-    }
-}
-
-/// Calibrated pack/unpack cost: a bucket-gather copy per particle.
-const GHOST_PACK_S_PER_PARTICLE: f64 = 50e-9;
-
-/// Prices a materialized ghost layer through the machine model: each
-/// zone is packed on its source box's rank (cost ∝ particles), injected
-/// through the NIC (`bytes × byte_time + latency`, charged to
-/// [`Sim::comm`]), and unpacked on the destination rank. Boxes are
-/// placed round-robin over ranks, so any multi-box forest on a
-/// multi-rank machine puts real bytes on the wire. Spans land on the
-/// virtual timeline via the simulator's telemetry handle.
-pub fn des_ghost_exchange(
-    layer: &GhostLayer,
-    machine: MachineSpec,
-    telemetry: Telemetry,
-) -> GhostDesReport {
-    #[derive(Clone, Copy)]
-    enum Ev {
-        Packed(usize),
-        Arrived(usize),
-        Unpacked,
-    }
-    let mut sim: Sim<Ev> = Sim::new(machine);
-    sim.telemetry = telemetry;
-    let n_ranks = sim.n_ranks().max(1) as usize;
-    let rank_of = move |b: usize| (b % n_ranks) as u32;
-    for (zi, z) in layer.zones.iter().enumerate() {
-        let cost = z.particles.len() as f64 * GHOST_PACK_S_PER_PARTICLE;
-        sim.spawn(rank_of(z.src), Phase::LeafSharing, cost, Ev::Packed(zi));
-    }
-    sim.run(|sim, ev| match ev {
-        Ev::Packed(zi) => {
-            let z = &layer.zones[zi];
-            sim.send(rank_of(z.src), rank_of(z.dst), z.bytes(), Ev::Arrived(zi));
-        }
-        Ev::Arrived(zi) => {
-            let z = &layer.zones[zi];
-            let cost = z.particles.len() as f64 * GHOST_PACK_S_PER_PARTICLE;
-            sim.spawn(rank_of(z.dst), Phase::CacheInsertion, cost, Ev::Unpacked);
-        }
-        Ev::Unpacked => {}
-    });
-    GhostDesReport { makespan: sim.makespan(), comm: sim.comm, utilization: sim.utilization() }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -983,13 +879,13 @@ mod tests {
         assert_eq!(boxes[0].lo, Vec3::ZERO);
         assert_eq!(boxes[1].lo, Vec3::new(1.0, 0.0, 0.0));
         assert_eq!(boxes[2].lo, Vec3::new(0.0, 1.0, 0.0));
-        assert_eq!(spec.assign(Vec3::new(0.5, 0.5, 0.5), &boxes), 0);
-        assert_eq!(spec.assign(Vec3::new(1.5, 0.5, 0.5), &boxes), 1);
-        assert_eq!(spec.assign(Vec3::new(0.5, 1.5, 0.5), &boxes), 2);
-        assert_eq!(spec.assign(Vec3::new(1.5, 1.5, 0.5), &boxes), 3);
+        assert_eq!(spec.assign(Vec3::new(0.5, 0.5, 0.5)), 0);
+        assert_eq!(spec.assign(Vec3::new(1.5, 0.5, 0.5)), 1);
+        assert_eq!(spec.assign(Vec3::new(0.5, 1.5, 0.5)), 2);
+        assert_eq!(spec.assign(Vec3::new(1.5, 1.5, 0.5)), 3);
         // Out-of-grid positions clamp to the nearest tile.
-        assert_eq!(spec.assign(Vec3::new(-3.0, 0.5, 0.5), &boxes), 0);
-        assert_eq!(spec.assign(Vec3::new(9.0, 9.0, 0.5), &boxes), 3);
+        assert_eq!(spec.assign(Vec3::new(-3.0, 0.5, 0.5)), 0);
+        assert_eq!(spec.assign(Vec3::new(9.0, 9.0, 0.5)), 3);
     }
 
     #[test]
@@ -1336,18 +1232,12 @@ mod tests {
     }
 
     #[test]
-    fn des_exchange_charges_the_comm_timeline() {
-        let cfg = config(TreeType::Octree);
-        let ps = gen::tiled_plummer(800, [2, 1, 1], 5, 1.0, 1.0);
-        let spec = DomainSpec::tiled([2, 1, 1], 1.0, false);
-        let f = decompose_forest(ps, &cfg, &spec);
-        let trees = f.build_trees::<CountData>(&cfg, false);
-        let layer = exchange_ghosts(&f, &trees, 0.1, &Telemetry::disabled());
-        let report = des_ghost_exchange(&layer, MachineSpec::test(2, 2), Telemetry::disabled());
-        assert!(report.comm.bytes > 0, "inter-rank zones must put bytes on the wire");
-        assert!(report.comm.messages > 0);
-        assert!(report.makespan > 0.0);
-        assert_eq!(report.comm.bytes, layer.stats.bytes);
+    #[should_panic(expected = "(id 11) has a non-finite position")]
+    fn a_nan_position_panics_naming_its_particle() {
+        let mut ps = gen::tiled_plummer(400, [2, 1, 1], 3, 1.0, 1.0);
+        let i = ps.iter().position(|p| p.id == 11).expect("id 11 exists");
+        ps[i].pos.y = f64::NAN;
+        decompose_forest(ps, &config(TreeType::Octree), &DomainSpec::tiled([2, 1, 1], 1.0, true));
     }
 
     #[test]

@@ -48,8 +48,8 @@ pub use des_engine::{
     sfc_balanced_assignment, DistributedEngine, IterationReport, RecoveryStats, DES_FLIGHT_SERIES,
 };
 pub use forest::{
-    decompose_forest, des_ghost_exchange, enforce_seam_balance, exchange_ghosts, DomainSpec,
-    Forest, ForestStats, GhostDesReport, GhostLayer, GhostRoute, GhostStats, GhostZone,
+    decompose_forest, enforce_seam_balance, exchange_ghosts, DomainSpec, Forest, ForestStats,
+    GhostLayer, GhostRoute, GhostStats, GhostZone,
 };
 pub use framework::{Framework, SnapshotHook, StepReport};
 pub use maintain::{MaintainRound, TreeMaintainer, UpdateTotals};

@@ -70,7 +70,7 @@ proptest! {
         for (bi, d) in f.decomps.iter().enumerate() {
             for s in &d.subtrees {
                 for p in &s.particles {
-                    prop_assert_eq!(f.spec.assign(p.pos, &f.boxes), bi);
+                    prop_assert_eq!(f.spec.assign(p.pos), bi);
                 }
             }
         }

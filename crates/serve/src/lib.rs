@@ -8,10 +8,11 @@
 //! threads answers kNN / ball / range / raycast query streams from
 //! simulated clients. The pieces:
 //!
-//! * [`snapshot`] — epoch-stamped RCU-style publication: the writer
-//!   swaps freshly flattened arenas into a fixed [`SnapshotRing`];
-//!   readers pin an epoch on entry and never observe a torn or freed
-//!   snapshot (pins gate slot reuse, `Arc`s gate memory lifetime).
+//! * [`snapshot`] — epoch-stamped publication: the writer swaps
+//!   freshly flattened arenas into a fixed [`SnapshotRing`] of
+//!   mutex-guarded slots; readers pin an epoch by cloning its `Arc`
+//!   under the slot's lock and never observe a torn or freed snapshot
+//!   (the `Arc` count gates slot reuse and memory lifetime).
 //! * [`request`] — the query/response vocabulary and the pure
 //!   [`execute_batch`] kernel, batched by entry subtree so queries
 //!   descending the same Subtree run back-to-back.

@@ -1,29 +1,21 @@
-//! Epoch-stamped RCU-style snapshot publication.
+//! Epoch-stamped snapshot publication.
 //!
 //! The serving layer's writer thread advances the live tree and hands
 //! each iteration's flattened forest to a [`SnapshotRing`]; reader
-//! (worker) threads answer queries against [`PinnedSnapshot`]s. The
-//! protocol is read-copy-update over a fixed ring of slots:
+//! (worker) threads answer queries against [`PinnedSnapshot`]s. Each
+//! ring slot is a mutex around an `Arc<SnapshotData>`, and a reader
+//! clones that `Arc` only under the slot's lock, so the `Arc`'s strong
+//! count minus the ring's own reference is the number of live pins:
 //!
-//! * **publish** (single writer): pick the next slot round-robin, mark
-//!   it retired, wait for its pin count to drain to zero, replace its
-//!   data, stamp the new epoch, then advance the published head.
-//! * **pin** (any reader): load the head epoch, increment the target
-//!   slot's pin count, then *validate* that the slot still carries that
-//!   epoch. On a mismatch (the writer lapped us) unpin and retry.
+//! * **publish** (single writer): lock the next slot round-robin; while
+//!   a reader still holds its snapshot, unlock, yield and re-lock; then
+//!   replace the payload, unlock, and advance the published head.
+//! * **pin** (any reader): load the head epoch, lock that epoch's slot,
+//!   and clone its `Arc` if the snapshot there carries the head epoch.
+//!   On a mismatch (the writer lapped us) retry.
 //!
-//! Safety argument (all operations are `SeqCst`): the reader's
-//! pin-increment and epoch-validate bracket its access to the slot's
-//! data; the writer's retire-store and pin-drain bracket its write. In
-//! the SeqCst total order either the reader's increment precedes the
-//! writer's drain-load — the writer sees the pin and waits — or the
-//! writer's retire-store precedes the reader's validate-load — the
-//! reader sees the retired mark and retries. No interleaving lets a
-//! reader touch a slot the writer is mutating. On top of that, the slot
-//! holds an `Arc<SnapshotData>`: a pinned reader clones it, so even
-//! after the slot is recycled the arenas a reader works against cannot
-//! be freed under it — epoch pins bound *slot reuse*, the `Arc` bounds
-//! *memory lifetime*, and the drop-probe tests assert both.
+//! The `Arc` also bounds *memory lifetime*: a pinned snapshot's arenas
+//! cannot be freed under its reader. The drop-probe tests assert both.
 //!
 //! Backpressure: a reader that holds a pin for longer than
 //! `capacity - 1` publications forces the writer to stall at the
@@ -33,13 +25,11 @@
 use paratreet_geometry::BoundingBox;
 use paratreet_telemetry::metrics::{MetricSource, MetricsRegistry};
 use paratreet_tree::{BuiltTree, Data};
-use std::cell::UnsafeCell;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Sentinel for "no epoch": the head before the first publication, and
-/// the retired mark a slot carries while the writer replaces its data.
+/// Sentinel for "no epoch": the head before the first publication.
 const NO_EPOCH: u64 = u64::MAX;
 
 /// One published forest: everything a query needs, immutable once
@@ -85,18 +75,9 @@ impl<D: Data> Drop for SnapshotData<D> {
     }
 }
 
-/// One ring slot. `data` is only touched by the writer after the slot
-/// is retired and drained, and by readers between a successful
-/// pin-validate and the corresponding unpin — see the module docs.
-struct Slot<D: Data> {
-    epoch: AtomicU64,
-    pins: AtomicUsize,
-    data: UnsafeCell<Option<Arc<SnapshotData<D>>>>,
-}
-
-// The pin/retire protocol serialises all access to `data` (module
-// docs); every other field is atomic.
-unsafe impl<D: Data> Sync for Slot<D> {}
+/// One ring slot: the snapshot it holds, if any. Readers clone the
+/// `Arc` only under the lock (module docs).
+type Slot<D> = Mutex<Option<Arc<SnapshotData<D>>>>;
 
 /// Counters describing a ring's life so far.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -141,17 +122,8 @@ impl<D: Data> SnapshotRing<D> {
     /// An empty ring with `capacity` slots (min 2: the head slot plus
     /// one the writer can prepare).
     pub fn new(capacity: usize) -> Arc<SnapshotRing<D>> {
-        let capacity = capacity.max(2);
-        let slots = (0..capacity)
-            .map(|_| Slot {
-                epoch: AtomicU64::new(NO_EPOCH),
-                pins: AtomicUsize::new(0),
-                data: UnsafeCell::new(None),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Arc::new(SnapshotRing {
-            slots,
+            slots: (0..capacity.max(2)).map(|_| Mutex::new(None)).collect(),
             head: AtomicU64::new(NO_EPOCH),
             writer: Mutex::new(()),
             published: AtomicU64::new(0),
@@ -174,6 +146,13 @@ impl<D: Data> SnapshotRing<D> {
         }
     }
 
+    /// Locks the slot `epoch` maps to. A panic while holding a slot
+    /// lock cannot leave the `Option` half-written, so poison is moot.
+    fn slot(&self, epoch: u64) -> MutexGuard<'_, Option<Arc<SnapshotData<D>>>> {
+        let slot = &self.slots[(epoch % self.slots.len() as u64) as usize];
+        slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Publishes the next snapshot; returns its epoch. See
     /// [`SnapshotRing::publish_with`] for the protocol.
     pub fn publish(&self, trees: Vec<BuiltTree<D>>, universe: BoundingBox) -> u64 {
@@ -187,30 +166,29 @@ impl<D: Data> SnapshotRing<D> {
         let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         let head = self.head.load(SeqCst);
         let epoch = if head == NO_EPOCH { 0 } else { head + 1 };
-        let slot = &self.slots[(epoch % self.slots.len() as u64) as usize];
+        let fresh = Arc::new(make(epoch));
+        assert_eq!(fresh.epoch, epoch, "a snapshot must carry the epoch it is published at");
 
-        // Retire the slot first: readers racing us on a stale head now
-        // fail their validate and retry against the real head.
-        slot.epoch.store(NO_EPOCH, SeqCst);
+        // New clones happen only under the slot lock, so while we hold
+        // it the strong count can only fall; above 1 a reader pins it.
+        let mut slot = self.slot(epoch);
         let mut stalled = false;
-        while slot.pins.load(SeqCst) != 0 {
+        while slot.as_ref().is_some_and(|old| Arc::strong_count(old) > 1) {
             if !stalled {
                 stalled = true;
                 self.writer_stalls.fetch_add(1, SeqCst);
             }
+            drop(slot);
             std::thread::yield_now();
+            slot = self.slot(epoch);
         }
-
-        // Drained: no reader holds the slot and none can re-pin it (the
-        // head no longer names it, and its epoch is retired).
-        let fresh = Arc::new(make(epoch));
-        let old = unsafe { (*slot.data.get()).replace(fresh) };
+        let old = slot.replace(fresh);
+        drop(slot);
         if old.is_some() {
             self.reclaimed.fetch_add(1, SeqCst);
         }
-        drop(old); // arenas free here unless a pinned reader still holds a clone
+        drop(old); // the arenas free here: no reader held a clone
 
-        slot.epoch.store(epoch, SeqCst);
         self.head.store(epoch, SeqCst);
         self.published.fetch_add(1, SeqCst);
         epoch
@@ -219,28 +197,15 @@ impl<D: Data> SnapshotRing<D> {
     /// Pins the latest published snapshot, or `None` before the first
     /// publish. The returned guard keeps the snapshot's slot from being
     /// recycled (and, via its `Arc`, the arenas alive) until dropped.
-    pub fn pin(self: &Arc<Self>) -> Option<PinnedSnapshot<D>> {
+    pub fn pin(&self) -> Option<PinnedSnapshot<D>> {
         loop {
             let epoch = self.head.load(SeqCst);
             if epoch == NO_EPOCH {
                 return None;
             }
-            let idx = (epoch % self.slots.len() as u64) as usize;
-            let slot = &self.slots[idx];
-            slot.pins.fetch_add(1, SeqCst);
-            if slot.epoch.load(SeqCst) == epoch {
-                // Validated while pinned: the writer cannot be inside
-                // this slot (module docs), so the Arc clone is safe.
-                let data = unsafe {
-                    (*slot.data.get()).as_ref().expect("validated slot holds data").clone()
-                };
-                return Some(PinnedSnapshot {
-                    ring: Arc::clone(self),
-                    slot: idx,
-                    data: Some(data),
-                });
+            if let Some(data) = self.slot(epoch).as_ref().filter(|d| d.epoch == epoch) {
+                return Some(PinnedSnapshot(Arc::clone(data)));
             }
-            slot.pins.fetch_sub(1, SeqCst);
             self.pin_retries.fetch_add(1, SeqCst);
         }
     }
@@ -257,32 +222,20 @@ impl<D: Data> SnapshotRing<D> {
 }
 
 /// A reader's lease on one snapshot. Dereferences to [`SnapshotData`];
-/// dropping it releases the Arc first, then the slot pin, so "pinned"
-/// always implies "arenas alive".
-pub struct PinnedSnapshot<D: Data> {
-    ring: Arc<SnapshotRing<D>>,
-    slot: usize,
-    data: Option<Arc<SnapshotData<D>>>,
-}
+/// while it lives, the ring cannot recycle the snapshot's slot.
+pub struct PinnedSnapshot<D: Data>(Arc<SnapshotData<D>>);
 
 impl<D: Data> PinnedSnapshot<D> {
     /// The pinned epoch.
     pub fn epoch(&self) -> u64 {
-        self.data.as_ref().expect("held until drop").epoch
+        self.0.epoch
     }
 }
 
 impl<D: Data> Deref for PinnedSnapshot<D> {
     type Target = SnapshotData<D>;
     fn deref(&self) -> &SnapshotData<D> {
-        self.data.as_ref().expect("held until drop")
-    }
-}
-
-impl<D: Data> Drop for PinnedSnapshot<D> {
-    fn drop(&mut self) {
-        self.data.take(); // release the Arc before the pin
-        self.ring.slots[self.slot].pins.fetch_sub(1, SeqCst);
+        &self.0
     }
 }
 

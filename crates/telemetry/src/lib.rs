@@ -7,8 +7,8 @@
 //!
 //! * [`Telemetry`] — the cheap cloneable handle engines carry. Enabled,
 //!   it records spans and counts into a [`recorder::ShardedRecorder`]
-//!   (one buffer per worker, atomic-swap drain — the same wait-free
-//!   discipline as the software cache). Disabled, every call is an
+//!   (one mutex-guarded buffer per worker shard, so writers on
+//!   different shards never contend). Disabled, every call is an
 //!   inlined branch on a `None`.
 //! * [`MetricsRegistry`] — named counters/gauges that absorb the
 //!   workspace's stats structs ([`MetricSource`]), so reports are
@@ -37,7 +37,7 @@ pub use metrics::{MetricSource, MetricValue, MetricsRegistry};
 pub use span::{ClockDomain, Span, SpanLink, Trace, Track};
 pub use timeseries::{FlightRecorder, TimeSeries};
 
-use recorder::{Recorder, ShardedRecorder};
+use recorder::ShardedRecorder;
 use std::sync::Arc;
 
 /// The handle instrumented code holds. Cloning is cheap (an `Arc` when

@@ -1,18 +1,14 @@
 //! Recorders: where instrumented code deposits spans and counts.
 //!
-//! The workhorse is [`ShardedRecorder`]: one buffer per worker shard,
-//! single swap-in/swap-out on the record path, atomic-swap drain — the
-//! same wait-free discipline as the software cache itself. A writer
-//! never blocks on another writer or on a drain; a drain never blocks a
-//! writer. The rare race (a drain swapping a fresh buffer in while a
-//! writer holds the shard's buffer) is resolved by moving the displaced
-//! buffer to a mutex-protected overflow list, touched only on that
-//! race.
+//! [`ShardedRecorder`] keeps one mutex-guarded buffer per worker shard.
+//! A writer locks its own shard and pushes; a drain takes each shard's
+//! buffer under that shard's lock. The first `n_shards` writer threads
+//! get a shard each, so the record path's lock is uncontended. No event
+//! is lost, and one writer's events stay in push order.
 
 use crate::span::{ClockDomain, Span, Trace};
 use std::collections::BTreeMap;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -22,17 +18,6 @@ use std::time::Instant;
 enum Event {
     Span(Span),
     Count(&'static str, u64),
-}
-
-/// Anything that can absorb telemetry events. The sharded recorder is
-/// the real implementation; tests may substitute their own.
-pub trait Recorder: Send + Sync {
-    /// Records a completed span.
-    fn record_span(&self, span: Span);
-    /// Adds `delta` to the named counter.
-    fn add_count(&self, name: &'static str, delta: u64);
-    /// Takes everything recorded so far, leaving the recorder empty.
-    fn drain(&self) -> Trace;
 }
 
 /// Distinguishes recorder instances in the thread-local slot cache.
@@ -45,20 +30,15 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-type Buffer = Vec<Event>;
-
-/// Lock-free sharded recorder. See module docs for the discipline.
+/// Sharded recorder. See module docs for the discipline.
 #[derive(Debug)]
 pub struct ShardedRecorder {
     /// This instance's id in the thread-local slot cache.
     id: usize,
     /// Hands out dense per-recorder thread slots (0, 1, 2, …).
     next_slot: AtomicUsize,
-    /// Per-shard buffers. A null slot means the owning writer is
-    /// momentarily holding the buffer to push into it.
-    shards: Vec<AtomicPtr<Buffer>>,
-    /// Buffers displaced by a drain racing a writer.
-    overflow: Mutex<Vec<Buffer>>,
+    /// Per-shard buffers.
+    shards: Vec<Mutex<Vec<Event>>>,
     /// Wall-clock epoch for `now_us`.
     epoch: Instant,
     clock: ClockDomain,
@@ -70,14 +50,10 @@ pub struct ShardedRecorder {
 impl ShardedRecorder {
     /// A recorder with `n_shards` buffers stamping `clock` timestamps.
     pub fn new(n_shards: usize, clock: ClockDomain) -> ShardedRecorder {
-        let n = n_shards.max(1);
         ShardedRecorder {
             id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
             next_slot: AtomicUsize::new(0),
-            shards: (0..n)
-                .map(|_| AtomicPtr::new(Box::into_raw(Box::new(Buffer::new()))))
-                .collect(),
-            overflow: Mutex::new(Vec::new()),
+            shards: (0..n_shards.max(1)).map(|_| Mutex::new(Vec::new())).collect(),
             epoch: Instant::now(),
             clock,
             next_span_id: AtomicU64::new(1),
@@ -96,9 +72,7 @@ impl ShardedRecorder {
 
     /// The calling thread's dense slot for this recorder, assigned on
     /// first use. The first `n_shards` writer threads get exclusive
-    /// shards (the single-writer case the ordering guarantee needs);
-    /// later threads wrap around, which stays correct but may interleave
-    /// buffers.
+    /// shards; later threads wrap around and share a shard's lock.
     pub fn thread_slot(&self) -> usize {
         SLOTS.with(|slots| {
             let mut slots = slots.borrow_mut();
@@ -122,58 +96,26 @@ impl ShardedRecorder {
     }
 
     fn record(&self, ev: Event) {
-        let slot = &self.shards[self.thread_slot() % self.shards.len()];
-        // Take the shard's buffer (or start a fresh one if a concurrent
-        // writer on the same shard holds it).
-        let taken = slot.swap(ptr::null_mut(), Ordering::AcqRel);
-        let mut buf = if taken.is_null() {
-            Box::new(Buffer::new())
-        } else {
-            // Safety: a non-null pointer in a slot is exclusively owned
-            // by whoever swapped it out; it originated in Box::into_raw.
-            unsafe { Box::from_raw(taken) }
-        };
-        buf.push(ev);
-        // Put it back. If a drain (or a same-shard writer) installed a
-        // buffer meanwhile, move the displaced one to overflow so no
-        // event is ever lost.
-        let displaced = slot.swap(Box::into_raw(buf), Ordering::AcqRel);
-        if !displaced.is_null() {
-            // Safety: same ownership argument as above.
-            let displaced = unsafe { Box::from_raw(displaced) };
-            if !displaced.is_empty() {
-                self.overflow.lock().expect("overflow lock").push(*displaced);
-            }
-        }
+        let shard = &self.shards[self.thread_slot() % self.shards.len()];
+        shard.lock().expect("recorder shard lock").push(ev);
     }
-}
 
-impl Recorder for ShardedRecorder {
-    fn record_span(&self, span: Span) {
+    /// Records a completed span.
+    pub fn record_span(&self, span: Span) {
         self.record(Event::Span(span));
     }
 
-    fn add_count(&self, name: &'static str, delta: u64) {
+    /// Adds `delta` to the named counter.
+    pub fn add_count(&self, name: &'static str, delta: u64) {
         self.record(Event::Count(name, delta));
     }
 
-    fn drain(&self) -> Trace {
-        let mut buffers: Vec<Buffer> =
-            std::mem::take(&mut *self.overflow.lock().expect("overflow lock"));
-        for slot in &self.shards {
-            let fresh = Box::into_raw(Box::new(Buffer::new()));
-            let taken = slot.swap(fresh, Ordering::AcqRel);
-            if !taken.is_null() {
-                // Safety: exclusively owned once swapped out.
-                buffers.push(*unsafe { Box::from_raw(taken) });
-            }
-            // A null slot means a writer holds that buffer right now; its
-            // events surface in the next drain (callers drain at quiesce
-            // points, where every slot is populated).
-        }
+    /// Takes everything recorded so far, leaving the recorder empty.
+    pub fn drain(&self) -> Trace {
         let mut spans = Vec::new();
         let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for buf in buffers {
+        for shard in &self.shards {
+            let buf = std::mem::take(&mut *shard.lock().expect("recorder shard lock"));
             for ev in buf {
                 match ev {
                     Event::Span(s) => spans.push(s),
@@ -182,18 +124,6 @@ impl Recorder for ShardedRecorder {
             }
         }
         Trace { clock: self.clock, spans, counters }
-    }
-}
-
-impl Drop for ShardedRecorder {
-    fn drop(&mut self) {
-        for slot in &self.shards {
-            let p = slot.swap(ptr::null_mut(), Ordering::AcqRel);
-            if !p.is_null() {
-                // Safety: drop has exclusive access to self.
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
     }
 }
 

@@ -88,11 +88,10 @@ CONFIGURATION:
                        serve-bench)                        [32]
   --dt T               timestep (gravity/sph/disk)         [auto]
 
-ENGINE (gravity: all three; fof: shared | machine; others: shared):
+ENGINE (gravity: all three; others: shared):
   --engine KIND        shared | threaded | machine         [shared]
   --ranks N            ranks for threaded/machine engines  [2]
-  --workers N          workers per rank (gravity threaded,
-                       fof machine)                        [2]
+  --workers N          workers per rank (gravity threaded) [2]
 
 INCREMENTAL TREE MAINTENANCE (gravity/sph/disk on the shared engine;
 serve-bench always maintains and reads the tuning below):
@@ -227,7 +226,7 @@ const APPS: &[App] = &[
     App {
         name: "fof",
         options: &[WORKLOAD, TREE, &["periodic", "link", "min-members"], OBSERVE],
-        engines: &[("shared", &[]), ("machine", &[&["ranks", "workers"]])],
+        engines: SHARED_ONLY,
         refuses: &[],
         run: run_fof,
     },
@@ -853,12 +852,10 @@ fn run_serve_bench(opts: &Opts) {
 
 /// Friends-of-friends halo finding over a tiled forest: decompose per
 /// box, balance the seams, exchange ghost layers at the linking length,
-/// link with the dual-tree pass, and merge halos across boxes. The
-/// machine engine additionally prices the exchange through the DES comm
-/// model (`ghost.des.*` metrics, virtual-time spans).
+/// link with the dual-tree pass, and merge halos across boxes.
 fn run_fof(opts: &Opts) {
     use paratreet::core_api::{
-        decompose_forest, des_ghost_exchange, enforce_seam_balance, exchange_ghosts, DomainSpec,
+        decompose_forest, enforce_seam_balance, exchange_ghosts, DomainSpec,
     };
     use paratreet_apps::fof::{link_forest, FofParams};
 
@@ -874,12 +871,11 @@ fn run_fof(opts: &Opts) {
         link = 0.2 * (volume / n.max(1) as f64).cbrt();
     }
     let params = FofParams { link, min_members: opts.get("min-members", 8usize) };
-    let machine_engine = opts.str("engine") == Some("machine");
-    let out = Outputs::new(opts, machine_engine, 0, &[], 0);
+    let out = Outputs::new(opts, false, 0, &[], 0);
 
     let t0 = std::time::Instant::now();
     let forest = decompose_forest(particles, &config, &spec);
-    let mut trees = forest.build_trees::<CountData>(&config, !machine_engine);
+    let mut trees = forest.build_trees::<CountData>(&config, true);
     let seam_splits = enforce_seam_balance(
         &mut trees,
         &forest.boxes,
@@ -900,18 +896,6 @@ fn run_fof(opts: &Opts) {
     metrics.absorb("fof", &catalog);
     metrics.set_f64("fof.link", link);
     metrics.set_f64("fof.elapsed_s", elapsed);
-    if machine_engine {
-        let machine = MachineSpec::test(opts.get("ranks", 2usize), opts.get("workers", 2usize));
-        let report = des_ghost_exchange(&layer, machine, out.telemetry.clone());
-        metrics.absorb("ghost.des", &report);
-        println!(
-            "ghost DES: {} messages, {} bytes, makespan {:.3} ms, utilization {:.0}%",
-            report.comm.messages,
-            report.comm.bytes,
-            report.makespan * 1e3,
-            report.utilization * 100.0
-        );
-    }
     println!(
         "fof: {} boxes, {} routes, {} seam splits; {} ghosts ({} bytes); \
          {} halos (largest {}, grouped {}/{}) with link {:.4} in {:.3} s",

@@ -53,6 +53,7 @@ fn option_the_app_does_not_read_is_rejected_by_name() {
         (&["gravity", "--engine", "machine", "--workers", "3"], "--workers"),
         (&["fof", "--iterations", "2"], "--iterations"),
         (&["sph", "--engine", "machine", "--theta", "0.1", "--crash-rank", "1"], "machine"),
+        (&["fof", "--particles", "200", "--engine", "machine"], "machine"),
         (&["gravity", "--engine", "machine", "--incremental", "true"], "--incremental"),
         (&["gravity", "--engine", "threaded", "--inc-alpha", "0.6"], "--inc-alpha"),
     ] {

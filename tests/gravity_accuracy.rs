@@ -296,3 +296,13 @@ fn bucket_kernels_keep_every_bit_of_the_per_pair_step() {
         }
     }
 }
+
+/// A non-finite position stops the step naming the particle; it never
+/// comes back as non-finite forces over a collapsed tree.
+#[test]
+#[should_panic(expected = "particle 7 (id 7) has a non-finite position")]
+fn a_nan_position_panics_naming_its_index() {
+    let mut ps = gen::uniform_cube(2000, 3, 1.0, 1.0);
+    ps[7].pos.x = f64::NAN;
+    tree_gravity(ps, Configuration::default(), 0.7, TraversalKind::TopDown);
+}
