@@ -579,17 +579,8 @@ impl<'a, V: Visitor> Run<'a, V> {
 /// `stage` is 0 for setup complete (decompose + build + sharing) and 1
 /// for the finished iteration; timestamps are virtual microseconds, so
 /// a given workload and seed produce a byte-identical series.
-/// `update_migrated` is always 0 (this engine maintains no tree); the
-/// column stays so the series keeps the shape recorded runs have.
-pub const DES_FLIGHT_SERIES: &[&str] = &[
-    "stage",
-    "busy_s",
-    "busy_frac",
-    "comm_messages",
-    "comm_bytes",
-    "fetch_retries",
-    "update_migrated",
-];
+pub const DES_FLIGHT_SERIES: &[&str] =
+    &["stage", "busy_s", "busy_frac", "comm_messages", "comm_bytes", "fetch_retries"];
 
 /// The distributed engine. See module docs.
 pub struct DistributedEngine<'v, V: Visitor> {
@@ -780,7 +771,6 @@ impl<'v, V: Visitor> DistributedEngine<'v, V> {
                     sim.comm.messages as f64,
                     sim.comm.bytes as f64,
                     fetch_retries as f64,
-                    0.0,
                 ],
             );
         }

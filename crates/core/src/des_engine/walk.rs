@@ -8,7 +8,7 @@
 use super::{Ev, Run, Sim};
 use crate::config::TraversalKind;
 use crate::traversal::{
-    drain, seed_items, CacheModel, PendingFetch, TargetsOf, WorkCounts, WorkStack,
+    drain, resume, seed_items, CacheModel, PendingFetch, TargetsOf, WorkCounts, WorkStack,
 };
 use crate::visitor::Visitor;
 use paratreet_cache::{CacheError, NodeHandle, RequestOutcome};
@@ -41,7 +41,8 @@ pub(super) struct PartState<V: Visitor> {
     pub(super) targets: TargetsOf<V>,
     stack: WorkStack<V::Data>,
     /// Bucket sets of the items parked on a fetch, by awaited key. A
-    /// parked item owns its copy; the fill hands back the node.
+    /// batch drains on past its fetches, so a parked item owns its copy;
+    /// the fill hands back the node.
     paused: HashMap<NodeKey, Vec<Vec<u32>>>,
     outstanding: usize,
     /// Work batches spawned whose `PartWorkDone` has not fired yet.
@@ -202,6 +203,7 @@ impl<V: Visitor> Run<'_, V> {
         let (rank, cache_idx) =
             (self.parts[part as usize].rank, self.parts[part as usize].cache_idx);
         let cache = &self.front.caches[cache_idx as usize];
+        let kind = self.engine.kind;
         self.parts[part as usize].in_flight -= 1;
         let mut rerun = false;
         for (key, buckets) in fetches {
@@ -237,6 +239,7 @@ impl<V: Visitor> Run<'_, V> {
             match ready {
                 Some(n) => {
                     ps.stack.push(n.handle(), &buckets);
+                    resume::<V>(cache, kind, &ps.targets, &mut ps.stack, n.handle());
                     rerun = true;
                 }
                 None => {
@@ -333,17 +336,18 @@ impl<V: Visitor> Run<'_, V> {
     }
 
     /// A paused partition's resumption task completed: its items parked
-    /// on `node`'s key go back on its stack at `node`.
+    /// on `node`'s key go back on its stack and resume at `node`.
     pub(super) fn on_resumed(&mut self, sim: &mut Sim<V>, part: u32, pe: u32, node: Handle<V>) {
         if pe != self.part_epoch[part as usize] {
             return self.discard();
         }
         let ps = &mut self.parts[part as usize];
-        let key = self.front.caches[ps.cache_idx as usize].node(node).key;
-        let Some(items) = ps.paused.remove(&key) else { return };
+        let cache = &self.front.caches[ps.cache_idx as usize];
+        let Some(items) = ps.paused.remove(&cache.node(node).key) else { return };
         for buckets in items {
             ps.outstanding -= 1;
             ps.stack.push(node, &buckets);
+            resume::<V>(cache, self.engine.kind, &ps.targets, &mut ps.stack, node);
         }
         ps.resumed_once = true;
         sim.post(Ev::PartRun { part, pe });

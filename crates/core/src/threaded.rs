@@ -24,14 +24,15 @@
 //!   insert tasks;
 //! * partitions are chares: a partition task runs until it finishes or
 //!   reaches its first unmaterialised node. It then parks whole on that
-//!   one key while the rank's workers turn to its other Partitions, and
-//!   the fill re-enqueues it with the node on top of its stack — where
-//!   the shared-memory engine's stack holds that node's children — so
-//!   every bucket meets its nodes in the shared-memory engine's order.
+//!   one key, the item that hit the placeholder left on top of its
+//!   stack, while the rank's workers turn to its other Partitions; the
+//!   fill re-enqueues it, and it [`resume`]s that item at the node the
+//!   fill brought — so every bucket meets its nodes in the shared-memory
+//!   engine's order.
 
 use crate::config::{Configuration, TraversalKind};
 use crate::pipeline::Iteration;
-use crate::traversal::{drain, seed_items, Apply, TargetsOf, WorkCounts, WorkStack};
+use crate::traversal::{drain, resume, seed_items, Apply, TargetsOf, WorkCounts, WorkStack};
 use crate::visitor::Visitor;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use paratreet_cache::stats::CacheStatsSnapshot;
@@ -71,20 +72,21 @@ struct PartState<V: Visitor> {
 }
 
 /// A partition's entry in its rank's table: the state it parked with and
-/// the one fetch that will release it.
+/// the one key whose fill releases it. The item that hit the key's
+/// placeholder waits on top of the parked state's stack.
 struct Parked<V: Visitor> {
     /// The partition state while it is parked.
     state: Option<Box<PartState<V>>>,
-    /// The awaited key and the buckets that opened its placeholder.
-    waiting: Option<(NodeKey, Vec<u32>)>,
+    /// The awaited key, from parking until the re-enqueued partition runs.
+    waiting: Option<NodeKey>,
     /// The fill landed after the request but before the partition
-    /// parked: it resumes itself at this node instead of parking.
-    released: Option<NodeHandle<V::Data>>,
+    /// parked: it resumes itself instead of parking.
+    released: bool,
 }
 
 impl<V: Visitor> Default for Parked<V> {
     fn default() -> Self {
-        Parked { state: None, waiting: None, released: None }
+        Parked { state: None, waiting: None, released: false }
     }
 }
 
@@ -100,6 +102,7 @@ struct RankShared<V: Visitor> {
     /// Partitions not yet finished, across the whole machine.
     remaining: Arc<AtomicUsize>,
     fetch_depth: u32,
+    kind: TraversalKind,
 }
 
 /// Outcome of a threaded iteration.
@@ -246,6 +249,7 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
                     parked: Mutex::new(HashMap::new()),
                     remaining: remaining.clone(),
                     fetch_depth: config.fetch_depth,
+                    kind,
                 })
             })
             .collect();
@@ -416,8 +420,7 @@ impl Drop for WakeOnExit {
 /// Inserts a fill and releases every partition it unblocks. A fill may
 /// materialise several keys at once, and a partition waits on at most
 /// one of them: a parked partition goes back to the workers, one still
-/// on its way to parking finds `released` set and resumes itself. Each
-/// resumes at the node the fill hands back for its key.
+/// on its way to parking finds `released` set and resumes itself.
 fn handle_fill<V: Visitor>(shared: &RankShared<V>, bytes: &[u8]) {
     let outcome = match shared.cache.insert_fragment(bytes) {
         Ok(o) => o,
@@ -429,37 +432,29 @@ fn handle_fill<V: Visitor>(shared: &RankShared<V>, bytes: &[u8]) {
         }
     };
     let mut parked = shared.parked.lock();
-    for ((_, waiter), node) in outcome.resumed.into_iter().zip(outcome.resumed_at) {
+    for (_, waiter) in outcome.resumed {
         let entry = parked.entry(waiter as u32).or_default();
-        let Some(mut state) = entry.state.take() else {
-            entry.released = Some(node);
+        let Some(state) = entry.state.take() else {
+            entry.released = true;
             continue;
         };
-        resume(&mut state, entry, node);
         if shared.tasks.send(Task::RunPartition(state)).is_err() {
             debug_assert!(false, "workers gone while partitions still parked");
         }
     }
 }
 
-/// Puts `node`, which stands where a released partition waited, back on
-/// top of its stack with the buckets that opened its placeholder.
-fn resume<V: Visitor>(state: &mut PartState<V>, entry: &mut Parked<V>, node: NodeHandle<V::Data>) {
-    let (_, buckets) = entry.waiting.take().expect("a released partition waits on one key");
-    state.stack.push(node, &buckets);
-}
-
-/// Asks the cache for the placeholder partition `id` stopped at: the
-/// materialised node if a fill got there first; otherwise `id` is now a
-/// waiter on `key` and the fetch is on its way (`None`).
+/// Asks the cache for the placeholder partition `id` stopped at: true if
+/// a fill got there first; otherwise `id` is now a waiter on `key` and
+/// the fetch is on its way.
 fn request<V: Visitor>(
     shared: &RankShared<V>,
     id: u32,
     key: NodeKey,
     placeholder: NodeHandle<V::Data>,
-) -> Option<NodeHandle<V::Data>> {
+) -> bool {
     match shared.cache.request(shared.cache.node(placeholder), id as u64) {
-        RequestOutcome::Ready(node) => return Some(node.handle()),
+        RequestOutcome::Ready(_) => return true,
         RequestOutcome::SendFetch { home_rank } => {
             let request = Msg::Request { key, reply_to: shared.rank };
             if shared.net[home_rank as usize].send(request).is_err() {
@@ -468,26 +463,31 @@ fn request<V: Visitor>(
         }
         RequestOutcome::InFlight => {}
     }
-    None
+    false
 }
 
 /// Parks `ps` on `key` until the fill [`request`] registered it for
 /// lands — or, if it already has, hands `ps` back to run on.
 fn park<V: Visitor>(
     shared: &RankShared<V>,
-    mut ps: Box<PartState<V>>,
+    ps: Box<PartState<V>>,
     key: NodeKey,
-    buckets: Vec<u32>,
 ) -> Option<Box<PartState<V>>> {
     let mut parked = shared.parked.lock();
     let entry = parked.entry(ps.id).or_default();
-    entry.waiting = Some((key, buckets));
-    if let Some(node) = entry.released.take() {
-        resume(&mut ps, entry, node);
+    if std::mem::take(&mut entry.released) {
         return Some(ps);
     }
+    entry.waiting = Some(key);
     entry.state = Some(ps);
     None
+}
+
+/// Resumes the item `ps` left on top of its stack at the node now
+/// standing at `key`.
+fn resume_at<V: Visitor>(shared: &RankShared<V>, ps: &mut PartState<V>, key: NodeKey) {
+    let node = shared.cache.find(key).expect("the skeleton holds every awaited key");
+    resume::<V>(&shared.cache, shared.kind, &ps.targets, &mut ps.stack, node.handle());
 }
 
 /// What every rank's partition table holds — the explanation attached
@@ -499,7 +499,7 @@ fn dump_parked<V: Visitor>(shared: &[Arc<RankShared<V>>]) -> String {
         let mut ids: Vec<&u32> = parked.keys().collect();
         ids.sort();
         for id in ids {
-            if let Some((key, _)) = &parked[id].waiting {
+            if let Some(key) = &parked[id].waiting {
                 out.push_str(&format!("  rank {} partition {id}: waiting on {key}\n", s.rank));
             }
         }
@@ -512,13 +512,18 @@ fn dump_parked<V: Visitor>(shared: &[Arc<RankShared<V>>]) -> String {
 
 /// Runs a partition until it finishes (returned) or parks (None). The
 /// walk stops at the partition's first surrendered fetch, so nothing
-/// overtakes the item that fetch belongs to.
+/// overtakes the item that fetch belongs to; a partition a fill
+/// re-enqueued resumes that item first.
 fn run_partition<V: Visitor>(
     shared: &RankShared<V>,
     visitor: &V,
     mut ps: Box<PartState<V>>,
 ) -> Option<Box<PartState<V>>> {
+    let mut waited = shared.parked.lock().get_mut(&ps.id).and_then(|e| e.waiting.take());
     loop {
+        if let Some(key) = waited {
+            resume_at(shared, &mut ps, key);
+        }
         let mut stopped = None;
         let state = &mut *ps;
         state.counts += drain(
@@ -527,16 +532,18 @@ fn run_partition<V: Visitor>(
             Apply::Runs,
             &mut state.targets,
             &mut state.stack,
-            |fetch, buckets| {
-                stopped = Some((fetch, buckets.to_vec()));
+            |fetch, _| {
+                stopped = Some(fetch);
                 ControlFlow::Break(())
             },
         );
-        let Some((fetch, buckets)) = stopped else { return Some(ps) };
-        match request(shared, ps.id, fetch.key, fetch.node) {
-            Some(node) => ps.stack.push(node, &buckets),
-            None => ps = park(shared, ps, fetch.key, buckets)?,
+        let Some(fetch) = stopped else { return Some(ps) };
+        let (key, placeholder) = (fetch.key, fetch.node);
+        ps.stack.park(fetch);
+        if !request(shared, ps.id, key, placeholder) {
+            ps = park(shared, ps, key)?;
         }
+        waited = Some(key);
     }
 }
 
@@ -599,30 +606,35 @@ mod tests {
             parked: Mutex::new(HashMap::new()),
             remaining: Arc::new(AtomicUsize::new(1)),
             fetch_depth: config().fetch_depth,
+            kind: TraversalKind::TopDown,
         };
         let placeholder = shared.cache.find(key).expect("skeleton holds every subtree root");
         assert!(placeholder.is_placeholder());
         let placeholder = placeholder.handle();
-        let ps = Box::new(PartState::<OpenAll> {
+        let mut ps = Box::new(PartState::<OpenAll> {
             id: 0,
             targets: front.targets(&OpenAll, 0),
             stack: WorkStack::new(),
             counts: WorkCounts::default(),
         });
+        // Buckets 0 and 1 opened the placeholder: their item waits there.
+        ps.stack.push(placeholder, &[0, 1]);
         (HandOff { shared, tasks, net, key, placeholder, fill }, ps)
     }
 
     impl HandOff {
         /// The partition's request goes out, registering it as a waiter.
         fn request(&self) {
-            assert!(request(&self.shared, 0, self.key, self.placeholder).is_none());
+            assert!(!request(&self.shared, 0, self.key, self.placeholder));
             let sent = self.net.try_recv();
             assert!(matches!(sent, Ok(Msg::Request { key, reply_to: 0 }) if key == self.key));
         }
 
-        /// The node the partition resumes at: the fill's, with the
-        /// buckets it parked with.
+        /// The partition resumes its parked item at the fill's node,
+        /// with the buckets it parked with, and leaves its table entry
+        /// empty.
         fn assert_resumed(&self, mut ps: Box<PartState<OpenAll>>) {
+            resume_at(&self.shared, &mut ps, self.key);
             assert_eq!(ps.stack.len(), 1, "one item resumes");
             let item = ps.stack.pop().expect("one item");
             let node = self.shared.cache.node(item.node);
@@ -631,7 +643,7 @@ mod tests {
             assert_eq!(ps.stack.buckets(item.buckets), [0, 1]);
             let parked = self.shared.parked.lock();
             let entry = &parked[&0];
-            assert!(entry.state.is_none() && entry.waiting.is_none() && entry.released.is_none());
+            assert!(entry.state.is_none() && entry.waiting.is_none() && !entry.released);
         }
     }
 
@@ -643,8 +655,8 @@ mod tests {
         let (h, ps) = hand_off();
         h.request();
         handle_fill(&h.shared, &h.fill);
-        assert!(h.shared.parked.lock()[&0].released.is_some());
-        let ps = park(&h.shared, ps, h.key, vec![0, 1]).expect("released: it runs on");
+        assert!(h.shared.parked.lock()[&0].released);
+        let ps = park(&h.shared, ps, h.key).expect("released: it runs on");
         assert!(h.tasks.try_recv().is_err(), "a running partition is not re-enqueued");
         h.assert_resumed(ps);
     }
@@ -655,11 +667,14 @@ mod tests {
     fn fill_after_the_partition_parks_re_enqueues_it_once() {
         let (h, ps) = hand_off();
         h.request();
-        assert!(park(&h.shared, ps, h.key, vec![0, 1]).is_none(), "nothing released yet");
+        assert!(park(&h.shared, ps, h.key).is_none(), "nothing released yet");
         handle_fill(&h.shared, &h.fill);
         handle_fill(&h.shared, &h.fill);
         let Ok(Task::RunPartition(ps)) = h.tasks.try_recv() else { panic!("not re-enqueued") };
         assert!(h.tasks.try_recv().is_err(), "re-enqueued exactly once");
+        // What the re-enqueued run takes first: the key it waited on.
+        let waited = h.shared.parked.lock().get_mut(&0).and_then(|e| e.waiting.take());
+        assert_eq!(waited, Some(h.key));
         h.assert_resumed(ps);
     }
 }

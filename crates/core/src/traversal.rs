@@ -32,7 +32,10 @@
 //! buckets cannot proceed; the item is surrendered as a
 //! [`PendingFetch`] and the executor decides what to do — the
 //! shared-memory engine treats it as a bug (everything is local), the
-//! distributed engine turns it into a cache request.
+//! message engines turn it into a cache request and, once the fill has
+//! landed, [`resume`] the item at the node it brought. A placeholder
+//! counts only the work its fill's node does not do again, so every
+//! engine reports the shared-memory engine's [`WorkCounts`].
 
 use crate::config::TraversalKind;
 use crate::pipeline::Targets;
@@ -73,13 +76,12 @@ impl CacheModel {
 
 /// Interaction counters for one traversal. These are exact algorithmic
 /// quantities, and double as the cost basis for the virtual-time machine
-/// model. They are identical across executors for visitors whose `open`
-/// reads no bucket state (gravity, collision); a state-dependent `open`
-/// (k-NN's heap bound) tightens in whatever order the executor's pauses
-/// leave, so its counts depend on the schedule. The message engines
-/// re-open a resumed placeholder: the item that hit it and the item
-/// that resumes at the fetched node both count toward `nodes_visited`
-/// and `opens`, so those two exceed the shared-memory engine's there.
+/// model. Every executor meets each bucket's nodes in the shared-memory
+/// engine's order (the DES's unordered TopDown and BasicDfs batches run
+/// only visitors whose `open` reads no bucket state), so all four are
+/// identical across executors, k-NN up-and-down included. A placeholder
+/// the message engines meet counts only what its fill's node does not
+/// evaluate again (see [`process_item`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkCounts {
     /// Work items processed: one per (node, group of buckets) the walk
@@ -158,18 +160,19 @@ pub struct WorkItem<D> {
 }
 
 /// A work item that hit a placeholder: the executor must fetch `key`
-/// and re-enqueue the buckets when the fill lands.
+/// and [`resume`] the buckets when the fill lands.
 #[derive(Clone, Copy, Debug)]
 pub struct PendingFetch<D> {
     /// Key of the remote node.
     pub key: NodeKey,
     /// The placeholder node (carries `home_rank` and the request flag).
     pub node: NodeHandle<D>,
-    /// Buckets that opened the placeholder. The range is readable only
-    /// until the stack's next [`WorkStack::pop`] reclaims it: an
-    /// executor that parks the fetch copies it out first
-    /// ([`WorkStack::buckets`]) and [`WorkStack::push`]es the copy back
-    /// on resume.
+    /// Buckets that opened the placeholder: the range at the top of the
+    /// stack's scratch, readable until the next [`WorkStack::pop`]
+    /// reclaims it. An executor that stops at the fetch keeps it there
+    /// ([`WorkStack::park`]); one that drains on past it (the DES's
+    /// unordered batches) copies it out ([`WorkStack::buckets`]) and
+    /// [`WorkStack::push`]es the copy back on resume.
     pub buckets: BucketRange,
 }
 
@@ -178,10 +181,11 @@ pub struct PendingFetch<D> {
 ///
 /// Invariant: from the bottom of the stack to the top, range ends never
 /// decrease, and no range reaches past the end of the scratch. Children
-/// are pushed with a range written above their parent's, resumed items
-/// with a fresh range at the very top, so popping an item may cut the
-/// scratch back to that item's range end: whatever lies above belonged
-/// to descendants of siblings popped earlier, all of them finished.
+/// are pushed with a range written above their parent's, parked and
+/// resumed items with the range at the very top, so popping an item may
+/// cut the scratch back to that item's range end: whatever lies above
+/// belonged to descendants of siblings popped earlier, all of them
+/// finished.
 #[derive(Debug)]
 pub struct WorkStack<D> {
     items: Vec<WorkItem<D>>,
@@ -200,17 +204,38 @@ impl<D> WorkStack<D> {
         WorkStack::default()
     }
 
-    /// Pushes an item that owns a fresh copy of `buckets` (a resumed
-    /// fetch: its old range is long reclaimed).
+    /// Pushes an item that owns a fresh copy of `buckets` (a fetch
+    /// parked by copy: its old range is long reclaimed).
     pub fn push(&mut self, node: NodeHandle<D>, buckets: &[u32]) {
         let range = self.append(buckets.iter().copied());
         self.items.push(WorkItem { node, buckets: range });
+    }
+
+    /// Puts the item [`drain`] just surrendered as `fetch` back on top,
+    /// at its placeholder, to wait there for [`resume`]: nothing has
+    /// popped since, so its range is still the top of the scratch.
+    pub fn park(&mut self, fetch: PendingFetch<D>) {
+        debug_assert_eq!(fetch.buckets.span().end, self.scratch.len(), "parked range on top");
+        self.items.push(WorkItem { node: fetch.node, buckets: fetch.buckets });
     }
 
     /// Writes `buckets` at the top of the scratch as a fresh range.
     fn append(&mut self, buckets: impl IntoIterator<Item = u32>) -> BucketRange {
         let start = self.scratch.len();
         self.scratch.extend(buckets);
+        BucketRange::new(start, self.scratch.len() - start)
+    }
+
+    /// Copies the entries of `range` that `keep` accepts to the top of the
+    /// scratch as a fresh range.
+    fn append_from(&mut self, range: BucketRange, keep: impl Fn(u32) -> bool) -> BucketRange {
+        let start = self.scratch.len();
+        for i in range.span() {
+            let b = self.scratch[i];
+            if keep(b) {
+                self.scratch.push(b);
+            }
+        }
         BucketRange::new(start, self.scratch.len() - start)
     }
 
@@ -324,6 +349,12 @@ impl<'a, V: Visitor> Runs<'a, V> {
 /// reverse slot order, so the LIFO stack pops slot 0 first) and
 /// surrendering placeholder hits to `fetches`. `item` must be the item
 /// just popped from `stack`.
+///
+/// A placeholder counts only what is not evaluated again: the `open`s of
+/// the buckets that prune it, and its own visit only when no bucket
+/// opens it. The buckets that open it meet its fill's node in their
+/// stead — or, on a cut up-and-down seed path, the walk passes through
+/// that node unvisited, as the shared-memory engine's seed walk does.
 #[allow(clippy::too_many_arguments)]
 pub fn process_item<V: Visitor>(
     cache: &CacheTree<V::Data>,
@@ -378,6 +409,8 @@ pub fn process_item<V: Visitor>(
         return;
     }
     if node.kind == NodeKind::Placeholder {
+        counts.nodes_visited -= 1;
+        counts.opens -= opened.len as u64;
         fetches.push(PendingFetch { key: node.key, node: item.node, buckets: opened });
     } else {
         // Reverse slot order: a LIFO stack then visits children
@@ -421,7 +454,8 @@ pub fn seed_items<V: Visitor>(
             while start < buckets.len() {
                 let p = parent(start);
                 let end = (start..buckets.len()).find(|&b| parent(b) != p).unwrap_or(buckets.len());
-                seed_sibling_group(cache, root, p, buckets, start..end, &mut stack);
+                let group = stack.append(start as u32..end as u32);
+                seed_sibling_group(cache, root, p, buckets, group, &mut stack);
                 start = end;
             }
         }
@@ -578,39 +612,39 @@ fn traverse_dual<V: Visitor>(
     counts
 }
 
-/// Up-and-down seeds for one sibling group: the adjacent buckets `group`
-/// of a Partition, whose leaves share the parent `parent`. Walk the path
-/// root → parent; emit, for every ancestor, its non-path children
-/// carrying the whole group; then each child of the parent carrying the
-/// group minus the buckets whose own leaf it is; and each bucket's own
-/// leaf last, as a one-bucket item. A LIFO stack then hands every bucket
-/// what a walk of its own would: its leaf first, then its siblings in
-/// slot order, then progressively farther subtrees, deepest level first.
-/// If the walk hits a placeholder (the leaves live under unfetched remote
-/// data), the placeholder itself is emitted as the group's final, nearest
-/// item.
+/// Up-and-down seeds for one sibling group: the buckets `group` (the range
+/// at the top of the scratch) of a Partition, whose leaves share the
+/// parent `parent`. Walk the path `from` → parent, where `from` is the
+/// root or, resuming a cut walk, the node a fill brought; emit, for every
+/// node on the path, its non-path children carrying the whole group;
+/// then each child of the parent carrying the group minus the buckets
+/// whose own leaf it is; and each bucket's own leaf last, as a one-bucket
+/// item. A LIFO stack then hands every bucket what a walk of its own
+/// would: its leaf first, then its siblings in slot order, then
+/// progressively farther subtrees, deepest level first. If the walk hits
+/// a placeholder (the leaves live under unfetched remote data), the
+/// placeholder itself is emitted as the group's final, nearest item.
 ///
 /// Every range is written at the top of the scratch in push order (a
 /// child that carries the whole group after one that did not gets a
 /// fresh copy), which keeps [`WorkStack`]'s "range ends never decrease".
 fn seed_sibling_group<D: paratreet_tree::Data, S, T>(
     cache: &CacheTree<D>,
-    root: &CacheNode<D>,
+    from: &CacheNode<D>,
     parent: NodeKey,
     buckets: &[TargetBucket<S, T>],
-    group: Range<usize>,
+    mut group: BucketRange,
     stack: &mut WorkStack<D>,
 ) {
-    let (bits, ids) = (cache.bits, || group.clone().map(|b| b as u32));
-    let mut whole = stack.append(ids());
-    let mut node = root;
+    let bits = cache.bits;
+    let mut node = from;
     let mut level = node.key.level(bits);
     while node.key != parent && node.kind == NodeKind::Internal {
         level += 1;
         let path_slot = parent.ancestor_at(level, bits).child_index(bits);
         for i in (0..8).rev().filter(|&i| i != path_slot) {
             if let Some(c) = node.child(i) {
-                stack.items.push(WorkItem { node: c, buckets: whole });
+                stack.items.push(WorkItem { node: c, buckets: group });
             }
         }
         match cache.child(node, path_slot) {
@@ -620,29 +654,59 @@ fn seed_sibling_group<D: paratreet_tree::Data, S, T>(
     }
     if node.kind != NodeKind::Internal {
         // A placeholder (or a leaf) covers the parent: nearest item.
-        stack.items.push(WorkItem { node: node.handle(), buckets: whole });
+        stack.items.push(WorkItem { node: node.handle(), buckets: group });
         return;
     }
     for i in (0..8).rev() {
         let Some(c) = cache.child(node, i) else { continue };
-        let own = |b: usize| buckets[b].leaf_key == c.key;
-        let carried = if group.clone().any(own) {
-            stack.append(group.clone().filter(|&b| !own(b)).map(|b| b as u32))
+        let own = |b: u32| buckets[b as usize].leaf_key == c.key;
+        let carried = if stack.buckets(group).iter().any(|&b| own(b)) {
+            stack.append_from(group, |b| !own(b))
         } else {
-            if whole.span().end < stack.scratch.len() {
-                whole = stack.append(ids());
+            if group.span().end < stack.scratch.len() {
+                group = stack.append_from(group, |_| true);
             }
-            whole
+            group
         };
         if carried.len > 0 {
             stack.items.push(WorkItem { node: c.handle(), buckets: carried });
         }
     }
-    for b in group {
-        if let Some(leaf) = node.child(buckets[b].leaf_key.child_index(bits)) {
-            let one = stack.append([b as u32]);
+    for i in group.span() {
+        let b = stack.scratch[i];
+        if let Some(leaf) = node.child(buckets[b as usize].leaf_key.child_index(bits)) {
+            let one = stack.append([b]);
             stack.items.push(WorkItem { node: leaf, buckets: one });
         }
+    }
+}
+
+/// Resumes the item waiting on top of `stack` — one that stopped at a
+/// placeholder, its range still the top of the scratch — at `node`, what
+/// the placeholder's fill brought at its key. Both message engines
+/// resume through this one rule. Under up-and-down, a node that is its
+/// buckets' leaf parent or an ancestor of it was cut from their sibling
+/// group's seed walk: the walk continues from it and seeds what the
+/// shared-memory engine's walk seeded below it. Any other node takes the
+/// item's place.
+pub fn resume<V: Visitor>(
+    cache: &CacheTree<V::Data>,
+    kind: TraversalKind,
+    targets: &TargetsOf<V>,
+    stack: &mut WorkStack<V::Data>,
+    node: NodeHandle<V::Data>,
+) {
+    let item = stack.items.last_mut().expect("an item waits on top of the stack");
+    item.node = node;
+    if kind != TraversalKind::UpAndDown {
+        return;
+    }
+    let (buckets, bits, group) = (targets.buckets(), cache.bits, item.buckets);
+    let parent = buckets[stack.buckets(group)[0] as usize].leaf_key.parent(bits);
+    let from = cache.node(node);
+    if from.key == parent || from.key.is_ancestor_of(parent, bits) {
+        stack.pop();
+        seed_sibling_group(cache, from, parent, buckets, group, stack);
     }
 }
 
@@ -693,7 +757,8 @@ fn seed_up_and_down<D: paratreet_tree::Data>(
 /// [`process_item`] under `apply`, and hand each surrendered fetch to
 /// `surrender` with the buckets that opened the placeholder. That slice
 /// is the fetch's range of the stack's scratch, which the next pop
-/// reclaims: an executor that parks the fetch copies it out here.
+/// reclaims: an executor that drains on past the fetch copies it out
+/// here, one that stops there may [`WorkStack::park`] it instead.
 ///
 /// The walk runs the stack dry, or stops right after a fetch `surrender`
 /// answers with [`ControlFlow::Break`]; the items still stacked are then

@@ -336,6 +336,21 @@ fn k_step_neighbour_counts_match_exactly() {
     }
 }
 
+/// A position that turns non-finite between steps is not maintained:
+/// the universe box does not contain NaN, so `advance` falls back to a
+/// full re-decomposition, and that rejects the particle by name.
+#[test]
+#[should_panic(expected = ") has a non-finite position")]
+fn a_position_turned_non_finite_is_rejected_by_the_fallback() {
+    let cfg = config(true, 0.05);
+    let (mut m, seeded) =
+        TreeMaintainer::<MonoData>::seed(&cfg, gen::plummer(300, 5, 1.0, 1.0), true);
+    let mut master: Vec<Particle> =
+        seeded.iter().flat_map(|t| t.particles.iter().copied()).collect();
+    master[7].pos.y = f64::NAN;
+    m.advance(master);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -34,14 +34,10 @@ pub enum Phase {
     /// Crash recovery: reading checkpoints, rebuilding the dead rank's
     /// subtrees, re-initialising its cache.
     Recovery = 12,
-    /// Incremental tree maintenance: classifying moved particles,
-    /// patching buckets, re-sieving escapees, and re-accumulating
-    /// `Data` along dirty paths instead of a full rebuild.
-    TreeUpdate = 13,
 }
 
 /// Number of phase categories.
-pub const N_PHASES: usize = 14;
+pub const N_PHASES: usize = 13;
 
 impl Phase {
     /// All phases in index order.
@@ -59,7 +55,6 @@ impl Phase {
         Phase::Other,
         Phase::Checkpoint,
         Phase::Recovery,
-        Phase::TreeUpdate,
     ];
 
     /// Stable index (0..[`N_PHASES`]).
@@ -84,7 +79,6 @@ impl Phase {
             Phase::Other => "other",
             Phase::Checkpoint => "checkpoint",
             Phase::Recovery => "recovery",
-            Phase::TreeUpdate => "incremental update",
         }
     }
 }

@@ -201,6 +201,11 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml || bench_st
 cp "$bench_lock" benchmark/Cargo.lock && rm -f "$bench_lock"
 [ "$bench_status" -eq 0 ] || exit "$bench_status"
 
+echo "== results/*.txt are harness output only: no cargo Compiling/Finished/Running line =="
+if grep -nE '^ *(Compiling|Finished|Running) ' results/*.txt; then
+    echo "a results file carries cargo's build lines: regenerate it with scripts/results.sh"; exit 1
+fi
+
 echo "== fig9 smoke (--json) =="
 cargo run --release -q -p paratreet-bench --bin fig9_time_profile -- \
     --particles 2000 --procs 2 --bins 8 --json true > /dev/null
@@ -208,6 +213,23 @@ cargo run --release -q -p paratreet-bench --bin fig9_time_profile -- \
 # Everything the smokes below write lands in one directory.
 smoke_dir=$(mktemp -d /tmp/paratreet-ci-XXXXXX)
 trap 'rm -rf "$smoke_dir"' EXIT
+
+echo "== one answer from three engines: gravity CSVs cmp-equal on every engine, for every traversal kind =="
+# 16 Subtrees and 64 Partitions sit above every engine's
+# over-decomposition floor at 2 ranks, so the three engines decompose
+# alike; from there a placeholder fetched and resumed must change no bit.
+for traversal in top-down basic-dfs up-and-down; do
+    for engine in shared "threaded --ranks 2" "machine --ranks 2"; do
+        # shellcheck disable=SC2086 # the engine's flags split on purpose
+        cargo run --release -q --bin paratreet -- gravity --particles 3000 --dist clustered \
+            --subtrees 16 --partitions 64 --traversal "$traversal" --engine $engine \
+            --csv "$smoke_dir/$traversal-${engine%% *}.csv" > /dev/null
+    done
+    for engine in threaded machine; do
+        cmp "$smoke_dir/$traversal-shared.csv" "$smoke_dir/$traversal-$engine.csv" ||
+            { echo "one-answer smoke: $traversal on $engine differs from shared"; exit 1; }
+    done
+done
 
 echo "== chaos smoke (rank crash mid-traversal recovers) =="
 chaos_metrics="$smoke_dir/chaos.json"

@@ -4,7 +4,7 @@
 //! the strongest exercise of the wait-free cache design.
 
 use paratreet_apps::gravity::{CentroidData, GravityVisitor};
-use paratreet_apps::knn::{KnnData, KnnVisitor};
+use paratreet_apps::knn::{KnnData, KnnState, KnnVisitor};
 use paratreet_core::framework::FLIGHT_SERIES;
 use paratreet_core::{
     CacheModel, Configuration, DistributedEngine, Framework, SpatialNodeView, TargetBucket,
@@ -57,9 +57,13 @@ fn threaded_matches_shared_memory_single_rank() {
 
 #[test]
 fn threaded_matches_shared_memory_multi_rank() {
+    // One answer from three engines: for every traversal kind, the
+    // threaded and DES engines give every force bit and all four work
+    // counts of the shared-memory engine — a placeholder counted once,
+    // a cut up-and-down seed walk continued where its fill landed.
     let ps = gen::clustered(900, 3, 11, 1.0, 1.0);
     let visitor = GravityVisitor::default();
-    for kind in [TraversalKind::TopDown, TraversalKind::BasicDfs] {
+    for kind in [TraversalKind::TopDown, TraversalKind::BasicDfs, TraversalKind::UpAndDown] {
         let mut fw: Framework<CentroidData> = Framework::new(config(), ps.clone());
         let (_, shared) = fw.step(|s| {
             s.traverse(&visitor, kind);
@@ -76,9 +80,15 @@ fn threaded_matches_shared_memory_multi_rank() {
                 "{at}: every parked traversal must resume"
             );
             assert_forces_match(&by_id(rep.particles), &want);
-            // Interaction totals are exact algorithmic quantities.
-            assert_eq!(rep.counts.leaf_interactions, shared.counts.leaf_interactions, "{at}");
-            assert_eq!(rep.counts.node_interactions, shared.counts.node_interactions, "{at}");
+            assert_eq!(rep.counts, shared.counts, "{at}, threaded");
+
+            let machine = MachineSpec::test(ranks, workers);
+            let des =
+                DistributedEngine::new(machine, config(), CacheModel::WaitFree, kind, &visitor)
+                    .run_iteration(ps.clone());
+            assert!(des.cache.requests_sent > 0, "{at}: must fetch remote data");
+            assert_forces_match(&by_id(des.particles), &want);
+            assert_eq!(des.counts, shared.counts, "{at}, DES");
         }
     }
 }
@@ -86,12 +96,11 @@ fn threaded_matches_shared_memory_multi_rank() {
 #[test]
 fn parked_items_resume_with_their_own_bucket_sets() {
     // Work items index one scratch stack per partition, so an item that
-    // parks on a fetch must take a copy of its bucket set with it and
-    // come back with exactly that set. The two schedules that stress
-    // this: BasicDfs parks many single-bucket items on one key, and
-    // UpAndDown parks with live items still stacked, so resumed sets
-    // land above ranges in use. Gravity's `open` ignores bucket state:
-    // interaction totals are exact in both.
+    // parks on a fetch waits on top of that stack and must come back
+    // with exactly its bucket set. The two schedules that stress this:
+    // BasicDfs parks many single-bucket items on one key, and UpAndDown
+    // parks with live items still stacked and resumes a cut seed walk
+    // into several items above them.
     let ps = gen::clustered(900, 3, 11, 1.0, 1.0);
     let visitor = GravityVisitor::default();
     for kind in [TraversalKind::BasicDfs, TraversalKind::UpAndDown] {
@@ -104,20 +113,8 @@ fn parked_items_resume_with_their_own_bucket_sets() {
         let rep = ThreadedEngine::new(config(), 3, 2, &visitor).run_iteration(ps.clone(), kind);
         assert!(rep.cache.waiters_parked > 0, "{kind:?}: some item must park");
         assert_eq!(rep.cache.waiters_parked, rep.cache.waiters_resumed, "{kind:?}");
-        assert_eq!(rep.counts.leaf_interactions, shared.counts.leaf_interactions, "{kind:?}");
-        assert_eq!(rep.counts.node_interactions, shared.counts.node_interactions, "{kind:?}");
-        let got = by_id(rep.particles);
-        if kind == TraversalKind::BasicDfs {
-            assert_forces_match(&got, &want);
-            continue;
-        }
-        // A seed path cut by a remote placeholder gives other up-and-down
-        // seed items than the shared engine's, so a target's sums arrive
-        // in another order: equal up to rounding only.
-        for (a, b) in got.iter().zip(&want) {
-            let denom = b.acc.norm().max(1e-30);
-            assert!((a.acc - b.acc).norm() / denom < 1e-9, "particle {} differs", a.id);
-        }
+        assert_eq!(rep.counts, shared.counts, "{kind:?}");
+        assert_forces_match(&by_id(rep.particles), &want);
     }
 }
 
@@ -138,25 +135,62 @@ fn threaded_is_repeatable() {
     }
 }
 
+/// kNN that writes each target's neighbour list, as a digest of its
+/// sorted `(distance, id)` pairs, into the particle's `potential`: what
+/// write-back returns from any engine is then its neighbour lists.
+struct KnnDigest(KnnVisitor);
+
+impl Visitor for KnnDigest {
+    type Data = KnnData;
+    type State = KnnState;
+    type Prepared = ();
+    type PerTarget = ();
+    fn prepare(&self, _: &SpatialNodeView<'_, KnnData>) {}
+    fn open(&self, s: &SpatialNodeView<'_, KnnData>, _: &(), t: &TargetBucket<KnnState>) -> bool {
+        self.0.open(s, &(), t)
+    }
+    fn node(&self, _: &SpatialNodeView<'_, KnnData>, _: &(), _: &mut TargetSpan<'_, KnnState>) {}
+    fn leaf(&self, s: &SpatialNodeView<'_, KnnData>, _: &(), t: &mut TargetSpan<'_, KnnState>) {
+        self.0.leaf(s, &(), t);
+        let mut digests = Vec::new();
+        for (_, bucket) in t.buckets() {
+            for heap in &bucket.state.heaps {
+                let mut digest = 0xcbf2_9ce4_8422_2325u64;
+                for c in heap.clone().into_sorted() {
+                    for word in [c.dist_sq.to_bits(), c.id] {
+                        digest = (digest ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                }
+                digests.push((digest >> 11) as f64);
+            }
+        }
+        for (p, digest) in t.particles_mut().iter_mut().zip(digests) {
+            p.potential = digest;
+        }
+    }
+}
+
 #[test]
 fn threaded_knn_up_and_down_completes() {
     // kNN on the threaded engine: ordered pauses across real channels.
+    // A Partition parks whole and resumes a cut seed walk where the
+    // shared-memory engine's walk went on, so every bucket's bound
+    // tightens in the same order: the same work, the same neighbours.
     let ps = gen::uniform_cube(400, 5, 1.0, 1.0);
-    let visitor = KnnVisitor { k: 8 };
-    let engine: ThreadedEngine<KnnVisitor> = ThreadedEngine::new(config(), 2, 2, &visitor);
+    let visitor = KnnDigest(KnnVisitor { k: 8 });
+    let engine = ThreadedEngine::new(config(), 2, 2, &visitor);
     let rep = engine.run_iteration(ps.clone(), TraversalKind::UpAndDown);
-    assert_eq!(rep.particles.len(), ps.len());
-    // kNN pruning bounds are dynamic, so the exact work count is
-    // schedule-dependent (pauses reorder processing and therefore when
-    // bounds tighten). What must hold: the traversal completes, offers
-    // at least enough candidates to fill every heap, and never does
-    // less exact work than the tightest (sequential) schedule.
+    assert!(rep.cache.waiters_parked > 0, "some item must park");
     let mut fw: Framework<KnnData> = Framework::new(config(), ps.clone());
-    let (_, r) = fw.step(|s| {
+    let (_, shared) = fw.step(|s| {
         s.traverse(&visitor, TraversalKind::UpAndDown);
     });
-    assert!(rep.counts.leaf_interactions >= r.counts.leaf_interactions);
+    assert_eq!(rep.counts, shared.counts);
     assert!(rep.counts.leaf_interactions >= (ps.len() * 8) as u64);
+    let digests = |ps: Vec<Particle>| by_id(ps).iter().map(|p| p.potential.to_bits()).collect();
+    let want: Vec<u64> = digests(fw.particles().to_vec());
+    assert!(want.iter().all(|&d| d != 0), "every particle has neighbours");
+    assert_eq!(digests(rep.particles), want);
 }
 
 #[test]
