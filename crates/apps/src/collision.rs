@@ -22,6 +22,7 @@ use paratreet_particles::gen::G;
 use paratreet_particles::Particle;
 use paratreet_tree::data::wire;
 use paratreet_tree::Data;
+use std::collections::HashMap;
 
 /// Combined per-node state for the disk application: gravity moments
 /// plus the bounds collision sweeps need.
@@ -125,7 +126,8 @@ pub struct CollisionEvent {
 }
 
 /// Collision-detection visitor: swept-sphere pair tests at leaves,
-/// swept-box overlap pruning above (the "finite radius" test of §IV-A).
+/// swept-box overlap pruning above (the "finite radius" test of §IV-A)
+/// and, inside a leaf pair, per target body (DESIGN §5d).
 pub struct CollisionVisitor {
     /// Timestep over which motion is swept.
     pub dt: f64,
@@ -151,14 +153,21 @@ impl CollisionVisitor {
         }
     }
 
+    /// One body's swept, radius-inflated box. A bucket's box is the
+    /// min/max of its bodies' boxes, so each lies bitwise inside it.
+    /// Rounding is monotone, so taking min/max before `± radius` gives
+    /// the bits taking it after would.
+    fn body_box(p: &Particle, dt: f64) -> BoundingBox {
+        let margin = Vec3::splat(p.radius);
+        let moved = p.pos + p.vel * dt;
+        BoundingBox { lo: p.pos.min(moved) - margin, hi: p.pos.max(moved) + margin }
+    }
+
     /// A bucket's swept, radius-inflated bounding box.
     fn swept_box(particles: &[Particle], dt: f64) -> BoundingBox {
         let mut b = BoundingBox::empty();
         for p in particles {
-            let margin = Vec3::splat(p.radius);
-            b.merge(&BoundingBox::new(p.pos - margin, p.pos + margin));
-            let moved = p.pos + p.vel * dt;
-            b.merge(&BoundingBox::new(moved - margin, moved + margin));
+            b.merge(&Self::body_box(p, dt));
         }
         b
     }
@@ -167,11 +176,22 @@ impl CollisionVisitor {
 impl Visitor for CollisionVisitor {
     type Data = DiskData;
     type State = Vec<CollisionEvent>;
-    type Prepared = ();
+    /// The source's tight box grown by its worst-case sweep and body
+    /// radius: every `open` and `leaf` of the source tests it.
+    type Prepared = BoundingBox;
     /// The bucket's swept box: every `open` of the bucket tests it.
     type PerTarget = BoundingBox;
 
-    fn prepare(&self, _source: &SpatialNodeView<'_, DiskData>) {}
+    fn prepare(&self, source: &SpatialNodeView<'_, DiskData>) -> BoundingBox {
+        if source.data.centroid.sum_mass == 0.0 {
+            return BoundingBox::empty(); // intersects nothing: never opened
+        }
+        let margin = source.data.max_radius + source.data.max_speed * self.dt;
+        let mut src = source.data.centroid.tight_box;
+        src.lo -= Vec3::splat(margin);
+        src.hi += Vec3::splat(margin);
+        src
+    }
 
     fn prepare_target(&self, particles: &[Particle]) -> BoundingBox {
         Self::swept_box(particles, self.dt)
@@ -179,26 +199,17 @@ impl Visitor for CollisionVisitor {
 
     fn open(
         &self,
-        source: &SpatialNodeView<'_, DiskData>,
-        _: &(),
+        _source: &SpatialNodeView<'_, DiskData>,
+        inflated: &BoundingBox,
         target: &TargetBucket<Vec<CollisionEvent>, BoundingBox>,
     ) -> bool {
-        if source.data.centroid.sum_mass == 0.0 {
-            return false;
-        }
-        // Inflate the source's tight box by its worst-case sweep and
-        // body radius; test against the target's swept box.
-        let margin = source.data.max_radius + source.data.max_speed * self.dt;
-        let mut src = source.data.centroid.tight_box;
-        src.lo -= Vec3::splat(margin);
-        src.hi += Vec3::splat(margin);
-        src.intersects(&target.prepared)
+        inflated.intersects(&target.prepared)
     }
 
     fn node(
         &self,
         _s: &SpatialNodeView<'_, DiskData>,
-        _: &(),
+        _: &BoundingBox,
         _t: &mut TargetSpan<'_, Vec<CollisionEvent>, BoundingBox>,
     ) {
         // A pruned subtree cannot collide with these buckets.
@@ -207,11 +218,17 @@ impl Visitor for CollisionVisitor {
     fn leaf(
         &self,
         source: &SpatialNodeView<'_, DiskData>,
-        _: &(),
+        inflated: &BoundingBox,
         targets: &mut TargetSpan<'_, Vec<CollisionEvent>, BoundingBox>,
     ) {
+        // `open`'s box test, applied to single target bodies: a body whose
+        // swept box misses the source's inflated box is in no colliding
+        // pair here.
         for (particles, target) in targets.buckets() {
             for tp in particles {
+                if !inflated.intersects(&Self::body_box(tp, self.dt)) {
+                    continue;
+                }
                 for sp in source.particles {
                     // Each unordered pair is reported once (by its lower id).
                     if sp.id <= tp.id {
@@ -344,36 +361,13 @@ impl DiskSimulation {
         // Only *resolved* events are recorded and returned: a detected
         // pair whose body already merged this step is skipped, and the
         // survivors are re-detected next step if they still overlap.
-        let step_events =
-            if step_events.is_empty() { step_events } else { self.merge(&step_events) };
+        let step_events = if step_events.is_empty() {
+            step_events
+        } else {
+            merge(self.framework.particles_mut(), &step_events)
+        };
         self.events.extend(step_events.iter().copied());
         step_events
-    }
-
-    fn merge(&mut self, events: &[CollisionEvent]) -> Vec<CollisionEvent> {
-        let particles = self.framework.particles_mut();
-        let mut absorbed: Vec<u64> = Vec::new();
-        let mut resolved = Vec::with_capacity(events.len());
-        for ev in events {
-            if absorbed.contains(&ev.a) || absorbed.contains(&ev.b) {
-                continue; // one merger per body per step
-            }
-            let ib = particles.iter().position(|p| p.id == ev.b);
-            let ia = particles.iter().position(|p| p.id == ev.a);
-            if let (Some(ia), Some(ib)) = (ia, ib) {
-                let b = particles[ib];
-                let a = &mut particles[ia];
-                let m = a.mass + b.mass;
-                a.vel = (a.vel * a.mass + b.vel * b.mass) / m;
-                a.pos = (a.pos * a.mass + b.pos * b.mass) / m;
-                a.radius = (a.radius.powi(3) + b.radius.powi(3)).cbrt();
-                a.mass = m;
-                absorbed.push(ev.b);
-                resolved.push(*ev);
-            }
-        }
-        particles.retain(|p| !absorbed.contains(&p.id));
-        resolved
     }
 
     /// The collision profile over the recorded events.
@@ -384,6 +378,34 @@ impl DiskSimulation {
         }
         prof
     }
+}
+
+/// Resolves `events` in order by perfect merger: `b` joins `a` unless
+/// either was absorbed earlier in the list (one merger per absorbed body
+/// per step; a body that absorbs may absorb again). Returns the events
+/// resolved and drops the absorbed bodies, in O(bodies + events).
+fn merge(particles: &mut Vec<Particle>, events: &[CollisionEvent]) -> Vec<CollisionEvent> {
+    let index: HashMap<u64, usize> = particles.iter().enumerate().map(|(i, p)| (p.id, i)).collect();
+    let mut absorbed = vec![false; particles.len()];
+    let mut resolved = Vec::with_capacity(events.len());
+    for ev in events {
+        let (Some(&ia), Some(&ib)) = (index.get(&ev.a), index.get(&ev.b)) else { continue };
+        if absorbed[ia] || absorbed[ib] {
+            continue;
+        }
+        let b = particles[ib];
+        let a = &mut particles[ia];
+        let m = a.mass + b.mass;
+        a.vel = (a.vel * a.mass + b.vel * b.mass) / m;
+        a.pos = (a.pos * a.mass + b.pos * b.mass) / m;
+        a.radius = (a.radius.powi(3) + b.radius.powi(3)).cbrt();
+        a.mass = m;
+        absorbed[ib] = true;
+        resolved.push(*ev);
+    }
+    let mut kept = absorbed.iter().map(|&gone| !gone);
+    particles.retain(|_| kept.next().expect("one flag per body"));
+    resolved
 }
 
 #[cfg(test)]
@@ -595,6 +617,253 @@ mod tests {
         for p in sim.framework.particles().iter().filter(|p| p.id >= 2) {
             let r = (p.pos.x * p.pos.x + p.pos.y * p.pos.y).sqrt();
             assert!(r > 1.0 && r < 10.0, "planetesimal at r = {r}");
+        }
+    }
+
+    /// The leaf before per-body pruning, kept as the reference the pruned
+    /// one must equal bucket by bucket: every (target, source) pair of an
+    /// opened bucket reaches the closest-approach test.
+    struct UnprunedCollision {
+        dt: f64,
+    }
+
+    impl Visitor for UnprunedCollision {
+        type Data = DiskData;
+        type State = Vec<CollisionEvent>;
+        type Prepared = ();
+        type PerTarget = BoundingBox;
+
+        fn prepare(&self, _source: &SpatialNodeView<'_, DiskData>) {}
+
+        fn prepare_target(&self, particles: &[Particle]) -> BoundingBox {
+            let mut b = BoundingBox::empty();
+            for p in particles {
+                let margin = Vec3::splat(p.radius);
+                b.merge(&BoundingBox::new(p.pos - margin, p.pos + margin));
+                let moved = p.pos + p.vel * self.dt;
+                b.merge(&BoundingBox::new(moved - margin, moved + margin));
+            }
+            b
+        }
+
+        fn open(
+            &self,
+            source: &SpatialNodeView<'_, DiskData>,
+            _: &(),
+            target: &TargetBucket<Vec<CollisionEvent>, BoundingBox>,
+        ) -> bool {
+            if source.data.centroid.sum_mass == 0.0 {
+                return false;
+            }
+            let margin = source.data.max_radius + source.data.max_speed * self.dt;
+            let mut src = source.data.centroid.tight_box;
+            src.lo -= Vec3::splat(margin);
+            src.hi += Vec3::splat(margin);
+            src.intersects(&target.prepared)
+        }
+
+        fn node(
+            &self,
+            _s: &SpatialNodeView<'_, DiskData>,
+            _: &(),
+            _t: &mut TargetSpan<'_, Vec<CollisionEvent>, BoundingBox>,
+        ) {
+        }
+
+        fn leaf(
+            &self,
+            source: &SpatialNodeView<'_, DiskData>,
+            _: &(),
+            targets: &mut TargetSpan<'_, Vec<CollisionEvent>, BoundingBox>,
+        ) {
+            for (particles, target) in targets.buckets() {
+                for tp in particles {
+                    for sp in source.particles {
+                        if sp.id <= tp.id {
+                            continue;
+                        }
+                        if let Some((t, radius)) = CollisionVisitor::pair_collides(tp, sp, self.dt)
+                        {
+                            target.state.push(CollisionEvent { a: tp.id, b: sp.id, t, radius });
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A disk whose bodies are `scale` times their physical size, so
+    /// neighbouring orbits overlap and a step detects many collisions.
+    fn inflated_disk(n: usize, seed: u64, scale: f64) -> Vec<Particle> {
+        let mut params = DiskParams::default();
+        params.body_radius *= scale;
+        gen::keplerian_disk(n, seed, params)
+    }
+
+    fn disk_config(tree_type: TreeType, bucket_size: usize) -> Configuration {
+        Configuration {
+            tree_type,
+            decomp_type: paratreet_core::DecompType::LongestDim,
+            bucket_size,
+            n_subtrees: 8,
+            n_partitions: 8,
+            ..Default::default()
+        }
+    }
+
+    /// Every event of one collision traversal, in (a, b) order.
+    fn traversal_events(fw: &mut Framework<DiskData>, dt: f64) -> Vec<CollisionEvent> {
+        let (mut evs, _) = fw.step(|step| {
+            let (states, _) = step.traverse(&CollisionVisitor { dt }, TraversalKind::TopDown);
+            states.into_iter().flatten().collect::<Vec<_>>()
+        });
+        evs.sort_by_key(|e| (e.a, e.b));
+        evs
+    }
+
+    /// Every colliding pair by brute force, tested as the leaf tests it
+    /// (lower id first), in (a, b) order.
+    fn brute_force_events(ps: &[Particle], dt: f64) -> Vec<CollisionEvent> {
+        let mut by_id = ps.to_vec();
+        by_id.sort_by_key(|p| p.id);
+        let mut evs = Vec::new();
+        for (i, a) in by_id.iter().enumerate() {
+            for b in &by_id[i + 1..] {
+                if let Some((t, radius)) = CollisionVisitor::pair_collides(a, b, dt) {
+                    evs.push(CollisionEvent { a: a.id, b: b.id, t, radius });
+                }
+            }
+        }
+        evs
+    }
+
+    #[test]
+    fn pruned_leaf_matches_brute_force_on_every_tree() {
+        let ps = inflated_disk(1500, 5, 2e5);
+        let period = orbital_period(2.0, 1.0);
+        for tree_type in [TreeType::LongestDim, TreeType::Octree, TreeType::KdTree] {
+            for dt in [period / 200.0, period / 20.0] {
+                let expect = brute_force_events(&ps, dt);
+                assert!(expect.len() > 20, "too few collisions to test: {}", expect.len());
+                let mut fw = Framework::new(disk_config(tree_type, 16), ps.clone());
+                assert_eq!(traversal_events(&mut fw, dt), expect, "{tree_type:?}, dt {dt}");
+            }
+        }
+        // A maintained tree patched over a few drifts: buckets no longer
+        // tight around their bodies, leaves of uneven size.
+        let mut config = disk_config(TreeType::LongestDim, 16);
+        config.incremental.enabled = true;
+        let dt = period / 100.0;
+        let mut fw = Framework::new(config, ps);
+        for _ in 0..4 {
+            for p in fw.particles_mut().iter_mut() {
+                p.pos += p.vel * dt;
+            }
+            let expect = brute_force_events(fw.particles(), dt);
+            assert_eq!(traversal_events(&mut fw, dt), expect, "maintained tree");
+        }
+    }
+
+    #[test]
+    fn pruned_leaf_keeps_each_buckets_event_order() {
+        // Small and large leaves: the kept source list is rebuilt per bucket.
+        let ps = inflated_disk(2000, 8, 1e5);
+        let dt = orbital_period(2.0, 1.0) / 50.0;
+        for bucket_size in [16, 150] {
+            let mut fw = Framework::new(disk_config(TreeType::LongestDim, bucket_size), ps.clone());
+            let (pruned, unpruned) = fw
+                .step(|step| {
+                    let kind = TraversalKind::TopDown;
+                    let (pruned, _) = step.traverse(&CollisionVisitor { dt }, kind);
+                    let (unpruned, _) = step.traverse(&UnprunedCollision { dt }, kind);
+                    (pruned, unpruned)
+                })
+                .0;
+            assert!(pruned.iter().filter(|evs| evs.len() > 1).count() > 10);
+            assert_eq!(pruned, unpruned, "bucket size {bucket_size}");
+        }
+    }
+
+    #[test]
+    fn bodies_touching_at_a_face_are_pair_tested() {
+        // Two leaves of two bodies along x, radius 1/2, at rest: every
+        // coordinate is dyadic. Body 1 (x = 0) and body 2 (x = 1) are
+        // exactly `rsum` apart, body 1's box [-1/2, 1/2] shares the face
+        // x = 1/2 with the source leaf's inflated box [1/2, 9/2]. A strict
+        // comparison in the target skip loses the pair.
+        let body = |id: u64, x: f64| Particle {
+            id,
+            mass: 1.0,
+            pos: Vec3::new(x, 0.0, 0.0),
+            radius: 0.5,
+            ..Particle::default()
+        };
+        let ps = vec![body(0, -3.0), body(1, 0.0), body(2, 1.0), body(3, 4.0)];
+        let config =
+            Configuration { n_subtrees: 1, n_partitions: 1, ..disk_config(TreeType::KdTree, 2) };
+        let mut fw = Framework::new(config, ps);
+        assert_eq!(fw.step(|step| step.bucket_particle_ids()).0, vec![vec![0, 1], vec![2, 3]]);
+        let evs = traversal_events(&mut fw, 1.0);
+        assert_eq!(evs, vec![CollisionEvent { a: 1, b: 2, t: 0.0, radius: 0.0 }]);
+    }
+
+    /// `merge` as it was: a linear scan per id and per absorbed check.
+    fn quadratic_merge(
+        particles: &mut Vec<Particle>,
+        events: &[CollisionEvent],
+    ) -> Vec<CollisionEvent> {
+        let mut absorbed: Vec<u64> = Vec::new();
+        let mut resolved = Vec::with_capacity(events.len());
+        for ev in events {
+            if absorbed.contains(&ev.a) || absorbed.contains(&ev.b) {
+                continue;
+            }
+            let ib = particles.iter().position(|p| p.id == ev.b);
+            let ia = particles.iter().position(|p| p.id == ev.a);
+            if let (Some(ia), Some(ib)) = (ia, ib) {
+                let b = particles[ib];
+                let a = &mut particles[ia];
+                let m = a.mass + b.mass;
+                a.vel = (a.vel * a.mass + b.vel * b.mass) / m;
+                a.pos = (a.pos * a.mass + b.pos * b.mass) / m;
+                a.radius = (a.radius.powi(3) + b.radius.powi(3)).cbrt();
+                a.mass = m;
+                absorbed.push(ev.b);
+                resolved.push(*ev);
+            }
+        }
+        particles.retain(|p| !absorbed.contains(&p.id));
+        resolved
+    }
+
+    #[test]
+    fn linear_merge_matches_the_quadratic_reference() {
+        let ps = inflated_disk(600, 3, 3e5);
+        let ev = |a: u64, b: u64| CollisionEvent { a, b, t: 0.0, radius: 0.0 };
+        // A chain: 2 absorbs 3, so (3, 4) and (3, 5) are skipped; 2 goes
+        // on to absorb 4; 5 absorbs 6, then (4, 5) is skipped; an id no
+        // body has is skipped; 7 absorbs 8 after 8 absorbed 9.
+        let chain = vec![
+            ev(2, 3),
+            ev(3, 4),
+            ev(3, 5),
+            ev(2, 4),
+            ev(5, 6),
+            ev(4, 5),
+            ev(5, 9999),
+            ev(8, 9),
+            ev(7, 8),
+        ];
+        // Merger-heavy: every pair of the inflated disk that collides
+        // over a long step, in (a, b) order.
+        let heavy = brute_force_events(&ps, orbital_period(2.0, 1.0) / 5.0);
+        assert!(heavy.len() > 100, "{} events", heavy.len());
+        for events in [chain, heavy] {
+            let (mut linear, mut quadratic) = (ps.clone(), ps.clone());
+            let resolved = merge(&mut linear, &events);
+            assert_eq!(resolved, quadratic_merge(&mut quadratic, &events));
+            assert!(resolved.len() < events.len(), "some events must be skipped");
+            assert_eq!(linear, quadratic);
         }
     }
 }

@@ -167,7 +167,8 @@ impl NeighborTable {
         // Buckets sort and resolve their lists in parallel, each into its
         // own stretch. The heaps are read, not consumed: two threads
         // freeing 50 000 of them at once spend longer in the allocator
-        // than sorting, so they are dropped afterwards, by the caller.
+        // than sorting, so they are freed afterwards, on this thread,
+        // when `states` drops at the end of `gather`.
         stretches.into_par_iter().for_each(|(state, stretch)| {
             let mut sorted = Vec::new();
             let mut filled = 0;

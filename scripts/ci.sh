@@ -85,6 +85,14 @@ cargo test --release -q -p paratreet-apps --lib -- \
     particles_exactly_one_linking_length_apart_link \
     counting_sort_catalog_matches_the_sorted_reference \
     catalogs_agree_across_tree_types_and_with_brute_force
+# Collision prunes body by body inside a leaf pair: each bucket's events
+# equal the unpruned leaf's, in order, and the brute-force pairs on three
+# tree types and a maintained tree; a body box sharing a face with the
+# other side's box and a pair exactly `rsum` apart are still tested; the
+# linear merger resolution equals the quadratic one.
+cargo test --release -q -p paratreet-apps --lib -- \
+    pruned_leaf_matches_brute_force_on_every_tree pruned_leaf_keeps_each_buckets_event_order \
+    bodies_touching_at_a_face_are_pair_tested linear_merge_matches_the_quadratic_reference
 
 echo "== forest identity x20 (a catalog or ghost layer that depends on the schedule shows as a flake) =="
 identity_bin=$(cargo test --release --test thread_count_identity --no-run --message-format=json 2>/dev/null |
@@ -192,19 +200,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== benchmark package builds against the pinned public surface =="
 # benchmark/ is a package of its own; a changed signature it relies on
 # must fail here, not in the benchmark run.
-# Its Cargo.lock is pinned with the package and cargo rewrites it when a
-# crate it depends on gains a dependency, so the pinned copy is put back.
-bench_lock=$(mktemp /tmp/paratreet-benchlock-XXXXXX)
-cp benchmark/Cargo.lock "$bench_lock"
-bench_status=0
-cargo build --release --offline --manifest-path benchmark/Cargo.toml || bench_status=$?
-cp "$bench_lock" benchmark/Cargo.lock && rm -f "$bench_lock"
-[ "$bench_status" -eq 0 ] || exit "$bench_status"
+# The script puts its pinned Cargo.lock back after the build.
+scripts/build-benchmark.sh
 
 echo "== results/*.txt are harness output only: no cargo Compiling/Finished/Running line =="
 if grep -nE '^ *(Compiling|Finished|Running) ' results/*.txt; then
     echo "a results file carries cargo's build lines: regenerate it with scripts/results.sh"; exit 1
 fi
+
+echo "== results/fig12.txt regenerates byte-identical (collision counts only, about 1 s) =="
+scripts/results.sh fig12
+git diff --exit-code results/fig12.txt ||
+    { echo "results/fig12.txt moved: the collision walk found other events"; exit 1; }
+
+echo "== sampling profiler smoke (1 s of disk_maintained; fails when no sample is symbolized) =="
+# Needs a C compiler and llvm-symbolizer; profile.sh names whichever is missing.
+scripts/profile.sh disk_maintained 1
 
 echo "== fig9 smoke (--json) =="
 cargo run --release -q -p paratreet-bench --bin fig9_time_profile -- \
