@@ -5,65 +5,22 @@
 //!
 //! The estimator needs *pair counts by separation bin*: `DD(r)` over the
 //! data and `RR(r)` over a random catalogue, giving
-//! `ξ(r) = DD(r)/RR(r) − 1` (Peebles–Hauser). Pair counting is where
-//! tree pruning shines twice over:
+//! `ξ(r) = DD(r)/RR(r) − 1` (Peebles–Hauser). Pair counting is a rule
+//! set for [`paratreet_tree::dual`]'s walk of one tree against itself,
+//! and tree pruning shines twice over on the tight boxes of a node
+//! pair's particles:
 //!
 //! * a node pair whose separation range lies entirely *outside*
 //!   `[r_min, r_max)` contributes nothing — prune;
 //! * a node pair whose range lies entirely inside *one bin* contributes
-//!   `|A|·|B|` to that bin — prune and credit in O(1), no descent.
-//!
-//! Both rules are one `open()` implementation here, so the same visitor
-//! runs under the single-tree and the dual-tree traversals; the
-//! dual-tree schedule additionally credits whole buckets below a target
-//! node at once through `node()`.
+//!   `2·|A|·|B|` ordered pairs to that bin — credit in O(1), no descent;
+//! * a leaf pair counts its particle pairs one by one.
 
-use paratreet_core::{SpatialNodeView, TargetBucket, TargetSpan, Visitor};
+use paratreet_core::{universe_for, Configuration};
 use paratreet_geometry::BoundingBox;
 use paratreet_particles::Particle;
-use paratreet_tree::data::wire;
-use paratreet_tree::Data;
-
-/// Tree `Data` for pair counting: tight box and particle count.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PairData {
-    /// Tight bounding box of the subtree's particles.
-    pub tight_box: BoundingBox,
-    /// Particles beneath the node.
-    pub count: u64,
-}
-
-impl Data for PairData {
-    fn from_leaf(particles: &[Particle], _bbox: &BoundingBox) -> Self {
-        PairData {
-            tight_box: BoundingBox::around(particles.iter().map(|p| p.pos)),
-            count: particles.len() as u64,
-        }
-    }
-
-    fn merge(&mut self, child: &Self) {
-        self.tight_box.merge(&child.tight_box);
-        self.count += child.count;
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        wire::put_vec3(out, self.tight_box.lo);
-        wire::put_vec3(out, self.tight_box.hi);
-        out.extend_from_slice(&self.count.to_le_bytes());
-    }
-
-    fn decode(input: &[u8]) -> Option<(Self, usize)> {
-        let mut off = 0;
-        let lo = wire::get_vec3(input, &mut off)?;
-        let hi = wire::get_vec3(input, &mut off)?;
-        let bytes: [u8; 8] = input.get(off..off + 8)?.try_into().ok()?;
-        off += 8;
-        Some((
-            PairData { tight_box: BoundingBox { lo, hi }, count: u64::from_le_bytes(bytes) },
-            off,
-        ))
-    }
-}
+use paratreet_tree::dual::{tight_boxes, walk, Rules};
+use paratreet_tree::{BuiltTree, CountData, NodeIdx, TreeBuilder};
 
 /// Logarithmic (or linear) separation bins over `[r_min, r_max)`.
 #[derive(Clone, Debug)]
@@ -111,156 +68,86 @@ impl SeparationBins {
         Some(i.saturating_sub(1).min(self.len() - 1))
     }
 
-    /// If the whole closed range `[lo, hi]` falls in one bin, its index.
-    #[inline]
-    pub fn single_bin(&self, lo: f64, hi: f64) -> Option<usize> {
-        let a = self.bin_of(lo)?;
-        let b = self.bin_of(hi)?;
-        (a == b).then_some(a)
-    }
-
     /// Geometric bin centres, for plotting.
     pub fn centers(&self) -> Vec<f64> {
         self.edges.windows(2).map(|w| (w[0] * w[1]).sqrt()).collect()
     }
 }
 
-/// Per-bucket pair-count state: one histogram per bucket (merged after
-/// the traversal), counting *ordered* pairs (target, source).
-#[derive(Clone, Debug, Default)]
-pub struct PairCounts {
-    /// Ordered pair counts per bin.
-    pub bins: Vec<u64>,
+/// Pair counting's rules over one tree beside its nodes' tight boxes:
+/// `counts[k]` gathers the ordered pairs whose separation falls in bin
+/// `k`.
+struct PairCount<'a> {
+    tree: &'a BuiltTree<CountData>,
+    tight: &'a [BoundingBox],
+    bins: &'a SeparationBins,
+    counts: Vec<u64>,
 }
 
-/// The pair-counting visitor.
-pub struct PairCountVisitor {
-    /// Separation binning.
-    pub bins: SeparationBins,
+/// The separation range between the particles of two tight boxes: the
+/// box distance below, the farthest corner-to-corner distance above.
+/// Both bound every pair distance in floating point too — the same
+/// per-axis differences, squares and sums, on operands no larger or no
+/// smaller.
+fn range(a: &BoundingBox, b: &BoundingBox) -> (f64, f64) {
+    let lo = a.dist_sq_to_box(b).sqrt();
+    let mut hi2 = 0.0f64;
+    for i in 0..3 {
+        let d = (b.hi.component(i) - a.lo.component(i))
+            .abs()
+            .max((a.hi.component(i) - b.lo.component(i)).abs());
+        hi2 += d * d;
+    }
+    (lo, hi2.sqrt())
 }
 
-impl PairCountVisitor {
-    fn ensure(&self, target: &mut TargetBucket<PairCounts>) {
-        if target.state.bins.len() != self.bins.len() {
-            target.state.bins = vec![0; self.bins.len()];
+impl Rules for PairCount<'_> {
+    fn score(&mut self, ai: NodeIdx, bi: NodeIdx) -> bool {
+        let bins = self.bins;
+        let (lo, hi) = range(&self.tight[ai as usize], &self.tight[bi as usize]);
+        if hi < bins.r_min || lo >= bins.r_max {
+            return false; // no pair in range
         }
+        // Past the prune `hi >= r_min` and `lo < r_max`, so ends with the
+        // same number `k` of edges at or below them put every pair in bin
+        // `k − 1`. A node against itself holds n·(n − 1) ordered pairs,
+        // not n²: it descends.
+        let edges_below = |r: f64| bins.edges.partition_point(|e| *e <= r);
+        let k = edges_below(lo);
+        if ai == bi || k != edges_below(hi) {
+            return true;
+        }
+        let n = |i: NodeIdx| u64::from(self.tree.nodes[i as usize].n_particles);
+        self.counts[k - 1] += 2 * n(ai) * n(bi);
+        false
     }
 
-    /// The separation range between a source region and a target region.
-    fn range(src: &BoundingBox, tgt: &BoundingBox) -> (f64, f64) {
-        let lo = src.dist_sq_to_box(tgt).sqrt();
-        // Upper bound: farthest corner-to-corner distance.
-        let hi2 = {
-            let mut m = 0.0f64;
-            for i in 0..3 {
-                let a = (tgt.hi.component(i) - src.lo.component(i)).abs();
-                let b = (src.hi.component(i) - tgt.lo.component(i)).abs();
-                let d = a.max(b);
-                m += d * d;
-            }
-            m
-        };
-        (lo, hi2.sqrt())
-    }
-}
-
-impl Visitor for PairCountVisitor {
-    type Data = PairData;
-    type State = PairCounts;
-    type Prepared = ();
-    type PerTarget = ();
-
-    fn prepare(&self, _source: &SpatialNodeView<'_, PairData>) {}
-
-    fn open(
-        &self,
-        source: &SpatialNodeView<'_, PairData>,
-        _: &(),
-        target: &TargetBucket<PairCounts>,
-    ) -> bool {
-        if source.data.count == 0 {
-            return false;
-        }
-        let (lo, hi) = Self::range(&source.data.tight_box, &target.bbox);
-        if hi < self.bins.r_min || lo >= self.bins.r_max {
-            return false; // entirely out of range: contributes nothing
-        }
-        // Entirely inside one bin: node() credits it in O(1).
-        self.bins.single_bin(lo, hi).is_none()
-    }
-
-    fn node(
-        &self,
-        source: &SpatialNodeView<'_, PairData>,
-        _: &(),
-        targets: &mut TargetSpan<'_, PairCounts>,
-    ) {
-        for (_, target) in targets.buckets() {
-            self.ensure(target);
-            let (lo, hi) = Self::range(&source.data.tight_box, &target.bbox);
-            if let Some(bin) = self.bins.single_bin(lo, hi) {
-                target.state.bins[bin] += source.data.count * target.len() as u64;
-            }
-            // Out-of-range prunes contribute nothing (hi < r_min or lo >= r_max).
-        }
-    }
-
-    fn leaf(
-        &self,
-        source: &SpatialNodeView<'_, PairData>,
-        _: &(),
-        targets: &mut TargetSpan<'_, PairCounts>,
-    ) {
-        for (particles, target) in targets.buckets() {
-            self.ensure(target);
-            for tp in particles {
-                for sp in source.particles {
-                    if sp.id == tp.id {
-                        continue;
-                    }
-                    if let Some(bin) = self.bins.bin_of(sp.pos.dist(tp.pos)) {
-                        target.state.bins[bin] += 1;
-                    }
+    fn base_case(&mut self, ai: NodeIdx, bi: NodeIdx, diagonal: bool) {
+        let (a, b) = (self.tree.bucket(ai), self.tree.bucket(bi));
+        for (i, p) in a.iter().enumerate() {
+            for q in if diagonal { &a[i + 1..] } else { b } {
+                if let Some(k) = self.bins.bin_of(p.pos.dist(q.pos)) {
+                    self.counts[k] += 2;
                 }
             }
         }
     }
-
-    fn cell(
-        &self,
-        source: &SpatialNodeView<'_, PairData>,
-        target: &SpatialNodeView<'_, PairData>,
-    ) -> bool {
-        // Open both sides only while the target is *much* larger than
-        // the source; otherwise keep the target whole so out-of-range
-        // and single-bin prunes credit entire target subtrees at once
-        // (B instead of B² child pairs).
-        target.data.tight_box.radius_sq() > 4.0 * source.data.tight_box.radius_sq()
-    }
 }
 
-/// Counts ordered pairs of `particles` by separation bin with a tree
-/// traversal (`kind` may be any schedule; `DualTree` is the natural one).
+/// Counts ordered pairs of `particles` by separation bin: one tree of
+/// `config`'s tree type and bucket size, walked against itself.
 pub fn pair_counts(
     particles: Vec<Particle>,
     bins: &SeparationBins,
-    config: paratreet_core::Configuration,
-    kind: paratreet_core::TraversalKind,
+    config: Configuration,
 ) -> Vec<u64> {
-    let visitor = PairCountVisitor { bins: bins.clone() };
-    let mut fw: paratreet_core::Framework<PairData> =
-        paratreet_core::Framework::new(config, particles);
-    let (states, _) = fw.step(|step| {
-        let (states, _) = step.traverse(&visitor, kind);
-        states
-    });
-    let mut total = vec![0u64; bins.len()];
-    for s in states {
-        for (t, b) in total.iter_mut().zip(s.bins.iter().chain(std::iter::repeat(&0))) {
-            *t += *b;
-        }
-    }
-    total
+    let universe = universe_for(&particles, &config, 0.0);
+    let builder = TreeBuilder::new(config.tree_type).bucket_size(config.bucket_size);
+    let tree: BuiltTree<CountData> = builder.build(particles, universe);
+    let tight = tight_boxes(&tree);
+    let mut rules = PairCount { tree: &tree, tight: &tight, bins, counts: vec![0; bins.len()] };
+    walk(&tree, &tree, true, &mut rules);
+    rules.counts
 }
 
 /// The Peebles–Hauser estimator `ξ(r) = (DD/n_d²) / (RR/n_r²) − 1`,
@@ -270,13 +157,12 @@ pub fn two_point_correlation(
     data: Vec<Particle>,
     random: Vec<Particle>,
     bins: &SeparationBins,
-    config: paratreet_core::Configuration,
-    kind: paratreet_core::TraversalKind,
+    config: Configuration,
 ) -> Vec<f64> {
     let n_d = data.len() as f64;
     let n_r = random.len() as f64;
-    let dd = pair_counts(data, bins, config.clone(), kind);
-    let rr = pair_counts(random, bins, config, kind);
+    let dd = pair_counts(data, bins, config.clone());
+    let rr = pair_counts(random, bins, config);
     dd.iter()
         .zip(&rr)
         .map(|(&dd, &rr)| {
@@ -292,8 +178,9 @@ pub fn two_point_correlation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paratreet_core::{Configuration, TraversalKind};
+    use paratreet_geometry::Vec3;
     use paratreet_particles::gen;
+    use paratreet_tree::TreeType;
 
     fn brute_counts(ps: &[Particle], bins: &SeparationBins) -> Vec<u64> {
         let mut out = vec![0u64; bins.len()];
@@ -314,6 +201,9 @@ mod tests {
         Configuration { bucket_size: 8, n_subtrees: 6, n_partitions: 5, ..Default::default() }
     }
 
+    const TREE_TYPES: [TreeType; 4] =
+        [TreeType::Octree, TreeType::KdTree, TreeType::LongestDim, TreeType::BinaryOct];
+
     #[test]
     fn bins_cover_range_without_gaps() {
         let bins = SeparationBins::logarithmic(0.01, 1.0, 10);
@@ -327,56 +217,66 @@ mod tests {
             let mid = (w[0] * w[1]).sqrt();
             assert_eq!(bins.bin_of(mid), Some(i));
         }
-        assert_eq!(bins.single_bin(0.011, 0.0111), Some(0));
-        assert_eq!(bins.single_bin(0.011, 0.9), None);
         assert!(!bins.is_empty());
         assert_eq!(bins.centers().len(), 10);
     }
 
     #[test]
-    fn tree_counts_match_brute_force_all_traversals() {
+    fn tree_counts_match_brute_force() {
         let ps = gen::clustered(400, 3, 7, 1.0, 1.0);
         let bins = SeparationBins::logarithmic(0.01, 1.5, 8);
         let want = brute_counts(&ps, &bins);
-        for kind in [TraversalKind::TopDown, TraversalKind::BasicDfs, TraversalKind::DualTree] {
-            let got = pair_counts(ps.clone(), &bins, config(), kind);
-            assert_eq!(got, want, "{kind:?}");
+        for tree_type in TREE_TYPES {
+            for bucket_size in [1, 8] {
+                let config = Configuration { tree_type, bucket_size, ..config() };
+                let got = pair_counts(ps.clone(), &bins, config);
+                assert_eq!(got, want, "{tree_type:?}, bucket {bucket_size}");
+            }
+        }
+    }
+
+    /// Three pairs far apart from each other, one each exactly at `r_min`,
+    /// at the inner bin edge and at `r_max`, every coordinate dyadic so
+    /// each separation — and the range of the two one-particle leaves
+    /// holding it — is the edge itself. A prune that drops a range ending
+    /// *at* `r_min`, one that keeps a range starting at `r_max`, or a
+    /// credit that puts an edge in the bin below it miscounts; with bins
+    /// from 0, so does a credit of a leaf against itself.
+    #[test]
+    fn pairs_exactly_at_the_bin_edges_count_as_brute_force() {
+        let mut ps = Vec::new();
+        for (id, corner, gap) in
+            [(0, [0.5, 0.5, 0.5], 0.125), (2, [3.0, 0.5, 0.5], 0.25), (4, [0.5, 3.0, 0.5], 0.5)]
+        {
+            let p = Vec3::new(corner[0], corner[1], corner[2]);
+            ps.push(Particle { id, mass: 1.0, pos: p, ..Particle::default() });
+            let q = Vec3::new(p.x + gap, p.y, p.z);
+            ps.push(Particle { id: id + 1, mass: 1.0, pos: q, ..Particle::default() });
+        }
+        for r_min in [0.125, 0.0] {
+            let bins = SeparationBins { r_min, r_max: 0.5, edges: vec![r_min, 0.25, 0.5] };
+            let want = brute_counts(&ps, &bins);
+            assert_eq!(want, vec![2, 2], "the r_max pair is out of range");
+            for tree_type in TREE_TYPES {
+                let config = Configuration { tree_type, bucket_size: 1, ..config() };
+                let got = pair_counts(ps.clone(), &bins, config);
+                assert_eq!(got, want, "{tree_type:?}, r_min {r_min}");
+            }
         }
     }
 
     #[test]
-    fn traversal_schedules_trade_visits_for_identical_counts() {
-        // All three schedules apply the same source-side bulk credits
-        // (open() already collapses single-bin node pairs), so exact
-        // pair evaluations are identical; what differs is scheduling
-        // overhead. The transposed TopDown amortises node visits across
-        // every interested bucket — an order of magnitude fewer visits
-        // than walking the tree once per bucket, with the dual-tree
-        // schedule in between (its per-(node,node) pair walk still
-        // re-visits sources per target subtree).
-        let ps = gen::uniform_cube(1500, 5, 1.0, 1.0);
-        let bins = SeparationBins::logarithmic(0.02, 0.25, 6);
-        let visitor = PairCountVisitor { bins };
-        let run = |kind| {
-            let mut fw: paratreet_core::Framework<PairData> =
-                paratreet_core::Framework::new(config(), ps.clone());
-            let (_, report) = fw.step(|s| {
-                s.traverse(&visitor, kind);
-            });
-            report.counts
-        };
-        let dual = run(TraversalKind::DualTree);
-        let basic = run(TraversalKind::BasicDfs);
-        let transposed = run(TraversalKind::TopDown);
-        assert_eq!(dual.leaf_interactions, basic.leaf_interactions);
-        assert_eq!(transposed.leaf_interactions, basic.leaf_interactions);
-        assert!(
-            transposed.nodes_visited * 10 < basic.nodes_visited,
-            "transposition must amortise visits: {} vs {}",
-            transposed.nodes_visited,
-            basic.nodes_visited
-        );
-        assert!(transposed.nodes_visited < dual.nodes_visited);
+    fn empty_and_one_particle_catalogues_count_nothing() {
+        let bins = SeparationBins::logarithmic(0.01, 1.0, 4);
+        let one = gen::uniform_cube(1, 3, 1.0, 1.0);
+        for ps in [Vec::new(), one.clone()] {
+            assert_eq!(pair_counts(ps, &bins, config()), vec![0; 4]);
+        }
+        let data = gen::uniform_cube(50, 5, 1.0, 1.0);
+        for random in [Vec::new(), one] {
+            let xi = two_point_correlation(data.clone(), random, &bins, config());
+            assert!(xi.iter().all(|v| v.is_nan()), "RR = 0 gives NaN: {xi:?}");
+        }
     }
 
     #[test]
@@ -384,7 +284,7 @@ mod tests {
         let data = gen::uniform_cube(2000, 3, 1.0, 1.0);
         let random = gen::uniform_cube(2000, 991, 1.0, 1.0);
         let bins = SeparationBins::logarithmic(0.1, 0.8, 5);
-        let xi = two_point_correlation(data, random, &bins, config(), TraversalKind::TopDown);
+        let xi = two_point_correlation(data, random, &bins, config());
         for (i, v) in xi.iter().enumerate() {
             assert!(v.abs() < 0.2, "bin {i}: ξ = {v} should be ~0 for uniform data");
         }
@@ -395,7 +295,7 @@ mod tests {
         let data = gen::clustered(2000, 5, 11, 1.0, 1.0);
         let random = gen::uniform_cube(2000, 993, 1.0, 1.0);
         let bins = SeparationBins::logarithmic(0.02, 1.0, 6);
-        let xi = two_point_correlation(data, random, &bins, config(), TraversalKind::DualTree);
+        let xi = two_point_correlation(data, random, &bins, config());
         assert!(
             xi[0] > 1.0,
             "clustered data must correlate strongly at small separations: ξ = {:?}",
@@ -403,16 +303,5 @@ mod tests {
         );
         // Correlation decays with separation.
         assert!(xi[0] > xi[bins.len() - 1]);
-    }
-
-    #[test]
-    fn pair_data_wire_roundtrip() {
-        let ps = gen::uniform_cube(20, 3, 1.0, 1.0);
-        let d = PairData::from_leaf(&ps, &BoundingBox::empty());
-        let mut buf = Vec::new();
-        d.encode(&mut buf);
-        let (back, used) = PairData::decode(&buf).unwrap();
-        assert_eq!(back, d);
-        assert_eq!(used, buf.len());
     }
 }

@@ -16,12 +16,13 @@
 //!    guarantees every cross-seam friendship is locally visible: if
 //!    `q`'s (image) distance to `p`'s box is ≤ `b`, `q`'s shifted copy
 //!    is materialized in `p`'s ghost layer,
-//! 4. a **dual-tree linking pass**, one parallel region over every
-//!    Subtree of every box (local×local over subtree pairs, plus
-//!    local×ghost against a tree built over the box's ghost layer),
-//!    pruning node pairs whose particles' tight boxes are farther apart
-//!    than `b` — not their cells, which in sparse outskirts are far
-//!    larger than what they hold,
+//! 4. a **dual-tree linking pass** — [`paratreet_tree::dual`]'s walk
+//!    under FoF's rules — in one parallel region over every Subtree of
+//!    every box (local×local over subtree pairs, plus local×ghost
+//!    against a tree built over the box's ghost layer), pruning node
+//!    pairs whose particles' tight boxes are farther apart than `b` —
+//!    not their cells, which in sparse outskirts are far larger than
+//!    what they hold,
 //! 5. a **union-find over dense particle indices**: each Subtree links
 //!    into its own disjoint stretch of one parent array inside the
 //!    region, links that leave a Subtree are applied afterwards in a
@@ -43,6 +44,7 @@ use paratreet_core::{Forest, GhostLayer};
 use paratreet_geometry::{BoundingBox, PeriodicBox, Vec3, ROOT_KEY};
 use paratreet_particles::Particle;
 use paratreet_telemetry::{MetricSource, MetricsRegistry};
+use paratreet_tree::dual::{tight_boxes, walk, Rules};
 use paratreet_tree::{BuiltTree, CountData, Data, NodeIdx, NodeShape, TreeBuilder, TreeType};
 use rayon::prelude::*;
 
@@ -138,34 +140,8 @@ impl UnionFind<'_> {
 }
 
 // ---------------------------------------------------------------------
-// Dual-tree linking.
+// Dual-tree linking: FoF's rule set for `tree::dual`'s walk.
 // ---------------------------------------------------------------------
-
-/// The tight box of each node's particles, by node index: a leaf's grows
-/// over its bucket, an internal node's merges its children's, an empty
-/// node's is empty. Builds and seam splits both emit nodes in pre-order,
-/// so one pass in reverse node order meets every child before its
-/// parent.
-fn tight_boxes<D: Data>(tree: &BuiltTree<D>) -> Vec<BoundingBox> {
-    let mut tight = vec![BoundingBox::empty(); tree.nodes.len()];
-    for (i, node) in tree.nodes.iter().enumerate().rev() {
-        match node.shape {
-            NodeShape::Leaf { start, end } => {
-                let bucket = &tree.particles[start as usize..end as usize];
-                tight[i] = BoundingBox::around(bucket.iter().map(|p| p.pos));
-            }
-            NodeShape::Internal => {
-                for c in node.child_indices() {
-                    assert!(c as usize > i, "node {c} is a child of the later node {i}");
-                    let child = tight[c as usize];
-                    tight[i].merge(&child);
-                }
-            }
-            NodeShape::Empty => {}
-        }
-    }
-    tight
-}
 
 /// A tree beside the tight boxes of its nodes ([`tight_boxes`]).
 struct Bounded<'a, D> {
@@ -173,100 +149,74 @@ struct Bounded<'a, D> {
     tight: &'a [BoundingBox],
 }
 
-/// Recursive dual-tree pass: reports every friendship between tree `a`
-/// and tree `b` to `sink` as `(position in a.particles, position in
-/// b.particles)`. It prunes node pairs whose particles' tight boxes are
-/// farther apart than the linking length, and in a leaf pair skips a
-/// particle of `a` farther than that from the tight box of `b`'s leaf.
-/// A box distance is a floating-point lower bound of every pair distance
-/// it covers — the same per-axis differences, squares and x, y, z sum,
-/// on operands no larger — so no friendship is pruned away. The trees
-/// may carry different `Data` (a box's own trees against its ghost
-/// tree). With `same_tree`, node pairs below the diagonal are skipped
-/// and leaf self-pairs iterate `i < j`.
-fn dual_link<A: Data, B: Data, S: FnMut(u32, u32)>(
-    a: &Bounded<'_, A>,
-    ai: NodeIdx,
-    b: &Bounded<'_, B>,
-    bi: NodeIdx,
-    same_tree: bool,
+/// FoF's rules: every friendship between tree `a` and tree `b` goes to
+/// `sink` as `(position in a.particles, position in b.particles)`. A node
+/// pair whose particles' tight boxes are farther apart than the linking
+/// length is pruned, and in a leaf pair a particle of `a` farther than
+/// that from the tight box of `b`'s leaf skips its row. A box distance is
+/// a floating-point lower bound of every pair distance it covers — the
+/// same per-axis differences, squares and x, y, z sum, on operands no
+/// larger — so no friendship is pruned away. The trees may carry
+/// different `Data` (a box's own trees against its ghost tree).
+struct Friends<'a, A, B, S> {
+    a: Bounded<'a, A>,
+    b: Bounded<'a, B>,
+    /// The squared linking length.
     r2: f64,
-    sink: &mut S,
-) {
-    let na = &a.tree.nodes[ai as usize];
-    let nb = &b.tree.nodes[bi as usize];
-    if na.n_particles == 0 || nb.n_particles == 0 {
-        return;
+    sink: S,
+}
+
+impl<A: Data, B: Data, S: FnMut(u32, u32)> Rules for Friends<'_, A, B, S> {
+    #[inline]
+    fn score(&mut self, ai: NodeIdx, bi: NodeIdx) -> bool {
+        self.a.tight[ai as usize].dist_sq_to_box(&self.b.tight[bi as usize]) <= self.r2
     }
-    if a.tight[ai as usize].dist_sq_to_box(&b.tight[bi as usize]) > r2 {
-        return;
-    }
-    if same_tree && ai == bi {
-        if let NodeShape::Leaf { start, end } = na.shape {
-            let bucket = &a.tree.particles[start as usize..end as usize];
-            for (i, p) in (start..).zip(bucket) {
-                for (j, q) in (i + 1..).zip(&bucket[(i + 1 - start) as usize..]) {
+
+    #[inline]
+    fn base_case(&mut self, ai: NodeIdx, bi: NodeIdx, diagonal: bool) {
+        let (r2, (sa, bucket)) = (self.r2, leaf(self.a.tree, ai));
+        if diagonal {
+            for (i, p) in (sa..).zip(bucket) {
+                for (j, q) in (i + 1..).zip(&bucket[(i + 1 - sa) as usize..]) {
                     if p.pos.dist_sq(q.pos) <= r2 {
-                        sink(i, j);
+                        (self.sink)(i, j);
                     }
                 }
             }
             return;
         }
-        // Expand both sides together, keeping child pairs ordered so
-        // each off-diagonal pair is visited exactly once.
-        let (mut kids, mut n_kids) = ([0 as NodeIdx; 8], 0);
-        for c in na.child_indices() {
-            kids[n_kids] = c;
-            n_kids += 1;
-        }
-        let kids = &kids[..n_kids];
-        for (i, &ca) in kids.iter().enumerate() {
-            for &cb in &kids[i..] {
-                dual_link(a, ca, b, cb, same_tree, r2, sink);
+        let (near, (sb, other)) = (&self.b.tight[bi as usize], leaf(self.b.tree, bi));
+        for (i, p) in (sa..).zip(bucket) {
+            if near.dist_sq_to(p.pos) > r2 {
+                continue;
+            }
+            for (j, q) in (sb..).zip(other) {
+                if p.pos.dist_sq(q.pos) <= r2 {
+                    (self.sink)(i, j);
+                }
             }
         }
-        return;
     }
-    match (na.shape, nb.shape) {
-        (NodeShape::Leaf { start: sa, end: ea }, NodeShape::Leaf { start: sb, end: eb }) => {
-            let (near, bucket) =
-                (&b.tight[bi as usize], &b.tree.particles[sb as usize..eb as usize]);
-            for (i, p) in (sa..).zip(&a.tree.particles[sa as usize..ea as usize]) {
-                if near.dist_sq_to(p.pos) > r2 {
-                    continue;
-                }
-                for (j, q) in (sb..).zip(bucket) {
-                    if p.pos.dist_sq(q.pos) <= r2 {
-                        sink(i, j);
-                    }
-                }
-            }
-        }
-        (NodeShape::Internal, NodeShape::Leaf { .. }) => {
-            for ca in na.child_indices() {
-                dual_link(a, ca, b, bi, same_tree, r2, sink);
-            }
-        }
-        (NodeShape::Leaf { .. }, NodeShape::Internal) => {
-            for cb in nb.child_indices() {
-                dual_link(a, ai, b, cb, same_tree, r2, sink);
-            }
-        }
-        (NodeShape::Internal, NodeShape::Internal) => {
-            // Open the fatter cell: fewer pair visits for skewed depths.
-            if na.bbox.size().max_component() >= nb.bbox.size().max_component() {
-                for ca in na.child_indices() {
-                    dual_link(a, ca, b, bi, same_tree, r2, sink);
-                }
-            } else {
-                for cb in nb.child_indices() {
-                    dual_link(a, ai, b, cb, same_tree, r2, sink);
-                }
-            }
-        }
-        _ => {}
+}
+
+/// Leaf `i`'s first position in `tree.particles`, and its bucket.
+fn leaf<D>(tree: &BuiltTree<D>, i: NodeIdx) -> (u32, &[Particle]) {
+    match tree.nodes[i as usize].shape {
+        NodeShape::Leaf { start, end } => (start, &tree.particles[start as usize..end as usize]),
+        _ => unreachable!("a base case pairs two leaves"),
     }
+}
+
+/// Walks trees `a` and `b` (with `same_tree`, one tree against itself)
+/// under FoF's rules, reporting each friendship to `sink`.
+fn link_pairs<A: Data, B: Data>(
+    a: Bounded<'_, A>,
+    b: Bounded<'_, B>,
+    same_tree: bool,
+    r2: f64,
+    sink: impl FnMut(u32, u32),
+) {
+    walk(a.tree, b.tree, same_tree, &mut Friends { a, b, r2, sink });
 }
 
 /// Builds a throwaway tree over a box's ghost particles so the
@@ -390,17 +340,17 @@ fn link_dense<D: Data>(
         .into_par_iter()
         .map(|(b, t, own)| {
             let bounded = |u: usize| Bounded { tree: &trees[b][u], tight: &bounds[b].own[u] };
-            let (ta, base) = (bounded(t), tree_base[b][t]);
+            let base = tree_base[b][t];
             let mut uf = UnionFind { base, parent: own, n_links: 0 };
-            dual_link(&ta, 0, &ta, 0, true, r2, &mut |i, j| uf.union(base + i, base + j));
+            link_pairs(bounded(t), bounded(t), true, r2, |i, j| uf.union(base + i, base + j));
             let mut leaving = Vec::new();
             for (u, &other) in tree_base[b].iter().enumerate().skip(t + 1) {
-                dual_link(&ta, 0, &bounded(u), 0, false, r2, &mut |i, j| {
+                link_pairs(bounded(t), bounded(u), false, r2, |i, j| {
                     leaving.push((base + i, other + j))
                 });
             }
             if let Some((gt, tight)) = &bounds[b].ghost {
-                dual_link(&ta, 0, &Bounded { tree: gt, tight }, 0, false, r2, &mut |i, j| {
+                link_pairs(bounded(t), Bounded { tree: gt, tight }, false, r2, |i, j| {
                     // A ghost can be an image of the particle itself
                     // (periodic self-route); that is not a friendship.
                     let origin = gt.particles[j as usize].id as u32;
@@ -1101,14 +1051,12 @@ mod tests {
             let friends = |a: &BuiltTree<CountData>, b: &BuiltTree<CountData>, same| {
                 let (ta, tb) = (tight_boxes(a), tight_boxes(b));
                 let mut ids = Vec::new();
-                dual_link(
-                    &Bounded { tree: a, tight: &ta },
-                    0,
-                    &Bounded { tree: b, tight: &tb },
-                    0,
+                link_pairs(
+                    Bounded { tree: a, tight: &ta },
+                    Bounded { tree: b, tight: &tb },
                     same,
                     r2,
-                    &mut |i, j| {
+                    |i, j| {
                         let (p, q) = (a.particles[i as usize].id, b.particles[j as usize].id);
                         ids.push((p.min(q), p.max(q)));
                     },

@@ -468,18 +468,6 @@ impl Visitor for GravityVisitor {
     ) {
         apply_leaf(source.particles, targets, self.g)
     }
-
-    fn cell(
-        &self,
-        source: &SpatialNodeView<'_, CentroidData>,
-        target: &SpatialNodeView<'_, CentroidData>,
-    ) -> bool {
-        // Dual-tree refinement rule: split both sides only while the
-        // target cell is at least as extended as the source; once the
-        // target is the smaller cell, keep it whole and refine only the
-        // source (B instead of B² child interactions).
-        target.data.tight_box.radius_sq() >= source.data.tight_box.radius_sq()
-    }
 }
 
 /// Kick-drift-kick leapfrog integration of accelerations computed by a

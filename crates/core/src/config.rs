@@ -60,7 +60,9 @@ impl SfcCurve {
     }
 }
 
-/// The built-in traversal schedules (§II-A-2).
+/// The built-in traversal schedules (§II-A-2). The paper's dual-tree
+/// traversal is not one of them: it is `paratreet_tree::dual`'s walk of
+/// two trees under a rule set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TraversalKind {
     /// ParaTreeT's default: node-frontier order, evaluating every
@@ -75,12 +77,6 @@ pub enum TraversalKind {
     /// when pruning criteria tighten during the traversal (k-nearest
     /// neighbours).
     UpAndDown,
-    /// Dual-tree (Gray & Moore): source and target are both tree nodes;
-    /// the visitor's `cell()` decides whether to open both (B²
-    /// interactions) or only the source (B interactions), and a pruned
-    /// source applies to every bucket beneath the target node at once.
-    /// Shared-memory engine only.
-    DualTree,
 }
 
 /// Incremental tree maintenance knobs. With `enabled`, the engines keep

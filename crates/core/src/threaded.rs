@@ -177,7 +177,7 @@ impl<'v, V: Visitor> ThreadedEngine<'v, V> {
 
     /// Runs one full iteration: decompose, build, exchange, traverse —
     /// with fetches and fills crossing real channels between real
-    /// threads. `kind` must not be [`TraversalKind::DualTree`].
+    /// threads.
     pub fn run_iteration(&self, particles: Vec<Particle>, kind: TraversalKind) -> ThreadedReport {
         let started = std::time::Instant::now();
         let ranks = self.n_ranks;

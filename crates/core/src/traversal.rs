@@ -45,9 +45,6 @@ use paratreet_geometry::NodeKey;
 use paratreet_telemetry::{MetricSource, MetricsRegistry};
 use std::ops::{AddAssign, ControlFlow, Range};
 
-/// A (source, target) node pair on the dual-tree work stack.
-type NodePair<D> = (NodeHandle<D>, NodeHandle<D>);
-
 /// Which software-cache model a distributed run uses (Fig. 3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CacheModel {
@@ -459,157 +456,8 @@ pub fn seed_items<V: Visitor>(
                 start = end;
             }
         }
-        TraversalKind::DualTree => {
-            panic!("dual-tree traversal runs on the shared-memory engine only (traverse_local)")
-        }
     }
     stack
-}
-
-/// Runs a dual-tree traversal (Gray & Moore) over one partition's
-/// buckets. The work unit is a *(source node, target node)* pair; the
-/// visitor's `cell()` decides whether to open both sides (B² child
-/// pairs) or only the source (B pairs), and a source pruned against an
-/// internal target applies its summary to the partition's buckets below
-/// that target run by run — one `node()` call where they are adjacent —
-/// the bulk saving dual-tree methods offer.
-///
-/// Pruning against internal targets is conservative: `open()` is
-/// consulted with an empty pseudo-bucket carrying the target node's
-/// bounding box and default state.
-fn traverse_dual<V: Visitor>(
-    cache: &CacheTree<V::Data>,
-    visitor: &V,
-    apply: Apply,
-    targets: &mut TargetsOf<V>,
-) -> WorkCounts {
-    let mut counts = WorkCounts::default();
-    let root = match cache.root() {
-        Some(r) => r.handle(),
-        None => return counts,
-    };
-    if targets.buckets().is_empty() {
-        return counts;
-    }
-    let bits = cache.bits;
-    // Is bucket `b` of this partition beneath (or at) target node `key`?
-    // Subtrees are not laid out in key order, so the buckets under a key
-    // are runs of the bucket array, not one range of it: callers scan.
-    let under = |key: NodeKey, b: &TargetBucket<V::State, V::PerTarget>| {
-        key == b.leaf_key || key.is_ancestor_of(b.leaf_key, bits)
-    };
-    // Target nodes worth visiting: ancestors (and selves) of this
-    // partition's bucket leaves. Everything else belongs to other
-    // partitions and is skipped before it costs a pair evaluation.
-    let mut relevant: std::collections::HashSet<NodeKey> = std::collections::HashSet::new();
-    for b in targets.buckets() {
-        let mut k = b.leaf_key;
-        loop {
-            if !relevant.insert(k) || k == NodeKey::root() {
-                break;
-            }
-            k = k.parent(bits);
-        }
-    }
-
-    let mut stack: Vec<NodePair<V::Data>> = vec![(root, root)];
-    while let Some((src_h, tgt_h)) = stack.pop() {
-        let src = cache.node(src_h);
-        let tgt = cache.node(tgt_h);
-        if !relevant.contains(&tgt.key) {
-            continue;
-        }
-        counts.nodes_visited += 1;
-        let src_view = SpatialNodeView::of(cache, src);
-        let prepared = visitor.prepare(&src_view);
-        let mut runs = Runs::new(visitor, &src_view, &prepared, apply);
-
-        if tgt.kind == NodeKind::Leaf {
-            // Single-tree semantics against the bucket(s) of this leaf.
-            for b in 0..targets.buckets().len() {
-                let bucket = &targets.buckets()[b];
-                if !under(tgt.key, bucket) {
-                    continue;
-                }
-                counts.opens += 1;
-                if !visitor.open(&src_view, &prepared, bucket) {
-                    counts.node_interactions += bucket.len() as u64;
-                    runs.push(targets, b, false);
-                } else if src.kind == NodeKind::Leaf {
-                    counts.leaf_interactions += (src_view.particles.len() * bucket.len()) as u64;
-                    runs.push(targets, b, true);
-                } else {
-                    assert!(
-                        src.kind == NodeKind::Internal || src.kind == NodeKind::Empty,
-                        "dual-tree traversal requires a fully local tree"
-                    );
-                    for i in (0..8).rev() {
-                        if let Some(c) = src.child(i) {
-                            stack.push((c, tgt_h));
-                        }
-                    }
-                }
-            }
-            runs.flush(targets);
-            continue;
-        }
-        // Internal target: does this partition own anything below it?
-        if tgt.kind == NodeKind::Empty || !targets.buckets().iter().any(|b| under(tgt.key, b)) {
-            continue;
-        }
-        assert!(tgt.kind == NodeKind::Internal, "dual-tree traversal requires a fully local tree");
-        // Conservative pruning with a pseudo-bucket at the target's box.
-        let pseudo = TargetBucket {
-            leaf_key: tgt.key,
-            bbox: tgt.bbox,
-            range: 0..0,
-            state: V::State::default(),
-            prepared: visitor.prepare_target(&[]),
-        };
-        counts.opens += 1;
-        if !visitor.open(&src_view, &prepared, &pseudo) {
-            // The source's summary covers every bucket below the target.
-            for b in 0..targets.buckets().len() {
-                let bucket = &targets.buckets()[b];
-                if under(tgt.key, bucket) {
-                    counts.node_interactions += bucket.len() as u64;
-                    runs.push(targets, b, false);
-                }
-            }
-            runs.flush(targets);
-            continue;
-        }
-        if src.kind != NodeKind::Internal {
-            // Source cannot open further (leaf): descend the target only.
-            for i in (0..8).rev() {
-                if let Some(c) = tgt.child(i) {
-                    stack.push((src_h, c));
-                }
-            }
-            continue;
-        }
-        let tgt_view = SpatialNodeView::of(cache, tgt);
-        if visitor.cell(&src_view, &tgt_view) {
-            // Open both: B² child pairs.
-            for i in (0..8).rev() {
-                if let Some(sc) = src.child(i) {
-                    for j in (0..8).rev() {
-                        if let Some(tc) = tgt.child(j) {
-                            stack.push((sc, tc));
-                        }
-                    }
-                }
-            }
-        } else {
-            // Keep the target, open only the source: B pairs.
-            for i in (0..8).rev() {
-                if let Some(sc) = src.child(i) {
-                    stack.push((sc, tgt_h));
-                }
-            }
-        }
-    }
-    counts
 }
 
 /// Up-and-down seeds for one sibling group: the buckets `group` (the range
@@ -795,9 +643,6 @@ pub fn traverse_local<V: Visitor>(
     kind: TraversalKind,
     targets: &mut TargetsOf<V>,
 ) -> WorkCounts {
-    if kind == TraversalKind::DualTree {
-        return traverse_dual(cache, visitor, Apply::Runs, targets);
-    }
     // Up-and-down seeds are ordered nearest-last; reverse handled by LIFO.
     let mut stack = seed_items::<V>(cache, kind, targets);
     drain(cache, visitor, Apply::Runs, targets, &mut stack, remote_placeholder)
@@ -899,24 +744,16 @@ mod tests {
     fn runs_change_no_buckets_call_sequence() {
         let front = split_leaf_front(1);
         let cache = &front.caches[0];
-        for kind in [
-            TraversalKind::TopDown,
-            TraversalKind::UpAndDown,
-            TraversalKind::BasicDfs,
-            TraversalKind::DualTree,
-        ] {
+        for kind in [TraversalKind::TopDown, TraversalKind::UpAndDown, TraversalKind::BasicDfs] {
             let mut wide_calls = 0;
             for p in 0..front.by_partition.len() {
                 let walk = |mode: Apply| {
                     let recorder = Recorder::default();
                     let mut targets = front.targets(&recorder, p);
-                    let counts = if kind == TraversalKind::DualTree {
-                        traverse_dual(cache, &recorder, mode, &mut targets)
-                    } else {
-                        let mut stack = seed_items::<Recorder>(cache, kind, &targets);
-                        let unreachable = remote_placeholder;
-                        drain(cache, &recorder, mode, &mut targets, &mut stack, unreachable)
-                    };
+                    let mut stack = seed_items::<Recorder>(cache, kind, &targets);
+                    let unreachable = remote_placeholder;
+                    let counts =
+                        drain(cache, &recorder, mode, &mut targets, &mut stack, unreachable);
                     let calls: Vec<_> = targets.into_states().collect();
                     (calls, counts, recorder.wide_calls.into_inner())
                 };

@@ -168,7 +168,7 @@ impl<S, T> TargetBucket<S, T> {
         self.range.len()
     }
 
-    /// True when the bucket is empty (only a dual-tree pseudo-bucket is).
+    /// True when the bucket holds no particles (no assembled bucket does).
     pub fn is_empty(&self) -> bool {
         self.range.is_empty()
     }
@@ -297,18 +297,6 @@ pub trait Visitor: Send + Sync {
         prepared: &Self::Prepared,
         targets: &mut TargetSpan<'_, Self::State, Self::PerTarget>,
     );
-
-    /// Dual-tree hook: when evaluating node–node interactions, `true`
-    /// opens both target and source (B² child interactions), `false`
-    /// keeps the target and opens only the source (B interactions).
-    /// Single-tree traversals ignore this.
-    fn cell(
-        &self,
-        _source: &SpatialNodeView<'_, Self::Data>,
-        _target: &SpatialNodeView<'_, Self::Data>,
-    ) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -401,6 +389,5 @@ mod tests {
         assert_eq!(bucket.state.leaves, 1);
         assert_eq!(bucket.len(), 1);
         assert!(!bucket.is_empty());
-        assert!(v.cell(&view, &view), "default cell opens both");
     }
 }

@@ -17,10 +17,13 @@
 //!   layer grafts into the per-process global tree,
 //! * [`query`] — traversal-agnostic point-query kernels (kNN / ball /
 //!   range / raycast) over a forest of built arenas, shared by the kNN
-//!   application and the `paratreet-serve` query service.
+//!   application and the `paratreet-serve` query service,
+//! * [`dual`] — the one dual-tree walk over two arenas, whose rule sets
+//!   are friends-of-friends linking and two-point pair counting.
 
 pub mod build;
 pub mod data;
+pub mod dual;
 pub mod node;
 pub mod query;
 pub mod types;

@@ -6,7 +6,7 @@
 //! cargo run --release --example two_point_correlation -- [n] [bins]
 //! ```
 
-use paratreet::core_api::{Configuration, TraversalKind};
+use paratreet::core_api::Configuration;
 use paratreet_apps::correlation::{two_point_correlation, SeparationBins};
 use paratreet_particles::gen;
 
@@ -21,7 +21,7 @@ fn main() {
     let config =
         Configuration { bucket_size: 16, n_subtrees: 8, n_partitions: 8, ..Default::default() };
 
-    let xi = two_point_correlation(data, random, &bins, config, TraversalKind::TopDown);
+    let xi = two_point_correlation(data, random, &bins, config);
 
     println!("two-point correlation of a {n}-particle clustered field");
     println!("{:>10} {:>12}", "r", "xi(r)");

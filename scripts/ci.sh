@@ -85,6 +85,11 @@ cargo test --release -q -p paratreet-apps --lib -- \
     particles_exactly_one_linking_length_apart_link \
     counting_sort_catalog_matches_the_sorted_reference \
     catalogs_agree_across_tree_types_and_with_brute_force
+# FoF and pair counting are rule sets of one dual-tree walk: the walk
+# meets every pair once on every tree type, and pair counts equal the
+# brute force's, pairs exactly at the bin edges included.
+cargo test --release -q -p paratreet-tree --lib dual::
+cargo test --release -q -p paratreet-apps --lib correlation::
 # Collision prunes body by body inside a leaf pair: each bucket's events
 # equal the unpruned leaf's, in order, and the brute-force pairs on three
 # tree types and a maintained tree; a body box sharing a face with the
@@ -185,6 +190,11 @@ fi
 echo "== maintenance runs on the shared engine only: no second path in the message engines or the forest =="
 if grep -rnE 'run_maintained|ForestMaintainer|per_subtree_work' crates src; then
     echo "maintained mode is back in a message engine or the forest (DESIGN §10)"; exit 1
+fi
+
+echo "== one dual-tree walk (tree::dual): no bucket-target dual traversal or cell() hook in the framework =="
+if grep -rnE 'traverse_dual|TraversalKind::DualTree|fn cell\(' crates src tests; then
+    echo "the framework's dual-tree path is back (DESIGN §5b)"; exit 1
 fi
 
 echo "== serve keeps what a workload runs: no cost admission, degradation ladder or supervisor =="

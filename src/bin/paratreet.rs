@@ -76,9 +76,8 @@ FOREST / FOF (fof only):
 CONFIGURATION:
   --tree KIND          oct | kd | longest-dim              [oct]
   --decomp KIND        sfc | oct | kd | longest-dim        [sfc]
-  --traversal KIND     top-down | basic-dfs | up-and-down | dual-tree
-                       (gravity; dual-tree on the shared
-                       engine only)                        [top-down]
+  --traversal KIND     top-down | basic-dfs | up-and-down
+                       (gravity)                           [top-down]
   --bucket N           max bucket size                     [16]
   --subtrees N         minimum Subtrees                    [8]
   --partitions N       minimum Partitions                  [16]
@@ -164,9 +163,6 @@ struct App {
     /// `(engine, groups of options read on that engine only)`; the
     /// first engine is the default.
     engines: &'static [(&'static str, &'static [&'static [&'static str]])],
-    /// `(engine, option, value)`: a value of an option the app reads
-    /// that the engine cannot run.
-    refuses: &'static [(&'static str, &'static str, &'static str)],
     run: fn(&Opts),
 }
 
@@ -199,35 +195,30 @@ const APPS: &[App] = &[
             ("threaded", &[&["ranks", "workers"]]),
             ("machine", &[FAULTS]),
         ],
-        refuses: &[("threaded", "traversal", "dual-tree"), ("machine", "traversal", "dual-tree")],
         run: run_gravity,
     },
     App {
         name: "sph",
         options: &[WORKLOAD, TREE, &["incremental"], MAINTAIN, STEPS, &["k"], OBSERVE, STATE_OUT],
         engines: SHARED_ONLY,
-        refuses: &[],
         run: run_sph,
     },
     App {
         name: "disk",
         options: &[WORKLOAD, TREE, &["incremental"], MAINTAIN, STEPS, OBSERVE, STATE_OUT],
         engines: SHARED_ONLY,
-        refuses: &[],
         run: run_disk,
     },
     App {
         name: "serve-bench",
         options: &[WORKLOAD, TREE, MAINTAIN, SERVE, OBSERVE],
         engines: SHARED_ONLY,
-        refuses: &[],
         run: run_serve_bench,
     },
     App {
         name: "fof",
         options: &[WORKLOAD, TREE, &["periodic", "link", "min-members"], OBSERVE],
         engines: SHARED_ONLY,
-        refuses: &[],
         run: run_fof,
     },
 ];
@@ -334,11 +325,6 @@ fn parse_args() -> (Option<&'static App>, Opts) {
         let read = [&["engine"][..], &on_engine.concat(), &app.options.concat()].concat();
         if let Some(name) = opts.0.keys().find(|name| !read.contains(&name.as_str())) {
             eprintln!("option --{name} is not read by {} on the {engine} engine", app.name);
-            exit(2);
-        }
-        let refused = app.refuses.iter().find(|(e, n, v)| *e == engine && opts.str(n) == Some(v));
-        if let Some((_, name, value)) = refused {
-            eprintln!("{} --{name} {value} does not run on the {engine} engine", app.name);
             exit(2);
         }
         let engine = engine.to_string();
@@ -570,6 +556,12 @@ fn leapfrog<R>(
 }
 
 fn run_gravity(opts: &Opts) {
+    let traversals = [
+        ("top-down", TraversalKind::TopDown),
+        ("basic-dfs", TraversalKind::BasicDfs),
+        ("up-and-down", TraversalKind::UpAndDown),
+    ];
+    let kind = opts.choice("traversal", "top-down", &traversals);
     let mut particles = load_particles("gravity", opts);
     for p in &mut particles {
         if p.softening == 0.0 {
@@ -577,13 +569,6 @@ fn run_gravity(opts: &Opts) {
         }
     }
     let config = configuration(opts, "oct", "sfc");
-    let traversals = [
-        ("top-down", TraversalKind::TopDown),
-        ("basic-dfs", TraversalKind::BasicDfs),
-        ("up-and-down", TraversalKind::UpAndDown),
-        ("dual-tree", TraversalKind::DualTree),
-    ];
-    let kind = opts.choice("traversal", "top-down", &traversals);
     let visitor = GravityVisitor { theta: opts.get("theta", 0.7), g: 1.0 };
     let steps @ (iterations, _) = (opts.get("iterations", 1usize), opts.get("dt", 1.0 / 64.0));
     let (ranks, workers) = (opts.get("ranks", 2usize), opts.get("workers", 2usize));

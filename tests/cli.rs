@@ -110,18 +110,23 @@ fn iterations_count_on_every_engine() {
     }
 }
 
-/// Dual-tree traversal runs on the shared engine only: a message engine
-/// refuses it, naming the traversal and the engine, before any work.
+/// Gravity has no dual-tree traversal on any engine: the value is
+/// refused by name before any particle is generated or loaded — a
+/// snapshot that does not exist is never opened.
 #[test]
-fn dual_tree_on_a_message_engine_is_rejected_by_name() {
-    for engine in ["threaded", "machine"] {
-        let args =
-            ["gravity", "--particles", "200", "--engine", engine, "--traversal", "dual-tree"];
-        let out = paratreet(&args);
-        assert_eq!(out.status.code(), Some(2), "{engine}: {}", stderr(&out));
-        let err = stderr(&out);
-        assert!(err.contains("dual-tree") && err.contains(engine), "{engine}: {err}");
-        assert!(out.stdout.is_empty(), "nothing ran before the rejection");
+fn dual_tree_traversal_is_rejected_by_name_on_every_engine() {
+    let missing = std::env::temp_dir().join(format!("paratreet_cli_{}.ptrt", std::process::id()));
+    let missing = missing.to_str().expect("a UTF-8 temp path");
+    for engine in ["shared", "threaded", "machine"] {
+        for input in [&["--particles", "200"][..], &["--input", missing]] {
+            let mut args = vec!["gravity", "--engine", engine, "--traversal", "dual-tree"];
+            args.extend(input);
+            let out = paratreet(&args);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+            let err = stderr(&out);
+            assert!(err.contains("bad value for --traversal: dual-tree"), "{args:?}: {err}");
+            assert!(out.stdout.is_empty(), "nothing ran before the rejection");
+        }
     }
 }
 

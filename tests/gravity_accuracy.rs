@@ -102,37 +102,6 @@ fn basic_dfs_gives_identical_forces_to_transposed() {
 }
 
 #[test]
-fn dual_tree_matches_direct() {
-    // The dual-tree schedule prunes with node-box (not bucket-box)
-    // queries, so it makes *more conservative* opening decisions than
-    // the single-tree walk — its error is bounded by the same θ.
-    let config = Configuration { bucket_size: 16, ..Default::default() };
-    check_accuracy(config, 0.6, TraversalKind::DualTree, 0.02);
-}
-
-#[test]
-fn dual_tree_visits_fewer_nodes_than_per_bucket_walks() {
-    let ps = gen::uniform_cube(2000, 3, 1.0, 1.0);
-    let config = Configuration { bucket_size: 8, ..Default::default() };
-    let run = |kind| {
-        let mut fw: Framework<CentroidData> = Framework::new(config.clone(), ps.clone());
-        let visitor = GravityVisitor::default();
-        let (_, report) = fw.step(|s| {
-            s.traverse(&visitor, kind);
-        });
-        report.counts
-    };
-    let dual = run(TraversalKind::DualTree);
-    let dfs = run(TraversalKind::BasicDfs);
-    assert!(
-        dual.nodes_visited < dfs.nodes_visited,
-        "dual {} vs per-bucket {}",
-        dual.nodes_visited,
-        dfs.nodes_visited
-    );
-}
-
-#[test]
 fn smaller_theta_is_more_accurate() {
     let mut ps = gen::plummer(1200, 11, 1.0, 1.0);
     for p in &mut ps {

@@ -95,20 +95,16 @@ impl Visitor for MassAuditVisitor {
             }
         }
     }
+}
 
-    fn cell(
-        &self,
-        source: &SpatialNodeView<'_, MassData>,
-        target: &SpatialNodeView<'_, MassData>,
-    ) -> bool {
-        // Exercise both dual-tree branches pseudo-randomly.
-        let h = source
-            .key
-            .raw()
-            .rotate_left(17)
-            .wrapping_add(target.key.raw())
-            .wrapping_mul(self.salt | 1);
-        (h >> 16) & 1 == 0
+fn audit_config(tree_type: TreeType, decomp_type: DecompType) -> Configuration {
+    Configuration {
+        tree_type,
+        decomp_type,
+        bucket_size: 8,
+        n_subtrees: 6,
+        n_partitions: 5,
+        ..Default::default()
     }
 }
 
@@ -120,15 +116,8 @@ fn run_audit(
     salt: u64,
 ) -> (f64, Vec<f64>) {
     let total_mass: f64 = particles.iter().map(|p| p.mass).sum();
-    let config = Configuration {
-        tree_type,
-        decomp_type,
-        bucket_size: 8,
-        n_subtrees: 6,
-        n_partitions: 5,
-        ..Default::default()
-    };
-    let mut fw: Framework<MassData> = Framework::new(config, particles);
+    let mut fw: Framework<MassData> =
+        Framework::new(audit_config(tree_type, decomp_type), particles);
     let visitor = MassAuditVisitor { salt };
     fw.step(|s| {
         s.traverse(&visitor, kind);
@@ -153,7 +142,7 @@ proptest! {
         let decomp_type =
             [DecompType::Sfc, DecompType::Oct, DecompType::Kd, DecompType::LongestDim][decomp_idx];
         let kind =
-            [TraversalKind::TopDown, TraversalKind::BasicDfs, TraversalKind::DualTree][kind_idx];
+            [TraversalKind::TopDown, TraversalKind::BasicDfs, TraversalKind::UpAndDown][kind_idx];
         let particles = gen::clustered(n, 3, seed, 1.0, 1.0);
         let (total, absorbed) = run_audit(particles, tree_type, decomp_type, kind, salt);
         for (i, a) in absorbed.iter().enumerate() {
@@ -188,6 +177,32 @@ proptest! {
             );
         }
     }
+}
+
+/// The loop transposition (§III-A) changes how the walk is scheduled,
+/// not what it computes: TopDown carries every bucket interested in a
+/// node through it as one work item, BasicDfs walks the tree once per
+/// bucket, and the two make the same leaf interactions — TopDown in an
+/// order of magnitude fewer items.
+#[test]
+fn traversal_schedules_trade_visits_for_identical_counts() {
+    let ps = gen::uniform_cube(1500, 5, 1.0, 1.0);
+    let run = |kind| {
+        let config = audit_config(TreeType::Octree, DecompType::Sfc);
+        let mut fw: Framework<MassData> = Framework::new(config, ps.clone());
+        let (_, report) = fw.step(|s| {
+            s.traverse(&MassAuditVisitor { salt: 7 }, kind);
+        });
+        report.counts
+    };
+    let (transposed, basic) = (run(TraversalKind::TopDown), run(TraversalKind::BasicDfs));
+    assert_eq!(transposed.leaf_interactions, basic.leaf_interactions);
+    assert!(
+        transposed.nodes_visited * 10 < basic.nodes_visited,
+        "transposition must amortise visits: {} vs {}",
+        transposed.nodes_visited,
+        basic.nodes_visited
+    );
 }
 
 #[test]
