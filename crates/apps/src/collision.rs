@@ -13,9 +13,10 @@
 //! those locations and [`CollisionProfile`] accumulates the histogram.
 
 use crate::gravity::{self, apply_leaf, apply_node, CentroidData, NodeMoments};
+use crate::lanes::{at_width, width};
 use paratreet_core::{
-    Configuration, Framework, SpatialNodeView, TargetBucket, TargetLanes, TargetSpan,
-    TraversalKind, Visitor,
+    Configuration, Framework, Lane, SpatialNodeView, TargetBucket, TargetLanes, TargetSpan,
+    TraversalKind, Visitor, LANE_GROUP,
 };
 use paratreet_geometry::{BoundingBox, Vec3};
 use paratreet_particles::gen::G;
@@ -181,6 +182,7 @@ impl Visitor for CollisionVisitor {
     type Prepared = BoundingBox;
     /// The bucket's swept box: every `open` of the bucket tests it.
     type PerTarget = BoundingBox;
+    const LANES: TargetLanes = LANES;
 
     fn prepare(&self, source: &SpatialNodeView<'_, DiskData>) -> BoundingBox {
         if source.data.centroid.sum_mass == 0.0 {
@@ -215,32 +217,271 @@ impl Visitor for CollisionVisitor {
         // A pruned subtree cannot collide with these buckets.
     }
 
+    /// `open`'s box test applied to single target bodies — a body whose
+    /// swept box misses the source's inflated box is in no colliding pair
+    /// here — then the closest-approach test of the bodies left against
+    /// every source body: both eight or four targets per instruction
+    /// where the CPU has AVX-512F or AVX2 ([`width`]).
     fn leaf(
         &self,
         source: &SpatialNodeView<'_, DiskData>,
         inflated: &BoundingBox,
         targets: &mut TargetSpan<'_, Vec<CollisionEvent>, BoundingBox>,
     ) {
-        // `open`'s box test, applied to single target bodies: a body whose
-        // swept box misses the source's inflated box is in no colliding
-        // pair here.
-        for (particles, target) in targets.buckets() {
-            for tp in particles {
-                if !inflated.intersects(&Self::body_box(tp, self.dt)) {
-                    continue;
+        sweep_span_at(width(), source.particles, inflated, targets, self.dt)
+    }
+}
+
+/// The target lanes the collision leaf reads: a body's start, velocity,
+/// radius and id.
+const LANES: TargetLanes = TargetLanes {
+    reads: &[
+        Lane::PosX,
+        Lane::PosY,
+        Lane::PosZ,
+        Lane::VelX,
+        Lane::VelY,
+        Lane::VelZ,
+        Lane::Radius,
+        Lane::Id,
+    ],
+    writes: &[],
+};
+
+/// A span's stretch of the collision lanes, each slice reaching to a
+/// whole group past the `live` targets.
+struct SpanBodies<'a> {
+    pos: [&'a [f64]; 3],
+    vel: [&'a [f64]; 3],
+    radius: &'a [f64],
+    id: &'a [f64],
+    live: usize,
+}
+
+impl SpanBodies<'_> {
+    /// Target `l` of the span as [`CollisionVisitor::pair_collides`]
+    /// reads it.
+    fn body(&self, l: usize) -> Particle {
+        Particle {
+            id: self.id[l].to_bits(),
+            pos: Vec3::new(self.pos[0][l], self.pos[1][l], self.pos[2][l]),
+            vel: Vec3::new(self.vel[0][l], self.vel[1][l], self.vel[2][l]),
+            radius: self.radius[l],
+            ..Particle::default()
+        }
+    }
+}
+
+/// A (target, source) pair the lanes found colliding, by the target's
+/// place in the span and the source's in its leaf: ordered as the
+/// per-pair loop meets them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Hit {
+    target: u32,
+    source: u32,
+}
+
+/// Up to [`LANE_GROUP`] target bodies of a span that passed the box
+/// test, copied in span order into one column per field the
+/// closest-approach test reads. Lanes past `len` hold zeros or an
+/// earlier group's bodies: computed on, never reported.
+#[derive(Default)]
+struct Group {
+    pos: [[f64; LANE_GROUP]; 3],
+    vel: [[f64; LANE_GROUP]; 3],
+    radius: [f64; LANE_GROUP],
+    id: [f64; LANE_GROUP],
+    /// Each lane's place in the span.
+    at: [u32; LANE_GROUP],
+    len: usize,
+}
+
+impl Group {
+    /// Appends the span's target `l`.
+    #[inline(always)]
+    fn push(&mut self, t: &SpanBodies<'_>, l: usize) {
+        let g = self.len;
+        for axis in 0..3 {
+            self.pos[axis][g] = t.pos[axis][l];
+            self.vel[axis][g] = t.vel[axis][l];
+        }
+        (self.radius[g], self.id[g], self.at[g]) = (t.radius[l], t.id[l], l as u32);
+        self.len += 1;
+    }
+}
+
+/// [`CollisionVisitor::leaf`] on `lanes` lanes: the CPU's [`width`], or
+/// in the identity tests any width up to it. The lanes decide which
+/// pairs collide; each hit re-runs [`CollisionVisitor::pair_collides`]
+/// for its event, pushed in (target, source) order, so every bucket's
+/// list is the per-pair loop's.
+fn sweep_span_at(
+    lanes: usize,
+    sources: &[Particle],
+    inflated: &BoundingBox,
+    targets: &mut TargetSpan<'_, Vec<CollisionEvent>, BoundingBox>,
+    dt: f64,
+) {
+    if inflated.is_empty() {
+        return; // intersects no body box
+    }
+    let mut hits = Vec::new();
+    let ([x, y, z, vx, vy, vz, radius, id], [], live) = targets.lanes();
+    let t = SpanBodies { pos: [x, y, z], vel: [vx, vy, vz], radius, id, live };
+    at_width!(lanes, sweep_span(&t, inflated, sources, dt, &mut hits));
+    if hits.is_empty() {
+        return;
+    }
+    hits.sort_unstable();
+    let events: Vec<(usize, CollisionEvent)> = hits
+        .into_iter()
+        .map(|hit| {
+            let (tp, sp) = (t.body(hit.target as usize), &sources[hit.source as usize]);
+            let (t, radius) = CollisionVisitor::pair_collides(&tp, sp, dt)
+                .expect("a lane hit is a per-pair hit (the identity contract of `lanes`)");
+            (hit.target as usize, CollisionEvent { a: tp.id, b: sp.id, t, radius })
+        })
+        .collect();
+    let mut events = events.into_iter().peekable();
+    let mut buckets = targets.buckets().map(|(_, bucket)| bucket).peekable();
+    let start = buckets.peek().map_or(0, |b| b.range.start);
+    for bucket in buckets {
+        let end = bucket.range.end - start;
+        while let Some((_, event)) = events.next_if(|&(l, _)| l < end) {
+            bucket.state.push(event);
+        }
+    }
+    assert!(events.next().is_none(), "a lane past the span's targets hit");
+}
+
+/// The target-body skip and the closest-approach decision, written once
+/// over a lane type of [`crate::lanes`] and instantiated per type below,
+/// as `gravity`'s kernels are. Every operation is spelled as a lane
+/// method in the order the per-pair code evaluates it, so each lane
+/// decides what that code decides:
+/// - the skip is [`CollisionVisitor::body_box`] and
+///   [`BoundingBox::intersects`] per lane: `min`/`max` keep `f64`'s NaN
+///   rule, and `lo <= hi` on the body's box is `!is_empty()` wherever
+///   the other comparisons can still pass (a NaN fails them all);
+/// - in [`CollisionVisitor::pair_collides`], `rsum > 0` (where `rsum` is
+///   NaN the final `<=` is false anyway) and "the source has the higher
+///   id" are masks, `t*`'s clamp to `[0, dt]` is two ordered
+///   compare-and-blends (a NaN or `-0.0` passes both, as through
+///   `f64::clamp`), and `t* = 0` where `|dv|² = 0` is a blend over the
+///   quotient computed regardless.
+///
+/// The bodies that pass the skip are copied into [`Group`]s, eight to a
+/// group whichever bucket they belong to, and the sources stream past
+/// each group in slice order; a source no lane may pair with is skipped.
+/// A short last run of the span is computed full-width — its dead lanes
+/// hold what follows the span — and only its live lanes are read out.
+macro_rules! sweep_kernel {
+    ($X:ident, $Ids:ident $(, #[$attr:meta])?) => {
+        use super::{Group, Hit, SpanBodies};
+        use crate::lanes::{$Ids, $X};
+        use paratreet_core::LANE_GROUP;
+        use paratreet_geometry::BoundingBox;
+        use paratreet_particles::Particle;
+
+        /// Pushes to `hits` every pair of a target of `t` whose swept box
+        /// meets `inflated` and a body of `sources` that collide over
+        /// `[0, dt]`, the source's id above the target's.
+        $(#[$attr])?
+        pub(super) fn sweep_span(
+            t: &SpanBodies<'_>,
+            inflated: &BoundingBox,
+            sources: &[Particle],
+            dt: f64,
+            hits: &mut Vec<Hit>,
+        ) {
+            let in_lo = [inflated.lo.x, inflated.lo.y, inflated.lo.z].map(|v| $X::splat(v));
+            let in_hi = [inflated.hi.x, inflated.hi.y, inflated.hi.z].map(|v| $X::splat(v));
+            let dt_lanes = $X::splat(dt);
+            let mut group = Group::default();
+            for i in (0..t.live).step_by($X::LANES) {
+                let filled = (1u32 << (t.live - i).min($X::LANES)) - 1;
+                let radius = $X::load(&t.radius[i..]);
+                let mut pass = filled;
+                for axis in 0..3 {
+                    let pos = $X::load(&t.pos[axis][i..]);
+                    let moved = pos.add($X::load(&t.vel[axis][i..]).mul(dt_lanes));
+                    let (lo, hi) = (pos.min(moved).sub(radius), pos.max(moved).add(radius));
+                    let meets = lo.le(hi).and(in_lo[axis].le(hi)).and(lo.le(in_hi[axis]));
+                    pass &= meets.bits();
                 }
-                for sp in source.particles {
-                    // Each unordered pair is reported once (by its lower id).
-                    if sp.id <= tp.id {
+                while pass != 0 {
+                    group.push(t, i + pass.trailing_zeros() as usize);
+                    if group.len == LANE_GROUP {
+                        sweep(&group, sources, dt, hits);
+                        group.len = 0;
+                    }
+                    pass &= pass - 1;
+                }
+            }
+            if group.len > 0 {
+                sweep(&group, sources, dt, hits);
+            }
+        }
+
+        /// Pushes to `hits` every pair of a lane of `group` and one of
+        /// `sources` that collides over `[0, dt]`, source by source within
+        /// each run of `LANES` lanes.
+        #[inline]
+        $(#[$attr])?
+        fn sweep(group: &Group, sources: &[Particle], dt: f64, hits: &mut Vec<Hit>) {
+            let (zero, dt) = ($X::splat(0.0), $X::splat(dt));
+            for i in (0..group.len).step_by($X::LANES) {
+                let filled = (1u32 << (group.len - i).min($X::LANES)) - 1;
+                let [px, py, pz] = group.pos.map(|c| $X::load(&c[i..]));
+                let [vx, vy, vz] = group.vel.map(|c| $X::load(&c[i..]));
+                let radius = $X::load(&group.radius[i..]);
+                let ids = $Ids::load(&group.id[i..]);
+                for (s, sp) in sources.iter().enumerate() {
+                    let rsum = radius.add($X::splat(sp.radius));
+                    // Each unordered pair is tested once, by its lower id.
+                    let live = ids.lt(sp.id).and(rsum.gt(zero));
+                    if live.bits() & filled == 0 {
                         continue;
                     }
-                    if let Some((t, radius)) = Self::pair_collides(tp, sp, self.dt) {
-                        target.state.push(CollisionEvent { a: tp.id, b: sp.id, t, radius });
+                    let dx = $X::splat(sp.pos.x).sub(px);
+                    let dy = $X::splat(sp.pos.y).sub(py);
+                    let dz = $X::splat(sp.pos.z).sub(pz);
+                    let dvx = $X::splat(sp.vel.x).sub(vx);
+                    let dvy = $X::splat(sp.vel.y).sub(vy);
+                    let dvz = $X::splat(sp.vel.z).sub(vz);
+                    let dv2 = dvx.mul(dvx).add(dvy.mul(dvy)).add(dvz.mul(dvz));
+                    let t = dx.mul(dvx).add(dy.mul(dvy)).add(dz.mul(dvz)).neg().div(dv2);
+                    let t = t.blend(t.lt(zero), zero);
+                    let t = t.blend(t.gt(dt), dt);
+                    let t = t.blend(dv2.eq(zero), zero);
+                    let cx = dx.add(dvx.mul(t));
+                    let cy = dy.add(dvy.mul(t));
+                    let cz = dz.add(dvz.mul(t));
+                    let c2 = cx.mul(cx).add(cy.mul(cy)).add(cz.mul(cz));
+                    let mut hit = c2.le(rsum.mul(rsum)).and(live).bits() & filled;
+                    while hit != 0 {
+                        let target = group.at[i + hit.trailing_zeros() as usize];
+                        hits.push(Hit { target, source: s as u32 });
+                        hit &= hit - 1;
                     }
                 }
             }
         }
-    }
+    };
+}
+
+mod x1 {
+    sweep_kernel!(X1, Ids1);
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x4 {
+    sweep_kernel!(X4, Ids4, #[target_feature(enable = "avx2")]);
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x8 {
+    sweep_kernel!(X8, Ids8, #[target_feature(enable = "avx512f")]);
 }
 
 /// Orbital period around a central mass at semi-major axis `a`.
@@ -396,8 +637,14 @@ fn merge(particles: &mut Vec<Particle>, events: &[CollisionEvent]) -> Vec<Collis
         let b = particles[ib];
         let a = &mut particles[ia];
         let m = a.mass + b.mass;
-        a.vel = (a.vel * a.mass + b.vel * b.mass) / m;
-        a.pos = (a.pos * a.mass + b.pos * b.mass) / m;
+        if m == 0.0 {
+            // Two massless bodies: no mass to weight by, so the plain mean.
+            a.vel = (a.vel + b.vel) * 0.5;
+            a.pos = (a.pos + b.pos) * 0.5;
+        } else {
+            a.vel = (a.vel * a.mass + b.vel * b.mass) / m;
+            a.pos = (a.pos * a.mass + b.pos * b.mass) / m;
+        }
         a.radius = (a.radius.powi(3) + b.radius.powi(3)).cbrt();
         a.mass = m;
         absorbed[ib] = true;
@@ -411,6 +658,8 @@ fn merge(particles: &mut Vec<Particle>, events: &[CollisionEvent]) -> Vec<Collis
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paratreet_core::Targets;
+    use paratreet_geometry::ROOT_KEY;
     use paratreet_particles::gen::{self, DiskParams};
     use paratreet_tree::TreeType;
 
@@ -578,6 +827,36 @@ mod tests {
         let mom_after: Vec3 =
             sim.framework.particles().iter().map(|p| p.vel * p.mass).fold(Vec3::ZERO, |a, v| a + v);
         assert!((mom_after - mom_before).norm() < 1e-2 * mom_before.norm().max(1.0));
+    }
+
+    #[test]
+    fn merging_two_massless_bodies_keeps_the_run_finite() {
+        // A star and two massless bodies 0.05 apart with radius 0.1: the
+        // first step merges them (a mass-weighted mean would be 0/0), the
+        // second builds a tree over the merged body.
+        let star = Particle::point_mass(0, 1.0, Vec3::ZERO);
+        let body = |id: u64, x: f64| Particle {
+            id,
+            mass: 0.0,
+            radius: 0.1,
+            pos: Vec3::new(x, 0.0, 0.0),
+            vel: Vec3::new(0.0, (1.0 / x).sqrt(), 0.0),
+            ..Particle::default()
+        };
+        let ps = vec![star, body(1, 2.0), body(2, 2.05)];
+        let mass_before: f64 = ps.iter().map(|p| p.mass).sum();
+        let config = disk_config(TreeType::LongestDim, 8);
+        let mut sim = DiskSimulation::new(config, ps, orbital_period(2.0, 1.0) / 100.0);
+        let merged = sim.step();
+        assert_eq!(merged.iter().map(|e| (e.a, e.b)).collect::<Vec<_>>(), vec![(1, 2)]);
+        sim.step();
+        let ps = sim.framework.particles();
+        assert_eq!(ps.len(), 2);
+        for p in ps {
+            let fields = [p.pos.x, p.pos.y, p.pos.z, p.vel.x, p.vel.y, p.vel.z, p.mass];
+            assert!(fields.iter().all(|v| v.is_finite()), "body {} is not finite: {p:?}", p.id);
+        }
+        assert_eq!(ps.iter().map(|p| p.mass).sum::<f64>(), mass_before, "mergers conserve mass");
     }
 
     #[test]
@@ -805,6 +1084,204 @@ mod tests {
         assert_eq!(fw.step(|step| step.bucket_particle_ids()).0, vec![vec![0, 1], vec![2, 3]]);
         let evs = traversal_events(&mut fw, 1.0);
         assert_eq!(evs, vec![CollisionEvent { a: 1, b: 2, t: 0.0, radius: 0.0 }]);
+    }
+
+    /// Deterministic coordinates in (-1, 1) with full mantissas.
+    fn coord(i: u64) -> f64 {
+        let bits = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+        bits as f64 / (1u64 << 52) as f64 - 1.0
+    }
+
+    fn body(id: u64, pos: [f64; 3], vel: [f64; 3], radius: f64) -> Particle {
+        let (pos, vel) = (Vec3::new(pos[0], pos[1], pos[2]), Vec3::new(vel[0], vel[1], vel[2]));
+        Particle { id, mass: 1.0, pos, vel, radius, ..Particle::default() }
+    }
+
+    /// The lane tests' step and the source leaf's inflated box, which the
+    /// bodies of [`lane_targets`] past x = ±4 miss.
+    const LANE_DT: f64 = 1.0;
+    const INFLATED: BoundingBox = BoundingBox {
+        lo: Vec3 { x: -4.0, y: -4.0, z: -4.0 },
+        hi: Vec3 { x: 12.0, y: 6.0, z: 6.0 },
+    };
+
+    /// A source leaf with ids 10, 20, … 100: one at rest at the origin,
+    /// one moving in from x = 10, one of radius 0 at y = 4, one drifting
+    /// at z = 4, five strangers and one at rest outside the inflated box,
+    /// at x = -5.
+    fn lane_sources() -> Vec<Particle> {
+        let mut sources = vec![
+            body(10, [0.0, 0.0, 0.0], [0.0; 3], 0.5),
+            body(20, [10.0, 0.0, 0.0], [-1.0, 0.0, 0.0], 0.5),
+            body(30, [0.0, 4.0, 0.0], [0.0; 3], 0.0),
+            body(40, [0.0, 0.0, 4.0], [0.25, 0.5, 0.0], 0.25),
+        ];
+        sources.extend((0..5).map(|i| {
+            let pos = [coord(800 + 3 * i), coord(801 + 3 * i), coord(802 + 3 * i)].map(|c| 2.0 * c);
+            let vel = [coord(900 + 3 * i), coord(901 + 3 * i), coord(902 + 3 * i)];
+            body(50 + 10 * i, pos, vel, 0.3 + 0.2 * coord(990 + i).abs())
+        }));
+        sources.push(body(100, [-5.0, 0.0, 0.0], [0.0; 3], 0.5));
+        sources
+    }
+
+    /// 48 target bodies, the cases the lanes must decide as the per-pair
+    /// test does first, then strangers around the sources (some outside
+    /// the inflated box), with ids on both sides of every source's.
+    fn lane_targets() -> Vec<Particle> {
+        let mut targets = vec![
+            // Exactly `rsum` from source 10, at rest (|dv|² = 0): `<=`.
+            body(5, [1.0, 0.0, 0.0], [0.0; 3], 0.5),
+            // Moving away from source 10 while overlapping it: t* = 0.
+            body(7, [0.875, 0.0, 0.0], [1.0, 0.0, 0.0], 0.5),
+            // Moving away and apart: t* = 0, no hit.
+            body(9, [1.5, 0.0, 0.0], [1.0, 0.0, 0.0], 0.25),
+            // Source 20 reaches closest after the step: t* = dt, touching.
+            body(13, [7.0, 0.0, 0.0], [0.0; 3], 1.5),
+            // … and one it misses at t* = dt.
+            body(15, [6.5, 0.0, 0.0], [0.0; 3], 0.5),
+            // On top of source 30 with radius 0 too: rsum = 0, no event.
+            body(17, [0.0, 4.0, 0.0], [0.0; 3], 0.0),
+            // Co-moving with source 40, overlapping it (|dv|² = 0).
+            body(19, [0.125, 0.0, 4.0], [0.25, 0.5, 0.0], 0.25),
+            // Ids on both sides of 10 on the same spot: only 9 < 10 pairs
+            // with it, 11 with the sources above it.
+            body(3, [0.25, 0.0, 0.0], [0.0; 3], 0.5),
+            body(11, [0.25, 0.0, 0.0], [0.0; 3], 0.5),
+            // Its box shares the face x = -4 with the inflated box; it
+            // touches source 100.
+            body(21, [-4.5, 0.0, 0.0], [0.0; 3], 0.5),
+            // A negative radius inverts its box, which meets nothing,
+            // though `rsum` with source 10 is positive.
+            body(1, [0.125, 0.0, 0.0], [0.0; 3], -0.25),
+        ];
+        let n = targets.len() as u64;
+        targets.extend((n..48).map(|i| {
+            let pos = [coord(3 * i), coord(3 * i + 1), coord(3 * i + 2)].map(|c| 2.5 * c);
+            let pos = if i % 9 == 0 { [pos[0] + 9.0, pos[1], pos[2]] } else { pos };
+            let vel = [coord(300 + 3 * i), coord(301 + 3 * i), coord(302 + 3 * i)];
+            body(2 * i + 1, pos, vel, 0.1 + 0.5 * coord(600 + i).abs())
+        }));
+        targets
+    }
+
+    /// An event's bits.
+    type EventBits = (u64, u64, u64, u64);
+
+    fn event_bits(states: &[Vec<CollisionEvent>]) -> Vec<Vec<EventBits>> {
+        let bits = |e: &CollisionEvent| (e.a, e.b, e.t.to_bits(), e.radius.to_bits());
+        states.iter().map(|evs| evs.iter().map(bits).collect()).collect()
+    }
+
+    /// The leaf as a per-pair loop over records: the body-box skip, then
+    /// every source in order for each target, the pair tested by its
+    /// lower id.
+    fn per_pair_leaf(buckets: &[Vec<Particle>], sources: &[Particle]) -> Vec<Vec<CollisionEvent>> {
+        let leaf = |own: &Vec<Particle>| {
+            let mut events = Vec::new();
+            for tp in own {
+                if !INFLATED.intersects(&CollisionVisitor::body_box(tp, LANE_DT)) {
+                    continue;
+                }
+                for sp in sources.iter().filter(|sp| sp.id > tp.id) {
+                    if let Some((t, radius)) = CollisionVisitor::pair_collides(tp, sp, LANE_DT) {
+                        events.push(CollisionEvent { a: tp.id, b: sp.id, t, radius });
+                    }
+                }
+            }
+            events
+        };
+        buckets.iter().map(leaf).collect()
+    }
+
+    /// Each bucket's events after `kernel` ran on the targets `buckets`
+    /// make, as one Partition's.
+    fn lane_states(
+        buckets: &[Vec<Particle>],
+        kernel: impl FnOnce(&mut Targets<Vec<CollisionEvent>, BoundingBox>),
+    ) -> Vec<Vec<CollisionEvent>> {
+        let visitor = CollisionVisitor { dt: LANE_DT };
+        let mut targets =
+            Targets::assemble(&visitor, buckets.iter().map(|own| (ROOT_KEY, own.clone())));
+        kernel(&mut targets);
+        targets.into_states().collect()
+    }
+
+    /// The lane pair test is the per-pair loop, event for event and bit
+    /// for bit, in each bucket's order: every instantiation this CPU runs
+    /// (called by width), the dispatched `leaf` over the whole span and
+    /// bucket by bucket. A span is 1–4 buckets, the first of 1–19 targets
+    /// (most runs end mid-group, and groups straddle buckets), drawn from
+    /// [`lane_targets`] at a shifting offset so each case sits in every
+    /// lane position. Behind the span lies a bucket the kernels are not
+    /// given, of bodies on top of the sources with lower ids: a full-width
+    /// last run reads them, and they must produce no event.
+    #[test]
+    fn lane_pair_test_keeps_every_bit_of_the_per_pair_loop() {
+        let widths: Vec<usize> = [1, 4, 8].into_iter().filter(|&w| w <= width()).collect();
+        let (sources, pool) = (lane_sources(), lane_targets());
+        let data = DiskData::from_leaf(&sources, &BoundingBox::empty());
+        let view = SpatialNodeView {
+            key: ROOT_KEY,
+            bbox: &INFLATED,
+            n_particles: sources.len() as u32,
+            data: &data,
+            particles: &sources,
+        };
+        let visitor = CollisionVisitor { dt: LANE_DT };
+        let sentinels: Vec<Particle> =
+            sources.iter().map(|s| Particle { id: 0, radius: 1.0, ..*s }).collect();
+        let mut seen = Vec::new();
+        for (n, run) in (1..=19usize).flat_map(|n| (1..=4usize).map(move |run| (n, run))) {
+            let sizes = (0..run).map(|b| if b == 0 { n } else { (n + 2 * b) % 7 + 1 });
+            let mut drawn = pool.iter().cycle().skip(3 * n + run);
+            let mut buckets: Vec<Vec<Particle>> =
+                sizes.map(|size| drawn.by_ref().take(size).copied().collect()).collect();
+            buckets.push(sentinels.clone());
+            let what = format!("sizes {:?}", buckets.iter().map(Vec::len).collect::<Vec<_>>());
+
+            let expect = event_bits(&per_pair_leaf(&buckets[..run], &sources));
+            let expect = [expect, vec![Vec::new()]].concat();
+            for &w in &widths {
+                let at = lane_states(&buckets, |t| {
+                    sweep_span_at(w, &sources, &INFLATED, &mut t.span(0..run), LANE_DT)
+                });
+                assert_eq!(event_bits(&at), expect, "{w} lanes, {what}");
+            }
+            let dispatched =
+                lane_states(&buckets, |t| visitor.leaf(&view, &INFLATED, &mut t.span(0..run)));
+            assert_eq!(event_bits(&dispatched), expect, "dispatched, {what}");
+            let bucketed = lane_states(&buckets, |t| {
+                (0..run).for_each(|b| visitor.leaf(&view, &INFLATED, &mut t.span(b..b + 1)))
+            });
+            assert_eq!(event_bits(&bucketed), expect, "bucket by bucket, {what}");
+            seen.extend(dispatched.into_iter().flatten());
+        }
+        // The cases were met: `<=` at rest, t* clamped at 0 and at dt,
+        // co-moving bodies, both sides of one id, a body box meeting the
+        // inflated one at a face; never rsum = 0, never the miss at
+        // t* = dt, an inverted box or a sentinel.
+        let pairs: Vec<(u64, u64)> = seen.iter().map(|e| (e.a, e.b)).collect();
+        for pair in [(5, 10), (7, 10), (13, 20), (19, 40), (3, 10), (21, 100)] {
+            assert!(pairs.contains(&pair), "{pair:?} never collided");
+        }
+        for pair in [(9, 10), (15, 20), (17, 30), (11, 10), (0, 10), (1, 10)] {
+            assert!(!pairs.contains(&pair), "{pair:?} collided");
+        }
+        assert!(seen.iter().any(|e| e.a == 13 && e.t == LANE_DT), "t* = dt");
+        assert!(seen.iter().any(|e| e.a == 7 && e.t == 0.0), "t* = 0");
+        assert!(seen.len() > 500, "{} events", seen.len());
+    }
+
+    /// A sweep run on more lanes than the CPU was found to have stops
+    /// before it reaches an instruction the CPU may lack.
+    #[test]
+    #[should_panic(expected = "lanes on a CPU that runs")]
+    fn a_sweep_wider_than_the_cpu_is_refused() {
+        let buckets = [lane_targets()];
+        lane_states(&buckets, |t| {
+            sweep_span_at(width() + 1, &lane_sources(), &INFLATED, &mut t.span(0..1), LANE_DT)
+        });
     }
 
     /// `merge` as it was: a linear scan per id and per absorbed check.

@@ -7,7 +7,7 @@
 //! `gravApprox`/`gravExact` kernels (Fig. 7). A complete N-body step is
 //! ~100 lines of user code — that is the productivity claim of Table III.
 
-use crate::lanes::{width, X1};
+use crate::lanes::{at_width, width, X1};
 use paratreet_core::{Lane, SpatialNodeView, TargetBucket, TargetLanes, TargetSpan, Visitor};
 use paratreet_geometry::{BoundingBox, Sphere, Vec3};
 use paratreet_particles::Particle;
@@ -224,36 +224,12 @@ pub fn apply_leaf<S, T>(sources: &[Particle], targets: &mut TargetSpan<'_, S, T>
 /// [`apply_node`]'s kernel on `lanes` lanes: the CPU's [`width`], or in
 /// the identity tests any width up to it.
 fn node_span_at(lanes: usize, node: &NodeMoments, t: SpanLanes<'_>, g: f64) {
-    assert!(lanes <= width(), "{lanes} lanes on a CPU that runs {}", width());
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `lanes` is at most `width()` (asserted above), which is 8
-    // only where the CPU has AVX-512F and AVX2, and 4 only where it has
-    // AVX2.
-    unsafe {
-        match lanes {
-            8 => return x8::node_span(node, t, g),
-            4 => return x4::node_span(node, t, g),
-            _ => {}
-        }
-    }
-    x1::node_span(node, t, g)
+    at_width!(lanes, node_span(node, t, g))
 }
 
 /// [`apply_leaf`]'s kernel on `lanes` lanes, as [`node_span_at`].
 fn leaf_span_at(lanes: usize, sources: &[Particle], t: SpanLanes<'_>, g: f64) {
-    assert!(lanes <= width(), "{lanes} lanes on a CPU that runs {}", width());
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `lanes` is at most `width()` (asserted above), which is 8
-    // only where the CPU has AVX-512F and AVX2, and 4 only where it has
-    // AVX2.
-    unsafe {
-        match lanes {
-            8 => return x8::leaf_span(sources, t, g),
-            4 => return x4::leaf_span(sources, t, g),
-            _ => {}
-        }
-    }
-    x1::leaf_span(sources, t, g)
+    at_width!(lanes, leaf_span(sources, t, g))
 }
 
 /// The gravity kernels, written once over a lane type of
@@ -298,7 +274,8 @@ macro_rules! bucket_kernels {
             let s = mass.mul(inv_r3);
             let acc = [dx.mul(s), dy.mul(s), dz.mul(s)];
             let pot = mass.neg().div(r);
-            (acc.map(|a| a.zero_where_zero(r2)), pot.zero_where_zero(r2))
+            let (zero, degenerate) = ($X::splat(0.0), r2.eq($X::splat(0.0)));
+            (acc.map(|a| a.blend(degenerate, zero)), pot.blend(degenerate, zero))
         }
 
         /// `grav_approx` per lane.
@@ -349,7 +326,8 @@ macro_rules! bucket_kernels {
                 mono[1].add(qy.mul(a)).sub(dy.mul(b)).add(dy.mul(c)),
                 mono[2].add(qz.mul(a)).sub(dz.mul(b)).add(dz.mul(c)),
             ];
-            (acc.map(|a| a.zero_where_zero(r2)), pot.zero_where_zero(r2))
+            let (zero, degenerate) = ($X::splat(0.0), r2.eq($X::splat(0.0)));
+            (acc.map(|a| a.blend(degenerate, zero)), pot.blend(degenerate, zero))
         }
 
         /// [`super::apply_node`] on this lane type.

@@ -1,7 +1,8 @@
 //! Lane types for span kernels whose lanes are target particles.
 //!
 //! A kernel body is written once against the method set the value types
-//! here share and instantiated for each (`gravity`'s `bucket_kernels!`):
+//! here share and instantiated for each (`gravity`'s `bucket_kernels!`,
+//! `collision`'s `sweep_kernel!`):
 //! [`X1`] is one `f64` — the only instantiation off x86-64 or without
 //! AVX2, and the one the public per-pair kernels are — [`X4`] is four of
 //! them in a `__m256d` (AVX2) and [`X8`] eight in a `__m512d`
@@ -17,11 +18,16 @@
 //! `X4`, a mask blend in an `X8`) without skipping the operations
 //! around it. A body that spells the same operations in the same order
 //! therefore leaves the same bits in an `X4` or `X8` lane as it leaves
-//! in an `X1`. The one branch a body may take is on [`X1::all_zero`]:
-//! when *every* lane is degenerate it may return at once what the
-//! blends would have left. With one lane that is the early return the
-//! per-pair kernels always had (as a blend alone, `grav_exact` measured
-//! 4.8 ns for 3.8); with four or eight it is almost never taken.
+//! in an `X1`. A comparison (`lt`, `le`, `gt`, `eq`, [`Ids1::lt`])
+//! is the IEEE-754 ordered comparison of its name per lane — false where
+//! either side is NaN, as Rust's operators are — and yields a mask
+//! ([`Mask1`], `Mask4`, `Mask8`) that `blend` picks values by and
+//! `bits` reads out, one bit per lane. The one branch a body may take is
+//! on a whole group: when *every* lane is degenerate ([`X1::all_zero`],
+//! or a mask with no bit set) it may return at once what the blends
+//! would have left. With one lane that is the early return the per-pair
+//! kernels always had (as a blend alone, `grav_exact` measured 4.8 ns
+//! for 3.8); with four or eight it is almost never taken.
 //!
 //! Every `X4` method carries `#[target_feature(enable = "avx2")]` and
 //! every `X8` method `#[target_feature(enable = "avx512f")]`: safe code
@@ -30,7 +36,9 @@
 //! which `Ids4::load` / `Ids8::load` go through, and `store`) take a
 //! slice, check its length and hand its pointer to an unaligned
 //! intrinsic — a full-width load or store, or a masked store for a short
-//! last group — the only `unsafe` here (three blocks per width).
+//! last group — three `unsafe` blocks per width. The seventh is
+//! [`at_width!`], the one place a kernel instantiation is called by
+//! width: every `unsafe` of the crate is in this file.
 
 use std::sync::OnceLock;
 
@@ -55,6 +63,38 @@ pub(crate) fn width() -> usize {
     })
 }
 
+/// `x8::$kernel(args)`, `x4::…` or `x1::…` of the calling module, by
+/// `lanes`: the CPU's [`width`], or in the identity tests any width up
+/// to it (a wider one panics, naming both). The calling module's `x1`,
+/// `x4` and `x8` are one kernel macro instantiated over [`X1`], over
+/// [`X4`] with `#[target_feature(enable = "avx2")]` and over [`X8`]
+/// with `#[target_feature(enable = "avx512f")]`, as `gravity`'s and
+/// `collision`'s are; the arguments are evaluated once, in the arm that
+/// runs.
+macro_rules! at_width {
+    ($lanes:expr, $kernel:ident($($arg:expr),* $(,)?)) => {{
+        let lanes: usize = $lanes;
+        let cpu = $crate::lanes::width();
+        assert!(lanes <= cpu, "{lanes} lanes on a CPU that runs {cpu}");
+        match lanes {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `lanes` is at most `width()` (asserted above),
+            // which is 8 only where the CPU has AVX-512F and AVX2, and 4
+            // only where it has AVX2: the features `x8`'s and `x4`'s
+            // functions are compiled for.
+            8 | 4 => unsafe {
+                if lanes == 8 {
+                    x8::$kernel($($arg),*)
+                } else {
+                    x4::$kernel($($arg),*)
+                }
+            },
+            _ => x1::$kernel($($arg),*),
+        }
+    }};
+}
+pub(crate) use at_width;
+
 /// One lane: a plain `f64`.
 #[derive(Clone, Copy)]
 pub(crate) struct X1(f64);
@@ -62,6 +102,10 @@ pub(crate) struct X1(f64);
 /// The identifiers of an [`X1`]'s particle.
 #[derive(Clone, Copy)]
 pub(crate) struct Ids1(u64);
+
+/// A condition on an [`X1`]'s lane.
+#[derive(Clone, Copy)]
+pub(crate) struct Mask1(bool);
 
 #[allow(clippy::should_implement_trait)]
 impl X1 {
@@ -126,17 +170,47 @@ impl X1 {
         X1(self.0.max(o.0))
     }
 
+    /// `f64::min`: the other operand where one is NaN.
+    #[inline(always)]
+    pub fn min(self, o: X1) -> X1 {
+        X1(self.0.min(o.0))
+    }
+
     /// True when every lane is zero.
     #[inline(always)]
     pub fn all_zero(self) -> bool {
         self.0 == 0.0
     }
 
-    /// `self`, with `+0.0` in the lanes where `r2 == 0`.
+    /// `self < o` per lane.
     #[inline(always)]
-    pub fn zero_where_zero(self, r2: X1) -> X1 {
-        if r2.0 == 0.0 {
-            X1(0.0)
+    pub fn lt(self, o: X1) -> Mask1 {
+        Mask1(self.0 < o.0)
+    }
+
+    /// `self <= o` per lane.
+    #[inline(always)]
+    pub fn le(self, o: X1) -> Mask1 {
+        Mask1(self.0 <= o.0)
+    }
+
+    /// `self > o` per lane.
+    #[inline(always)]
+    pub fn gt(self, o: X1) -> Mask1 {
+        Mask1(self.0 > o.0)
+    }
+
+    /// `self == o` per lane.
+    #[inline(always)]
+    pub fn eq(self, o: X1) -> Mask1 {
+        Mask1(self.0 == o.0)
+    }
+
+    /// `by` in the lanes where `mask` holds, `self` elsewhere.
+    #[inline(always)]
+    pub fn blend(self, mask: Mask1, by: X1) -> X1 {
+        if mask.0 {
+            by
         } else {
             self
         }
@@ -159,6 +233,26 @@ impl Ids1 {
             other
         }
     }
+
+    /// The lanes whose identifier is below `id`, unsigned.
+    #[inline(always)]
+    pub fn lt(self, id: u64) -> Mask1 {
+        Mask1(self.0 < id)
+    }
+}
+
+impl Mask1 {
+    /// Both conditions.
+    #[inline(always)]
+    pub fn and(self, o: Mask1) -> Mask1 {
+        Mask1(self.0 && o.0)
+    }
+
+    /// Bit `l` set where lane `l`'s condition holds.
+    #[inline(always)]
+    pub fn bits(self) -> u32 {
+        self.0 as u32
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -177,6 +271,10 @@ mod avx2 {
     /// The identifiers of an [`X4`]'s four particles.
     #[derive(Clone, Copy)]
     pub(crate) struct Ids4(__m256i);
+
+    /// A condition on an [`X4`]'s lanes: all ones where it holds.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Mask4(__m256d);
 
     #[allow(clippy::should_implement_trait)]
     impl X4 {
@@ -269,6 +367,14 @@ mod avx2 {
             X4(_mm256_blendv_pd(max, self.0, _mm256_cmp_pd::<_CMP_UNORD_Q>(o.0, o.0)))
         }
 
+        /// `f64::min`, as [`X4::max`].
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn min(self, o: X4) -> X4 {
+            let min = _mm256_min_pd(self.0, o.0);
+            X4(_mm256_blendv_pd(min, self.0, _mm256_cmp_pd::<_CMP_UNORD_Q>(o.0, o.0)))
+        }
+
         /// True when every lane is zero.
         #[inline]
         #[target_feature(enable = "avx2")]
@@ -276,12 +382,39 @@ mod avx2 {
             _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(self.0, _mm256_setzero_pd())) == 0b1111
         }
 
-        /// `self`, with `+0.0` in the lanes where `r2 == 0`.
+        /// `self < o` per lane.
         #[inline]
         #[target_feature(enable = "avx2")]
-        pub fn zero_where_zero(self, r2: X4) -> X4 {
-            let zero = _mm256_setzero_pd();
-            X4(_mm256_blendv_pd(self.0, zero, _mm256_cmp_pd::<_CMP_EQ_OQ>(r2.0, zero)))
+        pub fn lt(self, o: X4) -> Mask4 {
+            Mask4(_mm256_cmp_pd::<_CMP_LT_OQ>(self.0, o.0))
+        }
+
+        /// `self <= o` per lane.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn le(self, o: X4) -> Mask4 {
+            Mask4(_mm256_cmp_pd::<_CMP_LE_OQ>(self.0, o.0))
+        }
+
+        /// `self > o` per lane.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn gt(self, o: X4) -> Mask4 {
+            Mask4(_mm256_cmp_pd::<_CMP_GT_OQ>(self.0, o.0))
+        }
+
+        /// `self == o` per lane.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn eq(self, o: X4) -> Mask4 {
+            Mask4(_mm256_cmp_pd::<_CMP_EQ_OQ>(self.0, o.0))
+        }
+
+        /// `by` in the lanes where `mask` holds, `self` elsewhere.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn blend(self, mask: Mask4, by: X4) -> X4 {
+            X4(_mm256_blendv_pd(self.0, by.0, mask.0))
         }
     }
 
@@ -300,6 +433,33 @@ mod avx2 {
             let eq = _mm256_cmpeq_epi64(self.0, _mm256_set1_epi64x(id as i64));
             X4(_mm256_blendv_pd(other.0, same.0, _mm256_castsi256_pd(eq)))
         }
+
+        /// The lanes whose identifier is below `id`, unsigned: AVX2
+        /// compares signed, so both sides have their sign bit flipped.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn lt(self, id: u64) -> Mask4 {
+            let flip = _mm256_set1_epi64x(i64::MIN);
+            let id = _mm256_set1_epi64x((id ^ (1 << 63)) as i64);
+            let lt = _mm256_cmpgt_epi64(id, _mm256_xor_si256(self.0, flip));
+            Mask4(_mm256_castsi256_pd(lt))
+        }
+    }
+
+    impl Mask4 {
+        /// Both conditions.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn and(self, o: Mask4) -> Mask4 {
+            Mask4(_mm256_and_pd(self.0, o.0))
+        }
+
+        /// Bit `l` set where lane `l`'s condition holds.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        pub fn bits(self) -> u32 {
+            _mm256_movemask_pd(self.0) as u32
+        }
     }
 }
 
@@ -314,6 +474,10 @@ mod avx512 {
     /// The identifiers of an [`X8`]'s eight particles.
     #[derive(Clone, Copy)]
     pub(crate) struct Ids8(__m512i);
+
+    /// A condition on an [`X8`]'s lanes: one mask bit per lane.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Mask8(__mmask8);
 
     #[allow(clippy::should_implement_trait)]
     impl X8 {
@@ -407,6 +571,14 @@ mod avx512 {
             X8(_mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_UNORD_Q>(o.0, o.0), max, self.0))
         }
 
+        /// `f64::min`, as [`X8::max`].
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        pub fn min(self, o: X8) -> X8 {
+            let min = _mm512_min_pd(self.0, o.0);
+            X8(_mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_UNORD_Q>(o.0, o.0), min, self.0))
+        }
+
         /// True when every lane is zero.
         #[inline]
         #[target_feature(enable = "avx512f")]
@@ -414,12 +586,39 @@ mod avx512 {
             _mm512_cmp_pd_mask::<_CMP_EQ_OQ>(self.0, _mm512_setzero_pd()) == 0xff
         }
 
-        /// `self`, with `+0.0` in the lanes where `r2 == 0`.
+        /// `self < o` per lane.
         #[inline]
         #[target_feature(enable = "avx512f")]
-        pub fn zero_where_zero(self, r2: X8) -> X8 {
-            let zero = _mm512_setzero_pd();
-            X8(_mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_EQ_OQ>(r2.0, zero), self.0, zero))
+        pub fn lt(self, o: X8) -> Mask8 {
+            Mask8(_mm512_cmp_pd_mask::<_CMP_LT_OQ>(self.0, o.0))
+        }
+
+        /// `self <= o` per lane.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        pub fn le(self, o: X8) -> Mask8 {
+            Mask8(_mm512_cmp_pd_mask::<_CMP_LE_OQ>(self.0, o.0))
+        }
+
+        /// `self > o` per lane.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        pub fn gt(self, o: X8) -> Mask8 {
+            Mask8(_mm512_cmp_pd_mask::<_CMP_GT_OQ>(self.0, o.0))
+        }
+
+        /// `self == o` per lane.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        pub fn eq(self, o: X8) -> Mask8 {
+            Mask8(_mm512_cmp_pd_mask::<_CMP_EQ_OQ>(self.0, o.0))
+        }
+
+        /// `by` in the lanes where `mask` holds, `self` elsewhere.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        pub fn blend(self, mask: Mask8, by: X8) -> X8 {
+            X8(_mm512_mask_blend_pd(mask.0, self.0, by.0))
         }
     }
 
@@ -437,6 +636,29 @@ mod avx512 {
         pub fn select_eq(self, id: u64, same: X8, other: X8) -> X8 {
             let eq = _mm512_cmpeq_epi64_mask(self.0, _mm512_set1_epi64(id as i64));
             X8(_mm512_mask_blend_pd(eq, other.0, same.0))
+        }
+
+        /// The lanes whose identifier is below `id`, unsigned.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        pub fn lt(self, id: u64) -> Mask8 {
+            Mask8(_mm512_cmplt_epu64_mask(self.0, _mm512_set1_epi64(id as i64)))
+        }
+    }
+
+    impl Mask8 {
+        /// Both conditions.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        pub fn and(self, o: Mask8) -> Mask8 {
+            Mask8(self.0 & o.0)
+        }
+
+        /// Bit `l` set where lane `l`'s condition holds.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        pub fn bits(self) -> u32 {
+            self.0 as u32
         }
     }
 }

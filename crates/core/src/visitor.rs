@@ -67,6 +67,14 @@ pub enum Lane {
     PosY,
     /// `pos.z`.
     PosZ,
+    /// `vel.x`.
+    VelX,
+    /// `vel.y`.
+    VelY,
+    /// `vel.z`.
+    VelZ,
+    /// `radius`.
+    Radius,
     /// `mass`.
     Mass,
     /// `softening`.
@@ -90,6 +98,10 @@ impl Lane {
             Lane::PosX => p.pos.x,
             Lane::PosY => p.pos.y,
             Lane::PosZ => p.pos.z,
+            Lane::VelX => p.vel.x,
+            Lane::VelY => p.vel.y,
+            Lane::VelZ => p.vel.z,
+            Lane::Radius => p.radius,
             Lane::Mass => p.mass,
             Lane::Softening => p.softening,
             Lane::Id => f64::from_bits(p.id),
@@ -106,6 +118,10 @@ impl Lane {
             Lane::PosX => p.pos.x = v,
             Lane::PosY => p.pos.y = v,
             Lane::PosZ => p.pos.z = v,
+            Lane::VelX => p.vel.x = v,
+            Lane::VelY => p.vel.y = v,
+            Lane::VelZ => p.vel.z = v,
+            Lane::Radius => p.radius = v,
             Lane::Mass => p.mass = v,
             Lane::Softening => p.softening = v,
             Lane::Id => p.id = v.to_bits(),

@@ -137,6 +137,13 @@ awk 'FNR == 1 { safe = 0 }
     $(find crates/apps/src crates/core/src -name '*.rs') ||
     { echo "unsafe without a // SAFETY: comment directly above"; exit 1; }
 
+echo "== one SIMD file: no 'unsafe' under crates/apps/src outside lanes.rs =="
+# Kernels reach their X4/X8 instantiations through lanes::at_width!, whose
+# one SAFETY argument covers every width dispatch.
+if grep -rn "unsafe" crates/apps/src --exclude=lanes.rs; then
+    echo "unsafe outside apps::lanes: dispatch through lanes::at_width! (DESIGN §5d)"; exit 1
+fi
+
 echo "== spans are slices and ranges: no 'unsafe' in core's visitor, traversal or pipeline =="
 if grep -n "unsafe" crates/core/src/visitor.rs crates/core/src/traversal.rs crates/core/src/pipeline.rs; then
     echo "the target types and the walk must stay safe Rust (DESIGN §5d)"; exit 1
@@ -217,6 +224,13 @@ echo "== results/*.txt are harness output only: no cargo Compiling/Finished/Runn
 if grep -nE '^ *(Compiling|Finished|Running) ' results/*.txt; then
     echo "a results file carries cargo's build lines: regenerate it with scripts/results.sh"; exit 1
 fi
+
+echo "== collision lanes, optimised: the lane pair test == the per-pair loop at every width this host runs =="
+# Every event bit and each bucket's order, at widths 1/4/8 up to the
+# CPU's, dispatched and bucket by bucket; a width past the CPU's panics.
+cargo test --release -q -p paratreet-apps --lib -- \
+    lane_pair_test_keeps_every_bit_of_the_per_pair_loop a_sweep_wider_than_the_cpu_is_refused \
+    merging_two_massless_bodies_keeps_the_run_finite
 
 echo "== results/fig12.txt regenerates byte-identical (collision counts only, about 1 s) =="
 scripts/results.sh fig12

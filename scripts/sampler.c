@@ -1,9 +1,11 @@
 /* The sampling half of scripts/profile.sh, preloaded into the profiled
  * process: every 1 ms of the process's CPU time (ITIMER_PROF, delivered
  * to whichever thread is running) it records the interrupted instruction
- * pointer. At exit it writes /proc/self/maps, a `samples N` line and one
- * hex address per kept sample to $SAMPLER_OUT. Past MAX_SAMPLES samples
- * are counted, not kept.
+ * pointer and the 8-byte word at the interrupted stack pointer — in a
+ * routine that keeps no frame, such as libc's memmove, the return address
+ * into its caller. At exit it writes /proc/self/maps, a `samples N` line
+ * and one `ip word` pair of hex numbers per kept sample to $SAMPLER_OUT.
+ * Past MAX_SAMPLES samples are counted, not kept.
  *
  *   cc -O2 -shared -fPIC -o sampler.so scripts/sampler.c
  *   SAMPLER_OUT=run.samples LD_PRELOAD=$PWD/sampler.so ./program
@@ -17,15 +19,20 @@
 #include <ucontext.h>
 
 #define MAX_SAMPLES (1 << 20)
-static unsigned long samples[MAX_SAMPLES];
+static unsigned long samples[MAX_SAMPLES][2];
 static atomic_ulong taken;
 
 static void on_tick(int sig, siginfo_t *info, void *context) {
     (void)sig;
     (void)info;
     unsigned long i = atomic_fetch_add(&taken, 1);
-    if (i < MAX_SAMPLES)
-        samples[i] = ((ucontext_t *)context)->uc_mcontext.gregs[REG_RIP];
+    if (i < MAX_SAMPLES) {
+        const greg_t *regs = ((ucontext_t *)context)->uc_mcontext.gregs;
+        samples[i][0] = regs[REG_RIP];
+        /* The interrupted thread's stack: the kernel built this handler's
+         * frame below it, so the word at its stack pointer is mapped. */
+        samples[i][1] = *(const unsigned long *)regs[REG_RSP];
+    }
 }
 
 __attribute__((constructor)) static void start(void) {
@@ -54,6 +61,6 @@ __attribute__((destructor)) static void finish(void) {
     unsigned long n = atomic_load(&taken);
     fprintf(out, "samples %lu\n", n);
     for (unsigned long i = 0; i < n && i < MAX_SAMPLES; i++)
-        fprintf(out, "%lx\n", samples[i]);
+        fprintf(out, "%lx %lx\n", samples[i][0], samples[i][1]);
     fclose(out);
 }
