@@ -41,7 +41,7 @@
 //! and is what the property tests compare against.
 
 use paratreet_core::{Forest, GhostLayer};
-use paratreet_geometry::{BoundingBox, PeriodicBox, Vec3, ROOT_KEY};
+use paratreet_geometry::{BoundingBox, PeriodicBox, Vec3};
 use paratreet_particles::Particle;
 use paratreet_telemetry::{MetricSource, MetricsRegistry};
 use paratreet_tree::dual::{tight_boxes, walk, Rules};
@@ -229,13 +229,8 @@ fn ghost_tree(
     bucket_size: usize,
 ) -> BuiltTree<CountData> {
     let tight = BoundingBox::around(ghosts.iter().map(|p| p.pos)).padded(1e-9);
-    let root = match tree_type {
-        TreeType::Octree | TreeType::BinaryOct => tight.bounding_cube(),
-        _ => tight,
-    };
-    let builder =
-        TreeBuilder { tree_type, bucket_size, parallel: false, root_key: ROOT_KEY, root_depth: 0 };
-    builder.build(ghosts, root)
+    let root = tree_type.root_region(tight);
+    TreeBuilder::new(tree_type).bucket_size(bucket_size).parallel(false).build(ghosts, root)
 }
 
 /// One box's Subtrees' tight boxes, and the throwaway tree over its
@@ -481,6 +476,7 @@ mod tests {
     use paratreet_core::{
         decompose_forest, enforce_seam_balance, exchange_ghosts, Configuration, DomainSpec,
     };
+    use paratreet_geometry::ROOT_KEY;
     use paratreet_particles::gen;
     use paratreet_telemetry::Telemetry;
 

@@ -33,7 +33,7 @@
 use crate::config::{Configuration, DecompType, SfcCurve};
 use paratreet_geometry::{Axis, BoundingBox, MortonKey, NodeKey, Vec3, ROOT_KEY};
 use paratreet_particles::{Particle, ParticleVec};
-use paratreet_tree::TreeType;
+use paratreet_tree::{cut, TreeType};
 use rayon::prelude::*;
 
 /// One Subtree piece: a node of the global tree plus its particles.
@@ -149,78 +149,6 @@ struct PieceRange {
     range: std::ops::Range<usize>,
 }
 
-/// Orders two items along `axis` (incomparable coordinates tie).
-fn along<T>(axis: Axis, pos: impl Fn(&T) -> Vec3) -> impl Fn(&T, &T) -> std::cmp::Ordering {
-    move |a, b| {
-        pos(a)
-            .component(axis.index())
-            .partial_cmp(&pos(b).component(axis.index()))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    }
-}
-
-/// Splits `piece` by `tree_type`'s rule: `items` — the piece's own
-/// stretch of the array — is regrouped in place and the children come
-/// back in slot order with their sub-ranges (empty octants are skipped).
-fn split_range<T>(
-    items: &mut [T],
-    pos: impl Fn(&T) -> Vec3 + Copy,
-    piece: PieceRange,
-    tree_type: TreeType,
-) -> Vec<PieceRange> {
-    let bits = tree_type.bits_per_level();
-    let depth = piece.depth + 1;
-    let mut start = piece.range.start;
-    let mut child = |slot: usize, len: usize, bbox: BoundingBox| {
-        let range = start..start + len;
-        start = range.end;
-        PieceRange { key: piece.key.child(slot, bits), bbox, depth, range }
-    };
-    match tree_type {
-        TreeType::Octree => {
-            let bbox = piece.bbox;
-            let octant = |t: &T| bbox.octant_of(pos(t));
-            // A Morton-sorted stretch already has its octants in order.
-            if !items.is_sorted_by_key(octant) {
-                items.sort_unstable_by_key(octant);
-            }
-            items
-                .chunk_by(|a, b| octant(a) == octant(b))
-                .map(|run| {
-                    let oct = octant(&run[0]);
-                    child(oct, run.len(), bbox.octant(oct))
-                })
-                .collect()
-        }
-        TreeType::BinaryOct => {
-            let axis = tree_type.cycling_axis(piece.depth).expect("binary oct cycles axes");
-            let plane = piece.bbox.center().component(axis.index());
-            items.sort_unstable_by(along(axis, pos));
-            let mid = items.partition_point(|t| pos(t).component(axis.index()) < plane);
-            let (lo_box, hi_box) = piece.bbox.split_at(axis, plane);
-            let mut out = Vec::new();
-            if mid > 0 {
-                out.push(child(0, mid, lo_box));
-            }
-            if mid < items.len() {
-                out.push(child(1, items.len() - mid, hi_box));
-            }
-            out
-        }
-        TreeType::KdTree | TreeType::LongestDim => {
-            let axis = match tree_type.cycling_axis(piece.depth) {
-                Some(a) => a,
-                None => piece.bbox.longest_axis(),
-            };
-            let mid = items.len() / 2;
-            items.select_nth_unstable_by(mid, along(axis, pos));
-            let plane = pos(&items[mid]).component(axis.index());
-            let (lo_box, hi_box) = piece.bbox.split_at(axis, plane);
-            vec![child(0, mid, lo_box), child(1, items.len() - mid, hi_box)]
-        }
-    }
-}
-
 /// Carves `items` into at least `min_pieces` pieces by repeatedly
 /// splitting the most populated one with the tree rule. Only `pos` of an
 /// item is read, so the same carving serves the particle records and a
@@ -245,9 +173,16 @@ fn find_piece_ranges<T>(
         else {
             break;
         };
+        // The tree's own cut regroups the piece's stretch in place; its
+        // children take the stretch's consecutive sub-ranges.
         let piece = pieces.swap_remove(idx);
-        let stretch = &mut items[piece.range.clone()];
-        pieces.extend(split_range(stretch, pos, piece, tree_type));
+        let mut start = piece.range.start;
+        let stretch = &mut items[piece.range];
+        for c in cut::split(tree_type, stretch, pos, &piece.bbox, piece.key, piece.depth) {
+            let range = start..start + c.len;
+            start = range.end;
+            pieces.push(PieceRange { key: c.key, bbox: c.bbox, depth: piece.depth + 1, range });
+        }
     }
     // Deterministic order: by key (pieces form an antichain, so Morton
     // floors are disjoint and ordered).
@@ -339,10 +274,7 @@ fn build_planes(
         *next_part += 1;
         return PlaneChild::Part(id);
     }
-    let axis = match tree_type.cycling_axis(depth) {
-        Some(a) => a,
-        None => bbox.longest_axis(),
-    };
+    let axis = tree_type.split_axis(depth, &bbox);
     let lo_parts = parts / 2;
     let mid = particles.len() * lo_parts as usize / parts as usize;
     let plane = if particles.is_empty() {
@@ -350,9 +282,7 @@ fn build_planes(
         // tree stays well-formed and partition ids stay dense.
         bbox.center().component(axis.index())
     } else {
-        let sel = mid.min(particles.len() - 1);
-        particles.select_nth_unstable_by(sel, along(axis, |p: &Vec3| *p));
-        particles[sel].component(axis.index())
+        cut::kth_plane(particles, mid.min(particles.len() - 1), axis, |p: &Vec3| *p)
     };
     let (lo_box, hi_box) = bbox.split_at(axis, plane);
     let my_index = nodes.len() as u32;
@@ -391,10 +321,7 @@ pub fn universe_for(particles: &[Particle], config: &Configuration, pad: f64) ->
         let margin = pad * extent.x.max(extent.y).max(extent.z);
         tight = tight.padded(margin);
     }
-    let universe = match config.tree_type {
-        TreeType::Octree | TreeType::BinaryOct => tight.bounding_cube(),
-        _ => tight,
-    };
+    let universe = config.tree_type.root_region(tight);
     if universe.is_empty() {
         BoundingBox::new(Vec3::ZERO, Vec3::splat(1.0))
     } else {

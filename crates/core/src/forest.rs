@@ -38,7 +38,7 @@ use paratreet_geometry::{BoundingBox, NodeKey, PeriodicBox, Vec3};
 use paratreet_particles::Particle;
 use paratreet_telemetry::{MetricSource, MetricsRegistry, Telemetry};
 use paratreet_tree::node::NO_NODE;
-use paratreet_tree::{BuildNode, BuiltTree, Data, NodeIdx, NodeShape, TreeType};
+use paratreet_tree::{cut, BuildNode, BuiltTree, Data, NodeIdx, NodeShape, TreeType};
 
 use crate::config::Configuration;
 use crate::decomp::{decompose_within, universe_for, Decomposition, Partitioner, SubtreePiece};
@@ -319,10 +319,7 @@ fn box_universe(bbox: BoundingBox, particles: &[Particle], config: &Configuratio
     for p in particles {
         u.grow(p.pos);
     }
-    match config.tree_type {
-        TreeType::Octree | TreeType::BinaryOct => u.bounding_cube(),
-        _ => u,
-    }
+    config.tree_type.root_region(u)
 }
 
 /// Decomposes `particles` over the domain `spec`: particles are bucketed
@@ -474,7 +471,7 @@ pub fn enforce_seam_balance<D: Data>(
         for (bi, box_marks) in marks.iter().enumerate() {
             for (ti, keys) in box_marks.iter().enumerate() {
                 if !keys.is_empty() {
-                    trees[bi][ti] = split_marked(&trees[bi][ti], keys, bits, bucket_size);
+                    trees[bi][ti] = split_marked(&trees[bi][ti], keys, bucket_size);
                 }
             }
         }
@@ -547,12 +544,11 @@ fn splittable<D: Data>(tree: &BuiltTree<D>, ni: NodeIdx, bits: u32) -> bool {
 fn split_marked<D: Data>(
     tree: &BuiltTree<D>,
     marks: &BTreeSet<NodeKey>,
-    bits: u32,
     bucket_size: usize,
 ) -> BuiltTree<D> {
     let mut nodes: Vec<BuildNode<D>> = Vec::with_capacity(tree.nodes.len() + marks.len() * 8);
     let mut particles: Vec<Particle> = Vec::with_capacity(tree.particles.len());
-    copy_split(tree, 0, marks, bits, &mut nodes, &mut particles);
+    copy_split(tree, 0, marks, &mut nodes, &mut particles);
     let out = BuiltTree { nodes, particles, bits_per_level: tree.bits_per_level };
     debug_assert!(out.validate(bucket_size).is_ok(), "seam split broke tree invariants");
     out
@@ -564,7 +560,6 @@ fn copy_split<D: Data>(
     old: &BuiltTree<D>,
     idx: NodeIdx,
     marks: &BTreeSet<NodeKey>,
-    bits: u32,
     nodes: &mut Vec<BuildNode<D>>,
     particles: &mut Vec<Particle>,
 ) -> NodeIdx {
@@ -598,7 +593,7 @@ fn copy_split<D: Data>(
                 if c == NO_NODE {
                     continue;
                 }
-                let ci = copy_split(old, c, marks, bits, nodes, particles);
+                let ci = copy_split(old, c, marks, nodes, particles);
                 children[slot] = ci;
                 let child_data = nodes[ci as usize].data.clone();
                 data.merge(&child_data);
@@ -609,12 +604,20 @@ fn copy_split<D: Data>(
         NodeShape::Leaf { start, end } => {
             let bucket = &old.particles[start as usize..end as usize];
             if marks.contains(&n.key) {
-                // Promote the leaf to an internal node: partition its
-                // bucket by octant (stable, so within-octant order is
-                // the old bucket order) and emit one child leaf per
+                // Promote the leaf to an internal node: cut its bucket by
+                // the octree rule (which reads no depth), in place at the
+                // end of the new array, and emit one child leaf per
                 // non-empty octant, exactly as the builder would.
-                let mut sorted: Vec<Particle> = bucket.to_vec();
-                sorted.sort_by_key(|p| n.bbox.octant_of(p.pos));
+                let mut start = particles.len();
+                particles.extend_from_slice(bucket);
+                let kids = cut::split(
+                    TreeType::Octree,
+                    &mut particles[start..],
+                    |p| p.pos,
+                    &n.bbox,
+                    n.key,
+                    n.depth,
+                );
                 nodes.push(BuildNode {
                     key: n.key,
                     bbox: n.bbox,
@@ -626,30 +629,21 @@ fn copy_split<D: Data>(
                 });
                 let mut children = [NO_NODE; 8];
                 let mut data = D::default();
-                let mut i = 0usize;
-                while i < sorted.len() {
-                    let oct = n.bbox.octant_of(sorted[i].pos);
-                    let j = i + sorted[i..]
-                        .iter()
-                        .take_while(|p| n.bbox.octant_of(p.pos) == oct)
-                        .count();
-                    let cb = n.bbox.octant(oct);
-                    let ck = n.key.child(oct, bits);
-                    let s = particles.len() as u32;
-                    particles.extend_from_slice(&sorted[i..j]);
-                    let child_data = D::from_leaf(&sorted[i..j], &cb);
+                for c in kids {
+                    let end = start + c.len;
+                    let child_data = D::from_leaf(&particles[start..end], &c.bbox);
                     data.merge(&child_data);
-                    children[oct] = nodes.len() as NodeIdx;
+                    children[c.slot] = nodes.len() as NodeIdx;
                     nodes.push(BuildNode {
-                        key: ck,
-                        bbox: cb,
-                        shape: NodeShape::Leaf { start: s, end: particles.len() as u32 },
+                        key: c.key,
+                        bbox: c.bbox,
+                        shape: NodeShape::Leaf { start: start as u32, end: end as u32 },
                         children: [NO_NODE; 8],
                         data: child_data,
-                        n_particles: (j - i) as u32,
+                        n_particles: c.len as u32,
                         depth: n.depth + 1,
                     });
-                    i = j;
+                    start = end;
                 }
                 nodes[me as usize].children = children;
                 nodes[me as usize].data = data;

@@ -22,7 +22,7 @@ use paratreet_cache::{CacheTree, NodeKind};
 use paratreet_geometry::BoundingBox;
 use paratreet_particles::Particle;
 use paratreet_telemetry::{FlightRecorder, MetricsRegistry, Telemetry};
-use paratreet_tree::{BuiltTree, Data};
+use paratreet_tree::Data;
 use rayon::prelude::*;
 
 pub use crate::pipeline::FLIGHT_SERIES;
@@ -102,13 +102,6 @@ pub struct Step<D: Data> {
     /// The iteration state behind the step: master array and buckets.
     front: Iteration<D>,
 }
-
-/// Observer for every step's freshly built forest, called as
-/// `(epoch, trees, universe)` before leaf sharing consumes the trees.
-/// Epochs count steps from zero. This is the serving layer's
-/// publication point: a `paratreet-serve` snapshot ring subscribes
-/// here to expose a live simulation to external queries.
-pub type SnapshotHook<D> = Box<dyn FnMut(u64, &[BuiltTree<D>], BoundingBox) + Send>;
 
 impl<D: Data> Step<D> {
     /// Finishes a step from this iteration's Subtrees — fresh or
@@ -227,9 +220,7 @@ pub struct Framework<D: Data> {
     /// The live maintained tree, once `config.incremental.enabled` has
     /// seeded it (first step).
     maintainer: Option<TreeMaintainer<D>>,
-    /// Per-step forest observer (serving-layer publication point).
-    snapshot_hook: Option<SnapshotHook<D>>,
-    /// Steps run so far — the epoch the hook is stamped with.
+    /// Steps run so far — the epoch flight rows are stamped with.
     steps_run: u64,
 }
 
@@ -242,7 +233,6 @@ impl<D: Data> Framework<D> {
             flight: FlightRecorder::disabled(),
             master: particles,
             maintainer: None,
-            snapshot_hook: None,
             steps_run: 0,
         }
     }
@@ -257,19 +247,6 @@ impl<D: Data> Framework<D> {
     /// (one [`FLIGHT_SERIES`] row after setup, one after traversal).
     pub fn with_flight_recorder(mut self, flight: FlightRecorder) -> Self {
         self.flight = flight;
-        self
-    }
-
-    /// Attaches a snapshot hook: called once per step with
-    /// `(epoch, trees, universe)` right after the forest is built (or
-    /// incrementally advanced), before leaf sharing consumes it. Both
-    /// pipelines fire it, so a query service subscribed here serves
-    /// exactly the forest each step traverses.
-    pub fn with_snapshot_hook(
-        mut self,
-        hook: impl FnMut(u64, &[BuiltTree<D>], BoundingBox) + Send + 'static,
-    ) -> Self {
-        self.snapshot_hook = Some(Box::new(hook));
         self
     }
 
@@ -293,9 +270,6 @@ impl<D: Data> Framework<D> {
         let maintained =
             if self.config.incremental.enabled { Some(&mut self.maintainer) } else { None };
         let front = Iteration::obtain(&self.config, &self.telemetry, particles, maintained, true);
-        if let Some(h) = self.snapshot_hook.as_mut() {
-            h(epoch, &front.trees, front.universe);
-        }
         let mut step = Step::prepare(&self.config, &self.telemetry, front);
         self.steps_run += 1;
         step.front.sample_flight(&self.flight, epoch, 0, step.front.seconds_setup());

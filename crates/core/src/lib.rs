@@ -51,7 +51,7 @@ pub use forest::{
     decompose_forest, enforce_seam_balance, exchange_ghosts, DomainSpec, Forest, ForestStats,
     GhostLayer, GhostRoute, GhostStats, GhostZone,
 };
-pub use framework::{Framework, SnapshotHook, StepReport};
+pub use framework::{Framework, StepReport};
 pub use maintain::{MaintainRound, TreeMaintainer, UpdateTotals};
 pub use pipeline::Targets;
 pub use threaded::{ThreadedEngine, ThreadedReport};

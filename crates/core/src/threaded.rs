@@ -79,14 +79,11 @@ struct Parked<V: Visitor> {
     state: Option<Box<PartState<V>>>,
     /// The awaited key, from parking until the re-enqueued partition runs.
     waiting: Option<NodeKey>,
-    /// The fill landed after the request but before the partition
-    /// parked: it resumes itself instead of parking.
-    released: bool,
 }
 
 impl<V: Visitor> Default for Parked<V> {
     fn default() -> Self {
-        Parked { state: None, waiting: None, released: false }
+        Parked { state: None, waiting: None }
     }
 }
 
@@ -417,10 +414,10 @@ impl Drop for WakeOnExit {
     }
 }
 
-/// Inserts a fill and releases every partition it unblocks. A fill may
+/// Inserts a fill and re-enqueues every partition it unblocks. A fill may
 /// materialise several keys at once, and a partition waits on at most
-/// one of them: a parked partition goes back to the workers, one still
-/// on its way to parking finds `released` set and resumes itself.
+/// one of them. A partition parks before it asks the cache, so every
+/// waiter the cache names is parked.
 fn handle_fill<V: Visitor>(shared: &RankShared<V>, bytes: &[u8]) {
     let outcome = match shared.cache.insert_fragment(bytes) {
         Ok(o) => o,
@@ -433,9 +430,8 @@ fn handle_fill<V: Visitor>(shared: &RankShared<V>, bytes: &[u8]) {
     };
     let mut parked = shared.parked.lock();
     for (_, waiter) in outcome.resumed {
-        let entry = parked.entry(waiter as u32).or_default();
-        let Some(state) = entry.state.take() else {
-            entry.released = true;
+        let Some(state) = parked.get_mut(&(waiter as u32)).and_then(|e| e.state.take()) else {
+            debug_assert!(false, "partition {waiter} was named a waiter before it parked");
             continue;
         };
         if shared.tasks.send(Task::RunPartition(state)).is_err() {
@@ -444,17 +440,25 @@ fn handle_fill<V: Visitor>(shared: &RankShared<V>, bytes: &[u8]) {
     }
 }
 
-/// Asks the cache for the placeholder partition `id` stopped at: true if
-/// a fill got there first; otherwise `id` is now a waiter on `key` and
-/// the fetch is on its way.
+/// Parks `ps` on `key`: the table holds its state before the cache can
+/// name it a waiter.
+fn park<V: Visitor>(shared: &RankShared<V>, ps: Box<PartState<V>>, key: NodeKey) {
+    let id = ps.id;
+    shared.parked.lock().insert(id, Parked { state: Some(ps), waiting: Some(key) });
+}
+
+/// Asks the cache for the placeholder the parked partition `id` stopped
+/// at. If a fill got there first, hands back the partition's whole entry
+/// (its state and awaited key) to run on; otherwise `id` is now a waiter
+/// on `key`, the fetch is on its way, and the fill re-enqueues it.
 fn request<V: Visitor>(
     shared: &RankShared<V>,
     id: u32,
     key: NodeKey,
     placeholder: NodeHandle<V::Data>,
-) -> bool {
+) -> Option<Parked<V>> {
     match shared.cache.request(shared.cache.node(placeholder), id as u64) {
-        RequestOutcome::Ready(_) => return true,
+        RequestOutcome::Ready(_) => return shared.parked.lock().get_mut(&id).map(std::mem::take),
         RequestOutcome::SendFetch { home_rank } => {
             let request = Msg::Request { key, reply_to: shared.rank };
             if shared.net[home_rank as usize].send(request).is_err() {
@@ -463,23 +467,6 @@ fn request<V: Visitor>(
         }
         RequestOutcome::InFlight => {}
     }
-    false
-}
-
-/// Parks `ps` on `key` until the fill [`request`] registered it for
-/// lands — or, if it already has, hands `ps` back to run on.
-fn park<V: Visitor>(
-    shared: &RankShared<V>,
-    ps: Box<PartState<V>>,
-    key: NodeKey,
-) -> Option<Box<PartState<V>>> {
-    let mut parked = shared.parked.lock();
-    let entry = parked.entry(ps.id).or_default();
-    if std::mem::take(&mut entry.released) {
-        return Some(ps);
-    }
-    entry.waiting = Some(key);
-    entry.state = Some(ps);
     None
 }
 
@@ -538,12 +525,11 @@ fn run_partition<V: Visitor>(
             },
         );
         let Some(fetch) = stopped else { return Some(ps) };
-        let (key, placeholder) = (fetch.key, fetch.node);
+        let (id, key, placeholder) = (ps.id, fetch.key, fetch.node);
         ps.stack.park(fetch);
-        if !request(shared, ps.id, key, placeholder) {
-            ps = park(shared, ps, key)?;
-        }
-        waited = Some(key);
+        park(shared, ps, key);
+        let Parked { state, waiting } = request(shared, id, key, placeholder)?;
+        (ps, waited) = (state?, waiting);
     }
 }
 
@@ -625,7 +611,7 @@ mod tests {
     impl HandOff {
         /// The partition's request goes out, registering it as a waiter.
         fn request(&self) {
-            assert!(!request(&self.shared, 0, self.key, self.placeholder));
+            assert!(request(&self.shared, 0, self.key, self.placeholder).is_none());
             let sent = self.net.try_recv();
             assert!(matches!(sent, Ok(Msg::Request { key, reply_to: 0 }) if key == self.key));
         }
@@ -643,20 +629,26 @@ mod tests {
             assert_eq!(ps.stack.buckets(item.buckets), [0, 1]);
             let parked = self.shared.parked.lock();
             let entry = &parked[&0];
-            assert!(entry.state.is_none() && entry.waiting.is_none() && !entry.released);
+            assert!(entry.state.is_none() && entry.waiting.is_none());
         }
     }
 
-    /// The fill lands after the request registered the partition as a
-    /// waiter but before the partition parks: it finds `released` set
-    /// and runs on, and nothing is re-enqueued.
+    /// The fill lands after the partition parked but before it asked
+    /// the cache: the request finds the node materialised, the partition
+    /// takes its whole entry back and runs on, no fetch goes out, and
+    /// nothing is re-enqueued.
     #[test]
-    fn fill_before_the_partition_parks_resumes_it_in_place() {
+    fn fill_before_the_request_resumes_it_in_place() {
         let (h, ps) = hand_off();
-        h.request();
+        park(&h.shared, ps, h.key);
         handle_fill(&h.shared, &h.fill);
-        assert!(h.shared.parked.lock()[&0].released);
-        let ps = park(&h.shared, ps, h.key).expect("released: it runs on");
+        assert!(h.tasks.try_recv().is_err(), "not a waiter yet: nothing to re-enqueue");
+        let Some(Parked { state: Some(ps), waiting }) = request(&h.shared, 0, h.key, h.placeholder)
+        else {
+            panic!("ready: the partition takes its entry back")
+        };
+        assert_eq!(waiting, Some(h.key));
+        assert!(h.net.try_recv().is_err(), "a materialised node is not fetched");
         assert!(h.tasks.try_recv().is_err(), "a running partition is not re-enqueued");
         h.assert_resumed(ps);
     }
@@ -666,8 +658,9 @@ mod tests {
     #[test]
     fn fill_after_the_partition_parks_re_enqueues_it_once() {
         let (h, ps) = hand_off();
+        park(&h.shared, ps, h.key);
         h.request();
-        assert!(park(&h.shared, ps, h.key).is_none(), "nothing released yet");
+        assert!(h.tasks.try_recv().is_err(), "nothing re-enqueued before the fill");
         handle_fill(&h.shared, &h.fill);
         handle_fill(&h.shared, &h.fill);
         let Ok(Task::RunPartition(ps)) = h.tasks.try_recv() else { panic!("not re-enqueued") };

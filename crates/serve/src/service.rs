@@ -298,7 +298,7 @@ impl<D: Data> QueryService<D> {
 
     /// Publishes a snapshot directly (no writer thread); returns its
     /// epoch. This is also how an embedding simulation feeds the
-    /// service from a `Framework` snapshot hook.
+    /// service the trees its own `TreeMaintainer` advances.
     pub fn publish(&self, trees: Vec<BuiltTree<D>>, universe: BoundingBox) -> u64 {
         self.shared.ring.publish(trees, universe)
     }

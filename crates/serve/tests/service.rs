@@ -2,7 +2,7 @@
 //! generator, deterministic overload shedding, pinned-epoch replay,
 //! and the `Framework` snapshot-hook publication path.
 
-use paratreet_core::{Configuration, Framework, TreeMaintainer};
+use paratreet_core::{Configuration, TreeMaintainer};
 use paratreet_geometry::Vec3;
 use paratreet_particles::{gen, Particle};
 use paratreet_serve::{
@@ -181,42 +181,6 @@ fn pinned_epoch_replay_is_bit_identical_across_runs() {
     let a = run();
     let b = run();
     assert_eq!(a, b, "same seed, same snapshot, same bits");
-}
-
-/// A `Framework` with a snapshot hook publishes every step's forest:
-/// the serving layer rides on a live simulation.
-#[test]
-fn framework_snapshot_hook_feeds_a_ring() {
-    let ring: Arc<SnapshotRing<CountData>> = SnapshotRing::new(4);
-    let hook_ring = Arc::clone(&ring);
-    let particles = gen::uniform_cube(600, 5, 1.0, 1.0);
-    let n = particles.len();
-
-    // Incremental pipeline (the serving default).
-    let mut fw: Framework<CountData> =
-        Framework::new(config(), particles).with_snapshot_hook(move |epoch, trees, universe| {
-            let published = hook_ring.publish(trees.to_vec(), universe);
-            assert_eq!(published, epoch, "ring epochs track step epochs");
-        });
-    for step in 0..3 {
-        fw.step(|_| {});
-        let pin = ring.pin().expect("published");
-        assert_eq!(pin.epoch(), step);
-        assert_eq!(pin.n_particles(), n, "hook saw the whole forest");
-        assert!(paratreet_tree::query::knn_query(&pin.trees, Vec3::ZERO, 3).len() == 3);
-    }
-
-    // Full-rebuild pipeline fires the same hook.
-    let ring2: Arc<SnapshotRing<CountData>> = SnapshotRing::new(4);
-    let hook_ring = Arc::clone(&ring2);
-    let mut cfg = config();
-    cfg.incremental.enabled = false;
-    let mut fw: Framework<CountData> = Framework::new(cfg, gen::uniform_cube(300, 7, 1.0, 1.0))
-        .with_snapshot_hook(move |_, trees, universe| {
-            hook_ring.publish(trees.to_vec(), universe);
-        });
-    fw.step(|_| {});
-    assert_eq!(ring2.head_epoch(), Some(0));
 }
 
 /// Satellite: the metrics schema is stable — every

@@ -13,7 +13,7 @@
 //! from building Subtrees independently.
 
 use crate::node::{BuildNode, BuiltTree, NodeIdx, NodeShape, NO_NODE};
-use crate::{Data, TreeType};
+use crate::{cut, Data, TreeType};
 use paratreet_geometry::{BoundingBox, NodeKey, ROOT_KEY};
 use paratreet_particles::Particle;
 use rayon::prelude::*;
@@ -131,35 +131,28 @@ impl TreeBuilder {
         }
 
         // Split the slice into per-child groups plus their boxes/keys.
-        let groups = self.split(particles, &bbox, key, global_depth);
+        let groups = cut::split(self.tree_type, particles, |p| p.pos, &bbox, key, global_depth);
 
         // Recurse — in parallel when the node is big enough.
-        let mut running = offset;
-        let mut tasks: Vec<(usize, &mut [Particle], u32, BoundingBox, NodeKey)> = Vec::new();
-        {
-            let mut rest = particles;
-            for (slot, len, child_bbox, child_key) in &groups {
-                let (head, tail) = rest.split_at_mut(*len);
-                tasks.push((*slot, head, running, *child_bbox, *child_key));
-                running += *len as u32;
-                rest = tail;
-            }
+        let mut tasks: Vec<(cut::Child, &mut [Particle], u32)> = Vec::with_capacity(groups.len());
+        let (mut rest, mut running) = (particles, offset);
+        for c in groups {
+            let (head, tail) = rest.split_at_mut(c.len);
+            tasks.push((c, head, running));
+            (rest, running) = (tail, running + c.len as u32);
         }
-        let build_child =
-            |(slot, slice, off, cb, ck): (usize, &mut [Particle], u32, BoundingBox, NodeKey)| {
-                (
-                    slot,
-                    self.node_arena::<D>(
-                        slice,
-                        off,
-                        cb,
-                        ck,
-                        global_depth + 1,
-                        local_depth + 1,
-                        max_local_depth,
-                    ),
-                )
-            };
+        let build_child = |(c, slice, off): (cut::Child, &mut [Particle], u32)| {
+            let arena = self.node_arena::<D>(
+                slice,
+                off,
+                c.bbox,
+                c.key,
+                global_depth + 1,
+                local_depth + 1,
+                max_local_depth,
+            );
+            (c.slot, arena)
+        };
         let child_arenas: Vec<(usize, Vec<BuildNode<D>>)> =
             if self.parallel && n as usize >= PARALLEL_THRESHOLD {
                 tasks.into_par_iter().map(build_child).collect()
@@ -197,80 +190,6 @@ impl TreeBuilder {
         }
         arena[0] = parent;
         arena
-    }
-
-    /// Partitions `particles` in place into child groups and returns
-    /// `(child slot, group length, child bbox, child key)` in slice order.
-    /// Empty octree octants are skipped entirely (no Empty nodes are
-    /// materialised for them; `NO_NODE` marks them absent).
-    /// Crate-visible so incremental maintenance splits overfull leaves
-    /// with exactly this rule.
-    pub(crate) fn split(
-        &self,
-        particles: &mut [Particle],
-        bbox: &BoundingBox,
-        key: NodeKey,
-        global_depth: u32,
-    ) -> Vec<(usize, usize, BoundingBox, NodeKey)> {
-        let bits = self.tree_type.bits_per_level();
-        match self.tree_type {
-            TreeType::Octree => {
-                particles.sort_unstable_by_key(|p| bbox.octant_of(p.pos));
-                let mut out = Vec::new();
-                let mut start = 0;
-                while start < particles.len() {
-                    let oct = bbox.octant_of(particles[start].pos);
-                    let len = particles[start..]
-                        .iter()
-                        .take_while(|p| bbox.octant_of(p.pos) == oct)
-                        .count();
-                    out.push((oct, len, bbox.octant(oct), key.child(oct, bits)));
-                    start += len;
-                }
-                out
-            }
-            TreeType::BinaryOct => {
-                // Spatial-midpoint binary split along the cycling axis.
-                let axis =
-                    self.tree_type.cycling_axis(global_depth).expect("binary oct cycles axes");
-                let plane = bbox.center().component(axis.index());
-                particles.sort_unstable_by(|a, b| {
-                    a.pos
-                        .component(axis.index())
-                        .partial_cmp(&b.pos.component(axis.index()))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                let mid = particles.partition_point(|p| p.pos.component(axis.index()) < plane);
-                let (lo_box, hi_box) = bbox.split_at(axis, plane);
-                let mut out = Vec::new();
-                if mid > 0 {
-                    out.push((0, mid, lo_box, key.child(0, bits)));
-                }
-                if mid < particles.len() {
-                    out.push((1, particles.len() - mid, hi_box, key.child(1, bits)));
-                }
-                out
-            }
-            TreeType::KdTree | TreeType::LongestDim => {
-                let axis = match self.tree_type.cycling_axis(global_depth) {
-                    Some(a) => a,
-                    None => bbox.longest_axis(),
-                };
-                let mid = particles.len() / 2;
-                particles.select_nth_unstable_by(mid, |a, b| {
-                    a.pos
-                        .component(axis.index())
-                        .partial_cmp(&b.pos.component(axis.index()))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                let plane = particles[mid].pos.component(axis.index());
-                let (lo_box, hi_box) = bbox.split_at(axis, plane);
-                vec![
-                    (0, mid, lo_box, key.child(0, bits)),
-                    (1, particles.len() - mid, hi_box, key.child(1, bits)),
-                ]
-            }
-        }
     }
 }
 

@@ -10,6 +10,9 @@
 //! * [`TreeType`] — the built-in tree types: octree, k-d
 //!   (axis-cycling median splits), and the longest-dimension tree from
 //!   the planetary-disk case study (§IV-B),
+//! * [`cut`] — the one rule by which each tree type divides a node,
+//!   which the builder, decomposition, incremental maintenance and seam
+//!   balance all call,
 //! * [`build::TreeBuilder`] — sequential and rayon-parallel top-down
 //!   builds that reorder particles so every leaf owns a contiguous
 //!   bucket, then accumulate `Data` bottom-up,
@@ -22,6 +25,7 @@
 //!   are friends-of-friends linking and two-point pair counting.
 
 pub mod build;
+pub mod cut;
 pub mod data;
 pub mod dual;
 pub mod node;

@@ -5,7 +5,7 @@
 //! planetary-disk case study — a longest-dimension tree; users can add
 //! their own by choosing a branch factor and a split rule (§IV-B exposes
 //! `findChildsLastParticle`; here the equivalent hook is
-//! the builder's split rule).
+//! the one cut rule in [`crate::cut`]).
 
 use paratreet_geometry::Axis;
 

@@ -42,10 +42,10 @@
 //! that contradicts itself), so an engine can log the error and fall
 //! back to a full rebuild rather than aborting the run.
 
-use crate::build::TreeBuilder;
+use crate::cut::{self, Cut};
 use crate::node::{BuildNode, BuiltTree, NodeShape, NO_NODE};
 use crate::{Data, TreeType};
-use paratreet_geometry::{Axis, BoundingBox, NodeKey, Vec3};
+use paratreet_geometry::{BoundingBox, NodeKey};
 use paratreet_particles::Particle;
 
 /// A structural inconsistency detected while patching a maintained
@@ -178,7 +178,7 @@ pub struct UpdatableTree<D: Data> {
 impl<D: Data> UpdatableTree<D> {
     /// Adopts a freshly built subtree. `root_depth` is the subtree
     /// root's depth below the global root (it drives k-d axis cycling,
-    /// exactly as in [`TreeBuilder::root_depth`]).
+    /// exactly as in [`crate::TreeBuilder::root_depth`]).
     pub fn from_built(
         tree: &BuiltTree<D>,
         tree_type: TreeType,
@@ -417,9 +417,11 @@ impl<D: Data> UpdatableTree<D> {
                 }
                 UpdateShape::Internal { children } => *children,
             };
-            let (slot, child_bbox, child_key) = self.sieve_target(i, &children, p.pos)?;
+            let cut = self.cut(i, &children)?;
+            let slot = cut.slot_of(p.pos);
             match children[slot] {
                 NO_NODE => {
+                    let (child_bbox, child_key) = cut.child(slot);
                     let depth = self.try_node(i)?.depth + 1;
                     let ci = self.alloc(UpdateNode {
                         key: child_key,
@@ -499,31 +501,15 @@ impl<D: Data> UpdatableTree<D> {
         };
         // Stable-partition the index range by child slot (two cheap
         // passes: count, then scatter through the scratch range). The
-        // split geometry is stable for the whole batch: octant/midpoint
-        // planes are fixed by the node's box, and a recovered k-d plane
-        // cannot change mid-batch (children created during the batch
-        // inherit their boxes from that same plane).
-        let node = self.try_node(i)?;
-        let (depth, bbox, key) = (node.depth, node.bbox, node.key);
-        let oct = if self.tree_type == TreeType::Octree { Some(bbox) } else { None };
-        let plane = match oct {
-            Some(_) => None,
-            None => Some(self.split_plane(i, &children)?),
-        };
-        let slot_of = |pos: Vec3| match (&oct, &plane) {
-            (Some(b), _) => b.octant_of(pos),
-            (None, Some((axis, plane))) => {
-                if pos.component(axis.index()) < *plane {
-                    0
-                } else {
-                    1
-                }
-            }
-            _ => unreachable!("either octant or plane split"),
-        };
+        // cut is stable for the whole batch: octant/midpoint planes are
+        // fixed by the node's box, and a recovered k-d plane cannot
+        // change mid-batch (children created during the batch inherit
+        // their boxes from that same plane).
+        let depth = self.try_node(i)?.depth;
+        let cut = self.cut(i, &children)?;
         let mut counts = [0usize; 8];
         for &k in idx.iter() {
-            counts[slot_of(batch[k as usize].pos)] += 1;
+            counts[cut.slot_of(batch[k as usize].pos)] += 1;
         }
         let mut offs = [0usize; 8];
         let mut acc = 0;
@@ -532,7 +518,7 @@ impl<D: Data> UpdatableTree<D> {
             acc += c;
         }
         for &k in idx.iter() {
-            let s = slot_of(batch[k as usize].pos);
+            let s = cut.slot_of(batch[k as usize].pos);
             scratch[offs[s]] = k;
             offs[s] += 1;
         }
@@ -553,14 +539,7 @@ impl<D: Data> UpdatableTree<D> {
             };
             match child {
                 NO_NODE => {
-                    let bits = self.tree_type.bits_per_level();
-                    let (child_bbox, child_key) = match plane {
-                        None => (bbox.octant(slot), key.child(slot, bits)),
-                        Some((axis, plane)) => {
-                            let (lo, hi) = bbox.split_at(axis, plane);
-                            (if slot == 0 { lo } else { hi }, key.child(slot, bits))
-                        }
-                    };
+                    let (child_bbox, child_key) = cut.child(slot);
                     let ci = self.alloc(UpdateNode {
                         key: child_key,
                         bbox: child_bbox,
@@ -583,48 +562,18 @@ impl<D: Data> UpdatableTree<D> {
         Ok(())
     }
 
-    /// Which child slot of interior node `i` the position sieves into,
-    /// plus that child's region box and key. Mirrors the builder's split
-    /// assignment: octants tie toward the high side, planes send
-    /// `pos < plane` low.
-    fn sieve_target(
-        &self,
-        i: u32,
-        children: &[u32; 8],
-        pos: Vec3,
-    ) -> Result<(usize, BoundingBox, NodeKey), UpdateError> {
+    /// How interior node `i` divides space, by the builder's cut rule.
+    /// A k-d plane is read back from a child's region box: the builder
+    /// made child 0's high face — equivalently child 1's low face — the
+    /// plane.
+    fn cut(&self, i: u32, children: &[u32; 8]) -> Result<Cut, UpdateError> {
         let node = self.try_node(i)?;
-        let bits = self.tree_type.bits_per_level();
-        if self.tree_type == TreeType::Octree {
-            let slot = node.bbox.octant_of(pos);
-            return Ok((slot, node.bbox.octant(slot), node.key.child(slot, bits)));
-        }
-        let (axis, plane) = self.split_plane(i, children)?;
-        let slot = if pos.component(axis.index()) < plane { 0 } else { 1 };
-        let (lo, hi) = node.bbox.split_at(axis, plane);
-        Ok((slot, if slot == 0 { lo } else { hi }, node.key.child(slot, bits)))
-    }
-
-    /// Recovers the split plane of a binary interior node. BinaryOct
-    /// always splits at the spatial midpoint; k-d planes are recovered
-    /// from a child's region box (the builder made child 0's high face —
-    /// equivalently child 1's low face — the plane).
-    fn split_plane(&self, i: u32, children: &[u32; 8]) -> Result<(Axis, f64), UpdateError> {
-        let node = self.try_node(i)?;
-        let axis = match self.tree_type.cycling_axis(self.root_depth + node.depth) {
-            Some(a) => a,
-            None => node.bbox.longest_axis(),
+        let face = match (self.tree_type.is_median_split(), children[0], children[1]) {
+            (false, ..) | (true, NO_NODE, NO_NODE) => None,
+            (true, NO_NODE, c) => Some(self.try_node(c)?.bbox.lo),
+            (true, c, _) => Some(self.try_node(c)?.bbox.hi),
         };
-        if self.tree_type == TreeType::BinaryOct {
-            return Ok((axis, node.bbox.center().component(axis.index())));
-        }
-        if children[0] != NO_NODE {
-            Ok((axis, self.try_node(children[0])?.bbox.hi.component(axis.index())))
-        } else if children[1] != NO_NODE {
-            Ok((axis, self.try_node(children[1])?.bbox.lo.component(axis.index())))
-        } else {
-            Ok((axis, node.bbox.center().component(axis.index())))
-        }
+        Ok(Cut::of(self.tree_type, node.bbox, node.key, self.root_depth + node.depth, face))
     }
 
     /// One bottom-up repair pass: splits overfull leaves, prunes
@@ -781,7 +730,7 @@ impl<D: Data> UpdatableTree<D> {
         }
     }
 
-    /// Splits an overfull leaf with the builder's own split rule, so
+    /// Splits an overfull leaf by the builder's own cut rule, so
     /// maintained structure matches what a fresh build would produce.
     fn split_leaf(&mut self, i: u32, stats: &mut UpdateStats) -> Result<(), UpdateError> {
         let (mut particles, bbox, key, depth) = {
@@ -791,23 +740,18 @@ impl<D: Data> UpdatableTree<D> {
             };
             (std::mem::take(particles), node.bbox, node.key, node.depth)
         };
-        let builder = TreeBuilder {
-            tree_type: self.tree_type,
-            bucket_size: self.bucket_size,
-            parallel: false,
-            root_key: self.root_key,
-            root_depth: self.root_depth,
-        };
-        let groups = builder.split(&mut particles, &bbox, key, self.root_depth + depth);
+        let global_depth = self.root_depth + depth;
+        let groups =
+            cut::split(self.tree_type, &mut particles, |p| p.pos, &bbox, key, global_depth);
         let mut children = [NO_NODE; 8];
         let mut rest = particles;
-        for (slot, len, child_bbox, child_key) in groups {
-            let tail = rest.split_off(len);
+        for c in groups {
+            let tail = rest.split_off(c.len);
             let bucket = std::mem::replace(&mut rest, tail);
             let n = bucket.len() as u32;
-            children[slot] = self.alloc(UpdateNode {
-                key: child_key,
-                bbox: child_bbox,
+            children[c.slot] = self.alloc(UpdateNode {
+                key: c.key,
+                bbox: c.bbox,
                 shape: UpdateShape::Leaf { particles: bucket },
                 depth: depth + 1,
                 data: D::default(),
@@ -837,7 +781,7 @@ impl<D: Data> UpdatableTree<D> {
     }
 
     /// Emits the arena form for the cache/traversal pipeline,
-    /// reproducing [`TreeBuilder`]'s exact layout: pre-order with
+    /// reproducing [`crate::TreeBuilder`]'s exact layout: pre-order with
     /// children in ascending slot order and leaf buckets tiling the
     /// particle array in DFS order. A zero-motion
     /// classify→repair→flatten round trip is bit-identical to the
@@ -891,7 +835,8 @@ impl<D: Data> UpdatableTree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CountData;
+    use crate::{CountData, TreeBuilder};
+    use paratreet_geometry::Vec3;
     use paratreet_particles::{gen, ParticleVec};
 
     const ALPHA: f64 = 0.7;

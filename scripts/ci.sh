@@ -204,6 +204,19 @@ if grep -rnE 'traverse_dual|TraversalKind::DualTree|fn cell\(' crates src tests;
     echo "the framework's dual-tree path is back (DESIGN §5b)"; exit 1
 fi
 
+echo "== one cut rule (tree::cut): no octant, split axis or median chosen outside it and TreeType =="
+# The builder, decomposition, maintenance, seam balance and FoF's ghost
+# trees divide a node through tree::cut; test modules (after #[cfg(test)])
+# keep their own reference copies on purpose.
+awk 'FNR == 1 { live = 1 }
+     /^#\[cfg\(test\)\]/ { live = 0 }
+     live && /octant_of\(|cycling_axis\(|longest_axis\(|select_nth_unstable/ {
+         print FILENAME ":" FNR ": " $0; bad = 1 }
+     END { exit bad }' \
+    $(find crates/core/src crates/tree/src crates/apps/src -name '*.rs' \
+        ! -path crates/tree/src/cut.rs ! -path crates/tree/src/types.rs) ||
+    { echo "a tree type's cut is written outside tree::cut (DESIGN §5e)"; exit 1; }
+
 echo "== serve keeps what a workload runs: no cost admission, degradation ladder or supervisor =="
 if grep -rnE 'CostAware|DegradeConfig|PressureTracker|FailPoints|respawn|stale_serving' crates/serve/src src; then
     echo "removed serve overload machinery is back (DESIGN §11)"; exit 1
@@ -236,6 +249,13 @@ echo "== results/fig12.txt regenerates byte-identical (collision counts only, ab
 scripts/results.sh fig12
 git diff --exit-code results/fig12.txt ||
     { echo "results/fig12.txt moved: the collision walk found other events"; exit 1; }
+
+echo "== seven more results/ files regenerate byte-identical (counts and virtual time only, about 10 s) =="
+# Between them they run every tree type, every decomposition type and both
+# curves: a cut that moves a piece, a node or a plane moves one of them.
+scripts/results.sh fig9 fig13 ablate_fetch ablate_lb ablate_ps ablate_sfc table1
+git diff --exit-code results/ ||
+    { echo "results/ moved: a decomposition, a tree or the machine model changed"; exit 1; }
 
 echo "== sampling profiler smoke (1 s of disk_maintained; fails when no sample is symbolized) =="
 # Needs a C compiler and llvm-symbolizer; profile.sh names whichever is missing.
