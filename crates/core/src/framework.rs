@@ -260,6 +260,12 @@ impl<D: Data> Framework<D> {
         &mut self.master
     }
 
+    /// Cumulative `tree.update.*` counters, once a maintainer is live
+    /// (the same totals [`StepReport::update`] hands out).
+    pub fn update_totals(&self) -> Option<UpdateTotals> {
+        self.maintainer.as_ref().map(|m| *m.totals())
+    }
+
     /// Runs one step: builds the trees, hands the [`Step`] to `f` so the
     /// application can launch traversals (the paper's `traversal()`
     /// callback), then absorbs the updated particles. Returns `f`'s

@@ -1,38 +1,47 @@
 //! Cross-iteration tree maintenance: the engine-facing half of the
 //! incremental update subsystem.
 //!
-//! A [`TreeMaintainer`] owns one [`UpdatableTree`] per Subtree plus the
-//! decomposition they were seeded from (universe, piece regions,
-//! partitioner). Each iteration, [`TreeMaintainer::advance`] runs the
-//! *batch* update cycle over disjoint Subtrees:
+//! A [`TreeMaintainer`] keeps, per Subtree, the leaves of the tree it
+//! emitted last round and — unless that tree was rebuilt for churn — an
+//! [`UpdatableTree`], plus the decomposition they were seeded from
+//! (universe, piece regions, partitioner). Each iteration,
+//! [`TreeMaintainer::advance`] runs the *batch* update cycle over
+//! disjoint Subtrees:
 //!
-//! 1. **Classify** — one pass per Subtree (in parallel) resyncs the
-//!    integrated particle state and evicts everything that left its
-//!    leaf's footprint.
-//! 2. **Route** — escapees are grouped by destination Subtree into
-//!    insert batches, each sorted by (SFC key, id) so application
-//!    order is a canonical function of the particle state.
-//! 3. **Apply** — each destination sieves its whole batch down in one
-//!    group pass and repairs (split/merge/prune + `Data`
-//!    re-accumulation along dirty paths), again in parallel over the
-//!    disjoint Subtree slabs.
+//! 1. **Classify** — one pass per patchable Subtree (in parallel)
+//!    resyncs the integrated particle state and evicts everything that
+//!    left its leaf's footprint. A Subtree whose escapees pass
+//!    `CHURN_REBUILD_FRACTION` of its particles *churns* and takes
+//!    the rebuild path, as does one whose tree was rebuilt last round.
+//! 2. **Route** — escapees are grouped by destination Subtree. A
+//!    patched destination's insert batch is sorted by (SFC key, id) so
+//!    application order is a canonical function of the particle state;
+//!    a rebuilt destination takes every master particle that lands in
+//!    it, in master order.
+//! 3. **Apply** — each churned Subtree is built afresh from its input
+//!    (`build_piece`); each other destination sieves its whole batch
+//!    down in one group pass and repairs (split/merge/prune + `Data`
+//!    re-accumulation along dirty paths), in one parallel region over
+//!    the disjoint Subtrees.
 //! 4. **Rebalance** — weight-balance invariants, recomputed from the
-//!    current trees every round, decide rebuilds: a median-split
-//!    Subtree is rebuilt alone when an interior node violates the
-//!    BB[α] criterion or its depth exceeds the α-balance bound;
-//!    position-determined trees (octree, binary-oct) are never
+//!    current patched trees every round, decide rebuilds: a
+//!    median-split Subtree is rebuilt alone when an interior node
+//!    violates the BB[α] criterion or its depth exceeds the α-balance
+//!    bound; position-determined trees (octree, binary-oct) are never
 //!    structurally rebuilt, because maintenance already reproduces
 //!    exactly the structure a fresh build would.
-//! 5. **Flatten** — each Subtree emits the canonical pre-order arena
-//!    (in parallel), which drops into the unchanged leaf-sharing /
-//!    cache / traversal pipeline.
+//! 5. **Flatten** — each patched Subtree emits the canonical pre-order
+//!    arena (in parallel); a rebuilt one hands over its tree as built.
+//!    Both drop into the unchanged leaf-sharing / cache / traversal
+//!    pipeline.
 //!
 //! The whole tree is rebuilt and re-decomposed (fresh universe, pieces,
 //! partitioner) when a particle leaves the universe box, the population
 //! changes, or the max/mean Partition load exceeds
 //! `imbalance_rebuild`. A structural [`UpdateError`] (stale slab,
-//! population mismatch) is never fatal: the maintainer logs it and
-//! falls back to the same full rebuild.
+//! population mismatch) is never fatal: the maintainer falls back to
+//! the same full rebuild and hands the error out in
+//! [`MaintainRound::error`].
 //!
 //! All decisions are deterministic functions of the particle state —
 //! parallel phases collect results in Subtree index order, so thread
@@ -44,16 +53,31 @@ use crate::pipeline::{build_piece, build_pieces};
 use paratreet_geometry::{BoundingBox, NodeKey, Vec3};
 use paratreet_particles::Particle;
 use paratreet_telemetry::metrics::{MetricSource, MetricsRegistry};
-use paratreet_tree::{BuiltTree, Data, UpdatableTree, UpdateError, UpdateStats};
+use paratreet_tree::{
+    BuiltTree, Data, NodeShape, RepairReport, UpdatableTree, UpdateError, UpdateStats,
+};
 use rayon::prelude::*;
 use std::collections::BTreeMap;
+
+/// A Subtree whose leaf escapees number more than this fraction of its
+/// particles is rebuilt, not patched — unless it holds at most one
+/// bucket, where one escapee is a large fraction of nothing and the
+/// patch is a one-leaf copy anyway. Patching pays per particle (the
+/// classify copy, the flatten copy) plus per escapee (the sieve, the
+/// repair); a build pays per particle only. On the disk benchmark
+/// (30 k bodies, LongestDim) a patch round costs ≈ 15.6 ms at ≈ 30 %
+/// escapes against 12.7 ms for a fresh decompose + build, while serve's
+/// Subtrees, at 3–4 %, patch faster than they rebuild (DESIGN §10).
+pub(crate) const CHURN_REBUILD_FRACTION: f64 = 0.1;
 
 /// Cumulative `tree.update.*` counters over the life of a maintainer.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct UpdateTotals {
     /// Incremental advances performed (seeding not included).
     pub steps: u64,
-    /// Particles whose position or mass changed across all advances.
+    /// Particles known to have moved across all advances: every mover
+    /// of a patched Subtree, and the escapees of a rebuilt one (which
+    /// keeps no earlier positions to compare against).
     pub moved: u64,
     /// Particles patched in place (moved but stayed in their leaf).
     pub patched: u64,
@@ -61,7 +85,8 @@ pub struct UpdateTotals {
     pub escaped: u64,
     /// Escapees that crossed into a different Subtree.
     pub migrated: u64,
-    /// Non-empty per-Subtree insert batches applied.
+    /// Non-empty per-Subtree insert batches applied (a batch absorbed
+    /// by a rebuild included).
     pub batches: u64,
     /// Leaf splits performed by repair passes.
     pub splits: u64,
@@ -71,8 +96,11 @@ pub struct UpdateTotals {
     pub pruned: u64,
     /// Nodes whose `Data` summary was re-accumulated.
     pub refreshed: u64,
-    /// Single-Subtree rebuilds (weight-balance violations or uncovered
-    /// adoptions).
+    /// Subtrees rebuilt from their master slice because they churned
+    /// (or had churned the round before, and had no patchable form).
+    pub churn_rebuilds: u64,
+    /// Single-Subtree rebuilds of patched Subtrees (weight-balance
+    /// violations or uncovered adoptions).
     pub subtree_rebuilds: u64,
     /// Whole-tree rebuild + re-decomposition fallbacks.
     pub full_rebuilds: u64,
@@ -94,6 +122,7 @@ impl MetricSource for UpdateTotals {
         registry.set_u64(format!("{prefix}.merges"), self.merges);
         registry.set_u64(format!("{prefix}.pruned"), self.pruned);
         registry.set_u64(format!("{prefix}.refreshed"), self.refreshed);
+        registry.set_u64(format!("{prefix}.churn_rebuilds"), self.churn_rebuilds);
         registry.set_u64(format!("{prefix}.subtree_rebuilds"), self.subtree_rebuilds);
         registry.set_u64(format!("{prefix}.full_rebuilds"), self.full_rebuilds);
         registry.set_u64(format!("{prefix}.update_errors"), self.update_errors);
@@ -111,10 +140,17 @@ pub struct MaintainRound {
     pub n_migrated: u64,
     /// Non-empty per-Subtree insert batches applied this round.
     pub n_batches: u64,
-    /// Subtrees rebuilt alone this round (weight balance or adoption).
+    /// Subtrees rebuilt from their master slice this round (churn).
+    pub churn_rebuilt: Vec<u32>,
+    /// Patched Subtrees rebuilt alone this round (weight balance or
+    /// adoption).
     pub rebuilt_subtrees: Vec<u32>,
-    /// The whole-tree fallback fired (universe escape or imbalance).
+    /// The whole-tree fallback fired (universe escape, imbalance, or
+    /// [`Self::error`]).
     pub full_rebuild: bool,
+    /// The structural inconsistency the whole-tree fallback recovered
+    /// from, if that is why it fired.
+    pub error: Option<UpdateError>,
     /// Max/mean partition load measured this round.
     pub imbalance: f64,
 }
@@ -125,6 +161,57 @@ struct PieceMeta {
     key: NodeKey,
     bbox: BoundingBox,
     depth: u32,
+}
+
+/// One leaf of the tree a Subtree emitted last round: how many master
+/// particles its bucket holds, and the box they must stay inside.
+#[derive(Clone, Copy, Debug)]
+struct LeafTile {
+    len: u32,
+    bbox: BoundingBox,
+}
+
+/// What the maintainer keeps of one Subtree between rounds.
+enum Maintained<D: Data> {
+    /// Calm last round: the tree it patches in place.
+    Patched(UpdatableTree<D>),
+    /// Churned last round: its tree went to the pipeline as built, and
+    /// only its leaves are kept, in bucket order, for this round's
+    /// churn count.
+    Rebuilt(Vec<LeafTile>),
+}
+
+/// The leaves of an emitted tree, in bucket order.
+fn leaf_tiles<D>(emitted: &BuiltTree<D>) -> Vec<LeafTile> {
+    emitted
+        .nodes
+        .iter()
+        .filter_map(|n| match n.shape {
+            NodeShape::Leaf { start, end } => Some(LeafTile { len: end - start, bbox: n.bbox }),
+            _ => None,
+        })
+        .collect()
+}
+
+impl<D: Data> Maintained<D> {
+    fn n_particles(&self) -> usize {
+        match self {
+            Maintained::Patched(t) => t.n_particles() as usize,
+            Maintained::Rebuilt(leaves) => leaves.iter().map(|l| l.len as usize).sum(),
+        }
+    }
+}
+
+/// The churn rule: a Subtree of `n` particles, `escaped` of which left
+/// their leaf, is rebuilt rather than patched.
+fn churns(escaped: usize, n: usize, bucket_size: usize) -> bool {
+    n > bucket_size && escaped as f64 > CHURN_REBUILD_FRACTION * n as f64
+}
+
+/// What phase 3 did to one Subtree.
+enum Applied<D> {
+    Patched(RepairReport),
+    Built(BuiltTree<D>),
 }
 
 /// Max/mean particle load across Partitions. Degenerate inputs — no
@@ -164,6 +251,34 @@ where
     }
 }
 
+/// The Subtree whose region contains `pos`, preferring the source
+/// Subtree on shared faces (avoids spurious boundary migrations).
+/// Pieces tile the universe, so the nearest-region fallback only
+/// guards float edge cases.
+fn route(pieces: &[PieceMeta], pos: Vec3, src: usize) -> (usize, bool) {
+    if pieces[src].bbox.contains(pos) {
+        return (src, true);
+    }
+    for (i, piece) in pieces.iter().enumerate() {
+        if piece.bbox.contains(pos) {
+            return (i, true);
+        }
+    }
+    // The position fell into a region no piece covers (an octant
+    // that held no particles at decomposition time): the nearest
+    // piece adopts it, growing its region box.
+    let mut best = src;
+    let mut best_d = f64::INFINITY;
+    for (i, piece) in pieces.iter().enumerate() {
+        let d = piece.bbox.dist_sq_to(pos);
+        if d < best_d {
+            best_d = d;
+            best = i;
+        }
+    }
+    (best, false)
+}
+
 /// Maintains the global tree across iterations (for the shared-memory
 /// engine and the serving writer). Seeded
 /// once with a full decompose + build; advanced once per iteration with
@@ -172,12 +287,12 @@ pub struct TreeMaintainer<D: Data> {
     config: Configuration,
     universe: BoundingBox,
     pieces: Vec<PieceMeta>,
-    trees: Vec<UpdatableTree<D>>,
+    subtrees: Vec<Maintained<D>>,
     partitioner: Partitioner,
     n_partitions: usize,
     totals: UpdateTotals,
     /// Parallel regions for the seed/rebuild builder paths and the
-    /// batch classify/apply/flatten phases.
+    /// batch count/classify/apply/flatten phases.
     parallel: bool,
 }
 
@@ -197,7 +312,7 @@ impl<D: Data> TreeMaintainer<D> {
             config: config.clone(),
             universe: BoundingBox::empty(),
             pieces: Vec::new(),
-            trees: Vec::new(),
+            subtrees: Vec::new(),
             partitioner: Partitioner::default(),
             n_partitions: config.n_partitions,
             totals: UpdateTotals::default(),
@@ -219,7 +334,7 @@ impl<D: Data> TreeMaintainer<D> {
 
     /// Number of Subtrees (stable between full rebuilds).
     pub fn n_subtrees(&self) -> usize {
-        self.trees.len()
+        self.subtrees.len()
     }
 
     /// The maintained universe box.
@@ -247,10 +362,12 @@ impl<D: Data> TreeMaintainer<D> {
             .collect();
         let (tree_type, bucket_size) = (cfg.tree_type, cfg.bucket_size);
         let built: Vec<BuiltTree<D>> = build_pieces(decomp.subtrees, cfg, self.parallel);
-        self.trees = built
+        self.subtrees = built
             .iter()
             .zip(&self.pieces)
-            .map(|(t, p)| UpdatableTree::from_built(t, tree_type, bucket_size, p.depth))
+            .map(|(t, p)| {
+                Maintained::Patched(UpdatableTree::from_built(t, tree_type, bucket_size, p.depth))
+            })
             .collect();
         built
     }
@@ -258,11 +375,11 @@ impl<D: Data> TreeMaintainer<D> {
     /// One incremental iteration. `master` is the integrated particle
     /// state in the order the previous trees' buckets tiled it (i.e.
     /// the concatenation of the returned trees' particle arrays).
-    /// Returns the flattened trees for this iteration plus what was
-    /// done to produce them. Falls back to a transparent whole-tree
-    /// rebuild when a particle leaves the universe, the partition load
+    /// Returns the trees for this iteration plus what was done to
+    /// produce them. Falls back to a transparent whole-tree rebuild
+    /// when a particle leaves the universe, the partition load
     /// imbalance crosses its threshold, or the maintained structure
-    /// reports an [`UpdateError`].
+    /// reports an [`UpdateError`] (carried in [`MaintainRound::error`]).
     pub fn advance(&mut self, mut master: Vec<Particle>) -> (Vec<BuiltTree<D>>, MaintainRound) {
         let inc = self.config.incremental;
         self.totals.steps += 1;
@@ -271,7 +388,7 @@ impl<D: Data> TreeMaintainer<D> {
         // Population change (e.g. collisional merges or accretion): the
         // maintained bucket slices no longer tile the master array, so
         // patching is meaningless — re-decompose over the new set.
-        let maintained: usize = self.trees.iter().map(|t| t.n_particles() as usize).sum();
+        let maintained: usize = self.subtrees.iter().map(Maintained::n_particles).sum();
         if master.len() != maintained {
             return self.fall_back(master, round);
         }
@@ -302,11 +419,11 @@ impl<D: Data> TreeMaintainer<D> {
             return self.fall_back(master, round);
         }
 
-        // `master` stays alive through the patch phases: if the
+        // `master` stays alive through the update phases: if the
         // maintained structure turns out to be inconsistent we recover
         // by rebuilding from it instead of aborting the run.
-        match self.advance_patched(&master, &mut round) {
-            Ok((flats, loads)) => {
+        match self.advance_subtrees(&master, &mut round) {
+            Ok((trees, loads)) => {
                 drop(master);
                 let imbalance = partition_imbalance(&loads);
                 round.imbalance = imbalance;
@@ -314,91 +431,196 @@ impl<D: Data> TreeMaintainer<D> {
                 self.accumulate(&round);
                 if imbalance > inc.imbalance_rebuild {
                     let master: Vec<Particle> =
-                        flats.into_iter().flat_map(|f| f.particles).collect();
+                        trees.into_iter().flat_map(|f| f.particles).collect();
                     return self.fall_back(master, round);
                 }
-                (flats, round)
+                (trees, round)
             }
             Err(e) => {
-                eprintln!("tree update error ({e}); falling back to a full rebuild");
+                round.error = Some(e);
                 self.totals.update_errors += 1;
                 self.fall_back(master, round)
             }
         }
     }
 
-    /// The batch patch phases (classify → route → apply → rebalance →
-    /// flatten). Any structural error aborts cleanly back to the
-    /// caller, which still owns the master particle state. Also returns
-    /// the per-Partition loads, counted while the flattened particles
-    /// are still warm in cache.
-    fn advance_patched(
+    /// The batch update phases (count/classify → route → apply or
+    /// build → rebalance → flatten). Any structural error aborts
+    /// cleanly back to the caller, which still owns the master particle
+    /// state. Also returns the per-Partition loads, counted while the
+    /// emitted particles are still warm in cache.
+    fn advance_subtrees(
         &mut self,
         master: &[Particle],
         round: &mut MaintainRound,
     ) -> Result<(Vec<BuiltTree<D>>, Vec<u64>), UpdateError> {
-        let inc = self.config.incremental;
-        let n_trees = self.trees.len();
-        // Phase 1 — classify: resync + evict in one pass per Subtree,
-        // in parallel over the disjoint slabs.
-        let counts: Vec<usize> = self.trees.iter().map(|t| t.n_particles() as usize).collect();
+        let n_trees = self.subtrees.len();
         let mut slices: Vec<&[Particle]> = Vec::with_capacity(n_trees);
         let mut off = 0usize;
-        for &c in &counts {
+        for s in &self.subtrees {
+            let c = s.n_particles();
             slices.push(&master[off..off + c]);
             off += c;
         }
         debug_assert_eq!(off, master.len());
-        let classified = par_map_mut(self.parallel, &mut self.trees, slices, |t, s| t.classify(s));
+
+        // Phase 1 — classify the patched Subtrees, in parallel over the
+        // disjoint slabs. One whose escapees pass the churn fraction is
+        // rebuilt instead: its classify copy is wasted this one round,
+        // and from the next it has no patchable form to copy into. A
+        // Subtree without one is rebuilt every round; its churn count
+        // is taken while it is routed (below), and if it is calm it is
+        // adopted for patching.
+        let classified =
+            par_map_mut(self.parallel, &mut self.subtrees, slices.clone(), |s, slice| match s {
+                Maintained::Patched(t) => t.classify(slice).map(Some),
+                Maintained::Rebuilt(_) => Ok(None),
+            });
+        let bucket_size = self.config.bucket_size;
+        let mut churned = vec![false; n_trees];
         let mut escapees_per_tree = Vec::with_capacity(n_trees);
-        for c in classified {
-            let c = c?;
-            round.stats.n_moved += c.n_moved;
-            round.stats.n_escaped += c.escapees.len() as u64;
-            escapees_per_tree.push(c.escapees);
+        let mut n_escaped = vec![0usize; n_trees];
+        for (si, c) in classified.into_iter().enumerate() {
+            let Some(c) = c? else {
+                escapees_per_tree.push(None);
+                continue;
+            };
+            n_escaped[si] = c.escapees.len();
+            if churns(n_escaped[si], slices[si].len(), bucket_size) {
+                churned[si] = true;
+                escapees_per_tree.push(None);
+            } else {
+                round.stats.n_moved += c.n_moved;
+                escapees_per_tree.push(Some(c.escapees));
+            }
         }
+        let rebuild: Vec<bool> = escapees_per_tree.iter().map(Option::is_none).collect();
+
         // Phase 2 — route: group escapees by the Subtree whose region
         // now contains them (most stay home; boundary crossers
-        // migrate). Each destination batch is sorted by (SFC key, id)
-        // so its application order is a canonical function of the
-        // particle state, not of which leaves the escapees came from.
-        let mut batches: Vec<Vec<Particle>> = vec![Vec::new(); n_trees];
+        // migrate). A rebuilt Subtree's input is every master particle
+        // that lands in it, in master order: its own particles that
+        // stayed home and the escapees routed to it, whose uncovered
+        // positions grow its region box. A patched destination's batch
+        // is sorted by (SFC key, id) so its application order is a
+        // canonical function of the particle state, not of which
+        // leaves the escapees came from.
+        let mut inputs: Vec<Vec<Particle>> = slices
+            .iter()
+            .zip(&rebuild)
+            .map(|(s, &r)| if r { Vec::with_capacity(s.len()) } else { Vec::new() })
+            .collect();
+        let mut landed = vec![false; n_trees];
         let mut homeless: BTreeMap<usize, Vec<Particle>> = BTreeMap::new();
-        for (si, escaped) in escapees_per_tree.into_iter().enumerate() {
-            for p in escaped {
-                let (dest, covered) = self.route(p.pos, si);
-                if dest != si {
-                    round.n_migrated += 1;
+        let pieces = &mut self.pieces;
+        // Sends `p` from `src` to the Subtree that now holds it and
+        // says whether it migrated; an escapee (a body known to have
+        // left its leaf) joins its destination's batch.
+        let mut send = |p: Particle, src: usize, escapee: bool, inputs: &mut [Vec<Particle>]| {
+            let (dest, covered) = route(pieces, p.pos, src);
+            let migrated = dest != src;
+            if rebuild[dest] || covered {
+                if !covered {
+                    pieces[dest].bbox.grow(p.pos);
                 }
-                round.stats.n_inserted += 1;
-                if covered {
-                    batches[dest].push(p);
-                } else {
-                    // A region no piece covers: the destination grows
-                    // its box over these and rebuilds (below).
-                    homeless.entry(dest).or_default().push(p);
+                inputs[dest].push(p);
+                landed[dest] |= escapee || migrated;
+            } else {
+                // A region no piece covers: the patched destination
+                // grows its box over these and rebuilds (below).
+                homeless.entry(dest).or_default().push(p);
+            }
+            migrated
+        };
+        let (mut n_migrated, mut kept_home) = (0, vec![false; n_trees]);
+        for (si, escaped) in escapees_per_tree.into_iter().enumerate() {
+            match (escaped, &self.subtrees[si]) {
+                (Some(escaped), _) => {
+                    n_migrated +=
+                        escaped.into_iter().filter(|&p| send(p, si, true, &mut inputs)).count();
+                }
+                (None, Maintained::Rebuilt(leaves)) => {
+                    // The churn count, taken in the pass that routes.
+                    let mut rest = slices[si];
+                    for leaf in leaves {
+                        let (bucket, tail) = rest.split_at(leaf.len as usize);
+                        rest = tail;
+                        for p in bucket {
+                            if leaf.bbox.contains(p.pos) {
+                                inputs[si].push(*p);
+                            } else {
+                                n_escaped[si] += 1;
+                                n_migrated += usize::from(send(*p, si, true, &mut inputs));
+                            }
+                        }
+                    }
+                    churned[si] = churns(n_escaped[si], slices[si].len(), bucket_size);
+                }
+                (None, Maintained::Patched(_)) => {
+                    // Churned this round. Routing every body keeps
+                    // master order; only escapees can leave the piece,
+                    // so the batch it absorbs is the rest of them.
+                    let out =
+                        slices[si].iter().filter(|&&p| send(p, si, false, &mut inputs)).count();
+                    n_migrated += out;
+                    kept_home[si] = n_escaped[si] > out;
                 }
             }
         }
-        for b in batches.iter_mut() {
-            // Unstable sort is deterministic here: (key, id) is a total
-            // order because ids are unique.
-            b.sort_unstable_by_key(|p| (p.key, p.id));
+        for (l, k) in landed.iter_mut().zip(kept_home) {
+            *l |= k;
         }
-        round.n_batches = batches.iter().filter(|b| !b.is_empty()).count() as u64;
+        round.n_migrated += n_migrated as u64;
+        let escaped_total: usize = n_escaped.iter().sum();
+        round.stats.n_escaped += escaped_total as u64;
+        round.stats.n_inserted += escaped_total as u64;
+        // A rebuilt Subtree keeps no earlier positions to compare: its
+        // escapees are the movers it reports.
+        round.stats.n_moved +=
+            n_escaped.iter().zip(&rebuild).filter(|(_, &r)| r).map(|(&e, _)| e as u64).sum::<u64>();
+        for (b, &r) in inputs.iter_mut().zip(&rebuild) {
+            if !r {
+                // Unstable sort is deterministic here: (key, id) is a
+                // total order because ids are unique.
+                b.sort_unstable_by_key(|p| (p.key, p.id));
+            }
+        }
+        round.n_batches = landed.iter().filter(|&&l| l).count() as u64;
         self.totals.batches += round.n_batches;
-        // Phase 3 — apply: sieve each destination's batch down in one
-        // group pass, then repair, in parallel over disjoint Subtrees.
-        let alpha = inc.balance_alpha;
-        let applied = par_map_mut(self.parallel, &mut self.trees, batches, |t, b| {
-            t.insert_batch(b)?;
-            t.repair(alpha)
+
+        // Phase 3 — apply, in parallel over disjoint Subtrees: a
+        // rebuilt Subtree goes straight through `build_piece`; a
+        // patched one sieves its batch down in one group pass, then
+        // repairs.
+        let alpha = self.config.incremental.balance_alpha;
+        let (config, pieces, parallel) = (&self.config, &self.pieces, self.parallel);
+        let jobs: Vec<_> = inputs.into_iter().enumerate().collect();
+        let applied = par_map_mut(parallel, &mut self.subtrees, jobs, |s, (si, input)| {
+            match (rebuild[si], s) {
+                (false, Maintained::Patched(t)) => {
+                    t.insert_batch(input)?;
+                    Ok(Applied::Patched(t.repair(alpha)?))
+                }
+                _ => {
+                    let p = pieces[si];
+                    Ok(Applied::Built(build_piece(p.key, p.depth, p.bbox, input, config, parallel)))
+                }
+            }
         });
+        let mut built: Vec<Option<BuiltTree<D>>> = Vec::with_capacity(n_trees);
         let mut unbalanced = vec![false; n_trees];
-        for (si, rep) in applied.into_iter().enumerate() {
-            let rep = rep?;
-            round.stats += rep.stats;
-            unbalanced[si] = rep.unbalanced;
+        for (si, a) in applied.into_iter().enumerate() {
+            match a? {
+                Applied::Patched(rep) => {
+                    round.stats += rep.stats;
+                    unbalanced[si] = rep.unbalanced;
+                    built.push(None);
+                }
+                Applied::Built(t) => {
+                    round.churn_rebuilt.push(si as u32);
+                    built.push(Some(t));
+                }
+            }
         }
         // Escapees whose positions no piece covers cannot be sieved
         // (every leaf box must contain its particles): the adopting
@@ -408,46 +630,69 @@ impl<D: Data> TreeMaintainer<D> {
             self.rebuild_subtree(dest, extra)?;
             unbalanced[dest] = false;
             round.rebuilt_subtrees.push(dest as u32);
-            self.totals.subtree_rebuilds += 1;
         }
 
-        // Phase 4 — weight-balance rebuilds. Both criteria are
-        // recomputed from the current tree every round (never carried
-        // in as-built counters, which go stale after a large absorbed
-        // batch): the α child-weight check from this repair pass, and
-        // the α depth bound against the current population.
-        for (si, &unb) in unbalanced.iter().enumerate() {
-            if round.rebuilt_subtrees.contains(&(si as u32)) {
+        // Phase 4 — weight-balance rebuilds of patched Subtrees. Both
+        // criteria are recomputed from the current tree every round
+        // (never carried in as-built counters, which go stale after a
+        // large absorbed batch): the α child-weight check from this
+        // repair pass, and the α depth bound against the current
+        // population.
+        for si in 0..n_trees {
+            if rebuild[si] || round.rebuilt_subtrees.contains(&(si as u32)) {
                 continue;
             }
-            if unb || self.depth_unbalanced(si) {
+            if unbalanced[si] || self.depth_unbalanced(si) {
                 self.rebuild_subtree(si, Vec::new())?;
                 round.rebuilt_subtrees.push(si as u32);
-                self.totals.subtree_rebuilds += 1;
             }
         }
+        self.totals.subtree_rebuilds += round.rebuilt_subtrees.len() as u64;
 
-        // Phase 5 — flatten for the pipeline, in parallel, counting
-        // Partition loads in the same pass (the flattened particles are
-        // still warm in cache).
+        // Phase 5 — emit, in parallel: a patched Subtree flattens, a
+        // rebuilt one hands over its tree as built and keeps only its
+        // leaves (or, calm, is adopted for patching next round).
+        // Partition loads are counted in the same pass, while the
+        // particles are still warm in cache.
         let partitioner = &self.partitioner;
         let n_partitions = self.n_partitions;
-        let flats = par_map_mut(self.parallel, &mut self.trees, vec![(); n_trees], |t, ()| {
-            let flat = t.flatten()?;
+        let (tree_type, bucket_size) = (self.config.tree_type, self.config.bucket_size);
+        let pieces = &self.pieces;
+        let jobs: Vec<_> = built.into_iter().enumerate().collect();
+        let emitted = par_map_mut(self.parallel, &mut self.subtrees, jobs, |s, (si, built)| {
+            let tree = match (built, &*s) {
+                (Some(t), _) => {
+                    *s = if churned[si] {
+                        Maintained::Rebuilt(leaf_tiles(&t))
+                    } else {
+                        let depth = pieces[si].depth;
+                        Maintained::Patched(UpdatableTree::from_built(
+                            &t,
+                            tree_type,
+                            bucket_size,
+                            depth,
+                        ))
+                    };
+                    t
+                }
+                (None, Maintained::Patched(t)) => t.flatten()?,
+                // Phase 3 built every Subtree without a patchable form.
+                (None, Maintained::Rebuilt(_)) => return Err(UpdateError::StaleSlab { index: 0 }),
+            };
             let mut loads = vec![0u64; n_partitions];
-            for p in &flat.particles {
+            for p in &tree.particles {
                 loads[partitioner.assign(p) as usize] += 1;
             }
-            Ok((flat, loads))
+            Ok((tree, loads))
         });
         let mut out = Vec::with_capacity(n_trees);
         let mut loads = vec![0u64; n_partitions];
-        for r in flats {
-            let (flat, l) = r?;
+        for r in emitted {
+            let (tree, l) = r?;
             for (dst, v) in loads.iter_mut().zip(l) {
                 *dst += v;
             }
-            out.push(flat);
+            out.push(tree);
         }
         Ok((out, loads))
     }
@@ -457,14 +702,15 @@ impl<D: Data> TreeMaintainer<D> {
     /// slack. Position-determined trees never qualify: their depth
     /// follows local density by construction.
     fn depth_unbalanced(&self, si: usize) -> bool {
+        let Maintained::Patched(tree) = &self.subtrees[si] else { return false };
         if !self.config.tree_type.is_median_split() {
             return false;
         }
         let inc = self.config.incremental;
-        let n = self.trees[si].n_particles() as f64;
+        let n = tree.n_particles() as f64;
         let bucket = self.config.bucket_size.max(1) as f64;
         let ideal = (n / bucket).max(1.0).log2() / (1.0 / inc.balance_alpha).log2().max(1e-9);
-        (self.trees[si].max_depth() as f64) > ideal + inc.balance_depth_slack as f64
+        (tree.max_depth() as f64) > ideal + inc.balance_depth_slack as f64
     }
 
     /// Whole-tree rebuild + re-decomposition fallback, transparent to
@@ -476,6 +722,7 @@ impl<D: Data> TreeMaintainer<D> {
     ) -> (Vec<BuiltTree<D>>, MaintainRound) {
         let built = self.reseed(particles);
         round.full_rebuild = true;
+        round.churn_rebuilt.clear();
         round.rebuilt_subtrees.clear();
         self.totals.full_rebuilds += 1;
         (built, round)
@@ -492,55 +739,33 @@ impl<D: Data> TreeMaintainer<D> {
         self.totals.merges += s.n_merges;
         self.totals.pruned += s.n_pruned;
         self.totals.refreshed += s.n_refreshed;
+        self.totals.churn_rebuilds += round.churn_rebuilt.len() as u64;
     }
 
-    /// The Subtree whose region contains `pos`, preferring the source
-    /// Subtree on shared faces (avoids spurious boundary migrations).
-    /// Pieces tile the universe, so the nearest-region fallback only
-    /// guards float edge cases.
-    fn route(&self, pos: Vec3, src: usize) -> (usize, bool) {
-        if self.pieces[src].bbox.contains(pos) {
-            return (src, true);
-        }
-        for (i, piece) in self.pieces.iter().enumerate() {
-            if piece.bbox.contains(pos) {
-                return (i, true);
-            }
-        }
-        // The position fell into a region no piece covers (an octant
-        // that held no particles at decomposition time): the nearest
-        // piece adopts it, growing its region box.
-        let mut best = src;
-        let mut best_d = f64::INFINITY;
-        for (i, piece) in self.pieces.iter().enumerate() {
-            let d = piece.bbox.dist_sq_to(pos);
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        (best, false)
-    }
-
-    /// Rebuilds one Subtree from its current particles (balance
-    /// policy), plus `outsiders` — escapees whose positions no piece
-    /// covers; the region box grows over them first so every leaf box
-    /// still contains its particles.
+    /// Rebuilds one patched Subtree from its current particles
+    /// (balance policy), plus `outsiders` — escapees whose positions no
+    /// piece covers; the region box grows over them first so every leaf
+    /// box still contains its particles.
     fn rebuild_subtree(&mut self, si: usize, outsiders: Vec<Particle>) -> Result<(), UpdateError> {
         for p in &outsiders {
             self.pieces[si].bbox.grow(p.pos);
         }
         let piece = self.pieces[si];
-        let mut particles = self.trees[si].all_particles()?;
+        // Only a patched Subtree comes here; one without a patchable
+        // form absorbed its outsiders in its own build.
+        let Maintained::Patched(tree) = &self.subtrees[si] else {
+            return Err(UpdateError::StaleSlab { index: 0 });
+        };
+        let mut particles = tree.all_particles()?;
         particles.extend(outsiders);
         let built: BuiltTree<D> =
             build_piece(piece.key, piece.depth, piece.bbox, particles, &self.config, self.parallel);
-        self.trees[si] = UpdatableTree::from_built(
+        self.subtrees[si] = Maintained::Patched(UpdatableTree::from_built(
             &built,
             self.config.tree_type,
             self.config.bucket_size,
             piece.depth,
-        );
+        ));
         Ok(())
     }
 }
@@ -667,10 +892,12 @@ mod tests {
             let (trees, _round) = m.advance(master);
             master = masters(&trees);
         }
+        // A contraction this hard churns every Subtree, so the churn
+        // rebuild answers it before the α test can fire.
+        let t = m.totals();
         assert!(
-            m.totals().subtree_rebuilds > 0 || m.totals().full_rebuilds > 0,
-            "median-split drift must trip the weight-balance policy: {:?}",
-            m.totals()
+            t.churn_rebuilds > 0 || t.subtree_rebuilds > 0 || t.full_rebuilds > 0,
+            "median-split drift must trip some rebuild: {t:?}"
         );
     }
 
@@ -749,6 +976,121 @@ mod tests {
             second.rebuilt_subtrees
         );
         assert_eq!(second.stats.n_moved, 0);
+    }
+
+    fn assert_same_tree(a: &BuiltTree<CountData>, b: &BuiltTree<CountData>) {
+        assert_eq!(a.nodes.len(), b.nodes.len());
+        for (x, y) in a.nodes.iter().zip(&b.nodes) {
+            assert_eq!(x.key, y.key);
+            assert_eq!((x.bbox.lo, x.bbox.hi), (y.bbox.lo, y.bbox.hi));
+            assert_eq!(x.shape, y.shape);
+            assert_eq!(x.children, y.children);
+            assert_eq!(x.data, y.data);
+            assert_eq!(x.n_particles, y.n_particles);
+            assert_eq!(x.depth, y.depth);
+        }
+        assert_eq!(a.particles, b.particles);
+    }
+
+    /// Reverses the positions of `bodies` among themselves: nearly every
+    /// one leaves its leaf, and the set of positions stays the same.
+    fn trade_places(bodies: &mut [Particle]) {
+        let reversed: Vec<Vec3> = bodies.iter().rev().map(|p| p.pos).collect();
+        for (p, pos) in bodies.iter_mut().zip(reversed) {
+            p.pos = pos;
+        }
+    }
+
+    #[test]
+    fn a_churned_subtree_is_built_afresh_and_a_calm_one_patched() {
+        let cfg = config();
+        let ps = gen::uniform_cube(1500, 31, 1.0, 1.0);
+        let (mut m, seeded) = TreeMaintainer::<CountData>::seed(&cfg, ps, false);
+        let mut master = masters(&seeded);
+        let n0 = seeded[0].particles.len();
+        // Subtree 0 churns without losing a body to another piece.
+        trade_places(&mut master[..n0]);
+        // Subtree 1 stays calm: one body moves halfway to its leaf's
+        // centre, inside the leaf.
+        let leaf = seeded[1].nodes.iter().find(|n| n.is_leaf()).expect("a leaf");
+        let k = n0 + leaf.bucket_range().expect("a bucket").start;
+        master[k].pos = master[k].pos + (leaf.bbox.center() - master[k].pos) * 0.5;
+        // What the round must build subtree 0 from: its bodies in
+        // master order, keyed against the maintained universe.
+        let universe = m.universe();
+        let input: Vec<Particle> = master[..n0]
+            .iter()
+            .map(|p| Particle { key: paratreet_geometry::morton_key(p.pos, &universe), ..*p })
+            .collect();
+        let piece = m.pieces[0];
+
+        let (trees, round) = m.advance(master);
+        assert!(!round.full_rebuild);
+        assert_eq!(round.churn_rebuilt, vec![0]);
+        assert!(round.rebuilt_subtrees.is_empty());
+        let fresh: BuiltTree<CountData> =
+            build_piece(piece.key, piece.depth, piece.bbox, input, &cfg, false);
+        assert_same_tree(&trees[0], &fresh);
+        assert!(
+            matches!(m.subtrees[0], Maintained::Rebuilt(_)),
+            "a churned Subtree keeps no patchable form"
+        );
+        assert!(matches!(m.subtrees[1], Maintained::Patched(_)), "a calm Subtree stays patchable");
+        assert_eq!(m.totals().churn_rebuilds, 1);
+        assert_eq!(m.totals().patched, 1, "the calm body is patched in place");
+        assert_eq!(round.stats.n_moved, round.stats.n_escaped + 1);
+        assert!(round.stats.n_escaped as f64 > CHURN_REBUILD_FRACTION * n0 as f64);
+        for t in &trees {
+            t.validate(cfg.bucket_size).unwrap();
+        }
+    }
+
+    #[test]
+    fn thread_count_does_not_change_output_under_churn() {
+        let run_steps = || {
+            let cfg = config();
+            let ps = gen::uniform_cube(1200, 37, 1.0, 1.0);
+            let (mut m, seeded) = TreeMaintainer::<CountData>::seed(&cfg, ps, true);
+            let mut master = masters(&seeded);
+            let mut out = Vec::new();
+            for _ in 0..3 {
+                // A third of the bodies trade places (their Subtrees
+                // churn, and some bodies migrate); the rest creep.
+                let third = master.len() / 3;
+                trade_places(&mut master[..third]);
+                let c = m.universe().center();
+                for p in &mut master[third..] {
+                    p.pos = c + (p.pos - c) * 0.999;
+                }
+                let (trees, round) = m.advance(master);
+                master = masters(&trees);
+                out.push((trees, round));
+            }
+            (out, *m.totals())
+        };
+        let run = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+                .install(run_steps)
+        };
+        let (a, totals) = run(1);
+        assert!(totals.churn_rebuilds > 0, "the trade must churn: {totals:?}");
+        assert!(totals.patched > 0, "the creep must patch: {totals:?}");
+        assert_eq!(totals.full_rebuilds, 0);
+        for (b, _) in [run(2), run(8)] {
+            for ((ta, ra), (tb, rb)) in a.iter().zip(&b) {
+                assert_eq!(ra.churn_rebuilt, rb.churn_rebuilt);
+                assert_eq!(ra.rebuilt_subtrees, rb.rebuilt_subtrees);
+                assert_eq!((ra.n_batches, ra.n_migrated), (rb.n_batches, rb.n_migrated));
+                assert_eq!(ra.stats, rb.stats);
+                assert_eq!(ta.len(), tb.len());
+                for (x, y) in ta.iter().zip(tb) {
+                    assert_same_tree(x, y);
+                }
+            }
+        }
     }
 
     #[test]

@@ -327,6 +327,22 @@ grep -q '"tree.update.subtree_rebuilds":0' "$disk_metrics" ||
 grep -q '"tree.update.update_errors":0' "$disk_metrics" ||
     { echo "disk smoke: structured update errors recorded in $disk_metrics"; exit 1; }
 
+echo "== incremental churn smoke (leaves churn: Subtrees rebuilt, not patched) =="
+churn_metrics="$smoke_dir/churn.json"
+cargo run --release -q --bin paratreet -- disk --particles 3000 --iterations 4 \
+    --tree longest-dim --decomp longest-dim --incremental true --radius-scale 1 \
+    --metrics-out "$churn_metrics" > /dev/null
+# The default --dt (a fiftieth of the inner orbit) moves about half of
+# the bodies out of their leaves each step: past the churn fraction.
+# Physical radii (--radius-scale 1) merge nothing, so the population
+# holds and no step falls back to a full rebuild.
+grep -q '"tree.update.churn_rebuilds":[1-9]' "$churn_metrics" ||
+    { echo "churn smoke: no churned Subtree rebuilt in $churn_metrics"; exit 1; }
+grep -q '"tree.update.full_rebuilds":0' "$churn_metrics" ||
+    { echo "churn smoke: maintained disk run fell back to full rebuilds"; exit 1; }
+grep -q '"tree.update.update_errors":0' "$churn_metrics" ||
+    { echo "churn smoke: structured update errors recorded in $churn_metrics"; exit 1; }
+
 echo "== serve smoke (live writer + reader pool, latency histograms) =="
 serve_metrics="$smoke_dir/serve.json"
 cargo run --release -q --bin paratreet -- serve-bench --particles 3000 --clients 40 \

@@ -96,6 +96,8 @@ INCREMENTAL TREE MAINTENANCE (gravity/sph/disk on the shared engine;
 serve-bench always maintains and reads the tuning below):
   --incremental B      maintain the tree across iterations instead
                        of rebuilding from scratch          [false]
+                       (a Subtree whose leaf escapees pass 10 % of
+                       its bodies is rebuilt, the others patched)
   --inc-alpha F        BB[α] weight-balance factor: rebuild a
                        median-split Subtree when a child outweighs
                        α of its parent                     [0.7]
@@ -731,6 +733,9 @@ fn run_disk(opts: &Opts) {
     metrics.set_u64("disk.collisions", sim.events.len() as u64);
     metrics.set_u64("disk.steps", iterations as u64);
     metrics.set_u64("disk.bodies_remaining", sim.framework.particles().len() as u64);
+    if let Some(totals) = sim.framework.update_totals() {
+        metrics.absorb("tree.update", &totals);
+    }
     out.write(&metrics, sim.framework.particles());
 }
 
